@@ -13,10 +13,12 @@ use medledger_contracts::sharing::{
     RequestUpdateArgs,
 };
 use medledger_contracts::{ContractRuntime, SharedTableMeta, SharingContract};
-use medledger_crypto::{ack_message, fold_attestation, Hash256, KeyPair, Prg, Signature};
+use medledger_crypto::{
+    ack_message, fold_attestation, Hash256, KeyPair, MerkleTree, Prg, Signature,
+};
 use medledger_ledger::{
-    audit, AccountId, Block, Chain, Membership, Mempool, Receipt, SignedTransaction, Transaction,
-    TxId, TxPayload, TxStatus,
+    audit, AccountId, Block, BlockHeader, Chain, Membership, Mempool, Receipt, SignedTransaction,
+    Transaction, TxId, TxPayload, TxStatus,
 };
 use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel, PayloadKind};
 use medledger_relational::normalize_shard_count;
@@ -784,6 +786,12 @@ impl System {
             .mempool
             .select(self.config.max_block_txs, &BTreeSet::new());
         let height = self.chain.height() + 1;
+        // Each transaction is encoded (≈17 KB) and hashed once here: the
+        // root is the PBFT digest and the header's `tx_root`, the buffer
+        // lengths are the round's payload. `Chain::append` recomputes the
+        // root from the transactions as its own check.
+        let encoded: Vec<Vec<u8>> = txs.iter().map(SignedTransaction::encode).collect();
+        let tx_root = MerkleTree::from_data(&encoded).root();
 
         // Consensus: one scheduled PBFT round decides the whole block (the
         // pre-prepare carries every transaction, so a group-committed
@@ -792,8 +800,7 @@ impl System {
         let mut deciding_view = 0u64;
         let mut seal_ms = start;
         if let ConsensusKind::PrivatePbft { .. } = self.config.consensus {
-            let digest = Block::tx_root(&txs);
-            let payload: usize = txs.iter().map(SignedTransaction::encoded_len).sum();
+            let payload: usize = encoded.iter().map(Vec::len).sum();
             let round = PbftRound::new(PbftConfig {
                 n: self.config.n_validators,
                 latency: self.config.validator_latency.clone(),
@@ -802,7 +809,7 @@ impl System {
                 seed: format!("{}-pbft", self.config.seed),
             })
             .payload_bytes(payload.max(64));
-            let out = round.run(height, digest, 3_600_000);
+            let out = round.run(height, tx_root, 3_600_000);
             let commit = out
                 .all_commit_ms
                 .ok_or_else(|| CoreError::ConsensusFailed(format!("height {height}")))?;
@@ -829,15 +836,18 @@ impl System {
         // Attribute the block to the proposer of the round that actually
         // decided it (view 0 normally; later views after view changes).
         let proposer = self.schedule.proposer(height, deciding_view);
-        let block = Block::assemble(
-            height,
-            self.chain.tip().hash(),
-            state_root,
-            seal_ms,
-            proposer,
-            txs.clone(),
-        )
-        .in_wave(self.wave);
+        let block = Block {
+            header: BlockHeader {
+                height,
+                parent: self.chain.tip().hash(),
+                tx_root,
+                state_root,
+                timestamp_ms: seal_ms,
+                proposer,
+                wave: self.wave,
+            },
+            txs: txs.clone(),
+        };
         self.chain.append(block)?;
         self.mempool.remove_committed(&txs);
         self.clock_ms = self.clock_ms.max(seal_ms);

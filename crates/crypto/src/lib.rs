@@ -7,14 +7,19 @@
 //! cryptography crates:
 //!
 //! * [`sha256()`] / [`Sha256`] — the hash function, one-shot and
-//!   incremental (module [`mod@sha256`]).
+//!   incremental (module [`mod@sha256`]). Its compression function has
+//!   a hardware kernel (x86 SHA extensions) and a portable scalar one;
+//!   which runs is decided by `is_x86_feature_detected!` alone, and the
+//!   digests are identical, so nothing stored or signed depends on the
+//!   CPU. It is the only `unsafe` in this crate.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) used for PBFT-style message
 //!   authenticators between known validators.
 //! * [`merkle`] — binary Merkle trees with inclusion proofs, used for block
 //!   transaction roots and contract state roots.
 //! * [`sig`] — a publicly verifiable, N-time hash-based signature scheme
 //!   (Lamport one-time signatures under a Merkle tree, a small Merkle
-//!   Signature Scheme) used to sign ledger transactions.
+//!   Signature Scheme) used to sign ledger transactions. Key generation
+//!   derives its one-time keys on every available core.
 //! * [`prg`] — a deterministic SHA-256 counter-mode byte stream used to
 //!   derive keys and to make every experiment reproducible.
 //! * [`mod@crc32`] — CRC-32 frame checksums for the durable-storage WAL

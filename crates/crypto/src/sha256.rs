@@ -1,9 +1,26 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! The implementation is the straightforward 64-round compression function
-//! over 512-bit blocks with Merkle–Damgård padding. It is validated against
-//! the NIST test vectors in the unit tests below and against HMAC vectors
-//! in [`crate::hmac`].
+//! Merkle–Damgård padding around one of two interchangeable compression
+//! kernels, picked per hash from what the CPU reports and from nothing
+//! else (no cargo feature, environment variable or config field):
+//!
+//! * **SHA-NI** — on `x86_64` when `is_x86_feature_detected!` finds `sha`,
+//!   `ssse3` and `sse4.1` (Intel Goldmont / Ice Lake and later, every AMD
+//!   Zen), the `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions
+//!   from `std::arch`, with the state held in registers across a run of
+//!   consecutive blocks.
+//! * **scalar** — the straightforward 64-round function, on every other
+//!   CPU; it is also the oracle the unit tests hold the hardware kernel to.
+//!
+//! Both produce the same digest for every input, so public keys, tx ids,
+//! block hashes, state roots and stored bytes do not depend on the machine.
+//! Messages of at most 119 bytes, which pad to one or two blocks (domain
+//! tag + one to three digests: Lamport secrets and public values, Merkle nodes, attestation
+//! fold steps) are padded on the stack and compressed in one call instead
+//! of going through the streaming hasher's buffer.
+//!
+//! Validated against the NIST test vectors in the unit tests below, on
+//! both kernels, and against HMAC vectors in [`crate::hmac`].
 
 use crate::hash::Hash256;
 
@@ -26,6 +43,57 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Longest message the one-call path takes: two blocks less the `0x80`
+/// terminator and the 8-byte length field.
+const SHORT_MAX: usize = 119;
+
+/// An implementation of the compression function.
+///
+/// Private to this module, and [`Kernel::ShaNi`] is built only by
+/// [`Kernel::detect`]: holding one is the proof that the CPU has the
+/// instructions [`compress_blocks_shani`] is compiled with.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// Portable 64-round function; fallback and test oracle.
+    Scalar,
+    /// x86 SHA extensions.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs (std caches the `cpuid` answer, so
+    /// this is a load and a bit test per feature).
+    #[inline]
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
+        }
+        Kernel::Scalar
+    }
+
+    /// Folds `blocks`, a run of whole 64-byte blocks, into `state`.
+    #[inline]
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self {
+            Kernel::Scalar => compress_blocks_scalar(state, blocks),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => {
+                // SAFETY: `Kernel::ShaNi` comes only from `Kernel::detect`,
+                // after `is_x86_feature_detected!` reported `sha`, `ssse3`
+                // and `sse4.1` (`sse2` is part of every x86_64), which are
+                // the features `compress_blocks_shani` is compiled with.
+                unsafe { compress_blocks_shani(state, blocks) }
+            }
+        }
+    }
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// ```
@@ -46,6 +114,7 @@ pub struct Sha256 {
     buf_len: usize,
     /// Total message length in bytes processed so far.
     total_len: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -57,11 +126,16 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
@@ -76,62 +150,91 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            } else {
+            if self.buf_len < 64 {
                 // Buffer still not full, so the input is exhausted.
                 debug_assert!(data.is_empty());
                 return;
             }
+            self.kernel.compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        // Whole blocks straight from the input.
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            let arr: &[u8; 64] = block.try_into().expect("exact chunk");
-            self.compress(arr);
+        // Whole blocks straight from the input, as one run.
+        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            self.kernel.compress_blocks(&mut self.state, blocks);
         }
-        let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
     /// Completes the hash and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append the 0x80 terminator.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad with zeros until 8 bytes short of a block boundary.
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        self.update_padding(&pad[..pad_len]);
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        finish(
+            self.kernel,
+            &mut self.state,
+            &mut tail,
+            self.buf_len,
+            self.total_len,
+        )
+    }
+}
 
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+/// Pads and compresses the last `used` (< 120) message bytes, which sit at
+/// the front of the otherwise zero `tail`, and returns the digest of a
+/// message of `total_len` bytes: the `0x80` terminator, zeros up to 8 bytes
+/// short of a block boundary, then the bit length — one block if that fits,
+/// two if not.
+#[inline]
+fn finish(
+    kernel: Kernel,
+    state: &mut [u32; 8],
+    tail: &mut [u8; 128],
+    used: usize,
+    total_len: u64,
+) -> Hash256 {
+    tail[used] = 0x80;
+    let padded = if used < 56 { 64 } else { 128 };
+    tail[padded - 8..padded].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    kernel.compress_blocks(state, &tail[..padded]);
+
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state.iter()) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256(out)
+}
+
+/// SHA-256 of the concatenation of `parts` on `kernel`: messages of at
+/// most `SHORT_MAX` bytes are gathered and padded on the stack and
+/// compressed in one call; longer ones stream.
+fn digest_parts(kernel: Kernel, parts: &[&[u8]]) -> Hash256 {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    if len > SHORT_MAX {
+        let mut h = Sha256::with_kernel(kernel);
+        for p in parts {
+            h.update(p);
         }
-        Hash256(out)
+        return h.finalize();
     }
-
-    /// `update` without touching `total_len` (padding is not message data).
-    fn update_padding(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
+    let mut tail = [0u8; 128];
+    let mut at = 0;
+    for p in parts {
+        tail[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
     }
+    let mut state = H0;
+    finish(kernel, &mut state, &mut tail, len, len as u64)
+}
 
-    /// One application of the SHA-256 compression function.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel: one application of the compression function per
+/// 64-byte block of `blocks`.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -142,7 +245,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -164,67 +267,230 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-NI kernel. `sha256rnds2` does two rounds on the state split as
+/// `ABEF`/`CDGH` across two registers; `sha256msg1`/`sha256msg2` extend the
+/// message schedule four words at a time. The state is repacked once per
+/// call, not once per block, so a run of blocks stays in registers.
+///
+/// Declared safe under `#[target_feature]`: calling it from code compiled
+/// without these features is what needs `unsafe` (see
+/// [`Kernel::compress_blocks`], the only caller).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_blocks_shani(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+
+    /// Four consecutive words as one vector, lowest lane first.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn words(w: &[u32]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    // Byte swap within each 32-bit lane: message words are big-endian.
+    let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+    // [a, b, c, d], [e, f, g, h] → ABEF, CDGH (highest lane first).
+    let abcd = _mm_shuffle_epi32(words(&state[..4]), 0xB1);
+    let efgh = _mm_shuffle_epi32(words(&state[4..]), 0x1B);
+    let mut abef = _mm_alignr_epi8(abcd, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, abcd, 0xF0);
+
+    // Rounds 4i..4i+4 on schedule words `$w`.
+    macro_rules! rounds4 {
+        ($i:expr, $w:expr) => {{
+            let wk = _mm_add_epi32($w, words(&K[4 * $i..4 * $i + 4]));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+    // The next four schedule words from the previous sixteen (`$w0` oldest),
+    // written over `$w0`.
+    macro_rules! schedule {
+        ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {
+            $w0 = _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            )
+        };
+    }
+
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let load = |i: usize| {
+            let chunk: &[u8; 16] = block[16 * i..16 * i + 16].try_into().expect("16 bytes");
+            // SAFETY: `chunk` is 16 readable bytes and `loadu` asks for no
+            // alignment; this closure runs only inside this function, which
+            // `Kernel::compress_blocks` enters only once
+            // `is_x86_feature_detected!` has reported its features.
+            _mm_shuffle_epi8(unsafe { _mm_loadu_si128(chunk.as_ptr().cast()) }, swap)
+        };
+        let (mut w0, mut w1, mut w2, mut w3) = (load(0), load(1), load(2), load(3));
+        rounds4!(0, w0);
+        rounds4!(1, w1);
+        rounds4!(2, w2);
+        rounds4!(3, w3);
+        for i in [4, 8, 12] {
+            schedule!(w0, w1, w2, w3);
+            rounds4!(i, w0);
+            schedule!(w1, w2, w3, w0);
+            rounds4!(i + 1, w1);
+            schedule!(w2, w3, w0, w1);
+            rounds4!(i + 2, w2);
+            schedule!(w3, w0, w1, w2);
+            rounds4!(i + 3, w3);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    // ABEF, CDGH → [a, b, c, d], [e, f, g, h].
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    let abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+    let efgh = _mm_alignr_epi8(dchg, feba, 8);
+    for (half, v) in state.chunks_exact_mut(4).zip([abcd, efgh]) {
+        half[0] = _mm_cvtsi128_si32(v) as u32;
+        half[1] = _mm_extract_epi32(v, 1) as u32;
+        half[2] = _mm_extract_epi32(v, 2) as u32;
+        half[3] = _mm_extract_epi32(v, 3) as u32;
     }
 }
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    digest_parts(Kernel::detect(), &[data])
 }
 
 /// SHA-256 over the concatenation of several byte slices, without building
 /// an intermediate buffer. Used pervasively for domain-separated hashing
 /// (`sha256_concat(&[tag, payload])`).
 pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
-    }
-    h.finalize()
+    digest_parts(Kernel::detect(), parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// NIST / well-known vectors.
+    /// The hardware kernel, or `None` (said aloud, so a test log shows the
+    /// comparison did not run) on a CPU that has only the scalar one.
+    fn hardware() -> Option<Kernel> {
+        match Kernel::detect() {
+            Kernel::Scalar => {
+                eprintln!("skipped: this CPU has no hardware SHA-256 kernel, scalar only");
+                None
+            }
+            kernel => Some(kernel),
+        }
+    }
+
+    /// The scalar oracle first, then the hardware kernel where there is one.
+    fn kernels() -> Vec<Kernel> {
+        std::iter::once(Kernel::Scalar).chain(hardware()).collect()
+    }
+
+    /// `data` through the streaming hasher on `kernel`, one `update` per
+    /// stretch between consecutive `splits`.
+    fn streamed(kernel: Kernel, data: &[u8], splits: &[usize]) -> Hash256 {
+        let mut cuts: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(data.len());
+        let mut h = Sha256::with_kernel(kernel);
+        let mut from = 0;
+        for cut in cuts {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        h.finalize()
+    }
+
+    /// NIST / well-known vectors, on each kernel and through the public API.
     #[test]
     fn nist_vectors() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        assert_eq!(
-            sha256(b"hello world").to_hex(),
-            "b94d27b9934d3e08a52e52d7da7dabfac484efe37a5380ee9088f7ace2efcde9"
-        );
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"hello world",
+                "b94d27b9934d3e08a52e52d7da7dabfac484efe37a5380ee9088f7ace2efcde9",
+            ),
+        ];
+        for (msg, hex) in vectors {
+            assert_eq!(sha256(msg).to_hex(), hex);
+            for kernel in kernels() {
+                assert_eq!(digest_parts(kernel, &[msg]).to_hex(), hex, "{kernel:?}");
+                assert_eq!(streamed(kernel, msg, &[]).to_hex(), hex, "{kernel:?}");
+            }
+        }
     }
 
     #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let hex = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(sha256(&data).to_hex(), hex);
+        for kernel in kernels() {
+            assert_eq!(digest_parts(kernel, &[&data]).to_hex(), hex, "{kernel:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hardware kernel is the scalar kernel: same digest for any
+        /// input, however it is cut into `update` calls.
+        #[test]
+        fn hardware_kernel_matches_scalar(
+            data in proptest::collection::vec(any::<u8>(), 0..4097),
+            splits in proptest::collection::vec(0usize..4097, 0..6),
+        ) {
+            let Some(hardware) = hardware() else { return Ok(()) };
+            let expect = streamed(Kernel::Scalar, &data, &[]);
+            prop_assert_eq!(streamed(hardware, &data, &splits), expect);
+            prop_assert_eq!(streamed(Kernel::Scalar, &data, &splits), expect);
+            prop_assert_eq!(digest_parts(hardware, &[&data]), expect);
+        }
+    }
+
+    /// The one-call path for short messages is the streaming hasher: at
+    /// every length around its one-block/two-block/streaming boundaries,
+    /// gathered from one to five parts (some of them empty).
+    #[test]
+    fn short_path_matches_streaming() {
+        for kernel in kernels() {
+            for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 118, 119, 120] {
+                let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+                let expect = streamed(kernel, &data, &[]);
+                for n_parts in 1..=5 {
+                    let parts: Vec<&[u8]> = (0..n_parts)
+                        .map(|p| &data[len * p / n_parts..len * (p + 1) / n_parts])
+                        .collect();
+                    assert_eq!(
+                        digest_parts(kernel, &parts),
+                        expect,
+                        "{kernel:?}, {len} bytes in {n_parts} parts"
+                    );
+                }
+            }
+        }
     }
 
     /// Incremental hashing must agree with one-shot hashing for every split

@@ -27,6 +27,10 @@ use std::fmt;
 /// Number of message-digest bits, hence Lamport value pairs per key.
 const BITS: usize = 256;
 
+/// Fewest one-time keys worth deriving on more than one thread: a leaf is
+/// ≈1 800 compressions, so below this a thread spawn is not paid back.
+const PARALLEL_MIN_LEAVES: usize = 64;
+
 /// A verifying key: the Merkle root over the one-time public keys.
 ///
 /// Also used as the account identifier (`AccountId`) across the ledger.
@@ -171,10 +175,18 @@ impl KeyPair {
 
     /// Generates a key pair from an explicit 32-byte seed.
     pub fn from_seed(seed: Hash256, capacity: usize) -> Self {
-        let capacity = capacity.max(1).next_power_of_two() as u64;
-        let leaves: Vec<Hash256> = (0..capacity)
-            .map(|i| Self::ots_leaf_hash(&seed, i))
-            .collect();
+        let capacity = capacity.max(1).next_power_of_two();
+        let threads = if capacity < PARALLEL_MIN_LEAVES {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        };
+        Self::over_leaves(seed, Self::ots_leaves(&seed, capacity, threads))
+    }
+
+    /// The key pair of `seed` over its already derived `leaves`.
+    fn over_leaves(seed: Hash256, leaves: Vec<Hash256>) -> Self {
+        let capacity = leaves.len() as u64;
         let tree = MerkleTree::from_leaves(leaves);
         let public = PublicKey(tree.root());
         KeyPair {
@@ -184,6 +196,31 @@ impl KeyPair {
             tree,
             public,
         }
+    }
+
+    /// The `count` (≥ 1) one-time public keys under `seed`, hashed to
+    /// Merkle leaves on `threads` (≥ 1) threads, the caller's included,
+    /// each filling its own stretch of the result. Leaves are independent,
+    /// so the result does not depend on `threads`.
+    fn ots_leaves(seed: &Hash256, count: usize, threads: usize) -> Vec<Hash256> {
+        let mut leaves = vec![Hash256::ZERO; count];
+        let fill = |first: usize, stretch: &mut [Hash256]| {
+            for (i, leaf) in stretch.iter_mut().enumerate() {
+                *leaf = Self::ots_leaf_hash(seed, (first + i) as u64);
+            }
+        };
+        let per_thread = count.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let mut stretches = leaves.chunks_mut(per_thread).enumerate();
+            let own = stretches.next();
+            for (n, stretch) in stretches {
+                scope.spawn(move || fill(n * per_thread, stretch));
+            }
+            if let Some((_, stretch)) = own {
+                fill(0, stretch);
+            }
+        });
+        leaves
     }
 
     /// The verifying key (account identifier).
@@ -397,6 +434,40 @@ mod tests {
         assert_eq!(a.public(), b.public());
         let c = KeyPair::generate("other", 4);
         assert_ne!(a.public(), c.public());
+    }
+
+    /// Leaf derivation split over threads is the serial loop: same leaves
+    /// for any thread count (also more threads than leaves, and stretches
+    /// of unequal length), hence the same public key and signatures.
+    #[test]
+    fn parallel_leaf_derivation_matches_serial() {
+        let seed = sha256(b"parallel-leaves");
+        for capacity in [1usize, 2, 63, 64, 256] {
+            let rounded = capacity.next_power_of_two();
+            let serial = KeyPair::ots_leaves(&seed, rounded, 1);
+            assert_eq!(serial.len(), rounded);
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    KeyPair::ots_leaves(&seed, rounded, threads),
+                    serial,
+                    "{rounded} leaves on {threads} threads"
+                );
+            }
+            // A count no thread count divides: leaf `i` depends on `i` alone.
+            assert_eq!(
+                KeyPair::ots_leaves(&seed, capacity, 4),
+                serial[..capacity],
+                "{capacity} leaves on 4 threads"
+            );
+
+            let mut oracle = KeyPair::over_leaves(seed, serial);
+            let mut keys = KeyPair::from_seed(seed, capacity);
+            assert_eq!(keys.capacity(), rounded as u64);
+            assert_eq!(keys.public(), oracle.public(), "capacity {capacity}");
+            let signature = keys.sign(b"same bytes").expect("sign");
+            assert_eq!(signature, oracle.sign(b"same bytes").expect("sign"));
+            assert!(signature.verify(&oracle.public(), b"same bytes"));
+        }
     }
 
     #[test]
