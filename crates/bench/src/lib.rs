@@ -636,7 +636,7 @@ pub fn shard_apply_bench(
         .filter_map(|u| u.target.as_int())
         .collect();
 
-    let view0 = receiver.shared_table("ward").expect("view").clone();
+    let view0 = receiver.shared_table("ward").expect("view");
     let mut view1 = view0.clone();
     for pid in &hot {
         view1

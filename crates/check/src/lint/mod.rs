@@ -20,6 +20,7 @@ fn unwrap_scope(rel: &str) -> bool {
     (rel.starts_with("crates/node/src/") && !rel.starts_with("crates/node/src/bin/"))
         || rel.starts_with("crates/engine/src/")
         || rel == "crates/core/src/persist.rs"
+        || rel == "crates/core/src/peer.rs"
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

@@ -6,8 +6,9 @@
 //!   `crates/node` must carry an `// ordering: <key>` marker naming an
 //!   entry in `ordering_policy.toml` that permits the variants used.
 //! - **unwrap-ban** — no `unwrap()`/`expect(` in non-test code of the
-//!   runtime, engine, or persistence layers, except lock-poisoning
-//!   chains and sites explicitly marked `// lint: allow(unwrap)`.
+//!   runtime, engine, persistence, or peer-store layers, except
+//!   lock-poisoning chains and sites explicitly marked
+//!   `// lint: allow(unwrap)`.
 //! - **wire-exhaustive** — every `wire::Message` variant appears in
 //!   both codec directions, and every `RejectKind`/`CommitError`
 //!   variant in the tag maps and the gateway's rejection mapping.

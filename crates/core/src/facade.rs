@@ -420,7 +420,7 @@ impl<'a> PeerSession<'a> {
     /// A copy of a local table (source or materialized shared copy) —
     /// the paper's Fig. 4 read path, no chain interaction.
     pub fn source(&self, table: &str) -> Result<Table> {
-        Ok(self.system.peer(self.peer)?.db.table(table)?.clone())
+        self.system.peer(self.peer)?.read_table(table)
     }
 
     /// A copy of this peer's materialized view of a shared table.
@@ -504,7 +504,7 @@ impl PeerReader<'_> {
 
     /// A copy of a local table (source or materialized shared copy).
     pub fn source(&self, table: &str) -> Result<Table> {
-        Ok(self.system.peer(self.peer)?.db.table(table)?.clone())
+        self.system.peer(self.peer)?.read_table(table)
     }
 
     /// A copy of this peer's materialized view of a shared table.

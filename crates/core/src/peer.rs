@@ -7,16 +7,17 @@ use medledger_bx::{analysis, changed_attrs, exec, incremental, GroupIndex, LensS
 use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
-    delta_from_write_op, diff_tables, normalize_shard_count, Database, Row, Schema, Shard,
-    ShardMap, ShardPlan, Table, TableDelta, Value, WriteOp,
+    delta_from_write_op, diff_tables, fingerprint_of, normalize_shard_count, shard_of_key,
+    Database, RelationalError, Row, Schema, Shard, ShardMap, ShardPlan, Table, TableDelta, Value,
+    WriteOp,
 };
-use medledger_telemetry::Recorder;
+use medledger_telemetry::{GaugeHandle, Recorder};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Feeds a sharded mirror's apply counters into the `shard.heat` heat
-/// map. No-op when `recorder` is disabled, so un-instrumented runs pay
-/// nothing. Only the working `store` mirror is wired — the `baseline`
-/// mirror replays the same deltas and would double-count every apply.
+/// Feeds a stored copy's apply counters into the `shard.heat` heat map.
+/// No-op when `recorder` is disabled, so un-instrumented runs pay
+/// nothing. Only the stored copy is wired — the baseline replays the
+/// same deltas and would double-count every apply.
 fn wire_shard_heat(recorder: &Recorder, table_id: &str, store: &mut ShardMap) {
     if recorder.is_enabled() {
         store.set_telemetry(table_id, recorder.heatmap("shard.heat"));
@@ -58,39 +59,23 @@ type PendingRows = BTreeMap<Vec<Value>, Option<Row>>;
 #[derive(Clone, Debug, Default)]
 pub struct PendingSnapshot(BTreeMap<String, Vec<PendingRows>>);
 
-/// The sharded mirror of one shared table's state: the stored copy and
-/// the committed baseline, each split into key-range shards aligned with
-/// the content digest ([`ShardMap`]). Kept in lockstep with the assembled
-/// copies (`db` / `baselines`), which remain the cheap read path; the
-/// shard maps are the hash and apply path — folds serve the content hash
-/// from per-shard subtree roots, and deltas route to the shards they land
-/// in.
+/// One shared table as a peer holds it — the only two places its rows
+/// exist on the peer. Both are split into key-range shards aligned with
+/// the content digest (one shard when the deployment does not shard):
+/// reads iterate the shards, content hashes fold the per-shard subtree
+/// roots, and deltas route to the shards they land in.
 #[derive(Clone, Debug)]
-struct ShardState {
-    /// Sharded stored copy (mirrors the table under `table_id` in `db`).
+struct SharedTable {
+    /// The stored copy: reflects every local write.
     store: ShardMap,
-    /// Sharded committed baseline (mirrors `baselines[table_id]`).
+    /// The view as of the last version committed on chain (advanced by
+    /// applying the committed delta, never by cloning).
     baseline: ShardMap,
-    /// [`Database::table_version`] of the assembled copy when `store`
-    /// last synced with it. An out-of-band edit straight to `db` bumps
-    /// the version, so a stale mirror is detected and resynced (or
-    /// bypassed on read paths) — never silently served.
-    synced_at: u64,
 }
 
-/// How a receiver applies one committed remote delta (see
-/// [`PeerNode::plan_remote_apply`]).
-pub(crate) enum RemoteApply {
-    /// Shard-routed: run the plan's per-shard jobs (concurrently if the
-    /// caller has a pool), then [`PeerNode::finish_remote_apply`].
-    Sharded(RemoteShardPlan),
-    /// Whole-table path — unsharded receiver or conflicted-pending
-    /// resolution; drive through [`PeerNode::apply_remote_delta`].
-    Serial,
-}
-
-/// A planned shard-routed remote apply: the per-shard split of the view
-/// delta plus the pre-derived sibling cascade deltas.
+/// A planned remote apply (see [`PeerNode::plan_remote_apply`]): the
+/// per-shard split of the view delta plus the pre-derived sibling
+/// cascade deltas.
 pub(crate) struct RemoteShardPlan {
     plan: ShardPlan,
     touched: Vec<usize>,
@@ -107,8 +92,8 @@ impl RemoteShardPlan {
 /// One shard job of a planned remote apply: applies the sub-delta under
 /// the target chunk layout and pre-warms the shard's subtree root, so
 /// the map-level fold after the pool drains only combines cached
-/// subroots. Runs on the fan-out worker pool (shard-granular mode) or
-/// inline — the result is identical.
+/// subroots. Runs on the fan-out worker pool or inline — the result is
+/// identical.
 pub(crate) fn run_shard_job(
     (shard, delta, chunk_count): (&mut Shard, &TableDelta, usize),
 ) -> medledger_relational::Result<TableDelta> {
@@ -117,58 +102,63 @@ pub(crate) fn run_shard_job(
     Ok(inverse)
 }
 
-fn merge_into_pending(pending: &mut PendingRows, schema: &Schema, delta: &TableDelta) {
-    for row in &delta.inserts {
-        pending.insert(schema.key_of(row), Some(row.clone()));
-    }
-    for (key, row) in &delta.updates {
-        pending.insert(key.clone(), Some(row.clone()));
-    }
-    for key in &delta.deletes {
-        pending.insert(key.clone(), None);
-    }
-}
-
 /// Normalizes pending rows against the committed baseline into a
 /// canonical [`TableDelta`]: no-op entries drop out, inserts/updates are
 /// classified by baseline membership. Cost is O(pending) lookups.
-fn normalize_pending(pending: &PendingRows, baseline: &Table) -> TableDelta {
+fn normalize_pending(pending: &PendingRows, baseline: &ShardMap) -> TableDelta {
     let mut delta = TableDelta::default();
     for (key, change) in pending {
-        match change {
-            Some(row) => match baseline.get(key) {
-                Some(old) if old == row => {}
-                Some(_) => delta.updates.push((key.clone(), row.clone())),
-                None => delta.inserts.push(row.clone()),
-            },
-            None => {
-                if baseline.contains_key(key) {
-                    delta.deletes.push(key.clone());
-                }
-            }
+        match (change, baseline.get(key)) {
+            (Some(row), Some(old)) if old == row => {}
+            (Some(row), Some(_)) => delta.updates.push((key.clone(), row.clone())),
+            (Some(row), None) => delta.inserts.push(row.clone()),
+            (None, Some(_)) => delta.deletes.push(key.clone()),
+            (None, None) => {}
         }
     }
-    let schema = baseline.schema().clone();
-    delta.sort_canonical(|r| schema.key_of(r));
+    delta.sort_canonical(|r| baseline.schema().key_of(r));
     delta
+}
+
+/// The delta that rewinds `shared.store` to `shared.baseline`, read off
+/// the keys tracked as pending: byte-identical to
+/// `diff_tables(store, baseline)` because the stored copy differs from
+/// the baseline only at pending keys. O(pending) lookups.
+fn rewind_pending(pending: &[PendingRows], shared: &SharedTable) -> TableDelta {
+    let mut delta = TableDelta::default();
+    for key in pending.iter().flat_map(BTreeMap::keys) {
+        match (shared.store.get(key), shared.baseline.get(key)) {
+            (Some(now), Some(then)) if now != then => {
+                delta.updates.push((key.clone(), then.clone()))
+            }
+            (None, Some(then)) => delta.inserts.push(then.clone()),
+            (Some(_), None) => delta.deletes.push(key.clone()),
+            _ => {}
+        }
+    }
+    delta.sort_canonical(|r| shared.baseline.schema().key_of(r));
+    delta
+}
+
+fn unknown_share(table_id: &str) -> CoreError {
+    CoreError::UnknownShare(table_id.to_string())
 }
 
 /// A peer (Patient, Doctor, Researcher, …) in the Fig. 2 architecture.
 ///
 /// The peer's [`Database`] holds its *source* tables (full local data)
-/// plus a materialized copy of every shared table it participates in
-/// (stored under the shared table id). The **database manager** methods
-/// are the paper's "BX" boxes: in [`PropagationMode::Delta`] they push
-/// row-level deltas through the lenses (`get_delta` / `put_delta`); in
-/// [`PropagationMode::FullTable`] they re-run full `get` / `put` over
-/// whole tables.
+/// and the mutation log of everything the peer stores. Every shared
+/// table it participates in is materialized once, as a stored copy and
+/// a committed baseline in [`ShardMap`]s of `shards_per_table` shards;
+/// each mutation of the stored copy is logged in `db` under the shared
+/// table id with the shard fold as `post_hash`, and in delta mode the
+/// **pending rows** track the composed local changes since the baseline
+/// — what the next propagation ships.
 ///
-/// State per shared table in delta mode:
-/// * the **stored copy** (in `db`) always reflects every local write,
-/// * the **baseline** is the view as of the last version committed on
-///   chain (advanced by applying the committed delta, never by cloning),
-/// * the **pending rows** are the composed local changes since the
-///   baseline — what the next propagation ships.
+/// The **database manager** methods are the paper's "BX" boxes: in
+/// [`PropagationMode::Delta`] they push row-level deltas through the
+/// lenses (`get_delta` / `put_delta`); in [`PropagationMode::FullTable`]
+/// they re-run full `get` / `put` over whole tables.
 #[derive(Clone, Debug)]
 pub struct PeerNode {
     /// Human-readable name ("Patient", "Doctor", …).
@@ -177,28 +167,22 @@ pub struct PeerNode {
     pub account: AccountId,
     /// Signing keys for ledger transactions.
     pub keys: KeyPair,
-    /// Local database: sources + materialized shared tables.
+    /// Local database: the source tables, plus the mutation log and
+    /// version counters of every table the peer stores (shared ones
+    /// included — their rows live in `shared`).
     pub db: Database,
     /// How this peer exchanges shared-table updates.
     pub mode: PropagationMode,
     /// Shared-table bindings this peer participates in.
     bindings: BTreeMap<String, PeerBinding>,
-    /// Per shared table: the view as of the last version committed on
-    /// chain. Diffing (or normalizing pending rows) against this baseline
-    /// yields the `changed_attrs` the contract checks write permission on.
-    baselines: BTreeMap<String, Table>,
+    /// Per shared table: the stored copy and the committed baseline.
+    shared: BTreeMap<String, SharedTable>,
     /// Per shared table: composed uncommitted local changes (delta mode),
-    /// tracked per shard (index = `shard_of_key`; one slot when
-    /// unsharded).
+    /// tracked per shard (index = `shard_of_key`).
     pending: BTreeMap<String, Vec<PendingRows>>,
-    /// Key-range shards per shared table: `1` leaves the peer exactly as
-    /// before (the equivalence baseline); a power of two `> 1` splits
-    /// every shared table's stored copy and baseline into [`ShardMap`]s
-    /// in delta mode.
+    /// Key-range shards per shared table (a power of two; always `1` in
+    /// full-table mode, the unsharded reference).
     shards_per_table: usize,
-    /// Sharded mirrors of shared-table state (delta mode,
-    /// `shards_per_table > 1` only).
-    shard_states: BTreeMap<String, ShardState>,
     /// Cached `bx` group indexes, one per `ProjectDistinct` binding
     /// (keyed by shared table id), advanced with every applied source
     /// delta — the O(group) hot path for group-lens translation.
@@ -212,8 +196,11 @@ pub struct PeerNode {
     pub next_nonce: u64,
     /// Live-telemetry handle (no-op unless a registry is installed via
     /// [`crate::System::set_recorder`]): feeds the per-(table, shard)
-    /// apply heat map from this peer's sharded mirrors.
+    /// apply heat map from this peer's stored copies.
     telemetry: Recorder,
+    /// `peer.shared_rows_resident.<name>`: rows held across every stored
+    /// copy and baseline.
+    resident_rows: GaugeHandle,
 }
 
 impl PeerNode {
@@ -237,59 +224,85 @@ impl PeerNode {
             keys,
             mode,
             bindings: BTreeMap::new(),
-            baselines: BTreeMap::new(),
+            shared: BTreeMap::new(),
             pending: BTreeMap::new(),
-            shards_per_table: normalize_shard_count(shards_per_table),
-            shard_states: BTreeMap::new(),
+            shards_per_table: match mode {
+                PropagationMode::Delta => normalize_shard_count(shards_per_table),
+                PropagationMode::FullTable => 1,
+            },
             group_indexes: BTreeMap::new(),
             applied_versions: BTreeMap::new(),
             next_nonce: 0,
             telemetry: Recorder::disabled(),
+            resident_rows: GaugeHandle::disabled(),
         }
     }
 
-    /// Installs the live-telemetry recorder and wires the heat-map feed
-    /// of every existing sharded mirror; mirrors built afterwards wire
-    /// themselves on creation. A disabled recorder keeps every apply
-    /// path telemetry-free.
+    /// Installs the live-telemetry recorder: wires the heat-map feed of
+    /// every stored copy (copies built afterwards wire themselves on
+    /// creation) and the resident-rows gauge. A disabled recorder keeps
+    /// every apply path telemetry-free.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.telemetry = recorder.clone();
-        for (table_id, state) in &mut self.shard_states {
-            wire_shard_heat(recorder, table_id, &mut state.store);
+        self.resident_rows = recorder.gauge(&format!("peer.shared_rows_resident.{}", self.name));
+        for (table_id, shared) in &mut self.shared {
+            wire_shard_heat(recorder, table_id, &mut shared.store);
+        }
+        self.publish_resident_rows();
+    }
+
+    /// Sets the resident-rows gauge: stored copies plus baselines, i.e.
+    /// twice the shared rows at rest, whatever the shard count.
+    fn publish_resident_rows(&self) {
+        if self.resident_rows.is_enabled() {
+            let held = |t: &SharedTable| t.store.len() + t.baseline.len();
+            self.resident_rows
+                .set(self.shared.values().map(held).sum::<usize>() as u64);
         }
     }
 
-    /// Key-range shards per shared table (1 = unsharded).
-    pub fn shards_per_table(&self) -> usize {
-        self.shards_per_table
+    /// True iff `table_id`'s stored state is split into more than one
+    /// shard on this peer.
+    pub fn is_sharded(&self, table_id: &str) -> bool {
+        self.shared
+            .get(table_id)
+            .is_some_and(|t| t.store.shard_count() > 1)
     }
 
-    /// True iff `table_id`'s stored state is sharded on this peer.
-    pub fn is_sharded(&self, table_id: &str) -> bool {
-        self.shard_states.contains_key(table_id)
+    /// A share id names the stored copy in the log and in snapshots, so
+    /// no source table may take it.
+    fn ensure_not_a_share(&self, name: &str) -> Result<()> {
+        if self.shared.contains_key(name) {
+            return Err(RelationalError::TableExists {
+                table: name.to_string(),
+            }
+            .into());
+        }
+        Ok(())
     }
 
     /// Registers a source table with initial contents.
     pub fn add_source_table(&mut self, name: &str, table: Table) -> Result<()> {
+        self.ensure_not_a_share(name)?;
         self.db.put_table(name, table)?;
         Ok(())
     }
 
     /// Creates an empty source table.
     pub fn create_source_table(&mut self, name: &str, schema: Schema) -> Result<()> {
+        self.ensure_not_a_share(name)?;
         self.db.create_table(name, schema)?;
         Ok(())
     }
 
     /// Joins a shared table: records the binding, materializes the view
-    /// via the lens's `get`, and stores it under `table_id`. In delta
-    /// mode this also builds the sharded mirror (when sharding is on) and
-    /// the cached group index (for `ProjectDistinct` bindings).
+    /// via the lens's `get`, and stores it (and its baseline) under
+    /// `table_id`. In delta mode this also builds the cached group index
+    /// (for `ProjectDistinct` bindings).
     pub fn join_share(&mut self, table_id: &str, binding: PeerBinding) -> Result<Hash256> {
         let source = self.db.table(&binding.source_table)?;
         let view = exec::get(&binding.lens, source)?;
-        let hash = view.content_hash();
-        if self.db.has_table(table_id) {
+        if self.shared.contains_key(table_id) || self.db.has_table(table_id) {
             return Err(CoreError::BadAgreement(format!(
                 "peer {} already participates in `{table_id}`",
                 self.name
@@ -297,29 +310,25 @@ impl PeerNode {
         }
         if self.mode == PropagationMode::Delta {
             if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-                let synced_at = self.db.table_version(&binding.source_table);
+                let source_version = self.db.table_version(&binding.source_table);
                 self.group_indexes.insert(
                     table_id.to_string(),
-                    (synced_at, GroupIndex::build(source, view_key)?),
+                    (source_version, GroupIndex::build(source, view_key)?),
                 );
             }
         }
-        self.db.put_table(table_id, view.clone())?;
-        if self.mode == PropagationMode::Delta && self.shards_per_table > 1 {
-            let mut store = ShardMap::from_table(&view, self.shards_per_table);
-            wire_shard_heat(&self.telemetry, table_id, &mut store);
-            self.shard_states.insert(
-                table_id.to_string(),
-                ShardState {
-                    store,
-                    baseline: ShardMap::from_table(&view, self.shards_per_table),
-                    synced_at: self.db.table_version(table_id),
-                },
-            );
-        }
+        let mut store = ShardMap::from_table(&view, self.shards_per_table);
+        // Cloned before the first fold and before the heat feed is wired:
+        // the baseline starts with cold digest caches and stays unwired.
+        let baseline = store.clone();
+        wire_shard_heat(&self.telemetry, table_id, &mut store);
+        let hash = store.content_hash();
+        self.db.bump_version(table_id);
+        self.shared
+            .insert(table_id.to_string(), SharedTable { store, baseline });
         self.bindings.insert(table_id.to_string(), binding);
-        self.baselines.insert(table_id.to_string(), view);
         self.applied_versions.insert(table_id.to_string(), 0);
+        self.publish_resident_rows();
         Ok(hash)
     }
 
@@ -327,12 +336,12 @@ impl PeerNode {
     pub fn leave_share(&mut self, table_id: &str) -> Result<()> {
         self.binding(table_id)?;
         self.bindings.remove(table_id);
-        self.baselines.remove(table_id);
+        self.shared.remove(table_id);
         self.pending.remove(table_id);
-        self.shard_states.remove(table_id);
         self.group_indexes.remove(table_id);
         self.applied_versions.remove(table_id);
-        self.db.drop_table(table_id)?;
+        self.db.bump_version(table_id);
+        self.publish_resident_rows();
         Ok(())
     }
 
@@ -340,7 +349,7 @@ impl PeerNode {
     pub fn binding(&self, table_id: &str) -> Result<&PeerBinding> {
         self.bindings
             .get(table_id)
-            .ok_or_else(|| CoreError::UnknownShare(table_id.to_string()))
+            .ok_or_else(|| unknown_share(table_id))
     }
 
     /// Shared table ids this peer participates in.
@@ -358,33 +367,49 @@ impl PeerNode {
             .collect()
     }
 
-    // ----- shard / group-index plumbing --------------------------------
+    // ----- store / group-index plumbing --------------------------------
     //
     // Every mutation of a shared table's stored copy, of a source table,
     // or of a committed baseline funnels through the helpers below, which
-    // keep three derived structures in lockstep with the assembled
-    // tables: the per-table [`ShardMap`]s (stored copy + baseline, delta
-    // mode with `shards_per_table > 1`), the per-shard pending-row
-    // tracking, and the cached [`GroupIndex`] of every `ProjectDistinct`
-    // binding.
+    // keep the derived structures in step: the mutation log, the
+    // per-shard pending-row tracking, and the cached [`GroupIndex`] of
+    // every `ProjectDistinct` binding.
 
-    /// Merges a view delta into `table_id`'s pending tracking, routed to
-    /// the shards the rows land in.
-    fn merge_pending(&mut self, table_id: &str, schema: &Schema, delta: &TableDelta) {
+    fn shared(&self, table_id: &str) -> Result<&SharedTable> {
+        self.shared
+            .get(table_id)
+            .ok_or_else(|| unknown_share(table_id))
+    }
+
+    fn shared_mut(&mut self, table_id: &str) -> Result<&mut SharedTable> {
+        self.shared
+            .get_mut(table_id)
+            .ok_or_else(|| unknown_share(table_id))
+    }
+
+    /// Merges a view delta into `table_id`'s pending tracking, each row
+    /// routed to the shard it lands in.
+    fn merge_pending(&mut self, table_id: &str, delta: &TableDelta) -> Result<()> {
+        let schema = self.shared.get(table_id).map(|t| t.store.schema());
+        let schema = schema.ok_or_else(|| unknown_share(table_id))?;
         let shards = self.shards_per_table;
         let entry = self
             .pending
             .entry(table_id.to_string())
             .or_insert_with(|| vec![PendingRows::new(); shards]);
-        if shards == 1 {
-            merge_into_pending(&mut entry[0], schema, delta);
-        } else {
-            for (s, part) in delta.split_by_shard(schema, shards).iter().enumerate() {
-                if !part.is_empty() {
-                    merge_into_pending(&mut entry[s], schema, part);
-                }
-            }
+        let mut track = |key: Vec<Value>, change: Option<Row>| {
+            entry[shard_of_key(&key, shards)].insert(key, change);
+        };
+        for row in &delta.inserts {
+            track(schema.key_of(row), Some(row.clone()));
         }
+        for (key, row) in &delta.updates {
+            track(key.clone(), Some(row.clone()));
+        }
+        for key in &delta.deletes {
+            track(key.clone(), None);
+        }
+        Ok(())
     }
 
     /// The share ids of every cached group index bound to `source_table`.
@@ -403,9 +428,9 @@ impl PeerNode {
     /// still matches). Out-of-band edits straight to `db` bump the
     /// version, so a stale index is bypassed — never silently used.
     fn fresh_group_index(&self, share_id: &str) -> Option<&GroupIndex> {
-        let (synced_at, idx) = self.group_indexes.get(share_id)?;
+        let (source_version, idx) = self.group_indexes.get(share_id)?;
         let source = &self.bindings.get(share_id)?.source_table;
-        (*synced_at == self.db.table_version(source)).then_some(idx)
+        (*source_version == self.db.table_version(source)).then_some(idx)
     }
 
     /// `get_delta` through `share_id`'s lens, using the cached group
@@ -417,7 +442,7 @@ impl PeerNode {
         source_old: &Table,
         source_delta: &TableDelta,
     ) -> Result<TableDelta> {
-        let lens = &self.bindings[share_id].lens;
+        let lens = &self.binding(share_id)?.lens;
         Ok(match self.fresh_group_index(share_id) {
             Some(idx) => incremental::get_delta_indexed(lens, source_old, source_delta, idx)?,
             None => incremental::get_delta(lens, source_old, source_delta)?,
@@ -433,11 +458,31 @@ impl PeerNode {
         source: &Table,
         view_delta: &TableDelta,
     ) -> Result<TableDelta> {
-        let lens = &self.bindings[share_id].lens;
+        let lens = &self.binding(share_id)?.lens;
         Ok(match self.fresh_group_index(share_id) {
             Some(idx) => incremental::put_delta_indexed(lens, source, view_delta, idx)?,
             None => incremental::put_delta(lens, source, view_delta)?,
         })
+    }
+
+    /// The non-empty `get_delta` of `source_delta` through every share on
+    /// `source_table` other than `except`, anchored on the pre-delta
+    /// source — the material of the Fig. 5 step-6 dependency check.
+    fn derive_sibling_deltas(
+        &self,
+        source_table: &str,
+        except: Option<&str>,
+        source_delta: &TableDelta,
+    ) -> Result<Vec<(String, TableDelta)>> {
+        let source_old = self.db.table(source_table)?;
+        let mut derived = Vec::new();
+        for share_id in self.sibling_shares(source_table, except) {
+            let d = self.get_delta_for_share(&share_id, source_old, source_delta)?;
+            if !d.is_empty() {
+                derived.push((share_id, d));
+            }
+        }
+        Ok(derived)
     }
 
     /// Re-stamps every index on `source_table` as synced with the
@@ -458,17 +503,13 @@ impl PeerNode {
         if delta.is_empty() {
             return Ok(());
         }
-        let share_ids = self.indexed_shares_of(source_table);
-        if share_ids.is_empty() {
-            return Ok(());
-        }
         let source_old = self.db.table(source_table)?;
-        for id in share_ids {
-            self.group_indexes
-                .get_mut(&id)
-                .expect("filtered on presence")
-                .1
-                .apply_source_delta(source_old, delta)?;
+        for (id, binding) in &self.bindings {
+            if binding.source_table == source_table {
+                if let Some((_, idx)) = self.group_indexes.get_mut(id) {
+                    idx.apply_source_delta(source_old, delta)?;
+                }
+            }
         }
         Ok(())
     }
@@ -480,7 +521,7 @@ impl PeerNode {
     fn rebuild_group_indexes_for_source(&mut self, source_table: &str) -> Result<()> {
         let version = self.db.table_version(source_table);
         for id in self.indexed_shares_of(source_table) {
-            if let LensSpec::ProjectDistinct { view_key, .. } = &self.bindings[&id].lens {
+            if let LensSpec::ProjectDistinct { view_key, .. } = &self.binding(&id)?.lens {
                 let idx = GroupIndex::build(self.db.table(source_table)?, view_key)?;
                 self.group_indexes.insert(id, (version, idx));
             }
@@ -488,77 +529,44 @@ impl PeerNode {
         Ok(())
     }
 
-    /// Applies a delta to a shared table's stored copy: the sharded
-    /// mirror (when present) and the assembled copy in `db` move
-    /// together, touching only the shards the delta lands in. Returns the
-    /// inverse.
+    /// Applies a delta to a shared table's stored copy, touching only the
+    /// shards it lands in, and logs it. Returns the inverse. A rejected
+    /// delta leaves the store untouched and unlogged.
     ///
-    /// Sharded tables log the WAL `post_hash` from the shard fold (cached
-    /// per-shard subtree roots) instead of forcing a full rehash of the
-    /// assembled copy — the two are byte-identical by construction, and
-    /// this is precisely where shard-routed application beats the
-    /// unsharded path per delta.
+    /// The WAL `post_hash` is the shard fold (cached per-shard subtree
+    /// roots; only the touched shards rehash) — byte-identical to the
+    /// content hash of the assembled rows.
     fn apply_view_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
-        if !self.shard_states.contains_key(table_id) {
-            return Ok(self.db.apply_delta(table_id, delta)?);
-        }
-        // An out-of-band edit may have left the mirror behind; re-derive
-        // it from ground truth before applying on top.
-        self.ensure_shard_state_synced(table_id)?;
-        let state = self.shard_states.get_mut(table_id).expect("just checked");
-        // Shards first — they validate identically, so a rejected
-        // delta leaves both representations untouched. Route through the
-        // same plan / per-shard job / commit sequence as the remote-apply
-        // path: split once, touch only the shards the delta lands in, and
-        // fold the cached subtree roots for the WAL `post_hash`.
-        let plan = state.store.plan(delta);
-        let chunk_count = plan.chunk_count;
-        let mut applied: Vec<(usize, TableDelta)> = Vec::new();
-        let mut first_err: Option<medledger_relational::RelationalError> = None;
-        for s in plan.touched() {
-            match run_shard_job((
-                &mut state.store.shards_mut()[s],
-                &plan.per_shard[s],
-                chunk_count,
-            )) {
-                Ok(inv) => applied.push((s, inv)),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            // Revert the shards that already applied, newest first.
-            for (s, inv) in applied.iter().rev() {
-                state.store.shards_mut()[*s]
-                    .apply(inv, chunk_count)
-                    .expect("inverse of a just-applied sub-delta applies");
-            }
-            return Err(e.into());
-        }
-        let schema = state.store.schema().clone();
-        let merged_inverse =
-            TableDelta::merge_disjoint(applied.into_iter().map(|(_, inv)| inv), |r| {
-                schema.key_of(r)
-            });
-        state.store.commit_plan(&plan);
-        let post_hash = state.store.content_hash();
-        match self.db.apply_delta_with_hash(table_id, delta, post_hash) {
-            Ok(inv) => {
-                self.stamp_shard_state(table_id);
-                Ok(inv)
-            }
-            Err(e) => {
-                self.shard_states
-                    .get_mut(table_id)
-                    .expect("just present")
-                    .store
-                    .apply_delta(&merged_inverse)
-                    .expect("inverse of a just-applied delta applies");
-                Err(e.into())
-            }
-        }
+        let store = &mut self.shared_mut(table_id)?.store;
+        let inverse = store.apply_delta(delta)?;
+        let post_hash = store.content_hash();
+        let op = WriteOp::Delta {
+            delta: delta.clone(),
+        };
+        self.db.log_external(table_id, op, post_hash);
+        self.publish_resident_rows();
+        Ok(inverse)
+    }
+
+    /// [`PeerNode::apply_view_delta`] for a local, not yet committed
+    /// change: the delta also joins `table_id`'s pending rows.
+    fn apply_pending_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
+        let inverse = self.apply_view_delta(table_id, delta)?;
+        self.merge_pending(table_id, delta)?;
+        Ok(inverse)
+    }
+
+    /// Replaces a shared table's stored copy wholesale and logs the
+    /// rewrite (the full-table paths).
+    fn replace_stored(&mut self, table_id: &str, view: &Table) -> Result<()> {
+        let store = &mut self.shared_mut(table_id)?.store;
+        store.rebuild_from(view);
+        let post_hash = store.content_hash();
+        let rows: Vec<Row> = view.rows().cloned().collect();
+        self.db
+            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
+        self.publish_resident_rows();
+        Ok(())
     }
 
     /// Applies a delta to a **source** table, keeping the cached group
@@ -601,69 +609,11 @@ impl PeerNode {
         }
     }
 
-    /// Advances `table_id`'s committed baseline (assembled + sharded) by
-    /// a committed delta.
+    /// Advances `table_id`'s committed baseline by a committed delta.
     fn advance_baseline_by(&mut self, table_id: &str, delta: &TableDelta) -> Result<()> {
-        let baseline = self
-            .baselines
-            .get_mut(table_id)
-            .ok_or_else(|| CoreError::UnknownShare(table_id.to_string()))?;
-        baseline.apply_delta(delta)?;
-        if let Some(state) = self.shard_states.get_mut(table_id) {
-            state
-                .baseline
-                .apply_delta(delta)
-                .expect("baseline shadow accepted the same delta");
-        }
+        self.shared_mut(table_id)?.baseline.apply_delta(delta)?;
+        self.publish_resident_rows();
         Ok(())
-    }
-
-    /// Re-splits `table_id`'s sharded mirror from the assembled copies
-    /// (used after whole-table rewrites, e.g. conflict resolution via
-    /// [`PeerNode::apply_remote_view`]).
-    fn resync_shard_state(&mut self, table_id: &str) -> Result<()> {
-        if !self.shard_states.contains_key(table_id) {
-            return Ok(());
-        }
-        let mut store = ShardMap::from_table(self.db.table(table_id)?, self.shards_per_table);
-        wire_shard_heat(&self.telemetry, table_id, &mut store);
-        let baseline = ShardMap::from_table(self.baseline(table_id)?, self.shards_per_table);
-        let synced_at = self.db.table_version(table_id);
-        self.shard_states.insert(
-            table_id.to_string(),
-            ShardState {
-                store,
-                baseline,
-                synced_at,
-            },
-        );
-        Ok(())
-    }
-
-    /// The sharded mirror of `table_id`, only when it is provably in
-    /// sync with the assembled copy (out-of-band `db` edits bump the
-    /// table version and flag it stale).
-    fn fresh_shard_state(&self, table_id: &str) -> Option<&ShardState> {
-        let state = self.shard_states.get(table_id)?;
-        (state.synced_at == self.db.table_version(table_id)).then_some(state)
-    }
-
-    /// Resyncs `table_id`'s mirror from the assembled copies if an
-    /// out-of-band edit left it stale (no-op when absent or fresh).
-    fn ensure_shard_state_synced(&mut self, table_id: &str) -> Result<()> {
-        if self.shard_states.contains_key(table_id) && self.fresh_shard_state(table_id).is_none() {
-            self.resync_shard_state(table_id)?;
-        }
-        Ok(())
-    }
-
-    /// Re-stamps `table_id`'s mirror as synced with the assembled copy's
-    /// current mutation version.
-    fn stamp_shard_state(&mut self, table_id: &str) {
-        let version = self.db.table_version(table_id);
-        if let Some(state) = self.shard_states.get_mut(table_id) {
-            state.synced_at = version;
-        }
     }
 
     /// Applies a local write to a **source** table (Fig. 5 step 0: the
@@ -683,33 +633,22 @@ impl PeerNode {
                  or use write_shared"
             )));
         }
-        if self.mode == PropagationMode::FullTable {
-            // Full-table mode defers the lens work to propagation time,
-            // but the write itself still applies as a delta so the caller
-            // gets an inverse for O(changed rows) transactional rollback
-            // (same contract as delta mode — no table snapshots).
-            let source_delta = delta_from_write_op(self.db.table(table)?, &op)?;
-            let inv = self.apply_source_delta_db(table, &source_delta)?;
-            return Ok(vec![(table.to_string(), inv)]);
-        }
-        let source_old = self.db.table(table)?;
-        let source_delta = delta_from_write_op(source_old, &op)?;
-        // Push the source delta forward through every lens on this source
+        let source_delta = delta_from_write_op(self.db.table(table)?, &op)?;
+        // Full-table mode defers the lens work to propagation time, but
+        // the write itself still applies as a delta so the caller gets an
+        // inverse for O(changed rows) transactional rollback (same
+        // contract as delta mode — no table snapshots). Delta mode pushes
+        // the source delta forward through every lens on this source
         // *before* mutating, so the old source anchors the lookups.
-        let mut derived: Vec<(String, TableDelta)> = Vec::new();
-        for share_id in self.sibling_shares(table, None) {
-            let view_delta = self.get_delta_for_share(&share_id, source_old, &source_delta)?;
-            if !view_delta.is_empty() {
-                derived.push((share_id, view_delta));
-            }
-        }
+        let derived = match self.mode {
+            PropagationMode::FullTable => Vec::new(),
+            PropagationMode::Delta => self.derive_sibling_deltas(table, None, &source_delta)?,
+        };
         let mut inverses = Vec::with_capacity(1 + derived.len());
         let inv = self.apply_source_delta_db(table, &source_delta)?;
         inverses.push((table.to_string(), inv));
         for (share_id, view_delta) in derived {
-            let inv = self.apply_view_delta(&share_id, &view_delta)?;
-            let schema = self.db.table(&share_id)?.schema().clone();
-            self.merge_pending(&share_id, &schema, &view_delta);
+            let inv = self.apply_pending_delta(&share_id, &view_delta)?;
             inverses.push((share_id, inv));
         }
         Ok(inverses)
@@ -729,21 +668,20 @@ impl PeerNode {
         op: WriteOp,
     ) -> Result<Vec<(String, TableDelta)>> {
         let binding = self.binding(table_id)?.clone();
+        let view_delta = delta_from_write_op(self.shared_store(table_id)?, &op)?;
         if self.mode == PropagationMode::FullTable {
             // The lens still runs as a full `put` (that is the mode's
             // point), but both mutations apply as deltas so the caller
             // gets inverses for rollback instead of table snapshots.
-            let view_delta = delta_from_write_op(self.db.table(table_id)?, &op)?;
             let view_inv = self.apply_view_delta(table_id, &view_delta)?;
-            let view = self.db.table(table_id)?.clone();
+            let view = self.shared_table(table_id)?;
             let source_old = self.db.table(&binding.source_table)?;
             // An untranslatable write must leave the peer untouched: undo
             // the already-applied view delta before surfacing the error.
             let new_source = match exec::put(&binding.lens, source_old, &view) {
                 Ok(t) => t,
                 Err(e) => {
-                    self.apply_view_delta(table_id, &view_inv)
-                        .expect("inverse of a just-applied delta applies");
+                    self.apply_view_delta(table_id, &view_inv)?;
                     return Err(e.into());
                 }
             };
@@ -755,32 +693,20 @@ impl PeerNode {
             }
             return Ok(inverses);
         }
-        let view = self.db.table(table_id)?;
-        let view_delta = delta_from_write_op(view, &op)?;
-        let view_schema = view.schema().clone();
         let source_old = self.db.table(&binding.source_table)?;
         let source_delta = self.put_delta_for_share(table_id, source_old, &view_delta)?;
-        // Sibling views refresh from the source delta (the raw material of
-        // the Fig. 5 step-6 dependency check).
-        let mut derived: Vec<(String, TableDelta)> = Vec::new();
-        for share_id in self.sibling_shares(&binding.source_table, Some(table_id)) {
-            let d = self.get_delta_for_share(&share_id, source_old, &source_delta)?;
-            if !d.is_empty() {
-                derived.push((share_id, d));
-            }
-        }
+        // Sibling views refresh from the source delta.
+        let derived =
+            self.derive_sibling_deltas(&binding.source_table, Some(table_id), &source_delta)?;
         let mut inverses = Vec::with_capacity(2 + derived.len());
-        let inv = self.apply_view_delta(table_id, &view_delta)?;
+        let inv = self.apply_pending_delta(table_id, &view_delta)?;
         inverses.push((table_id.to_string(), inv));
-        self.merge_pending(table_id, &view_schema, &view_delta);
         if !source_delta.is_empty() {
             let inv = self.apply_source_delta_db(&binding.source_table, &source_delta)?;
             inverses.push((binding.source_table.clone(), inv));
         }
         for (share_id, d) in derived {
-            let inv = self.apply_view_delta(&share_id, &d)?;
-            let schema = self.db.table(&share_id)?.schema().clone();
-            self.merge_pending(&share_id, &schema, &d);
+            let inv = self.apply_pending_delta(&share_id, &d)?;
             inverses.push((share_id, inv));
         }
         Ok(inverses)
@@ -795,36 +721,55 @@ impl PeerNode {
         Ok(exec::get(&binding.lens, source)?)
     }
 
-    /// The stored (materialized) copy of a shared table.
-    pub fn shared_table(&self, table_id: &str) -> Result<&Table> {
-        self.binding(table_id)?;
-        Ok(self.db.table(table_id)?)
+    /// The stored (materialized) copy of a shared table, as the peer
+    /// keeps it: keyed lookup, shard-ordered iteration and the content
+    /// fold without assembling anything.
+    pub fn shared_store(&self, table_id: &str) -> Result<&ShardMap> {
+        Ok(&self.shared(table_id)?.store)
     }
 
-    /// Content hash of the stored shared copy. On a sharded peer this is
-    /// the fold of per-shard subtree roots — byte-identical to hashing
-    /// the assembled copy, but only shards touched since the last fold
-    /// rehash. A mirror left stale by an out-of-band `db` edit is
-    /// bypassed: the assembled copy is hashed directly instead.
-    pub fn shared_hash(&self, table_id: &str) -> Result<Hash256> {
-        if let Some(state) = self.fresh_shard_state(table_id) {
-            self.binding(table_id)?;
-            return Ok(state.store.content_hash());
+    /// A copy of the stored shared table, assembled from its shards.
+    pub fn shared_table(&self, table_id: &str) -> Result<Table> {
+        Ok(self.shared_store(table_id)?.assemble())
+    }
+
+    /// A copy of a local table by name: a source table, or the stored
+    /// copy of a shared one.
+    pub fn read_table(&self, name: &str) -> Result<Table> {
+        match self.shared.get(name) {
+            Some(shared) => Ok(shared.store.assemble()),
+            None => Ok(self.db.table(name)?.clone()),
         }
-        Ok(self.shared_table(table_id)?.content_hash())
+    }
+
+    /// Content hash of the stored shared copy: the fold of per-shard
+    /// subtree roots — byte-identical to hashing the assembled rows, but
+    /// only shards touched since the last fold rehash.
+    pub fn shared_hash(&self, table_id: &str) -> Result<Hash256> {
+        Ok(self.shared_store(table_id)?.content_hash())
     }
 
     /// Content hash of the last *committed* view — what must equal the
     /// hash the sharing contract holds while the table is synced, even
     /// when the peer carries pending local changes (e.g. a
-    /// permission-blocked cascade awaiting retry). Served from the
-    /// sharded baseline's fold when sharding is on.
+    /// permission-blocked cascade awaiting retry).
     pub fn committed_hash(&self, table_id: &str) -> Result<Hash256> {
-        if let Some(state) = self.shard_states.get(table_id) {
-            self.binding(table_id)?;
-            return Ok(state.baseline.content_hash());
-        }
         Ok(self.baseline(table_id)?.content_hash())
+    }
+
+    /// A fingerprint over the content hashes of every table the peer
+    /// holds, sources and stored shared copies alike — what
+    /// [`Database::fingerprint`] yields for a database holding them all.
+    pub fn fingerprint(&self) -> Hash256 {
+        let sources = self.db.export_parts().1;
+        let mut hashes: BTreeMap<&str, Hash256> = sources
+            .iter()
+            .map(|(name, t)| (name.as_str(), t.content_hash()))
+            .collect();
+        for (table_id, shared) in &self.shared {
+            hashes.insert(table_id.as_str(), shared.store.content_hash());
+        }
+        fingerprint_of(hashes.into_iter())
     }
 
     /// Verifies this peer's local invariants for a *synced* shared table
@@ -879,10 +824,9 @@ impl PeerNode {
         let Some(parts) = self.pending.get(table_id) else {
             return Ok(TableDelta::default());
         };
-        let schema = baseline.schema().clone();
         Ok(TableDelta::merge_disjoint(
             parts.iter().map(|part| normalize_pending(part, baseline)),
-            |r| schema.key_of(r),
+            |r| baseline.schema().key_of(r),
         ))
     }
 
@@ -891,6 +835,24 @@ impl PeerNode {
     /// answered in O(pending) instead of a full regenerate-and-diff.
     pub fn has_pending_change(&self, table_id: &str) -> Result<bool> {
         Ok(!self.pending_delta(table_id)?.is_empty())
+    }
+
+    /// Brings `table_id`'s stored copy and pending tracking in line with
+    /// what the source regenerates — the O(table) fallback for changes
+    /// the tracked write paths never saw. Returns the regenerated view's
+    /// delta against the committed baseline.
+    fn rederive_from_source(&mut self, table_id: &str) -> Result<TableDelta> {
+        let regenerated = self.regenerate_view(table_id)?;
+        let stored_delta = diff_tables(self.shared_store(table_id)?, &regenerated);
+        if !stored_delta.is_empty() {
+            self.apply_view_delta(table_id, &stored_delta)?;
+        }
+        let delta = diff_tables(self.baseline(table_id)?, &regenerated);
+        self.pending.remove(table_id);
+        if !delta.is_empty() {
+            self.merge_pending(table_id, &delta)?;
+        }
+        Ok(delta)
     }
 
     /// Delta-mode Fig. 5 step 1: the delta this peer would propagate for
@@ -905,19 +867,7 @@ impl PeerNode {
         if !normalized.is_empty() {
             return Ok(normalized);
         }
-        let regenerated = self.regenerate_view(table_id)?;
-        let delta = diff_tables(self.baseline(table_id)?, &regenerated);
-        if delta.is_empty() {
-            self.pending.remove(table_id);
-            return Ok(delta);
-        }
-        let stored_delta = diff_tables(self.db.table(table_id)?, &regenerated);
-        if !stored_delta.is_empty() {
-            self.apply_view_delta(table_id, &stored_delta)?;
-        }
-        let schema = self.db.table(table_id)?.schema().clone();
-        self.merge_pending(table_id, &schema, &delta);
-        Ok(delta)
+        self.rederive_from_source(table_id)
     }
 
     /// Translates an incoming view delta into this peer's source delta
@@ -936,20 +886,19 @@ impl PeerNode {
     }
 
     /// Applies a committed remote delta (Fig. 5 steps 4–5 / 10–11 in
-    /// delta mode): refreshes the stored copy row-by-row, verifies the
-    /// announced hash via the incremental digest, reflects the change
-    /// into the source with the pre-computed `source_delta`, refreshes
-    /// sibling shares (stashing their deltas as pending for the step-6
-    /// cascade), and advances the committed baseline by the same delta.
+    /// delta mode): routes the view delta to the shards of the stored
+    /// copy it lands in ([`TableDelta::split_by_shard`]), verifies the
+    /// announced hash against the fold of per-shard subtree roots — only
+    /// the touched shards rehash — reflects the change into the source
+    /// with the pre-computed `source_delta`, refreshes sibling shares
+    /// (stashing their deltas as pending for the step-6 cascade), and
+    /// advances the committed baseline by the same delta. A rejected or
+    /// hash-mismatched delta leaves the peer untouched.
     ///
-    /// On a sharded peer the view delta routes to the shards it lands in
-    /// ([`TableDelta::split_by_shard`]) and the announced hash is checked
-    /// against the fold of per-shard subtree roots — only the touched
-    /// shards rehash. Callers that own a worker pool (the system's
-    /// fan-out) drive the same three phases — plan, per-shard jobs,
-    /// finish — through the crate-internal shard-apply API so disjoint
-    /// shards apply in parallel; this entry point runs the jobs inline,
-    /// byte-identically.
+    /// Callers that own a worker pool (the system's fan-out) drive the
+    /// same three phases — plan, per-shard jobs, finish — through the
+    /// crate-internal API so disjoint shards apply in parallel; this
+    /// entry point runs the jobs inline, byte-identically.
     pub fn apply_remote_delta(
         &mut self,
         table_id: &str,
@@ -958,148 +907,85 @@ impl PeerNode {
         announced_hash: Hash256,
         version: u64,
     ) -> Result<()> {
-        match self.plan_remote_apply(table_id, view_delta, source_delta)? {
-            RemoteApply::Sharded(plan) => {
-                let results: Vec<medledger_relational::Result<TableDelta>> = self
-                    .remote_shard_jobs(table_id, &plan)
-                    .into_iter()
-                    .map(run_shard_job)
-                    .collect();
-                self.finish_remote_apply(
-                    table_id,
-                    plan,
-                    results,
-                    view_delta,
-                    source_delta,
-                    announced_hash,
-                    version,
-                )
-            }
-            RemoteApply::Serial => self.apply_remote_delta_serial(
-                table_id,
-                view_delta,
-                source_delta,
-                announced_hash,
-                version,
-            ),
-        }
+        let Some(plan) = self.plan_remote_apply(table_id, view_delta, source_delta)? else {
+            return self.resolve_conflicting_remote(table_id, view_delta, announced_hash, version);
+        };
+        let results = self
+            .remote_shard_jobs(table_id, &plan)
+            .into_iter()
+            .map(run_shard_job)
+            .collect();
+        self.finish_remote_apply(
+            table_id,
+            plan,
+            results,
+            view_delta,
+            source_delta,
+            announced_hash,
+            version,
+        )
     }
 
-    /// The unsharded / conflicted apply path (see
-    /// [`PeerNode::apply_remote_delta`]).
-    fn apply_remote_delta_serial(
+    /// The conflict path: this peer carries uncommitted local changes of
+    /// `table_id` (e.g. a permission-blocked cascade awaiting retry)
+    /// while a committed remote update arrives. Resolve exactly as
+    /// full-table mode does — the remote view wins, the lens `put`
+    /// merges it into the source — then re-derive the stored copy and
+    /// pending tracking of every sibling share from ground truth, so a
+    /// residual local difference survives as a fresh pending delta (the
+    /// retry is preserved, not silently dropped). O(table), but only on
+    /// this rare contended path.
+    fn resolve_conflicting_remote(
         &mut self,
         table_id: &str,
         view_delta: &TableDelta,
-        source_delta: &TableDelta,
         announced_hash: Hash256,
         version: u64,
     ) -> Result<()> {
-        let binding = self.binding(table_id)?.clone();
-        // Conflict path: this peer carries uncommitted local changes of
-        // the same table (e.g. a permission-blocked cascade awaiting
-        // retry) while a committed remote update arrives. Resolve exactly
-        // as full-table mode does — the remote view wins, the lens `put`
-        // merges it into the source — then re-derive the pending tracking
-        // of every share on this source from ground truth, so a residual
-        // local difference survives as a fresh pending delta (the retry
-        // is preserved, not silently dropped). O(table), but only on this
-        // rare contended path.
-        if self.pending.contains_key(table_id) {
-            let mut view_new = self.baseline(table_id)?.clone();
-            view_new.apply_delta(view_delta).map_err(|e| {
-                CoreError::ConsistencyViolation(format!(
-                    "committed `{table_id}` delta does not apply to the committed baseline: {e}"
-                ))
-            })?;
-            // Verified before any mutation: a corrupt delta leaves the
-            // peer untouched.
-            self.apply_remote_view(table_id, &view_new, announced_hash, version)?;
-            self.pending.remove(table_id);
-            for share_id in self.sibling_shares(&binding.source_table, Some(table_id)) {
-                let regenerated = self.regenerate_view(&share_id)?;
-                let stored_delta = diff_tables(self.db.table(&share_id)?, &regenerated);
-                if !stored_delta.is_empty() {
-                    self.apply_view_delta(&share_id, &stored_delta)?;
-                }
-                let pending_delta = diff_tables(self.baseline(&share_id)?, &regenerated);
-                self.pending.remove(&share_id);
-                if !pending_delta.is_empty() {
-                    let schema = regenerated.schema().clone();
-                    self.merge_pending(&share_id, &schema, &pending_delta);
-                }
-            }
-            return Ok(());
+        let source_table = self.binding(table_id)?.source_table.clone();
+        let mut view_new = self.baseline(table_id)?.clone();
+        view_new.apply_delta(view_delta).map_err(|e| {
+            CoreError::ConsistencyViolation(format!(
+                "committed `{table_id}` delta does not apply to the committed baseline: {e}"
+            ))
+        })?;
+        // Rows in key order, so the logged rewrite reads the same at any
+        // shard count. Verified before any mutation: a corrupt delta
+        // leaves the peer untouched.
+        let rows = view_new.sorted_rows().into_iter().cloned().collect();
+        let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
+        self.apply_remote_view(table_id, &view_new, announced_hash, version)?;
+        self.pending.remove(table_id);
+        for share_id in self.sibling_shares(&source_table, Some(table_id)) {
+            self.rederive_from_source(&share_id)?;
         }
-        let source_old = self.db.table(&binding.source_table)?;
-        let mut derived: Vec<(String, TableDelta)> = Vec::new();
-        for share_id in self.sibling_shares(&binding.source_table, Some(table_id)) {
-            let d = self.get_delta_for_share(&share_id, source_old, source_delta)?;
-            if !d.is_empty() {
-                derived.push((share_id, d));
-            }
-        }
-        let view_inv = self.apply_view_delta(table_id, view_delta)?;
-        if self.shared_hash(table_id)? != announced_hash {
-            // Corrupt or stale delta: restore the stored copy and refuse.
-            self.apply_view_delta(table_id, &view_inv)?;
-            return Err(CoreError::ConsistencyViolation(format!(
-                "applying the `{table_id}` delta does not reproduce the hash the \
-                 contract announced ({})",
-                announced_hash.short()
-            )));
-        }
-        if !source_delta.is_empty() {
-            self.apply_source_delta_db(&binding.source_table, source_delta)?;
-        }
-        for (share_id, d) in derived {
-            self.apply_view_delta(&share_id, &d)?;
-            let schema = self.db.table(&share_id)?.schema().clone();
-            self.merge_pending(&share_id, &schema, &d);
-        }
-        self.advance_baseline_by(table_id, view_delta)?;
-        self.applied_versions.insert(table_id.to_string(), version);
         Ok(())
     }
 
-    // ----- shard-routed remote apply (three phases) --------------------
+    // ----- remote apply, in three phases --------------------------------
 
-    /// Phase 1 of a shard-routed remote apply: decides whether the
-    /// receiver can take the shard path and, if so, splits the view delta
-    /// per shard and pre-derives the sibling cascade deltas (anchored on
-    /// the pre-delta source). Pure planning — nothing mutates.
+    /// Phase 1 of a remote apply: splits the view delta per shard of the
+    /// stored copy and pre-derives the sibling cascade deltas (anchored
+    /// on the pre-delta source). Pure planning — nothing mutates.
     ///
-    /// Returns [`RemoteApply::Serial`] for unsharded tables and for the
-    /// rare conflicted-pending case, which resolves through the
-    /// whole-table merge in [`PeerNode::apply_remote_delta`].
+    /// Returns `None` for the rare conflicted-pending case, which
+    /// resolves through the whole-table merge in
+    /// [`PeerNode::apply_remote_delta`].
     pub(crate) fn plan_remote_apply(
         &self,
         table_id: &str,
         view_delta: &TableDelta,
         source_delta: &TableDelta,
-    ) -> Result<RemoteApply> {
+    ) -> Result<Option<RemoteShardPlan>> {
         let binding = self.binding(table_id)?;
-        // Serial fallback for unsharded tables, conflicted-pending
-        // resolution, and a mirror left stale by an out-of-band edit
-        // (the serial path resyncs it before applying).
         if self.pending.contains_key(table_id) {
-            return Ok(RemoteApply::Serial);
+            return Ok(None);
         }
-        let Some(state) = self.fresh_shard_state(table_id) else {
-            return Ok(RemoteApply::Serial);
-        };
-        let source_table = binding.source_table.clone();
-        let source_old = self.db.table(&source_table)?;
-        let mut derived: Vec<(String, TableDelta)> = Vec::new();
-        for share_id in self.sibling_shares(&source_table, Some(table_id)) {
-            let d = self.get_delta_for_share(&share_id, source_old, source_delta)?;
-            if !d.is_empty() {
-                derived.push((share_id, d));
-            }
-        }
-        let plan = state.store.plan(view_delta);
+        let derived =
+            self.derive_sibling_deltas(&binding.source_table, Some(table_id), source_delta)?;
+        let plan = self.shared_store(table_id)?.plan(view_delta);
         let touched = plan.touched();
-        Ok(RemoteApply::Sharded(RemoteShardPlan {
+        Ok(Some(RemoteShardPlan {
             plan,
             touched,
             derived,
@@ -1108,39 +994,32 @@ impl PeerNode {
 
     /// Phase 2: the disjoint per-shard jobs of a planned apply — each is
     /// one touched shard plus its sub-delta and the target chunk layout,
-    /// runnable concurrently (see [`run_shard_job`]).
+    /// runnable concurrently (see [`run_shard_job`]). Empty if the peer
+    /// left the share since planning; phase 3 then reports that.
     pub(crate) fn remote_shard_jobs<'a, 'p>(
         &'a mut self,
         table_id: &str,
         rplan: &'p RemoteShardPlan,
     ) -> Vec<(&'a mut Shard, &'p TableDelta, usize)> {
-        let state = self
-            .shard_states
-            .get_mut(table_id)
-            .expect("planned on a sharded table");
+        let Some(shared) = self.shared.get_mut(table_id) else {
+            return Vec::new();
+        };
         let chunk_count = rplan.plan.chunk_count;
-        let mut slots: Vec<Option<&'a mut Shard>> =
-            state.store.shards_mut().iter_mut().map(Some).collect();
-        rplan
-            .touched
-            .iter()
-            .map(|&s| {
-                (
-                    slots[s].take().expect("touched shards are distinct"),
-                    &rplan.plan.per_shard[s],
-                    chunk_count,
-                )
-            })
+        shared
+            .store
+            .shards_mut()
+            .iter_mut()
+            .zip(&rplan.plan.per_shard)
+            .filter(|(_, sub)| !sub.is_empty())
+            .map(|(shard, sub)| (shard, sub, chunk_count))
             .collect()
     }
 
     /// Phase 3: merges per-shard apply results back into the peer —
     /// reverts every shard if one rejected its sub-delta, verifies the
-    /// announced hash against the folded per-shard roots, then runs the
-    /// serial tail (assembled copy, source via BX-put, sibling cascades,
-    /// baseline advance) exactly as the unsharded path does. The
-    /// assembled copy's WAL record reuses the verified fold as its
-    /// `post_hash`, so no second whole-tree rehash happens anywhere.
+    /// announced hash against the folded per-shard roots and logs the
+    /// delta with that fold as `post_hash`, then runs the serial tail:
+    /// source via BX-put, sibling cascades, baseline advance.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_remote_apply(
         &mut self,
@@ -1152,14 +1031,11 @@ impl PeerNode {
         announced_hash: Hash256,
         version: u64,
     ) -> Result<()> {
-        let binding = self.binding(table_id)?.clone();
-        let state = self
-            .shard_states
-            .get_mut(table_id)
-            .expect("planned on a sharded table");
+        let source_table = self.binding(table_id)?.source_table.clone();
+        let store = &mut self.shared_mut(table_id)?.store;
         let chunk_count = rplan.plan.chunk_count;
         let mut applied: Vec<(usize, TableDelta)> = Vec::new();
-        let mut first_err: Option<medledger_relational::RelationalError> = None;
+        let mut first_err: Option<RelationalError> = None;
         for (&s, r) in rplan.touched.iter().zip(results) {
             match r {
                 Ok(inv) => applied.push((s, inv)),
@@ -1171,53 +1047,34 @@ impl PeerNode {
             // Every job ran (the pool does not short-circuit): revert the
             // shards that applied, newest first.
             for (s, inv) in applied.iter().rev() {
-                state.store.shards_mut()[*s]
-                    .apply(inv, chunk_count)
-                    .expect("inverse of a just-applied sub-delta applies");
+                store.shards_mut()[*s].apply(inv, chunk_count)?;
             }
             return Err(e.into());
         }
-        // Merged inverse of the whole view delta (for hash-mismatch and
-        // shadow-failure reverts).
-        let schema = state.store.schema().clone();
-        let merged_inverse =
-            TableDelta::merge_disjoint(applied.into_iter().map(|(_, inv)| inv), |r| {
-                schema.key_of(r)
-            });
-        state.store.commit_plan(&rplan.plan);
-        if state.store.content_hash() != announced_hash {
-            state
-                .store
-                .apply_delta(&merged_inverse)
-                .expect("inverse of a just-applied delta applies");
+        store.commit_plan(&rplan.plan);
+        if store.content_hash() != announced_hash {
+            // Corrupt or stale delta: restore the stored copy and refuse.
+            let schema = store.schema().clone();
+            let inverse =
+                TableDelta::merge_disjoint(applied.into_iter().map(|(_, inv)| inv), |r| {
+                    schema.key_of(r)
+                });
+            store.apply_delta(&inverse)?;
             return Err(CoreError::ConsistencyViolation(format!(
                 "applying the `{table_id}` delta does not reproduce the hash the \
                  contract announced ({})",
                 announced_hash.short()
             )));
         }
-        // The assembled shadow follows (pure row ops; the WAL logs the
-        // verified fold instead of rehashing the assembled copy).
-        if let Err(e) = self
-            .db
-            .apply_delta_with_hash(table_id, view_delta, announced_hash)
-        {
-            self.shard_states
-                .get_mut(table_id)
-                .expect("just present")
-                .store
-                .apply_delta(&merged_inverse)
-                .expect("inverse of a just-applied delta applies");
-            return Err(e.into());
-        }
-        self.stamp_shard_state(table_id);
+        let op = WriteOp::Delta {
+            delta: view_delta.clone(),
+        };
+        self.db.log_external(table_id, op, announced_hash);
         if !source_delta.is_empty() {
-            self.apply_source_delta_db(&binding.source_table, source_delta)?;
+            self.apply_source_delta_db(&source_table, source_delta)?;
         }
         for (share_id, d) in rplan.derived {
-            self.apply_view_delta(&share_id, &d)?;
-            let schema = self.db.table(&share_id)?.schema().clone();
-            self.merge_pending(&share_id, &schema, &d);
+            self.apply_pending_delta(&share_id, &d)?;
         }
         self.advance_baseline_by(table_id, view_delta)?;
         self.applied_versions.insert(table_id.to_string(), version);
@@ -1255,19 +1112,19 @@ impl PeerNode {
     /// Rolls a failed transactional batch back: re-applies the staged
     /// writes' inverse deltas in reverse order — O(changed rows), no
     /// table snapshots in either propagation mode — and restores the
-    /// pending-delta tracking captured before staging. Sharded mirrors
-    /// and cached group indexes roll back alongside.
+    /// pending-delta tracking captured before staging. Cached group
+    /// indexes roll back alongside.
     pub fn rollback_writes(&mut self, inverses: &[(String, TableDelta)], pending: PendingSnapshot) {
         for (table, inverse) in inverses.iter().rev() {
-            if self.shard_states.contains_key(table) {
+            let undone = if self.shared.contains_key(table) {
                 self.apply_view_delta(table, inverse)
-                    .expect("applying a recorded inverse delta cannot fail");
             } else {
-                // Source tables (shared copies are always sharded when
-                // sharding is on): keep the group indexes in step.
                 self.apply_source_delta_db(table, inverse)
-                    .expect("applying a recorded inverse delta cannot fail");
-            }
+            };
+            // lint: allow(unwrap) — each inverse was returned by the write
+            // it undoes; one that no longer applies means the tables moved
+            // outside the staged batch, and no error value can repair that.
+            undone.expect("applying a recorded inverse delta cannot fail");
         }
         self.restore_pending(pending);
     }
@@ -1279,19 +1136,17 @@ impl PeerNode {
     /// changed attributes relative to the previous stored copy.
     pub fn refresh_view(&mut self, table_id: &str) -> Result<BTreeSet<String>> {
         let new_view = self.regenerate_view(table_id)?;
-        let old_view = self.db.table(table_id)?;
-        let attrs = changed_attrs(old_view, &new_view);
+        let attrs = changed_attrs(self.shared_store(table_id)?, &new_view);
         if !attrs.is_empty() {
-            let rows: Vec<Row> = new_view.rows().cloned().collect();
-            self.db.apply(table_id, WriteOp::Replace { rows })?;
+            self.replace_stored(table_id, &new_view)?;
         }
         Ok(attrs)
     }
 
     /// Applies a whole shared table received from the updating peer
     /// (Fig. 5 steps 4–5 / 10–11 in full-table mode): verifies the
-    /// announced hash, replaces the stored copy, and reflects the change
-    /// into the source via `put`.
+    /// announced hash, reflects the change into the source via `put`,
+    /// and replaces the stored copy and the committed baseline.
     pub fn apply_remote_view(
         &mut self,
         table_id: &str,
@@ -1307,43 +1162,30 @@ impl PeerNode {
             )));
         }
         let binding = self.binding(table_id)?.clone();
-        // put: reflect the view change into the source.
         let source = self.db.table(&binding.source_table)?;
         let new_source = exec::put(&binding.lens, source, new_view)?;
         let src_rows: Vec<Row> = new_source.rows().cloned().collect();
         self.db
             .apply(&binding.source_table, WriteOp::Replace { rows: src_rows })?;
-        // Refresh the stored shared copy and the committed baseline.
-        let view_rows: Vec<Row> = new_view.rows().cloned().collect();
-        self.db
-            .apply(table_id, WriteOp::Replace { rows: view_rows })?;
-        self.baselines
-            .insert(table_id.to_string(), new_view.clone());
-        self.applied_versions.insert(table_id.to_string(), version);
-        // Whole-table rewrites bypass delta tracking: re-derive the
-        // sharded mirror and the group indexes from ground truth.
-        self.resync_shard_state(table_id)?;
-        self.rebuild_group_indexes_for_source(&binding.source_table)?;
-        Ok(())
+        self.commit_view(table_id, new_view, version)?;
+        // Whole-table rewrites bypass delta tracking: re-derive the group
+        // indexes from ground truth.
+        self.rebuild_group_indexes_for_source(&binding.source_table)
     }
 
     /// The view as of the last committed version.
-    pub fn baseline(&self, table_id: &str) -> Result<&Table> {
-        self.baselines
-            .get(table_id)
-            .ok_or_else(|| CoreError::UnknownShare(table_id.to_string()))
+    pub fn baseline(&self, table_id: &str) -> Result<&ShardMap> {
+        Ok(&self.shared(table_id)?.baseline)
     }
 
     /// Marks `view` as committed at `version`: replaces the stored shared
     /// copy and the baseline (full-table mode; called on the updater
     /// after the contract accepted its `request_update`).
     pub fn commit_view(&mut self, table_id: &str, view: &Table, version: u64) -> Result<()> {
-        self.binding(table_id)?;
-        let rows: Vec<Row> = view.rows().cloned().collect();
-        self.db.apply(table_id, WriteOp::Replace { rows })?;
-        self.baselines.insert(table_id.to_string(), view.clone());
+        self.replace_stored(table_id, view)?;
+        self.shared_mut(table_id)?.baseline.rebuild_from(view);
         self.applied_versions.insert(table_id.to_string(), version);
-        self.resync_shard_state(table_id)?;
+        self.publish_resident_rows();
         Ok(())
     }
 
@@ -1375,7 +1217,8 @@ impl PeerNode {
         n
     }
 
-    /// A full snapshot of the peer's database (for revert-on-deny).
+    /// A snapshot of the peer's local database: the source tables, the
+    /// mutation log and the version counters.
     pub fn snapshot(&self) -> Database {
         self.db.clone()
     }
@@ -1387,17 +1230,30 @@ impl PeerNode {
         &self.bindings
     }
 
+    /// Every table the peer holds, by name — the source tables plus the
+    /// assembled stored copy of each share: the `tables` section of a
+    /// storage snapshot.
+    pub(crate) fn snapshot_tables(&self) -> BTreeMap<String, Table> {
+        let mut tables = self.db.export_parts().1.clone();
+        for (table_id, shared) in &self.shared {
+            tables.insert(table_id.clone(), shared.store.assemble());
+        }
+        tables
+    }
+
     /// Per-share inverse deltas that rewind each stored copy back to its
-    /// committed baseline (`diff_tables(stored, baseline)`). O(pending
-    /// rows) per share — this is how a flush records baseline + pending
-    /// state without writing a second copy of any table.
-    pub(crate) fn baseline_inverses(&self) -> Vec<(String, TableDelta)> {
+    /// committed baseline (`diff_tables(stored, baseline)`) — this is how
+    /// a flush records baseline + pending state without writing a second
+    /// copy of any table. O(pending rows) per share in delta mode;
+    /// full-table mode tracks no pending rows and diffs.
+    pub fn baseline_inverses(&self) -> Vec<(String, TableDelta)> {
         let mut out = Vec::new();
-        for (table_id, baseline) in &self.baselines {
-            let Ok(stored) = self.db.table(table_id) else {
-                continue;
+        for (table_id, shared) in &self.shared {
+            let inv = match (self.mode, self.pending.get(table_id)) {
+                (PropagationMode::FullTable, _) => diff_tables(&shared.store, &shared.baseline),
+                (PropagationMode::Delta, Some(pending)) => rewind_pending(pending, shared),
+                (PropagationMode::Delta, None) => continue,
             };
-            let inv = diff_tables(stored, baseline);
             if !inv.is_empty() {
                 out.push((table_id.clone(), inv));
             }
@@ -1406,13 +1262,14 @@ impl PeerNode {
     }
 
     /// Rebuilds a peer from persisted parts: the recovered database
-    /// (snapshot + WAL replay), the share bindings, and the per-share
-    /// baseline inverses recorded at the last flush. Signing keys are
-    /// re-derived from the deployment seed (they are never persisted) and
-    /// fast-forwarded past the already-consumed one-time signatures;
-    /// baselines rewind from the stored copies via the inverses, pending
-    /// rows re-derive as `diff_tables(baseline, stored)`, and the sharded
-    /// mirrors and group indexes rebuild from ground truth.
+    /// (snapshot + WAL replay, shared tables still inside), the share
+    /// bindings, and the per-share baseline inverses recorded at the last
+    /// flush. Signing keys are re-derived from the deployment seed (they
+    /// are never persisted) and fast-forwarded past the already-consumed
+    /// one-time signatures; each shared table moves out of the database
+    /// into its sharded store, the baseline rewinds from it via the
+    /// recorded inverse, whose own inverse is the pending delta, and the
+    /// group indexes rebuild from ground truth.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore_from_parts(
         name: &str,
@@ -1430,71 +1287,51 @@ impl PeerNode {
         let mut peer = PeerNode::new(name, seed, key_capacity, mode, shards_per_table);
         peer.keys.restore_used(keys_used);
         peer.db = db;
-        peer.bindings = bindings;
         peer.applied_versions = applied_versions;
         peer.next_nonce = next_nonce;
         let inverses: BTreeMap<&str, &TableDelta> = baseline_inverses
             .iter()
             .map(|(id, d)| (id.as_str(), d))
             .collect();
-        let share_ids: Vec<String> = peer.bindings.keys().cloned().collect();
-        for table_id in &share_ids {
-            let stored = peer.db.table(table_id)?;
-            let mut baseline = stored.clone();
-            if let Some(inv) = inverses.get(table_id.as_str()) {
-                baseline.apply_delta(inv)?;
-            }
-            let pending_delta = diff_tables(&baseline, stored);
-            let schema = stored.schema().clone();
-            if peer.mode == PropagationMode::Delta && peer.shards_per_table > 1 {
-                peer.shard_states.insert(
-                    table_id.clone(),
-                    ShardState {
-                        store: ShardMap::from_table(stored, peer.shards_per_table),
-                        baseline: ShardMap::from_table(&baseline, peer.shards_per_table),
-                        synced_at: peer.db.table_version(table_id),
-                    },
-                );
-            }
-            peer.baselines.insert(table_id.clone(), baseline);
+        for (table_id, binding) in &bindings {
+            let stored = peer.db.detach_table(table_id)?;
+            let store = ShardMap::from_table(&stored, peer.shards_per_table);
+            let mut baseline = store.clone();
+            let pending_delta = match inverses.get(table_id.as_str()) {
+                Some(inv) => baseline.apply_delta(inv)?,
+                None => TableDelta::default(),
+            };
+            peer.shared
+                .insert(table_id.clone(), SharedTable { store, baseline });
             if !pending_delta.is_empty() {
-                peer.merge_pending(table_id, &schema, &pending_delta);
+                peer.merge_pending(table_id, &pending_delta)?;
+            }
+            if let (PropagationMode::Delta, LensSpec::ProjectDistinct { view_key, .. }) =
+                (mode, &binding.lens)
+            {
+                let source_version = peer.db.table_version(&binding.source_table);
+                let idx = GroupIndex::build(peer.db.table(&binding.source_table)?, view_key)?;
+                peer.group_indexes
+                    .insert(table_id.clone(), (source_version, idx));
             }
         }
-        if peer.mode == PropagationMode::Delta {
-            for table_id in &share_ids {
-                if let LensSpec::ProjectDistinct { view_key, .. } =
-                    &peer.bindings[table_id].lens.clone()
-                {
-                    let source_table = peer.bindings[table_id].source_table.clone();
-                    let synced_at = peer.db.table_version(&source_table);
-                    let idx = GroupIndex::build(peer.db.table(&source_table)?, view_key)?;
-                    peer.group_indexes
-                        .insert(table_id.clone(), (synced_at, idx));
-                }
-            }
-        }
+        peer.bindings = bindings;
         Ok(peer)
     }
 
-    /// Restores a database snapshot, re-deriving the sharded mirrors and
-    /// group indexes from the restored contents.
-    pub fn restore(&mut self, snapshot: Database) {
+    /// Restores a database snapshot, re-deriving the group indexes from
+    /// the restored sources.
+    pub fn restore(&mut self, snapshot: Database) -> Result<()> {
         self.db = snapshot;
-        let sharded: Vec<String> = self.shard_states.keys().cloned().collect();
-        for table_id in sharded {
-            self.resync_shard_state(&table_id)
-                .expect("restored snapshot holds every sharded table");
-        }
         let sources: BTreeSet<String> = self
             .group_indexes
             .keys()
             .filter_map(|id| self.bindings.get(id).map(|b| b.source_table.clone()))
             .collect();
         for source in sources {
-            self.rebuild_group_indexes_for_source(&source)
-                .expect("restored snapshot holds every indexed source");
+            self.rebuild_group_indexes_for_source(&source)?;
         }
+        Ok(())
     }
 }
 
@@ -1650,55 +1487,58 @@ mod tests {
 
     #[test]
     fn delta_write_shared_tracks_pending_and_siblings() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
-        let inverses = doctor
-            .write_shared(
-                "D23&D32",
-                WriteOp::Update {
-                    key: vec![Value::text("Ibuprofen")],
-                    assignments: vec![("mechanism_of_action".into(), Value::text("MeA1-new"))],
-                },
-            )
-            .expect("write shared");
-        // The stored copy, the source, and the pending delta all moved.
-        assert_eq!(
-            doctor
-                .shared_table("D23&D32")
-                .expect("D32")
-                .get(&[Value::text("Ibuprofen")])
-                .expect("row")[1],
-            Value::text("MeA1-new")
-        );
-        assert_eq!(
-            doctor
-                .db
-                .table("D3")
-                .expect("D3")
-                .get(&[Value::Int(188)])
-                .expect("row")[3],
-            Value::text("MeA1-new")
-        );
-        let pending = doctor.pending_delta("D23&D32").expect("pending");
-        assert_eq!(pending.updates.len(), 1);
-        assert!(doctor.has_pending_change("D23&D32").expect("check"));
-        // The sibling share's lens does not cover the mechanism → no
-        // pending change there.
-        assert!(!doctor.has_pending_change("D13&D31").expect("check"));
-        // The baseline still matches the last committed state.
-        assert_ne!(
-            doctor.shared_hash("D23&D32").expect("hash"),
-            doctor.committed_hash("D23&D32").expect("hash")
-        );
+        for shards in [1usize, 8] {
+            let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, shards);
+            let before_fp = doctor.fingerprint();
+            let before_pending = doctor.pending_snapshot();
+            let inverses = doctor
+                .write_shared(
+                    "D23&D32",
+                    WriteOp::Update {
+                        key: vec![Value::text("Ibuprofen")],
+                        assignments: vec![("mechanism_of_action".into(), Value::text("MeA1-new"))],
+                    },
+                )
+                .expect("write shared");
+            // The stored copy, the source, and the pending delta all moved.
+            assert_eq!(
+                doctor
+                    .shared_store("D23&D32")
+                    .expect("D32")
+                    .get(&[Value::text("Ibuprofen")])
+                    .expect("row")[1],
+                Value::text("MeA1-new")
+            );
+            assert_eq!(
+                doctor
+                    .db
+                    .table("D3")
+                    .expect("D3")
+                    .get(&[Value::Int(188)])
+                    .expect("row")[3],
+                Value::text("MeA1-new")
+            );
+            let pending = doctor.pending_delta("D23&D32").expect("pending");
+            assert_eq!(pending.updates.len(), 1);
+            assert!(doctor.has_pending_change("D23&D32").expect("check"));
+            // The sibling share's lens does not cover the mechanism → no
+            // pending change there.
+            assert!(!doctor.has_pending_change("D13&D31").expect("check"));
+            // The baseline still matches the last committed state.
+            assert_ne!(
+                doctor.shared_hash("D23&D32").expect("hash"),
+                doctor.committed_hash("D23&D32").expect("hash")
+            );
 
-        // Rolling back the inverses restores everything.
-        for (table, inv) in inverses.iter().rev() {
-            doctor.db.apply_delta(table, inv).expect("rollback");
+            // Rolling back the inverses restores everything.
+            doctor.rollback_writes(&inverses, before_pending);
+            assert_eq!(doctor.fingerprint(), before_fp, "shards={shards}");
+            assert_eq!(
+                doctor.shared_hash("D23&D32").expect("hash"),
+                doctor.committed_hash("D23&D32").expect("hash")
+            );
+            assert!(!doctor.has_pending_change("D23&D32").expect("check"));
         }
-        doctor.clear_pending("D23&D32");
-        assert_eq!(
-            doctor.shared_hash("D23&D32").expect("hash"),
-            doctor.committed_hash("D23&D32").expect("hash")
-        );
     }
 
     #[test]
@@ -1788,15 +1628,15 @@ mod tests {
             .apply_remote_delta("D13&D31", &view_delta, &source_delta, announced, 1)
             .expect("delta apply");
         full_doc
-            .apply_remote_view("D13&D31", &view_new, announced, 1)
+            .apply_remote_view("D13&D31", &view_new.assemble(), announced, 1)
             .expect("full apply");
 
         // Byte-identical end state across modes, and the delta doctor's
         // stored copy equals what its source regenerates.
-        assert_eq!(delta_doc.db.fingerprint(), full_doc.db.fingerprint());
+        assert_eq!(delta_doc.fingerprint(), full_doc.fingerprint());
         assert_eq!(
             delta_doc.shared_table("D13&D31").expect("view"),
-            &delta_doc.regenerate_view("D13&D31").expect("regen")
+            delta_doc.regenerate_view("D13&D31").expect("regen")
         );
         assert!(!delta_doc.has_pending_change("D13&D31").expect("check"));
         delta_doc
@@ -1955,7 +1795,7 @@ mod tests {
             )
             .expect("delete");
         assert_eq!(doctor.db.table("D3").expect("D3").len(), 1);
-        doctor.restore(snap);
+        doctor.restore(snap).expect("restore");
         assert_eq!(doctor.db.table("D3").expect("D3").len(), 2);
     }
 
@@ -1964,7 +1804,7 @@ mod tests {
         let mut doctor = doctor_with_shares();
         doctor.leave_share("D23&D32").expect("leave");
         assert_eq!(doctor.shares(), vec!["D13&D31"]);
-        assert!(!doctor.db.has_table("D23&D32"));
+        assert!(doctor.shared_table("D23&D32").is_err());
         assert!(doctor.leave_share("D23&D32").is_err());
     }
 
@@ -2027,8 +1867,8 @@ mod tests {
             run_mixed_sequence(&mut plain);
             run_mixed_sequence(&mut sharded);
             assert_eq!(
-                plain.db.fingerprint(),
-                sharded.db.fingerprint(),
+                plain.fingerprint(),
+                sharded.fingerprint(),
                 "shards={shards}"
             );
             for table in ["D13&D31", "D23&D32"] {
@@ -2044,15 +1884,18 @@ mod tests {
                     plain.pending_delta(table).expect("pending"),
                     sharded.pending_delta(table).expect("pending")
                 );
-                // The sharded mirrors agree with the assembled copies.
-                let state = &sharded.shard_states[table];
+                // The shard folds agree with hashing the assembled rows.
                 assert_eq!(
-                    state.store.content_hash(),
+                    sharded.shared_hash(table).expect("hash"),
                     sharded.shared_table(table).expect("table").content_hash()
                 );
                 assert_eq!(
-                    state.baseline.content_hash(),
-                    sharded.baseline(table).expect("baseline").content_hash()
+                    sharded.committed_hash(table).expect("hash"),
+                    sharded
+                        .baseline(table)
+                        .expect("baseline")
+                        .assemble()
+                        .content_hash()
                 );
             }
         }
@@ -2077,32 +1920,50 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::ConsistencyViolation(_)));
         assert_eq!(doctor.shared_hash("D13&D31").expect("hash"), before);
-        let state = &doctor.shard_states["D13&D31"];
-        assert_eq!(state.store.content_hash(), before);
+        assert_eq!(doctor.committed_hash("D13&D31").expect("hash"), before);
+        assert_eq!(
+            doctor
+                .shared_table("D13&D31")
+                .expect("table")
+                .content_hash(),
+            before
+        );
     }
 
     #[test]
-    fn sharded_rollback_keeps_mirrors_in_sync() {
-        let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, 8);
-        let before_fp = doctor.db.fingerprint();
-        let before_hash = doctor.shared_hash("D13&D31").expect("hash");
-        let pending = doctor.pending_snapshot();
-        let inverses = doctor
-            .write_shared(
-                "D13&D31",
-                WriteOp::Update {
-                    key: vec![Value::Int(189)],
-                    assignments: vec![("dosage".into(), Value::text("staged"))],
-                },
-            )
-            .expect("write shared");
-        assert_ne!(doctor.shared_hash("D13&D31").expect("hash"), before_hash);
-        doctor.rollback_writes(&inverses, pending);
-        assert_eq!(doctor.db.fingerprint(), before_fp);
-        assert_eq!(doctor.shared_hash("D13&D31").expect("hash"), before_hash);
-        let state = &doctor.shard_states["D13&D31"];
-        assert_eq!(state.store.content_hash(), before_hash);
-        assert!(!doctor.has_pending_change("D13&D31").expect("check"));
+    fn resident_rows_gauge_reads_twice_the_shared_rows() {
+        use medledger_relational::Predicate;
+        use medledger_telemetry::Registry;
+        for shards in [1usize, 4] {
+            let registry = Registry::shared();
+            let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, shards);
+            ward.set_recorder(&Recorder::new(&registry));
+            let mut source = Table::new(d3_table().schema().clone());
+            for pid in 0..40i64 {
+                source
+                    .insert(row![pid, "Ibuprofen", "CliD", "MeA1", "1x"])
+                    .expect("insert");
+            }
+            ward.add_source_table("D3", source).expect("add D3");
+            let gauge = || registry.snapshot().gauge("peer.shared_rows_resident.Ward");
+            assert_eq!(gauge(), Some(0));
+            let binding = PeerBinding {
+                source_table: "D3".into(),
+                lens: LensSpec::select(Predicate::True),
+            };
+            ward.join_share("ward", binding).expect("join");
+            assert_eq!(gauge(), Some(2 * 40), "shards={shards}");
+            // A committed insert grows both copies by one row each.
+            let row = row![40i64, "Ibuprofen", "CliD", "MeA1", "2x"];
+            ward.write_shared("ward", WriteOp::Insert { row })
+                .expect("insert");
+            let delta = ward.prepare_update_delta("ward").expect("prepare");
+            ward.commit_delta("ward", &delta, 1).expect("commit");
+            assert_eq!(ward.shared_table("ward").expect("view").len(), 41);
+            assert_eq!(gauge(), Some(2 * 41), "shards={shards}");
+            ward.leave_share("ward").expect("leave");
+            assert_eq!(gauge(), Some(0));
+        }
     }
 
     #[test]
@@ -2148,59 +2009,6 @@ mod tests {
         )
         .expect("uncached translate");
         assert_eq!(indexed, fresh);
-    }
-
-    #[test]
-    fn out_of_band_shared_edit_never_serves_a_stale_fold() {
-        let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, 8);
-        // Warm the mirror's fold, then edit the stored shared copy
-        // directly via the public `db` field, bypassing the tracked
-        // paths.
-        let before = doctor.shared_hash("D13&D31").expect("hash");
-        doctor
-            .db
-            .apply(
-                "D13&D31",
-                WriteOp::Update {
-                    key: vec![Value::Int(188)],
-                    assignments: vec![("dosage".into(), Value::text("oob-dose"))],
-                },
-            )
-            .expect("out-of-band edit");
-        assert!(
-            doctor.fresh_shard_state("D13&D31").is_none(),
-            "version guard must flag the mirror stale"
-        );
-        // The fold is bypassed: shared_hash reflects the edited copy.
-        let after = doctor.shared_hash("D13&D31").expect("hash");
-        assert_ne!(after, before);
-        assert_eq!(
-            after,
-            doctor
-                .shared_table("D13&D31")
-                .expect("table")
-                .content_hash()
-        );
-        // The next tracked apply resyncs the mirror from ground truth
-        // before applying on top, and re-stamps it fresh.
-        doctor
-            .write_shared(
-                "D13&D31",
-                WriteOp::Update {
-                    key: vec![Value::Int(189)],
-                    assignments: vec![("dosage".into(), Value::text("tracked"))],
-                },
-            )
-            .expect("tracked write");
-        assert!(doctor.fresh_shard_state("D13&D31").is_some());
-        let state = &doctor.shard_states["D13&D31"];
-        assert_eq!(
-            state.store.content_hash(),
-            doctor
-                .shared_table("D13&D31")
-                .expect("table")
-                .content_hash()
-        );
     }
 
     #[test]

@@ -413,12 +413,12 @@ fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
                 "peer record missing for `{name}` while snapshotting"
             ))
         })?;
-        let (owner, tables, versions, next_seq) = peer.db.export_parts();
+        let (owner, _, versions, next_seq) = peer.db.export_parts();
         let bindings_json = serde_json::to_vec(peer.bindings_map()).map_err(storage_err)?;
         peers.push(PeerSnapshot {
             name: name.clone(),
             owner: owner.to_string(),
-            tables: tables.iter().map(|(n, t)| (n.clone(), t.clone())).collect(),
+            tables: peer.snapshot_tables().into_iter().collect(),
             versions: versions.iter().map(|(n, v)| (n.clone(), *v)).collect(),
             base_seq: next_seq,
             bindings_json,
@@ -949,7 +949,7 @@ mod tests {
             .system()
             .peers
             .values()
-            .map(|p| (p.name.clone(), p.db.fingerprint()))
+            .map(|p| (p.name.clone(), p.fingerprint()))
             .collect();
         let pd_hash = scn
             .ledger
@@ -971,7 +971,7 @@ mod tests {
             .system()
             .peers
             .values()
-            .map(|p| (p.name.clone(), p.db.fingerprint()))
+            .map(|p| (p.name.clone(), p.fingerprint()))
             .collect();
         assert_eq!(recovered_fps, fingerprints);
         let patient = recovered.peer_id("Patient").expect("patient");

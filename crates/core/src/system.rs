@@ -4,7 +4,7 @@
 use crate::agreement::SharingAgreement;
 use crate::error::{CoreError, RevertInfo};
 pub use crate::peer::PropagationMode;
-use crate::peer::{run_shard_job, PeerNode, RemoteApply, RemoteShardPlan};
+use crate::peer::{run_shard_job, PeerNode, RemoteShardPlan};
 use crate::Result;
 use medledger_bx::{changed_attrs, changed_attrs_from_delta, TableDelta};
 use medledger_consensus::{PbftConfig, PbftRound, PipelineSchedule, PowModel, ProposerSchedule};
@@ -109,9 +109,8 @@ pub struct SystemConfig {
     pub fanout_workers: usize,
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`). With `1` — the default and the equivalence
-    /// baseline — peers store shared tables exactly as before. A larger
-    /// value splits every peer's stored copies and baselines into
-    /// digest-aligned shards (delta mode): deltas route to the shards
+    /// baseline — every stored copy and baseline is a single shard. A
+    /// larger value splits them into digest-aligned shards (delta mode): deltas route to the shards
     /// they land in, hash verification folds cached per-shard Merkle
     /// subroots instead of rehashing the whole chunk tree, and one
     /// receiver's disjoint shards apply in parallel on the fan-out
@@ -1343,16 +1342,11 @@ impl System {
         let (kind, rows_moved, payload_bytes, full_table_bytes) = match &prepared.payload {
             PreparedPayload::Delta { delta, .. } => {
                 let peer = self.peers.get(&prepared.updater).expect("updater exists");
-                let full: u64 = peer
-                    .shared_table(&table_id)?
-                    .rows()
-                    .map(|r| r.encode().len() as u64)
-                    .sum();
                 (
                     PayloadKind::Delta,
                     delta.row_count() as u64,
                     delta.encoded_size() as u64,
-                    full,
+                    peer.shared_store(&table_id)?.encoded_bytes(),
                 )
             }
             PreparedPayload::Full { view } => {
@@ -1389,14 +1383,14 @@ impl System {
         let new_hash = prepared.new_hash;
         let tid: &str = &table_id;
         let results: Vec<Result<()>> = match &mut prepared.payload {
-            // Sharded deployments route each receiver's delta to its
-            // owning shards and run ALL receivers' shard jobs on one
+            // Each receiver's delta routes to the shards of its stored
+            // copy, and ALL receivers' shard jobs run on one
             // shard-granular pool — see
             // [`System::fanout_apply_shard_routed`].
             PreparedPayload::Delta {
                 delta,
                 source_deltas,
-            } if self.config.shards_per_table > 1 => self.fanout_apply_shard_routed(
+            } => self.fanout_apply_shard_routed(
                 tid,
                 delta,
                 source_deltas,
@@ -1405,7 +1399,7 @@ impl System {
                 new_hash,
                 version,
             ),
-            payload => {
+            PreparedPayload::Full { view } => {
                 // Parallel apply over disjoint mutable peer references.
                 let exec_workers = self.fanout_pool_workers(others.len(), rows_moved, others.len());
                 let wanted: BTreeSet<AccountId> = others.iter().copied().collect();
@@ -1415,36 +1409,14 @@ impl System {
                     .filter(|(a, _)| wanted.contains(a))
                     .map(|(a, p)| (*a, p))
                     .collect();
-                match payload {
-                    PreparedPayload::Delta {
-                        delta,
-                        source_deltas,
-                    } => {
-                        let jobs: Vec<(&mut PeerNode, TableDelta)> = others
-                            .iter()
-                            .map(|a| {
-                                (
-                                    refs.remove(a).expect("sharing peer exists"),
-                                    source_deltas.remove(a).expect("pre-flight ran"),
-                                )
-                            })
-                            .collect();
-                        let delta: &TableDelta = delta;
-                        fanout::run_partitioned(jobs, exec_workers, move |(peer, source_delta)| {
-                            peer.apply_remote_delta(tid, delta, &source_delta, new_hash, version)
-                        })
-                    }
-                    PreparedPayload::Full { view } => {
-                        let jobs: Vec<&mut PeerNode> = others
-                            .iter()
-                            .map(|a| refs.remove(a).expect("sharing peer exists"))
-                            .collect();
-                        let view: &Table = view;
-                        fanout::run_partitioned(jobs, exec_workers, move |peer| {
-                            peer.apply_remote_view(tid, view, new_hash, version)
-                        })
-                    }
-                }
+                let jobs: Vec<&mut PeerNode> = others
+                    .iter()
+                    .map(|a| refs.remove(a).expect("sharing peer exists"))
+                    .collect();
+                let view: &Table = view;
+                fanout::run_partitioned(jobs, exec_workers, move |peer| {
+                    peer.apply_remote_view(tid, view, new_hash, version)
+                })
             }
         };
 
@@ -1519,8 +1491,8 @@ impl System {
         })
     }
 
-    /// The shard-routed variant of the receiver fan-out (delta mode with
-    /// `shards_per_table > 1`), in three phases:
+    /// The delta-mode receiver fan-out, in three phases (one shard per
+    /// table is the degenerate case: one job per receiver):
     ///
     /// 1. **Plan** (read-only): each receiver splits the committed view
     ///    delta by shard and pre-derives its sibling cascade deltas.
@@ -1530,13 +1502,13 @@ impl System {
     ///    disjoint shards apply (and pre-warm their Merkle subroots) in
     ///    parallel.
     /// 3. **Finish** (serial, receiver order): fold-verify the announced
-    ///    hash, advance the assembled copy, reflect into the source via
-    ///    BX-put, stash sibling cascades, advance the baseline.
+    ///    hash, log the delta, reflect into the source via BX-put, stash
+    ///    sibling cascades, advance the baseline.
     ///
     /// Receivers that cannot take the shard path (a conflicted pending
     /// change) fall back to the whole-table resolution, still slotted in
-    /// receiver order. Results are byte-identical to the unsharded pipe
-    /// for any worker count.
+    /// receiver order. Results are byte-identical for any shard and
+    /// worker count.
     #[allow(clippy::too_many_arguments)]
     fn fanout_apply_shard_routed(
         &mut self,
@@ -1560,8 +1532,8 @@ impl System {
             };
             let sd = source_deltas.get(a).expect("pre-flight ran");
             match peer.plan_remote_apply(table_id, delta, sd) {
-                Ok(RemoteApply::Sharded(plan)) => sharded.push((i, plan)),
-                Ok(RemoteApply::Serial) => serial.push(i),
+                Ok(Some(plan)) => sharded.push((i, plan)),
+                Ok(None) => serial.push(i),
                 Err(e) => slots[i] = Some(Err(e)),
             }
         }
@@ -2529,7 +2501,7 @@ impl System {
     /// Read: query the local database directly (the paper's Fig. 4 read
     /// path — no chain interaction).
     pub fn read_shared(&self, peer: PeerId, table_id: &str) -> Result<medledger_relational::Table> {
-        Ok(self.peer(peer)?.shared_table(table_id)?.clone())
+        self.peer(peer)?.shared_table(table_id)
     }
 
     // ----- invariants ---------------------------------------------------

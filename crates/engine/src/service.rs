@@ -980,12 +980,12 @@ fn stage_writes(
     let mut inverses: Vec<(String, TableDelta)> = Vec::new();
     let mut attrs: BTreeSet<String> = BTreeSet::new();
     let mut composed = TableDelta::default();
-    let view_schema = node.db.table(table_id)?.schema().clone();
+    let view_schema = node.shared_store(table_id)?.schema().clone();
     let result = (|| -> medledger_core::Result<()> {
         for w in writes {
             match w {
                 StagedWrite::Shared(op) => {
-                    let current = node.db.table(table_id)?;
+                    let current = node.shared_store(table_id)?;
                     let delta = delta_from_write_op(current, op)?;
                     attrs.extend(changed_attrs_from_delta(current, &delta));
                     composed = composed.compose(&delta, |r| view_schema.key_of(r));
@@ -1002,7 +1002,7 @@ fn stage_writes(
                         let source_delta = delta_from_write_op(source, op)?;
                         let view_delta =
                             medledger_bx::get_delta(&binding.lens, source, &source_delta)?;
-                        let current_view = node.db.table(table_id)?;
+                        let current_view = node.shared_store(table_id)?;
                         attrs.extend(changed_attrs_from_delta(current_view, &view_delta));
                         composed = composed.compose(&view_delta, |r| view_schema.key_of(r));
                     }

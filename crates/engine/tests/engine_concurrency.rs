@@ -116,7 +116,7 @@ fn fingerprints(hub: &Hub) -> Vec<String> {
         .map(|p| {
             format!(
                 "{:?}",
-                hub.ledger.system().peer(*p).expect("peer").db.fingerprint()
+                hub.ledger.system().peer(*p).expect("peer").fingerprint()
             )
         })
         .collect()
@@ -620,7 +620,7 @@ fn cross_peer_overlapping_tables_conflict_before_staging() {
     // first member would stash a Step-6 cascade that absorbs the second
     // member's still-staged writes.
     let (mut ledger, x, _y, z) = overlapping_shares_ledger("eng-xpeer");
-    let z_before = ledger.system().peer(z).expect("z").db.fingerprint();
+    let z_before = ledger.system().peer(z).expect("z").fingerprint();
     let mut queue = CommitQueue::new();
     let dose_ticket = queue
         .begin(x, "t-dose")
@@ -640,10 +640,7 @@ fn cross_peer_overlapping_tables_conflict_before_staging() {
     let err = outcomes[&med_ticket].result.as_ref().unwrap_err();
     assert!(err.is_conflicted(), "got {err}");
     // The conflicted member never staged: Z's database is bit-identical.
-    assert_eq!(
-        z_before,
-        ledger.system().peer(z).expect("z").db.fingerprint()
-    );
+    assert_eq!(z_before, ledger.system().peer(z).expect("z").fingerprint());
     ledger.check_consistency().expect("consistent");
     // And it commits cleanly in its own group afterwards.
     let mut retry = CommitQueue::new();

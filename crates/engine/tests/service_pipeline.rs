@@ -466,7 +466,7 @@ fn sharded_service_waves_match_unsharded() {
             meta.content_hash,
             meta.version,
             service.ledger().stats().blocks,
-            doctor_node.db.fingerprint(),
+            doctor_node.fingerprint(),
         )
     };
     let baseline = run(1);

@@ -108,7 +108,7 @@ fn state_digest(ledger: &MedLedger, peers: &[PeerId]) -> Vec<String> {
             let node = ledger.system().peer(*p).expect("peer");
             format!(
                 "{:?}/{:?}",
-                node.db.fingerprint(),
+                node.fingerprint(),
                 node.committed_hash(WARD).expect("baseline")
             )
         })

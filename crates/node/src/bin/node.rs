@@ -70,9 +70,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(args: Args) -> Result<(), String> {
-    // Boot (or recover) the durable ledger. Sharded mirrors (4 key
-    // ranges per shared table) give the telemetry heat map per-shard
-    // apply attribution to report.
+    // Boot (or recover) the durable ledger. Four key-range shards per
+    // shared table give the telemetry heat map per-shard apply
+    // attribution to report.
     let ledger = MedLedger::builder()
         .seed("node-boot")
         .shards_per_table(4)

@@ -750,7 +750,7 @@ impl Deployment {
         let meter = ByteMeter::new();
         if cfg.telemetry.is_enabled() {
             // Install the recorder while every peer is still attached,
-            // so each one's sharded mirrors wire into the heat map.
+            // so each one's shared-table stores wire into the heat map.
             service
                 .ledger_mut()
                 .system_mut()

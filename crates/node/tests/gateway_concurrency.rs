@@ -127,7 +127,7 @@ fn digest_state(service: &LedgerService) -> (u64, Vec<String>, Vec<String>) {
     let mut committed = Vec::new();
     for id in ledger.peers() {
         let peer = ledger.system().peer(id).expect("peer attached");
-        fingerprints.push(format!("{:?}", peer.db.fingerprint()));
+        fingerprints.push(format!("{:?}", peer.fingerprint()));
         committed.push(format!("{:?}", peer.committed_hash(WARD)));
     }
     (blocks, fingerprints, committed)

@@ -81,7 +81,9 @@ pub struct LogRecord {
 /// A named collection of tables with a mutation log.
 ///
 /// All mutations should flow through [`Database::apply`] so they are
-/// logged; `table_mut` exists for test setup and bulk loading.
+/// logged; `table_mut` exists for test setup and bulk loading. The log
+/// and the version counters may also cover tables stored elsewhere
+/// ([`Database::log_external`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Database {
     /// Owner label (peer name); used in error messages and audits.
@@ -120,7 +122,10 @@ impl Database {
         self.base_seq + self.log.len() as u64
     }
 
-    fn bump_version(&mut self, name: &str) {
+    /// Counts one mutation of `name`. Every write path below calls it; a
+    /// caller storing a table itself calls it where this database would
+    /// have (table creation and drop).
+    pub fn bump_version(&mut self, name: &str) {
         *self.versions.entry(name.to_string()).or_insert(0) += 1;
     }
 
@@ -268,39 +273,30 @@ impl Database {
         Ok(inverse)
     }
 
-    /// [`Database::apply_delta`] with a caller-supplied post-state hash
-    /// for the log record, skipping the rehash of the stored table.
-    ///
-    /// For callers that maintain an equivalent digest of the same table
-    /// elsewhere — a sharded peer verifies the announced hash against its
-    /// folded per-shard Merkle subroots *before* the assembled copy
-    /// advances — recomputing the content hash here would redo the very
-    /// work the shard fold amortizes. The caller attests that `post_hash`
-    /// equals the table's content hash after `delta`; the log record is
-    /// byte-identical to the one [`Database::apply_delta`] would write.
-    pub fn apply_delta_with_hash(
-        &mut self,
-        table: &str,
-        delta: &TableDelta,
-        post_hash: Hash256,
-    ) -> Result<TableDelta> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| RelationalError::UnknownTable {
-                table: table.to_string(),
-            })?;
-        let inverse = t.apply_delta(delta)?;
+    /// Logs a mutation of a table whose rows the caller stores itself (a
+    /// peer keeps its shared tables in its own sharded store, but their
+    /// history in this log). The caller has applied `op` and attests
+    /// that the table hashes to `post_hash` afterwards; the record and the
+    /// version bump are the ones [`Database::apply`] would have produced.
+    pub fn log_external(&mut self, table: &str, op: WriteOp, post_hash: Hash256) {
         self.bump_version(table);
         self.log.push(LogRecord {
             seq: self.next_seq(),
             table: table.to_string(),
-            op: WriteOp::Delta {
-                delta: delta.clone(),
-            },
+            op,
             post_hash,
         });
-        Ok(inverse)
+    }
+
+    /// Removes a table without counting a mutation: its rows move to a
+    /// store of the caller's, which keeps reporting their mutations
+    /// through [`Database::log_external`].
+    pub fn detach_table(&mut self, name: &str) -> Result<Table> {
+        self.tables
+            .remove(name)
+            .ok_or_else(|| RelationalError::UnknownTable {
+                table: name.to_string(),
+            })
     }
 
     /// The mutation log, oldest first.
@@ -434,17 +430,29 @@ impl Database {
     /// A fingerprint over all table content hashes; two databases with the
     /// same tables and contents fingerprint identically.
     pub fn fingerprint(&self) -> Hash256 {
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(self.tables.len());
-        for (name, t) in &self.tables {
+        fingerprint_of(
+            self.tables
+                .iter()
+                .map(|(n, t)| (n.as_str(), t.content_hash())),
+        )
+    }
+}
+
+/// The fingerprint of a set of `(table name, content hash)` pairs, which
+/// must arrive in name order. [`Database::fingerprint`] is this over its
+/// own tables; a peer folds in the tables it stores outside the database.
+pub fn fingerprint_of<'a>(tables: impl Iterator<Item = (&'a str, Hash256)>) -> Hash256 {
+    let parts: Vec<Vec<u8>> = tables
+        .map(|(name, hash)| {
             let mut buf = Vec::with_capacity(name.len() + 33);
             buf.extend_from_slice(name.as_bytes());
             buf.push(0);
-            buf.extend_from_slice(t.content_hash().as_bytes());
-            parts.push(buf);
-        }
-        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-        sha256_concat(&refs)
-    }
+            buf.extend_from_slice(hash.as_bytes());
+            buf
+        })
+        .collect();
+    let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+    sha256_concat(&refs)
 }
 
 #[cfg(test)]

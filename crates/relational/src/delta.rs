@@ -11,6 +11,7 @@
 use crate::database::WriteOp;
 use crate::error::RelationalError;
 use crate::row::Row;
+use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
@@ -47,15 +48,16 @@ impl TableDelta {
     /// ships over the data plane in delta propagation mode (the canonical
     /// row/key encodings plus a one-byte op tag each).
     pub fn encoded_size(&self) -> usize {
+        let key_len = |k: &[Value]| k.iter().map(Value::encoded_len).sum::<usize>();
         let mut bytes = 8; // length header
         for r in &self.inserts {
-            bytes += 1 + r.encode().len();
+            bytes += 1 + r.encoded_len();
         }
         for (k, r) in &self.updates {
-            bytes += 1 + encode_key(k).len() + r.encode().len();
+            bytes += 1 + key_len(k) + r.encoded_len();
         }
         for k in &self.deletes {
-            bytes += 1 + encode_key(k).len();
+            bytes += 1 + key_len(k);
         }
         bytes
     }
@@ -211,19 +213,36 @@ impl TableDelta {
     }
 }
 
-fn encode_key(key: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * key.len());
-    for v in key {
-        v.encode_into(&mut out);
+/// Keyed read access to one version of a table: all the delta helpers
+/// below need of the side a delta is computed against. [`Table`]
+/// implements it, and so does [`crate::ShardMap`], so a peer's sharded
+/// store answers them without being assembled first.
+pub trait KeyedRows {
+    /// The rows' schema.
+    fn schema(&self) -> &Schema;
+    /// The row with primary key `key`, if present.
+    fn get(&self, key: &[Value]) -> Option<&Row>;
+    /// Every row, in unspecified order.
+    fn rows(&self) -> impl Iterator<Item = &Row>;
+}
+
+impl KeyedRows for Table {
+    fn schema(&self) -> &Schema {
+        Table::schema(self)
     }
-    out
+    fn get(&self, key: &[Value]) -> Option<&Row> {
+        Table::get(self, key)
+    }
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        Table::rows(self)
+    }
 }
 
 /// Computes the key-aligned delta from `old` to `new`.
 ///
 /// Both tables must share a schema; the caller guarantees this (they are
 /// two versions of the same shared table).
-pub fn diff_tables(old: &Table, new: &Table) -> TableDelta {
+pub fn diff_tables(old: &impl KeyedRows, new: &impl KeyedRows) -> TableDelta {
     let mut delta = TableDelta::default();
     for nrow in new.rows() {
         let key = new.schema().key_of(nrow);
@@ -238,7 +257,7 @@ pub fn diff_tables(old: &Table, new: &Table) -> TableDelta {
     }
     for orow in old.rows() {
         let key = old.schema().key_of(orow);
-        if !new.contains_key(&key) {
+        if new.get(&key).is_none() {
             delta.deletes.push(key);
         }
     }
@@ -253,7 +272,7 @@ pub fn diff_tables(old: &Table, new: &Table) -> TableDelta {
 /// * For updated rows, only the columns that actually changed count.
 /// * Inserted and deleted rows count as touching **every** column (their
 ///   whole contents appear/disappear).
-pub fn changed_attrs(old: &Table, new: &Table) -> BTreeSet<String> {
+pub fn changed_attrs(old: &impl KeyedRows, new: &impl KeyedRows) -> BTreeSet<String> {
     let delta = diff_tables(old, new);
     changed_attrs_from_delta(old, &delta)
 }
@@ -261,7 +280,7 @@ pub fn changed_attrs(old: &Table, new: &Table) -> BTreeSet<String> {
 /// The changed-attribute set of a delta relative to the table it applies
 /// to, with the same semantics as [`changed_attrs`] — but computed in
 /// O(delta) instead of O(table).
-pub fn changed_attrs_from_delta(old: &Table, delta: &TableDelta) -> BTreeSet<String> {
+pub fn changed_attrs_from_delta(old: &impl KeyedRows, delta: &TableDelta) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     let schema = old.schema();
     if !delta.inserts.is_empty() || !delta.deletes.is_empty() {
@@ -286,14 +305,14 @@ pub fn changed_attrs_from_delta(old: &Table, delta: &TableDelta) -> BTreeSet<Str
 /// validating it against the current contents — the entry point of the
 /// delta pipeline: a staged write becomes a one-row delta in O(1) lookups
 /// instead of a full-table diff.
-pub fn delta_from_write_op(table: &Table, op: &WriteOp) -> Result<TableDelta> {
+pub fn delta_from_write_op(table: &impl KeyedRows, op: &WriteOp) -> Result<TableDelta> {
     let schema = table.schema();
     let mut delta = TableDelta::default();
     match op {
         WriteOp::Insert { row } => {
             schema.check_row(row)?;
             let key = schema.key_of(row);
-            if table.contains_key(&key) {
+            if table.get(&key).is_some() {
                 return Err(RelationalError::DuplicateKey {
                     key: format!("{key:?}"),
                 });
@@ -303,7 +322,7 @@ pub fn delta_from_write_op(table: &Table, op: &WriteOp) -> Result<TableDelta> {
         WriteOp::Upsert { row } => {
             schema.check_row(row)?;
             let key = schema.key_of(row);
-            if table.contains_key(&key) {
+            if table.get(&key).is_some() {
                 delta.updates.push((key, row.clone()));
             } else {
                 delta.inserts.push(row.clone());
@@ -327,7 +346,7 @@ pub fn delta_from_write_op(table: &Table, op: &WriteOp) -> Result<TableDelta> {
             delta.updates.push((key.clone(), candidate));
         }
         WriteOp::Delete { key } => {
-            if !table.contains_key(key) {
+            if table.get(key).is_none() {
                 return Err(RelationalError::KeyNotFound {
                     key: format!("{key:?}"),
                 });

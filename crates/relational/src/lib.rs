@@ -42,9 +42,10 @@ pub mod shard;
 pub mod table;
 pub mod value;
 
-pub use database::{Database, LogRecord, WriteOp};
+pub use database::{fingerprint_of, Database, LogRecord, WriteOp};
 pub use delta::{
-    changed_attrs, changed_attrs_from_delta, delta_from_write_op, diff_tables, TableDelta,
+    changed_attrs, changed_attrs_from_delta, delta_from_write_op, diff_tables, KeyedRows,
+    TableDelta,
 };
 pub use error::RelationalError;
 pub use predicate::{CmpOp, Predicate};

@@ -50,6 +50,11 @@ impl Row {
         out
     }
 
+    /// `self.encode().len()`, without building the encoding.
+    pub fn encoded_len(&self) -> usize {
+        8 + self.0.iter().map(Value::encoded_len).sum::<usize>()
+    }
+
     /// Extracts the sub-row at the given column indexes.
     pub fn project(&self, idxs: &[usize]) -> Row {
         Row(idxs.iter().map(|&i| self.0[i].clone()).collect())
@@ -125,6 +130,20 @@ mod tests {
         let mut concat = row!["a"].encode();
         concat.extend(row!["b"].encode());
         assert_ne!(concat, row!["a", "b"].encode());
+    }
+
+    #[test]
+    fn encoded_len_matches_the_encoding() {
+        let r = Row::new(vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::text("Ibuprofen"),
+            Value::Bytes(vec![1, 2, 3]),
+        ]);
+        assert_eq!(r.encoded_len(), r.encode().len());
+        assert_eq!(Row::default().encoded_len(), Row::default().encode().len());
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! assert_eq!(sharded.content_hash(), table.content_hash());
 //! ```
 
-use crate::delta::TableDelta;
+use crate::delta::{KeyedRows, TableDelta};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::{
@@ -152,6 +152,9 @@ pub struct Shard {
     index: usize,
     shard_count: usize,
     table: Table,
+    /// Σ [`Row::encoded_len`] over the fragment rows, adjusted by every
+    /// applied delta.
+    encoded_bytes: u64,
     cache: Mutex<ShardCache>,
     /// Live heat-map feed: every successful [`Shard::apply`] attributes
     /// its row/byte cost to `(heat_label, index)`. No-op by default.
@@ -166,6 +169,7 @@ impl Clone for Shard {
             index: self.index,
             shard_count: self.shard_count,
             table: self.table.clone(),
+            encoded_bytes: self.encoded_bytes,
             cache: Mutex::new(self.cache.lock().expect("shard cache lock").clone()),
             heat: self.heat.clone(),
             heat_label: self.heat_label.clone(),
@@ -185,6 +189,7 @@ impl Shard {
             index,
             shard_count,
             table: Table::new(schema),
+            encoded_bytes: 0,
             cache: Mutex::new(ShardCache::default()),
             heat: HeatMapHandle::disabled(),
             heat_label: String::new(),
@@ -251,6 +256,13 @@ impl Shard {
     pub fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
         let schema = self.table.schema().clone();
         let inverse = self.table.apply_delta(delta)?;
+        // The inverse holds exactly the rows this delta replaced or removed.
+        let bytes_of = |rows: &[Row], updates: &[(Vec<Value>, Row)]| {
+            let rows = rows.iter().chain(updates.iter().map(|(_, r)| r));
+            rows.map(Row::encoded_len).sum::<usize>() as u64
+        };
+        self.encoded_bytes += bytes_of(&delta.inserts, &delta.updates);
+        self.encoded_bytes -= bytes_of(&inverse.inserts, &inverse.updates);
         if self.heat.is_enabled() {
             self.heat.record(
                 &self.heat_label,
@@ -389,11 +401,12 @@ impl ShardMap {
             .map(|i| Shard::new(i, shard_count, schema.clone()))
             .collect();
         for row in table.rows() {
-            let s = shard_of_key(&schema.key_of(row), shard_count);
-            shards[s]
+            let shard = &mut shards[shard_of_key(&schema.key_of(row), shard_count)];
+            shard
                 .table
                 .insert(row.clone())
                 .expect("source table rows are valid and key-unique");
+            shard.encoded_bytes += row.encoded_len() as u64;
         }
         let schema_leaf = merkle::leaf_hash(&schema_digest_bytes(&schema));
         ShardMap {
@@ -459,6 +472,24 @@ impl ShardMap {
         self.shards[shard_of_key(key, self.shard_count)]
             .table
             .get(key)
+    }
+
+    /// Every row, shard by shard (row order within a shard is unspecified).
+    pub fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.shards.iter().flat_map(|s| s.table.rows())
+    }
+
+    /// Every row in primary-key order, whatever the shard split.
+    pub fn sorted_rows(&self) -> Vec<&Row> {
+        let mut rows: Vec<&Row> = self.rows().collect();
+        rows.sort_by_cached_key(|r| self.schema.key_of(r));
+        rows
+    }
+
+    /// Σ `row.encode().len()` over every row — a running total the
+    /// per-shard applies keep, not a scan.
+    pub fn encoded_bytes(&self) -> u64 {
+        self.shards.iter().map(|s| s.encoded_bytes).sum()
     }
 
     /// Plans a delta application: splits the delta per shard and fixes
@@ -557,19 +588,20 @@ impl ShardMap {
     /// Reassembles the shards into one table (row order is unspecified;
     /// table equality and hashing are order-independent).
     pub fn assemble(&self) -> Table {
+        if let [only] = self.shards.as_slice() {
+            return only.table.clone();
+        }
         let mut out = Table::new(self.schema.clone());
-        for shard in &self.shards {
-            for row in shard.table.rows() {
-                out.insert(row.clone())
-                    .expect("shard rows are valid and globally key-unique");
-            }
+        for row in self.rows() {
+            out.insert(row.clone())
+                .expect("shard rows are valid and globally key-unique");
         }
         out
     }
 
-    /// Discards all shard state and re-splits from `table` (used after an
-    /// out-of-band rewrite of the assembled copy, e.g. a full-table
-    /// conflict resolution). An installed heat-map feed carries over.
+    /// Discards all shard state and re-splits from `table` (a whole-table
+    /// replace, e.g. a full-table conflict resolution). An installed
+    /// heat-map feed carries over.
     pub fn rebuild_from(&mut self, table: &Table) {
         let heat = self
             .shards
@@ -581,6 +613,18 @@ impl ShardMap {
                 self.set_telemetry(&label, heat);
             }
         }
+    }
+}
+
+impl KeyedRows for ShardMap {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn get(&self, key: &[Value]) -> Option<&Row> {
+        ShardMap::get(self, key)
+    }
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        ShardMap::rows(self)
     }
 }
 
@@ -602,6 +646,10 @@ mod tests {
             &["id"],
         )
         .expect("schema")
+    }
+
+    fn encoded_bytes_of(t: &Table) -> u64 {
+        t.rows().map(|r| r.encode().len() as u64).sum()
     }
 
     fn table(n: i64) -> Table {
@@ -672,6 +720,8 @@ mod tests {
                 assert_eq!(m.content_hash(), t.content_hash(), "n={n} shards={shards}");
                 assert_eq!(m.len(), t.len());
                 assert_eq!(m.assemble(), t);
+                assert_eq!(m.encoded_bytes(), encoded_bytes_of(&t));
+                assert_eq!(m.sorted_rows(), t.sorted_rows());
             }
         }
     }
@@ -699,6 +749,8 @@ mod tests {
             assert_eq!(m.content_hash(), new.content_hash(), "shards={shards}");
             assert_eq!(m.get(&[Value::Int(55)]), new.get(&[Value::Int(55)]));
             assert!(m.get(&[Value::Int(10)]).is_none());
+            assert_eq!(m.encoded_bytes(), encoded_bytes_of(&new));
+            assert!(diff_tables(&m, &new).is_empty());
 
             // The inverse equals the one the assembled table produces.
             let mut plain = old.clone();
@@ -708,6 +760,7 @@ mod tests {
             m.apply_delta(&inv).expect("revert");
             assert_eq!(m.content_hash(), old.content_hash());
             assert_eq!(m.assemble(), old);
+            assert_eq!(m.encoded_bytes(), encoded_bytes_of(&old));
         }
     }
 
@@ -727,6 +780,7 @@ mod tests {
         assert_eq!(m.content_hash(), before);
         assert_eq!(m.len(), 64);
         assert_eq!(m.assemble(), t);
+        assert_eq!(m.encoded_bytes(), encoded_bytes_of(&t));
     }
 
     #[test]

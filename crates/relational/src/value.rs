@@ -142,6 +142,17 @@ impl Value {
         }
     }
 
+    /// Length of the canonical encoding, without building it.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Bool(_) => 2,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Text(s) => 9 + s.len(),
+            Value::Bytes(b) => 9 + b.len(),
+        }
+    }
+
     /// The canonical byte encoding of this value.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

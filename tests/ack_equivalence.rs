@@ -202,9 +202,9 @@ proptest! {
                         );
                     }
                     let l_fp =
-                        legacy_scn.ledger.system().peer(l_peer).expect("peer").db.fingerprint();
+                        legacy_scn.ledger.system().peer(l_peer).expect("peer").fingerprint();
                     let a_fp =
-                        agg_scn.ledger.system().peer(a_peer).expect("peer").db.fingerprint();
+                        agg_scn.ledger.system().peer(a_peer).expect("peer").fingerprint();
                     prop_assert_eq!(l_fp, a_fp);
                 }
 

@@ -268,7 +268,7 @@ fn capture(ledger: &MedLedger) -> Oracle {
             .into_iter()
             .map(|id| {
                 let p = sys.peer(id).expect("listed peer");
-                (p.name.clone(), p.db.fingerprint())
+                (p.name.clone(), p.fingerprint())
             })
             .collect(),
         pd_audit_len: ledger.audit(SHARE_PD).len(),

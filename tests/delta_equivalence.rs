@@ -123,8 +123,8 @@ proptest! {
                 let f = f_reader.read(&table).expect("read").content_hash();
                 prop_assert_eq!(d, f);
             }
-            let d_fp = delta_scn.ledger.system().peer(d_peer).expect("peer").db.fingerprint();
-            let f_fp = full_scn.ledger.system().peer(f_peer).expect("peer").db.fingerprint();
+            let d_fp = delta_scn.ledger.system().peer(d_peer).expect("peer").fingerprint();
+            let f_fp = full_scn.ledger.system().peer(f_peer).expect("peer").fingerprint();
             prop_assert_eq!(d_fp, f_fp);
         }
 

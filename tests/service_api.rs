@@ -107,13 +107,7 @@ fn cascade_reenters_the_next_wave() {
     ] {
         let fp_inline = format!(
             "{:?}",
-            inline
-                .ledger
-                .system()
-                .peer(a)
-                .expect("peer")
-                .db
-                .fingerprint()
+            inline.ledger.system().peer(a).expect("peer").fingerprint()
         );
         let fp_service = format!(
             "{:?}",
@@ -122,7 +116,6 @@ fn cascade_reenters_the_next_wave() {
                 .system()
                 .peer(b)
                 .expect("peer")
-                .db
                 .fingerprint()
         );
         assert_eq!(fp_inline, fp_service);
