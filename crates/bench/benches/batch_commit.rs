@@ -14,10 +14,10 @@
 //!   after the *max* — and the per-receiver verify/apply work runs on a
 //!   worker pool, so multicore hosts overlap the CPU cost as well.
 //!
-//! Each measured iteration drives whole commits through the engine's
-//! `CommitQueue` (request txs, consensus, fan-out, acks), so wall-clock
-//! numbers include the full pipeline. The non-timing groups print the
-//! virtual-time accounting next to the wall numbers.
+//! Each measured iteration drives whole commits through one
+//! `LedgerService` wave (request txs, consensus, fan-out, acks), so
+//! wall-clock numbers include the full pipeline. The non-timing groups
+//! print the virtual-time accounting next to the wall numbers.
 
 use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use medledger_bench::{hub_system, one_group_commit, serial_commits};
@@ -38,7 +38,8 @@ fn bench_group_commit_sweep(c: &mut Criterion) {
                     rev += 1;
                     // Each group consumes `batch` hub keys and `batch`
                     // keys per receiver; rebuild before they run dry.
-                    if bench.ledger.remaining_keys(bench.hub).expect("keys") < (batch + 4) as u64 {
+                    let keys = bench.service.ledger().remaining_keys(bench.hub);
+                    if keys.expect("keys") < (batch + 4) as u64 {
                         bench = hub_system(
                             &format!("bench-batch-{rev}"),
                             batch,
@@ -120,7 +121,8 @@ fn bench_fanout_width(c: &mut Criterion) {
                 let mut rev = 0usize;
                 b.iter(|| {
                     rev += 1;
-                    if bench.ledger.remaining_keys(bench.hub).expect("keys") < 8 {
+                    let keys = bench.service.ledger().remaining_keys(bench.hub);
+                    if keys.expect("keys") < 8 {
                         bench = hub_system(
                             &format!("bench-fan-{rev}"),
                             1,
@@ -135,7 +137,8 @@ fn bench_fanout_width(c: &mut Criterion) {
         );
         let mut bench = hub_system("bench-fan-report", 1, RECEIVERS, ROWS_PER_TABLE, workers);
         let outcome = bench
-            .ledger
+            .service
+            .ledger_mut()
             .session(bench.hub)
             .begin("ward-0")
             .set(

@@ -135,8 +135,9 @@ fn bench_receiver_sweep_report(c: &mut Criterion) {
                 aggregated,
             );
             let (blocks, _sync) = one_group_commit(&mut bench, BATCH, 1);
-            bench.ledger.check_consistency().expect("consistent");
-            let ack_rounds = ack_rounds_in_last_blocks(&bench.ledger, blocks);
+            let ledger = bench.service.ledger();
+            ledger.check_consistency().expect("consistent");
+            let ack_rounds = ack_rounds_in_last_blocks(ledger, blocks);
             let blocks_per_update = blocks as f64 / BATCH as f64;
             println!(
                 "{:<12} {:>10} {:>14.3} {:>16}",

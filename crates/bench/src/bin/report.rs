@@ -1,4 +1,4 @@
-//! Regenerates every experiment in EXPERIMENTS.md.
+//! Regenerates every experiment (`e1` … `e13`; `main` below is the index).
 //!
 //! ```sh
 //! cargo run --release -p medledger-bench --bin report          # all

@@ -1,21 +1,19 @@
 //! Shared helpers for the MedLedger benchmark and report harness.
 //!
-//! The experiment index lives in DESIGN.md §5; EXPERIMENTS.md records the
-//! measured outcomes. Criterion benches measure *wall-clock* cost of the
-//! simulation machinery; the `report` binary prints the *virtual-time*
-//! results that correspond to the paper's claims. Everything drives the
-//! system through the typed facade (`MedLedger` / `PeerSession` /
-//! `UpdateBatch`).
+//! Criterion benches measure *wall-clock* cost of the simulation
+//! machinery; the `report` binary runs the experiments (`report -- e1` …
+//! `e13`) and prints the *virtual-time* results that correspond to the
+//! paper's claims. Everything drives the system through the typed facade
+//! (`MedLedger` / `PeerSession` / `UpdateBatch`) or the engine's
+//! `LedgerService`.
 
 use medledger_bx::LensSpec;
 use medledger_core::{
     ConsensusKind, MedLedger, PeerBinding, PeerId, PeerNode, PropagationMode, SystemConfig,
 };
 use medledger_crypto::Hash256;
-use medledger_engine::CommitQueue;
-use medledger_relational::{
-    diff_tables, row, Column, Predicate, Schema, Table, TableDelta, Value, ValueType,
-};
+use medledger_engine::LedgerService;
+use medledger_relational::{diff_tables, row, Column, Schema, Table, TableDelta, Value, ValueType};
 use medledger_storage::SharedBackend;
 use medledger_workload::{EhrGenerator, UpdateStream};
 
@@ -190,8 +188,8 @@ pub fn one_batch_update(bench: &mut WardBench, pids: &[i64], rev: usize) -> (u64
 /// `n_receivers` receiver peers — the shape where group commit amortizes
 /// consensus cost and the receiver fan-out parallelizes.
 pub struct HubBench {
-    /// The running ledger.
-    pub ledger: MedLedger,
+    /// The pipeline service owning the ledger.
+    pub service: LedgerService,
     /// The hub (holds write permission on every table's `dosage`).
     pub hub: PeerId,
     /// The receiving peers (every table is shared with all of them).
@@ -284,36 +282,50 @@ pub fn hub_system_with_acks(
             .expect("create share");
     }
     HubBench {
-        ledger,
+        service: LedgerService::new(ledger),
         hub,
         receivers,
         tables,
     }
 }
 
-/// Commits one dosage update on each of the first `batch` tables as a
-/// single group through the engine's [`CommitQueue`]. Returns the blocks
-/// the group consumed and the slowest member's sync latency (virtual ms).
+/// Commits one dosage update on each of the first `batch` tables as ONE
+/// [`LedgerService`] wave (`submit` × batch, one `tick`). Returns the
+/// blocks the wave consumed and the slowest member's sync latency
+/// (virtual ms).
 pub fn one_group_commit(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u64) {
-    let blocks_before = bench.ledger.stats().blocks;
-    let mut queue = CommitQueue::new();
-    for t in bench.tables.iter().take(batch) {
-        queue
-            .begin(bench.hub, t.clone())
-            .set(
-                vec![Value::Int(0)],
-                "dosage",
-                Value::text(format!("rev-{rev}")),
-            )
-            .queue()
-            .expect("distinct tables queue cleanly");
-    }
+    let blocks_before = bench.service.ledger().stats().blocks;
+    let tickets: Vec<_> = bench
+        .tables
+        .iter()
+        .take(batch)
+        .map(|t| {
+            bench
+                .service
+                .submit(bench.hub, t.clone())
+                .set(
+                    vec![Value::Int(0)],
+                    "dosage",
+                    Value::text(format!("rev-{rev}")),
+                )
+                .submit()
+                .expect("submit")
+        })
+        .collect();
+    bench.service.tick().expect("wave commits");
     let mut sync_ms = 0;
-    for (_, outcome) in queue.commit_all(&mut bench.ledger) {
-        let ok = outcome.result.expect("group member commits");
+    for t in tickets {
+        let ok = bench
+            .service
+            .take(t)
+            .expect("resolved by the one wave")
+            .expect("group member commits");
         sync_ms = sync_ms.max(ok.sync_latency_ms());
     }
-    (bench.ledger.stats().blocks - blocks_before, sync_ms)
+    (
+        bench.service.ledger().stats().blocks - blocks_before,
+        sync_ms,
+    )
 }
 
 /// Counts, among the newest `window` blocks of the chain, how many carry
@@ -341,11 +353,12 @@ pub fn ack_rounds_in_last_blocks(ledger: &MedLedger, window: u64) -> u64 {
 /// The serial baseline for [`one_group_commit`]: the same updates, one
 /// facade commit (one block + ack rounds) at a time.
 pub fn serial_commits(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u64) {
-    let blocks_before = bench.ledger.stats().blocks;
+    let blocks_before = bench.service.ledger().stats().blocks;
     let mut sync_ms = 0;
     for t in bench.tables.iter().take(batch).cloned().collect::<Vec<_>>() {
         let outcome = bench
-            .ledger
+            .service
+            .ledger_mut()
             .session(bench.hub)
             .begin(t)
             .set(
@@ -357,12 +370,10 @@ pub fn serial_commits(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u
             .expect("serial commit");
         sync_ms += outcome.sync_latency_ms();
     }
-    (bench.ledger.stats().blocks - blocks_before, sync_ms)
-}
-
-/// A medical-records table of `n` rows for lens benchmarks.
-pub fn records(n: usize, seed: &str) -> Table {
-    EhrGenerator::new(seed).full_records(n)
+    (
+        bench.service.ledger().stats().blocks - blocks_before,
+        sync_ms,
+    )
 }
 
 // ----------------------------------------------------------------------
@@ -375,7 +386,7 @@ pub fn records(n: usize, seed: &str) -> Table {
 /// same-table waves exercise per-submitter permissions.
 pub struct ContentionBench {
     /// The pipeline service owning the ledger.
-    pub service: medledger_engine::LedgerService,
+    pub service: LedgerService,
     /// The contending writers, in registration order.
     pub writers: Vec<PeerId>,
 }
@@ -440,7 +451,7 @@ pub fn contention_system(seed: &str, n_submitters: usize, rows: usize) -> Conten
     }
     share.create().expect("share");
     ContentionBench {
-        service: medledger_engine::LedgerService::new(ledger),
+        service: LedgerService::new(ledger),
         writers,
     }
 }
@@ -484,10 +495,10 @@ pub fn one_contended_wave(bench: &mut ContentionBench, rev: usize) -> (u64, usiz
     )
 }
 
-/// The PR-3 serial-conflict baseline for [`one_contended_wave`]: the same
-/// updates, one blocking facade commit at a time (the `CommitQueue` would
-/// reject the same-table claims outright, so serial commits are what a
-/// conflict-rejecting caller must fall back to). Returns blocks consumed.
+/// The serial baseline for [`one_contended_wave`]: the same updates, one
+/// blocking facade commit at a time — what same-table writers pay under
+/// the paper's one-update-per-table-per-block rule when nothing combines
+/// their writes. Returns blocks consumed.
 pub fn serial_contended_commits(bench: &mut ContentionBench, rev: usize) -> u64 {
     let blocks_before = bench.service.ledger().stats().blocks;
     for (i, w) in bench.writers.clone().into_iter().enumerate() {
@@ -698,24 +709,10 @@ pub fn one_shard_apply(bench: &mut ShardApplyBench) {
         .expect("hotspot apply");
 }
 
-/// The standard projection lens used in the lens-scaling benches.
+/// The standard projection lens of the `report` lens-law experiment (E10).
 pub fn wide_projection() -> LensSpec {
     LensSpec::project(
         &["patient_id", "medication_name", "clinical_data", "dosage"],
         &["patient_id"],
     )
-}
-
-/// A deeper composed lens (select ∘ rename ∘ project).
-pub fn composed_lens() -> LensSpec {
-    LensSpec::select(Predicate::cmp(
-        "patient_id",
-        medledger_relational::CmpOp::Ge,
-        Value::Int(0),
-    ))
-    .compose(LensSpec::rename("dosage", "dose"))
-    .compose(LensSpec::project(
-        &["patient_id", "medication_name", "dose"],
-        &["patient_id"],
-    ))
 }

@@ -21,6 +21,8 @@ fn unwrap_scope(rel: &str) -> bool {
         || rel.starts_with("crates/engine/src/")
         || rel == "crates/core/src/persist.rs"
         || rel == "crates/core/src/peer.rs"
+        || rel == "crates/core/src/system.rs"
+        || rel == "crates/core/src/facade.rs"
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

@@ -194,7 +194,7 @@ impl MedLedger {
     /// the facade's transactional staging and rollback guarantees. The
     /// sanctioned path for concurrent / batched commits is
     /// `medledger-engine`'s `LedgerService` (ticketed `submit()` +
-    /// `drain()`), which drives `System::commit_group_with` through this
+    /// `drain()`), which drives `System::commit_group` through this
     /// seam so callers never have to.
     #[doc(hidden)]
     pub fn system_mut(&mut self) -> &mut System {
@@ -725,8 +725,10 @@ impl UpdateBatch<'_> {
             Ok(())
         })();
         let rollback = |system: &mut System| {
-            let node = system.peer_mut(peer).expect("peer exists");
-            node.rollback_writes(&inverses, pending_snapshot.clone());
+            // The snapshot above was read off this very peer.
+            if let Ok(node) = system.peer_mut(peer) {
+                node.rollback_writes(&inverses, pending_snapshot.clone());
+            }
         };
         if let Err(e) = staged {
             rollback(system);
@@ -769,8 +771,8 @@ impl UpdateBatch<'_> {
 
 /// Collects the receipts of every transaction a report (and its cascades)
 /// produced, in commit order — the receipts a [`CommitOutcome`] carries.
-/// Public so engines layered above the facade (e.g. the group-commit
-/// queue in `medledger-engine`) can assemble identical outcomes.
+/// Public so engines layered above the facade (the wave pipeline in
+/// `medledger-engine`) can assemble identical outcomes.
 pub fn collect_receipts(system: &System, report: &UpdateReport, out: &mut Vec<Receipt>) {
     for tx in &report.tx_ids {
         if let Some(r) = system.receipt(tx) {
@@ -876,8 +878,8 @@ pub enum CommitError {
     },
     /// Another queued (or still-uncommitted) update already claims the
     /// same shared table — the paper's one-update-per-table-per-block
-    /// rule, surfaced as a typed error at enqueue/commit time instead of
-    /// a silent re-queue. Retry after the conflicting update commits.
+    /// rule, surfaced as a typed error at commit time instead of a
+    /// silent re-queue. Retry after the conflicting update commits.
     Conflicted {
         /// The contended shared table.
         table_id: String,
@@ -903,7 +905,7 @@ pub enum CommitError {
 impl CommitError {
     /// Classifies an engine error into the typed commit-error taxonomy,
     /// resolving reverted transactions to their on-chain receipts. Public
-    /// so engines layered above the facade (the group-commit queue) can
+    /// so engines layered above the facade (the wave pipeline) can
     /// surface identical errors.
     pub fn from_core(e: CoreError, system: &System) -> Self {
         match e {

@@ -29,7 +29,8 @@
 //! * [`exposure`] — the attribute-exposure metrics behind the paper's
 //!   privacy claims.
 //!
-//! See DESIGN.md for the experiment index and EXPERIMENTS.md for results.
+//! See ARCHITECTURE.md for the crate map and the wave pipeline; the
+//! `report` binary (`medledger-bench`) indexes and runs the experiments.
 
 pub mod agreement;
 pub mod baselines;
@@ -50,8 +51,8 @@ pub use facade::{
 pub use peer::{PeerNode, PendingSnapshot, PropagationMode};
 pub use persist::{Recovery, StorageOptions};
 pub use system::{
-    CascadeMode, CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry,
-    GroupEntryFailure, GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace,
+    CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,
+    GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace,
 };
 
 /// Crate-wide result alias.

@@ -52,7 +52,7 @@ type PendingRows = BTreeMap<Vec<Value>, Option<Row>>;
 /// Opaque snapshot of a peer's whole pending-delta tracking state.
 /// Paired with the inverse deltas a staged write returns, it is
 /// everything a transactional caller (the facade's `UpdateBatch`, the
-/// engine's `CommitQueue`) needs to roll a failed batch back via
+/// engine's `LedgerService`) needs to roll a failed batch back via
 /// [`PeerNode::rollback_writes`]. Cheap: pending deltas hold only the
 /// rows touched since the last committed version. (Internally pending
 /// rows are tracked per shard; snapshotting is shard-layout agnostic.)

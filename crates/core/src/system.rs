@@ -12,7 +12,7 @@ use medledger_contracts::sharing::{
     AckAggregateArgs, AckUpdateArgs, ChangePermissionArgs, CoRequestUpdateArgs, RegisterShareArgs,
     RequestUpdateArgs,
 };
-use medledger_contracts::{ContractRuntime, SharedTableMeta, SharingContract};
+use medledger_contracts::{ContractError, ContractRuntime, SharedTableMeta, SharingContract};
 use medledger_crypto::{
     ack_message, fold_attestation, Hash256, KeyPair, MerkleTree, Prg, Signature,
 };
@@ -354,25 +354,12 @@ impl GroupEntry {
     }
 }
 
-/// How [`System::commit_group_with`] treats the Fig. 5 Step-6 cascades a
-/// committed member triggers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CascadeMode {
-    /// Run each member's cascades recursively right after the group (the
-    /// classic blocking behavior of [`System::commit_group`]).
-    Inline,
-    /// Only *detect* the cascades and return them as
-    /// [`DeferredCascade`]s, so a pipelined caller (the engine's
-    /// `LedgerService`) can re-enter cascades touching distinct tables
-    /// into its **next wave** — one more shared block and one more
-    /// scheduled round for all of them — instead of propagating each
-    /// serially.
-    Defer,
-}
-
-/// A Step-6 cascade detected but not run (see [`CascadeMode::Defer`]):
+/// A Step-6 cascade detected but not run by [`System::commit_group`]:
 /// `peer` holds a pending change of `table_id` caused by the committed
-/// update of `origin`.
+/// update of `origin`. The caller (the engine's `LedgerService`)
+/// re-enters cascades touching distinct tables into its **next wave** —
+/// one more shared block and one more scheduled round for all of them —
+/// instead of propagating each serially.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeferredCascade {
     /// The peer whose sibling share now differs.
@@ -383,7 +370,7 @@ pub struct DeferredCascade {
     pub origin: String,
 }
 
-/// What [`System::commit_group_with`] returns: per-member results, the
+/// What [`System::commit_group`] returns: per-member results, the
 /// co-authors' transaction ids (aligned with each entry's
 /// `co_submitters`, for per-submitter receipt demultiplexing), and the
 /// cascades deferred to the caller's next wave.
@@ -396,7 +383,8 @@ pub struct GroupCommitOutcome {
     /// receipt via [`System::receipt`]). Empty when a member failed
     /// before its transactions were submitted.
     pub co_txs: Vec<Vec<TxId>>,
-    /// Cascades detected under [`CascadeMode::Defer`], deduplicated.
+    /// The Step-6 cascades the committed members triggered,
+    /// deduplicated.
     pub deferred: Vec<DeferredCascade>,
 }
 
@@ -436,6 +424,14 @@ struct PreparedUpdate {
     attrs: Vec<String>,
     new_hash: Hash256,
     payload: PreparedPayload,
+}
+
+/// One sibling share the Step-6 dependency check found changed: `account`
+/// (display name `peer_name`) now holds a pending change of `table_id`.
+struct Step6Change {
+    account: AccountId,
+    peer_name: String,
+    table_id: String,
 }
 
 /// Completed and blocked cascades of one Step-6 dependency sweep:
@@ -624,16 +620,27 @@ impl System {
 
     /// Read access to a peer.
     pub fn peer(&self, peer: PeerId) -> Result<&PeerNode> {
-        self.peers
-            .get(&peer.account())
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))
+        self.node(&peer.account())
     }
 
     /// Mutable access to a peer.
     pub fn peer_mut(&mut self, peer: PeerId) -> Result<&mut PeerNode> {
+        self.node_mut(&peer.account())
+    }
+
+    /// [`System::peer`] by ledger account, the key the pipeline's own
+    /// bookkeeping (share metadata, receiver lists) names peers by.
+    fn node(&self, account: &AccountId) -> Result<&PeerNode> {
         self.peers
-            .get_mut(&peer.account())
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))
+            .get(account)
+            .ok_or_else(|| CoreError::UnknownPeer(account.to_string()))
+    }
+
+    /// Mutable [`System::node`].
+    fn node_mut(&mut self, account: &AccountId) -> Result<&mut PeerNode> {
+        self.peers
+            .get_mut(account)
+            .ok_or_else(|| CoreError::UnknownPeer(account.to_string()))
     }
 
     /// Removes a peer's node state from the system, transferring
@@ -763,7 +770,7 @@ impl System {
             ConsensusKind::PublicPow { .. } => self
                 .pow
                 .as_mut()
-                .expect("pow model present")
+                .ok_or_else(|| CoreError::ConsensusFailed("PoW chain without a PoW model".into()))?
                 .next_interval_ms(),
         };
         let slot = self.last_block_ms + interval;
@@ -902,6 +909,11 @@ impl System {
         conflict_key: Option<String>,
     ) -> Result<TxId> {
         let contract = self.sharing_contract()?;
+        let args = serde_json::to_vec(args).map_err(|e| {
+            CoreError::Contract(ContractError::BadCall(format!(
+                "`{method}` arguments do not encode: {e}"
+            )))
+        })?;
         let peer = self
             .peers
             .get_mut(&sender)
@@ -912,7 +924,7 @@ impl System {
             payload: TxPayload::CallContract {
                 contract,
                 method: method.into(),
-                args: serde_json::to_vec(args).expect("args serialize"),
+                args,
             },
             conflict_key,
         };
@@ -959,7 +971,8 @@ impl System {
                 _ => {}
             }
         }
-        let initial_hash = initial_hash.expect("at least two bindings");
+        let initial_hash = initial_hash
+            .ok_or_else(|| CoreError::BadAgreement("a share needs at least two peers".into()))?;
 
         // Register on chain (the authority is the registrar).
         let args = RegisterShareArgs {
@@ -980,8 +993,8 @@ impl System {
 
         // Materialize local copies.
         for (account, binding) in &agreement.bindings {
-            let peer = self.peers.get_mut(account).expect("checked above");
-            peer.join_share(&agreement.table_id, binding.clone())?;
+            self.node_mut(account)?
+                .join_share(&agreement.table_id, binding.clone())?;
         }
         self.flush_structural()?;
         Ok(())
@@ -1294,10 +1307,7 @@ impl System {
     /// Advances the updater's own stored copy and committed baseline to
     /// the state the contract just committed.
     fn commit_local(&mut self, prepared: &PreparedUpdate, version: u64) -> Result<()> {
-        let peer = self
-            .peers
-            .get_mut(&prepared.updater)
-            .expect("updater exists");
+        let peer = self.node_mut(&prepared.updater)?;
         match &prepared.payload {
             PreparedPayload::Delta { delta, .. } => {
                 peer.commit_delta(&prepared.table_id, delta, version)
@@ -1341,7 +1351,7 @@ impl System {
         // Payload accounting, identical for every receiver.
         let (kind, rows_moved, payload_bytes, full_table_bytes) = match &prepared.payload {
             PreparedPayload::Delta { delta, .. } => {
-                let peer = self.peers.get(&prepared.updater).expect("updater exists");
+                let peer = self.node(&prepared.updater)?;
                 (
                     PayloadKind::Delta,
                     delta.row_count() as u64,
@@ -1411,8 +1421,11 @@ impl System {
                     .collect();
                 let jobs: Vec<&mut PeerNode> = others
                     .iter()
-                    .map(|a| refs.remove(a).expect("sharing peer exists"))
-                    .collect();
+                    .map(|a| {
+                        refs.remove(a)
+                            .ok_or_else(|| CoreError::UnknownPeer(a.to_string()))
+                    })
+                    .collect::<Result<_>>()?;
                 let view: &Table = view;
                 fanout::run_partitioned(jobs, exec_workers, move |peer| {
                     peer.apply_remote_view(tid, view, new_hash, version)
@@ -1526,11 +1539,12 @@ impl System {
         let mut sharded: Vec<(usize, RemoteShardPlan)> = Vec::new();
         let mut serial: Vec<usize> = Vec::new();
         for (i, a) in others.iter().enumerate() {
-            let Some(peer) = self.peers.get(a) else {
-                slots[i] = Some(Err(CoreError::UnknownPeer(a.to_string())));
+            // Pre-flight translated a source delta for every receiver it
+            // found, so the two lookups miss together — and leave the
+            // slot to the `UnknownPeer` at the end.
+            let (Some(peer), Some(sd)) = (self.peers.get(a), source_deltas.get(a)) else {
                 continue;
             };
-            let sd = source_deltas.get(a).expect("pre-flight ran");
             match peer.plan_remote_apply(table_id, delta, sd) {
                 Ok(Some(plan)) => sharded.push((i, plan)),
                 Ok(None) => serial.push(i),
@@ -1553,8 +1567,8 @@ impl System {
                 .iter()
                 .map(|(i, plan)| {
                     refs.remove(&others[*i])
-                        .expect("sharing peer exists")
-                        .remote_shard_jobs(table_id, plan)
+                        .map(|peer| peer.remote_shard_jobs(table_id, plan))
+                        .unwrap_or_default()
                 })
                 .collect();
             fanout::run_sharded(groups, workers, run_shard_job)
@@ -1564,27 +1578,22 @@ impl System {
         // resolve through the whole-table path.
         for ((i, plan), res) in sharded.into_iter().zip(shard_results) {
             let a = others[i];
-            let sd = source_deltas.remove(&a).expect("pre-flight ran");
-            let r = self
-                .peers
-                .get_mut(&a)
-                .expect("sharing peer exists")
-                .finish_remote_apply(table_id, plan, res, delta, &sd, new_hash, version);
-            slots[i] = Some(r);
+            if let (Some(peer), Some(sd)) = (self.peers.get_mut(&a), source_deltas.remove(&a)) {
+                slots[i] = Some(
+                    peer.finish_remote_apply(table_id, plan, res, delta, &sd, new_hash, version),
+                );
+            }
         }
         for i in serial {
             let a = others[i];
-            let sd = source_deltas.remove(&a).expect("pre-flight ran");
-            let r = self
-                .peers
-                .get_mut(&a)
-                .expect("sharing peer exists")
-                .apply_remote_delta(table_id, delta, &sd, new_hash, version);
-            slots[i] = Some(r);
+            if let (Some(peer), Some(sd)) = (self.peers.get_mut(&a), source_deltas.remove(&a)) {
+                slots[i] = Some(peer.apply_remote_delta(table_id, delta, &sd, new_hash, version));
+            }
         }
         slots
             .into_iter()
-            .map(|s| s.expect("every receiver resolved"))
+            .zip(others)
+            .map(|(s, a)| s.unwrap_or_else(|| Err(CoreError::UnknownPeer(a.to_string()))))
             .collect()
     }
 
@@ -1714,10 +1723,72 @@ impl System {
         Ok(ack_txs)
     }
 
-    /// The Fig. 5 **Step 6** dependency check on every participant, with
-    /// recursive cascades (Steps 7–11). The propagation mode decides how
-    /// "does this share now differ?" is answered: O(pending) tracking in
-    /// delta mode, a full regenerate-and-diff in full-table mode.
+    /// The Fig. 5 **Step 6** dependency check, the part both commit paths
+    /// share: for every participant, walk the sibling shares overlapping
+    /// `table_id` (skipping tables in `active` — updates still in
+    /// progress up the serial path's call stack), decide whether each now
+    /// differs, push the numbered trace line, and hand every changed one
+    /// to `on_change`. The propagation mode decides how "differs?" is
+    /// answered: O(pending) tracking in delta mode, a full
+    /// regenerate-and-diff in full-table mode. What happens to a changed
+    /// share is the caller's: the serial path recurses into it (Steps
+    /// 7–11), the wave engine defers it to the next wave.
+    fn step6_sweep(
+        &mut self,
+        table_id: &str,
+        participants: &[AccountId],
+        active: &mut BTreeSet<String>,
+        if_changed: &str,
+        trace: &mut WorkflowTrace,
+        mut on_change: impl FnMut(
+            &mut Self,
+            &mut BTreeSet<String>,
+            &mut WorkflowTrace,
+            Step6Change,
+        ) -> Result<()>,
+    ) -> Result<()> {
+        for account in participants {
+            for other_table in self.node(account)?.overlapping_shares(table_id)? {
+                if active.contains(&other_table) {
+                    continue;
+                }
+                let peer = self.node(account)?;
+                let differs = match self.config.propagation {
+                    PropagationMode::Delta => peer.has_pending_change(&other_table)?,
+                    PropagationMode::FullTable => {
+                        let regenerated = peer.regenerate_view(&other_table)?;
+                        !changed_attrs(peer.baseline(&other_table)?, &regenerated).is_empty()
+                    }
+                };
+                let peer_name = peer.name.clone();
+                trace.push(
+                    "6",
+                    self.clock_ms,
+                    &peer_name,
+                    format!(
+                        "dependency check: `{other_table}` overlaps `{table_id}`; {}",
+                        if differs {
+                            if_changed
+                        } else {
+                            "content unchanged → no cascade"
+                        }
+                    ),
+                );
+                if differs {
+                    let change = Step6Change {
+                        account: *account,
+                        peer_name,
+                        table_id: other_table,
+                    };
+                    on_change(self, active, trace, change)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Step 6 on the serial path: every changed sibling share cascades
+    /// recursively, right here (Steps 7–11).
     fn step6_cascades(
         &mut self,
         table_id: &str,
@@ -1728,63 +1799,34 @@ impl System {
     ) -> Result<CascadeOutcome> {
         let mut cascades = Vec::new();
         let mut failed_cascades: Vec<(String, String)> = Vec::new();
-        for account in participants {
-            let candidates = {
-                let peer = self.peers.get(account).expect("peer exists");
-                peer.overlapping_shares(table_id)?
-            };
-            for other_table in candidates {
-                if active.contains(&other_table) {
-                    continue;
-                }
-                let (peer_name, differs) = {
-                    let peer = self.peers.get(account).expect("peer exists");
-                    let differs = match self.config.propagation {
-                        PropagationMode::Delta => peer.has_pending_change(&other_table)?,
-                        PropagationMode::FullTable => {
-                            let regenerated = peer.regenerate_view(&other_table)?;
-                            !changed_attrs(peer.baseline(&other_table)?, &regenerated).is_empty()
-                        }
-                    };
-                    (peer.name.clone(), differs)
-                };
-                trace.push(
-                    "6",
-                    self.clock_ms,
-                    &peer_name,
-                    format!(
-                        "dependency check: `{other_table}` overlaps `{table_id}`; {}",
-                        if differs {
-                            "content changed → cascade (steps 7-11)"
-                        } else {
-                            "content unchanged → no cascade"
-                        }
-                    ),
-                );
-                if differs {
-                    match self.propagate_inner(*account, &other_table, active, depth + 1) {
-                        Ok(report) => cascades.push(report),
-                        // A denied or untranslatable cascade must not roll
-                        // back the committed parent update; record it. The
-                        // blocked peer keeps its pending delta to retry.
-                        Err(
-                            e @ (CoreError::TxReverted(_)
-                            | CoreError::Bx(_)
-                            | CoreError::NoChange(_)),
-                        ) => {
-                            trace.push(
-                                "6",
-                                self.clock_ms,
-                                &peer_name,
-                                format!("cascade into `{other_table}` blocked: {e}"),
-                            );
-                            failed_cascades.push((other_table.clone(), e.to_string()));
-                        }
-                        Err(e) => return Err(e),
+        self.step6_sweep(
+            table_id,
+            participants,
+            active,
+            "content changed → cascade (steps 7-11)",
+            trace,
+            |system, active, trace, change| {
+                match system.propagate_inner(change.account, &change.table_id, active, depth + 1) {
+                    Ok(report) => cascades.push(report),
+                    // A denied or untranslatable cascade must not roll
+                    // back the committed parent update; record it. The
+                    // blocked peer keeps its pending delta to retry.
+                    Err(
+                        e @ (CoreError::TxReverted(_) | CoreError::Bx(_) | CoreError::NoChange(_)),
+                    ) => {
+                        trace.push(
+                            "6",
+                            system.clock_ms,
+                            &change.peer_name,
+                            format!("cascade into `{}` blocked: {e}", change.table_id),
+                        );
+                        failed_cascades.push((change.table_id, e.to_string()));
                     }
+                    Err(e) => return Err(e),
                 }
-            }
-        }
+                Ok(())
+            },
+        )?;
         Ok((cascades, failed_cascades))
     }
 
@@ -1859,30 +1901,22 @@ impl System {
     /// [`CoreError::Conflicted`]. A whole-group `Err` is reserved for
     /// engine-level failures (e.g. consensus death) where nothing
     /// committed.
-    pub fn commit_group(&mut self, entries: &[GroupEntry]) -> Result<Vec<GroupEntryResult>> {
-        Ok(self
-            .commit_group_with(entries, CascadeMode::Inline)?
-            .results)
-    }
-
-    /// [`System::commit_group`] with explicit cascade handling and full
-    /// per-submitter demultiplexing — the seam the ticketed commit
-    /// pipeline (`medledger-engine`'s `LedgerService`) drives waves
-    /// through:
+    ///
+    /// This is the wave engine — the one batching path, driven by
+    /// `medledger-engine`'s `LedgerService` (and so by the gateway pump);
+    /// [`System::propagate_update`] stays beside it as the serial,
+    /// paper-literal reference. Two things it does that the serial path
+    /// does not:
     ///
     /// * a write-combined member (non-empty `co_submitters`) submits the
     ///   lead's `request_update` — declaring only the lead's own
     ///   attributes — plus one `co_request_update` per co-author in the
     ///   **same block**, each permission-checked on that co-author's
     ///   declared attributes and individually receipted (`co_txs`);
-    /// * under [`CascadeMode::Defer`] the Fig. 5 Step-6 sweep only
-    ///   *detects* cascades and returns them as [`DeferredCascade`]s for
-    ///   the caller's next wave, instead of propagating each serially.
-    pub fn commit_group_with(
-        &mut self,
-        entries: &[GroupEntry],
-        cascades_mode: CascadeMode,
-    ) -> Result<GroupCommitOutcome> {
+    /// * the Fig. 5 Step-6 sweep only *detects* cascades and returns them
+    ///   as [`DeferredCascade`]s for the caller's next wave, instead of
+    ///   propagating each serially.
+    pub fn commit_group(&mut self, entries: &[GroupEntry]) -> Result<GroupCommitOutcome> {
         fn fail(error: CoreError, committed_on_chain: bool) -> GroupEntryFailure {
             GroupEntryFailure {
                 error,
@@ -2106,15 +2140,7 @@ impl System {
                 );
                 slots[f.idx] = Some(Err(fail(e.clone(), committed)));
             }
-            self.record_wave_telemetry(timer, stats_before);
-            return Ok(GroupCommitOutcome {
-                results: slots
-                    .into_iter()
-                    .map(|s| s.expect("every group member resolved"))
-                    .collect(),
-                co_txs: co_txs_out,
-                deferred,
-            });
+            return self.close_wave(timer, stats_before, slots, co_txs_out, deferred);
         }
 
         // Phase 3 — demultiplex receipts; committed members advance their
@@ -2249,19 +2275,11 @@ impl System {
             for c in survivors {
                 slots[c.idx] = Some(Err(fail(e.clone(), true)));
             }
-            self.record_wave_telemetry(timer, stats_before);
-            return Ok(GroupCommitOutcome {
-                results: slots
-                    .into_iter()
-                    .map(|s| s.expect("every group member resolved"))
-                    .collect(),
-                co_txs: co_txs_out,
-                deferred,
-            });
+            return self.close_wave(timer, stats_before, slots, co_txs_out, deferred);
         }
 
         // Phase 5 — per member: verify acks, close the trace, run the
-        // Step-6 dependency check and cascades.
+        // Step-6 dependency check and defer the cascades it finds.
         for mut c in survivors {
             let mut ack_err = None;
             let mut synced_ms = c.committed_ms;
@@ -2290,18 +2308,29 @@ impl System {
             }
             let mut participants = c.fan.others.clone();
             participants.push(c.updater);
-            let swept = match cascades_mode {
-                CascadeMode::Inline => {
-                    let mut active = BTreeSet::new();
-                    active.insert(c.table_id.clone());
-                    self.step6_cascades(&c.table_id, &participants, &mut active, 0, &mut c.trace)
-                }
-                CascadeMode::Defer => self
-                    .step6_detect(&c.table_id, &participants, &mut deferred, &mut c.trace)
-                    .map(|()| (Vec::new(), Vec::new())),
-            };
+            let swept = self.step6_sweep(
+                &c.table_id,
+                &participants,
+                &mut BTreeSet::new(),
+                "content changed → cascade deferred to next wave",
+                &mut c.trace,
+                |_, _, _, change| {
+                    let peer = PeerId::from_account(change.account);
+                    if !deferred
+                        .iter()
+                        .any(|d| d.peer == peer && d.table_id == change.table_id)
+                    {
+                        deferred.push(DeferredCascade {
+                            peer,
+                            table_id: change.table_id,
+                            origin: c.table_id.clone(),
+                        });
+                    }
+                    Ok(())
+                },
+            );
             match swept {
-                Ok((cascades, failed_cascades)) => {
+                Ok(()) => {
                     slots[c.idx] = Some(Ok(UpdateReport {
                         table_id: c.table_id,
                         version: c.version,
@@ -2318,8 +2347,8 @@ impl System {
                             ids.extend(c.ack_txs.iter().copied());
                             ids
                         },
-                        cascades,
-                        failed_cascades,
+                        cascades: Vec::new(),
+                        failed_cascades: Vec::new(),
                         trace: c.trace,
                     }));
                 }
@@ -2330,13 +2359,31 @@ impl System {
         timer.stage("phase.cascade");
 
         self.flush_storage()?;
-        self.record_wave_telemetry(timer, stats_before);
+        self.close_wave(timer, stats_before, slots, co_txs_out, deferred)
+    }
+
+    /// The one way out of [`System::commit_group`]: closes the wave's
+    /// telemetry and assembles the outcome, every member resolved.
+    fn close_wave(
+        &self,
+        timer: StageTimer,
+        before: SystemStats,
+        slots: Vec<Option<GroupEntryResult>>,
+        co_txs: Vec<Vec<TxId>>,
+        deferred: Vec<DeferredCascade>,
+    ) -> Result<GroupCommitOutcome> {
+        self.record_wave_telemetry(timer, before);
+        let results = slots
+            .into_iter()
+            .map(|s| {
+                s.ok_or_else(|| {
+                    CoreError::ConsistencyViolation("a wave member was left unresolved".into())
+                })
+            })
+            .collect::<Result<_>>()?;
         Ok(GroupCommitOutcome {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("every group member resolved"))
-                .collect(),
-            co_txs: co_txs_out,
+            results,
+            co_txs,
             deferred,
         })
     }
@@ -2369,65 +2416,6 @@ impl System {
             "chain.consensus_bytes",
             now.consensus_bytes.saturating_sub(before.consensus_bytes),
         );
-    }
-
-    /// The [`CascadeMode::Defer`] Step-6 sweep: detects which sibling
-    /// shares now carry a pending change without propagating any of them,
-    /// appending deduplicated [`DeferredCascade`]s for the caller's next
-    /// wave.
-    fn step6_detect(
-        &mut self,
-        table_id: &str,
-        participants: &[AccountId],
-        deferred: &mut Vec<DeferredCascade>,
-        trace: &mut WorkflowTrace,
-    ) -> Result<()> {
-        for account in participants {
-            let candidates = {
-                let peer = self.peers.get(account).expect("peer exists");
-                peer.overlapping_shares(table_id)?
-            };
-            for other_table in candidates {
-                let (peer_name, differs) = {
-                    let peer = self.peers.get(account).expect("peer exists");
-                    let differs = match self.config.propagation {
-                        PropagationMode::Delta => peer.has_pending_change(&other_table)?,
-                        PropagationMode::FullTable => {
-                            let regenerated = peer.regenerate_view(&other_table)?;
-                            !changed_attrs(peer.baseline(&other_table)?, &regenerated).is_empty()
-                        }
-                    };
-                    (peer.name.clone(), differs)
-                };
-                trace.push(
-                    "6",
-                    self.clock_ms,
-                    &peer_name,
-                    format!(
-                        "dependency check: `{other_table}` overlaps `{table_id}`; {}",
-                        if differs {
-                            "content changed → cascade deferred to next wave"
-                        } else {
-                            "content unchanged → no cascade"
-                        }
-                    ),
-                );
-                if differs {
-                    let peer = PeerId::from_account(*account);
-                    if !deferred
-                        .iter()
-                        .any(|d| d.peer == peer && d.table_id == other_table)
-                    {
-                        deferred.push(DeferredCascade {
-                            peer,
-                            table_id: other_table,
-                            origin: table_id.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Produces blocks until every listed transaction has a receipt.
@@ -2520,8 +2508,8 @@ impl System {
             .contract_state(&contract)
             .ok_or_else(|| CoreError::BadAgreement("contract state missing".into()))?;
         for table_id in SharingContract::table_ids(state) {
-            let meta =
-                SharingContract::load_meta(state, &table_id).expect("listed tables have metadata");
+            let meta = SharingContract::load_meta(state, &table_id)
+                .ok_or_else(|| CoreError::UnknownShare(table_id.clone()))?;
             if !meta.synced() {
                 continue;
             }

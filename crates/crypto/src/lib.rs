@@ -25,9 +25,9 @@
 //! * [`mod@crc32`] — CRC-32 frame checksums for the durable-storage WAL
 //!   and snapshot files (corruption detection, not authentication).
 //!
-//! The design document (DESIGN.md §2) records why these primitives are a
-//! faithful substitution for the paper's Ethereum accounts: only collision
-//! resistance and unforgeability are load-bearing for the architecture.
+//! These primitives are a faithful substitution for the paper's Ethereum
+//! accounts: only collision resistance and unforgeability are
+//! load-bearing for the architecture.
 
 pub mod crc32;
 pub mod hash;

@@ -4,7 +4,7 @@
 //! network latency, workload generation fallbacks) draws from a seeded
 //! [`Prg`], so whole-system experiments are reproducible bit for bit.
 //! This is *not* meant to be a CSPRNG for production secrets; it is the
-//! reproducibility backbone of the simulation (DESIGN.md §4.6).
+//! reproducibility backbone of the simulation.
 
 use crate::hash::Hash256;
 use crate::sha256::sha256_concat;

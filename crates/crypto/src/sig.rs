@@ -16,7 +16,7 @@
 //!
 //! The scheme's unforgeability reduces to the preimage resistance of
 //! SHA-256, which is exactly the strength the paper's architecture needs
-//! from its Ethereum accounts (DESIGN.md §2).
+//! from its Ethereum accounts.
 
 use crate::hash::Hash256;
 use crate::merkle::{MerkleProof, MerkleTree};

@@ -1,11 +1,9 @@
 //! # medledger-engine
 //!
-//! The **concurrent commit engine**: the ticketed commit pipeline
-//! ([`LedgerService`]), group-commit batching ([`CommitQueue`]) and the
-//! parallel delta fan-out, layered between the typed facade
-//! (`MedLedger`) and the core `System`.
-//!
-//! ## The ticketed commit pipeline
+//! The **commit pipeline**: the ticketed [`LedgerService`], the one front
+//! door for batched and concurrent commits, layered between the typed
+//! facade (`MedLedger`) and the core `System`'s wave engine
+//! (`System::commit_group`).
 //!
 //! The paper's Fig. 5 workflow is request/response — a writer submits an
 //! update and later learns whether consensus admitted it — so the
@@ -17,12 +15,24 @@
 //!   submit(T1 by A)┐                                ┌ ticket A ─ outcome
 //!   submit(T1 by B)┼─► LedgerService ─► wave N ─────┼ ticket B ─ outcome
 //!   submit(T2 by C)┘    (T1: A+B COMBINED, one      └ ticket C ─ outcome
-//!         │              member, A's request +
-//!         ▼              B's co-request in ONE
-//!   Step-6 cascades      block / ONE PBFT round)
-//!   re-enter wave N+1
+//!         │              member; T1 and T2 in ONE
+//!         ▼              block / ONE PBFT round)
+//!   Step-6 cascades            │
+//!   re-enter wave N+1          ▼
+//!                   per-update parallel fan-out
+//!                   (std::thread worker pool,
+//!                    deterministic merge order)
 //! ```
 //!
+//! * **Group commit** — the conflict rule, *at most one update per
+//!   shared table per block*, is usually read as a limiter, but it is
+//!   equally a **batching criterion**: members touching *distinct*,
+//!   non-interacting shared tables cannot conflict, so a wave puts all
+//!   their `request_update` transactions into one block and one
+//!   scheduled PBFT round, and batches the acknowledgement rounds the
+//!   same way. A denied member rolls back **only its own** staged
+//!   writes via inverse deltas while the rest of the block commits;
+//!   members whose tables interact re-queue for the next wave.
 //! * **Same-table write combining** — concurrent submissions against one
 //!   shared table *compose* (deltas compose; each later submission sees
 //!   the earlier one's staged state) instead of conflicting. Every
@@ -34,10 +44,26 @@
 //!   inline: they become first-class members of the next wave, where
 //!   cascades touching distinct tables again share one block and one
 //!   scheduled round.
+//! * **Parallel fan-out** — the per-receiver fetch/`put_delta`/verify
+//!   pipeline runs on a scoped `std::thread` worker pool inside the core
+//!   `System` (receivers map to disjoint peers, so no locks), with PRG
+//!   draws, transfer accounting and trace lines merged in deterministic
+//!   receiver order. Thread count never changes results, only wall-clock;
+//!   `MedLedgerBuilder::fanout_workers` also sets how many virtual data
+//!   channels the latency model overlaps (`0` = all receivers at once,
+//!   `1` = the serial baseline).
+//!
+//! Consensus cost per update drops from `1 + receivers` blocks to
+//! `(1 + receivers) / group_size` — the request round alone amortizes to
+//! `1 / group_size` — and with same-table combining on top, `n`
+//! contending writers pay `~(1 + receivers) / n` instead of `n` full
+//! rounds.
 //!
 //! The blocking shapes remain: [`Submission::commit`] is a thin
 //! submit+wait wrapper, and the facade's `UpdateBatch::commit` is
-//! untouched for one-off updates.
+//! untouched — one update at a time through
+//! `System::propagate_update`, the serial Fig. 5 reference the
+//! equivalence tests compare the waves against.
 //!
 //! ```
 //! use medledger_bx::LensSpec;
@@ -108,129 +134,12 @@
 //! );
 //! service.ledger().check_consistency().expect("all peers in sync");
 //! ```
-//!
-//! ## The blocking group-commit queue
-//!
-//! The conflict rule — *at most one update per shared table per block* —
-//! is usually read as a limiter, but it is equally a **batching
-//! criterion**: updates touching *distinct* shared tables cannot
-//! conflict, so they can share one block and one scheduled PBFT round.
-//! The [`CommitQueue`] exploits exactly that:
-//!
-//! ```text
-//!   batch(T1)┐                                  ┌─ outcome(T1)
-//!   batch(T2)┼─► CommitQueue ─► ONE block ──────┼─ outcome(T2)
-//!   batch(T3)┘     (distinct     ONE PBFT round └─ outcome(T3)
-//!                   tables)          │
-//!                                    ▼
-//!                       per-update parallel fan-out
-//!                       (std::thread worker pool,
-//!                        deterministic merge order)
-//! ```
-//!
-//! * **Group commit** — [`CommitQueue::begin`] stages writes exactly like
-//!   the facade's `UpdateBatch`; [`QueuedBatch::queue`] claims the target
-//!   table (a second claim on the same table is a typed
-//!   [`CommitError::Conflicted`], not a silent re-queue);
-//!   [`CommitQueue::commit_all`] submits every member's `request_update`
-//!   into one block, batches all acknowledgement rounds, and
-//!   demultiplexes per-batch [`BatchOutcome`]s. A denied member rolls
-//!   back **only its own** staged writes via inverse deltas; the rest of
-//!   the block commits.
-//! * **Parallel fan-out** — the per-receiver fetch/`put_delta`/verify
-//!   pipeline runs on a scoped `std::thread` worker pool inside the core
-//!   `System` (receivers map to disjoint peers, so no locks), with PRG
-//!   draws, transfer accounting and trace lines merged in deterministic
-//!   receiver order. Thread count never changes results, only wall-clock;
-//!   `MedLedgerBuilder::fanout_workers` also sets how many virtual data
-//!   channels the latency model overlaps (`0` = all receivers at once,
-//!   `1` = the serial baseline).
-//!
-//! Consensus cost per update drops from `1 + receivers` blocks to
-//! `(1 + receivers) / group_size` — the request round alone amortizes to
-//! `1 / group_size` — and with same-table combining on top, `n`
-//! contending writers pay `~(1 + receivers) / n` instead of `n` full
-//! rounds.
-//!
-//! ## Queue example
-//!
-//! Two doctors share two distinct ward tables with the same patient; both
-//! updates commit in one block and one PBFT round:
-//!
-//! ```
-//! use medledger_bx::LensSpec;
-//! use medledger_core::MedLedger;
-//! use medledger_engine::CommitQueue;
-//! use medledger_relational::{row, Column, Schema, Table, Value, ValueType};
-//!
-//! let mut ledger = MedLedger::builder()
-//!     .seed("engine-doc")
-//!     .pbft(100)
-//!     .peer_key_capacity(64)
-//!     .build()
-//!     .expect("ledger boots");
-//! let doctor = ledger.add_peer("Doctor").expect("add");
-//! let patient = ledger.add_peer("Patient").expect("add");
-//!
-//! // Two independent shared tables over tiny sources.
-//! for t in ["ward-a", "ward-b"] {
-//!     let schema = Schema::new(
-//!         vec![
-//!             Column::new("patient_id", ValueType::Int),
-//!             Column::new("dosage", ValueType::Text),
-//!         ],
-//!         &["patient_id"],
-//!     )
-//!     .expect("schema");
-//!     let mut table = Table::new(schema);
-//!     table.insert(row![1i64, "10 mg"]).expect("seed row");
-//!     let lens = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
-//!     ledger
-//!         .session(doctor)
-//!         .load_source(&format!("D-{t}"), table.clone())
-//!         .expect("load");
-//!     ledger
-//!         .session(patient)
-//!         .load_source(&format!("P-{t}"), table)
-//!         .expect("load");
-//!     ledger
-//!         .session(doctor)
-//!         .share(t)
-//!         .bind(format!("D-{t}"), lens.clone())
-//!         .with(patient, format!("P-{t}"), lens)
-//!         .writers("dosage", &[doctor])
-//!         .create()
-//!         .expect("share");
-//! }
-//!
-//! // Queue one update per table, then commit them as ONE group.
-//! let blocks_before = ledger.stats().blocks;
-//! let mut queue = CommitQueue::new();
-//! for t in ["ward-a", "ward-b"] {
-//!     queue
-//!         .begin(doctor, t)
-//!         .set(vec![Value::Int(1)], "dosage", Value::text("20 mg"))
-//!         .queue()
-//!         .expect("distinct tables queue cleanly");
-//! }
-//! let outcomes = queue.commit_all(&mut ledger);
-//! assert_eq!(outcomes.len(), 2);
-//! for o in outcomes.values() {
-//!     o.result.as_ref().expect("both members commit");
-//! }
-//! // Both request_update transactions shared one block (one PBFT
-//! // round), plus one block for the single receiver's two acks.
-//! assert_eq!(ledger.stats().blocks - blocks_before, 2);
-//! ledger.check_consistency().expect("all peers in sync");
-//! ```
 
 #![warn(missing_docs)]
 
-mod queue;
 mod service;
 
 pub use medledger_core::{CommitError, CommitOutcome, GroupEntry, GroupEntryFailure};
-pub use queue::{BatchOutcome, BatchTicket, CommitQueue, QueuedBatch};
 pub use service::{CascadeRecord, CommitTicket, LedgerService, Submission, WaveReport};
 
 /// The single crate-internal funnel onto the facade's hidden `System`

@@ -1,16 +1,17 @@
 //! The ticketed commit pipeline: a submit/poll service front door over
-//! the group-commit engine.
+//! the core wave engine.
 //!
 //! [`LedgerService`] owns the [`MedLedger`] plus an admission scheduler.
 //! Writers stage a batch exactly as with the facade, but end with a
 //! non-blocking [`Submission::submit`] returning a [`CommitTicket`];
 //! [`LedgerService::tick`] forms the next **wave** — one block, one
 //! scheduled PBFT round for every admitted member — runs it through
-//! `System::commit_group_with`, and resolves tickets to
+//! `System::commit_group`, and resolves tickets to
 //! [`CommitOutcome`]s retrievable with [`LedgerService::take`] (or
 //! blocking via [`CommitTicket::wait`] / [`LedgerService::drain`]).
 //!
-//! Two things the blocking paths cannot do:
+//! Two things the facade's one-update-at-a-time `UpdateBatch::commit`
+//! cannot do:
 //!
 //! * **Same-table write combining** — several submissions against one
 //!   shared table are *composed* into a single group member instead of
@@ -36,11 +37,10 @@
 //! with byte-identical outcomes, receipts and traces (see the core
 //! `shards_per_table` docs).
 
-use crate::queue::StagedWrite;
 use medledger_bx::{changed_attrs, changed_attrs_from_delta};
 use medledger_core::{
-    facade, CascadeMode, CoSubmitter, CommitError, CommitOutcome, CoreError, GroupEntry, MedLedger,
-    PeerId, PeerNode, PendingSnapshot, PropagationMode, System, UpdateReport,
+    facade, CoSubmitter, CommitError, CommitOutcome, CoreError, GroupEntry, MedLedger, PeerId,
+    PeerNode, PendingSnapshot, PropagationMode, System, UpdateReport,
 };
 use medledger_ledger::TxStatus;
 use medledger_relational::{delta_from_write_op, Row, TableDelta, Value, WriteOp};
@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// Maximum cascade re-entry generations before a cascade is recorded as
-/// failed — the wave-pipelined analogue of the inline depth-16 guard
+/// failed — the wave-pipelined analogue of the serial path's depth-16 guard
 /// against cyclic sharing topologies.
 const MAX_CASCADE_DEPTH: u32 = 16;
 
@@ -76,6 +76,14 @@ impl CommitTicket {
     pub fn wait(self, service: &mut LedgerService) -> Result<CommitOutcome, CommitError> {
         service.wait(self)
     }
+}
+
+/// One staged local write (mirrors the facade's `UpdateBatch` staging).
+enum StagedWrite {
+    /// A write against the shared table's materialized copy.
+    Shared(WriteOp),
+    /// A write against one of the peer's *source* tables.
+    Source { table: String, op: WriteOp },
 }
 
 /// One buffered (not yet staged) submission.
@@ -108,7 +116,7 @@ pub struct CascadeRecord {
     pub wave: u64,
     /// The propagation report, or the reason the cascade stayed blocked
     /// (permission denied / untranslatable — the peer keeps its pending
-    /// delta for a later retry, exactly like the inline path).
+    /// delta for a later retry, exactly like the serial path).
     pub result: Result<UpdateReport, String>,
 }
 
@@ -117,8 +125,9 @@ pub struct CascadeRecord {
 pub struct WaveReport {
     /// The wave number (also stamped into every block the wave produced).
     pub wave: u64,
-    /// Group members committed in this wave (submission groups +
-    /// re-entered cascades).
+    /// Group members that entered this wave (submission groups +
+    /// re-entered cascades) — including members the contract went on to
+    /// deny, which still ride the wave's block.
     pub members: usize,
     /// Tickets resolved.
     pub resolved: usize,
@@ -408,7 +417,7 @@ impl LedgerService {
         let outcome = {
             let system = crate::raw_system_mut(&mut self.ledger);
             system.begin_wave(wave);
-            let outcome = system.commit_group_with(&entries, CascadeMode::Defer);
+            let outcome = system.commit_group(&entries);
             system.end_wave();
             outcome
         };
@@ -764,11 +773,10 @@ impl LedgerService {
             group.entry.declared_attrs = None;
         }
 
-        // Same-peer cross-member disjointness (same invariant as the
-        // blocking CommitQueue): two members staged on one peer must
-        // touch disjoint local tables, or one member's uncommitted writes
-        // would leak into the other's payload/cascades. The later group
-        // re-queues whole.
+        // Same-peer cross-member disjointness: two members staged on one
+        // peer must touch disjoint local tables, or one member's
+        // uncommitted writes would leak into the other's
+        // payload/cascades. The later group re-queues whole.
         group.touched = group.inverses.iter().map(|(t, _)| t.clone()).collect();
         let overlap = staged_so_far.iter().any(|m| match m {
             WaveMember::Group(g) => {
@@ -1032,7 +1040,7 @@ pub struct Submission<'s> {
     writes: Vec<StagedWrite>,
 }
 
-impl Submission<'_> {
+impl<'s> Submission<'s> {
     /// Stages an entry-level insert into the shared table.
     pub fn insert(mut self, row: Row) -> Self {
         self.writes
@@ -1099,12 +1107,28 @@ impl Submission<'_> {
     }
 
     /// Enqueues the submission for the next wave — **non-blocking** —
-    /// returning the ticket its outcome resolves under. Unlike the
-    /// blocking queue, a submission against an already-claimed table is
-    /// NOT rejected: the scheduler composes same-table submissions into
-    /// one combined member.
+    /// returning the ticket its outcome resolves under. A submission
+    /// against a table another submission already targets is NOT
+    /// rejected: the scheduler composes same-table submissions into one
+    /// combined member.
     #[allow(clippy::result_large_err)]
     pub fn submit(self) -> Result<CommitTicket, CommitError> {
+        self.enqueue().map(|(_, ticket)| ticket)
+    }
+
+    /// The blocking convenience: [`Submission::submit`] plus
+    /// [`CommitTicket::wait`] — the old `commit()` shape as a thin
+    /// wrapper over the pipeline.
+    #[allow(clippy::result_large_err)]
+    pub fn commit(self) -> Result<CommitOutcome, CommitError> {
+        let (service, ticket) = self.enqueue()?;
+        service.wait(ticket)
+    }
+
+    /// Queues the staged writes, handing the service back so `commit`
+    /// can go on to wait on it.
+    #[allow(clippy::result_large_err)]
+    fn enqueue(self) -> Result<(&'s mut LedgerService, CommitTicket), CommitError> {
         if self.writes.is_empty() {
             return Err(CommitError::EmptyBatch {
                 table_id: self.table_id,
@@ -1118,31 +1142,6 @@ impl Submission<'_> {
             table_id: self.table_id,
             writes: self.writes,
         });
-        Ok(CommitTicket(ticket))
-    }
-
-    /// The blocking convenience: [`Submission::submit`] plus
-    /// [`CommitTicket::wait`] — the old `commit()` shape as a thin
-    /// wrapper over the pipeline.
-    #[allow(clippy::result_large_err)]
-    pub fn commit(self) -> Result<CommitOutcome, CommitError> {
-        let Submission {
-            service,
-            peer,
-            table_id,
-            writes,
-        } = self;
-        if writes.is_empty() {
-            return Err(CommitError::EmptyBatch { table_id });
-        }
-        let ticket = CommitTicket(service.next_ticket);
-        service.next_ticket += 1;
-        service.pending.push_back(PendingSubmission {
-            ticket: ticket.0,
-            peer,
-            table_id,
-            writes,
-        });
-        service.wait(ticket)
+        Ok((self.service, CommitTicket(ticket)))
     }
 }

@@ -1,17 +1,20 @@
 //! Concurrency-safety and determinism tests for the commit engine.
 //!
-//! The contract under test: group commits over N fan-out worker threads
-//! and M distinct shared tables end in a final state **byte-identical**
-//! to serial facade commits of the same updates, with receipt and trace
-//! ordering fully deterministic; a denied group member rolls back alone;
-//! and claiming an already-claimed table is a typed
-//! [`CommitError::Conflicted`], not a silent re-queue.
+//! The contract under test: one `LedgerService` wave over N fan-out
+//! worker threads and M distinct shared tables ends in a final state
+//! **byte-identical** to serial facade commits of the same updates, with
+//! receipt and trace ordering fully deterministic; a denied wave member
+//! rolls back alone and every ticket resolves to its own outcome; and
+//! members whose tables interact are kept apart — the later one re-queues
+//! unstaged and commits in the next wave.
 
 #![allow(clippy::result_large_err)]
 
 use medledger_bx::LensSpec;
-use medledger_core::{CommitError, ConsensusKind, GroupEntry, MedLedger, PeerId, PropagationMode};
-use medledger_engine::CommitQueue;
+use medledger_core::{
+    CommitError, CommitOutcome, ConsensusKind, GroupEntry, MedLedger, PeerId, PropagationMode,
+};
+use medledger_engine::{CommitTicket, LedgerService};
 use medledger_relational::{row, Column, Schema, Table, Value, ValueType, WriteOp};
 
 const ROWS_PER_TABLE: i64 = 3;
@@ -36,7 +39,7 @@ fn ward_table() -> Table {
 }
 
 struct Hub {
-    ledger: MedLedger,
+    service: LedgerService,
     hub: PeerId,
     receivers: Vec<PeerId>,
     tables: Vec<String>,
@@ -100,7 +103,7 @@ fn hub_ledger(
             .expect("create share");
     }
     Hub {
-        ledger,
+        service: LedgerService::new(ledger),
         hub,
         receivers,
         tables,
@@ -116,118 +119,79 @@ fn fingerprints(hub: &Hub) -> Vec<String> {
         .map(|p| {
             format!(
                 "{:?}",
-                hub.ledger.system().peer(*p).expect("peer").fingerprint()
+                ledger(hub).system().peer(*p).expect("peer").fingerprint()
             )
         })
         .collect()
 }
 
-fn group_round(hub: &mut Hub, rev: usize) -> Vec<Result<Vec<String>, CommitError>> {
-    let mut queue = CommitQueue::new();
-    for t in hub.tables.clone() {
-        queue
-            .begin(hub.hub, t)
-            .set(
-                vec![Value::Int(1)],
-                "dosage",
-                Value::text(format!("rev-{rev}")),
-            )
-            .queue()
-            .expect("distinct tables queue cleanly");
-    }
-    queue
-        .commit_all(&mut hub.ledger)
-        .into_values()
-        .map(|o| {
-            o.result
-                .map(|ok| ok.receipts.iter().map(|r| r.tx_id.short()).collect())
-        })
-        .collect()
+fn ledger(hub: &Hub) -> &MedLedger {
+    hub.service.ledger()
 }
 
-#[test]
-fn conflicted_queue_claim_is_a_typed_error() {
-    let mut hub = hub_ledger("eng-conflict", 2, 1, PropagationMode::Delta, 0, &[], 16);
-    let mut queue = CommitQueue::new();
-    queue
-        .begin(hub.hub, "ward-0")
-        .set(vec![Value::Int(1)], "dosage", Value::text("first"))
-        .queue()
-        .expect("first claim");
-    // Regression: a second batch on the same shared table must surface a
-    // typed Conflicted error (it used to be possible to silently re-queue
-    // behind the first at the mempool level).
-    let err = queue
-        .begin(hub.hub, "ward-0")
-        .set(vec![Value::Int(2)], "dosage", Value::text("second"))
-        .queue()
-        .unwrap_err();
-    assert!(err.is_conflicted(), "got {err}");
-    assert!(matches!(err, CommitError::Conflicted { ref table_id } if table_id == "ward-0"));
-    // A distinct table still queues, and the group commits cleanly.
-    queue
-        .begin(hub.hub, "ward-1")
-        .set(vec![Value::Int(1)], "dosage", Value::text("other"))
-        .queue()
-        .expect("distinct table");
-    let outcomes = queue.commit_all(&mut hub.ledger);
-    assert_eq!(outcomes.len(), 2);
-    for o in outcomes.values() {
-        o.result.as_ref().expect("both commit");
-    }
-    // After the drain, the table can be claimed again.
-    queue
-        .begin(hub.hub, "ward-0")
-        .set(vec![Value::Int(1)], "dosage", Value::text("third"))
-        .queue()
-        .expect("fresh claim after drain");
-    hub.ledger.check_consistency().expect("consistent");
-}
-
-/// Regression for the ticket-keyed `commit_all` result: under a denied
-/// MIDDLE member, every outcome must be retrievable by the ticket
-/// `queue()` handed out — no positional bookkeeping — and each mapped
-/// outcome must echo its own ticket, peer, and table.
-#[test]
-fn commit_all_outcomes_key_by_ticket_under_denied_middle_member() {
-    // Three tables; the hub may not write dosage on the MIDDLE one.
-    let mut hub = hub_ledger("eng-ticketmap", 3, 1, PropagationMode::Delta, 0, &[1], 32);
-    let mut queue = CommitQueue::new();
-    let tickets: Vec<_> = hub
-        .tables
+/// Submits one dosage update of `pid` per table, without running a wave.
+fn submit_round(hub: &mut Hub, pid: i64, rev: usize) -> Vec<CommitTicket> {
+    hub.tables
         .clone()
         .into_iter()
         .map(|t| {
-            queue
-                .begin(hub.hub, t)
-                .set(vec![Value::Int(1)], "dosage", Value::text("mapped"))
-                .queue()
-                .expect("queue")
+            hub.service
+                .submit(hub.hub, t)
+                .set(
+                    vec![Value::Int(pid)],
+                    "dosage",
+                    Value::text(format!("rev-{rev}")),
+                )
+                .submit()
+                .expect("submit")
         })
-        .collect();
-    let outcomes = queue.commit_all(&mut hub.ledger);
-    assert_eq!(outcomes.len(), 3);
+        .collect()
+}
+
+/// One update per table, all in ONE wave; the outcomes in table order.
+fn wave_round(hub: &mut Hub, pid: i64, rev: usize) -> Vec<Result<CommitOutcome, CommitError>> {
+    let tickets = submit_round(hub, pid, rev);
+    let wave = hub.service.tick().expect("wave runs");
+    assert_eq!(wave.members, tickets.len(), "distinct tables share a wave");
+    assert_eq!(wave.resolved, tickets.len());
+    tickets
+        .into_iter()
+        .map(|t| hub.service.take(t).expect("resolved by the one wave"))
+        .collect()
+}
+
+/// Under a denied MIDDLE member, every ticket must resolve — exactly
+/// once — to the outcome of the submission it was handed out for: its
+/// own table on success, its own on-chain denial on failure.
+#[test]
+fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
+    // Three tables; the hub may not write dosage on the MIDDLE one.
+    let mut hub = hub_ledger("eng-ticketmap", 3, 1, PropagationMode::Delta, 0, &[1], 32);
+    let tickets = submit_round(&mut hub, 1, 1);
+    let wave = hub.service.tick().expect("wave runs");
+    assert_eq!(wave.members, 3, "the denied member still rides the wave");
+    assert_eq!(wave.resolved, 3);
     for (i, ticket) in tickets.iter().enumerate() {
-        let o = &outcomes[ticket];
-        assert_eq!(o.ticket, *ticket);
-        assert_eq!(o.peer, hub.hub);
-        assert_eq!(o.table_id, hub.tables[i]);
+        assert!(hub.service.is_resolved(*ticket));
+        let outcome = hub.service.take(*ticket).expect("resolved");
         if i == 1 {
-            let err = o.result.as_ref().unwrap_err();
+            let err = outcome.unwrap_err();
             assert!(err.is_permission_denied(), "middle member denied: {err}");
             assert!(err.receipt().is_some());
         } else {
-            o.result.as_ref().expect("outer members commit");
+            let ok = outcome.expect("outer members commit");
+            assert_eq!(ok.report.table_id, hub.tables[i]);
         }
+        assert!(hub.service.take(*ticket).is_none(), "taken exactly once");
     }
-    hub.ledger.check_consistency().expect("consistent");
+    ledger(&hub).check_consistency().expect("consistent");
 }
 
 #[test]
 fn system_level_duplicate_group_members_conflict() {
     let mut hub = hub_ledger("eng-sysdup", 1, 1, PropagationMode::Delta, 0, &[], 8);
     let hub_id = hub.hub;
-    let system = hub.ledger.system_mut();
+    let system = hub.service.ledger_mut().system_mut();
     system
         .peer_mut(hub_id)
         .expect("hub")
@@ -244,7 +208,8 @@ fn system_level_duplicate_group_members_conflict() {
             GroupEntry::new(hub_id, "ward-0"),
             GroupEntry::new(hub_id, "ward-0"),
         ])
-        .expect("group runs");
+        .expect("group runs")
+        .results;
     assert!(results[0].is_ok(), "first claim commits");
     let failure = results[1].as_ref().unwrap_err();
     assert!(!failure.committed_on_chain);
@@ -276,32 +241,31 @@ fn group_commit_matches_serial_commits_byte_identically() {
         32,
     );
 
-    let blocks_before = grouped.ledger.stats().blocks;
-    for r in group_round(&mut grouped, 1) {
+    let blocks_before = ledger(&grouped).stats().blocks;
+    for r in wave_round(&mut grouped, 1, 1) {
         r.expect("group member commits");
     }
-    let grouped_blocks = grouped.ledger.stats().blocks - blocks_before;
+    let grouped_blocks = ledger(&grouped).stats().blocks - blocks_before;
 
-    let blocks_before = serial.ledger.stats().blocks;
+    let blocks_before = ledger(&serial).stats().blocks;
     for t in serial.tables.clone() {
         serial
-            .ledger
+            .service
+            .ledger_mut()
             .session(serial.hub)
             .begin(t)
             .set(vec![Value::Int(1)], "dosage", Value::text("rev-1"))
             .commit()
             .expect("serial commit");
     }
-    let serial_blocks = serial.ledger.stats().blocks - blocks_before;
+    let serial_blocks = ledger(&serial).stats().blocks - blocks_before;
 
     // Same final bytes on every peer...
     assert_eq!(fingerprints(&grouped), fingerprints(&serial));
-    grouped
-        .ledger
+    ledger(&grouped)
         .check_consistency()
         .expect("grouped consistent");
-    serial
-        .ledger
+    ledger(&serial)
         .check_consistency()
         .expect("serial consistent");
     // ...at a fraction of the consensus cost: the group pays one request
@@ -333,11 +297,11 @@ fn stress_thread_counts_and_tables_stay_byte_identical() {
             32,
         );
         for rev in 1..=ROUNDS {
-            for r in group_round(&mut hub, rev) {
+            for r in wave_round(&mut hub, 1, rev) {
                 r.expect("member commits");
             }
         }
-        hub.ledger.check_consistency().expect("consistent");
+        ledger(&hub).check_consistency().expect("consistent");
         let fp = fingerprints(&hub);
         match &reference {
             None => reference = Some(fp),
@@ -360,20 +324,8 @@ fn receipt_and_trace_ordering_is_deterministic() {
         let mut receipts: Vec<String> = Vec::new();
         let mut traces = String::new();
         for rev in 1..=2 {
-            let mut queue = CommitQueue::new();
-            for t in hub.tables.clone() {
-                queue
-                    .begin(hub.hub, t)
-                    .set(
-                        vec![Value::Int(2)],
-                        "dosage",
-                        Value::text(format!("rev-{rev}")),
-                    )
-                    .queue()
-                    .expect("queue");
-            }
-            for o in queue.commit_all(&mut hub.ledger).into_values() {
-                let outcome = o.result.expect("commits");
+            for o in wave_round(&mut hub, 2, rev) {
+                let outcome = o.expect("commits");
                 receipts.extend(outcome.receipts.iter().map(|r| r.tx_id.short()));
                 traces.push_str(&outcome.trace.render());
             }
@@ -397,11 +349,11 @@ fn group_commit_delta_and_full_table_modes_agree() {
     let run = |mode: PropagationMode| {
         let mut hub = hub_ledger("eng-modes", 2, 2, mode, 0, &[], 16);
         for rev in 1..=2 {
-            for r in group_round(&mut hub, rev) {
+            for r in wave_round(&mut hub, 1, rev) {
                 r.expect("member commits");
             }
         }
-        hub.ledger.check_consistency().expect("consistent");
+        ledger(&hub).check_consistency().expect("consistent");
         fingerprints(&hub)
     };
     assert_eq!(
@@ -417,12 +369,11 @@ fn denied_member_rolls_back_alone() {
         // The hub may not write dosage on ward-1; ward-0 and ward-2 are
         // fine. All three go into one group.
         let mut hub = hub_ledger("eng-denied", 3, 1, mode, 0, &[1], 16);
-        let before = hub
-            .ledger
+        let before = ledger(&hub)
             .reader(hub.hub)
             .read("ward-1")
             .expect("read ward-1");
-        let outcomes = group_round(&mut hub, 1);
+        let outcomes = wave_round(&mut hub, 1, 1);
         outcomes[0].as_ref().expect("ward-0 commits");
         outcomes[2].as_ref().expect("ward-2 commits");
         let err = outcomes[1].as_ref().unwrap_err();
@@ -433,13 +384,12 @@ fn denied_member_rolls_back_alone() {
         );
         // The denied batch's staged writes were rolled back — the hub's
         // ward-1 copy is untouched — while the committed members stand.
-        let after = hub
-            .ledger
+        let after = ledger(&hub)
             .reader(hub.hub)
             .read("ward-1")
             .expect("read ward-1");
         assert_eq!(before, after, "{mode:?}: denied member rolled back");
-        let ward0 = hub.ledger.reader(hub.hub).read("ward-0").expect("ward-0");
+        let ward0 = ledger(&hub).reader(hub.hub).read("ward-0").expect("ward-0");
         assert_eq!(
             ward0.get(&[Value::Int(1)]).expect("row")[1],
             Value::text("rev-1"),
@@ -447,13 +397,13 @@ fn denied_member_rolls_back_alone() {
         );
         // Every receiver converged on the committed members too.
         for r in &hub.receivers {
-            let w0 = hub.ledger.reader(*r).read("ward-0").expect("ward-0");
+            let w0 = ledger(&hub).reader(*r).read("ward-0").expect("ward-0");
             assert_eq!(
                 w0.get(&[Value::Int(1)]).expect("row")[1],
                 Value::text("rev-1")
             );
         }
-        hub.ledger.check_consistency().expect("consistent");
+        ledger(&hub).check_consistency().expect("consistent");
     }
 }
 
@@ -466,7 +416,8 @@ fn serial_fanout_channel_is_slower_in_virtual_time() {
     let visibility = |workers: usize| {
         let mut hub = hub_ledger("eng-chan", 1, 8, PropagationMode::Delta, workers, &[], 8);
         let outcome = hub
-            .ledger
+            .service
+            .ledger_mut()
             .session(hub.hub)
             .begin("ward-0")
             .set(vec![Value::Int(1)], "dosage", Value::text("x"))
@@ -555,104 +506,86 @@ fn overlapping_shares_ledger(seed: &str) -> (MedLedger, PeerId, PeerId, PeerId) 
     (ledger, x, y, z)
 }
 
+/// Both isolation regressions, one script: X updates `t-dose`, X or Z
+/// (`med_by_x`) updates the interacting `t-med`, submitted together.
+/// Wave 1 must commit `t-dose` alone and re-queue `t-med` **unstaged**;
+/// wave 2 commits it.
+fn interacting_tables_take_two_waves(seed: &str, med_by_x: bool) {
+    let (ledger, x, y, z) = overlapping_shares_ledger(seed);
+    let med_by = if med_by_x { x } else { z };
+    let med_before = ledger.reader(x).read("t-med").expect("read");
+    let z_before = ledger.system().peer(z).expect("z").fingerprint();
+    let mut service = LedgerService::new(ledger);
+    let dose_ticket = service
+        .submit(x, "t-dose")
+        .set(vec![Value::Int(1)], "dosage", Value::text("15 mg"))
+        .submit()
+        .expect("submit t-dose");
+    let med_ticket = service
+        .submit(med_by, "t-med")
+        .set(vec![Value::Int(2)], "medication", Value::text("naproxen"))
+        .submit()
+        .expect("submit t-med (distinct table name)");
+
+    let wave1 = service.tick().expect("wave 1");
+    assert_eq!((wave1.members, wave1.resolved), (1, 1));
+    let dose = service
+        .take(dose_ticket)
+        .expect("resolved in wave 1")
+        .expect("t-dose commits");
+    // The committed payload carries ONLY the dosage edit — the held-back
+    // member's medication change did not leak into it.
+    assert_eq!(dose.changed_attrs(), ["dosage"]);
+    // The interacting member was re-queued, never staged: no local copy
+    // of `t-med` moved, and Z's database is bit-identical.
+    assert!(!service.is_resolved(med_ticket));
+    assert_eq!(service.pending_submissions(), 1);
+    let ledger = service.ledger();
+    assert_eq!(med_before, ledger.reader(x).read("t-med").expect("read"));
+    assert_eq!(z_before, ledger.system().peer(z).expect("z").fingerprint());
+    ledger.check_consistency().expect("consistent after wave 1");
+
+    let wave2 = service.tick().expect("wave 2");
+    assert_eq!((wave2.members, wave2.resolved), (1, 1));
+    service
+        .take(med_ticket)
+        .expect("resolved in wave 2")
+        .expect("t-med commits in its own wave");
+    service
+        .ledger()
+        .check_consistency()
+        .expect("consistent after wave 2");
+
+    // X's source now carries the medication change, so its `t-dose`
+    // share differs: the Step-6 cascade re-enters and reaches Y.
+    service.drain().expect("cascade wave");
+    let ledger = service.ledger();
+    for (peer, table) in [(z, "t-med"), (y, "t-dose")] {
+        let view = ledger.reader(peer).read(table).expect("read");
+        assert_eq!(
+            view.get(&[Value::Int(2)]).expect("row")[1],
+            Value::text("naproxen")
+        );
+    }
+    ledger.check_consistency().expect("consistent after drain");
+}
+
 #[test]
 fn same_peer_sibling_share_batches_conflict_and_stay_isolated() {
-    // Regression: two batches from ONE peer whose shares sit on the same
-    // source must not share a group — the second batch's staged write
+    // Regression: two submissions from ONE peer whose shares sit on the
+    // same source must not share a wave — the second one's staged write
     // cascades into the first's share (sibling refresh), so its
     // uncommitted rows would ride along with the first member's commit
     // and a later rollback would corrupt committed state.
-    let (mut ledger, x, _y, z) = overlapping_shares_ledger("eng-sibling");
-    let med_before = ledger.reader(x).read("t-med").expect("read");
-    let mut queue = CommitQueue::new();
-    let dose_ticket = queue
-        .begin(x, "t-dose")
-        .set(vec![Value::Int(1)], "dosage", Value::text("15 mg"))
-        .queue()
-        .expect("queue t-dose");
-    let med_ticket = queue
-        .begin(x, "t-med")
-        .set(vec![Value::Int(2)], "medication", Value::text("naproxen"))
-        .queue()
-        .expect("queue t-med (distinct table name)");
-    let outcomes = queue.commit_all(&mut ledger);
-    let dose = outcomes[&dose_ticket]
-        .result
-        .as_ref()
-        .expect("t-dose commits");
-    // The committed payload carries ONLY the dosage edit — the sibling
-    // batch's medication change did not leak into it.
-    assert_eq!(dose.changed_attrs(), ["dosage"]);
-    let med_err = outcomes[&med_ticket].result.as_ref().unwrap_err();
-    assert!(med_err.is_conflicted(), "got {med_err}");
-    // The conflicted batch was fully unstaged.
-    assert_eq!(med_before, ledger.reader(x).read("t-med").expect("read"));
-    assert_eq!(
-        ledger
-            .reader(z)
-            .read("t-med")
-            .expect("read")
-            .get(&[Value::Int(2)])
-            .expect("row")[1],
-        Value::text("aspirin")
-    );
-    ledger.check_consistency().expect("consistent");
-    // Retry in the NEXT group succeeds.
-    let mut retry = CommitQueue::new();
-    let retry_ticket = retry
-        .begin(x, "t-med")
-        .set(vec![Value::Int(2)], "medication", Value::text("naproxen"))
-        .queue()
-        .expect("re-queue");
-    let outcomes = retry.commit_all(&mut ledger);
-    outcomes[&retry_ticket]
-        .result
-        .as_ref()
-        .expect("retry commits");
-    ledger.check_consistency().expect("consistent after retry");
+    interacting_tables_take_two_waves("eng-sibling", true);
 }
 
 #[test]
 fn cross_peer_overlapping_tables_conflict_before_staging() {
     // Regression: members on DIFFERENT updaters whose tables overlap
     // through a third peer's bindings (X binds both t-dose and t-med to
-    // one source) must not share a group either — X's fan-out of the
+    // one source) must not share a wave either — X's fan-out of the
     // first member would stash a Step-6 cascade that absorbs the second
     // member's still-staged writes.
-    let (mut ledger, x, _y, z) = overlapping_shares_ledger("eng-xpeer");
-    let z_before = ledger.system().peer(z).expect("z").fingerprint();
-    let mut queue = CommitQueue::new();
-    let dose_ticket = queue
-        .begin(x, "t-dose")
-        .set(vec![Value::Int(1)], "dosage", Value::text("15 mg"))
-        .queue()
-        .expect("queue t-dose");
-    let med_ticket = queue
-        .begin(z, "t-med")
-        .set(vec![Value::Int(2)], "medication", Value::text("naproxen"))
-        .queue()
-        .expect("queue t-med");
-    let outcomes = queue.commit_all(&mut ledger);
-    outcomes[&dose_ticket]
-        .result
-        .as_ref()
-        .expect("t-dose commits");
-    let err = outcomes[&med_ticket].result.as_ref().unwrap_err();
-    assert!(err.is_conflicted(), "got {err}");
-    // The conflicted member never staged: Z's database is bit-identical.
-    assert_eq!(z_before, ledger.system().peer(z).expect("z").fingerprint());
-    ledger.check_consistency().expect("consistent");
-    // And it commits cleanly in its own group afterwards.
-    let mut retry = CommitQueue::new();
-    let retry_ticket = retry
-        .begin(z, "t-med")
-        .set(vec![Value::Int(2)], "medication", Value::text("naproxen"))
-        .queue()
-        .expect("re-queue");
-    let outcomes = retry.commit_all(&mut ledger);
-    outcomes[&retry_ticket]
-        .result
-        .as_ref()
-        .expect("retry commits");
-    ledger.check_consistency().expect("consistent after retry");
+    interacting_tables_take_two_waves("eng-xpeer", false);
 }

@@ -4,7 +4,7 @@
 //!
 //! The paper evaluates no real dataset (its future-work section plans
 //! experiments on de-identified patient data). This crate provides the
-//! substitute (DESIGN.md §2):
+//! substitute:
 //!
 //! * [`ehr`] — a seeded generator of full medical records with exactly the
 //!   paper's Fig. 1 schema (`a0` patient id … `a6` mode of action),

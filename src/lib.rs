@@ -106,7 +106,7 @@
 //! | [`storage`] | versioned binary codec, segmented WALs, snapshots, storage backends |
 //! | [`workload`] | synthetic EHR generation, update streams, de-identification |
 //! | [`core`] | the engine (`System`), the facade, the Fig. 1 scenario, baselines |
-//! | [`engine`] | ticketed commit pipeline, group-commit queue, parallel fan-out |
+//! | [`engine`] | the ticketed commit pipeline: group-commit waves, write combining, parallel fan-out |
 //! | [`node`] | async runtime, per-peer event loops, wire protocol, gateway |
 //!
 //! ## The ticketed commit pipeline
@@ -119,10 +119,10 @@
 //! submitter permission-checked and receipted individually; a denied
 //! submitter rolls back alone) instead of rejected, and Step-6 cascades
 //! re-enter the next wave instead of running serially. Updates touching
-//! **distinct** shared tables can also still be staged on an
-//! [`engine::CommitQueue`] and committed together with blocking
-//! `commit_all`. See the `medledger-engine` crate docs for runnable
-//! examples of both.
+//! **distinct** shared tables ride the same wave, one block for all of
+//! them. The blocking [`UpdateBatch`] `commit()` stays as the
+//! one-update-at-a-time Fig. 5 reference. See the `medledger-engine`
+//! crate docs for a runnable example.
 //!
 //! For a *deployment* — per-peer event loops, a framed wire protocol,
 //! and a concurrent gateway serving thousands of client sessions over
