@@ -4,21 +4,18 @@
 //! `Recorder` installed on a deployment must cost ≤5% against the
 //! recorder-disabled baseline, because every hot-path hook is a handful
 //! of relaxed atomics against pre-minted metric handles. This bench
-//! proves it on the same workload `pipeline_throughput` sweeps: full
-//! submit→drain waves of 4 writers contending on one shared table.
+//! proves it on full submit→drain waves of 4 writers contending on one
+//! shared table.
 //!
-//! The timing group measures each arm under the normal criterion loop;
-//! the ratio group runs the two arms *paired and interleaved* in one
-//! process and records `telemetry_overhead_ratio` (median instrumented
-//! wave / median uninstrumented wave) for the CI bench-trajectory gate.
-//! Pairing cancels machine speed, so the ratio is stable enough to gate
-//! even though both numerators are wall-clock — the one deliberate
-//! exception to the baseline's virtual-sim-only rule (see
-//! `bench/baseline.json`).
+//! The two arms run *paired and interleaved* in one process and the
+//! ratio (median instrumented wave / median uninstrumented wave) gates
+//! itself: above [`CEILING`] the process exits non-zero. Pairing cancels
+//! machine speed, so the ratio is stable enough to gate even though both
+//! numerators are wall-clock — the one wall-clock gate outside
+//! `medbench`.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use medledger_bench::{
     contention_keys_left, contention_system, one_contended_wave, ContentionBench,
 };
@@ -26,9 +23,11 @@ use medledger_telemetry::{Recorder, Registry};
 
 const SUBMITTERS: usize = 4;
 const ROWS: usize = 8;
-/// Paired rounds for the gated ratio. Each round times one full wave
-/// per arm, alternating which arm goes first to cancel cache effects.
+/// Paired rounds. Each round times one full wave per arm, alternating
+/// which arm goes first to cancel cache effects.
 const ROUNDS: usize = 24;
+/// The recorder may cost at most 5% on the pipeline workload.
+const CEILING: f64 = 1.05;
 
 /// A contention system with a live recorder installed on its ledger —
 /// every wave feeds `wave.*` histograms and `chain.*` counters into
@@ -42,39 +41,7 @@ fn instrumented_system(seed: &str, registry: &std::sync::Arc<Registry>) -> Conte
     bench
 }
 
-fn bench_arm_timings(c: &mut Criterion) {
-    let mut g = c.benchmark_group("telemetry_overhead");
-    g.sample_size(10);
-    g.measurement_time(std::time::Duration::from_secs(3));
-    for (label, enabled) in [("wave/disabled", false), ("wave/enabled", true)] {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &enabled, |b, &on| {
-            let registry = Registry::shared();
-            let build = |seed: &str| {
-                if on {
-                    instrumented_system(seed, &registry)
-                } else {
-                    contention_system(seed, SUBMITTERS, ROWS)
-                }
-            };
-            let mut bench = build("tel-arm");
-            let mut rev = 0usize;
-            b.iter(|| {
-                rev += 1;
-                if contention_keys_left(&bench) < 8 {
-                    bench = build(&format!("tel-arm-{rev}"));
-                }
-                one_contended_wave(&mut bench, rev)
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_overhead_ratio(c: &mut Criterion) {
-    // Not a timing bench in the criterion sense: one paired, interleaved
-    // measurement of both arms, producing the gated ratio exactly the
-    // same way in `--test` smoke mode and in a full run.
-    let g = c.benchmark_group("telemetry_overhead_ratio");
+fn main() {
     let registry = Registry::shared();
     let mut on = instrumented_system("tel-ratio-on", &registry);
     let mut off = contention_system("tel-ratio-off", SUBMITTERS, ROWS);
@@ -123,13 +90,13 @@ fn bench_overhead_ratio(c: &mut Criterion) {
     off_ns.sort_unstable();
     let ratio = on_ns[on_ns.len() / 2] as f64 / off_ns[off_ns.len() / 2] as f64;
     println!(
-        "telemetry overhead: enabled median {} µs vs disabled median {} µs → ratio {ratio:.4}",
+        "telemetry overhead: enabled median {} µs vs disabled median {} µs → ratio {ratio:.4} \
+         (ceiling {CEILING})",
         on_ns[on_ns.len() / 2] / 1_000,
         off_ns[off_ns.len() / 2] / 1_000,
     );
-    record_metric("telemetry_overhead_ratio", ratio);
-    g.finish();
+    if ratio > CEILING {
+        eprintln!("telemetry_overhead: ratio {ratio:.4} exceeds the {CEILING} ceiling");
+        std::process::exit(1);
+    }
 }
-
-criterion_group!(benches, bench_arm_timings, bench_overhead_ratio);
-criterion_main!(benches);

@@ -12,6 +12,7 @@
 //! `stats` wire message — so benches and the live node share one
 //! metrics vocabulary (see docs/OBSERVABILITY.md for the catalog).
 
+use medledger_bench::baselines::storage_comparison;
 use medledger_bench::{
     one_dosage_update, two_peer_system, two_peer_system_sharded, wide_projection,
 };
@@ -23,7 +24,6 @@ use medledger_contracts::sharing::{
     AckUpdateArgs, ChangePermissionArgs, RegisterShareArgs, RequestUpdateArgs, SharingContract,
 };
 use medledger_contracts::ContractState;
-use medledger_core::baselines::storage_comparison;
 use medledger_core::exposure::{
     all_attrs, exposure_report, paper_fine_grained_design, paper_profiles, total_interference,
     SharingDesign,
@@ -569,20 +569,6 @@ fn e12_contract_gas() {
     )
     .expect("change");
     println!("{:<28} {:>8} gas", "change_permission", out.gas_used);
-
-    // MedVM sample costs.
-    use medledger_contracts::vm::{self, asm};
-    let loop_prog = asm::assemble(
-        "PUSH 0\nPUSH 100\nloop:\nDUP 0\nNOT\nJMPI done\nDUP 0\nSWAP 1\nADD\nSWAP 0\nPUSH 1\nSUB\nJMP loop\ndone:\nPOP\nRET",
-    )
-    .expect("asm");
-    let mut vm_state = ContractState::new();
-    let out = vm::execute(&loop_prog, &mut vm_state, &ctx(doctor), &[], 1_000_000).expect("run");
-    println!("{:<28} {:>8} gas", "MedVM 100-iteration loop", out.gas_used);
-    let counter =
-        asm::assemble("PUSH 0\nSLOAD\nPUSH 1\nADD\nDUP 0\nPUSH 0\nSSTORE\nRET").expect("asm");
-    let out = vm::execute(&counter, &mut vm_state, &ctx(doctor), &[], 1_000_000).expect("run");
-    println!("{:<28} {:>8} gas", "MedVM storage counter", out.gas_used);
 
     // Workload sanity: a mixed stream's denial rate when patients try
     // dosage writes (permission ablation flavor).

@@ -1,21 +1,22 @@
-//! Shared helpers for the MedLedger benchmark and report harness.
+//! Shared fixtures for the chain-cost tests, the `report` binary and the
+//! `telemetry_overhead` bench.
 //!
-//! Criterion benches measure *wall-clock* cost of the simulation
-//! machinery; the `report` binary runs the experiments (`report -- e1` …
-//! `e13`) and prints the *virtual-time* results that correspond to the
-//! paper's claims. Everything drives the system through the typed facade
-//! (`MedLedger` / `PeerSession` / `UpdateBatch`) or the engine's
-//! `LedgerService`.
+//! `tests/counts.rs` pins the deterministic chain costs (blocks, waves,
+//! rows and bytes per commit) as exact integers; the `report` binary runs
+//! the experiments (`report -- e1` … `e13`) and prints the *virtual-time*
+//! results that correspond to the paper's claims; wall-clock numbers come
+//! from `medbench` (`benchmark/`). Everything drives the system through
+//! the typed facade (`MedLedger` / `PeerSession` / `UpdateBatch`) or the
+//! engine's `LedgerService`.
+
+pub mod baselines;
 
 use medledger_bx::LensSpec;
-use medledger_core::{
-    ConsensusKind, MedLedger, PeerBinding, PeerId, PeerNode, PropagationMode, SystemConfig,
-};
-use medledger_crypto::Hash256;
+use medledger_core::{ConsensusKind, MedLedger, PeerId, SystemConfig};
 use medledger_engine::LedgerService;
-use medledger_relational::{diff_tables, row, Column, Schema, Table, TableDelta, Value, ValueType};
+use medledger_relational::{row, Column, Schema, Table, Value, ValueType};
 use medledger_storage::SharedBackend;
-use medledger_workload::{EhrGenerator, UpdateStream};
+use medledger_workload::EhrGenerator;
 
 /// A fast PBFT config for benches (100 ms blocks).
 pub fn fast_pbft_config(seed: &str) -> SystemConfig {
@@ -41,25 +42,12 @@ pub struct WardBench {
 }
 
 /// Builds a doctor+patient ledger sharing one table over `n_patients`
-/// records, in the default (delta) propagation mode.
+/// records.
 pub fn two_peer_system(seed: &str, consensus: ConsensusKind, n_patients: usize) -> WardBench {
-    two_peer_system_in(seed, consensus, n_patients, PropagationMode::Delta)
-}
-
-/// [`two_peer_system`] with an explicit propagation mode — the knob the
-/// `delta_pipeline` bench sweeps to compare row-level deltas against the
-/// whole-table baseline.
-pub fn two_peer_system_in(
-    seed: &str,
-    consensus: ConsensusKind,
-    n_patients: usize,
-    mode: PropagationMode,
-) -> WardBench {
     let ledger = MedLedger::builder()
         .seed(seed)
         .consensus(consensus)
         .peer_key_capacity(1024)
-        .propagation(mode)
         .build()
         .expect("boot");
     populate_ward(ledger, seed, n_patients)
@@ -67,8 +55,7 @@ pub fn two_peer_system_in(
 
 /// [`two_peer_system`] on a *durable* ledger over a fresh
 /// [`SharedBackend`]; the returned backend handle sees every byte the
-/// deployment flushes (the `storage_persistence` bench recovers from its
-/// captures and sizes its streams).
+/// deployment flushes.
 pub fn two_peer_system_durable(
     seed: &str,
     consensus: ConsensusKind,
@@ -166,9 +153,7 @@ pub fn one_dosage_update(bench: &mut WardBench, pid: i64, rev: usize) -> (u64, u
 }
 
 /// Commits one doctor-side batch touching `pids` (one dosage edit per
-/// row) and returns the rows/bytes the propagation moved. The
-/// `delta_pipeline` bench's unit of work: in delta mode the cost scales
-/// with `pids.len()`, in full-table mode with the table.
+/// row) and returns the rows/bytes the propagation moved.
 pub fn one_batch_update(bench: &mut WardBench, pids: &[i64], rev: usize) -> (u64, u64) {
     let mut session = bench.ledger.session(bench.doctor);
     let mut batch = session.begin("ward");
@@ -183,7 +168,7 @@ pub fn one_batch_update(bench: &mut WardBench, pids: &[i64], rev: usize) -> (u64
     (outcome.report.rows_moved, outcome.report.bytes_moved)
 }
 
-/// A hub-and-spokes deployment for the group-commit benches: one hub
+/// A hub-and-spokes deployment for the group-commit tests: one hub
 /// peer shares `n_tables` **distinct** shared tables, each with the same
 /// `n_receivers` receiver peers — the shape where group commit amortizes
 /// consensus cost and the receiver fan-out parallelizes.
@@ -192,51 +177,25 @@ pub struct HubBench {
     pub service: LedgerService,
     /// The hub (holds write permission on every table's `dosage`).
     pub hub: PeerId,
-    /// The receiving peers (every table is shared with all of them).
-    pub receivers: Vec<PeerId>,
     /// The shared-table ids, `ward-0` … `ward-{n-1}`.
     pub tables: Vec<String>,
 }
 
 /// Builds a [`HubBench`]: `n_tables` distinct tables of `rows_per_table`
-/// rows, each shared between the hub and all `n_receivers` receivers,
-/// with `fanout_workers` parallel data-plane channels (0 = all receivers
-/// overlap).
+/// rows, each shared between the hub and all `n_receivers` receivers.
+/// Peers hold the signing keys for one commit per table (the hub signs a
+/// registration, a request and an ack fold for each), so a debug build
+/// does not spend minutes deriving keys nobody uses.
 pub fn hub_system(
     seed: &str,
     n_tables: usize,
     n_receivers: usize,
     rows_per_table: usize,
-    fanout_workers: usize,
-) -> HubBench {
-    hub_system_with_acks(
-        seed,
-        n_tables,
-        n_receivers,
-        rows_per_table,
-        fanout_workers,
-        true,
-    )
-}
-
-/// [`hub_system`] with an explicit ack protocol: `aggregated = true` is
-/// the default one-threshold-ack-per-wave protocol, `false` the legacy
-/// one-`ack_update`-per-receiver baseline the `pipeline_throughput`
-/// receiver sweep compares against.
-pub fn hub_system_with_acks(
-    seed: &str,
-    n_tables: usize,
-    n_receivers: usize,
-    rows_per_table: usize,
-    fanout_workers: usize,
-    aggregated: bool,
 ) -> HubBench {
     let mut ledger = MedLedger::builder()
         .seed(seed)
         .pbft(100)
-        .peer_key_capacity(4096)
-        .fanout_workers(fanout_workers)
-        .aggregated_acks(aggregated)
+        .peer_key_capacity(4 * n_tables)
         .build()
         .expect("boot");
     let hub = ledger.add_peer("Hub").expect("add hub");
@@ -284,16 +243,14 @@ pub fn hub_system_with_acks(
     HubBench {
         service: LedgerService::new(ledger),
         hub,
-        receivers,
         tables,
     }
 }
 
 /// Commits one dosage update on each of the first `batch` tables as ONE
 /// [`LedgerService`] wave (`submit` × batch, one `tick`). Returns the
-/// blocks the wave consumed and the slowest member's sync latency
-/// (virtual ms).
-pub fn one_group_commit(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u64) {
+/// blocks the wave consumed.
+pub fn one_group_commit(bench: &mut HubBench, batch: usize, rev: usize) -> u64 {
     let blocks_before = bench.service.ledger().stats().blocks;
     let tickets: Vec<_> = bench
         .tables
@@ -313,19 +270,14 @@ pub fn one_group_commit(bench: &mut HubBench, batch: usize, rev: usize) -> (u64,
         })
         .collect();
     bench.service.tick().expect("wave commits");
-    let mut sync_ms = 0;
     for t in tickets {
-        let ok = bench
+        bench
             .service
             .take(t)
             .expect("resolved by the one wave")
             .expect("group member commits");
-        sync_ms = sync_ms.max(ok.sync_latency_ms());
     }
-    (
-        bench.service.ledger().stats().blocks - blocks_before,
-        sync_ms,
-    )
+    bench.service.ledger().stats().blocks - blocks_before
 }
 
 /// Counts, among the newest `window` blocks of the chain, how many carry
@@ -351,12 +303,12 @@ pub fn ack_rounds_in_last_blocks(ledger: &MedLedger, window: u64) -> u64 {
 }
 
 /// The serial baseline for [`one_group_commit`]: the same updates, one
-/// facade commit (one block + ack rounds) at a time.
-pub fn serial_commits(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u64) {
+/// facade commit (one block + ack rounds) at a time. Returns the blocks
+/// consumed.
+pub fn serial_commits(bench: &mut HubBench, batch: usize, rev: usize) -> u64 {
     let blocks_before = bench.service.ledger().stats().blocks;
-    let mut sync_ms = 0;
     for t in bench.tables.iter().take(batch).cloned().collect::<Vec<_>>() {
-        let outcome = bench
+        bench
             .service
             .ledger_mut()
             .session(bench.hub)
@@ -368,16 +320,12 @@ pub fn serial_commits(bench: &mut HubBench, batch: usize, rev: usize) -> (u64, u
             )
             .commit()
             .expect("serial commit");
-        sync_ms += outcome.sync_latency_ms();
     }
-    (
-        bench.service.ledger().stats().blocks - blocks_before,
-        sync_ms,
-    )
+    bench.service.ledger().stats().blocks - blocks_before
 }
 
 // ----------------------------------------------------------------------
-// Ticketed pipeline / write-combining contention bench
+// Ticketed pipeline / write-combining contention
 // ----------------------------------------------------------------------
 
 /// A deployment where `n_submitters` writer peers contend on ONE shared
@@ -413,7 +361,6 @@ pub fn contention_system(seed: &str, n_submitters: usize, rows: usize) -> Conten
 
     let mut ledger = MedLedger::builder()
         .config(fast_pbft_config(seed))
-        .peer_key_capacity(1024)
         .build()
         .expect("boot");
     let writers: Vec<PeerId> = (0..n_submitters)
@@ -518,8 +465,8 @@ pub fn serial_contended_commits(bench: &mut ContentionBench, rev: usize) -> u64 
     bench.service.ledger().stats().blocks - blocks_before
 }
 
-/// Remaining signing keys of the scarcest writer (benches rebuild before
-/// keys run dry).
+/// Remaining signing keys of the scarcest writer (the bench rebuilds
+/// before keys run dry).
 pub fn contention_keys_left(bench: &ContentionBench) -> u64 {
     bench
         .writers
@@ -536,12 +483,11 @@ pub fn contention_keys_left(bench: &ContentionBench) -> u64 {
 }
 
 // ----------------------------------------------------------------------
-// Sharded-peer scaling bench
+// Sharded peers
 // ----------------------------------------------------------------------
 
-/// [`two_peer_system`] with an explicit `shards_per_table` — the knob the
-/// `shard_scaling` bench sweeps to compare shard-routed delta application
-/// against the unsharded baseline on the full pipeline.
+/// [`two_peer_system`] with an explicit `shards_per_table`, both peers
+/// holding the shared view as their source.
 pub fn two_peer_system_sharded(
     seed: &str,
     consensus: ConsensusKind,
@@ -588,125 +534,6 @@ pub fn two_peer_system_sharded(
         doctor,
         patient,
     }
-}
-
-/// One precomputed committed update for [`ShardApplyBench`]: the view
-/// delta, its pre-translated source delta, and the announced hash.
-struct ApplyStep {
-    view_delta: TableDelta,
-    source_delta: TableDelta,
-    hash: Hash256,
-}
-
-/// A receiver-side rig that isolates the cost of applying ONE committed
-/// delta to a stored shared table — the per-receiver unit of work of the
-/// Fig. 5 fan-out, without the chain/consensus around it. Two
-/// precomputed hotspot deltas toggle the table between two states, so
-/// every measured iteration performs a real apply (stored copy + hash
-/// verification + source reflection + baseline advance).
-pub struct ShardApplyBench {
-    receiver: PeerNode,
-    steps: [ApplyStep; 2],
-    next: usize,
-    version: u64,
-}
-
-/// Builds a [`ShardApplyBench`] over a `rows`-row shared table with
-/// `shards` key-range shards (1 = the unsharded baseline). The toggled
-/// delta touches the workload crate's hotspot row set (`hot_rows` seeded
-/// hot patients).
-pub fn shard_apply_bench(
-    seed: &str,
-    rows: usize,
-    hot_rows: usize,
-    shards: usize,
-) -> ShardApplyBench {
-    let full = EhrGenerator::new(seed).full_records(rows);
-    let shared_attrs = &["patient_id", "medication_name", "clinical_data", "dosage"];
-    let src = full
-        .project(shared_attrs, &["patient_id"])
-        .expect("source projection");
-    let mut receiver = PeerNode::new("Receiver", seed, 4, PropagationMode::Delta, shards);
-    receiver.add_source_table("S", src).expect("source");
-    receiver
-        .join_share(
-            "ward",
-            PeerBinding {
-                source_table: "S".into(),
-                lens: LensSpec::project(shared_attrs, &["patient_id"]),
-            },
-        )
-        .expect("join share");
-    assert_eq!(receiver.is_sharded("ward"), shards > 1);
-
-    // The hotspot row set, drawn exactly as the workload crate draws it.
-    let all_ids: Vec<i64> = (0..rows as i64).map(|i| 1000 + i).collect();
-    let hot: std::collections::BTreeSet<i64> = UpdateStream::hotspot(seed, all_ids, hot_rows)
-        .take(hot_rows * 4)
-        .into_iter()
-        .filter_map(|u| u.target.as_int())
-        .collect();
-
-    let view0 = receiver.shared_table("ward").expect("view");
-    let mut view1 = view0.clone();
-    for pid in &hot {
-        view1
-            .update(
-                &[Value::Int(*pid)],
-                &[("dosage", Value::text(format!("hot-{pid}")))],
-            )
-            .expect("hot update");
-    }
-    let d01 = diff_tables(&view0, &view1);
-    let d10 = diff_tables(&view1, &view0);
-    // The lens projects every shared column, so both translations are
-    // valid against either source state.
-    let s01 = receiver
-        .translate_remote_delta("ward", &d01)
-        .expect("translate 0→1");
-    let s10 = receiver
-        .translate_remote_delta("ward", &d10)
-        .expect("translate 1→0");
-    ShardApplyBench {
-        receiver,
-        steps: [
-            ApplyStep {
-                view_delta: d01,
-                source_delta: s01,
-                hash: view1.content_hash(),
-            },
-            ApplyStep {
-                view_delta: d10,
-                source_delta: s10,
-                hash: view0.content_hash(),
-            },
-        ],
-        next: 0,
-        version: 0,
-    }
-}
-
-/// Applies the next toggled hotspot delta (the measured unit: one
-/// committed-update apply on the receiver).
-pub fn one_shard_apply(bench: &mut ShardApplyBench) {
-    let ShardApplyBench {
-        receiver,
-        steps,
-        next,
-        version,
-    } = bench;
-    let step = &steps[*next];
-    *next ^= 1;
-    *version += 1;
-    receiver
-        .apply_remote_delta(
-            "ward",
-            &step.view_delta,
-            &step.source_delta,
-            step.hash,
-            *version,
-        )
-        .expect("hotspot apply");
 }
 
 /// The standard projection lens of the `report` lens-law experiment (E10).

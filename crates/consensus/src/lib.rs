@@ -26,4 +26,4 @@ pub mod schedule;
 
 pub use pbft::{PbftConfig, PbftRound, RoundOutcome};
 pub use pow::PowModel;
-pub use schedule::{PipelineSchedule, ProposerSchedule};
+pub use schedule::ProposerSchedule;

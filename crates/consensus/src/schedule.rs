@@ -1,7 +1,6 @@
-//! Deterministic proposer scheduling and pipelined round admission.
+//! Deterministic proposer scheduling.
 
 use medledger_ledger::AccountId;
-use std::collections::VecDeque;
 
 /// Round-robin proposer schedule over a fixed validator list.
 ///
@@ -47,75 +46,6 @@ impl ProposerSchedule {
     /// Index of a validator, if present.
     pub fn index_of(&self, v: &AccountId) -> Option<usize> {
         self.validators.iter().position(|x| x == v)
-    }
-}
-
-/// Pipelined consensus-round admission (virtual time).
-///
-/// Serially, round N+1's PBFT pre-prepare cannot start before wave N's
-/// fan-out finished, because the simulator's clock only reaches the next
-/// `produce_block` after the data plane ran. With pipeline depth `d > 1`,
-/// up to `d` rounds overlap: round N+1 is admitted as soon as the block
-/// `d - 1` rounds back was *sealed*, so its pre-prepare/prepare phases run
-/// concurrently with the previous wave's fan-out and only the commit order
-/// stays serial. Depth 1 degenerates to the classic behavior (admission at
-/// the caller's clock), keeping timings byte-identical to the
-/// non-pipelined simulator.
-///
-/// The admission rule is a pure function of the recorded seal times, so a
-/// recovered node that re-seeds the schedule with the tail of its chain's
-/// block timestamps reproduces the exact same block timeline.
-#[derive(Clone, Debug)]
-pub struct PipelineSchedule {
-    depth: usize,
-    seals: VecDeque<u64>,
-}
-
-impl PipelineSchedule {
-    /// Creates a schedule with the given depth (clamped to at least 1).
-    pub fn new(depth: usize) -> Self {
-        PipelineSchedule {
-            depth: depth.max(1),
-            seals: VecDeque::new(),
-        }
-    }
-
-    /// The configured pipeline depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Earliest virtual time the next round may start, given the caller's
-    /// current clock `now_ms`.
-    ///
-    /// Depth 1: `now_ms` (consensus strictly follows the data plane).
-    /// Depth `d`: the seal time of the block `d - 1` rounds back (0 while
-    /// fewer rounds are in flight) — i.e. the next round's pre-prepare
-    /// begins the moment its pipeline slot frees up, regardless of how far
-    /// the fan-out has pushed the clock since.
-    pub fn admit(&self, now_ms: u64) -> u64 {
-        if self.depth == 1 {
-            return now_ms;
-        }
-        let in_flight_limit = self.depth - 1;
-        if self.seals.len() < in_flight_limit {
-            0
-        } else {
-            self.seals[self.seals.len() - in_flight_limit]
-        }
-    }
-
-    /// Records a sealed block's commit time.
-    pub fn sealed(&mut self, seal_ms: u64) {
-        self.seals.push_back(seal_ms);
-        while self.seals.len() > self.depth {
-            self.seals.pop_front();
-        }
-    }
-
-    /// The most recently recorded seal time.
-    pub fn last_seal(&self) -> Option<u64> {
-        self.seals.back().copied()
     }
 }
 
@@ -179,49 +109,5 @@ mod tests {
     #[should_panic(expected = "at least one validator")]
     fn empty_panics() {
         ProposerSchedule::new(vec![]);
-    }
-
-    #[test]
-    fn depth_one_admits_at_caller_clock() {
-        let mut p = PipelineSchedule::new(1);
-        assert_eq!(p.depth(), 1);
-        assert_eq!(p.admit(5000), 5000);
-        p.sealed(6000);
-        // Still the caller's clock: no overlap at depth 1.
-        assert_eq!(p.admit(9000), 9000);
-        assert_eq!(p.last_seal(), Some(6000));
-    }
-
-    #[test]
-    fn depth_two_admits_at_previous_seal() {
-        let mut p = PipelineSchedule::new(2);
-        // Nothing in flight yet: admit immediately.
-        assert_eq!(p.admit(5000), 0);
-        p.sealed(6000);
-        // Fan-out pushed the clock to 9000, but the next round's
-        // pre-prepare starts back at the seal of the previous block.
-        assert_eq!(p.admit(9000), 6000);
-        p.sealed(7000);
-        assert_eq!(p.admit(12_000), 7000);
-    }
-
-    #[test]
-    fn deeper_pipelines_look_further_back() {
-        let mut p = PipelineSchedule::new(3);
-        p.sealed(1000);
-        // One round in flight, limit is two: still unconstrained.
-        assert_eq!(p.admit(5000), 0);
-        p.sealed(2000);
-        // Two in flight: constrained by the seal two rounds back.
-        assert_eq!(p.admit(5000), 1000);
-        p.sealed(3000);
-        assert_eq!(p.admit(5000), 2000);
-    }
-
-    #[test]
-    fn zero_depth_clamps_to_serial() {
-        let p = PipelineSchedule::new(0);
-        assert_eq!(p.depth(), 1);
-        assert_eq!(p.admit(42), 42);
     }
 }

@@ -8,10 +8,8 @@
 //!   authority, plus the `pending_acks` set that enforces the paper's
 //!   "only when all sharing peers have the newest shared data can they
 //!   execute further operations" rule;
-//! * [`vm`] — **MedVM**, a gas-metered stack virtual machine with
-//!   persistent storage, so the system also supports user-deployed
-//!   bytecode contracts (standing in for the paper's EVM);
-//! * [`runtime::ContractRuntime`] — deploys contracts, executes
+//! * [`runtime::ContractRuntime`] — deploys the sharing contract (the one
+//!   contract the paper's chain runs; any other code reverts), executes
 //!   transactions with revert-on-error semantics, computes state roots for
 //!   block headers and produces receipts with event logs.
 //!
@@ -23,7 +21,6 @@
 pub mod runtime;
 pub mod sharing;
 pub mod state;
-pub mod vm;
 
 pub use runtime::{CallCtx, ContractError, ContractRuntime};
 pub use sharing::{SharedTableMeta, SharingContract};

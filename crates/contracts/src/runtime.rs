@@ -2,7 +2,6 @@
 
 use crate::sharing::SharingContract;
 use crate::state::ContractState;
-use crate::vm;
 use medledger_crypto::{sha256_concat, Hash256};
 use medledger_ledger::{AccountId, LogEntry, Receipt, SignedTransaction, TxPayload, TxStatus};
 use serde::{Deserialize, Serialize};
@@ -25,8 +24,6 @@ pub struct CallCtx {
 /// The successful result of one contract call.
 #[derive(Clone, Debug)]
 pub struct CallOutput {
-    /// JSON return value.
-    pub ret: serde_json::Value,
     /// Emitted events.
     pub logs: Vec<LogEntry>,
     /// Gas consumed.
@@ -47,8 +44,6 @@ pub enum ContractError {
     /// The operation is blocked until pending acks drain (the paper's
     /// consistency barrier).
     StateLocked(String),
-    /// MedVM execution failed.
-    Vm(String),
 }
 
 impl ContractError {
@@ -61,7 +56,6 @@ impl ContractError {
             ContractError::AlreadyExists(_) => RevertKind::AlreadyExists,
             ContractError::BadCall(_) => RevertKind::BadCall,
             ContractError::StateLocked(_) => RevertKind::StateLocked,
-            ContractError::Vm(_) => RevertKind::VmError,
         }
     }
 }
@@ -74,19 +68,11 @@ impl fmt::Display for ContractError {
             ContractError::AlreadyExists(s) => write!(f, "already exists: {s}"),
             ContractError::BadCall(s) => write!(f, "bad call: {s}"),
             ContractError::StateLocked(s) => write!(f, "state locked: {s}"),
-            ContractError::Vm(s) => write!(f, "vm error: {s}"),
         }
     }
 }
 
 impl std::error::Error for ContractError {}
-
-/// A deployed contract: its code plus persistent state.
-#[derive(Clone, Debug)]
-struct Deployed {
-    code: Vec<u8>,
-    state: ContractState,
-}
 
 /// The replicated contract runtime.
 ///
@@ -94,18 +80,15 @@ struct Deployed {
 /// in order yields identical state roots (determinism is tested).
 #[derive(Clone, Debug, Default)]
 pub struct ContractRuntime {
-    contracts: BTreeMap<Hash256, Deployed>,
-    /// Default gas limit per transaction for VM execution.
-    pub gas_limit: u64,
+    /// Every deployed contract is the sharing contract
+    /// ([`SharingContract::CODE_TAG`]); only its state is kept.
+    contracts: BTreeMap<Hash256, ContractState>,
 }
 
 impl ContractRuntime {
     /// Creates an empty runtime.
     pub fn new() -> Self {
-        ContractRuntime {
-            contracts: BTreeMap::new(),
-            gas_limit: 1_000_000,
-        }
+        Self::default()
     }
 
     /// Derives the deterministic id of a contract deployed by
@@ -118,36 +101,23 @@ impl ContractRuntime {
         ])
     }
 
-    /// True iff a contract with this id exists.
-    pub fn has_contract(&self, id: &Hash256) -> bool {
-        self.contracts.contains_key(id)
-    }
-
     /// Read access to a contract's state.
     pub fn contract_state(&self, id: &Hash256) -> Option<&ContractState> {
-        self.contracts.get(id).map(|d| &d.state)
+        self.contracts.get(id)
     }
 
     /// Merkle-style root over all contract states (goes into block
     /// headers).
     pub fn state_root(&self) -> Hash256 {
         let mut parts: Vec<Vec<u8>> = Vec::with_capacity(self.contracts.len());
-        for (id, d) in &self.contracts {
+        for (id, state) in &self.contracts {
             let mut buf = Vec::with_capacity(64);
             buf.extend_from_slice(id.as_bytes());
-            buf.extend_from_slice(d.state.root().as_bytes());
+            buf.extend_from_slice(state.root().as_bytes());
             parts.push(buf);
         }
         let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
         sha256_concat(&refs)
-    }
-
-    /// Total bytes of on-chain contract state (E8 metric).
-    pub fn storage_bytes(&self) -> usize {
-        self.contracts
-            .values()
-            .map(|d| d.code.len() + d.state.storage_bytes())
-            .sum()
     }
 
     /// Executes one signed transaction, returning its receipt. State
@@ -187,11 +157,10 @@ impl ContractRuntime {
     ) -> Result<CallOutput, ContractError> {
         match &stx.tx.payload {
             TxPayload::Noop => Ok(CallOutput {
-                ret: serde_json::Value::Null,
                 logs: vec![],
                 gas_used: 1,
             }),
-            TxPayload::DeployContract { code, init } => {
+            TxPayload::DeployContract { code, .. } => {
                 let id = Self::contract_id(&stx.tx.sender, stx.tx.nonce);
                 if self.contracts.contains_key(&id) {
                     return Err(ContractError::AlreadyExists(format!(
@@ -200,19 +169,12 @@ impl ContractRuntime {
                     )));
                 }
                 if code != SharingContract::CODE_TAG {
-                    // MedVM bytecode: must decode.
-                    vm::decode(code).map_err(|e| ContractError::Vm(e.to_string()))?;
+                    return Err(ContractError::BadCall(
+                        "only the native sharing contract can be deployed".into(),
+                    ));
                 }
-                self.contracts.insert(
-                    id,
-                    Deployed {
-                        code: code.clone(),
-                        state: ContractState::new(),
-                    },
-                );
-                let _ = init;
+                self.contracts.insert(id, ContractState::new());
                 Ok(CallOutput {
-                    ret: serde_json::json!({ "contract": id }),
                     logs: vec![LogEntry {
                         contract: id,
                         topic: "ContractDeployed".into(),
@@ -232,89 +194,16 @@ impl ContractRuntime {
                     block_height,
                     timestamp_ms,
                 };
-                let deployed = self.contracts.get_mut(contract).ok_or_else(|| {
+                let state = self.contracts.get_mut(contract).ok_or_else(|| {
                     ContractError::NotFound(format!("contract {}", contract.short()))
                 })?;
                 // Atomicity: run against a scratch copy, commit on success.
-                let mut scratch = deployed.state.clone();
-                let out = if deployed.code == SharingContract::CODE_TAG {
-                    SharingContract::call(&mut scratch, &ctx, method, args)?
-                } else {
-                    Self::call_vm(
-                        &deployed.code,
-                        &mut scratch,
-                        &ctx,
-                        method,
-                        args,
-                        self.gas_limit,
-                    )?
-                };
-                deployed.state = scratch;
+                let mut scratch = state.clone();
+                let out = SharingContract::call(&mut scratch, &ctx, method, args)?;
+                *state = scratch;
                 Ok(out)
             }
         }
-    }
-
-    /// Read-only call: never mutates state (used for `get_meta`-style
-    /// queries without spending a transaction).
-    pub fn query(
-        &self,
-        contract: &Hash256,
-        sender: AccountId,
-        method: &str,
-        args: &[u8],
-    ) -> Result<serde_json::Value, ContractError> {
-        let deployed = self
-            .contracts
-            .get(contract)
-            .ok_or_else(|| ContractError::NotFound(format!("contract {}", contract.short())))?;
-        let ctx = CallCtx {
-            sender,
-            contract: *contract,
-            block_height: 0,
-            timestamp_ms: 0,
-        };
-        let mut scratch = deployed.state.clone();
-        let out = if deployed.code == SharingContract::CODE_TAG {
-            SharingContract::call(&mut scratch, &ctx, method, args)?
-        } else {
-            Self::call_vm(
-                &deployed.code,
-                &mut scratch,
-                &ctx,
-                method,
-                args,
-                self.gas_limit,
-            )?
-        };
-        Ok(out.ret)
-    }
-
-    fn call_vm(
-        code: &[u8],
-        state: &mut ContractState,
-        ctx: &CallCtx,
-        method: &str,
-        args: &[u8],
-        gas_limit: u64,
-    ) -> Result<CallOutput, ContractError> {
-        let program = vm::decode(code).map_err(|e| ContractError::Vm(e.to_string()))?;
-        // Calling convention: arg 0 is the method id (first 8 bytes of the
-        // method-name hash), the JSON args (an i64 array) follow.
-        let mut call_args: Vec<i64> = vec![vm::method_id(method)];
-        if !args.is_empty() {
-            let user: Vec<i64> = serde_json::from_slice(args).map_err(|e| {
-                ContractError::BadCall(format!("vm args must be a JSON array of integers: {e}"))
-            })?;
-            call_args.extend(user);
-        }
-        let outcome = vm::execute(&program, state, ctx, &call_args, gas_limit)
-            .map_err(|e| ContractError::Vm(e.to_string()))?;
-        Ok(CallOutput {
-            ret: serde_json::json!(outcome.ret),
-            logs: outcome.logs,
-            gas_used: outcome.gas_used,
-        })
     }
 }
 
@@ -369,7 +258,7 @@ mod tests {
         let mut doctor = KeyPair::generate("rt-doctor", 8);
         let patient = KeyPair::generate("rt-patient", 4);
         let cid = deploy_sharing(&mut rt, &mut doctor, 0);
-        assert!(rt.has_contract(&cid));
+        assert!(rt.contract_state(&cid).is_some());
 
         let args = RegisterShareArgs {
             table_id: "D13&D31".into(),
@@ -419,7 +308,7 @@ mod tests {
             &mut kp,
             0,
             Hash256([9; 32]),
-            "get_meta",
+            "remove_share",
             &serde_json::json!({"table_id": "t"}),
         );
         let receipt = rt.execute(&stx, 1, 1);
@@ -450,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn query_does_not_mutate() {
+    fn registered_meta_reads_back_from_contract_state() {
         let mut rt = ContractRuntime::new();
         let mut doctor = KeyPair::generate("rt-q", 8);
         let patient = KeyPair::generate("rt-q-p", 4);
@@ -466,26 +355,22 @@ mod tests {
         };
         let stx = signed_call(&mut doctor, 1, cid, "register_share", &args);
         rt.execute(&stx, 2, 200);
-        let root = rt.state_root();
-        let meta = rt
-            .query(
-                &cid,
-                doctor.public(),
-                "get_meta",
-                &serde_json::to_vec(&serde_json::json!({"table_id": "T"})).expect("args"),
-            )
-            .expect("query");
-        assert_eq!(meta["table_id"], "T");
-        assert_eq!(rt.state_root(), root);
+        let state = rt.contract_state(&cid).expect("deployed");
+        let meta = SharingContract::load_meta(state, "T").expect("registered");
+        assert_eq!(meta.table_id, "T");
+        assert_eq!(meta.authority, doctor.public());
+        assert!(SharingContract::load_meta(state, "missing").is_none());
     }
 
     #[test]
-    fn deploy_rejects_malformed_vm_bytecode() {
+    fn deploying_other_code_reverts_and_leaves_the_runtime_untouched() {
         let mut rt = ContractRuntime::new();
         let mut kp = KeyPair::generate("rt-vm-bad", 4);
+        deploy_sharing(&mut rt, &mut kp, 0);
+        let root_before = rt.state_root();
         let stx = Transaction {
             sender: kp.public(),
-            nonce: 0,
+            nonce: 1,
             payload: TxPayload::DeployContract {
                 code: vec![0xff, 0xff, 0xff],
                 init: vec![],
@@ -495,6 +380,14 @@ mod tests {
         .sign(&mut kp)
         .expect("sign");
         let receipt = rt.execute(&stx, 1, 1);
-        assert!(matches!(receipt.status, TxStatus::Reverted { .. }));
+        assert_eq!(
+            receipt.status.revert_kind(),
+            Some(medledger_ledger::RevertKind::BadCall)
+        );
+        assert!(receipt.logs.is_empty());
+        // The refused deployment consumed no contract id and moved no root.
+        let refused = ContractRuntime::contract_id(&kp.public(), 1);
+        assert!(rt.contract_state(&refused).is_none());
+        assert_eq!(rt.state_root(), root_before);
     }
 }

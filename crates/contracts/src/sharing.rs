@@ -179,13 +179,6 @@ pub struct ChangePermissionArgs {
     pub writers: Vec<AccountId>,
 }
 
-/// Arguments of `get_meta`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GetMetaArgs {
-    /// Target metadata id.
-    pub table_id: String,
-}
-
 /// Arguments of `remove_share` (table-level delete in Fig. 4).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RemoveShareArgs {
@@ -243,7 +236,6 @@ impl SharingContract {
             "ack_update" => Self::ack_update(state, ctx, parse(args)?),
             "ack_update_aggregate" => Self::ack_update_aggregate(state, ctx, parse(args)?),
             "change_permission" => Self::change_permission(state, ctx, parse(args)?),
-            "get_meta" => Self::get_meta(state, parse(args)?),
             "remove_share" => Self::remove_share(state, ctx, parse(args)?),
             other => Err(ContractError::BadCall(format!("unknown method `{other}`"))),
         }
@@ -305,9 +297,8 @@ impl SharingContract {
             ack_count: 0,
             ack_bitmap: Vec::new(),
         };
-        state.set_json(meta_key(&args.table_id), &meta);
+        state.set_json(meta_key(&args.table_id), &meta)?;
         Ok(CallOutput {
-            ret: serde_json::json!({ "registered": args.table_id }),
             logs: vec![log(
                 ctx,
                 "SharedTableRegistered",
@@ -366,9 +357,8 @@ impl SharingContract {
         meta.ack_bitmap.clear();
         let version = meta.version;
         let pending: Vec<AccountId> = meta.pending_acks.iter().copied().collect();
-        state.set_json(meta_key(&args.table_id), &meta);
+        state.set_json(meta_key(&args.table_id), &meta)?;
         Ok(CallOutput {
-            ret: serde_json::json!({ "version": version }),
             logs: vec![log(
                 ctx,
                 "UpdateCommitted",
@@ -432,7 +422,6 @@ impl SharingContract {
         // hash and the ack barrier; this call is the co-author's
         // individually-signed, individually-permissioned attestation.
         Ok(CallOutput {
-            ret: serde_json::json!({ "co_signed": args.version }),
             logs: vec![log(
                 ctx,
                 "CoUpdateCommitted",
@@ -476,7 +465,7 @@ impl SharingContract {
         meta.pending_acks.remove(&ctx.sender);
         let synced = meta.synced();
         let version = meta.version;
-        state.set_json(meta_key(&args.table_id), &meta);
+        state.set_json(meta_key(&args.table_id), &meta)?;
         let mut logs = vec![log(
             ctx,
             "AckRecorded",
@@ -494,7 +483,6 @@ impl SharingContract {
             ));
         }
         Ok(CallOutput {
-            ret: serde_json::json!({ "synced": synced }),
             logs,
             gas_used: GAS_BASE,
         })
@@ -559,7 +547,7 @@ impl SharingContract {
         }
         let synced = meta.synced();
         let version = meta.version;
-        state.set_json(meta_key(&args.table_id), &meta);
+        state.set_json(meta_key(&args.table_id), &meta)?;
         let mut logs = vec![log(
             ctx,
             "AckAggregateRecorded",
@@ -578,7 +566,6 @@ impl SharingContract {
             ));
         }
         Ok(CallOutput {
-            ret: serde_json::json!({ "synced": synced, "acked": args.contributors.len() }),
             logs,
             gas_used: GAS_BASE + args.contributors.len() as u64,
         })
@@ -611,9 +598,8 @@ impl SharingContract {
         }
         meta.write_permission.insert(args.attr.clone(), writers);
         meta.last_update_ms = ctx.timestamp_ms;
-        state.set_json(meta_key(&args.table_id), &meta);
+        state.set_json(meta_key(&args.table_id), &meta)?;
         Ok(CallOutput {
-            ret: serde_json::json!({ "changed": args.attr }),
             logs: vec![log(
                 ctx,
                 "PermissionChanged",
@@ -653,22 +639,11 @@ impl SharingContract {
         }
         state.delete(&meta_key(&args.table_id));
         Ok(CallOutput {
-            ret: serde_json::json!({ "removed": args.table_id }),
             logs: vec![log(
                 ctx,
                 "ShareRemoved",
                 serde_json::json!({ "table_id": args.table_id, "by": ctx.sender }),
             )],
-            gas_used: GAS_BASE,
-        })
-    }
-
-    fn get_meta(state: &ContractState, args: GetMetaArgs) -> Result<CallOutput, ContractError> {
-        let meta = Self::load_meta(state, &args.table_id)
-            .ok_or_else(|| ContractError::NotFound(format!("shared table `{}`", args.table_id)))?;
-        Ok(CallOutput {
-            ret: serde_json::to_value(&meta).expect("meta serializes"),
-            logs: vec![],
             gas_used: GAS_BASE,
         })
     }
@@ -759,6 +734,7 @@ mod tests {
         assert!(meta.synced());
         assert_eq!(meta.last_update_ms, 1000);
         assert_eq!(SharingContract::table_ids(&f.state), vec!["D13&D31"]);
+        assert!(SharingContract::load_meta(&f.state, "missing").is_none());
     }
 
     #[test]
@@ -1419,34 +1395,6 @@ mod tests {
                 table_id: "D13&D31".into(),
                 attr: "dosage".into(),
                 writers: vec![researcher],
-            },
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn get_meta_returns_fig3_data() {
-        let mut f = fixture();
-        let doctor = f.doctor;
-        let out = call(
-            &mut f,
-            doctor,
-            1,
-            "get_meta",
-            &GetMetaArgs {
-                table_id: "D13&D31".into(),
-            },
-        )
-        .expect("get_meta");
-        let meta: SharedTableMeta = serde_json::from_value(out.ret).expect("meta");
-        assert_eq!(meta.table_id, "D13&D31");
-        assert!(call(
-            &mut f,
-            doctor,
-            1,
-            "get_meta",
-            &GetMetaArgs {
-                table_id: "missing".into()
             },
         )
         .is_err());

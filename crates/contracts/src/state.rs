@@ -1,5 +1,6 @@
 //! Contract key-value state with Merkle state roots.
 
+use crate::runtime::ContractError;
 use medledger_crypto::{merkle::MerkleTree, Hash256};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -35,16 +36,6 @@ impl ContractState {
         self.entries.remove(key)
     }
 
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True iff the state is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Vec<u8>)> {
         self.entries.iter()
@@ -69,20 +60,22 @@ impl ContractState {
         MerkleTree::from_data(&encoded).root()
     }
 
-    /// Total stored bytes (keys + values) — the E8 storage metric for
-    /// on-chain state.
-    pub fn storage_bytes(&self) -> usize {
-        self.entries.iter().map(|(k, v)| k.len() + v.len()).sum()
-    }
-
     /// Typed read: deserializes a JSON value stored under `key`.
     pub fn get_json<T: serde::de::DeserializeOwned>(&self, key: &[u8]) -> Option<T> {
         self.get(key).and_then(|v| serde_json::from_slice(v).ok())
     }
 
-    /// Typed write: serializes `value` as JSON under `key`.
-    pub fn set_json<T: Serialize>(&mut self, key: impl Into<Vec<u8>>, value: &T) {
-        self.set(key, serde_json::to_vec(value).expect("serializable"));
+    /// Typed write: serializes `value` as JSON under `key`. A value that
+    /// does not encode reverts the call instead of stopping the validator.
+    pub fn set_json<T: Serialize>(
+        &mut self,
+        key: impl Into<Vec<u8>>,
+        value: &T,
+    ) -> Result<(), ContractError> {
+        let encoded = serde_json::to_vec(value)
+            .map_err(|e| ContractError::BadCall(format!("contract state does not encode: {e}")))?;
+        self.set(key, encoded);
+        Ok(())
     }
 }
 
@@ -93,10 +86,10 @@ mod tests {
     #[test]
     fn get_set_delete() {
         let mut s = ContractState::new();
-        assert!(s.is_empty());
+        assert_eq!(s.iter().count(), 0);
         s.set(b"k".to_vec(), b"v".to_vec());
         assert_eq!(s.get(b"k"), Some(&b"v"[..]));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.iter().count(), 1);
         assert_eq!(s.delete(b"k"), Some(b"v".to_vec()));
         assert!(s.get(b"k").is_none());
     }
@@ -132,16 +125,10 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let mut s = ContractState::new();
-        s.set_json(b"meta".to_vec(), &vec![1u64, 2, 3]);
+        s.set_json(b"meta".to_vec(), &vec![1u64, 2, 3])
+            .expect("encodes");
         let back: Vec<u64> = s.get_json(b"meta").expect("stored");
         assert_eq!(back, vec![1, 2, 3]);
         assert!(s.get_json::<String>(b"meta").is_none());
-    }
-
-    #[test]
-    fn storage_bytes_counts() {
-        let mut s = ContractState::new();
-        s.set(b"key".to_vec(), b"value".to_vec());
-        assert_eq!(s.storage_bytes(), 8);
     }
 }

@@ -300,18 +300,6 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Pipelined consensus depth (default 1 = classic serial rounds).
-    /// With depth `d > 1`, up to `d` PBFT rounds overlap: the next
-    /// round's pre-prepare/prepare phases are admitted as soon as the
-    /// block `d - 1` rounds back was sealed, overlapping consensus with
-    /// the previous wave's data-plane fan-out. Commit order stays serial
-    /// and recovery re-verifies the pipelined chain in wave order. PoW
-    /// ignores the knob (its interval model has no phases to overlap).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.config.pipeline_depth = depth;
-        self
-    }
-
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`; default `1` = unsharded). With sharding on, every
     /// peer splits its stored shared tables along the content digest's

@@ -24,8 +24,6 @@
 //!   whole Fig. 5 pipeline and returns a typed
 //!   [`facade::CommitOutcome`],
 //! * [`scenario`] — the paper's exact Fig. 1 scenario, programmatically,
-//! * [`baselines`] — storage models of HDG \[22\] and MedRec \[4\] for the
-//!   E8/E9 comparisons,
 //! * [`exposure`] — the attribute-exposure metrics behind the paper's
 //!   privacy claims.
 //!
@@ -33,7 +31,6 @@
 //! `report` binary (`medledger-bench`) indexes and runs the experiments.
 
 pub mod agreement;
-pub mod baselines;
 pub mod error;
 pub mod exposure;
 pub mod facade;

@@ -844,11 +844,6 @@ impl System {
                     block.header.state_root.short()
                 )));
             }
-            // Re-seed the pipelined admission schedule from the chain's
-            // own seal times: the admission rule is a pure function of
-            // them, so the recovered node reproduces the exact timeline a
-            // non-crashed node would have.
-            sys.pipeline.sealed(block.header.timestamp_ms);
             sys.chain.append(block).map_err(|e| {
                 CoreError::Storage(format!("recovered chain rejects block {height}: {e}"))
             })?;

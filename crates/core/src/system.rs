@@ -7,7 +7,7 @@ pub use crate::peer::PropagationMode;
 use crate::peer::{run_shard_job, PeerNode, RemoteShardPlan};
 use crate::Result;
 use medledger_bx::{changed_attrs, changed_attrs_from_delta, TableDelta};
-use medledger_consensus::{PbftConfig, PbftRound, PipelineSchedule, PowModel, ProposerSchedule};
+use medledger_consensus::{PbftConfig, PbftRound, PowModel, ProposerSchedule};
 use medledger_contracts::sharing::{
     AckAggregateArgs, AckUpdateArgs, ChangePermissionArgs, CoRequestUpdateArgs, RegisterShareArgs,
     RequestUpdateArgs,
@@ -127,14 +127,6 @@ pub struct SystemConfig {
     /// count. `false` restores the legacy one-`ack_update`-per-receiver
     /// round (still exercised by the equivalence tests).
     pub aggregated_acks: bool,
-    /// Consensus pipeline depth. `1` (the default) is the serial
-    /// schedule: a round's PBFT pre-prepare waits for the previous
-    /// wave's fan-out. `d > 1` overlaps up to `d` rounds: the next
-    /// round is admitted as soon as the block `d - 1` rounds back was
-    /// sealed, hiding consensus latency behind the data plane (see
-    /// [`medledger_consensus::PipelineSchedule`]). Replay-deterministic:
-    /// recovery reseeds the schedule from the chain's block timestamps.
-    pub pipeline_depth: usize,
     /// Durable-storage tuning (snapshot cadence). Only consulted when a
     /// [`medledger_storage::StorageBackend`] is attached — the default
     /// in-memory deployment ignores it entirely.
@@ -157,7 +149,6 @@ impl Default for SystemConfig {
             fanout_workers: 0,
             shards_per_table: 1,
             aggregated_acks: true,
-            pipeline_depth: 1,
             storage: crate::persist::StorageOptions::default(),
         }
     }
@@ -467,9 +458,6 @@ pub struct System {
     pub(crate) runtime: ContractRuntime,
     pub(crate) mempool: Mempool,
     schedule: ProposerSchedule,
-    /// Pipelined consensus-round admission (depth from
-    /// `config.pipeline_depth`; depth 1 is the serial schedule).
-    pub(crate) pipeline: PipelineSchedule,
     pub(crate) admin: KeyPair,
     pub(crate) contract: Option<Hash256>,
     pub(crate) clock_ms: u64,
@@ -512,7 +500,6 @@ impl System {
             ConsensusKind::PrivatePbft { .. } => None,
         };
         let prg = Prg::from_label(&format!("{}-system", config.seed));
-        let pipeline = PipelineSchedule::new(config.pipeline_depth);
         System {
             peers: BTreeMap::new(),
             names: BTreeMap::new(),
@@ -520,7 +507,6 @@ impl System {
             runtime: ContractRuntime::new(),
             mempool: Mempool::new(),
             schedule,
-            pipeline,
             admin,
             contract: None,
             clock_ms: 0,
@@ -774,18 +760,10 @@ impl System {
                 .next_interval_ms(),
         };
         let slot = self.last_block_ms + interval;
-        // Round admission. The serial schedule (pipeline depth 1) starts
-        // consensus at the current clock — i.e. after the previous wave's
-        // fan-out advanced it. A pipelined round instead starts the moment
-        // its pipeline slot frees up (the seal of the block `depth - 1`
-        // rounds back), so its PBFT pre-prepare/prepare overlap the
-        // previous wave's data-plane fan-out in virtual time. The PoW
-        // interval model announces found blocks and has no phases to
-        // overlap, so it always admits serially.
-        let start = match self.config.consensus {
-            ConsensusKind::PrivatePbft { .. } => self.pipeline.admit(self.clock_ms).max(slot),
-            ConsensusKind::PublicPow { .. } => self.clock_ms.max(slot),
-        };
+        // Round admission: consensus starts at the current clock — i.e.
+        // after the previous wave's fan-out advanced it — or at the next
+        // block slot, whichever is later.
+        let start = self.clock_ms.max(slot);
         self.last_block_ms = slot;
 
         let txs = self
@@ -824,13 +802,9 @@ impl System {
             self.stats.consensus_msgs += out.messages;
             self.stats.consensus_bytes += out.bytes;
         }
-        // Commit order stays serial even when consensus rounds overlap:
-        // a pipelined round that finished early still seals after its
-        // predecessor, keeping block timestamps monotonic.
+        // Block timestamps stay monotonic.
         seal_ms = seal_ms.max(self.chain.tip().header.timestamp_ms);
 
-        // Execute at the seal time (identical to the old clock time on
-        // the serial schedule).
         for stx in &txs {
             let receipt = self.runtime.execute(stx, height, seal_ms);
             if !receipt.status.is_success() {
@@ -857,7 +831,6 @@ impl System {
         self.chain.append(block)?;
         self.mempool.remove_committed(&txs);
         self.clock_ms = self.clock_ms.max(seal_ms);
-        self.pipeline.sealed(seal_ms);
         self.stats.blocks += 1;
         self.stats.txs += txs.len() as u64;
         Ok(())

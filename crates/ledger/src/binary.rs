@@ -135,6 +135,8 @@ impl Decode for Block {
     }
 }
 
+// Tag 5 belonged to the retired bytecode-VM revert; it stays unassigned
+// so stored receipts keep their meaning.
 impl Encode for RevertKind {
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -143,7 +145,6 @@ impl Encode for RevertKind {
             RevertKind::AlreadyExists => 2,
             RevertKind::BadCall => 3,
             RevertKind::StateLocked => 4,
-            RevertKind::VmError => 5,
             RevertKind::Other => 6,
         });
     }
@@ -157,7 +158,6 @@ impl Decode for RevertKind {
             2 => RevertKind::AlreadyExists,
             3 => RevertKind::BadCall,
             4 => RevertKind::StateLocked,
-            5 => RevertKind::VmError,
             6 => RevertKind::Other,
             t => return Err(StorageError::Codec(format!("invalid revert-kind tag {t}"))),
         })
@@ -312,6 +312,24 @@ mod tests {
                 data: "{\"table\":\"D13&D31\"}".into(),
             }],
         });
+    }
+
+    #[test]
+    fn retired_revert_tag_is_a_decode_error() {
+        let mut bytes = Receipt {
+            tx_id: Hash256([3; 32]),
+            status: TxStatus::Reverted {
+                kind: RevertKind::StateLocked,
+                reason: "pending acks".into(),
+            },
+            gas_used: 0,
+            logs: vec![],
+        }
+        .encoded();
+        // 32-byte tx id, the status tag, then the revert-kind tag.
+        assert_eq!(bytes[33], 4);
+        bytes[33] = 5;
+        assert!(Receipt::decode(&bytes).is_err());
     }
 
     #[test]

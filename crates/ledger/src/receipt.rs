@@ -27,8 +27,6 @@ pub enum RevertKind {
     BadCall,
     /// Blocked by a consistency barrier (pending acks).
     StateLocked,
-    /// VM execution failure.
-    VmError,
     /// Anything else.
     Other,
 }

@@ -21,7 +21,6 @@
 //!   independently while the folded per-shard Merkle subroots reproduce
 //!   [`Table::content_hash`] byte-identically,
 //! * [`predicate`] — a small predicate AST for selections,
-//! * [`query`] — a compositional query algebra evaluated against a database,
 //! * [`database`] — named tables plus a write-ahead log of every mutation
 //!   (the basis for peer-side auditing),
 //! * [`error`] — the crate-wide error type.
@@ -35,7 +34,6 @@ pub mod database;
 pub mod delta;
 pub mod error;
 pub mod predicate;
-pub mod query;
 pub mod row;
 pub mod schema;
 pub mod shard;
@@ -49,7 +47,6 @@ pub use delta::{
 };
 pub use error::RelationalError;
 pub use predicate::{CmpOp, Predicate};
-pub use query::Query;
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use shard::{normalize_shard_count, shard_of_key, Shard, ShardMap, ShardPlan};

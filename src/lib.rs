@@ -97,15 +97,15 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`crypto`] | SHA-256, HMAC, Merkle trees, hash-based signatures, seeded PRG |
-//! | [`relational`] | values, schemas, keyed tables, predicates, queries, databases |
+//! | [`relational`] | values, schemas, keyed tables, predicates, databases |
 //! | [`bx`] | lens combinators, GetPut/PutGet law checkers, deltas, overlap analysis |
 //! | [`ledger`] | transactions, blocks, chain validation, mempool, audits |
-//! | [`contracts`] | contract runtime, the Fig. 3 sharing contract, the MedVM |
+//! | [`contracts`] | contract runtime, the Fig. 3 sharing contract |
 //! | [`consensus`] | virtual-time PBFT simulation, PoW interval model |
 //! | [`network`] | deterministic latency-modeled message simulation |
 //! | [`storage`] | versioned binary codec, segmented WALs, snapshots, storage backends |
 //! | [`workload`] | synthetic EHR generation, update streams, de-identification |
-//! | [`core`] | the engine (`System`), the facade, the Fig. 1 scenario, baselines |
+//! | [`core`] | the engine (`System`), the facade, the Fig. 1 scenario |
 //! | [`engine`] | the ticketed commit pipeline: group-commit waves, write combining, parallel fan-out |
 //! | [`node`] | async runtime, per-peer event loops, wire protocol, gateway |
 //!

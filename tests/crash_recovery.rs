@@ -562,7 +562,7 @@ fn ledger_service_close_and_reopen_resumes_waves() {
 }
 
 // ----------------------------------------------------------------------
-// Log truncation + pipelined consensus
+// Log truncation + wave-ordered recovery
 // ----------------------------------------------------------------------
 
 /// Snapshots bound the WAL: each snapshot flush truncates the in-memory
@@ -623,20 +623,12 @@ fn snapshots_truncate_the_wal_and_bound_its_growth() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn pipelined_config(seed: &str) -> SystemConfig {
-    SystemConfig {
-        pipeline_depth: 3,
-        ..config(seed)
-    }
-}
-
-/// A deployment running pipelined consensus (depth 3) recovers exactly:
-/// the replay re-verifies every block's attested state root in wave
-/// order, re-seeds the pipeline admission schedule from the chain's own
-/// seal times, and the resumed service continues wave numbering.
+/// A deployment driven through the wave pipeline recovers exactly: the
+/// replay re-verifies every block's attested state root in wave order,
+/// and the resumed service continues wave numbering.
 #[test]
 fn pipelined_deployment_recovers_and_resumes_waves() {
-    let cfg = pipelined_config("crash-pipelined");
+    let cfg = config("crash-pipelined");
     let shared = SharedBackend::new();
     let scn = durable_fig1(&cfg, Box::new(shared.clone()), 3).expect("build");
     let (doctor, researcher) = (scn.doctor, scn.researcher);
@@ -669,8 +661,7 @@ fn pipelined_deployment_recovers_and_resumes_waves() {
     let waves_before = service.waves();
     assert!(waves_before >= 2);
     let committed = capture(service.ledger());
-    // The chain the pipelined run produced is wave-ordered (overlap
-    // never reorders commits) with monotonic seal times.
+    // The chain the pipelined run produced is wave-ordered.
     let waves: Vec<u64> = service
         .ledger()
         .chain()
@@ -700,14 +691,13 @@ fn pipelined_deployment_recovers_and_resumes_waves() {
 }
 
 /// A stored chain whose wave attributions go backwards was not produced
-/// by the pipeline (overlap admits rounds early but never reorders
-/// commits) — recovery must refuse it loudly.
+/// by the pipeline — recovery must refuse it loudly.
 #[test]
 fn out_of_wave_order_chain_fails_recovery() {
     use medledger::ledger::Block;
     use medledger::storage::{Decode, Encode};
 
-    let cfg = pipelined_config("crash-wave-order");
+    let cfg = config("crash-wave-order");
     let shared = SharedBackend::new();
     let scn = durable_fig1(&cfg, Box::new(shared.clone()), 3).expect("build");
     let (doctor, researcher) = (scn.doctor, scn.researcher);
