@@ -597,13 +597,14 @@ fn e12_contract_gas() {
 /// The per-wave phase latency table: one row per Fig. 5 pipeline stage,
 /// summarized from the `wave.*` histograms of a registry [`Snapshot`].
 fn wave_phase_table(snap: &Snapshot) -> String {
-    const PHASES: [&str; 7] = [
+    const PHASES: [&str; 8] = [
         "wave.phase.screen_us",
         "wave.phase.prepare_us",
         "wave.phase.consensus_us",
         "wave.phase.fanout_us",
         "wave.phase.ack_us",
         "wave.phase.cascade_us",
+        "wave.phase.flush_us",
         "wave.total_us",
     ];
     let total_sum = snap

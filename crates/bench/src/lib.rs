@@ -60,7 +60,6 @@ pub fn two_peer_system_durable(
     seed: &str,
     consensus: ConsensusKind,
     n_patients: usize,
-    snapshot_every: u64,
 ) -> (WardBench, SharedBackend) {
     let backend = SharedBackend::new();
     let ledger = MedLedger::builder()
@@ -68,7 +67,6 @@ pub fn two_peer_system_durable(
         .consensus(consensus)
         .peer_key_capacity(1024)
         .storage_backend(Box::new(backend.clone()))
-        .snapshot_every(snapshot_every)
         .build()
         .expect("boot durable");
     (populate_ward(ledger, seed, n_patients), backend)

@@ -15,7 +15,7 @@ use medledger_bench::{
     one_dosage_update, one_group_commit, serial_commits, serial_contended_commits, two_peer_system,
     two_peer_system_durable, two_peer_system_sharded,
 };
-use medledger_core::ConsensusKind;
+use medledger_core::{ConsensusKind, FlushRecord};
 use medledger_engine::LedgerService;
 use medledger_node::wire::WireWrite;
 use medledger_node::{Deployment, GatewayConfig, SubmitReply};
@@ -165,30 +165,31 @@ fn a_sharded_two_row_commit_costs_2_blocks_2_rows_182_bytes() {
 }
 
 /// `wal_bytes_per_commit`, `binary_vs_json_record_bytes_ratio`: eight
-/// durable commits with no snapshot in between, then the doctor's WAL
-/// records sized in the storage codec and as JSON.
+/// durable commits with no snapshot in between — one flush record each,
+/// all in the one `log` stream — then the doctor's WAL records sized in
+/// the storage codec and as JSON.
 #[test]
-fn eight_durable_commits_append_278293_wal_bytes() {
-    let (mut bench, backend) = two_peer_system_durable("persist-report", pbft(), 256, 1_000_000);
-    let stream_bytes = |backend: &SharedBackend| -> usize {
-        let mut state = SharedBackend::from_state(backend.snapshot_state());
-        ["peer/Doctor", "peer/Patient", "chain", "sys"]
-            .iter()
-            .flat_map(|stream| state.read_from(stream, 0).expect("read"))
-            .map(|rec| rec.len())
-            .sum()
+fn eight_durable_commits_append_278405_log_bytes() {
+    let (mut bench, backend) = two_peer_system_durable("persist-report", pbft(), 256);
+    let log = |backend: &SharedBackend| -> Vec<Vec<u8>> {
+        SharedBackend::from_state(backend.snapshot_state())
+            .read_from("log", 0)
+            .expect("read")
     };
-    let before = stream_bytes(&backend);
+    let before = log(&backend).len();
     for rev in 1..=8 {
         one_dosage_update(&mut bench, FIRST_PID, rev);
     }
-    assert_eq!(stream_bytes(&backend) - before, 278_293);
+    let flushed = log(&backend).split_off(before);
+    assert_eq!(flushed.len(), 8, "one record per commit");
+    assert_eq!(flushed.iter().map(Vec::len).sum::<usize>(), 278_405);
 
-    let records: Vec<LogRecord> = SharedBackend::from_state(backend.snapshot_state())
-        .read_from("peer/Doctor", 0)
-        .expect("read WAL")
+    let records: Vec<LogRecord> = log(&backend)
         .iter()
-        .map(|raw| LogRecord::decode(raw).expect("decode WAL record"))
+        .map(|raw| FlushRecord::decode(raw).expect("decode flush record"))
+        .flat_map(|flush| flush.peer_records)
+        .filter(|(peer, _)| peer == "Doctor")
+        .flat_map(|(_, records)| records)
         .collect();
     let binary: usize = records.iter().map(|r| r.encoded().len()).sum();
     let json: usize = records

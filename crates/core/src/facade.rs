@@ -320,12 +320,14 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Persists the deployment under `dir` (segmented per-peer WALs,
-    /// periodic snapshots, the block stream). [`MedLedgerBuilder::build`]
+    /// Persists the deployment under `dir` (one segmented log holding a
+    /// record per flush, plus snapshots taken whenever replaying the log
+    /// would cost as much as reading one). [`MedLedgerBuilder::build`]
     /// then *recovers* when the directory already holds a committed
-    /// state — replaying WALs onto the latest snapshot and re-verifying
-    /// the folded per-shard Merkle subroots against the replayed chain —
-    /// and bootstraps fresh (writing an initial snapshot) otherwise.
+    /// state — replaying the logged peer records onto the snapshot the
+    /// newest flush names and re-verifying the folded per-shard Merkle
+    /// subroots against the replayed chain — and bootstraps fresh
+    /// (writing an initial snapshot) otherwise.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_path = Some(dir.into());
         self.backend = None;
@@ -338,14 +340,6 @@ impl MedLedgerBuilder {
     pub fn storage_backend(mut self, backend: Box<dyn StorageBackend>) -> Self {
         self.backend = Some(backend);
         self.durable_path = None;
-        self
-    }
-
-    /// Snapshot cadence for durable mode: a full snapshot every `n`
-    /// flushes (structural changes always force one). See
-    /// [`crate::persist::StorageOptions`].
-    pub fn snapshot_every(mut self, n: u64) -> Self {
-        self.config.storage.snapshot_every = n;
         self
     }
 

@@ -46,7 +46,7 @@ pub use facade::{
     UpdateBatch,
 };
 pub use peer::{PeerNode, PendingSnapshot, PropagationMode};
-pub use persist::{Recovery, StorageOptions};
+pub use persist::{FlushRecord, Recovery};
 pub use system::{
     CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,
     GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace,

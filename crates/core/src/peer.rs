@@ -1230,15 +1230,10 @@ impl PeerNode {
         &self.bindings
     }
 
-    /// Every table the peer holds, by name — the source tables plus the
-    /// assembled stored copy of each share: the `tables` section of a
-    /// storage snapshot.
-    pub(crate) fn snapshot_tables(&self) -> BTreeMap<String, Table> {
-        let mut tables = self.db.export_parts().1.clone();
-        for (table_id, shared) in &self.shared {
-            tables.insert(table_id.clone(), shared.store.assemble());
-        }
-        tables
+    /// The stored copy of each share, by table id. With the database's
+    /// own tables these are the `tables` section of a storage snapshot.
+    pub(crate) fn stored_copies(&self) -> impl ExactSizeIterator<Item = (&String, &ShardMap)> {
+        self.shared.iter().map(|(id, shared)| (id, &shared.store))
     }
 
     /// Per-share inverse deltas that rewind each stored copy back to its

@@ -1,42 +1,59 @@
-//! Durable storage for a whole deployment: WAL flushes, snapshots, and
-//! crash recovery.
+//! Durable storage for a whole deployment: one log record per flush,
+//! snapshots, and crash recovery.
 //!
 //! The in-memory [`System`] stays the default — nothing here runs until a
 //! [`StorageBackend`] is attached (see [`System::attach_storage`] or the
 //! facade's `MedLedgerBuilder::durable`). Once attached, every commit
-//! boundary (propagation, group commit, share lifecycle) flushes through
-//! the backend:
+//! boundary (propagation, group commit, share lifecycle) flushes:
 //!
-//! * each peer database's mutation log drains into an append-only record
-//!   stream (`peer/<name>`), one CRC-framed [`LogRecord`] per record,
-//!   carrying the caller-attested `post_hash` the live system computed;
-//! * every block above the persisted height appends to the `chain`
-//!   stream (the chain stream is never compacted — recovery replays it
-//!   from genesis to rebuild contract state and receipts);
-//! * periodically — every [`StorageOptions::snapshot_every`] flushes, or
-//!   forced on structural changes (new peer, share created/removed,
-//!   contract deployed) — a full snapshot of every peer database plus its
-//!   share bindings is written, and peer streams compact below it;
-//! * finally one `SysMeta` commit record appends to the `sys` stream.
-//!   **The `sys` record is the commit point**: stream appends that never
-//!   got their `sys` record are rolled back (in-process before the next
-//!   flush, at recovery by truncating to the recorded marks).
+//! 1. everything the flush commits is encoded into one [`FlushRecord`]:
+//!    the mutation records every peer database logged since the previous
+//!    flush (each a [`LogRecord`] carrying the caller-attested `post_hash`
+//!    the live system computed), every block above the logged height,
+//!    and the scalar machine state (`FlushMeta`);
+//! 2. if a snapshot is due, a full snapshot of every peer database plus
+//!    its share bindings is written with this flush's epoch as its id and
+//!    the record names it; otherwise the record names the snapshot the
+//!    previous one did. One is due on the first flush, on a structural
+//!    change (new peer, share created/removed, contract deployed — their
+//!    setup mutations bypass the per-record log), and whenever the
+//!    peer-record bytes logged since the last snapshot reach that
+//!    snapshot's encoded size — so snapshots write at most as many bytes
+//!    again as the records they retire, and a restart replays at most one
+//!    snapshot's worth of records;
+//! 3. the record is appended as **one** CRC frame to the `log` stream and
+//!    the backend is synced: one write, one fsync.
 //!
-//! Recovery (`System::recover`) picks the newest `SysMeta` whose
-//! referenced snapshot and stream marks are intact, truncates every
-//! stream to the recorded marks (discarding a torn uncommitted flush
-//! suffix), rebuilds each peer from the snapshot plus WAL replay — every
-//! replayed record re-verifies its attested post-state hash — and then
-//! replays the entire chain through a fresh contract runtime, checking
-//! each block's `state_root` as it goes. Before the system is returned,
-//! the folded per-shard Merkle subroots of every recovered shared table
-//! are re-verified against the contract state the recovered chain
-//! produced ([`System::check_consistency`]); any disagreement fails
-//! loudly instead of serving a database that contradicts its ledger.
+//! **The frame is the commit point.** It is intact or torn, never half a
+//! flush, so there is nothing to roll back: the log layer drops a torn
+//! final frame on open and the record before it is the newest commit. A
+//! failed backend call poisons the session (later flushes refuse to run):
+//! the frame may or may not have landed, and only a restart can tell.
+//!
+//! Recovery (`System::recover`) reads `log` once and requires dense
+//! epochs. The newest record supplies the scalar state. Peers are rebuilt
+//! from the snapshot that record **names** plus the peer records of every
+//! later epoch, each re-verifying its attested post-state hash and the
+//! last its sequence number. A snapshot is only ever chosen because a
+//! record names it, never by id order: a crash between a snapshot write
+//! and its record leaves an orphan whose id a later, different flush
+//! reuses as its epoch. If the named snapshot is unreadable, recovery
+//! falls back to the one an older record names and replays forward to
+//! the same newest commit (across cadence snapshots; one forced by a
+//! structural change carries state the log does not, and falling back
+//! across it fails verification, loudly). Then the whole chain is
+//! replayed from genesis through a fresh contract runtime, checking each
+//! block's `state_root` and the wave order, and every recovered shared
+//! table's folded per-shard Merkle subroots are re-verified against the
+//! contract state the chain produced ([`System::check_consistency`]): a
+//! database that contradicts its ledger fails loudly instead of serving.
+//!
+//! The log is never cut: blocks are ~98 % of its bytes and recovery
+//! needs every one until the chain itself can be checkpointed.
 //!
 //! What is deliberately **not** persisted: peer signing keys (re-derived
 //! from the deployment seed, fast-forwarded past the consumed one-time
-//! signatures recorded in `SysMeta`) and the mempool (transactions not
+//! signatures the flush record counts) and the mempool (transactions not
 //! yet in a block are lost on crash, exactly like a real node).
 
 use crate::error::CoreError;
@@ -47,42 +64,25 @@ use medledger_crypto::Hash256;
 use medledger_ledger::Block;
 use medledger_relational::{Database, LogRecord, Table, TableDelta};
 use medledger_storage::codec::{put_bytes, put_seq, put_varint, take_seq, Reader};
-use medledger_storage::{Decode, Encode, StorageBackend, StorageError};
+use medledger_storage::{Decode, Encode, StorageBackend};
+use medledger_telemetry::Recorder;
 use std::collections::BTreeMap;
+use std::time::Instant;
 
-/// Durable-storage tuning knobs (carried in
-/// [`crate::system::SystemConfig::storage`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StorageOptions {
-    /// Full snapshots are written every this many flushes (structural
-    /// changes force one regardless). Lower = faster recovery, more
-    /// snapshot I/O.
-    pub snapshot_every: u64,
-}
+/// The one stream a deployment writes: one [`FlushRecord`] per flush.
+const LOG: &str = "log";
 
-impl Default for StorageOptions {
-    fn default() -> Self {
-        StorageOptions { snapshot_every: 8 }
-    }
-}
+/// The commit stream of the layout that preceded flush records, probed
+/// only to refuse such a store.
+const LEGACY_SYS: &str = "sys";
 
-/// The stream a peer's WAL records land in.
-fn peer_stream(name: &str) -> String {
-    format!("peer/{name}")
-}
-
-/// Per-peer portion of a flush commit record.
+/// Per-peer portion of a flush record.
 #[derive(Clone, Debug, PartialEq)]
 struct PeerMeta {
-    /// Peer display name (stream `peer/<name>`).
+    /// Peer display name.
     name: String,
-    /// Records of the peer stream covered by this flush.
-    stream_mark: u64,
-    /// Stream index WAL replay starts from (stream length when the
-    /// referenced snapshot was taken).
-    snapshot_mark: u64,
     /// The database's next mutation sequence number at flush time
-    /// (sanity-checked after replay).
+    /// (checked after replay).
     next_seq: u64,
     /// Next ledger nonce.
     next_nonce: u64,
@@ -97,17 +97,15 @@ struct PeerMeta {
     baseline_inverses: Vec<(String, TableDelta)>,
 }
 
-/// One flush commit record, appended to the `sys` stream. The newest
-/// intact `SysMeta` defines the recovered state; everything beyond its
-/// marks is an uncommitted flush suffix and gets truncated.
+/// The scalar machine state as of one flush. The newest record's is the
+/// recovered state.
 #[derive(Clone, Debug, PartialEq)]
-struct SysMeta {
-    /// Monotonic flush counter (1-based).
+struct FlushMeta {
+    /// Monotonic flush counter (1-based, dense: record `e` sits at index
+    /// `e - 1` of the log).
     epoch: u64,
-    /// Snapshot id this flush builds on.
+    /// The snapshot this flush builds on — its own epoch if it took one.
     snapshot_id: u64,
-    /// Blocks of the `chain` stream covered (chain height at flush).
-    chain_mark: u64,
     /// Virtual clock at flush.
     clock_ms: u64,
     /// Last block slot time.
@@ -126,44 +124,16 @@ struct SysMeta {
     peers: Vec<PeerMeta>,
 }
 
-fn put_string_u64_pairs(out: &mut Vec<u8>, pairs: &[(String, u64)]) {
-    put_varint(out, pairs.len() as u64);
-    for (s, v) in pairs {
-        s.encode_into(out);
-        put_varint(out, *v);
-    }
-}
-
-fn take_string_u64_pairs(r: &mut Reader<'_>) -> medledger_storage::Result<Vec<(String, u64)>> {
-    let n = r.take_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let s = String::decode_from(r)?;
-        let v = r.take_varint()?;
-        out.push((s, v));
-    }
-    Ok(out)
-}
-
-fn put_string_delta_pairs(out: &mut Vec<u8>, pairs: &[(String, TableDelta)]) {
-    put_varint(out, pairs.len() as u64);
-    for (s, d) in pairs {
-        s.encode_into(out);
-        d.encode_into(out);
-    }
-}
-
-fn take_string_delta_pairs(
-    r: &mut Reader<'_>,
-) -> medledger_storage::Result<Vec<(String, TableDelta)>> {
-    let n = r.take_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let s = String::decode_from(r)?;
-        let d = TableDelta::decode_from(r)?;
-        out.push((s, d));
-    }
-    Ok(out)
+/// One flush as it sits in the `log` stream: everything the flush
+/// commits, in one frame (see the module docs).
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlushRecord {
+    /// Per peer, by name: the mutation records its database logged since
+    /// the previous flush (peers that logged none are left out).
+    pub peer_records: Vec<(String, Vec<LogRecord>)>,
+    /// The blocks sealed since the previous flush.
+    pub blocks: Vec<Block>,
+    meta: FlushMeta,
 }
 
 fn encode_stats(out: &mut Vec<u8>, stats: &SystemStats) {
@@ -207,13 +177,11 @@ fn decode_stats(r: &mut Reader<'_>) -> medledger_storage::Result<SystemStats> {
 impl Encode for PeerMeta {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.name.encode_into(out);
-        put_varint(out, self.stream_mark);
-        put_varint(out, self.snapshot_mark);
         put_varint(out, self.next_seq);
         put_varint(out, self.next_nonce);
         put_varint(out, self.keys_used);
-        put_string_u64_pairs(out, &self.applied_versions);
-        put_string_delta_pairs(out, &self.baseline_inverses);
+        put_seq(out, &self.applied_versions);
+        put_seq(out, &self.baseline_inverses);
     }
 }
 
@@ -221,34 +189,23 @@ impl Decode for PeerMeta {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
         Ok(PeerMeta {
             name: String::decode_from(r)?,
-            stream_mark: r.take_varint()?,
-            snapshot_mark: r.take_varint()?,
             next_seq: r.take_varint()?,
             next_nonce: r.take_varint()?,
             keys_used: r.take_varint()?,
-            applied_versions: take_string_u64_pairs(r)?,
-            baseline_inverses: take_string_delta_pairs(r)?,
+            applied_versions: take_seq(r)?,
+            baseline_inverses: take_seq(r)?,
         })
     }
 }
 
-impl Encode for SysMeta {
+impl Encode for FlushMeta {
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.epoch);
         put_varint(out, self.snapshot_id);
-        put_varint(out, self.chain_mark);
         put_varint(out, self.clock_ms);
         put_varint(out, self.last_block_ms);
-        put_varint(out, self.prg_state.0);
-        put_varint(out, self.prg_state.1);
-        match self.pow_state {
-            None => out.push(0),
-            Some((a, b)) => {
-                out.push(1);
-                put_varint(out, a);
-                put_varint(out, b);
-            }
-        }
+        self.prg_state.encode_into(out);
+        self.pow_state.encode_into(out);
         put_varint(out, self.admin_used);
         self.contract.encode_into(out);
         encode_stats(out, &self.stats);
@@ -256,33 +213,75 @@ impl Encode for SysMeta {
     }
 }
 
-impl Decode for SysMeta {
+impl Decode for FlushMeta {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
-        let epoch = r.take_varint()?;
-        let snapshot_id = r.take_varint()?;
-        let chain_mark = r.take_varint()?;
-        let clock_ms = r.take_varint()?;
-        let last_block_ms = r.take_varint()?;
-        let prg_state = (r.take_varint()?, r.take_varint()?);
-        let pow_state = match r.take_u8()? {
-            0 => None,
-            1 => Some((r.take_varint()?, r.take_varint()?)),
-            t => {
-                return Err(StorageError::Codec(format!("invalid pow-state tag {t}")));
-            }
-        };
-        Ok(SysMeta {
-            epoch,
-            snapshot_id,
-            chain_mark,
-            clock_ms,
-            last_block_ms,
-            prg_state,
-            pow_state,
+        Ok(FlushMeta {
+            epoch: r.take_varint()?,
+            snapshot_id: r.take_varint()?,
+            clock_ms: r.take_varint()?,
+            last_block_ms: r.take_varint()?,
+            prg_state: Decode::decode_from(r)?,
+            pow_state: Decode::decode_from(r)?,
             admin_used: r.take_varint()?,
-            contract: Option::<Hash256>::decode_from(r)?,
+            contract: Decode::decode_from(r)?,
             stats: decode_stats(r)?,
             peers: take_seq(r)?,
+        })
+    }
+}
+
+/// Encodes the data sections of a flush record — what it commits, ahead
+/// of the [`FlushMeta`] that closes it — from borrowed state. Returns the
+/// bytes the peer records and the blocks encode to: the
+/// `storage.wal_bytes` / `storage.chain_bytes` counters, and the former
+/// is the replay debt the snapshot cadence weighs.
+fn encode_flush_data(
+    out: &mut Vec<u8>,
+    peer_records: &[(&str, &[LogRecord])],
+    blocks: &[Block],
+) -> (u64, u64) {
+    put_varint(out, peer_records.len() as u64);
+    let mut wal_bytes = 0;
+    for (name, records) in peer_records {
+        put_bytes(out, name.as_bytes());
+        put_varint(out, records.len() as u64);
+        let start = out.len();
+        for rec in *records {
+            rec.encode_into(out);
+        }
+        wal_bytes += (out.len() - start) as u64;
+    }
+    put_varint(out, blocks.len() as u64);
+    let start = out.len();
+    for block in blocks {
+        block.encode_into(out);
+    }
+    (wal_bytes, (out.len() - start) as u64)
+}
+
+impl Encode for FlushRecord {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let peer_records: Vec<(&str, &[LogRecord])> = self
+            .peer_records
+            .iter()
+            .map(|(name, records)| (name.as_str(), records.as_slice()))
+            .collect();
+        encode_flush_data(out, &peer_records, &self.blocks);
+        self.meta.encode_into(out);
+    }
+}
+
+impl Decode for FlushRecord {
+    fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
+        let n = r.take_len()?;
+        let mut peer_records = Vec::with_capacity(n);
+        for _ in 0..n {
+            peer_records.push((String::decode_from(r)?, take_seq(r)?));
+        }
+        Ok(FlushRecord {
+            peer_records,
+            blocks: take_seq(r)?,
+            meta: FlushMeta::decode_from(r)?,
         })
     }
 }
@@ -297,37 +296,13 @@ struct PeerSnapshot {
     bindings_json: Vec<u8>,
 }
 
-impl Encode for PeerSnapshot {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.name.encode_into(out);
-        self.owner.encode_into(out);
-        put_varint(out, self.tables.len() as u64);
-        for (name, table) in &self.tables {
-            name.encode_into(out);
-            table.encode_into(out);
-        }
-        put_string_u64_pairs(out, &self.versions);
-        put_varint(out, self.base_seq);
-        put_bytes(out, &self.bindings_json);
-    }
-}
-
 impl Decode for PeerSnapshot {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
-        let name = String::decode_from(r)?;
-        let owner = String::decode_from(r)?;
-        let n = r.take_len()?;
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tname = String::decode_from(r)?;
-            let table = Table::decode_from(r)?;
-            tables.push((tname, table));
-        }
         Ok(PeerSnapshot {
-            name,
-            owner,
-            tables,
-            versions: take_string_u64_pairs(r)?,
+            name: String::decode_from(r)?,
+            owner: String::decode_from(r)?,
+            tables: take_seq(r)?,
+            versions: take_seq(r)?,
             base_seq: r.take_varint()?,
             bindings_json: r.take_bytes()?,
         })
@@ -341,13 +316,6 @@ struct Snapshot {
     peers: Vec<PeerSnapshot>,
 }
 
-impl Encode for Snapshot {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.id);
-        put_seq(out, &self.peers);
-    }
-}
-
 impl Decode for Snapshot {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
         Ok(Snapshot {
@@ -357,46 +325,86 @@ impl Decode for Snapshot {
     }
 }
 
-/// An attached durable-storage session: the backend plus the commit
-/// watermarks of the last successful flush.
+/// Encodes the current deployment state as a [`Snapshot`] payload,
+/// straight from the borrowed tables and shard maps (field for field
+/// what the `Decode` impls above read back).
+fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    put_varint(&mut out, id);
+    put_varint(&mut out, sys.names.len() as u64);
+    for (name, account) in &sys.names {
+        let peer = sys
+            .peers
+            .get(account)
+            .ok_or_else(|| missing_peer(name, "while snapshotting"))?;
+        let (owner, tables, versions, next_seq) = peer.db.export_parts();
+        let stored = peer.stored_copies();
+        name.encode_into(&mut out);
+        put_bytes(&mut out, owner.as_bytes());
+        put_varint(&mut out, (tables.len() + stored.len()) as u64);
+        for (table_name, table) in tables {
+            table_name.encode_into(&mut out);
+            table.encode_into(&mut out);
+        }
+        for (table_id, store) in stored {
+            table_id.encode_into(&mut out);
+            store.encode_into(&mut out);
+        }
+        put_varint(&mut out, versions.len() as u64);
+        for (table_name, version) in versions {
+            table_name.encode_into(&mut out);
+            put_varint(&mut out, *version);
+        }
+        put_varint(&mut out, next_seq);
+        let bindings_json = serde_json::to_vec(peer.bindings_map()).map_err(storage_err)?;
+        put_bytes(&mut out, &bindings_json);
+    }
+    Ok(out)
+}
+
+/// An attached durable-storage session: the backend plus the watermarks
+/// of the last committed flush.
 pub(crate) struct Persistence {
     backend: Box<dyn StorageBackend>,
-    snapshot_every: u64,
-    /// Flushes since the current snapshot was written.
-    flushes_since_snapshot: u64,
-    /// Flush counter (== epoch of the last committed `SysMeta`; 0 before
-    /// the first flush).
+    /// Epoch of the last committed flush record (0 before the first).
     epoch: u64,
-    /// Id of the snapshot the next `SysMeta` references.
+    /// Id of the snapshot the next record names.
     snapshot_id: u64,
-    /// Committed record count per peer stream, keyed by peer name.
-    peer_marks: BTreeMap<String, u64>,
-    /// Database sequence number covered by each peer stream.
+    /// Encoded size of that snapshot.
+    snapshot_bytes: u64,
+    /// Peer-record bytes logged since it was taken — what a restart
+    /// would replay on top of it.
+    debt_bytes: u64,
+    /// Database sequence number logged so far, per peer name.
     peer_seqs: BTreeMap<String, u64>,
-    /// Stream position replay starts from, per peer (stream length when
-    /// the current snapshot was taken).
-    snapshot_marks: BTreeMap<String, u64>,
-    /// Blocks of the chain stream committed.
-    chain_mark: u64,
-    /// Set after a failed flush: the backend may hold a partial frame, so
-    /// further flushes refuse to run rather than risk compounding damage.
+    /// Chain height logged so far.
+    height: u64,
+    /// Set after a failed backend call: the log may hold a partial frame,
+    /// so further flushes refuse to run rather than risk compounding
+    /// damage.
     poisoned: bool,
 }
 
 impl Persistence {
-    fn new(backend: Box<dyn StorageBackend>, options: StorageOptions) -> Self {
+    fn new(backend: Box<dyn StorageBackend>) -> Self {
         Persistence {
             backend,
-            snapshot_every: options.snapshot_every.max(1),
-            flushes_since_snapshot: 0,
             epoch: 0,
             snapshot_id: 0,
-            peer_marks: BTreeMap::new(),
+            snapshot_bytes: 0,
+            debt_bytes: 0,
             peer_seqs: BTreeMap::new(),
-            snapshot_marks: BTreeMap::new(),
-            chain_mark: 0,
+            height: 0,
             poisoned: false,
         }
+    }
+
+    /// Passes a backend result through, poisoning the session on failure.
+    fn checked<T>(&mut self, result: medledger_storage::Result<T>) -> Result<T> {
+        result.map_err(|e| {
+            self.poisoned = true;
+            storage_err(e)
+        })
     }
 }
 
@@ -404,31 +412,67 @@ fn storage_err(e: impl std::fmt::Display) -> CoreError {
     CoreError::Storage(e.to_string())
 }
 
-/// Encodes the current deployment state as a snapshot payload.
-fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
-    let mut peers = Vec::with_capacity(sys.names.len());
-    for (name, account) in &sys.names {
-        let peer = sys.peers.get(account).ok_or_else(|| {
-            CoreError::Storage(format!(
-                "peer record missing for `{name}` while snapshotting"
-            ))
-        })?;
-        let (owner, _, versions, next_seq) = peer.db.export_parts();
-        let bindings_json = serde_json::to_vec(peer.bindings_map()).map_err(storage_err)?;
-        peers.push(PeerSnapshot {
-            name: name.clone(),
-            owner: owner.to_string(),
-            tables: peer.snapshot_tables().into_iter().collect(),
-            versions: versions.iter().map(|(n, v)| (n.clone(), *v)).collect(),
-            base_seq: next_seq,
-            bindings_json,
-        });
-    }
-    Ok(Snapshot { id, peers }.encoded())
+fn missing_peer(name: &str, when: &str) -> CoreError {
+    CoreError::Storage(format!("peer record missing for `{name}` {when}"))
 }
 
-/// One flush: drain peer logs and new blocks into the backend, maybe
-/// snapshot, then commit with a `SysMeta` record. See the module docs for
+/// Runs `f`, recording its wall-clock time under `name` when a recorder
+/// is installed.
+fn timed<T>(telemetry: &Recorder, name: &str, f: impl FnOnce() -> T) -> T {
+    let started = telemetry.is_enabled().then(Instant::now);
+    let out = f();
+    if let Some(t) = started {
+        telemetry.record(name, t.elapsed().as_micros() as u64);
+    }
+    out
+}
+
+/// The [`FlushMeta`] closing the record of flush `epoch`.
+fn build_meta(
+    sys: &System,
+    epoch: u64,
+    snapshot_id: u64,
+    next_seqs: &BTreeMap<String, u64>,
+) -> Result<FlushMeta> {
+    let mut peers = Vec::with_capacity(sys.names.len());
+    for (name, account) in &sys.names {
+        let peer = sys
+            .peers
+            .get(account)
+            .ok_or_else(|| missing_peer(name, "while writing the flush record"))?;
+        peers.push(PeerMeta {
+            name: name.clone(),
+            next_seq: next_seqs[name],
+            next_nonce: peer.next_nonce,
+            keys_used: peer.keys.used(),
+            applied_versions: peer
+                .applied_versions
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            baseline_inverses: peer.baseline_inverses(),
+        });
+    }
+    let (prg_counter, prg_pos) = sys.prg.state();
+    Ok(FlushMeta {
+        epoch,
+        snapshot_id,
+        clock_ms: sys.clock_ms,
+        last_block_ms: sys.last_block_ms,
+        prg_state: (prg_counter, prg_pos as u64),
+        pow_state: sys.pow.as_ref().map(|m| {
+            let (c, b) = m.prg_state();
+            (c, b as u64)
+        }),
+        admin_used: sys.admin.used(),
+        contract: sys.contract,
+        stats: sys.stats,
+        peers,
+    })
+}
+
+/// One flush: encode every unlogged peer record and block into one
+/// record, maybe snapshot, then append and sync. See the module docs for
 /// the ordering contract.
 fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> Result<()> {
     if p.poisoned {
@@ -437,30 +481,17 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
         ));
     }
     let telemetry = sys.recorder().clone();
-    let mut wal_bytes: u64 = 0;
-    let mut chain_bytes: u64 = 0;
-    // Phase 0 — roll back any uncommitted suffix a previously failed
-    // flush left behind (appends without their commit record).
-    for (name, mark) in p.peer_marks.clone() {
-        let stream = peer_stream(&name);
-        if p.backend.stream_len(&stream).map_err(storage_err)? > mark {
-            p.backend.truncate_to(&stream, mark).map_err(storage_err)?;
-        }
-    }
-    if p.backend.stream_len("chain").map_err(storage_err)? > p.chain_mark {
-        p.backend
-            .truncate_to("chain", p.chain_mark)
-            .map_err(storage_err)?;
-    }
 
-    // Phase 1 — append every unpersisted peer mutation record.
-    let mut new_marks: BTreeMap<String, u64> = BTreeMap::new();
-    let mut new_seqs: BTreeMap<String, u64> = BTreeMap::new();
+    // What this flush commits, borrowed: every unlogged peer mutation
+    // record and every block above the logged height (genesis, height 0,
+    // is reproduced from configuration).
+    let mut peer_records = Vec::with_capacity(sys.names.len());
+    let mut next_seqs: BTreeMap<String, u64> = BTreeMap::new();
     for (name, account) in &sys.names {
-        let peer = sys.peers.get(account).ok_or_else(|| {
-            CoreError::Storage(format!("peer record missing for `{name}` during flush"))
-        })?;
-        let stream = peer_stream(name);
+        let peer = sys
+            .peers
+            .get(account)
+            .ok_or_else(|| missing_peer(name, "during flush"))?;
         let from_seq = p
             .peer_seqs
             .get(name)
@@ -474,137 +505,70 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
                 peer.db.base_seq()
             )));
         }
-        let mut mark = p.peer_marks.get(name).copied().unwrap_or(0);
         let records = peer.db.log_since(from_seq);
-        for rec in records {
-            let frame = rec.encoded();
-            wal_bytes += frame.len() as u64;
-            if let Err(e) = p.backend.append(&stream, &frame) {
-                p.poisoned = true;
-                return Err(storage_err(e));
-            }
-            mark += 1;
+        next_seqs.insert(name.clone(), from_seq + records.len() as u64);
+        if !records.is_empty() {
+            peer_records.push((name.as_str(), records));
         }
-        new_marks.insert(name.clone(), mark);
-        new_seqs.insert(name.clone(), from_seq + records.len() as u64);
     }
-
-    // Phase 2 — append every block above the persisted height. The chain
-    // stream holds blocks 1.. (genesis is reproduced from configuration).
     let height = sys.chain.height();
-    for h in (p.chain_mark + 1)..=height {
-        let block = sys.chain.block_at(h).ok_or_else(|| {
-            CoreError::Storage(format!("chain height is {height} but block {h} is missing"))
+    let blocks = sys
+        .chain
+        .blocks()
+        .get(p.height as usize + 1..)
+        .ok_or_else(|| {
+            CoreError::Storage(format!(
+                "chain height is {height}, below the logged height {}",
+                p.height
+            ))
         })?;
-        let frame = block.encoded();
-        chain_bytes += frame.len() as u64;
-        if let Err(e) = p.backend.append("chain", &frame) {
-            p.poisoned = true;
-            return Err(storage_err(e));
-        }
-    }
+    let mut frame = Vec::new();
+    let (wal_bytes, chain_bytes) = encode_flush_data(&mut frame, &peer_records, blocks);
 
-    // Phase 3 — snapshot on cadence or structural change.
+    // Snapshot when forced, or when replaying the log from the last
+    // snapshot would cost as much as reading a new one.
     let epoch = p.epoch + 1;
-    let first_flush = p.epoch == 0;
     let take_snapshot =
-        force_snapshot || first_flush || p.flushes_since_snapshot + 1 >= p.snapshot_every;
-    let mut snapshot_id = p.snapshot_id;
-    let mut snapshot_marks = p.snapshot_marks.clone();
-    if take_snapshot {
-        let started = telemetry.is_enabled().then(std::time::Instant::now);
-        let payload = build_snapshot(sys, epoch)?;
-        if let Err(e) = p.backend.write_snapshot(epoch, &payload) {
-            p.poisoned = true;
-            return Err(storage_err(e));
-        }
-        if let Some(t) = started {
-            telemetry.record("storage.snapshot_us", t.elapsed().as_micros() as u64);
-        }
+        force_snapshot || p.epoch == 0 || p.debt_bytes + wal_bytes >= p.snapshot_bytes;
+    let (snapshot_id, snapshot_bytes) = if take_snapshot {
+        let bytes = timed(&telemetry, "storage.snapshot_us", || {
+            let payload = build_snapshot(sys, epoch)?;
+            let written = p.backend.write_snapshot(epoch, &payload);
+            p.checked(written).map(|()| payload.len() as u64)
+        })?;
         telemetry.add("storage.snapshots", 1);
-        snapshot_id = epoch;
-        snapshot_marks = new_marks.clone();
-    }
-
-    // Phase 4 — the commit record.
-    let meta = SysMeta {
-        epoch,
-        snapshot_id,
-        chain_mark: height,
-        clock_ms: sys.clock_ms,
-        last_block_ms: sys.last_block_ms,
-        prg_state: {
-            let (c, b) = sys.prg.state();
-            (c, b as u64)
-        },
-        pow_state: sys.pow.as_ref().map(|m| {
-            let (c, b) = m.prg_state();
-            (c, b as u64)
-        }),
-        admin_used: sys.admin.used(),
-        contract: sys.contract,
-        stats: sys.stats,
-        peers: {
-            let mut metas = Vec::with_capacity(sys.names.len());
-            for (name, account) in &sys.names {
-                let peer = sys.peers.get(account).ok_or_else(|| {
-                    CoreError::Storage(format!(
-                        "peer record missing for `{name}` while writing sys meta"
-                    ))
-                })?;
-                metas.push(PeerMeta {
-                    name: name.clone(),
-                    stream_mark: new_marks[name],
-                    snapshot_mark: snapshot_marks.get(name).copied().unwrap_or(0),
-                    next_seq: new_seqs[name],
-                    next_nonce: peer.next_nonce,
-                    keys_used: peer.keys.used(),
-                    applied_versions: peer
-                        .applied_versions
-                        .iter()
-                        .map(|(k, v)| (k.clone(), *v))
-                        .collect(),
-                    baseline_inverses: peer.baseline_inverses(),
-                });
-            }
-            metas
-        },
+        (epoch, bytes)
+    } else {
+        (p.snapshot_id, p.snapshot_bytes)
     };
-    if let Err(e) = p.backend.append("sys", &meta.encoded()) {
-        p.poisoned = true;
-        return Err(storage_err(e));
-    }
-    if let Err(e) = p.backend.sync() {
-        p.poisoned = true;
-        return Err(storage_err(e));
-    }
+    build_meta(sys, epoch, snapshot_id, &next_seqs)?.encode_into(&mut frame);
 
-    // Phase 5 — committed: advance watermarks, drain in-memory logs,
-    // compact peer streams below the snapshot horizon.
+    // The commit point: one frame, one sync.
+    let appended = timed(&telemetry, "storage.append_us", || {
+        p.backend.append(LOG, &frame)
+    });
+    p.checked(appended)?;
+    let synced = timed(&telemetry, "storage.sync_us", || p.backend.sync());
+    p.checked(synced)?;
+
+    // Committed: advance the watermarks and drain the in-memory logs.
     p.epoch = epoch;
     p.snapshot_id = snapshot_id;
-    p.flushes_since_snapshot = if take_snapshot {
+    p.snapshot_bytes = snapshot_bytes;
+    p.debt_bytes = if take_snapshot {
         0
     } else {
-        p.flushes_since_snapshot + 1
+        p.debt_bytes + wal_bytes
     };
-    p.chain_mark = height;
-    p.peer_marks = new_marks;
-    p.snapshot_marks = snapshot_marks;
-    for (name, seq) in &new_seqs {
-        let account = sys.names[name];
-        let peer = sys.peers.get_mut(&account).ok_or_else(|| {
-            CoreError::Storage(format!("peer record missing for `{name}` while compacting"))
-        })?;
+    p.height = height;
+    for (name, seq) in &next_seqs {
+        let peer = sys
+            .peers
+            .get_mut(&sys.names[name])
+            .ok_or_else(|| missing_peer(name, "while draining its log"))?;
         peer.db.truncate_log(*seq);
-        p.peer_seqs.insert(name.clone(), *seq);
-        if take_snapshot {
-            // Whole segments below the snapshot horizon can go.
-            p.backend
-                .compact(&peer_stream(name), p.snapshot_marks[name])
-                .map_err(storage_err)?;
-        }
     }
+    p.peer_seqs = next_seqs;
     if telemetry.is_enabled() {
         telemetry.add("storage.flushes", 1);
         telemetry.add("storage.wal_bytes", wal_bytes);
@@ -616,15 +580,193 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
     Ok(())
 }
 
+/// Decodes the whole log, requiring the epochs to be dense from 1.
+fn decode_log(raw: Vec<Vec<u8>>) -> Result<Vec<FlushRecord>> {
+    let mut records = Vec::with_capacity(raw.len());
+    for (index, frame) in raw.into_iter().enumerate() {
+        let record = FlushRecord::decode(&frame)
+            .map_err(|e| CoreError::Storage(format!("corrupt flush record {index}: {e}")))?;
+        if record.meta.epoch != index as u64 + 1 {
+            return Err(CoreError::Storage(format!(
+                "flush record {index} carries epoch {}, expected {}",
+                record.meta.epoch,
+                index + 1
+            )));
+        }
+        records.push(record);
+    }
+    Ok(records)
+}
+
+/// Reads snapshot `id` and its encoded size, or says why it cannot be used.
+fn read_named_snapshot(
+    backend: &mut dyn StorageBackend,
+    id: u64,
+) -> std::result::Result<(Snapshot, u64), String> {
+    let bytes = backend
+        .read_snapshot(id)
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| format!("snapshot {id} is missing"))?;
+    match Snapshot::decode(&bytes) {
+        Ok(snapshot) if snapshot.id == id => Ok((snapshot, bytes.len() as u64)),
+        Ok(other) => Err(format!("snapshot {id} claims to be {}", other.id)),
+        Err(e) => Err(format!("corrupt snapshot {id}: {e}")),
+    }
+}
+
+/// The snapshot to rebuild the peers from: the one the newest record
+/// names, or — while that is unreadable — the one the next older record
+/// names. Only ever a named one (see the module docs on orphans).
+fn pick_snapshot(
+    backend: &mut dyn StorageBackend,
+    records: &[FlushRecord],
+) -> Result<(Snapshot, u64)> {
+    let mut named: Vec<u64> = records.iter().map(|r| r.meta.snapshot_id).collect();
+    named.dedup();
+    let mut failures = Vec::new();
+    for id in named.into_iter().rev() {
+        match read_named_snapshot(backend, id) {
+            Ok(found) => return Ok(found),
+            Err(why) => failures.push(why),
+        }
+    }
+    Err(CoreError::Storage(format!(
+        "no snapshot named by a flush record is readable: {}",
+        failures.join("; ")
+    )))
+}
+
+/// Rebuilds every peer of `meta` from `snapshot` plus the peer records
+/// of every later epoch (each re-verifying its attested hash), then the
+/// derived state from `meta`. Returns the bytes replayed: the recovered
+/// session's replay debt.
+fn restore_peers(
+    sys: &mut System,
+    snapshot: Snapshot,
+    records: &[FlushRecord],
+    meta: &FlushMeta,
+) -> Result<u64> {
+    let later = records.get(snapshot.id as usize..).ok_or_else(|| {
+        CoreError::Storage(format!(
+            "snapshot {} is newer than the {} logged flushes",
+            snapshot.id,
+            records.len()
+        ))
+    })?;
+    let snapshot_id = snapshot.id;
+    let mut snap_peers: BTreeMap<String, PeerSnapshot> = snapshot
+        .peers
+        .into_iter()
+        .map(|ps| (ps.name.clone(), ps))
+        .collect();
+    let mut replayed_bytes = 0;
+    for pm in &meta.peers {
+        let ps = snap_peers.remove(&pm.name).ok_or_else(|| {
+            CoreError::Storage(format!(
+                "peer {} in the newest flush record but missing from snapshot {snapshot_id}",
+                pm.name
+            ))
+        })?;
+        let mut db = Database::from_parts(
+            ps.owner,
+            ps.tables.into_iter().collect(),
+            ps.versions.into_iter().collect(),
+            ps.base_seq,
+        );
+        let own_records = later
+            .iter()
+            .flat_map(|record| &record.peer_records)
+            .filter(|(name, _)| *name == pm.name)
+            .flat_map(|(_, records)| records);
+        for rec in own_records {
+            db.replay_record(rec).map_err(|e| {
+                CoreError::Storage(format!("log replay failed for peer {}: {e}", pm.name))
+            })?;
+            replayed_bytes += rec.encoded().len() as u64;
+        }
+        if db.next_seq() != pm.next_seq {
+            return Err(CoreError::Storage(format!(
+                "peer {} replayed to seq {}, the newest flush record attests {}",
+                pm.name,
+                db.next_seq(),
+                pm.next_seq
+            )));
+        }
+        let bindings = serde_json::from_slice(&ps.bindings_json).map_err(|e| {
+            CoreError::Storage(format!("corrupt bindings for peer {}: {e}", pm.name))
+        })?;
+        let peer = PeerNode::restore_from_parts(
+            &pm.name,
+            &sys.config.seed,
+            sys.config.peer_key_capacity,
+            sys.config.propagation,
+            sys.config.shards_per_table,
+            db,
+            bindings,
+            &pm.baseline_inverses,
+            pm.applied_versions.iter().cloned().collect(),
+            pm.next_nonce,
+            pm.keys_used,
+        )?;
+        let account = peer.account;
+        // Membership only grows; adding every recovered peer before
+        // replay keeps historical blocks valid (supersets are safe).
+        sys.chain.membership_mut().add_member(account);
+        sys.names.insert(pm.name.clone(), account);
+        sys.peers.insert(account, peer);
+    }
+    Ok(replayed_bytes)
+}
+
+/// Replays the chain from genesis through the system's fresh contract
+/// runtime, verifying each block's state root commitment as it goes.
+/// This rebuilds contract state and the receipt index without trusting
+/// anything but the chain itself. Pipelined consensus overlaps round
+/// *preparation*, never commit order, so the replay also re-verifies
+/// that wave attributions are non-decreasing — a chain whose blocks
+/// sealed out of wave order was not produced by this pipeline and must
+/// not serve.
+fn replay_chain(sys: &mut System, blocks: impl Iterator<Item = Block>) -> Result<()> {
+    let mut last_wave: Option<u64> = None;
+    for block in blocks {
+        let height = block.header.height;
+        if let Some(wave) = block.header.wave {
+            if let Some(prev) = last_wave {
+                if wave < prev {
+                    return Err(CoreError::Storage(format!(
+                        "block {height} attributed to wave {wave} after a block of wave {prev}"
+                    )));
+                }
+            }
+            last_wave = Some(wave);
+        }
+        for stx in &block.txs {
+            let receipt = sys.runtime.execute(stx, height, block.header.timestamp_ms);
+            sys.receipts.insert(stx.id(), (height, receipt));
+        }
+        if sys.runtime.state_root() != block.header.state_root {
+            return Err(CoreError::Storage(format!(
+                "replaying block {height} yields state root {}, header commits to {}",
+                sys.runtime.state_root().short(),
+                block.header.state_root.short()
+            )));
+        }
+        sys.chain.append(block).map_err(|e| {
+            CoreError::Storage(format!("recovered chain rejects block {height}: {e}"))
+        })?;
+    }
+    Ok(())
+}
+
 impl System {
     /// Attaches a durable-storage backend and writes an initial full
     /// flush (forced snapshot), so the stored state is complete from this
-    /// point on. Tuning comes from [`SystemConfig::storage`].
+    /// point on.
     pub fn attach_storage(&mut self, backend: Box<dyn StorageBackend>) -> Result<()> {
         if self.persist.is_some() {
             return Err(CoreError::Storage("storage already attached".into()));
         }
-        self.persist = Some(Persistence::new(backend, self.config.storage));
+        self.persist = Some(Persistence::new(backend));
         self.flush_structural()
     }
 
@@ -643,7 +785,7 @@ impl System {
     /// A flush that also forces a snapshot — used after structural
     /// changes (peer added, share created/removed, contract deployed)
     /// whose setup mutations (table creation, view materialization)
-    /// bypass the per-record WAL.
+    /// bypass the per-record log.
     pub(crate) fn flush_structural(&mut self) -> Result<()> {
         self.flush_with(true)
     }
@@ -665,196 +807,32 @@ impl System {
     /// deployment that wrote the state (same seed, consensus, and shard
     /// layout); signing keys are re-derived from it.
     pub fn recover(config: SystemConfig, mut backend: Box<dyn StorageBackend>) -> Result<Recovery> {
-        let sys_records = backend.read_from("sys", 0).map_err(storage_err)?;
-        if sys_records.is_empty() {
-            return Ok(Recovery::Fresh(backend));
-        }
-        let mut metas = Vec::with_capacity(sys_records.len());
-        for rec in &sys_records {
-            metas
-                .push(SysMeta::decode(rec).map_err(|e| {
-                    CoreError::Storage(format!("corrupt flush commit record: {e}"))
-                })?);
-        }
-        // Newest meta whose snapshot and stream marks are all intact: a
-        // crash between data-stream sync and commit-record sync can leave
-        // the final record ahead of its data, in which case the previous
-        // one defines the recovered state.
-        let mut chosen: Option<(usize, SysMeta)> = None;
-        'candidates: for (i, meta) in metas.into_iter().enumerate().rev() {
-            if backend
-                .read_snapshot(meta.snapshot_id)
+        let raw = backend.read_from(LOG, 0).map_err(storage_err)?;
+        let records = decode_log(raw)?;
+        let Some(newest) = records.last() else {
+            if !backend
+                .read_from(LEGACY_SYS, 0)
                 .map_err(storage_err)?
-                .is_none()
+                .is_empty()
             {
-                continue;
+                return Err(CoreError::Storage(
+                    "store written by the pre-PR-21 layout (a `sys` stream and no `log`): \
+                     refusing to bootstrap over it"
+                        .into(),
+                ));
             }
-            if backend.stream_len("chain").map_err(storage_err)? < meta.chain_mark {
-                continue;
-            }
-            for pm in &meta.peers {
-                if backend
-                    .stream_len(&peer_stream(&pm.name))
-                    .map_err(storage_err)?
-                    < pm.stream_mark
-                {
-                    continue 'candidates;
-                }
-            }
-            chosen = Some((i, meta));
-            break;
-        }
-        let Some((idx, meta)) = chosen else {
-            return Err(CoreError::Storage(
-                "no flush commit record matches the stored streams and snapshots".into(),
-            ));
+            return Ok(Recovery::Fresh(backend));
         };
+        let meta = newest.meta.clone();
+        let (snapshot, snapshot_bytes) = pick_snapshot(backend.as_mut(), &records)?;
+        let snapshot_id = snapshot.id;
 
-        // Truncate every stream to the committed marks — anything beyond
-        // is an uncommitted flush suffix.
-        backend
-            .truncate_to("sys", idx as u64 + 1)
-            .map_err(storage_err)?;
-        backend
-            .truncate_to("chain", meta.chain_mark)
-            .map_err(storage_err)?;
-        for pm in &meta.peers {
-            backend
-                .truncate_to(&peer_stream(&pm.name), pm.stream_mark)
-                .map_err(storage_err)?;
-        }
-
-        // Decode the snapshot and rebuild every peer: snapshot tables,
-        // then WAL replay (each record re-verifies its attested hash),
-        // then the derived state from the commit record.
-        let snap_bytes = backend
-            .read_snapshot(meta.snapshot_id)
-            .map_err(storage_err)?
-            .ok_or_else(|| {
-                CoreError::Storage(format!(
-                    "snapshot {} disappeared between probe and read",
-                    meta.snapshot_id
-                ))
-            })?;
-        let snapshot = Snapshot::decode(&snap_bytes)
-            .map_err(|e| CoreError::Storage(format!("corrupt snapshot: {e}")))?;
-        if snapshot.id != meta.snapshot_id {
-            return Err(CoreError::Storage(format!(
-                "snapshot payload claims id {}, commit record references {}",
-                snapshot.id, meta.snapshot_id
-            )));
-        }
         let mut sys = System::new(config);
-        let snap_peers: BTreeMap<&str, &PeerSnapshot> = snapshot
-            .peers
-            .iter()
-            .map(|ps| (ps.name.as_str(), ps))
-            .collect();
-        for pm in &meta.peers {
-            let ps = snap_peers.get(pm.name.as_str()).ok_or_else(|| {
-                CoreError::Storage(format!(
-                    "peer {} in commit record but missing from snapshot {}",
-                    pm.name, snapshot.id
-                ))
-            })?;
-            let mut db = Database::from_parts(
-                ps.owner.clone(),
-                ps.tables.iter().cloned().collect(),
-                ps.versions.iter().cloned().collect(),
-                ps.base_seq,
-            );
-            let wal = backend
-                .read_from(&peer_stream(&pm.name), pm.snapshot_mark)
-                .map_err(storage_err)?;
-            for raw in &wal {
-                let rec = LogRecord::decode(raw).map_err(|e| {
-                    CoreError::Storage(format!("corrupt WAL record for peer {}: {e}", pm.name))
-                })?;
-                if rec.seq < db.next_seq() {
-                    continue;
-                }
-                db.replay_record(&rec).map_err(|e| {
-                    CoreError::Storage(format!("WAL replay failed for peer {}: {e}", pm.name))
-                })?;
-            }
-            if db.next_seq() != pm.next_seq {
-                return Err(CoreError::Storage(format!(
-                    "peer {} replayed to seq {}, commit record attests {}",
-                    pm.name,
-                    db.next_seq(),
-                    pm.next_seq
-                )));
-            }
-            let bindings = serde_json::from_slice(&ps.bindings_json).map_err(|e| {
-                CoreError::Storage(format!("corrupt bindings for peer {}: {e}", pm.name))
-            })?;
-            let peer = PeerNode::restore_from_parts(
-                &pm.name,
-                &sys.config.seed,
-                sys.config.peer_key_capacity,
-                sys.config.propagation,
-                sys.config.shards_per_table,
-                db,
-                bindings,
-                &pm.baseline_inverses,
-                pm.applied_versions.iter().cloned().collect(),
-                pm.next_nonce,
-                pm.keys_used,
-            )?;
-            let account = peer.account;
-            // Membership only grows; adding every recovered peer before
-            // replay keeps historical blocks valid (supersets are safe).
-            sys.chain.membership_mut().add_member(account);
-            sys.names.insert(pm.name.clone(), account);
-            sys.peers.insert(account, peer);
-        }
-
-        // Replay the chain from genesis through a fresh contract runtime,
-        // verifying each block's state root commitment as we go. This
-        // rebuilds contract state and the receipt index without trusting
-        // anything but the chain itself. Pipelined consensus overlaps
-        // round *preparation*, never commit order, so the replay also
-        // re-verifies that wave attributions are non-decreasing — a chain
-        // whose blocks sealed out of wave order was not produced by this
-        // pipeline and must not serve.
-        let raw_blocks = backend.read_from("chain", 0).map_err(storage_err)?;
-        let mut last_wave: Option<u64> = None;
-        for raw in &raw_blocks {
-            let block = Block::decode(raw)
-                .map_err(|e| CoreError::Storage(format!("corrupt block record: {e}")))?;
-            let height = block.header.height;
-            if let Some(wave) = block.header.wave {
-                if let Some(prev) = last_wave {
-                    if wave < prev {
-                        return Err(CoreError::Storage(format!(
-                            "block {height} attributed to wave {wave} after a block of wave {prev}"
-                        )));
-                    }
-                }
-                last_wave = Some(wave);
-            }
-            for stx in &block.txs {
-                let receipt = sys.runtime.execute(stx, height, block.header.timestamp_ms);
-                sys.receipts.insert(stx.id(), (height, receipt));
-            }
-            if sys.runtime.state_root() != block.header.state_root {
-                return Err(CoreError::Storage(format!(
-                    "replaying block {height} yields state root {}, header commits to {}",
-                    sys.runtime.state_root().short(),
-                    block.header.state_root.short()
-                )));
-            }
-            sys.chain.append(block).map_err(|e| {
-                CoreError::Storage(format!("recovered chain rejects block {height}: {e}"))
-            })?;
-        }
-        if sys.chain.height() != meta.chain_mark {
-            return Err(CoreError::Storage(format!(
-                "recovered chain height {} does not match committed mark {}",
-                sys.chain.height(),
-                meta.chain_mark
-            )));
-        }
+        let debt_bytes = restore_peers(&mut sys, snapshot, &records, &meta)?;
+        replay_chain(
+            &mut sys,
+            records.into_iter().flat_map(|record| record.blocks),
+        )?;
 
         // Restore the scalar machine state.
         sys.clock_ms = meta.clock_ms;
@@ -878,18 +856,22 @@ impl System {
             })?;
         }
 
-        // Re-attach with the recovered watermarks.
-        let mut p = Persistence::new(backend, sys.config.storage);
-        p.epoch = meta.epoch;
-        p.snapshot_id = meta.snapshot_id;
-        p.chain_mark = meta.chain_mark;
-        p.flushes_since_snapshot = meta.epoch.saturating_sub(meta.snapshot_id);
-        for pm in &meta.peers {
-            p.peer_marks.insert(pm.name.clone(), pm.stream_mark);
-            p.peer_seqs.insert(pm.name.clone(), pm.next_seq);
-            p.snapshot_marks.insert(pm.name.clone(), pm.snapshot_mark);
-        }
-        sys.persist = Some(p);
+        // Re-attach where the newest record left off. Later records name
+        // the snapshot actually used, which is the named one unless
+        // recovery had to fall back.
+        sys.persist = Some(Persistence {
+            epoch: meta.epoch,
+            snapshot_id,
+            snapshot_bytes,
+            debt_bytes,
+            peer_seqs: meta
+                .peers
+                .iter()
+                .map(|pm| (pm.name.clone(), pm.next_seq))
+                .collect(),
+            height: sys.chain.height(),
+            ..Persistence::new(backend)
+        });
         Ok(Recovery::Resumed(Box::new(sys)))
     }
 }
@@ -929,7 +911,6 @@ mod tests {
         let ledger = MedLedger::builder()
             .config(cfg.clone())
             .storage_backend(Box::new(backend.clone()))
-            .snapshot_every(2)
             .build()
             .expect("boot durable");
         assert!(ledger.is_durable());

@@ -127,10 +127,6 @@ pub struct SystemConfig {
     /// count. `false` restores the legacy one-`ack_update`-per-receiver
     /// round (still exercised by the equivalence tests).
     pub aggregated_acks: bool,
-    /// Durable-storage tuning (snapshot cadence). Only consulted when a
-    /// [`medledger_storage::StorageBackend`] is attached — the default
-    /// in-memory deployment ignores it entirely.
-    pub storage: crate::persist::StorageOptions,
 }
 
 impl Default for SystemConfig {
@@ -149,7 +145,6 @@ impl Default for SystemConfig {
             fanout_workers: 0,
             shards_per_table: 1,
             aggregated_acks: true,
-            storage: crate::persist::StorageOptions::default(),
         }
     }
 }
@@ -2332,6 +2327,7 @@ impl System {
         timer.stage("phase.cascade");
 
         self.flush_storage()?;
+        timer.stage("phase.flush");
         self.close_wave(timer, stats_before, slots, co_txs_out, deferred)
     }
 

@@ -10,9 +10,10 @@
 //!
 //! On a fresh `--data` directory the Fig. 1 scenario (Patient / Doctor /
 //! Researcher sharing medical records) is bootstrapped; on an existing
-//! one the previous deployment is *recovered* — WALs replayed onto the
-//! latest snapshot, Merkle subroots re-verified — and the gateway
-//! resumes with wave numbering continuing where it left off.
+//! one the previous deployment is *recovered* — logged WAL records
+//! replayed onto the snapshot the newest flush names, Merkle subroots
+//! re-verified — and the gateway resumes with wave numbering continuing
+//! where it left off.
 
 use std::process::ExitCode;
 
@@ -77,7 +78,6 @@ fn run(args: Args) -> Result<(), String> {
         .seed("node-boot")
         .shards_per_table(4)
         .durable(&args.data)
-        .snapshot_every(4)
         .build()
         .map_err(|e| format!("boot failed: {e}"))?;
     let fresh = ledger.peers().is_empty();

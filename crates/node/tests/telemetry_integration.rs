@@ -17,7 +17,15 @@ use medledger_telemetry::{Recorder, Registry, Snapshot};
 const WARD: &str = "ward";
 
 /// The Fig. 5 pipeline stages, in wave order.
-const PHASES: [&str; 6] = ["screen", "prepare", "consensus", "fanout", "ack", "cascade"];
+const PHASES: [&str; 7] = [
+    "screen",
+    "prepare",
+    "consensus",
+    "fanout",
+    "ack",
+    "cascade",
+    "flush",
+];
 
 fn clinic(seed: &str) -> LedgerService {
     let schema = Schema::new(
@@ -152,10 +160,8 @@ fn wave_phase_timings_are_monotone_and_sum_consistent() {
         phase_sum += h.sum;
     }
     // The stages partition each wave's [start, finish) into disjoint
-    // intervals (the cascade stage closes before the storage flush the
-    // total still covers), and per-stage floor-to-µs rounding only
-    // loses time — so the summed stage time never exceeds the summed
-    // totals.
+    // intervals, and per-stage floor-to-µs rounding only loses time — so
+    // the summed stage time never exceeds the summed totals.
     assert!(
         phase_sum <= total.sum,
         "phase time {phase_sum}µs exceeds wave total {}µs",

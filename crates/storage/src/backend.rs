@@ -1,7 +1,7 @@
 //! The backend abstraction the system core persists through.
 //!
-//! `medledger-core` writes WAL records, flush commit markers, and
-//! snapshots through [`StorageBackend`] without knowing whether the
+//! `medledger-core` writes flush records and snapshots through
+//! [`StorageBackend`] without knowing whether the
 //! bytes land on disk ([`crate::DurableStore`]), stay in memory
 //! ([`MemoryBackend`] — hermetic tests), or pass through a fault
 //! injector (the crash-recovery suite wraps a backend and fails appends
@@ -13,37 +13,25 @@ use std::collections::BTreeMap;
 /// A set of named append-only record streams plus a snapshot store.
 ///
 /// Streams are created implicitly on first touch. Record indices are
-/// dense and start at 0; compaction may make a prefix unreadable but
-/// never renumbers. Snapshot ids are chosen by the caller (the core
-/// uses the flush epoch) and must be increasing.
+/// dense and start at 0; a stream is never cut, from either end.
+/// Snapshot ids are chosen by the caller (the core uses the flush
+/// epoch); the newest two by id are retained.
 pub trait StorageBackend: Send {
     /// Appends a record to `stream`, returning its index.
     fn append(&mut self, stream: &str, payload: &[u8]) -> Result<u64>;
 
-    /// Number of records ever appended to `stream` (0 if untouched).
-    fn stream_len(&mut self, stream: &str) -> Result<u64>;
-
     /// Reads records `[from, len)` of `stream` in order.
     fn read_from(&mut self, stream: &str, from: u64) -> Result<Vec<Vec<u8>>>;
-
-    /// Drops every record of `stream` with index ≥ `len`.
-    fn truncate_to(&mut self, stream: &str, len: u64) -> Result<()>;
-
-    /// Allows the backend to reclaim records of `stream` below `below`.
-    /// Advisory: a backend may retain more than asked.
-    fn compact(&mut self, stream: &str, below: u64) -> Result<()>;
 
     /// Stores snapshot `id` atomically (visible fully or not at all).
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()>;
 
-    /// Returns the newest readable snapshot as `(id, payload)`.
-    fn latest_snapshot(&mut self) -> Result<Option<(u64, Vec<u8>)>>;
-
-    /// Returns snapshot `id` if it is still retained and readable.
+    /// Returns snapshot `id` if it is still retained (`None` if not; an
+    /// error if it is there but damaged).
     ///
-    /// Recovery needs this: a crash between snapshot write and the flush
-    /// commit record leaves the *newest* snapshot unreferenced, and the
-    /// committed state points one snapshot back.
+    /// Recovery reads snapshots by the id a flush record names, never
+    /// "the newest": a crash between a snapshot write and its flush
+    /// record leaves the newest snapshot unreferenced.
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>>;
 
     /// Flushes all buffered writes to stable storage.
@@ -84,6 +72,12 @@ impl MemoryBackend {
     pub fn stream_names(&self) -> Vec<String> {
         self.streams.keys().cloned().collect()
     }
+
+    /// The records of `stream`, editable in place — how a test tampers
+    /// with what a deployment wrote before recovering from it.
+    pub fn records_mut(&mut self, stream: &str) -> &mut Vec<Vec<u8>> {
+        self.streams.entry(stream.to_string()).or_default()
+    }
 }
 
 impl StorageBackend for MemoryBackend {
@@ -93,25 +87,9 @@ impl StorageBackend for MemoryBackend {
         Ok(records.len() as u64 - 1)
     }
 
-    fn stream_len(&mut self, stream: &str) -> Result<u64> {
-        Ok(self.streams.get(stream).map_or(0, |r| r.len() as u64))
-    }
-
     fn read_from(&mut self, stream: &str, from: u64) -> Result<Vec<Vec<u8>>> {
         let records = self.streams.get(stream).map(Vec::as_slice).unwrap_or(&[]);
         Ok(records.iter().skip(from as usize).cloned().collect())
-    }
-
-    fn truncate_to(&mut self, stream: &str, len: u64) -> Result<()> {
-        if let Some(records) = self.streams.get_mut(stream) {
-            records.truncate(len as usize);
-        }
-        Ok(())
-    }
-
-    fn compact(&mut self, _stream: &str, _below: u64) -> Result<()> {
-        // Memory reclamation is not worth renumbering complexity here.
-        Ok(())
     }
 
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()> {
@@ -122,14 +100,6 @@ impl StorageBackend for MemoryBackend {
             self.snapshots.remove(&oldest);
         }
         Ok(())
-    }
-
-    fn latest_snapshot(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        Ok(self
-            .snapshots
-            .iter()
-            .next_back()
-            .map(|(id, payload)| (*id, payload.clone())))
     }
 
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>> {
@@ -181,28 +151,12 @@ impl StorageBackend for SharedBackend {
         self.with(|b| b.append(stream, payload))
     }
 
-    fn stream_len(&mut self, stream: &str) -> Result<u64> {
-        self.with(|b| b.stream_len(stream))
-    }
-
     fn read_from(&mut self, stream: &str, from: u64) -> Result<Vec<Vec<u8>>> {
         self.with(|b| b.read_from(stream, from))
     }
 
-    fn truncate_to(&mut self, stream: &str, len: u64) -> Result<()> {
-        self.with(|b| b.truncate_to(stream, len))
-    }
-
-    fn compact(&mut self, stream: &str, below: u64) -> Result<()> {
-        self.with(|b| b.compact(stream, below))
-    }
-
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()> {
         self.with(|b| b.write_snapshot(id, payload))
-    }
-
-    fn latest_snapshot(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        self.with(|b| b.latest_snapshot())
     }
 
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>> {
@@ -224,11 +178,10 @@ mod tests {
         assert_eq!(b.append("a", b"1").expect("append"), 0);
         assert_eq!(b.append("b", b"x").expect("append"), 0);
         assert_eq!(b.append("a", b"2").expect("append"), 1);
-        assert_eq!(b.stream_len("a").expect("len"), 2);
-        assert_eq!(b.stream_len("missing").expect("len"), 0);
         assert_eq!(b.read_from("a", 1).expect("read"), vec![b"2".to_vec()]);
-        b.truncate_to("a", 1).expect("truncate");
-        assert_eq!(b.stream_len("a").expect("len"), 1);
+        assert!(b.read_from("missing", 0).expect("read").is_empty());
+        b.records_mut("a")[0] = b"tampered".to_vec();
+        assert_eq!(b.read_from("a", 0).expect("read")[0], b"tampered");
     }
 
     #[test]
@@ -238,8 +191,7 @@ mod tests {
             b.write_snapshot(id, &[id as u8]).expect("write");
         }
         assert_eq!(b.snapshot_count(), 2);
-        let (id, payload) = b.latest_snapshot().expect("latest").expect("some");
-        assert_eq!(id, 4);
-        assert_eq!(payload, vec![4]);
+        assert!(b.read_snapshot(2).expect("read").is_none());
+        assert_eq!(b.read_snapshot(4).expect("read"), Some(vec![4]));
     }
 }

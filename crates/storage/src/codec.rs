@@ -26,7 +26,7 @@
 use crate::{Result, StorageError};
 use medledger_crypto::{Hash256, MerkleProof, PublicKey, Signature};
 use medledger_relational::{
-    Column, LogRecord, Row, Schema, Table, TableDelta, Value, ValueType, WriteOp,
+    Column, LogRecord, Row, Schema, ShardMap, Table, TableDelta, Value, ValueType, WriteOp,
 };
 
 /// Serializes a value into the storage binary format.
@@ -233,6 +233,21 @@ impl<T: Decode> Decode for Option<T> {
             1 => Ok(Some(T::decode_from(r)?)),
             t => Err(StorageError::Codec(format!("invalid option tag {t}"))),
         }
+    }
+}
+
+/// A pair is its two halves, in order — so a `Vec<(String, u64)>` or a
+/// `Vec<(String, Table)>` goes through [`put_seq`] / [`take_seq`].
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.0.encode_into(out);
+        self.1.encode_into(out);
+    }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((A::decode_from(r)?, B::decode_from(r)?))
     }
 }
 
@@ -489,6 +504,19 @@ impl Decode for Table {
     }
 }
 
+/// A sharded table encodes exactly as the [`Table`] its shards assemble
+/// to (and decodes as one), so a snapshot can write a peer's stored
+/// shared copies without assembling them first.
+impl Encode for ShardMap {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.schema().encode_into(out);
+        put_varint(out, self.len() as u64);
+        for row in self.sorted_rows() {
+            row.encode_into(out);
+        }
+    }
+}
+
 impl Encode for TableDelta {
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_seq(out, &self.inserts);
@@ -685,6 +713,10 @@ mod tests {
         )
         .expect("table");
         assert_eq!(table2.encoded(), bytes);
+        // However the table is sharded, it encodes as the whole table.
+        for shards in [1, 4] {
+            assert_eq!(ShardMap::from_table(&table, shards).encoded(), bytes);
+        }
     }
 
     #[test]
@@ -709,6 +741,7 @@ mod tests {
             rows: vec![row![1i64, "z", 0.0]],
         });
         round_trip(&WriteOp::Delta { delta });
+        round_trip(&("dosage".to_string(), 7u64));
     }
 
     #[test]

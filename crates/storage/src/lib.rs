@@ -8,17 +8,17 @@
 //!    canonical forms on the hot hashing paths and is what WAL records
 //!    and snapshots are made of.
 //! 2. **WAL** ([`wal`]) — segmented, CRC-framed append-only record
-//!    streams with torn-tail truncation on open, loud failure on mid-log
-//!    corruption, and whole-segment compaction after snapshots.
+//!    streams with torn-tail truncation on open and loud failure on
+//!    mid-log corruption; a stream is never cut once written.
 //! 3. **Backend** ([`backend`], [`store`], [`snapshot`]) — the
 //!    [`StorageBackend`] trait the system core writes through, with an
 //!    in-memory implementation for hermetic tests and a directory-backed
 //!    [`DurableStore`] for real persistence.
 //!
-//! The system core (`medledger-core`) decides *what* to persist — WAL
-//! records carrying caller-attested post-state hashes, flush commit
-//! markers, periodic snapshots — and this crate decides *how* the bytes
-//! survive a crash.
+//! The system core (`medledger-core`) decides *what* to persist — one
+//! record per flush carrying that flush's blocks and its WAL records
+//! with their caller-attested post-state hashes, and periodic snapshots
+//! — and this crate decides *how* the bytes survive a crash.
 
 pub mod backend;
 pub mod codec;

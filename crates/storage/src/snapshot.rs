@@ -8,12 +8,14 @@
 //! [payload len: u64 LE][payload]
 //! ```
 //!
-//! Writes go through a temp file + rename so a crash mid-write leaves
-//! either the old set of snapshots or the new one, never a half file.
+//! Writes go through a temp file + rename + directory fsync, so a crash
+//! mid-write leaves either the old set of snapshots or the new one,
+//! never a half file, and a write that returned survives a power cut.
 //! The two most recent snapshots are retained; older ones are pruned
-//! after a successful write, so there is always a fallback if the
-//! newest file fails its checksum.
+//! after a successful write, so the caller has an older snapshot to
+//! fall back to if the newest file fails its checksum.
 
+use crate::wal::{create_dir_durable, sync_dir};
 use crate::{Result, StorageError};
 use medledger_crypto::crc32::crc32;
 use std::fs;
@@ -32,7 +34,7 @@ impl SnapshotDir {
     /// Opens (creating if needed) the snapshot directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        create_dir_durable(&dir)?;
         Ok(SnapshotDir { dir })
     }
 
@@ -54,6 +56,7 @@ impl SnapshotDir {
         drop(f);
         fs::rename(&tmp, self.path_for(id))?;
         self.prune(2)?;
+        sync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -83,28 +86,6 @@ impl SnapshotDir {
         }
         let bytes = fs::read(&path)?;
         Ok(Some(parse(&bytes, &path)?))
-    }
-
-    /// Returns the newest snapshot whose checksum verifies.
-    ///
-    /// A newest file that fails verification (crash between rename and
-    /// fsync of the directory, cosmic-ray damage) falls back to the one
-    /// before it; damage to *all* retained snapshots is loud.
-    pub fn latest(&self) -> Result<Option<(u64, Vec<u8>)>> {
-        let ids = self.ids()?;
-        let mut last_err = None;
-        for id in ids.iter().rev() {
-            let path = self.path_for(*id);
-            let bytes = fs::read(&path)?;
-            match parse(&bytes, &path) {
-                Ok(payload) => return Ok(Some((*id, payload))),
-                Err(err) => last_err = Some(err),
-            }
-        }
-        match last_err {
-            Some(err) => Err(err),
-            None => Ok(None),
-        }
     }
 
     /// Removes all but the newest `keep` snapshots.
@@ -160,24 +141,22 @@ mod tests {
     fn write_read_prune() {
         let dir = temp_dir("wrp");
         let snaps = SnapshotDir::open(&dir).expect("open");
-        assert!(snaps.latest().expect("latest").is_none());
+        assert!(snaps.ids().expect("ids").is_empty());
         for id in 1..=3u64 {
             snaps
                 .write(id, format!("state-{id}").as_bytes())
                 .expect("write");
         }
         assert_eq!(snaps.ids().expect("ids"), vec![2, 3], "pruned to two");
-        let (id, payload) = snaps.latest().expect("latest").expect("some");
-        assert_eq!(id, 3);
-        assert_eq!(payload, b"state-3");
+        assert_eq!(snaps.read(3).expect("read").expect("some"), b"state-3");
         assert_eq!(snaps.read(2).expect("read").expect("some"), b"state-2");
         assert!(snaps.read(1).expect("read").is_none());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn damaged_latest_falls_back() {
-        let dir = temp_dir("fallback");
+    fn damaged_snapshot_is_loud_and_leaves_the_older_one_readable() {
+        let dir = temp_dir("damaged");
         let snaps = SnapshotDir::open(&dir).expect("open");
         snaps.write(5, b"good-old").expect("write");
         snaps.write(6, b"good-new").expect("write");
@@ -187,22 +166,8 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF;
         fs::write(&path, &bytes).expect("write");
-        let (id, payload) = snaps.latest().expect("latest").expect("some");
-        assert_eq!(id, 5);
-        assert_eq!(payload, b"good-old");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn all_snapshots_damaged_is_loud() {
-        let dir = temp_dir("loud");
-        let snaps = SnapshotDir::open(&dir).expect("open");
-        snaps.write(1, b"only").expect("write");
-        let path = dir.join("snap-000000000001.bin");
-        let mut bytes = fs::read(&path).expect("read");
-        bytes[HEADER] ^= 0xFF;
-        fs::write(&path, &bytes).expect("write");
-        assert!(matches!(snaps.latest(), Err(StorageError::Corrupt(_))));
+        assert!(matches!(snaps.read(6), Err(StorageError::Corrupt(_))));
+        assert_eq!(snaps.read(5).expect("read").expect("some"), b"good-old");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,11 +15,10 @@
 
 use crate::backend::StorageBackend;
 use crate::snapshot::SnapshotDir;
-use crate::wal::SegmentedLog;
+use crate::wal::{create_dir_durable, SegmentedLog};
 use crate::Result;
 use medledger_crypto::sha256;
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::PathBuf;
 
 /// Default segment rotation budget (bytes).
@@ -59,10 +58,11 @@ impl DurableStore {
     }
 
     /// Opens with an explicit segment rotation budget (tests use small
-    /// budgets to exercise rotation and compaction).
+    /// budgets to exercise rotation).
     pub fn open_with_segment_bytes(root: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self> {
         let root = root.into();
-        fs::create_dir_all(root.join("streams"))?;
+        create_dir_durable(&root)?;
+        create_dir_durable(&root.join("streams"))?;
         let snapshots = SnapshotDir::open(root.join("snapshots"))?;
         Ok(DurableStore {
             root,
@@ -92,28 +92,12 @@ impl StorageBackend for DurableStore {
         self.stream(stream)?.append(payload)
     }
 
-    fn stream_len(&mut self, stream: &str) -> Result<u64> {
-        Ok(self.stream(stream)?.len())
-    }
-
     fn read_from(&mut self, stream: &str, from: u64) -> Result<Vec<Vec<u8>>> {
         self.stream(stream)?.read_from(from)
     }
 
-    fn truncate_to(&mut self, stream: &str, len: u64) -> Result<()> {
-        self.stream(stream)?.truncate_to(len)
-    }
-
-    fn compact(&mut self, stream: &str, below: u64) -> Result<()> {
-        self.stream(stream)?.compact(below)
-    }
-
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()> {
         self.snapshots.write(id, payload)
-    }
-
-    fn latest_snapshot(&mut self) -> Result<Option<(u64, Vec<u8>)>> {
-        self.snapshots.latest()
     }
 
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>> {
@@ -138,6 +122,7 @@ impl StorageBackend for DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -160,15 +145,18 @@ mod tests {
             store.sync().expect("sync");
         }
         let mut store = DurableStore::open_with_segment_bytes(&root, 64).expect("reopen");
-        assert_eq!(store.stream_len("chain").expect("len"), 2);
         assert_eq!(
             store.read_from("chain", 0).expect("read"),
             vec![b"block-1".to_vec(), b"block-2".to_vec()]
         );
-        assert_eq!(store.stream_len("peer-alice").expect("len"), 1);
-        let (id, payload) = store.latest_snapshot().expect("latest").expect("some");
-        assert_eq!(id, 7);
-        assert_eq!(payload, b"snapshot-payload");
+        assert_eq!(
+            store.read_from("peer-alice", 0).expect("read"),
+            vec![b"rec-a".to_vec()]
+        );
+        assert_eq!(
+            store.read_snapshot(7).expect("read").expect("some"),
+            b"snapshot-payload"
+        );
         fs::remove_dir_all(&root).ok();
     }
 

@@ -1,17 +1,18 @@
 //! Segmented append-only logs with CRC-protected frames.
 //!
-//! One [`SegmentedLog`] is one logical record stream (the durable layer
-//! keeps one per peer database, one for the chain, and one for flush
-//! commit markers). Records are framed as
+//! One [`SegmentedLog`] is one logical record stream (the system core
+//! keeps a single one, `log`, holding one record per flush). Records are
+//! framed as
 //!
 //! ```text
 //! [payload len: u32 LE][crc32(payload): u32 LE][payload bytes]
 //! ```
 //!
 //! and appended to numbered segment files `seg-<first record index>.log`;
-//! a segment rotates once it exceeds the configured byte budget, so
-//! compaction after a snapshot can unlink whole files instead of
-//! rewriting anything.
+//! a segment rotates once it exceeds the configured byte budget. Creating
+//! a segment (or the log's directory) also fsyncs the directory that
+//! holds the new entry, so a power cut cannot lose a file whose contents
+//! were already synced.
 //!
 //! Recovery semantics on open (the crash contract):
 //! * a **torn tail** — an incomplete frame, or a final frame whose CRC
@@ -64,18 +65,40 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Fsyncs a directory, making the entries created, renamed or removed
+/// in it durable.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// `create_dir_all`, plus an fsync of the parent when `dir` did not
+/// exist yet — the new entry must survive a power cut like the files
+/// that will go under it.
+pub(crate) fn create_dir_durable(dir: &Path) -> std::io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    fs::create_dir_all(dir)?;
+    match dir.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => sync_dir(parent),
+        _ => Ok(()),
+    }
+}
+
 /// Outcome of scanning one segment file.
 struct ScanOutcome {
-    records: Vec<Vec<u8>>,
+    /// Valid frames found.
+    records: u64,
     /// Bytes covered by valid frames (< file length iff a tail was torn).
     valid_bytes: u64,
     /// Description of the invalid tail, if any.
     torn: Option<String>,
 }
 
-/// Walks a segment's frames, stopping at the first invalid one.
-fn scan_segment(bytes: &[u8]) -> ScanOutcome {
-    let mut records = Vec::new();
+/// Walks a segment's frames, handing each valid payload to `visit` and
+/// stopping at the first invalid frame.
+fn scan_segment<'a>(bytes: &'a [u8], mut visit: impl FnMut(&'a [u8])) -> ScanOutcome {
+    let mut records = 0u64;
     let mut pos = 0usize;
     loop {
         let rest = bytes.len() - pos;
@@ -121,7 +144,8 @@ fn scan_segment(bytes: &[u8]) -> ScanOutcome {
                 torn: Some("frame checksum mismatch".into()),
             };
         }
-        records.push(payload.to_vec());
+        visit(payload);
+        records += 1;
         pos = body + len as usize;
     }
 }
@@ -132,7 +156,7 @@ impl SegmentedLog {
     /// anywhere else fails loudly.
     pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
+        create_dir_durable(&dir)?;
         let mut paths: Vec<PathBuf> = fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
@@ -148,11 +172,6 @@ impl SegmentedLog {
         let last = paths.len().checked_sub(1);
         for (i, path) in paths.iter().enumerate() {
             let declared = segment_first_index(path)?;
-            if i == 0 {
-                // Compaction may have unlinked the origin segment; the log
-                // then legitimately starts at a nonzero record index.
-                next_index = declared;
-            }
             if declared != next_index {
                 return Err(StorageError::Corrupt(format!(
                     "segment {} starts at record {declared}, expected {next_index} \
@@ -161,7 +180,7 @@ impl SegmentedLog {
                 )));
             }
             let bytes = fs::read(path)?;
-            let outcome = scan_segment(&bytes);
+            let outcome = scan_segment(&bytes, |_| {});
             if let Some(reason) = outcome.torn {
                 if Some(i) == last {
                     // Crash signature: drop the torn tail and carry on.
@@ -176,10 +195,10 @@ impl SegmentedLog {
                     )));
                 }
             }
-            next_index += outcome.records.len() as u64;
+            next_index += outcome.records;
             segments.push(Segment {
                 first: declared,
-                records: outcome.records.len() as u64,
+                records: outcome.records,
                 bytes: outcome.valid_bytes,
                 path: path.clone(),
             });
@@ -202,17 +221,9 @@ impl SegmentedLog {
         self.len() == 0
     }
 
-    /// Number of live segment files (grows on rotation, shrinks on
-    /// compaction).
+    /// Number of segment files (grows on rotation).
     pub fn segment_count(&self) -> u64 {
         self.segments.len() as u64
-    }
-
-    /// Index of the oldest retained record (> 0 after compaction).
-    pub fn first_retained(&self) -> u64 {
-        self.segments
-            .first()
-            .map_or_else(|| self.len(), |s| s.first)
     }
 
     /// Appends a record, returning its index. Rotates into a fresh
@@ -226,6 +237,7 @@ impl SegmentedLog {
         if rotate {
             let path = self.dir.join(format!("seg-{index:012}.log"));
             File::create(&path)?.sync_all()?;
+            sync_dir(&self.dir)?;
             self.segments.push(Segment {
                 first: index,
                 records: 0,
@@ -248,105 +260,29 @@ impl SegmentedLog {
         Ok(index)
     }
 
-    /// Reads records `[from, len)` in order. `from` below the compaction
-    /// horizon is an error — those records are gone by design.
+    /// Reads records `[from, len)` in order.
     pub fn read_from(&self, from: u64) -> Result<Vec<Vec<u8>>> {
-        if from < self.first_retained() {
-            return Err(StorageError::Corrupt(format!(
-                "records from {from} requested but log is compacted below {}",
-                self.first_retained()
-            )));
-        }
         let mut out = Vec::new();
         for seg in &self.segments {
             if seg.first + seg.records <= from {
                 continue;
             }
             let bytes = fs::read(&seg.path)?;
-            let outcome = scan_segment(&bytes);
-            if outcome.torn.is_some() || outcome.records.len() as u64 != seg.records {
+            let mut index = seg.first;
+            let outcome = scan_segment(&bytes, |payload| {
+                if index >= from {
+                    out.push(payload.to_vec());
+                }
+                index += 1;
+            });
+            if outcome.torn.is_some() || outcome.records != seg.records {
                 return Err(StorageError::Corrupt(format!(
                     "segment {} changed shape since open",
                     seg.path.display()
                 )));
             }
-            let skip = from.saturating_sub(seg.first) as usize;
-            out.extend(outcome.records.into_iter().skip(skip));
         }
         Ok(out)
-    }
-
-    /// Drops every record with index ≥ `len` (physical rollback of an
-    /// uncommitted flush suffix). No-op when the log is already shorter.
-    pub fn truncate_to(&mut self, len: u64) -> Result<()> {
-        if len >= self.len() {
-            return Ok(());
-        }
-        self.writer = None;
-        while let Some(seg) = self.segments.last() {
-            if seg.first >= len && !self.segments.is_empty() {
-                let seg = self.segments.pop().expect("non-empty");
-                fs::remove_file(&seg.path)?;
-            } else {
-                break;
-            }
-        }
-        if let Some(seg) = self.segments.last_mut() {
-            let keep = len - seg.first;
-            if keep < seg.records {
-                let bytes = fs::read(&seg.path)?;
-                let mut pos = 0usize;
-                for _ in 0..keep {
-                    let flen = u32::from_le_bytes(
-                        bytes[pos..pos + 4].try_into().expect("scanned at open"),
-                    );
-                    pos += FRAME_HEADER + flen as usize;
-                }
-                let f = OpenOptions::new().write(true).open(&seg.path)?;
-                f.set_len(pos as u64)?;
-                f.sync_all()?;
-                seg.records = keep;
-                seg.bytes = pos as u64;
-            }
-        }
-        Ok(())
-    }
-
-    /// Unlinks whole segments that only hold records below `below`
-    /// (post-snapshot compaction). Partially covered segments stay.
-    pub fn compact(&mut self, below: u64) -> Result<()> {
-        while self.segments.len() > 1 {
-            let next_first = self.segments[1].first;
-            if next_first <= below {
-                let seg = self.segments.remove(0);
-                fs::remove_file(&seg.path)?;
-            } else {
-                break;
-            }
-        }
-        // A fully consumed single segment can also go once a rotation
-        // boundary is reached; keeping it simple: only drop it when empty
-        // of retained records and fully below the horizon.
-        if self.segments.len() == 1 {
-            let seg = &self.segments[0];
-            if seg.first + seg.records <= below && seg.bytes >= self.segment_bytes {
-                let seg = self.segments.remove(0);
-                // Preserve the index origin for the next append.
-                let placeholder = self
-                    .dir
-                    .join(format!("seg-{:012}.log", seg.first + seg.records));
-                File::create(&placeholder)?.sync_all()?;
-                fs::remove_file(&seg.path)?;
-                self.segments.push(Segment {
-                    first: seg.first + seg.records,
-                    records: 0,
-                    bytes: 0,
-                    path: placeholder,
-                });
-                self.writer = None;
-            }
-        }
-        Ok(())
     }
 
     /// Flushes buffered appends to the OS and fsyncs the active segment.
@@ -477,30 +413,17 @@ mod tests {
     }
 
     #[test]
-    fn truncate_and_compact() {
-        let dir = temp_dir("trunc");
-        let mut log = SegmentedLog::open(&dir, 48).expect("open");
-        for i in 0..12u64 {
-            log.append(format!("r{i:04}").as_bytes()).expect("append");
-        }
-        log.truncate_to(7).expect("truncate");
-        assert_eq!(log.len(), 7);
-        assert_eq!(log.read_from(6).expect("read"), vec![b"r0006".to_vec()]);
-        // Appends continue from the truncated length.
-        assert_eq!(log.append(b"r-new").expect("append"), 7);
-        log.compact(6).expect("compact");
-        assert!(log.first_retained() <= 6);
-        assert_eq!(log.read_from(6).expect("read").len(), 2);
-        assert!(log.read_from(0).is_err(), "compacted range unreadable");
-        // Reopen after compaction: the origin segment is gone, so the
-        // first retained segment declares a nonzero start — indices must
-        // still line up from there.
-        let retained = log.first_retained();
+    fn missing_first_segment_fails_loudly() {
+        let dir = temp_dir("headless");
+        let mut log = SegmentedLog::open(&dir, 16).expect("open");
+        log.append(b"first-segment-record").expect("append");
+        log.append(b"second-segment-record").expect("append");
+        log.sync().expect("sync");
         drop(log);
-        let log = SegmentedLog::open(&dir, 48).expect("reopen after compaction");
-        assert_eq!(log.len(), 8);
-        assert_eq!(log.first_retained(), retained);
-        assert_eq!(log.read_from(7).expect("read"), vec![b"r-new".to_vec()]);
+        // The log is never cut from the front, so it always starts at 0.
+        fs::remove_file(dir.join("seg-000000000000.log")).expect("unlink");
+        let err = SegmentedLog::open(&dir, 16).expect_err("must fail");
+        assert!(matches!(err, StorageError::Corrupt(_)));
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -144,8 +144,8 @@ pub use medledger_telemetry as telemetry;
 pub use medledger_workload as workload;
 
 pub use medledger_core::{
-    CommitError, CommitOutcome, ConsensusKind, CoreError, MedLedger, MedLedgerBuilder, PeerId,
-    PeerReader, PeerSession, PropagationMode, Recovery, ShareBuilder, StorageOptions, SystemConfig,
+    CommitError, CommitOutcome, ConsensusKind, CoreError, FlushRecord, MedLedger, MedLedgerBuilder,
+    PeerId, PeerReader, PeerSession, PropagationMode, Recovery, ShareBuilder, SystemConfig,
     UpdateBatch, UpdateReport, WorkflowTrace,
 };
 pub use medledger_engine::{CommitTicket, LedgerService, Submission, WaveReport};

@@ -3,17 +3,18 @@
 //! committed prefix of the original run.
 //!
 //! The durable design's contract (see `medledger-core`'s `persist`
-//! module) is **commit-record atomicity**: a flush is visible if and
-//! only if its `SysMeta` record landed in the `sys` stream. The suite
-//! drives real workloads over instrumented backends:
+//! module) is **frame atomicity**: a flush is one record appended as one
+//! frame to the `log` stream, visible if and only if that frame landed.
+//! The suite drives real workloads over instrumented backends:
 //!
 //! * [`RecordingBackend`] captures the shared [`MemoryBackend`] state
 //!   *before every append and snapshot write* — each capture is exactly
 //!   the bytes a crash at that write would leave behind (the backend is
-//!   record-atomic; sub-record torn frames are the WAL layer's problem
-//!   and covered by `medledger-storage`'s own tests plus the splice
-//!   tests below). One workload run therefore enumerates every
-//!   crash point.
+//!   record-atomic; a frame cut part-way is the log layer's problem,
+//!   covered by `medledger-storage`'s own tests plus the end-to-end cut
+//!   test below). One workload run therefore enumerates every crash
+//!   point, and the call sequence it notes prices a commit in backend
+//!   calls.
 //! * [`CrashBackend`] fails every append after a budget — *forever*, the
 //!   way a dead disk stays dead — to check the live system's behavior on
 //!   storage failure: the error surfaces, later flushes refuse to run
@@ -29,10 +30,12 @@
 use medledger::core::scenario::{self, Fig1Scenario, SHARE_PD, SHARE_RD};
 use medledger::crypto::Hash256;
 use medledger::storage::{
-    MemoryBackend, Result as StorageResult, SharedBackend, StorageBackend, StorageError,
+    Decode, DurableStore, Encode, MemoryBackend, Result as StorageResult, SharedBackend,
+    StorageBackend, StorageError,
 };
-use medledger::{ConsensusKind, LedgerService, MedLedger, SystemConfig, Value};
+use medledger::{ConsensusKind, FlushRecord, LedgerService, MedLedger, SystemConfig, Value};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -40,63 +43,71 @@ use std::sync::{Arc, Mutex};
 // Instrumented backends
 // ----------------------------------------------------------------------
 
-/// Captures the backend state before every mutating write: capture `k`
-/// is what a crash at write `k` leaves on disk.
+/// A backend call that writes or syncs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Call {
+    Append,
+    Snapshot,
+    Sync,
+}
+
+/// Every writing call in order; appends and snapshot writes carry the
+/// backend state captured just before them.
+type CallLog = Vec<(Call, Option<MemoryBackend>)>;
+
+/// Notes every writing call, and captures the backend state before each
+/// append and snapshot write: capture `k` is what a crash at write `k`
+/// leaves on disk.
 #[derive(Clone)]
 struct RecordingBackend {
     inner: SharedBackend,
-    captures: Arc<Mutex<Vec<MemoryBackend>>>,
+    log: Arc<Mutex<CallLog>>,
 }
 
 impl RecordingBackend {
     fn new(inner: SharedBackend) -> Self {
         RecordingBackend {
             inner,
-            captures: Arc::new(Mutex::new(Vec::new())),
+            log: Arc::default(),
         }
     }
 
-    fn record(&self) {
-        self.captures
-            .lock()
-            .expect("captures lock")
-            .push(self.inner.snapshot_state());
+    fn record(&self, call: Call) {
+        let before = (call != Call::Sync).then(|| self.inner.snapshot_state());
+        self.log.lock().expect("log lock").push((call, before));
     }
 
-    fn captures(&self) -> Vec<MemoryBackend> {
-        self.captures.lock().expect("captures lock").clone()
+    fn calls(&self) -> Vec<Call> {
+        let log = self.log.lock().expect("log lock");
+        log.iter().map(|(call, _)| *call).collect()
+    }
+
+    /// The writes in call order, each with the state captured before it.
+    fn captures(&self) -> Vec<(Call, MemoryBackend)> {
+        let log = self.log.lock().expect("log lock");
+        log.iter()
+            .filter_map(|(call, before)| Some((*call, before.clone()?)))
+            .collect()
+    }
+
+    fn count(&self, call: Call) -> usize {
+        self.calls().iter().filter(|c| **c == call).count()
     }
 }
 
 impl StorageBackend for RecordingBackend {
     fn append(&mut self, stream: &str, payload: &[u8]) -> StorageResult<u64> {
-        self.record();
+        self.record(Call::Append);
         self.inner.append(stream, payload)
-    }
-
-    fn stream_len(&mut self, stream: &str) -> StorageResult<u64> {
-        self.inner.stream_len(stream)
     }
 
     fn read_from(&mut self, stream: &str, from: u64) -> StorageResult<Vec<Vec<u8>>> {
         self.inner.read_from(stream, from)
     }
 
-    fn truncate_to(&mut self, stream: &str, len: u64) -> StorageResult<()> {
-        self.inner.truncate_to(stream, len)
-    }
-
-    fn compact(&mut self, stream: &str, below: u64) -> StorageResult<()> {
-        self.inner.compact(stream, below)
-    }
-
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> StorageResult<()> {
-        self.record();
+        self.record(Call::Snapshot);
         self.inner.write_snapshot(id, payload)
-    }
-
-    fn latest_snapshot(&mut self) -> StorageResult<Option<(u64, Vec<u8>)>> {
-        self.inner.latest_snapshot()
     }
 
     fn read_snapshot(&mut self, id: u64) -> StorageResult<Option<Vec<u8>>> {
@@ -104,6 +115,7 @@ impl StorageBackend for RecordingBackend {
     }
 
     fn sync(&mut self) -> StorageResult<()> {
+        self.record(Call::Sync);
         self.inner.sync()
     }
 }
@@ -144,20 +156,8 @@ impl StorageBackend for CrashBackend {
         self.inner.append(stream, payload)
     }
 
-    fn stream_len(&mut self, stream: &str) -> StorageResult<u64> {
-        self.inner.stream_len(stream)
-    }
-
     fn read_from(&mut self, stream: &str, from: u64) -> StorageResult<Vec<Vec<u8>>> {
         self.inner.read_from(stream, from)
-    }
-
-    fn truncate_to(&mut self, stream: &str, len: u64) -> StorageResult<()> {
-        self.inner.truncate_to(stream, len)
-    }
-
-    fn compact(&mut self, stream: &str, below: u64) -> StorageResult<()> {
-        self.inner.compact(stream, below)
     }
 
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> StorageResult<()> {
@@ -165,10 +165,6 @@ impl StorageBackend for CrashBackend {
             return self.injected();
         }
         self.inner.write_snapshot(id, payload)
-    }
-
-    fn latest_snapshot(&mut self) -> StorageResult<Option<(u64, Vec<u8>)>> {
-        self.inner.latest_snapshot()
     }
 
     fn read_snapshot(&mut self, id: u64) -> StorageResult<Option<Vec<u8>>> {
@@ -209,12 +205,10 @@ fn sharded_config(seed: &str) -> SystemConfig {
 fn durable_fig1(
     cfg: &SystemConfig,
     backend: Box<dyn StorageBackend>,
-    snapshot_every: u64,
 ) -> medledger::core::Result<Fig1Scenario> {
     let ledger = MedLedger::builder()
         .config(cfg.clone())
         .storage_backend(backend)
-        .snapshot_every(snapshot_every)
         .build()?;
     scenario::populate(ledger)
 }
@@ -303,6 +297,11 @@ fn assert_live(ledger: &mut MedLedger) {
 // Crash-point sweep
 // ----------------------------------------------------------------------
 
+/// Commits in the sweep: enough for the replay debt to reach the
+/// snapshot's size twice (Fig. 1's snapshot is ~1.8 KB and a commit logs
+/// ~350 B of peer records, so a cadence snapshot falls every 5–6).
+const SWEEP_COMMITS: usize = 12;
+
 /// Crash at *every* storage write the workload performs. One recorded
 /// run enumerates the crash points; recovery from each capture must
 /// yield a verified, committed prefix of the run — never an error,
@@ -315,22 +314,34 @@ fn every_crash_point_recovers_a_committed_prefix() {
 
     // The recorded run, checkpointed at every commit boundary the flush
     // layer can persist (after populate, then after each commit).
-    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone()), 2).expect("build");
+    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone())).expect("build");
+    let setup_snapshots = recorder.count(Call::Snapshot);
     let mut checkpoints = vec![capture(&scn.ledger)];
-    for i in 0..4 {
+    for i in 0..SWEEP_COMMITS {
         workload_commit(&mut scn, i).unwrap_or_else(|e| panic!("commit {i}: {e}"));
         checkpoints.push(capture(&scn.ledger));
     }
     scn.ledger.close().expect("close");
-    let final_state = recorder.inner.snapshot_state();
+    let mut final_state = recorder.inner.snapshot_state();
     let captures = recorder.captures();
+
+    // The sweep is exactly as dense as the run: one append per flush —
+    // set-up's structural ones, one per commit, one for `close` — and one
+    // write per snapshot, at least two of them taken on cadence.
+    let flushes = final_state.read_from("log", 0).expect("read").len();
+    assert_eq!(recorder.count(Call::Append), flushes);
+    assert_eq!(flushes, setup_snapshots + SWEEP_COMMITS + 1);
+    let cadence_snapshots = recorder.count(Call::Snapshot) - setup_snapshots;
     assert!(
-        captures.len() > 40,
-        "expected a dense sweep, got {} crash points",
-        captures.len()
+        cadence_snapshots >= 2,
+        "the sweep must cross two cadence snapshots, crossed {cadence_snapshots}"
+    );
+    assert_eq!(
+        captures.len(),
+        flushes + setup_snapshots + cadence_snapshots
     );
 
-    for (k, state) in captures.into_iter().enumerate() {
+    for (k, (_, state)) in captures.into_iter().enumerate() {
         let recovered = recover(&cfg, state)
             .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
         recovered
@@ -354,66 +365,210 @@ fn every_crash_point_recovers_a_committed_prefix() {
     assert_live(&mut recovered);
 }
 
+/// What a commit costs in backend calls, whatever the disk's speed: an
+/// ordinary durable commit is one append and one sync; one that takes a
+/// snapshot adds exactly the snapshot write.
+#[test]
+fn a_commit_is_one_append_and_one_sync() {
+    let cfg = config("crash-calls");
+    let recorder = RecordingBackend::new(SharedBackend::new());
+    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone())).expect("build");
+    let mut snapshot_commits = 0;
+    for i in 0..8 {
+        let before = recorder.calls().len();
+        workload_commit(&mut scn, i).expect("commit");
+        let calls = recorder.calls().split_off(before);
+        if calls == [Call::Snapshot, Call::Append, Call::Sync] {
+            snapshot_commits += 1;
+        } else {
+            assert_eq!(calls, [Call::Append, Call::Sync], "commit {i}");
+        }
+    }
+    assert_eq!(snapshot_commits, 1, "one cadence snapshot in eight commits");
+}
+
 // ----------------------------------------------------------------------
 // Targeted crash points
 // ----------------------------------------------------------------------
 
-/// A crash that loses the commit record (WAL/chain records appended but
-/// no `SysMeta`) must recover to the *previous* commit — the
-/// half-written flush vanishes entirely.
+/// A scratch directory for one on-disk test.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("medledger-crash-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy");
+        }
+    }
+}
+
+/// The files under `dir/<sub>/…` whose name starts with `prefix`, sorted.
+fn files_under(dir: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read dir") {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            found.extend(files_under(&path, prefix));
+        } else if path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.starts_with(prefix))
+        {
+            found.push(path);
+        }
+    }
+    found.sort();
+    found
+}
+
+fn recover_dir(cfg: &SystemConfig, dir: &Path) -> medledger::core::Result<MedLedger> {
+    MedLedger::builder()
+        .config(cfg.clone())
+        .storage_backend(Box::new(DurableStore::open(dir).expect("reopen")))
+        .build()
+}
+
+/// A crash part-way through the final frame — wherever it cuts — must
+/// recover exactly the *previous* commit: the half-written flush
+/// vanishes entirely, and nothing before it is touched.
 #[test]
 fn uncommitted_flush_suffix_is_discarded_on_recovery() {
     let cfg = config("crash-suffix");
-    let shared = SharedBackend::new();
-    let mut scn = durable_fig1(&cfg, Box::new(shared.clone()), 100).expect("build");
-    for i in 0..2 {
+    let root = scratch_dir("suffix");
+    let store = DurableStore::open(&root).expect("open");
+    let mut scn = durable_fig1(&cfg, Box::new(store)).expect("build");
+    workload_commit(&mut scn, 0).expect("commit");
+    let committed = capture(&scn.ledger);
+    workload_commit(&mut scn, 1).expect("commit");
+    drop(scn);
+
+    // Find the final frame: `[len: u32 LE][crc: u32 LE][payload]`.
+    let segments = files_under(&root, "seg-");
+    assert_eq!(segments.len(), 1, "this short run fits one segment");
+    let bytes = std::fs::read(&segments[0]).expect("read segment");
+    let (mut start, mut next) = (0usize, 0usize);
+    while next < bytes.len() {
+        start = next;
+        let len = u32::from_le_bytes(bytes[start..start + 4].try_into().expect("4 bytes"));
+        next = start + 8 + len as usize;
+    }
+    assert_eq!(next, bytes.len(), "frames tile the segment");
+
+    // Cut inside the header, in mid-payload, and one byte short.
+    for (tag, keep) in [
+        ("header", start + 3),
+        ("payload", start + 8 + (next - start - 8) / 2),
+        ("last-byte", next - 1),
+    ] {
+        let copy = scratch_dir(&format!("suffix-{tag}"));
+        copy_dir(&root, &copy);
+        let segment = &files_under(&copy, "seg-")[0];
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(segment)
+            .expect("open segment");
+        file.set_len(keep as u64).expect("cut");
+        drop(file);
+
+        let mut recovered =
+            recover_dir(&cfg, &copy).unwrap_or_else(|e| panic!("cut at {tag}: {e}"));
+        assert_eq!(capture(&recovered), committed, "cut at {tag}");
+        assert_live(&mut recovered);
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The snapshot the newest record names is unreadable (damaged, or gone):
+/// recovery falls back to the snapshot an older record names and replays
+/// the log forward from there — all the way to the *newest* commit.
+#[test]
+fn unreadable_named_snapshot_falls_back_and_still_reaches_the_newest_commit() {
+    let cfg = config("crash-snapshot-fallback");
+    let root = scratch_dir("fallback");
+    let store = DurableStore::open(&root).expect("open");
+    let mut scn = durable_fig1(&cfg, Box::new(store)).expect("build");
+    // Past the first cadence snapshot, so the store retains it and the
+    // last structural one before it.
+    for i in 0..8 {
         workload_commit(&mut scn, i).expect("commit");
     }
     let committed = capture(&scn.ledger);
+    drop(scn);
+    assert_eq!(files_under(&root, "snap-").len(), 2);
 
-    // Splice garbage beyond the committed marks of the peer and chain
-    // streams — exactly what a flush that died before its commit record
-    // leaves behind.
-    let mut state = shared.snapshot_state();
-    state
-        .append("peer/Doctor", b"torn half-written record")
-        .expect("splice");
-    state.append("chain", b"torn block").expect("splice");
+    for damage in ["flip", "unlink"] {
+        let copy = scratch_dir(&format!("fallback-{damage}"));
+        copy_dir(&root, &copy);
+        let newest = files_under(&copy, "snap-").pop().expect("a snapshot");
+        if damage == "flip" {
+            let mut bytes = std::fs::read(&newest).expect("read");
+            let n = bytes.len();
+            bytes[n - 1] ^= 0xFF;
+            std::fs::write(&newest, &bytes).expect("write");
+        } else {
+            std::fs::remove_file(&newest).expect("unlink");
+        }
 
-    let recovered = recover(&cfg, state).expect("recover");
-    assert_eq!(capture(&recovered), committed);
-    recovered.check_consistency().expect("consistent");
+        let mut recovered =
+            recover_dir(&cfg, &copy).unwrap_or_else(|e| panic!("snapshot {damage}: {e}"));
+        assert_eq!(capture(&recovered), committed, "snapshot {damage}");
+        assert_live(&mut recovered);
+        let _ = std::fs::remove_dir_all(&copy);
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A commit record whose data never made it (sys record present, stream
-/// contents shorter than its marks) must be skipped in favor of the
-/// previous intact commit — the fsync-ordering hazard.
+/// A crash between a snapshot write and its flush record leaves an
+/// orphan: a snapshot no record names, whose id the next flush reuses as
+/// its epoch. Recovery must never pick it up — not right after the crash
+/// (its id is above the newest epoch) and not after a later commit has
+/// caught up with that id without snapshotting.
 #[test]
-fn commit_record_without_its_data_is_skipped() {
-    let cfg = config("crash-dangling-meta");
-    let shared = SharedBackend::new();
-    let mut scn = durable_fig1(&cfg, Box::new(shared.clone()), 100).expect("build");
+fn orphan_snapshot_of_a_crashed_flush_is_never_used() {
+    let cfg = config("crash-orphan");
+    let recorder = RecordingBackend::new(SharedBackend::new());
+    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone())).expect("build");
     workload_commit(&mut scn, 0).expect("commit");
     let committed = capture(&scn.ledger);
+    // A structural flush: snapshot (with the new peer in it), then record.
+    let writes_before = recorder.captures().len();
+    scn.ledger.add_peer("Nurse").expect("add peer");
+    let (calls, states): (Vec<Call>, Vec<MemoryBackend>) = recorder
+        .captures()
+        .split_off(writes_before)
+        .into_iter()
+        .unzip();
+    assert_eq!(calls, [Call::Snapshot, Call::Append]);
+    // Crash at the append: the snapshot is on disk, its record is not.
+    let crashed = states.into_iter().nth(1).expect("state before the append");
 
-    let mut state = shared.snapshot_state();
-    // Keep the newest sys record but drop the tail of the chain stream
-    // it refers to.
-    let chain_len = state.stream_len("chain").expect("len");
-    assert!(chain_len > 0);
-    state
-        .truncate_to("chain", chain_len - 1)
-        .expect("drop tail");
+    let survivor = SharedBackend::from_state(crashed);
+    let mut recovered = MedLedger::builder()
+        .config(cfg.clone())
+        .storage_backend(Box::new(survivor.clone()))
+        .build()
+        .expect("recover past the orphan");
+    assert_eq!(capture(&recovered), committed);
+    // An ordinary commit — no snapshot — takes the orphan's id as its epoch.
+    let snapshots_before = survivor.snapshot_state().snapshot_count();
+    assert_live(&mut recovered);
+    assert_eq!(survivor.snapshot_state().snapshot_count(), snapshots_before);
+    let caught_up = capture(&recovered);
+    drop(recovered);
 
-    let recovered = recover(&cfg, state).expect("recover");
-    let oracle = capture(&recovered);
-    assert!(
-        oracle.height < committed.height,
-        "dangling commit record must not be served (height {} vs {})",
-        oracle.height,
-        committed.height
-    );
-    recovered.check_consistency().expect("consistent");
+    let again = recover(&cfg, survivor.snapshot_state()).expect("recover again");
+    assert_eq!(capture(&again), caught_up);
+    assert!(again.peer_id("Nurse").is_err(), "the orphan held the nurse");
 }
 
 /// Corruption *inside* the committed region is a storage lie, not a torn
@@ -422,23 +577,18 @@ fn commit_record_without_its_data_is_skipped() {
 fn corrupt_committed_record_fails_loudly() {
     let cfg = config("crash-corrupt");
     let shared = SharedBackend::new();
-    let mut scn = durable_fig1(&cfg, Box::new(shared.clone()), 100).expect("build");
+    let mut scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
     for i in 0..2 {
         workload_commit(&mut scn, i).expect("commit");
     }
     drop(scn);
 
-    // Rewrite a committed block record as garbage.
+    // Rewrite a committed mid-log flush record as garbage.
     let mut state = shared.snapshot_state();
-    let blocks = state.read_from("chain", 0).expect("read");
-    assert!(!blocks.is_empty());
-    let mut tampered: Vec<Vec<u8>> = blocks;
-    let mid = tampered.len() / 2;
-    tampered[mid] = b"\xff\xff not a block".to_vec();
-    state.truncate_to("chain", 0).expect("clear");
-    for rec in &tampered {
-        state.append("chain", rec).expect("rewrite");
-    }
+    let log = state.records_mut("log");
+    assert!(log.len() > 2);
+    let mid = log.len() / 2;
+    log[mid] = b"\xff\xff not a flush record".to_vec();
 
     let err = match recover(&cfg, state) {
         Ok(_) => panic!("corruption must not recover"),
@@ -446,6 +596,22 @@ fn corrupt_committed_record_fails_loudly() {
     };
     assert!(
         matches!(err, medledger::CoreError::Storage(_)),
+        "unexpected error: {err}"
+    );
+}
+
+/// A store written by the layout before flush records (a `sys` commit
+/// stream, no `log`) is refused, not bootstrapped over.
+#[test]
+fn store_in_the_previous_layout_is_refused() {
+    let mut state = MemoryBackend::new();
+    state.append("sys", b"a commit record").expect("append");
+    let err = match recover(&config("crash-stale"), state) {
+        Ok(_) => panic!("a stale store must not boot"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, medledger::CoreError::Storage(msg) if msg.contains("pre-PR-21 layout")),
         "unexpected error: {err}"
     );
 }
@@ -462,11 +628,11 @@ fn dead_disk_poisons_the_live_system_but_recovers() {
     let budget = {
         // Count setup appends with a recorded dry run.
         let probe = RecordingBackend::new(SharedBackend::new());
-        durable_fig1(&cfg, Box::new(probe.clone()), 2).expect("probe build");
-        probe.captures().len() as u64 + 3
+        durable_fig1(&cfg, Box::new(probe.clone())).expect("probe build");
+        probe.count(Call::Append) as u64 + 3
     };
     let crash = CrashBackend::new(shared.clone(), budget);
-    let mut scn = durable_fig1(&cfg, Box::new(crash), 2).expect("build");
+    let mut scn = durable_fig1(&cfg, Box::new(crash)).expect("build");
 
     let mut first_failure = None;
     for i in 0..6 {
@@ -497,7 +663,7 @@ fn dead_disk_poisons_the_live_system_but_recovers() {
 fn sharded_deployment_recovers_with_verified_subroots() {
     let cfg = sharded_config("crash-sharded");
     let shared = SharedBackend::new();
-    let mut scn = durable_fig1(&cfg, Box::new(shared.clone()), 2).expect("build");
+    let mut scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
     for i in 0..4 {
         workload_commit(&mut scn, i).expect("commit");
     }
@@ -516,7 +682,7 @@ fn sharded_deployment_recovers_with_verified_subroots() {
 fn ledger_service_close_and_reopen_resumes_waves() {
     let cfg = config("crash-service");
     let shared = SharedBackend::new();
-    let scn = durable_fig1(&cfg, Box::new(shared.clone()), 3).expect("build");
+    let scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
     let (doctor, researcher) = (scn.doctor, scn.researcher);
 
     let mut service = LedgerService::new(scn.ledger);
@@ -565,60 +731,44 @@ fn ledger_service_close_and_reopen_resumes_waves() {
 // Log truncation + wave-ordered recovery
 // ----------------------------------------------------------------------
 
-/// Snapshots bound the WAL: each snapshot flush truncates the in-memory
-/// database log below the persisted sequence and compacts the on-disk
-/// peer stream, so neither grows with workload length.
+/// Flushes bound the in-memory WAL: each one truncates the database
+/// log below the sequence it made durable, so it does not grow with
+/// workload length. (The on-disk log is never cut — see the `persist`
+/// module docs — and a store rotated across many segments still
+/// recovers.)
 #[test]
 fn snapshots_truncate_the_wal_and_bound_its_growth() {
     let cfg = config("crash-truncate");
-    let root =
-        std::env::temp_dir().join(format!("medledger-crash-truncate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    // Small segments so the segment-granular compaction has something to
-    // reclaim within this short workload.
-    let store =
-        medledger::storage::DurableStore::open_with_segment_bytes(&root, 256).expect("open");
-    let mut scn = durable_fig1(&cfg, Box::new(store), 2).expect("build");
+    let root = scratch_dir("truncate");
+    // Small segments so this short workload rotates many times.
+    let store = DurableStore::open_with_segment_bytes(&root, 256).expect("open");
+    let mut scn = durable_fig1(&cfg, Box::new(store)).expect("build");
     for i in 0..6 {
         workload_commit(&mut scn, i).expect("commit");
     }
 
     // In-memory: the retained log window is shorter than the full record
-    // sequence — `Database::truncate_log` ran on the snapshot path.
+    // sequence — `Database::truncate_log` ran on the flush path.
     let doctor_db = &scn.ledger.system().peer(scn.doctor).expect("doctor").db;
     let total_records = doctor_db.next_seq();
     let retained = doctor_db.log_since(0).len() as u64;
     assert!(total_records > 0);
     assert!(
         retained < total_records,
-        "snapshot flushes must truncate the in-memory log \
+        "flushes must truncate the in-memory log \
          (retained {retained} of {total_records} records)"
     );
-
+    let committed = capture(&scn.ledger);
     scn.ledger.close().expect("close");
+    assert!(files_under(&root, "seg-").len() > 6, "rotated per flush");
 
-    // On disk: the peer stream's committed prefix was reclaimed — the
-    // segmented log refuses to read below its compaction horizon, which
-    // is exactly the proof that the snapshot path compacted it.
-    let mut reopened =
-        medledger::storage::DurableStore::open_with_segment_bytes(&root, 256).expect("reopen");
-    let logical = reopened.stream_len("peer/Doctor").expect("len");
-    assert!(logical > 0);
-    let err = reopened
-        .read_from("peer/Doctor", 0)
-        .expect_err("snapshot flushes must compact the durable WAL");
-    assert!(
-        err.to_string().contains("compacted"),
-        "unexpected read error: {err}"
-    );
-
-    // And the compacted deployment still recovers and works.
+    let reopened = DurableStore::open_with_segment_bytes(&root, 256).expect("reopen");
     let mut recovered = MedLedger::builder()
         .config(cfg.clone())
         .storage_backend(Box::new(reopened))
         .build()
-        .expect("recover compacted");
-    recovered.check_consistency().expect("consistent");
+        .expect("recover across segments");
+    assert_eq!(capture(&recovered), committed);
     assert_live(&mut recovered);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -630,7 +780,7 @@ fn snapshots_truncate_the_wal_and_bound_its_growth() {
 fn pipelined_deployment_recovers_and_resumes_waves() {
     let cfg = config("crash-pipelined");
     let shared = SharedBackend::new();
-    let scn = durable_fig1(&cfg, Box::new(shared.clone()), 3).expect("build");
+    let scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
     let (doctor, researcher) = (scn.doctor, scn.researcher);
 
     let mut service = LedgerService::new(scn.ledger);
@@ -694,12 +844,9 @@ fn pipelined_deployment_recovers_and_resumes_waves() {
 /// by the pipeline — recovery must refuse it loudly.
 #[test]
 fn out_of_wave_order_chain_fails_recovery() {
-    use medledger::ledger::Block;
-    use medledger::storage::{Decode, Encode};
-
     let cfg = config("crash-wave-order");
     let shared = SharedBackend::new();
-    let scn = durable_fig1(&cfg, Box::new(shared.clone()), 3).expect("build");
+    let scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
     let (doctor, researcher) = (scn.doctor, scn.researcher);
     let mut service = LedgerService::new(scn.ledger);
     for round in 0..2 {
@@ -731,21 +878,23 @@ fn out_of_wave_order_chain_fails_recovery() {
     // Re-attribute the FIRST waved block to a far-future wave; the next
     // waved block then reads as a wave regression during replay.
     let mut state = shared.snapshot_state();
-    let mut records = state.read_from("chain", 0).expect("read");
-    let first_waved = records
+    let log = state.records_mut("log");
+    let mut flushes: Vec<FlushRecord> = log
         .iter()
-        .position(|raw| {
-            Block::decode(raw)
-                .map(|b| b.header.wave.is_some())
-                .unwrap_or(false)
-        })
+        .map(|raw| FlushRecord::decode(raw).expect("decode"))
+        .collect();
+    let (at, flush) = flushes
+        .iter_mut()
+        .enumerate()
+        .find(|(_, f)| f.blocks.iter().any(|b| b.header.wave.is_some()))
         .expect("a waved block exists");
-    let block = Block::decode(&records[first_waved]).expect("decode");
-    records[first_waved] = block.in_wave(Some(u64::MAX)).encoded();
-    state.truncate_to("chain", 0).expect("clear");
-    for rec in &records {
-        state.append("chain", rec).expect("rewrite");
-    }
+    let waved = flush
+        .blocks
+        .iter_mut()
+        .find(|b| b.header.wave.is_some())
+        .expect("just found");
+    *waved = waved.clone().in_wave(Some(u64::MAX));
+    log[at] = flush.encoded();
 
     let err = match recover(&cfg, state) {
         Ok(_) => panic!("wave-order violation must not recover"),
@@ -767,11 +916,11 @@ proptest! {
     /// Random commit counts and crash budgets: recovery never fails and
     /// never serves an unverifiable state.
     #[test]
-    fn any_crash_budget_recovers(commits in 1usize..4, budget in 0u64..90) {
+    fn any_crash_budget_recovers(commits in 1usize..4, budget in 0u64..12) {
         let cfg = config("crash-prop");
         let shared = SharedBackend::new();
         let crash = CrashBackend::new(shared.clone(), budget);
-        let _ = durable_fig1(&cfg, Box::new(crash), 2).map(|mut scn| {
+        let _ = durable_fig1(&cfg, Box::new(crash)).map(|mut scn| {
             for i in 0..commits {
                 if workload_commit(&mut scn, i).is_err() {
                     break;
