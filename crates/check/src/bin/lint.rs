@@ -42,14 +42,19 @@ fn main() {
         }
     }
     match medledger_check::lint::run_workspace(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("lint: workspace clean");
-        }
-        Ok(findings) => {
-            for f in &findings {
+        Ok(report) => {
+            println!(
+                "lint: dead-pub allowlist holds {} item(s)",
+                report.dead_pub_allowed
+            );
+            if report.findings.is_empty() {
+                println!("lint: workspace clean");
+                return;
+            }
+            for f in &report.findings {
                 println!("{f}");
             }
-            eprintln!("lint: {} finding(s)", findings.len());
+            eprintln!("lint: {} finding(s)", report.findings.len());
             std::process::exit(1);
         }
         Err(e) => {

@@ -15,9 +15,9 @@
 //!    compiler can't — every `unsafe` block justifies itself with a
 //!    `SAFETY:` comment, every `Ordering::` site in `crates/node` is
 //!    registered in `ordering_policy.toml`, `unwrap`/`expect` stay out
-//!    of non-test hot paths, and the wire protocol's `Message` enum is
-//!    handled exhaustively at every dispatch. The `lint` binary drives
-//!    it in CI.
+//!    of non-test hot paths, the wire protocol's `Message` enum is
+//!    handled exhaustively at every dispatch, and no `pub` item goes
+//!    unnamed outside its own tests. The `lint` binary drives it in CI.
 //!
 //! Both exist because the runtime is hand-rolled: no executor crate,
 //! no atomics library, no fuzzer is watching these invariants for us.

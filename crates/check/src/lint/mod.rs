@@ -11,6 +11,21 @@ use std::path::{Path, PathBuf};
 
 pub use rules::Finding;
 
+/// What one run over the workspace found.
+pub struct Report {
+    /// Rule violations (empty = clean).
+    pub findings: Vec<Finding>,
+    /// Length of the dead-pub allowlist: `pub` items known to have no
+    /// caller and kept anyway, a number that should only fall.
+    pub dead_pub_allowed: usize,
+}
+
+/// Where the dead-pub rule looks for mentions of a `pub` item.
+const DEAD_PUB_SCOPE: &[&str] = &["crates/", "src/", "tests/", "examples/", "benchmark/src/"];
+
+/// The dead-pub rule's allowlist, relative to the workspace root.
+const DEAD_PUB_ALLOWLIST: &str = "crates/check/dead_pub_allowlist.txt";
+
 /// Directories never scanned (third-party or generated).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 
@@ -58,10 +73,9 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Runs every rule over the workspace at `root`. Returns findings
-/// (empty = clean); `Err` is an environment problem (unreadable file,
-/// malformed policy), not a lint result.
-pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+/// Runs every rule over the workspace at `root`. `Err` is an environment
+/// problem (unreadable file, malformed policy), not a lint result.
+pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let policy_path = root.join("crates/check/ordering_policy.toml");
     let policy_src = std::fs::read_to_string(&policy_path)
         .map_err(|e| format!("cannot read {}: {e}", policy_path.display()))?;
@@ -70,6 +84,7 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 
     let mut findings = Vec::new();
     let mut used_keys = Vec::new();
+    let mut dead_pub_files = Vec::new();
 
     for path in rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))? {
         let rel = rel(root, &path);
@@ -86,12 +101,29 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         if unwrap_scope(&rel) {
             findings.extend(rules::unwrap_ban(&rel, &lines));
         }
+        if DEAD_PUB_SCOPE.iter().any(|dir| rel.starts_with(dir)) {
+            dead_pub_files.push((rel, lines));
+        }
     }
+
+    let allowlist_src = std::fs::read_to_string(root.join(DEAD_PUB_ALLOWLIST))
+        .map_err(|e| format!("cannot read {DEAD_PUB_ALLOWLIST}: {e}"))?;
+    let allowlist = rules::parse_dead_pub_allowlist(&allowlist_src)
+        .map_err(|e| format!("{DEAD_PUB_ALLOWLIST}: {e}"))?;
+    let dead = rules::dead_pub(&dead_pub_files);
+    findings.extend(rules::dead_pub_findings(
+        &dead,
+        DEAD_PUB_ALLOWLIST,
+        &allowlist,
+    ));
 
     findings.extend(rules::unused_policy_keys(&policy, &used_keys));
     findings.extend(wire_exhaustive(root)?);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(findings)
+    Ok(Report {
+        findings,
+        dead_pub_allowed: allowlist.len(),
+    })
 }
 
 /// The wire-protocol exhaustiveness rule: every `Message` variant in

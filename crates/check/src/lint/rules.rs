@@ -1,4 +1,4 @@
-//! The four lint rules, run over [`super::scan`]ned files:
+//! The five lint rules, run over [`super::scan`]ned files:
 //!
 //! - **unsafe-safety** — every line carrying an `unsafe` token needs a
 //!   `SAFETY:` justification (same line or the comment block above).
@@ -12,9 +12,13 @@
 //! - **wire-exhaustive** — every `wire::Message` variant appears in
 //!   both codec directions, and every `RejectKind`/`CommitError`
 //!   variant in the tag maps and the gateway's rejection mapping.
+//! - **dead-pub** — every `pub` item under `crates/*/src` is named
+//!   somewhere other than its own declaration and its own file's
+//!   `#[cfg(test)]` module, or sits on the explicit allowlist.
 
 use super::policy::Policy;
 use super::scan::Line;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule violation.
 #[derive(Debug, Clone)]
@@ -461,10 +465,165 @@ pub fn span_covers(
     findings
 }
 
+// ---------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------
+
+/// The identifier `word` starts with (empty if it starts with none).
+fn leading_ident(word: &str) -> &str {
+    let end = word.find(|c: char| !c.is_alphanumeric() && c != '_');
+    &word[..end.unwrap_or(word.len())]
+}
+
+/// The name a line declares as a fully `pub` item — function, type,
+/// trait, constant or static; not `pub(crate)`, a re-export, a module
+/// or a field.
+fn pub_item_name(code: &str) -> Option<&str> {
+    let mut words = code.trim_start().strip_prefix("pub ")?.split_whitespace();
+    loop {
+        match words.next()? {
+            "async" | "unsafe" | "extern" => {}
+            abi if abi.starts_with('"') => {}
+            "fn" | "struct" | "enum" | "trait" | "type" | "union" => break,
+            "const" | "static" => match words.clone().next()? {
+                "fn" | "async" | "unsafe" | "extern" | "mut" => {}
+                _ => break,
+            },
+            _ => return None,
+        }
+    }
+    Some(leading_ident(words.next()?)).filter(|name| !name.is_empty())
+}
+
+/// Whether `file` is production source of a workspace crate.
+fn is_crate_source(file: &str) -> bool {
+    let mut parts = file.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src")
+}
+
+/// Every `pub` item declared in non-test code under `crates/*/src`
+/// whose name no line of `files` (repo-relative path, scanned lines)
+/// mentions, other than the declaration itself and the declaring file's
+/// own `#[cfg(test)]` code: `(file, line number, name)`, in file order.
+/// Matching is by identifier, not by path, so it errs towards "used":
+/// a name shared with any other item is never reported.
+pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
+    let mut items = Vec::new();
+    for (f, (file, lines)) in files.iter().enumerate() {
+        if !is_crate_source(file) {
+            continue;
+        }
+        for (l, line) in lines.iter().enumerate().filter(|(_, line)| !line.in_test) {
+            items.extend(pub_item_name(&line.code).map(|name| (f, l, name)));
+        }
+    }
+    // Per declared name: the non-test lines that mention it, and the
+    // files that mention it from test code.
+    type Mentions = (BTreeSet<(usize, usize)>, BTreeSet<usize>);
+    let mut mentions: BTreeMap<&str, Mentions> = (items
+        .iter()
+        .map(|(_, _, name)| (*name, Mentions::default())))
+    .collect();
+    for (f, (_, lines)) in files.iter().enumerate() {
+        for (l, line) in lines.iter().enumerate() {
+            let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+            for ident in line.code.split(|c| !is_ident(c)) {
+                match mentions.get_mut(ident) {
+                    Some((_, tests)) if line.in_test => tests.insert(f),
+                    Some((code, _)) => code.insert((f, l)),
+                    None => false,
+                };
+            }
+        }
+    }
+    items.retain(|(f, l, name)| {
+        let (code, tests) = &mentions[name];
+        code.iter().all(|at| at == &(*f, *l)) && tests.iter().all(|file| file == f)
+    });
+    let report = |(f, l, name): (usize, usize, &str)| {
+        let (file, lines) = &files[f];
+        (file.clone(), lines[l].number, name.to_string())
+    };
+    items.into_iter().map(report).collect()
+}
+
+/// Parses the dead-pub allowlist: one `<file> <name>` pair per line,
+/// `#` comments and blank lines ignored. Returns `(line number, file,
+/// name)` per entry.
+pub fn parse_dead_pub_allowlist(src: &str) -> Result<Vec<(usize, String, String)>, String> {
+    let mut entries = Vec::new();
+    for (i, raw) in src.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            [file, name] => entries.push((i + 1, file.to_string(), name.to_string())),
+            _ => return Err(format!("line {}: expected `<file> <name>`", i + 1)),
+        }
+    }
+    Ok(entries)
+}
+
+/// Applies the allowlist to [`dead_pub`]'s report: a dead item not on
+/// the list is a finding, and so is a listed item that is no longer
+/// dead (or gone) — the list can only shrink.
+pub fn dead_pub_findings(
+    dead: &[(String, usize, String)],
+    allowlist_file: &str,
+    allowlist: &[(usize, String, String)],
+) -> Vec<Finding> {
+    let allowed = |file: &str, name: &str| allowlist.iter().any(|(_, f, n)| f == file && n == name);
+    let is_dead = |file: &str, name: &str| dead.iter().any(|(f, _, n)| f == file && n == name);
+    let mut findings = Vec::new();
+    for (file, line, name) in dead.iter().filter(|(f, _, n)| !allowed(f, n)) {
+        findings.push(Finding {
+            file: file.clone(),
+            line: *line,
+            rule: "dead-pub",
+            message: format!(
+                "`pub` item `{name}` is named nowhere outside this file's tests: \
+                 delete it, narrow it, or list it in {allowlist_file}"
+            ),
+        });
+    }
+    for (line, file, name) in allowlist.iter().filter(|(_, f, n)| !is_dead(f, n)) {
+        findings.push(Finding {
+            file: allowlist_file.to_string(),
+            line: *line,
+            rule: "dead-pub",
+            message: format!("`{file} {name}` is no longer a dead `pub` item: drop the entry"),
+        });
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::scan::scan;
     use super::*;
+
+    #[test]
+    fn pub_items_are_recognised() {
+        assert_eq!(
+            pub_item_name("    pub fn join_share(&mut self) {"),
+            Some("join_share")
+        );
+        assert_eq!(pub_item_name("pub const fn zero() -> Self {"), Some("zero"));
+        assert_eq!(
+            pub_item_name("pub const MAX_CHUNKS: usize = 256;"),
+            Some("MAX_CHUNKS")
+        );
+        assert_eq!(pub_item_name("pub struct Baseline<'a> {"), Some("Baseline"));
+        assert_eq!(
+            pub_item_name("pub unsafe extern \"\" fn raw() {"),
+            Some("raw")
+        );
+        assert_eq!(pub_item_name("pub(crate) fn hidden() {"), None);
+        assert_eq!(pub_item_name("pub use peer::PeerNode;"), None);
+        assert_eq!(pub_item_name("pub mod lint;"), None);
+        assert_eq!(pub_item_name("    pub name: String,"), None);
+    }
 
     #[test]
     fn token_boundaries_hold() {

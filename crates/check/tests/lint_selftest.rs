@@ -17,7 +17,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_is_clean() {
-    let findings = lint::run_workspace(&workspace_root()).expect("lint runs");
+    let findings = (lint::run_workspace(&workspace_root()).expect("lint runs")).findings;
     assert!(
         findings.is_empty(),
         "workspace has lint findings:\n{}",
@@ -74,6 +74,39 @@ fn unwrap_rule_still_fires() {
     // Test code is exempt.
     let lines = scan::scan("#[cfg(test)]\nmod t {\n    fn f() { x.unwrap(); }\n}\n");
     assert!(rules::unwrap_ban("x.rs", &lines).is_empty());
+}
+
+#[test]
+fn dead_pub_rule_still_fires() {
+    let scanned = |files: &[(&str, &str)]| -> Vec<(String, Vec<scan::Line>)> {
+        let scan_one = |(file, src): &(&str, &str)| (file.to_string(), scan::scan(src));
+        files.iter().map(scan_one).collect()
+    };
+    let lib =
+        "pub fn used() {}\npub fn lonely() {}\n// lonely() in a comment, \"lonely\" in a string\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { super::lonely(); }\n}\n";
+    let caller = ("tests/api.rs", "fn t() { used(); }\n");
+    let dead = rules::dead_pub(&scanned(&[("crates/a/src/lib.rs", lib), caller]));
+    let lonely = ("crates/a/src/lib.rs".to_string(), 2, "lonely".to_string());
+    assert_eq!(dead, vec![lonely.clone()]);
+    // Another file's test module is a caller; so is any non-test line.
+    let other = (
+        "crates/b/src/lib.rs",
+        "#[cfg(test)]\nmod tests {\n    fn t() { lonely(); }\n}\n",
+    );
+    assert!(rules::dead_pub(&scanned(&[("crates/a/src/lib.rs", lib), caller, other])).is_empty());
+    // Only crate sources declare items the rule owns.
+    assert!(rules::dead_pub(&scanned(&[("tests/api.rs", lib)])).is_empty());
+
+    // The allowlist excuses a dead item, and goes stale loudly.
+    let allow = rules::parse_dead_pub_allowlist("# why\ncrates/a/src/lib.rs lonely  # hook\n");
+    let allow = allow.expect("allowlist parses");
+    assert!(rules::dead_pub_findings(&dead, "allow.txt", &allow).is_empty());
+    assert_eq!(rules::dead_pub_findings(&dead, "allow.txt", &[]).len(), 1);
+    let stale = rules::dead_pub_findings(&[], "allow.txt", &allow);
+    assert_eq!(stale.len(), 1);
+    assert_eq!((stale[0].file.as_str(), stale[0].line), ("allow.txt", 2));
+    assert!(rules::parse_dead_pub_allowlist("one-word\n").is_err());
 }
 
 #[test]

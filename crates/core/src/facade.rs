@@ -265,14 +265,6 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Selects the whole-table exchange baseline
-    /// ([`PropagationMode::FullTable`]) — every propagation re-runs full
-    /// lens `get`/`put` and ships the entire table. Kept for comparison
-    /// benches and mode-equivalence tests.
-    pub fn full_table_propagation(self) -> Self {
-        self.propagation(PropagationMode::FullTable)
-    }
-
     /// One-time signing keys per peer (bounds transactions per peer).
     pub fn peer_key_capacity(mut self, n: usize) -> Self {
         self.config.peer_key_capacity = n;
@@ -685,14 +677,7 @@ impl UpdateBatch<'_> {
 
         // Rollback machinery, both modes: every staged write returns the
         // inverse deltas of the tables it touched; rollback re-applies
-        // them in reverse, in O(changed rows) — no table snapshots. The
-        // pending-delta tracking is snapshotted (cheap — pending deltas
-        // are small) and restored alongside.
-        let pending_snapshot = system
-            .peer(peer)
-            .map_err(CommitError::Engine)?
-            .pending_snapshot();
-
+        // them in reverse, in O(changed rows) — no table snapshots.
         let mut inverses: Vec<(String, TableDelta)> = Vec::new();
         let staged = (|| -> Result<()> {
             let node = system.peer_mut(peer)?;
@@ -707,9 +692,9 @@ impl UpdateBatch<'_> {
             Ok(())
         })();
         let rollback = |system: &mut System| {
-            // The snapshot above was read off this very peer.
+            // An unknown peer staged nothing.
             if let Ok(node) = system.peer_mut(peer) {
-                node.rollback_writes(&inverses, pending_snapshot.clone());
+                node.rollback_writes(&inverses);
             }
         };
         if let Err(e) = staged {
@@ -957,12 +942,6 @@ impl CommitError {
     /// local edits were kept; there was nothing to propagate).
     pub fn is_no_change(&self) -> bool {
         matches!(self, CommitError::NoChange { .. })
-    }
-
-    /// True iff another queued update already claims the same shared
-    /// table (retry after it commits).
-    pub fn is_conflicted(&self) -> bool {
-        matches!(self, CommitError::Conflicted { .. })
     }
 }
 

@@ -45,7 +45,7 @@ pub use facade::{
     CommitError, CommitOutcome, MedLedger, MedLedgerBuilder, PeerReader, PeerSession, ShareBuilder,
     UpdateBatch,
 };
-pub use peer::{PeerNode, PendingSnapshot, PropagationMode};
+pub use peer::{Baseline, PeerNode, PropagationMode};
 pub use persist::{FlushRecord, Recovery};
 pub use system::{
     CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,

@@ -3,21 +3,19 @@
 use crate::agreement::PeerBinding;
 use crate::error::CoreError;
 use crate::Result;
-use medledger_bx::{analysis, changed_attrs, exec, incremental, GroupIndex, LensSpec};
+use medledger_bx::{analysis, exec, incremental, GroupIndex, LensSpec};
 use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
-    delta_from_write_op, diff_tables, fingerprint_of, normalize_shard_count, shard_of_key,
-    Database, RelationalError, Row, Schema, Shard, ShardMap, ShardPlan, Table, TableDelta, Value,
-    WriteOp,
+    delta_from_write_op, diff_tables, fingerprint_of, normalize_shard_count, Database, KeyedRows,
+    RelationalError, Row, Schema, Shard, ShardMap, ShardPlan, Table, TableDelta, Value, WriteOp,
 };
-use medledger_telemetry::{GaugeHandle, Recorder};
-use std::collections::{BTreeMap, BTreeSet};
+use medledger_telemetry::{GaugeHandle, HeatMapHandle, Recorder};
+use std::collections::BTreeMap;
 
 /// Feeds a stored copy's apply counters into the `shard.heat` heat map.
 /// No-op when `recorder` is disabled, so un-instrumented runs pay
-/// nothing. Only the stored copy is wired — the baseline replays the
-/// same deltas and would double-count every apply.
+/// nothing.
 fn wire_shard_heat(recorder: &Recorder, table_id: &str, store: &mut ShardMap) {
     if recorder.is_enabled() {
         store.set_telemetry(table_id, recorder.heatmap("shard.heat"));
@@ -43,34 +41,117 @@ pub enum PropagationMode {
     FullTable,
 }
 
-/// Tracked-but-uncommitted changes of one shared view, keyed by primary
-/// key. `Some(row)` = the row's pending state, `None` = pending delete;
-/// later writes to the same key overwrite earlier ones, which is exactly
-/// delta composition for state-valued deltas.
-type PendingRows = BTreeMap<Vec<Value>, Option<Row>>;
+/// The committed side of a store's uncommitted changes, keyed by primary
+/// key: `Some(row)` = the row as last committed, `None` = the committed
+/// view does not hold the key. An entry is written the first time an
+/// uncommitted change touches its key and never overwritten, so a chain
+/// of local writes still rewinds to the committed row.
+type Undo = BTreeMap<Vec<Value>, Option<Row>>;
 
-/// Opaque snapshot of a peer's whole pending-delta tracking state.
-/// Paired with the inverse deltas a staged write returns, it is
-/// everything a transactional caller (the facade's `UpdateBatch`, the
-/// engine's `LedgerService`) needs to roll a failed batch back via
-/// [`PeerNode::rollback_writes`]. Cheap: pending deltas hold only the
-/// rows touched since the last committed version. (Internally pending
-/// rows are tracked per shard; snapshotting is shard-layout agnostic.)
-#[derive(Clone, Debug, Default)]
-pub struct PendingSnapshot(BTreeMap<String, Vec<PendingRows>>);
-
-/// One shared table as a peer holds it — the only two places its rows
-/// exist on the peer. Both are split into key-range shards aligned with
-/// the content digest (one shard when the deployment does not shard):
-/// reads iterate the shards, content hashes fold the per-shard subtree
-/// roots, and deltas route to the shards they land in.
+/// One shared table as a peer holds it: the rows exist once, in `store`,
+/// split into key-range shards aligned with the content digest (one
+/// shard when the deployment does not shard). The last *committed*
+/// version is not a second copy but a view ([`Baseline`]): the store,
+/// read through `undo` at the keys where it has moved on.
 #[derive(Clone, Debug)]
 struct SharedTable {
     /// The stored copy: reflects every local write.
     store: ShardMap,
-    /// The view as of the last version committed on chain (advanced by
-    /// applying the committed delta, never by cloning).
-    baseline: ShardMap,
+    /// The committed row (or absence) of every key the store has changed
+    /// since the last version committed on chain. Empty at rest.
+    undo: Undo,
+}
+
+impl SharedTable {
+    fn baseline(&self) -> Baseline<'_> {
+        Baseline {
+            store: &self.store,
+            undo: &self.undo,
+        }
+    }
+
+    /// Records what `inverse` — the delta that takes the store back
+    /// across an uncommitted change — would restore, at the keys no
+    /// earlier uncommitted change has touched.
+    fn note_undo(&mut self, inverse: &TableDelta) {
+        let schema = self.store.schema();
+        let rows = inverse.inserts.iter().map(|row| (schema.key_of(row), row));
+        let rows = rows.chain(inverse.updates.iter().map(|(key, row)| (key.clone(), row)));
+        for (key, row) in rows {
+            self.undo.entry(key).or_insert_with(|| Some(row.clone()));
+        }
+        for key in &inverse.deletes {
+            self.undo.entry(key.clone()).or_insert(None);
+        }
+    }
+
+    /// `diff_tables(from, to)` over the `undo` keys alone — the only keys
+    /// at which the store and the committed view can differ. Entries the
+    /// store has since returned to drop out; the result is canonically
+    /// ordered because `undo` iterates in key order. O(undo) lookups.
+    fn diff_at_undo(&self, from: &impl KeyedRows, to: &impl KeyedRows) -> TableDelta {
+        let mut delta = TableDelta::default();
+        for key in self.undo.keys() {
+            match (from.get(key), to.get(key)) {
+                (Some(old), Some(new)) if old != new => {
+                    delta.updates.push((key.clone(), new.clone()))
+                }
+                (None, Some(new)) => delta.inserts.push(new.clone()),
+                (Some(_), None) => delta.deletes.push(key.clone()),
+                _ => {}
+            }
+        }
+        delta
+    }
+
+    /// The uncommitted changes as a delta: committed view → store.
+    fn pending(&self) -> TableDelta {
+        self.diff_at_undo(&self.baseline(), &self.store)
+    }
+
+    /// The delta that rewinds the store to the committed view.
+    fn rewind(&self) -> TableDelta {
+        self.diff_at_undo(&self.store, &self.baseline())
+    }
+
+    /// The committed view materialized: a clone of the store (warm digest
+    /// caches included, heat feed not) rewound by `undo`. O(table) — for
+    /// the conflict path and for hashing a baseline that has pending
+    /// rows over it; everything else reads [`Baseline`].
+    fn committed(&self) -> Result<ShardMap> {
+        let mut map = self.store.clone();
+        map.set_telemetry("", HeatMapHandle::disabled());
+        map.apply_delta(&self.rewind())?;
+        Ok(map)
+    }
+}
+
+/// A shared table as of its last committed version, borrowed from the
+/// peer: the stored rows, except at keys carrying an uncommitted change,
+/// where the committed row kept for undo answers instead. Implements
+/// [`KeyedRows`], which is all `diff_tables`, `changed_attrs` and
+/// `changed_attrs_from_delta` ask of the side they compare against.
+#[derive(Clone, Copy, Debug)]
+pub struct Baseline<'a> {
+    store: &'a ShardMap,
+    undo: &'a Undo,
+}
+
+impl KeyedRows for Baseline<'_> {
+    fn schema(&self) -> &Schema {
+        self.store.schema()
+    }
+    fn get(&self, key: &[Value]) -> Option<&Row> {
+        match self.undo.get(key) {
+            Some(committed) => committed.as_ref(),
+            None => self.store.get(key),
+        }
+    }
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        let (schema, undo) = (self.store.schema(), self.undo);
+        let untouched = move |r: &&Row| undo.is_empty() || !undo.contains_key(&schema.key_of(r));
+        (self.store.rows().filter(untouched)).chain(undo.values().flatten())
+    }
 }
 
 /// A planned remote apply (see [`PeerNode::plan_remote_apply`]): the
@@ -102,44 +183,6 @@ pub(crate) fn run_shard_job(
     Ok(inverse)
 }
 
-/// Normalizes pending rows against the committed baseline into a
-/// canonical [`TableDelta`]: no-op entries drop out, inserts/updates are
-/// classified by baseline membership. Cost is O(pending) lookups.
-fn normalize_pending(pending: &PendingRows, baseline: &ShardMap) -> TableDelta {
-    let mut delta = TableDelta::default();
-    for (key, change) in pending {
-        match (change, baseline.get(key)) {
-            (Some(row), Some(old)) if old == row => {}
-            (Some(row), Some(_)) => delta.updates.push((key.clone(), row.clone())),
-            (Some(row), None) => delta.inserts.push(row.clone()),
-            (None, Some(_)) => delta.deletes.push(key.clone()),
-            (None, None) => {}
-        }
-    }
-    delta.sort_canonical(|r| baseline.schema().key_of(r));
-    delta
-}
-
-/// The delta that rewinds `shared.store` to `shared.baseline`, read off
-/// the keys tracked as pending: byte-identical to
-/// `diff_tables(store, baseline)` because the stored copy differs from
-/// the baseline only at pending keys. O(pending) lookups.
-fn rewind_pending(pending: &[PendingRows], shared: &SharedTable) -> TableDelta {
-    let mut delta = TableDelta::default();
-    for key in pending.iter().flat_map(BTreeMap::keys) {
-        match (shared.store.get(key), shared.baseline.get(key)) {
-            (Some(now), Some(then)) if now != then => {
-                delta.updates.push((key.clone(), then.clone()))
-            }
-            (None, Some(then)) => delta.inserts.push(then.clone()),
-            (Some(_), None) => delta.deletes.push(key.clone()),
-            _ => {}
-        }
-    }
-    delta.sort_canonical(|r| shared.baseline.schema().key_of(r));
-    delta
-}
-
 fn unknown_share(table_id: &str) -> CoreError {
     CoreError::UnknownShare(table_id.to_string())
 }
@@ -148,12 +191,14 @@ fn unknown_share(table_id: &str) -> CoreError {
 ///
 /// The peer's [`Database`] holds its *source* tables (full local data)
 /// and the mutation log of everything the peer stores. Every shared
-/// table it participates in is materialized once, as a stored copy and
-/// a committed baseline in [`ShardMap`]s of `shards_per_table` shards;
-/// each mutation of the stored copy is logged in `db` under the shared
-/// table id with the shard fold as `post_hash`, and in delta mode the
-/// **pending rows** track the composed local changes since the baseline
-/// — what the next propagation ships.
+/// table it participates in is materialized once, as a stored copy in a
+/// [`ShardMap`] of `shards_per_table` shards; each mutation of the
+/// stored copy is logged in `db` under the shared table id with the
+/// shard fold as `post_hash`, and the committed rows it displaced are
+/// kept as **undo rows** — which make the committed baseline a view
+/// ([`PeerNode::baseline`]) and the composed local changes since it
+/// ([`PeerNode::pending_delta`], what the next propagation ships) an
+/// O(changed rows) read.
 ///
 /// The **database manager** methods are the paper's "BX" boxes: in
 /// [`PropagationMode::Delta`] they push row-level deltas through the
@@ -175,11 +220,8 @@ pub struct PeerNode {
     pub mode: PropagationMode,
     /// Shared-table bindings this peer participates in.
     bindings: BTreeMap<String, PeerBinding>,
-    /// Per shared table: the stored copy and the committed baseline.
+    /// Per shared table: the stored copy and its undo rows.
     shared: BTreeMap<String, SharedTable>,
-    /// Per shared table: composed uncommitted local changes (delta mode),
-    /// tracked per shard (index = `shard_of_key`).
-    pending: BTreeMap<String, Vec<PendingRows>>,
     /// Key-range shards per shared table (a power of two; always `1` in
     /// full-table mode, the unsharded reference).
     shards_per_table: usize,
@@ -199,7 +241,7 @@ pub struct PeerNode {
     /// apply heat map from this peer's stored copies.
     telemetry: Recorder,
     /// `peer.shared_rows_resident.<name>`: rows held across every stored
-    /// copy and baseline.
+    /// copy, plus the committed rows kept for undo.
     resident_rows: GaugeHandle,
 }
 
@@ -225,7 +267,6 @@ impl PeerNode {
             mode,
             bindings: BTreeMap::new(),
             shared: BTreeMap::new(),
-            pending: BTreeMap::new(),
             shards_per_table: match mode {
                 PropagationMode::Delta => normalize_shard_count(shards_per_table),
                 PropagationMode::FullTable => 1,
@@ -251,11 +292,12 @@ impl PeerNode {
         self.publish_resident_rows();
     }
 
-    /// Sets the resident-rows gauge: stored copies plus baselines, i.e.
-    /// twice the shared rows at rest, whatever the shard count.
+    /// Sets the resident-rows gauge: the stored rows — exactly the shared
+    /// rows at rest, whatever the shard count — plus one per committed
+    /// row an uncommitted change keeps for undo.
     fn publish_resident_rows(&self) {
         if self.resident_rows.is_enabled() {
-            let held = |t: &SharedTable| t.store.len() + t.baseline.len();
+            let held = |t: &SharedTable| t.store.len() + t.undo.values().flatten().count();
             self.resident_rows
                 .set(self.shared.values().map(held).sum::<usize>() as u64);
         }
@@ -288,15 +330,8 @@ impl PeerNode {
         Ok(())
     }
 
-    /// Creates an empty source table.
-    pub fn create_source_table(&mut self, name: &str, schema: Schema) -> Result<()> {
-        self.ensure_not_a_share(name)?;
-        self.db.create_table(name, schema)?;
-        Ok(())
-    }
-
     /// Joins a shared table: records the binding, materializes the view
-    /// via the lens's `get`, and stores it (and its baseline) under
+    /// via the lens's `get`, and stores it — committed as joined — under
     /// `table_id`. In delta mode this also builds the cached group index
     /// (for `ProjectDistinct` bindings).
     pub fn join_share(&mut self, table_id: &str, binding: PeerBinding) -> Result<Hash256> {
@@ -318,14 +353,12 @@ impl PeerNode {
             }
         }
         let mut store = ShardMap::from_table(&view, self.shards_per_table);
-        // Cloned before the first fold and before the heat feed is wired:
-        // the baseline starts with cold digest caches and stays unwired.
-        let baseline = store.clone();
         wire_shard_heat(&self.telemetry, table_id, &mut store);
         let hash = store.content_hash();
         self.db.bump_version(table_id);
+        let undo = Undo::new();
         self.shared
-            .insert(table_id.to_string(), SharedTable { store, baseline });
+            .insert(table_id.to_string(), SharedTable { store, undo });
         self.bindings.insert(table_id.to_string(), binding);
         self.applied_versions.insert(table_id.to_string(), 0);
         self.publish_resident_rows();
@@ -337,7 +370,6 @@ impl PeerNode {
         self.binding(table_id)?;
         self.bindings.remove(table_id);
         self.shared.remove(table_id);
-        self.pending.remove(table_id);
         self.group_indexes.remove(table_id);
         self.applied_versions.remove(table_id);
         self.db.bump_version(table_id);
@@ -369,11 +401,10 @@ impl PeerNode {
 
     // ----- store / group-index plumbing --------------------------------
     //
-    // Every mutation of a shared table's stored copy, of a source table,
-    // or of a committed baseline funnels through the helpers below, which
-    // keep the derived structures in step: the mutation log, the
-    // per-shard pending-row tracking, and the cached [`GroupIndex`] of
-    // every `ProjectDistinct` binding.
+    // Every mutation of a shared table's stored copy or of a source
+    // table funnels through the helpers below, which keep the derived
+    // structures in step: the mutation log, the undo rows, and the cached
+    // [`GroupIndex`] of every `ProjectDistinct` binding.
 
     fn shared(&self, table_id: &str) -> Result<&SharedTable> {
         self.shared
@@ -385,31 +416,6 @@ impl PeerNode {
         self.shared
             .get_mut(table_id)
             .ok_or_else(|| unknown_share(table_id))
-    }
-
-    /// Merges a view delta into `table_id`'s pending tracking, each row
-    /// routed to the shard it lands in.
-    fn merge_pending(&mut self, table_id: &str, delta: &TableDelta) -> Result<()> {
-        let schema = self.shared.get(table_id).map(|t| t.store.schema());
-        let schema = schema.ok_or_else(|| unknown_share(table_id))?;
-        let shards = self.shards_per_table;
-        let entry = self
-            .pending
-            .entry(table_id.to_string())
-            .or_insert_with(|| vec![PendingRows::new(); shards]);
-        let mut track = |key: Vec<Value>, change: Option<Row>| {
-            entry[shard_of_key(&key, shards)].insert(key, change);
-        };
-        for row in &delta.inserts {
-            track(schema.key_of(row), Some(row.clone()));
-        }
-        for (key, row) in &delta.updates {
-            track(key.clone(), Some(row.clone()));
-        }
-        for key in &delta.deletes {
-            track(key.clone(), None);
-        }
-        Ok(())
     }
 
     /// The share ids of every cached group index bound to `source_table`.
@@ -529,44 +535,27 @@ impl PeerNode {
         Ok(())
     }
 
-    /// Applies a delta to a shared table's stored copy, touching only the
-    /// shards it lands in, and logs it. Returns the inverse. A rejected
-    /// delta leaves the store untouched and unlogged.
+    /// Applies an **uncommitted** delta to a shared table's stored copy,
+    /// touching only the shards it lands in, and logs it — the one funnel
+    /// of every store change the chain has not committed, in both
+    /// propagation modes, so the committed rows it displaces are kept
+    /// here. Returns the inverse. A rejected delta leaves the store
+    /// untouched and unlogged.
     ///
     /// The WAL `post_hash` is the shard fold (cached per-shard subtree
     /// roots; only the touched shards rehash) — byte-identical to the
     /// content hash of the assembled rows.
     fn apply_view_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
-        let store = &mut self.shared_mut(table_id)?.store;
-        let inverse = store.apply_delta(delta)?;
-        let post_hash = store.content_hash();
+        let shared = self.shared_mut(table_id)?;
+        let inverse = shared.store.apply_delta(delta)?;
+        shared.note_undo(&inverse);
+        let post_hash = shared.store.content_hash();
         let op = WriteOp::Delta {
             delta: delta.clone(),
         };
         self.db.log_external(table_id, op, post_hash);
         self.publish_resident_rows();
         Ok(inverse)
-    }
-
-    /// [`PeerNode::apply_view_delta`] for a local, not yet committed
-    /// change: the delta also joins `table_id`'s pending rows.
-    fn apply_pending_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
-        let inverse = self.apply_view_delta(table_id, delta)?;
-        self.merge_pending(table_id, delta)?;
-        Ok(inverse)
-    }
-
-    /// Replaces a shared table's stored copy wholesale and logs the
-    /// rewrite (the full-table paths).
-    fn replace_stored(&mut self, table_id: &str, view: &Table) -> Result<()> {
-        let store = &mut self.shared_mut(table_id)?.store;
-        store.rebuild_from(view);
-        let post_hash = store.content_hash();
-        let rows: Vec<Row> = view.rows().cloned().collect();
-        self.db
-            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
-        self.publish_resident_rows();
-        Ok(())
     }
 
     /// Applies a delta to a **source** table, keeping the cached group
@@ -609,20 +598,13 @@ impl PeerNode {
         }
     }
 
-    /// Advances `table_id`'s committed baseline by a committed delta.
-    fn advance_baseline_by(&mut self, table_id: &str, delta: &TableDelta) -> Result<()> {
-        self.shared_mut(table_id)?.baseline.apply_delta(delta)?;
-        self.publish_resident_rows();
-        Ok(())
-    }
-
     /// Applies a local write to a **source** table (Fig. 5 step 0: the
     /// Researcher edits D2 before propagating).
     ///
     /// In delta mode the write is converted to a row-level delta, pushed
     /// forward through every lens bound to this source (`get_delta`), the
-    /// affected shared copies are refreshed incrementally, and the view
-    /// deltas accumulate as pending changes for the next propagation.
+    /// affected shared copies are refreshed incrementally, and the
+    /// committed rows they displace are kept until the next propagation.
     /// Returns the applied inverses `(table, inverse_delta)` in
     /// application order so a transactional caller can roll back in
     /// O(changed rows).
@@ -648,7 +630,7 @@ impl PeerNode {
         let inv = self.apply_source_delta_db(table, &source_delta)?;
         inverses.push((table.to_string(), inv));
         for (share_id, view_delta) in derived {
-            let inv = self.apply_pending_delta(&share_id, &view_delta)?;
+            let inv = self.apply_view_delta(&share_id, &view_delta)?;
             inverses.push((share_id, inv));
         }
         Ok(inverses)
@@ -699,14 +681,14 @@ impl PeerNode {
         let derived =
             self.derive_sibling_deltas(&binding.source_table, Some(table_id), &source_delta)?;
         let mut inverses = Vec::with_capacity(2 + derived.len());
-        let inv = self.apply_pending_delta(table_id, &view_delta)?;
+        let inv = self.apply_view_delta(table_id, &view_delta)?;
         inverses.push((table_id.to_string(), inv));
         if !source_delta.is_empty() {
             let inv = self.apply_source_delta_db(&binding.source_table, &source_delta)?;
             inverses.push((binding.source_table.clone(), inv));
         }
         for (share_id, d) in derived {
-            let inv = self.apply_pending_delta(&share_id, &d)?;
+            let inv = self.apply_view_delta(&share_id, &d)?;
             inverses.push((share_id, inv));
         }
         Ok(inverses)
@@ -752,9 +734,15 @@ impl PeerNode {
     /// Content hash of the last *committed* view — what must equal the
     /// hash the sharing contract holds while the table is synced, even
     /// when the peer carries pending local changes (e.g. a
-    /// permission-blocked cascade awaiting retry).
+    /// permission-blocked cascade awaiting retry). With nothing to rewind
+    /// (at rest) this is the store's own warm fold; otherwise it is the
+    /// fold of the store rewound by its undo rows (O(table)).
     pub fn committed_hash(&self, table_id: &str) -> Result<Hash256> {
-        Ok(self.baseline(table_id)?.content_hash())
+        let shared = self.shared(table_id)?;
+        if shared.rewind().is_empty() {
+            return Ok(shared.store.content_hash());
+        }
+        Ok(shared.committed()?.content_hash())
     }
 
     /// A fingerprint over the content hashes of every table the peer
@@ -772,42 +760,31 @@ impl PeerNode {
         fingerprint_of(hashes.into_iter())
     }
 
-    /// Verifies this peer's local invariants for a *synced* shared table
-    /// against the hash the contract committed:
+    /// Verifies this peer's copy of a *synced* shared table against the
+    /// hash the contract committed: the stored rows, rewound by whatever
+    /// undo rows the peer holds, must hash to `contract_hash`. With
+    /// nothing pending (full-table mode between propagations, the
+    /// quiescent delta-mode case) that is the stored copy itself; a peer
+    /// carrying a pending change (e.g. a blocked cascade) is checked at
+    /// every key the change has not touched, and at the touched keys on
+    /// the committed rows it kept.
     ///
-    /// 1. the committed baseline must hash to `contract_hash`, and
-    /// 2. the stored copy must equal the baseline **plus** any tracked
-    ///    pending delta — so with nothing pending (the full-table mode
-    ///    and the quiescent delta-mode case) the stored copy itself must
-    ///    match the contract, and a peer carrying a pending change (e.g.
-    ///    a blocked cascade) is still checked against what it serves.
+    /// What this no longer detects: damage to an *uncommitted* row. The
+    /// store is the only copy of a pending row now (there used to be a
+    /// second one in the pending map to compare it with), so a pending
+    /// row corrupted in memory is shipped as the peer's next update and
+    /// is subject to the contract's permission check like any other
+    /// write, not caught here.
     pub fn check_share_integrity(&self, table_id: &str, contract_hash: Hash256) -> Result<()> {
         let committed = self.committed_hash(table_id)?;
         if committed != contract_hash {
             return Err(CoreError::ConsistencyViolation(format!(
-                "peer {} holds `{table_id}` committed at {} but contract says {}",
+                "peer {} holds `{table_id}` committed at {} ({} undo row(s) applied) \
+                 but contract says {}",
                 self.name,
                 committed.short(),
+                self.shared(table_id)?.undo.len(),
                 contract_hash.short()
-            )));
-        }
-        let pending = self.pending_delta(table_id)?;
-        let expected = if pending.is_empty() {
-            contract_hash
-        } else {
-            let mut t = self.baseline(table_id)?.clone();
-            t.apply_delta(&pending)?;
-            t.content_hash()
-        };
-        let stored = self.shared_hash(table_id)?;
-        if stored != expected {
-            return Err(CoreError::ConsistencyViolation(format!(
-                "peer {} stores `{table_id}` hashing to {} but committed state \
-                 plus its {} pending row(s) implies {}",
-                self.name,
-                stored.short(),
-                pending.row_count(),
-                expected.short()
             )));
         }
         Ok(())
@@ -815,19 +792,11 @@ impl PeerNode {
 
     // ----- delta-mode propagation hooks -------------------------------
 
-    /// The normalized pending delta of `table_id` relative to the
-    /// committed baseline (empty delta if nothing is pending). Per-shard
-    /// pending rows normalize independently (their keys are disjoint by
-    /// construction) and merge into one canonically ordered delta.
+    /// The pending delta of `table_id`: what takes the committed baseline
+    /// to the stored copy, canonically ordered (empty if nothing is
+    /// pending). O(undo rows) lookups.
     pub fn pending_delta(&self, table_id: &str) -> Result<TableDelta> {
-        let baseline = self.baseline(table_id)?;
-        let Some(parts) = self.pending.get(table_id) else {
-            return Ok(TableDelta::default());
-        };
-        Ok(TableDelta::merge_disjoint(
-            parts.iter().map(|part| normalize_pending(part, baseline)),
-            |r| baseline.schema().key_of(r),
-        ))
+        Ok(self.shared(table_id)?.pending())
     }
 
     /// True iff the peer holds a pending local change of `table_id` —
@@ -837,35 +806,29 @@ impl PeerNode {
         Ok(!self.pending_delta(table_id)?.is_empty())
     }
 
-    /// Brings `table_id`'s stored copy and pending tracking in line with
-    /// what the source regenerates — the O(table) fallback for changes
-    /// the tracked write paths never saw. Returns the regenerated view's
-    /// delta against the committed baseline.
+    /// Brings `table_id`'s stored copy in line with what the source
+    /// regenerates — the O(table) fallback for changes the tracked write
+    /// paths never saw. Returns the regenerated view's delta against the
+    /// committed baseline.
     fn rederive_from_source(&mut self, table_id: &str) -> Result<TableDelta> {
         let regenerated = self.regenerate_view(table_id)?;
         let stored_delta = diff_tables(self.shared_store(table_id)?, &regenerated);
         if !stored_delta.is_empty() {
             self.apply_view_delta(table_id, &stored_delta)?;
         }
-        let delta = diff_tables(self.baseline(table_id)?, &regenerated);
-        self.pending.remove(table_id);
-        if !delta.is_empty() {
-            self.merge_pending(table_id, &delta)?;
-        }
-        Ok(delta)
+        self.pending_delta(table_id)
     }
 
     /// Delta-mode Fig. 5 step 1: the delta this peer would propagate for
     /// `table_id`, with the stored copy guaranteed to reflect it.
     ///
-    /// Normally this is the normalized pending delta (O(pending)). When
-    /// no writes were tracked (out-of-band edits straight to `db`), it
-    /// falls back to a full regenerate-and-diff and brings the stored
-    /// copy and pending tracking in line.
+    /// Normally this is the pending delta (O(undo rows)). When no writes
+    /// were tracked (out-of-band edits straight to `db`), it falls back
+    /// to a full regenerate-and-diff and brings the stored copy in line.
     pub fn prepare_update_delta(&mut self, table_id: &str) -> Result<TableDelta> {
-        let normalized = self.pending_delta(table_id)?;
-        if !normalized.is_empty() {
-            return Ok(normalized);
+        let pending = self.pending_delta(table_id)?;
+        if !pending.is_empty() {
+            return Ok(pending);
         }
         self.rederive_from_source(table_id)
     }
@@ -890,10 +853,11 @@ impl PeerNode {
     /// copy it lands in ([`TableDelta::split_by_shard`]), verifies the
     /// announced hash against the fold of per-shard subtree roots — only
     /// the touched shards rehash — reflects the change into the source
-    /// with the pre-computed `source_delta`, refreshes sibling shares
-    /// (stashing their deltas as pending for the step-6 cascade), and
-    /// advances the committed baseline by the same delta. A rejected or
-    /// hash-mismatched delta leaves the peer untouched.
+    /// with the pre-computed `source_delta`, and refreshes sibling shares
+    /// (their deltas stay pending for the step-6 cascade). The store is
+    /// touched once: with no undo rows over it, it *is* the committed
+    /// baseline. A rejected or hash-mismatched delta leaves the peer
+    /// untouched.
     ///
     /// Callers that own a worker pool (the system's fan-out) drive the
     /// same three phases — plan, per-shard jobs, finish — through the
@@ -930,11 +894,11 @@ impl PeerNode {
     /// `table_id` (e.g. a permission-blocked cascade awaiting retry)
     /// while a committed remote update arrives. Resolve exactly as
     /// full-table mode does — the remote view wins, the lens `put`
-    /// merges it into the source — then re-derive the stored copy and
-    /// pending tracking of every sibling share from ground truth, so a
-    /// residual local difference survives as a fresh pending delta (the
-    /// retry is preserved, not silently dropped). O(table), but only on
-    /// this rare contended path.
+    /// merges it into the source — then re-derive the stored copy of
+    /// every sibling share from ground truth, so a residual local
+    /// difference survives as a pending delta (the retry is preserved,
+    /// not silently dropped). O(table), but only on this rare contended
+    /// path.
     fn resolve_conflicting_remote(
         &mut self,
         table_id: &str,
@@ -943,7 +907,7 @@ impl PeerNode {
         version: u64,
     ) -> Result<()> {
         let source_table = self.binding(table_id)?.source_table.clone();
-        let mut view_new = self.baseline(table_id)?.clone();
+        let mut view_new = self.shared(table_id)?.committed()?;
         view_new.apply_delta(view_delta).map_err(|e| {
             CoreError::ConsistencyViolation(format!(
                 "committed `{table_id}` delta does not apply to the committed baseline: {e}"
@@ -955,7 +919,6 @@ impl PeerNode {
         let rows = view_new.sorted_rows().into_iter().cloned().collect();
         let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
         self.apply_remote_view(table_id, &view_new, announced_hash, version)?;
-        self.pending.remove(table_id);
         for share_id in self.sibling_shares(&source_table, Some(table_id)) {
             self.rederive_from_source(&share_id)?;
         }
@@ -978,7 +941,7 @@ impl PeerNode {
         source_delta: &TableDelta,
     ) -> Result<Option<RemoteShardPlan>> {
         let binding = self.binding(table_id)?;
-        if self.pending.contains_key(table_id) {
+        if self.has_pending_change(table_id)? {
             return Ok(None);
         }
         let derived =
@@ -1019,7 +982,7 @@ impl PeerNode {
     /// reverts every shard if one rejected its sub-delta, verifies the
     /// announced hash against the folded per-shard roots and logs the
     /// delta with that fold as `post_hash`, then runs the serial tail:
-    /// source via BX-put, sibling cascades, baseline advance.
+    /// source via BX-put, sibling cascades.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_remote_apply(
         &mut self,
@@ -1032,7 +995,8 @@ impl PeerNode {
         version: u64,
     ) -> Result<()> {
         let source_table = self.binding(table_id)?.source_table.clone();
-        let store = &mut self.shared_mut(table_id)?.store;
+        let shared = self.shared_mut(table_id)?;
+        let store = &mut shared.store;
         let chunk_count = rplan.plan.chunk_count;
         let mut applied: Vec<(usize, TableDelta)> = Vec::new();
         let mut first_err: Option<RelationalError> = None;
@@ -1066,6 +1030,9 @@ impl PeerNode {
                 announced_hash.short()
             )));
         }
+        // Planned with nothing pending, so any undo rows left are ones
+        // the store had already returned to: the store is the baseline.
+        shared.undo.clear();
         let op = WriteOp::Delta {
             delta: view_delta.clone(),
         };
@@ -1074,47 +1041,38 @@ impl PeerNode {
             self.apply_source_delta_db(&source_table, source_delta)?;
         }
         for (share_id, d) in rplan.derived {
-            self.apply_pending_delta(&share_id, &d)?;
+            self.apply_view_delta(&share_id, &d)?;
         }
-        self.advance_baseline_by(table_id, view_delta)?;
         self.applied_versions.insert(table_id.to_string(), version);
+        self.publish_resident_rows();
         Ok(())
     }
 
     /// Marks the updater's own pending delta as committed at `version`:
-    /// the baseline advances by the delta (the stored copy already
-    /// reflects it) and the pending entry clears.
+    /// the stored copy already reflects it, so the undo rows are dropped
+    /// and the store is the committed baseline again.
     pub fn commit_delta(&mut self, table_id: &str, delta: &TableDelta, version: u64) -> Result<()> {
-        self.advance_baseline_by(table_id, delta)?;
-        self.pending.remove(table_id);
+        let shared = self.shared_mut(table_id)?;
+        debug_assert_eq!(
+            &shared.pending(),
+            delta,
+            "`{table_id}` commits its pending delta"
+        );
+        shared.undo.clear();
         self.applied_versions.insert(table_id.to_string(), version);
+        self.publish_resident_rows();
         Ok(())
     }
 
-    /// Drops the pending entry for `table_id` (delta mode; used when a
-    /// propagation turns out to be a no-op).
-    pub fn clear_pending(&mut self, table_id: &str) {
-        self.pending.remove(table_id);
-    }
-
-    /// Snapshot of the pending tracking state (cheap — pending deltas are
-    /// small). Paired with [`PeerNode::rollback_writes`] for
-    /// transactional rollback of staged writes.
-    pub fn pending_snapshot(&self) -> PendingSnapshot {
-        PendingSnapshot(self.pending.clone())
-    }
-
-    /// Restores a pending-state snapshot.
-    pub fn restore_pending(&mut self, snapshot: PendingSnapshot) {
-        self.pending = snapshot.0;
-    }
-
     /// Rolls a failed transactional batch back: re-applies the staged
-    /// writes' inverse deltas in reverse order — O(changed rows), no
-    /// table snapshots in either propagation mode — and restores the
-    /// pending-delta tracking captured before staging. Cached group
-    /// indexes roll back alongside.
-    pub fn rollback_writes(&mut self, inverses: &[(String, TableDelta)], pending: PendingSnapshot) {
+    /// writes' inverse deltas — all a caller (the facade's `UpdateBatch`,
+    /// the engine's `LedgerService`) has to keep — in reverse order,
+    /// O(changed rows), no table snapshots in either propagation mode.
+    /// Undo rows the store has thereby returned to are dropped, so a
+    /// batch leaves no trace and whatever was pending before it (or was
+    /// committed since) stays exactly as tracked. Cached group indexes
+    /// roll back alongside.
+    pub fn rollback_writes(&mut self, inverses: &[(String, TableDelta)]) {
         for (table, inverse) in inverses.iter().rev() {
             let undone = if self.shared.contains_key(table) {
                 self.apply_view_delta(table, inverse)
@@ -1126,27 +1084,18 @@ impl PeerNode {
             // outside the staged batch, and no error value can repair that.
             undone.expect("applying a recorded inverse delta cannot fail");
         }
-        self.restore_pending(pending);
+        for SharedTable { store, undo } in self.shared.values_mut() {
+            undo.retain(|key, committed| store.get(key) != committed.as_ref());
+        }
+        self.publish_resident_rows();
     }
 
     // ----- full-table propagation (the baseline) -----------------------
 
-    /// Refreshes the stored shared copy from the local source (after the
-    /// updater's own source edit, Fig. 5 step 1 / step 7). Returns the
-    /// changed attributes relative to the previous stored copy.
-    pub fn refresh_view(&mut self, table_id: &str) -> Result<BTreeSet<String>> {
-        let new_view = self.regenerate_view(table_id)?;
-        let attrs = changed_attrs(self.shared_store(table_id)?, &new_view);
-        if !attrs.is_empty() {
-            self.replace_stored(table_id, &new_view)?;
-        }
-        Ok(attrs)
-    }
-
     /// Applies a whole shared table received from the updating peer
     /// (Fig. 5 steps 4–5 / 10–11 in full-table mode): verifies the
     /// announced hash, reflects the change into the source via `put`,
-    /// and replaces the stored copy and the committed baseline.
+    /// and replaces the stored copy, which is then the committed baseline.
     pub fn apply_remote_view(
         &mut self,
         table_id: &str,
@@ -1173,17 +1122,24 @@ impl PeerNode {
         self.rebuild_group_indexes_for_source(&binding.source_table)
     }
 
-    /// The view as of the last committed version.
-    pub fn baseline(&self, table_id: &str) -> Result<&ShardMap> {
-        Ok(&self.shared(table_id)?.baseline)
+    /// The view as of the last committed version: a borrowed overlay of
+    /// the stored copy, not a copy.
+    pub fn baseline(&self, table_id: &str) -> Result<Baseline<'_>> {
+        Ok(self.shared(table_id)?.baseline())
     }
 
     /// Marks `view` as committed at `version`: replaces the stored shared
-    /// copy and the baseline (full-table mode; called on the updater
-    /// after the contract accepted its `request_update`).
+    /// copy wholesale, logs the rewrite and drops the undo rows (the
+    /// full-table paths; called on the updater after the contract
+    /// accepted its `request_update`).
     pub fn commit_view(&mut self, table_id: &str, view: &Table, version: u64) -> Result<()> {
-        self.replace_stored(table_id, view)?;
-        self.shared_mut(table_id)?.baseline.rebuild_from(view);
+        let shared = self.shared_mut(table_id)?;
+        shared.store.rebuild_from(view);
+        shared.undo.clear();
+        let post_hash = shared.store.content_hash();
+        let rows: Vec<Row> = view.rows().cloned().collect();
+        self.db
+            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
         self.applied_versions.insert(table_id.to_string(), version);
         self.publish_resident_rows();
         Ok(())
@@ -1217,12 +1173,6 @@ impl PeerNode {
         n
     }
 
-    /// A snapshot of the peer's local database: the source tables, the
-    /// mutation log and the version counters.
-    pub fn snapshot(&self) -> Database {
-        self.db.clone()
-    }
-
     // ----- durable-storage support -------------------------------------
 
     /// The peer's share bindings (persisted verbatim in snapshots).
@@ -1237,23 +1187,13 @@ impl PeerNode {
     }
 
     /// Per-share inverse deltas that rewind each stored copy back to its
-    /// committed baseline (`diff_tables(stored, baseline)`) — this is how
-    /// a flush records baseline + pending state without writing a second
-    /// copy of any table. O(pending rows) per share in delta mode;
-    /// full-table mode tracks no pending rows and diffs.
+    /// committed baseline (`diff_tables(stored, baseline)`, read off the
+    /// undo rows) — what a flush records next to the stored copies, so
+    /// disk like memory holds no second copy of any table. O(undo rows)
+    /// per share in either propagation mode.
     pub fn baseline_inverses(&self) -> Vec<(String, TableDelta)> {
-        let mut out = Vec::new();
-        for (table_id, shared) in &self.shared {
-            let inv = match (self.mode, self.pending.get(table_id)) {
-                (PropagationMode::FullTable, _) => diff_tables(&shared.store, &shared.baseline),
-                (PropagationMode::Delta, Some(pending)) => rewind_pending(pending, shared),
-                (PropagationMode::Delta, None) => continue,
-            };
-            if !inv.is_empty() {
-                out.push((table_id.clone(), inv));
-            }
-        }
-        out
+        let rewinds = self.shared.iter().map(|(id, t)| (id.clone(), t.rewind()));
+        rewinds.filter(|(_, inv)| !inv.is_empty()).collect()
     }
 
     /// Rebuilds a peer from persisted parts: the recovered database
@@ -1262,9 +1202,9 @@ impl PeerNode {
     /// flush. Signing keys are re-derived from the deployment seed (they
     /// are never persisted) and fast-forwarded past the already-consumed
     /// one-time signatures; each shared table moves out of the database
-    /// into its sharded store, the baseline rewinds from it via the
-    /// recorded inverse, whose own inverse is the pending delta, and the
-    /// group indexes rebuild from ground truth.
+    /// into its sharded store, the recorded inverse becomes its undo rows
+    /// (recovery then checks the baseline they imply against the
+    /// contract), and the group indexes rebuild from ground truth.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore_from_parts(
         name: &str,
@@ -1291,16 +1231,14 @@ impl PeerNode {
         for (table_id, binding) in &bindings {
             let stored = peer.db.detach_table(table_id)?;
             let store = ShardMap::from_table(&stored, peer.shards_per_table);
-            let mut baseline = store.clone();
-            let pending_delta = match inverses.get(table_id.as_str()) {
-                Some(inv) => baseline.apply_delta(inv)?,
-                None => TableDelta::default(),
+            let mut shared = SharedTable {
+                store,
+                undo: Undo::new(),
             };
-            peer.shared
-                .insert(table_id.clone(), SharedTable { store, baseline });
-            if !pending_delta.is_empty() {
-                peer.merge_pending(table_id, &pending_delta)?;
+            if let Some(inverse) = inverses.get(table_id.as_str()) {
+                shared.note_undo(inverse);
             }
+            peer.shared.insert(table_id.clone(), shared);
             if let (PropagationMode::Delta, LensSpec::ProjectDistinct { view_key, .. }) =
                 (mode, &binding.lens)
             {
@@ -1312,21 +1250,6 @@ impl PeerNode {
         }
         peer.bindings = bindings;
         Ok(peer)
-    }
-
-    /// Restores a database snapshot, re-deriving the group indexes from
-    /// the restored sources.
-    pub fn restore(&mut self, snapshot: Database) -> Result<()> {
-        self.db = snapshot;
-        let sources: BTreeSet<String> = self
-            .group_indexes
-            .keys()
-            .filter_map(|id| self.bindings.get(id).map(|b| b.source_table.clone()))
-            .collect();
-        for source in sources {
-            self.rebuild_group_indexes_for_source(&source)?;
-        }
-        Ok(())
     }
 }
 
@@ -1392,6 +1315,13 @@ mod tests {
         doctor_with_shares_in(PropagationMode::FullTable)
     }
 
+    /// The committed view of `table`, read through the baseline overlay.
+    fn committed_table(peer: &PeerNode, table: &str) -> Table {
+        let baseline = peer.baseline(table).expect("baseline");
+        let rows = baseline.rows().cloned().collect();
+        Table::from_rows(baseline.schema().clone(), rows).expect("committed rows")
+    }
+
     #[test]
     fn join_share_materializes_view() {
         let doctor = doctor_with_shares();
@@ -1419,31 +1349,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, CoreError::BadAgreement(_)));
-    }
-
-    #[test]
-    fn refresh_view_reports_changed_attrs() {
-        let mut doctor = doctor_with_shares();
-        doctor
-            .db
-            .apply(
-                "D3",
-                WriteOp::Update {
-                    key: vec![Value::Int(188)],
-                    assignments: vec![("dosage".into(), Value::text("stop"))],
-                },
-            )
-            .expect("edit source");
-        let attrs = doctor.refresh_view("D13&D31").expect("refresh");
-        assert_eq!(attrs.into_iter().collect::<Vec<_>>(), vec!["dosage"]);
-        // Stored copy updated.
-        let d31 = doctor.shared_table("D13&D31").expect("D31");
-        assert_eq!(
-            d31.get(&[Value::Int(188)]).expect("row")[3],
-            Value::text("stop")
-        );
-        // No further changes → empty set.
-        assert!(doctor.refresh_view("D13&D31").expect("refresh").is_empty());
     }
 
     #[test]
@@ -1485,7 +1390,6 @@ mod tests {
         for shards in [1usize, 8] {
             let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, shards);
             let before_fp = doctor.fingerprint();
-            let before_pending = doctor.pending_snapshot();
             let inverses = doctor
                 .write_shared(
                     "D23&D32",
@@ -1526,7 +1430,7 @@ mod tests {
             );
 
             // Rolling back the inverses restores everything.
-            doctor.rollback_writes(&inverses, before_pending);
+            doctor.rollback_writes(&inverses);
             assert_eq!(doctor.fingerprint(), before_fp, "shards={shards}");
             assert_eq!(
                 doctor.shared_hash("D23&D32").expect("hash"),
@@ -1601,7 +1505,6 @@ mod tests {
             .expect("delta write");
         assert!(delta_doc.has_pending_change("D13&D31").expect("check"));
         full_doc.db.apply("D3", local_edit).expect("full write");
-        full_doc.refresh_view("D13&D31").expect("full refresh");
 
         // A committed remote update (dosage of 189) built on the
         // *committed* baseline arrives at both.
@@ -1612,7 +1515,7 @@ mod tests {
             )],
             ..Default::default()
         };
-        let mut view_new = delta_doc.baseline("D13&D31").expect("baseline").clone();
+        let mut view_new = committed_table(&delta_doc, "D13&D31");
         view_new.apply_delta(&view_delta).expect("view");
         let announced = view_new.content_hash();
 
@@ -1623,7 +1526,7 @@ mod tests {
             .apply_remote_delta("D13&D31", &view_delta, &source_delta, announced, 1)
             .expect("delta apply");
         full_doc
-            .apply_remote_view("D13&D31", &view_new.assemble(), announced, 1)
+            .apply_remote_view("D13&D31", &view_new, announced, 1)
             .expect("full apply");
 
         // Byte-identical end state across modes, and the delta doctor's
@@ -1777,24 +1680,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trip() {
-        let mut doctor = doctor_with_shares();
-        let snap = doctor.snapshot();
-        doctor
-            .db
-            .apply(
-                "D3",
-                WriteOp::Delete {
-                    key: vec![Value::Int(188)],
-                },
-            )
-            .expect("delete");
-        assert_eq!(doctor.db.table("D3").expect("D3").len(), 1);
-        doctor.restore(snap).expect("restore");
-        assert_eq!(doctor.db.table("D3").expect("D3").len(), 2);
-    }
-
-    #[test]
     fn leave_share_cleans_up() {
         let mut doctor = doctor_with_shares();
         doctor.leave_share("D23&D32").expect("leave");
@@ -1839,7 +1724,7 @@ mod tests {
         let source_delta = doctor
             .translate_remote_delta("D13&D31", &view_delta)
             .expect("translate");
-        let mut expected = doctor.baseline("D13&D31").expect("baseline").clone();
+        let mut expected = committed_table(doctor, "D13&D31");
         expected.apply_delta(&view_delta).expect("expected");
         doctor
             .apply_remote_delta(
@@ -1886,11 +1771,7 @@ mod tests {
                 );
                 assert_eq!(
                     sharded.committed_hash(table).expect("hash"),
-                    sharded
-                        .baseline(table)
-                        .expect("baseline")
-                        .assemble()
-                        .content_hash()
+                    committed_table(&sharded, table).content_hash()
                 );
             }
         }
@@ -1925,39 +1806,133 @@ mod tests {
         );
     }
 
+    /// A ward peer of 40 rows under one `select(True)` share named "ward".
+    fn ward_peer(shards: usize, recorder: &Recorder) -> PeerNode {
+        let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, shards);
+        ward.set_recorder(recorder);
+        let mut source = Table::new(d3_table().schema().clone());
+        for pid in 0..40i64 {
+            source
+                .insert(row![pid, "Ibuprofen", "CliD", "MeA1", "1x"])
+                .expect("insert");
+        }
+        ward.add_source_table("D3", source).expect("add D3");
+        let binding = PeerBinding {
+            source_table: "D3".into(),
+            lens: LensSpec::select(medledger_relational::Predicate::True),
+        };
+        ward.join_share("ward", binding).expect("join");
+        ward
+    }
+
     #[test]
-    fn resident_rows_gauge_reads_twice_the_shared_rows() {
-        use medledger_relational::Predicate;
+    fn resident_rows_gauge_reads_once_plus_one_per_undo_row() {
         use medledger_telemetry::Registry;
         for shards in [1usize, 4] {
             let registry = Registry::shared();
-            let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, shards);
-            ward.set_recorder(&Recorder::new(&registry));
-            let mut source = Table::new(d3_table().schema().clone());
-            for pid in 0..40i64 {
-                source
-                    .insert(row![pid, "Ibuprofen", "CliD", "MeA1", "1x"])
-                    .expect("insert");
-            }
-            ward.add_source_table("D3", source).expect("add D3");
             let gauge = || registry.snapshot().gauge("peer.shared_rows_resident.Ward");
-            assert_eq!(gauge(), Some(0));
-            let binding = PeerBinding {
-                source_table: "D3".into(),
-                lens: LensSpec::select(Predicate::True),
-            };
-            ward.join_share("ward", binding).expect("join");
-            assert_eq!(gauge(), Some(2 * 40), "shards={shards}");
-            // A committed insert grows both copies by one row each.
+            let mut ward = ward_peer(shards, &Recorder::new(&registry));
+            assert_eq!(gauge(), Some(40), "shards={shards}");
+            // An uncommitted insert is one more stored row and displaces
+            // no committed row; an uncommitted update keeps the one it
+            // displaced, however often the key is rewritten.
             let row = row![40i64, "Ibuprofen", "CliD", "MeA1", "2x"];
             ward.write_shared("ward", WriteOp::Insert { row })
                 .expect("insert");
+            assert_eq!(gauge(), Some(41), "shards={shards}");
+            for dose in ["3x", "4x"] {
+                let op = WriteOp::Update {
+                    key: vec![Value::Int(7)],
+                    assignments: vec![("dosage".into(), Value::text(dose))],
+                };
+                ward.write_shared("ward", op).expect("update");
+                assert_eq!(gauge(), Some(41 + 1), "shards={shards}");
+            }
+            // Committed: the store is the only copy again.
             let delta = ward.prepare_update_delta("ward").expect("prepare");
             ward.commit_delta("ward", &delta, 1).expect("commit");
             assert_eq!(ward.shared_table("ward").expect("view").len(), 41);
-            assert_eq!(gauge(), Some(2 * 41), "shards={shards}");
+            assert_eq!(gauge(), Some(41), "shards={shards}");
             ward.leave_share("ward").expect("leave");
             assert_eq!(gauge(), Some(0));
+        }
+    }
+
+    #[test]
+    fn rollback_leaves_a_share_committed_in_the_meantime_alone() {
+        // One wave, two members staged on one peer: the first commits,
+        // the second is denied and rolls back afterwards. The rollback
+        // must not bring back undo rows of the share that has committed.
+        let mut ward = ward_peer(1, &Recorder::disabled());
+        let other = ward.db.table("D3").expect("D3").clone();
+        ward.add_source_table("D4", other).expect("add D4");
+        let binding = PeerBinding {
+            source_table: "D4".into(),
+            lens: LensSpec::select(medledger_relational::Predicate::True),
+        };
+        ward.join_share("other", binding).expect("join");
+        let set_dose = |dose: &str| WriteOp::Update {
+            key: vec![Value::Int(7)],
+            assignments: vec![("dosage".into(), Value::text(dose))],
+        };
+        ward.write_shared("ward", set_dose("2x")).expect("first");
+        let denied = ward.write_shared("other", set_dose("3x")).expect("second");
+        let delta = ward.prepare_update_delta("ward").expect("prepare");
+        ward.commit_delta("ward", &delta, 1).expect("commit");
+        let committed = ward.shared_hash("ward").expect("hash");
+        ward.rollback_writes(&denied);
+        assert_eq!(ward.committed_hash("ward").expect("hash"), committed);
+        for share in ["ward", "other"] {
+            assert!(!ward.has_pending_change(share).expect("check"), "{share}");
+            assert!(ward.shared[share].undo.is_empty(), "{share}");
+        }
+        assert_eq!(ward.baseline_inverses(), Vec::new());
+    }
+
+    #[test]
+    fn corrupt_committed_row_fails_integrity_with_and_without_undo_rows() {
+        for shards in [1usize, 4] {
+            let mut ward = ward_peer(shards, &Recorder::disabled());
+            let contract_hash = ward.shared_hash("ward").expect("hash");
+            ward.check_share_integrity("ward", contract_hash)
+                .expect("clean at rest");
+            // A pending change elsewhere does not hide the committed state…
+            let pending = WriteOp::Update {
+                key: vec![Value::Int(7)],
+                assignments: vec![("dosage".into(), Value::text("9x"))],
+            };
+            ward.write_shared("ward", pending).expect("pending write");
+            ward.check_share_integrity("ward", contract_hash)
+                .expect("clean under a pending change");
+            // …and a stored row damaged behind the tracked paths, at a key
+            // no pending change covers, fails the check either way.
+            for with_undo in [true, false] {
+                if !with_undo {
+                    let delta = ward.prepare_update_delta("ward").expect("prepare");
+                    ward.commit_delta("ward", &delta, 1).expect("commit");
+                }
+                let committed = ward.committed_hash("ward").expect("hash");
+                ward.check_share_integrity("ward", committed)
+                    .expect("clean");
+                let damage = TableDelta {
+                    updates: vec![(
+                        vec![Value::Int(3)],
+                        row![3i64, "Ibuprofen", "CliD", "MeA1", "tampered"],
+                    )],
+                    ..Default::default()
+                };
+                let store = &mut ward.shared.get_mut("ward").expect("share").store;
+                let repair = store.apply_delta(&damage).expect("damage");
+                let err = ward
+                    .check_share_integrity("ward", committed)
+                    .expect_err("damage must be detected");
+                assert!(
+                    matches!(err, CoreError::ConsistencyViolation(_)),
+                    "shards={shards} with_undo={with_undo}"
+                );
+                let store = &mut ward.shared.get_mut("ward").expect("share").store;
+                store.apply_delta(&repair).expect("repair");
+            }
         }
     }
 
@@ -2069,7 +2044,7 @@ mod tests {
         let s = full_records_schema();
         assert_eq!(s.arity(), 7);
         let mut p = PeerNode::new("P", "schema", 4, PropagationMode::Delta, 1);
-        p.create_source_table("full", s).expect("create");
+        p.add_source_table("full", Table::new(s)).expect("create");
         p.db.apply(
             "full",
             WriteOp::Insert {

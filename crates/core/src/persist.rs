@@ -3,8 +3,10 @@
 //!
 //! The in-memory [`System`] stays the default — nothing here runs until a
 //! [`StorageBackend`] is attached (see [`System::attach_storage`] or the
-//! facade's `MedLedgerBuilder::durable`). Once attached, every commit
-//! boundary (propagation, group commit, share lifecycle) flushes:
+//! facade's `MedLedgerBuilder::durable`); until then a commit boundary
+//! only drops the peers' mutation logs, which have no other reader. Once
+//! attached, every commit boundary (propagation, group commit, share
+//! lifecycle) flushes:
 //!
 //! 1. everything the flush commits is encoded into one [`FlushRecord`]:
 //!    the mutation records every peer database logged since the previous
@@ -91,9 +93,10 @@ struct PeerMeta {
     /// Last applied contract version per shared table.
     applied_versions: Vec<(String, u64)>,
     /// Per shared table: the inverse delta rewinding the stored copy to
-    /// the committed baseline (empty entries omitted). Baselines and
-    /// pending rows are *derived* state — this is all recovery needs to
-    /// reconstruct both without persisting a second copy of any table.
+    /// the committed baseline (empty entries omitted) — the peer's undo
+    /// rows in delta form. The baseline and the pending delta are both
+    /// read off it, on disk as in memory, so no second copy of any
+    /// table is ever written.
     baseline_inverses: Vec<(String, TableDelta)>,
 }
 
@@ -775,9 +778,11 @@ impl System {
         self.persist.is_some()
     }
 
-    /// Flushes all unpersisted state to the attached backend (no-op when
-    /// none is attached). Commit boundaries call this automatically;
-    /// callers staging writes outside those paths can force one.
+    /// Flushes all unpersisted state to the attached backend. Commit
+    /// boundaries call this automatically; callers staging writes outside
+    /// those paths can force one. With no backend attached the peers'
+    /// mutation logs have no reader, so they are dropped instead of kept
+    /// for the life of the node.
     pub fn flush_storage(&mut self) -> Result<()> {
         self.flush_with(false)
     }
@@ -792,6 +797,11 @@ impl System {
 
     fn flush_with(&mut self, force_snapshot: bool) -> Result<()> {
         let Some(mut p) = self.persist.take() else {
+            // A backend attached later starts from a forced snapshot and
+            // logs from each database's `base_seq`, wherever that is.
+            for peer in self.peers.values_mut() {
+                peer.db.truncate_log(peer.db.next_seq());
+            }
             return Ok(());
         };
         let result = flush_inner(self, &mut p, force_snapshot);
@@ -972,5 +982,53 @@ mod tests {
             .expect("post-recovery commit");
         recovered.check_consistency().expect("still consistent");
         assert!(recovered.chain().height() > height);
+    }
+
+    #[test]
+    fn in_memory_node_drops_its_write_log_and_can_still_turn_durable() {
+        fn set_dosage(ledger: &mut MedLedger, value: &str) {
+            let doctor = ledger.peer_id("Doctor").expect("doctor");
+            let mut session = ledger.session(doctor);
+            let batch = session.begin(SHARE_PD);
+            let batch = batch.set(vec![Value::Int(188)], "dosage", Value::text(value));
+            batch.commit().expect("commit");
+        }
+        let cfg = config("persist-late-attach");
+        let mut scn = scenario::build(cfg.clone()).expect("in-memory fig1");
+        assert!(!scn.ledger.is_durable());
+        scenario::run_fig5(&mut scn).expect("fig5");
+        set_dosage(&mut scn.ledger, "two tablets");
+        // Every store mutation was logged — and, with no storage to read
+        // the log, dropped at the commit boundary.
+        for peer in scn.ledger.system().peers.values() {
+            assert!(peer.db.next_seq() > 0, "{} logged nothing", peer.name);
+            assert!(peer.db.log().is_empty(), "{} kept its log", peer.name);
+        }
+
+        // Attaching storage afterwards snapshots the whole state, so
+        // recovery needs none of the dropped records.
+        let backend = SharedBackend::new();
+        let system = scn.ledger.system_mut();
+        system
+            .attach_storage(Box::new(backend.clone()))
+            .expect("attach");
+        set_dosage(&mut scn.ledger, "three tablets");
+        let fingerprints: Vec<_> = (scn.ledger.system().peers.values())
+            .map(|p| (p.name.clone(), p.fingerprint(), p.db.next_seq()))
+            .collect();
+        let height = scn.ledger.chain().height();
+        scn.ledger.close().expect("close");
+
+        let recovered = MedLedger::builder()
+            .config(cfg)
+            .storage_backend(Box::new(backend))
+            .build()
+            .expect("recover");
+        let recovered_fps: Vec<_> = (recovered.system().peers.values())
+            .map(|p| (p.name.clone(), p.fingerprint(), p.db.next_seq()))
+            .collect();
+        assert_eq!(recovered_fps, fingerprints);
+        assert_eq!(recovered.chain().height(), height);
+        recovered.check_consistency().expect("consistent");
     }
 }

@@ -22,7 +22,7 @@ use medledger_ledger::{
 };
 use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel, PayloadKind};
 use medledger_relational::normalize_shard_count;
-use medledger_relational::{Table, WriteOp};
+use medledger_relational::Table;
 use medledger_telemetry::{Recorder, StageTimer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -109,9 +109,9 @@ pub struct SystemConfig {
     pub fanout_workers: usize,
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`). With `1` — the default and the equivalence
-    /// baseline — every stored copy and baseline is a single shard. A
-    /// larger value splits them into digest-aligned shards (delta mode): deltas route to the shards
-    /// they land in, hash verification folds cached per-shard Merkle
+    /// baseline — every stored copy is a single shard. A larger value
+    /// splits them into digest-aligned shards (delta mode): deltas route
+    /// to the shards they land in, hash verification folds cached per-shard Merkle
     /// subroots instead of rehashing the whole chunk tree, and one
     /// receiver's disjoint shards apply in parallel on the fan-out
     /// worker pool. Final state, hashes, traces and receipts are
@@ -330,12 +330,6 @@ impl GroupEntry {
     /// Restricts the lead's declared attributes (write-combined members).
     pub fn declaring(mut self, attrs: Vec<String>) -> Self {
         self.declared_attrs = Some(attrs);
-        self
-    }
-
-    /// Adds a co-author with its declared attributes.
-    pub fn with_co_submitter(mut self, peer: PeerId, attrs: Vec<String>) -> Self {
-        self.co_submitters.push(CoSubmitter { peer, attrs });
         self
     }
 }
@@ -1097,8 +1091,7 @@ impl System {
             ),
         );
 
-        // The updater's stored copy and committed baseline advance to the
-        // committed state.
+        // The updater's stored copy becomes the committed baseline.
         self.commit_local(&prepared, version)?;
 
         // Steps 4–5: parallel fan-out to every other sharing peer.
@@ -1182,7 +1175,7 @@ impl System {
                         return Err(CoreError::NoChange(table_id.to_string()));
                     }
                     let attrs: Vec<String> =
-                        changed_attrs_from_delta(peer.baseline(table_id)?, &delta)
+                        changed_attrs_from_delta(&peer.baseline(table_id)?, &delta)
                             .into_iter()
                             .collect();
                     let new_hash = peer.shared_hash(table_id)?;
@@ -1231,7 +1224,7 @@ impl System {
                     let current = peer.regenerate_view(table_id)?;
                     let baseline = peer.baseline(table_id)?;
                     let attrs: Vec<String> =
-                        changed_attrs(baseline, &current).into_iter().collect();
+                        changed_attrs(&baseline, &current).into_iter().collect();
                     (peer.name.clone(), current, attrs)
                 };
                 if attrs.is_empty() {
@@ -1272,8 +1265,8 @@ impl System {
         }
     }
 
-    /// Advances the updater's own stored copy and committed baseline to
-    /// the state the contract just committed.
+    /// Makes the state the contract just committed the updater's own
+    /// committed baseline.
     fn commit_local(&mut self, prepared: &PreparedUpdate, version: u64) -> Result<()> {
         let peer = self.node_mut(&prepared.updater)?;
         match &prepared.payload {
@@ -1484,7 +1477,7 @@ impl System {
     ///    parallel.
     /// 3. **Finish** (serial, receiver order): fold-verify the announced
     ///    hash, log the delta, reflect into the source via BX-put, stash
-    ///    sibling cascades, advance the baseline.
+    ///    sibling cascades.
     ///
     /// Receivers that cannot take the shard path (a conflicted pending
     /// change) fall back to the whole-table resolution, still slotted in
@@ -1725,7 +1718,7 @@ impl System {
                     PropagationMode::Delta => peer.has_pending_change(&other_table)?,
                     PropagationMode::FullTable => {
                         let regenerated = peer.regenerate_view(&other_table)?;
-                        !changed_attrs(peer.baseline(&other_table)?, &regenerated).is_empty()
+                        !changed_attrs(&peer.baseline(&other_table)?, &regenerated).is_empty()
                     }
                 };
                 let peer_name = peer.name.clone();
@@ -2415,46 +2408,6 @@ impl System {
         self.chain.block_at(*height).map(|b| b.header.timestamp_ms)
     }
 
-    // ----- Fig. 4 CRUD on shared data ----------------------------------
-
-    /// Entry-level create on a shared table: insert locally (reflected
-    /// into the source via `put`), then propagate.
-    pub fn create_shared_entry(
-        &mut self,
-        peer: PeerId,
-        table_id: &str,
-        row: medledger_relational::Row,
-    ) -> Result<UpdateReport> {
-        self.peer_mut(peer)?
-            .write_shared(table_id, WriteOp::Insert { row })?;
-        self.propagate_update(peer, table_id)
-    }
-
-    /// Entry-level update on a shared table.
-    pub fn update_shared_entry(
-        &mut self,
-        peer: PeerId,
-        table_id: &str,
-        key: Vec<medledger_relational::Value>,
-        assignments: Vec<(String, medledger_relational::Value)>,
-    ) -> Result<UpdateReport> {
-        self.peer_mut(peer)?
-            .write_shared(table_id, WriteOp::Update { key, assignments })?;
-        self.propagate_update(peer, table_id)
-    }
-
-    /// Entry-level delete on a shared table.
-    pub fn delete_shared_entry(
-        &mut self,
-        peer: PeerId,
-        table_id: &str,
-        key: Vec<medledger_relational::Value>,
-    ) -> Result<UpdateReport> {
-        self.peer_mut(peer)?
-            .write_shared(table_id, WriteOp::Delete { key })?;
-        self.propagate_update(peer, table_id)
-    }
-
     /// Read: query the local database directly (the paper's Fig. 4 read
     /// path — no chain interaction).
     pub fn read_shared(&self, peer: PeerId, table_id: &str) -> Result<medledger_relational::Table> {
@@ -2464,12 +2417,10 @@ impl System {
     // ----- invariants ---------------------------------------------------
 
     /// Verifies the paper's core promise: for every *synced* shared
-    /// table, every sharing peer's committed data matches the hash the
-    /// contract committed, **and** the peer's stored copy agrees with
-    /// that committed state plus whatever pending local delta it tracks
-    /// (a peer with a permission-blocked cascade awaiting retry carries
-    /// such a pending change; everything it serves is still accounted
-    /// for). See [`PeerNode::check_share_integrity`].
+    /// table, every sharing peer's committed data — its stored copy,
+    /// rewound by whatever pending local change it carries (a peer with a
+    /// permission-blocked cascade awaiting retry does) — matches the hash
+    /// the contract committed. See [`PeerNode::check_share_integrity`].
     pub fn check_consistency(&self) -> Result<()> {
         let contract = self.sharing_contract()?;
         let state = self

@@ -40,7 +40,7 @@
 use medledger_bx::{changed_attrs, changed_attrs_from_delta};
 use medledger_core::{
     facade, CoSubmitter, CommitError, CommitOutcome, CoreError, GroupEntry, MedLedger, PeerId,
-    PeerNode, PendingSnapshot, PropagationMode, System, UpdateReport,
+    PeerNode, PropagationMode, System, UpdateReport,
 };
 use medledger_ledger::TxStatus;
 use medledger_relational::{delta_from_write_op, Row, TableDelta, Value, WriteOp};
@@ -160,7 +160,6 @@ struct StagedGroup {
     co: Vec<(u64, CoState, PendingSubmission)>,
     lead_peer: PeerId,
     inverses: Vec<(String, TableDelta)>,
-    pending_before: PendingSnapshot,
     /// Local tables the group's staging touched on the lead peer.
     touched: BTreeSet<String>,
 }
@@ -249,11 +248,6 @@ impl LedgerService {
     /// Submissions waiting for the next wave.
     pub fn pending_submissions(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Cascades waiting for the next wave.
-    pub fn pending_cascades(&self) -> usize {
-        self.deferred.len()
     }
 
     /// Waves run so far.
@@ -430,7 +424,7 @@ impl LedgerService {
                     match m {
                         WaveMember::Group(g) => {
                             let system = crate::raw_system_mut(&mut self.ledger);
-                            rollback(system, g.lead_peer, &g.inverses, g.pending_before.clone());
+                            rollback(system, g.lead_peer, &g.inverses);
                             self.resolve(g.lead_ticket, Err(CommitError::Engine(e.clone())));
                             for (ticket, _, _) in g.co {
                                 self.resolve(ticket, Err(CommitError::Engine(e.clone())));
@@ -587,7 +581,7 @@ impl LedgerService {
 
         // Pick the lead: stage submissions on their own peer until one
         // sticks with a non-empty changed-attribute set.
-        let (lead, lead_attrs, inverses, pending_before) = loop {
+        let (lead, lead_attrs, inverses) = loop {
             let Some(lead) = queue.pop_front() else {
                 return Ok(None);
             };
@@ -599,7 +593,6 @@ impl LedgerService {
                     continue;
                 }
             };
-            let pending_before = node.pending_snapshot();
             // The lead also ships (and must declare) whatever pending
             // delta it already carries — e.g. a permission-blocked
             // cascade awaiting retry.
@@ -611,7 +604,7 @@ impl LedgerService {
                     continue;
                 }
             };
-            match stage_writes(node, table_id, &lead.writes, &pending_before) {
+            match stage_writes(node, table_id, &lead.writes) {
                 Ok((invs, staged_attrs, composed)) => {
                     // Writes whose composition cancels out contribute no
                     // attributes of their own (declaring the per-op union
@@ -634,7 +627,7 @@ impl LedgerService {
                         );
                         continue;
                     }
-                    break (lead, attrs, invs, pending_before);
+                    break (lead, attrs, invs);
                 }
                 Err(e) => {
                     let err = CommitError::from_core(e, system);
@@ -651,7 +644,6 @@ impl LedgerService {
             co: Vec::new(),
             lead_peer: lead.peer,
             inverses,
-            pending_before,
             touched: BTreeSet::new(),
         };
 
@@ -702,8 +694,7 @@ impl LedgerService {
                 requeue_subs.push(sub);
                 continue;
             };
-            let snapshot = node.pending_snapshot();
-            match stage_writes(node, table_id, &sub.writes, &snapshot) {
+            match stage_writes(node, table_id, &sub.writes) {
                 Ok((invs, attrs, composed)) => {
                     if attrs.is_empty() || composed.is_empty() {
                         // No observable change of the shared view (no-op
@@ -717,7 +708,7 @@ impl LedgerService {
                         // (e.g. a source write outside the lens
                         // footprint) on ITS OWN node instead of
                         // discarding them from the lead's.
-                        node.rollback_writes(&invs, snapshot);
+                        node.rollback_writes(&invs);
                         requeue_subs.push(sub);
                         continue;
                     }
@@ -730,7 +721,7 @@ impl LedgerService {
                     // staging and retry it as next wave's lead instead
                     // of crashing the pump.
                     let Some(meta) = meta.as_ref() else {
-                        node.rollback_writes(&invs, snapshot);
+                        node.rollback_writes(&invs);
                         requeue_subs.push(sub);
                         continue;
                     };
@@ -747,7 +738,7 @@ impl LedgerService {
                             // Lone-submitter rollback: only this
                             // submission's writes unwind; the lead and
                             // earlier co-authors stay staged.
-                            node.rollback_writes(&invs, snapshot);
+                            node.rollback_writes(&invs);
                             group.entry.co_submitters.push(CoSubmitter {
                                 peer: sub.peer,
                                 attrs: attrs_vec,
@@ -786,12 +777,7 @@ impl LedgerService {
         });
         if overlap {
             let system = crate::raw_system_mut(&mut self.ledger);
-            rollback(
-                system,
-                group.lead_peer,
-                &group.inverses,
-                group.pending_before,
-            );
+            rollback(system, group.lead_peer, &group.inverses);
             requeue_subs.push(lead);
             for (_, _, sub) in group.co {
                 requeue_subs.push(sub);
@@ -868,7 +854,7 @@ impl LedgerService {
                     let system = crate::raw_system_mut(&mut self.ledger);
                     let err = CommitError::from_core(f.error, system);
                     if !committed && !err.is_no_change() {
-                        rollback(system, g.lead_peer, &g.inverses, g.pending_before);
+                        rollback(system, g.lead_peer, &g.inverses);
                     }
                     err
                 };
@@ -933,16 +919,11 @@ fn co_revert_error(
     base.with_commit_point(data_committed)
 }
 
-fn rollback(
-    system: &mut System,
-    peer: PeerId,
-    inverses: &[(String, TableDelta)],
-    pending: PendingSnapshot,
-) {
+fn rollback(system: &mut System, peer: PeerId, inverses: &[(String, TableDelta)]) {
     // A rollback for a peer that no longer exists has nothing to undo;
     // dropping it beats panicking mid-unwind.
     if let Ok(node) = system.peer_mut(peer) {
-        node.rollback_writes(inverses, pending);
+        node.rollback_writes(inverses);
     }
 }
 
@@ -955,11 +936,14 @@ fn pre_existing_attrs(node: &PeerNode, table_id: &str) -> medledger_core::Result
             if pending.is_empty() {
                 return Ok(BTreeSet::new());
             }
-            Ok(changed_attrs_from_delta(node.baseline(table_id)?, &pending))
+            Ok(changed_attrs_from_delta(
+                &node.baseline(table_id)?,
+                &pending,
+            ))
         }
         PropagationMode::FullTable => {
             let regenerated = node.regenerate_view(table_id)?;
-            Ok(changed_attrs(node.baseline(table_id)?, &regenerated))
+            Ok(changed_attrs(&node.baseline(table_id)?, &regenerated))
         }
     }
 }
@@ -977,13 +961,12 @@ type StagedWrites = (Vec<(String, TableDelta)>, BTreeSet<String>, TableDelta);
 /// this is what each submitter's permission is checked on), and the
 /// composed view delta (an empty composition means the submission is a
 /// net no-op on the view even when individual writes were not, e.g.
-/// insert-then-delete). On error the partial staging is rolled back via
-/// `before` and nothing is kept.
+/// insert-then-delete). On error the partial staging is rolled back and
+/// nothing is kept.
 fn stage_writes(
     node: &mut PeerNode,
     table_id: &str,
     writes: &[StagedWrite],
-    before: &PendingSnapshot,
 ) -> medledger_core::Result<StagedWrites> {
     let mut inverses: Vec<(String, TableDelta)> = Vec::new();
     let mut attrs: BTreeSet<String> = BTreeSet::new();
@@ -1023,7 +1006,7 @@ fn stage_writes(
     match result {
         Ok(()) => Ok((inverses, attrs, composed)),
         Err(e) => {
-            node.rollback_writes(&inverses, before.clone());
+            node.rollback_writes(&inverses);
             Err(e)
         }
     }

@@ -3,7 +3,6 @@
 use crate::delta::TableDelta;
 use crate::error::RelationalError;
 use crate::row::Row;
-use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
@@ -80,10 +79,9 @@ pub struct LogRecord {
 
 /// A named collection of tables with a mutation log.
 ///
-/// All mutations should flow through [`Database::apply`] so they are
-/// logged; `table_mut` exists for test setup and bulk loading. The log
-/// and the version counters may also cover tables stored elsewhere
-/// ([`Database::log_external`]).
+/// All mutations flow through [`Database::apply`] so they are logged.
+/// The log and the version counters may also cover tables stored
+/// elsewhere ([`Database::log_external`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Database {
     /// Owner label (peer name); used in error messages and audits.
@@ -91,7 +89,7 @@ pub struct Database {
     tables: BTreeMap<String, Table>,
     log: Vec<LogRecord>,
     /// Per-table mutation counter: bumped by every write path (including
-    /// `table_mut` handouts and whole-table swaps), so callers caching
+    /// whole-table swaps), so callers caching
     /// state derived from a table (e.g. a peer's group indexes) can
     /// detect that the table moved under them.
     #[serde(default)]
@@ -130,22 +128,11 @@ impl Database {
     }
 
     /// Monotonic mutation counter of one table (0 for unknown tables).
-    /// Any write path — logged applies, `table_mut` handouts, table
-    /// creation or replacement — advances it, so equality of two
+    /// Any write path — logged applies, table creation or replacement —
+    /// advances it, so equality of two
     /// observations proves the table content did not change in between.
     pub fn table_version(&self, name: &str) -> u64 {
         self.versions.get(name).copied().unwrap_or(0)
-    }
-
-    /// Creates an empty table.
-    pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<()> {
-        let name = name.into();
-        if self.tables.contains_key(&name) {
-            return Err(RelationalError::TableExists { table: name });
-        }
-        self.bump_version(&name);
-        self.tables.insert(name, Table::new(schema));
-        Ok(())
     }
 
     /// Inserts a pre-built table.
@@ -159,18 +146,6 @@ impl Database {
         Ok(())
     }
 
-    /// Removes a table, returning it.
-    pub fn drop_table(&mut self, name: &str) -> Result<Table> {
-        let removed = self
-            .tables
-            .remove(name)
-            .ok_or_else(|| RelationalError::UnknownTable {
-                table: name.to_string(),
-            })?;
-        self.bump_version(name);
-        Ok(removed)
-    }
-
     /// Read access to a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
@@ -180,29 +155,9 @@ impl Database {
             })
     }
 
-    /// Mutable access to a table. Mutations through this path are *not*
-    /// logged; prefer [`Database::apply`]. Handing out the reference
-    /// counts as a mutation for [`Database::table_version`].
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let t = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| RelationalError::UnknownTable {
-                table: name.to_string(),
-            })?;
-        // Bump only for real handouts, so unknown tables stay at 0.
-        *self.versions.entry(name.to_string()).or_insert(0) += 1;
-        Ok(t)
-    }
-
     /// True iff a table with this name exists.
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
     }
 
     /// Applies and logs a mutation.
@@ -302,11 +257,6 @@ impl Database {
     /// The mutation log, oldest first.
     pub fn log(&self) -> &[LogRecord] {
         &self.log
-    }
-
-    /// Log entries touching one table.
-    pub fn log_for(&self, table: &str) -> Vec<&LogRecord> {
-        self.log.iter().filter(|r| r.table == table).collect()
     }
 
     /// Sequence number of the oldest record still held in memory.
@@ -459,7 +409,7 @@ pub fn fingerprint_of<'a>(tables: impl Iterator<Item = (&'a str, Hash256)>) -> H
 mod tests {
     use super::*;
     use crate::row;
-    use crate::schema::Column;
+    use crate::schema::{Column, Schema};
     use crate::value::ValueType;
 
     fn schema() -> Schema {
@@ -476,13 +426,12 @@ mod tests {
     #[test]
     fn create_and_access_tables() {
         let mut db = Database::new("patient");
-        db.create_table("D1", schema()).expect("create");
+        db.put_table("D1", Table::new(schema())).expect("create");
         assert!(db.has_table("D1"));
         assert!(db.table("D1").is_ok());
         assert!(db.table("D2").is_err());
-        assert_eq!(db.table_names(), vec!["D1"]);
         assert!(matches!(
-            db.create_table("D1", schema()).unwrap_err(),
+            db.put_table("D1", Table::new(schema())).unwrap_err(),
             RelationalError::TableExists { .. }
         ));
     }
@@ -490,7 +439,7 @@ mod tests {
     #[test]
     fn apply_logs_every_mutation() {
         let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         db.apply(
             "t",
             WriteOp::Insert {
@@ -527,7 +476,7 @@ mod tests {
     #[test]
     fn failed_apply_is_not_logged() {
         let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         let err = db.apply(
             "t",
             WriteOp::Delete {
@@ -541,7 +490,7 @@ mod tests {
     #[test]
     fn replace_swaps_contents() {
         let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         db.apply(
             "t",
             WriteOp::Insert {
@@ -564,7 +513,7 @@ mod tests {
     #[test]
     fn post_hash_tracks_table_hash() {
         let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         db.apply(
             "t",
             WriteOp::Insert {
@@ -579,7 +528,7 @@ mod tests {
     #[test]
     fn fingerprint_is_content_based() {
         let mut a = Database::new("a");
-        a.create_table("t", schema()).expect("create");
+        a.put_table("t", Table::new(schema())).expect("create");
         a.apply(
             "t",
             WriteOp::Insert {
@@ -589,7 +538,7 @@ mod tests {
         .expect("insert");
 
         let mut b = Database::new("b");
-        b.create_table("t", schema()).expect("create");
+        b.put_table("t", Table::new(schema())).expect("create");
         b.apply(
             "t",
             WriteOp::Insert {
@@ -611,39 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn log_for_filters_by_table() {
-        let mut db = Database::new("p");
-        db.create_table("t1", schema()).expect("create");
-        db.create_table("t2", schema()).expect("create");
-        db.apply(
-            "t1",
-            WriteOp::Insert {
-                row: row![1i64, "a"],
-            },
-        )
-        .expect("insert");
-        db.apply(
-            "t2",
-            WriteOp::Insert {
-                row: row![1i64, "a"],
-            },
-        )
-        .expect("insert");
-        db.apply(
-            "t1",
-            WriteOp::Insert {
-                row: row![2i64, "b"],
-            },
-        )
-        .expect("insert");
-        assert_eq!(db.log_for("t1").len(), 2);
-        assert_eq!(db.log_for("t2").len(), 1);
-    }
-
-    #[test]
     fn truncate_log_keeps_sequence_monotonic() {
         let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         for i in 0..5i64 {
             db.apply("t", WriteOp::Insert { row: row![i, "r"] })
                 .expect("insert");
@@ -671,13 +590,15 @@ mod tests {
     #[test]
     fn replay_record_verifies_seq_and_hash() {
         let mut live = Database::new("p");
-        live.create_table("t", schema()).expect("create");
+        live.put_table("t", Table::new(schema())).expect("create");
         for i in 0..3i64 {
             live.apply("t", WriteOp::Insert { row: row![i, "x"] })
                 .expect("insert");
         }
         let mut recovered = Database::new("p");
-        recovered.create_table("t", schema()).expect("create");
+        recovered
+            .put_table("t", Table::new(schema()))
+            .expect("create");
         for rec in live.log() {
             recovered.replay_record(rec).expect("replays");
         }
@@ -692,7 +613,7 @@ mod tests {
         ));
         // A wrong post-hash is rejected (and nothing silently diverges).
         let mut fresh = Database::new("p");
-        fresh.create_table("t", schema()).expect("create");
+        fresh.put_table("t", Table::new(schema())).expect("create");
         let mut bad = live.log()[0].clone();
         bad.post_hash = Hash256([9; 32]);
         assert!(matches!(
@@ -704,7 +625,7 @@ mod tests {
     #[test]
     fn export_and_from_parts_round_trip() {
         let mut db = Database::new("peer-a");
-        db.create_table("t", schema()).expect("create");
+        db.put_table("t", Table::new(schema())).expect("create");
         db.apply(
             "t",
             WriteOp::Insert {
@@ -719,14 +640,5 @@ mod tests {
         assert_eq!(rebuilt.base_seq(), 1);
         assert!(rebuilt.log().is_empty(), "snapshots do not carry the log");
         assert_eq!(rebuilt.table_version("t"), db.table_version("t"));
-    }
-
-    #[test]
-    fn drop_table_removes() {
-        let mut db = Database::new("p");
-        db.create_table("t", schema()).expect("create");
-        db.drop_table("t").expect("drop");
-        assert!(!db.has_table("t"));
-        assert!(db.drop_table("t").is_err());
     }
 }

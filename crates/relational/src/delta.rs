@@ -183,34 +183,6 @@ impl TableDelta {
         out.sort_canonical(key_of);
         out
     }
-
-    /// The inverse delta relative to `base` — the table this delta would
-    /// apply to — computed without applying anything. Applying `self` and
-    /// then the result returns the table to `base`; this is how the
-    /// inverse of a *composed* delta is recovered when the per-write
-    /// inverses were never recorded.
-    pub fn invert(&self, base: &Table) -> Result<TableDelta> {
-        let schema = base.schema();
-        let mut out = TableDelta::default();
-        for r in &self.inserts {
-            out.deletes.push(schema.key_of(r));
-        }
-        for (k, _) in &self.updates {
-            let old = base.get(k).ok_or_else(|| RelationalError::KeyNotFound {
-                key: format!("{k:?}"),
-            })?;
-            out.updates.push((k.clone(), old.clone()));
-        }
-        for k in &self.deletes {
-            let old = base.get(k).ok_or_else(|| RelationalError::KeyNotFound {
-                key: format!("{k:?}"),
-            })?;
-            out.inserts.push(old.clone());
-        }
-        let schema = schema.clone();
-        out.sort_canonical(|r| schema.key_of(r));
-        Ok(out)
-    }
 }
 
 /// Keyed read access to one version of a table: all the delta helpers
@@ -593,25 +565,15 @@ mod tests {
                 sequential.apply_delta(second)?;
                 let composed = first.compose(second, |r| schema.key_of(r));
                 let mut one_shot = base.clone();
-                one_shot.apply_delta(&composed)?;
+                let inverse = one_shot.apply_delta(&composed)?;
                 assert_eq!(one_shot, sequential);
                 assert_eq!(one_shot.content_hash(), sequential.content_hash());
                 // Inverse of the composed delta restores the base.
-                let inverse = composed.invert(&base)?;
                 one_shot.apply_delta(&inverse)?;
                 assert_eq!(one_shot, base);
             }
         }
         Ok(())
-    }
-
-    #[test]
-    fn invert_rejects_mismatched_base() {
-        let d = TableDelta {
-            deletes: vec![vec![Value::Int(42)]],
-            ..Default::default()
-        };
-        assert!(d.invert(&base()).is_err());
     }
 
     #[test]

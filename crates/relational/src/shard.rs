@@ -254,7 +254,6 @@ impl Shard {
     /// sub-delta. Validation and atomicity are [`Table::apply_delta`]'s;
     /// a failed apply leaves the shard untouched.
     pub fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
-        let schema = self.table.schema().clone();
         let inverse = self.table.apply_delta(delta)?;
         // The inverse holds exactly the rows this delta replaced or removed.
         let bytes_of = |rows: &[Row], updates: &[(Vec<Value>, Row)]| {
@@ -300,6 +299,7 @@ impl Shard {
             cache.digests.remove(&c);
             cache.subroot = None;
         };
+        let schema = self.table.schema();
         for row in &delta.inserts {
             touch(schema.key_of(row), Some(merkle::leaf_hash(&row.encode())));
         }
@@ -535,10 +535,9 @@ impl ShardMap {
             }
         }
         self.commit_plan(&plan);
-        let schema = self.schema.clone();
         Ok(TableDelta::merge_disjoint(
             applied.into_iter().map(|(_, inv)| inv),
-            |r| schema.key_of(r),
+            |r| self.schema.key_of(r),
         ))
     }
 

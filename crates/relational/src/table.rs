@@ -9,7 +9,7 @@ use crate::value::Value;
 use crate::Result;
 use medledger_crypto::{merkle, sha256_concat, Hash256};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -467,8 +467,7 @@ impl Table {
             self.rows.push(row.clone());
             inverse.deletes.push(key);
         }
-        let schema = self.schema.clone();
-        inverse.sort_canonical(|r| schema.key_of(r));
+        inverse.sort_canonical(|r| self.schema.key_of(r));
         Ok(inverse)
     }
 
@@ -543,75 +542,6 @@ impl Table {
         let mut out = Table::new(schema);
         for row in &self.rows {
             out.insert(row.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// Natural join on the columns the two schemas share. The result is
-    /// keyed by the union of both keys (deduplicated).
-    pub fn natural_join(&self, other: &Table) -> Result<Table> {
-        let left_names = self.schema.column_names();
-        let right_names = other.schema.column_names();
-        let shared: Vec<&str> = left_names
-            .iter()
-            .filter(|n| right_names.contains(n))
-            .copied()
-            .collect();
-        if shared.is_empty() {
-            return Err(RelationalError::SchemaMismatch {
-                reason: "natural join requires at least one shared column".into(),
-            });
-        }
-        let left_shared: Vec<usize> = shared
-            .iter()
-            .map(|n| self.schema.index_of(n))
-            .collect::<Result<_>>()?;
-        let right_shared: Vec<usize> = shared
-            .iter()
-            .map(|n| other.schema.index_of(n))
-            .collect::<Result<_>>()?;
-        // Result columns: all of left, then right-only.
-        let right_only: Vec<usize> = (0..other.schema.arity())
-            .filter(|i| !right_shared.contains(i))
-            .collect();
-        let mut cols = self.schema.columns().to_vec();
-        for &i in &right_only {
-            cols.push(other.schema.columns()[i].clone());
-        }
-        let mut key_names: Vec<String> = self
-            .schema
-            .key_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for k in other.schema.key_names() {
-            if !key_names.iter().any(|n| n == k) {
-                key_names.push(k.to_string());
-            }
-        }
-        let key_refs: Vec<&str> = key_names.iter().map(String::as_str).collect();
-        let schema = Schema::new(cols, &key_refs)?;
-
-        // Hash join: bucket the right side by shared-column values.
-        let mut buckets: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-        for row in &other.rows {
-            buckets
-                .entry(right_shared.iter().map(|&i| row[i].clone()).collect())
-                .or_default()
-                .push(row);
-        }
-        let mut out = Table::new(schema);
-        for lrow in &self.rows {
-            let probe: Vec<Value> = left_shared.iter().map(|&i| lrow[i].clone()).collect();
-            if let Some(matches) = buckets.get(&probe) {
-                for rrow in matches {
-                    let mut cells = lrow.0.clone();
-                    for &i in &right_only {
-                        cells.push(rrow[i].clone());
-                    }
-                    out.upsert(Row::new(cells))?;
-                }
-            }
         }
         Ok(out)
     }
@@ -1104,40 +1034,6 @@ mod tests {
         assert!(r.schema().has_column("dose"));
         assert!(!r.schema().has_column("dosage"));
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn natural_join_matches_on_shared_columns() {
-        let meds = Table::from_rows(
-            Schema::new(
-                vec![
-                    Column::new("medication_name", ValueType::Text),
-                    Column::new("mechanism", ValueType::Text),
-                ],
-                &["medication_name"],
-            )
-            .expect("schema"),
-            vec![row!["Ibuprofen", "MeA1"], row!["Wellbutrin", "MeA2"]],
-        )
-        .expect("table");
-        let joined = patients().natural_join(&meds).expect("join");
-        assert_eq!(joined.len(), 2);
-        assert_eq!(
-            joined.schema().column_names(),
-            vec!["patient_id", "medication_name", "dosage", "mechanism"]
-        );
-        let r = joined.get(&[Value::Int(188), Value::text("Ibuprofen")]);
-        // Key is union of both keys: patient_id + medication_name.
-        assert!(r.is_some());
-        assert_eq!(r.expect("row")[3], Value::text("MeA1"));
-    }
-
-    #[test]
-    fn natural_join_requires_shared_column() {
-        let other = Table::new(
-            Schema::new(vec![Column::new("x", ValueType::Int)], &["x"]).expect("schema"),
-        );
-        assert!(patients().natural_join(&other).is_err());
     }
 
     #[test]

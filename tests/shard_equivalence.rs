@@ -29,6 +29,7 @@ use medledger::relational::{
 };
 use medledger::{ConsensusKind, PropagationMode, SystemConfig, Table, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum ScriptOp {
@@ -355,12 +356,27 @@ fn pick_key(rows: &Table, pick: u8) -> Option<Vec<Value>> {
     Some(rows.schema().key_of(row))
 }
 
+/// The design the peer used to have, kept as the oracle: per share, a
+/// second table advanced only by committed deltas.
+type Oracle = BTreeMap<&'static str, Table>;
+
+fn oracle_of(peer: &PeerNode) -> Oracle {
+    let joined = |t| (t, peer.shared_table(t).expect("joined view"));
+    WARD_SHARES.into_iter().map(joined).collect()
+}
+
 /// The committed view of `table` as a sender would hold it: rows in key
 /// order, whatever the receiver's shard split.
-fn committed_view(peer: &PeerNode, table: &str) -> Table {
-    let baseline = peer.baseline(table).expect("baseline");
-    let rows = baseline.sorted_rows().into_iter().cloned().collect();
-    Table::from_rows(baseline.schema().clone(), rows).expect("baseline rows")
+fn committed_view(oracle: &Oracle, table: &str) -> Table {
+    let committed = &oracle[table];
+    let rows = committed.sorted_rows().into_iter().cloned().collect();
+    Table::from_rows(committed.schema().clone(), rows).expect("committed rows")
+}
+
+/// A delta the peer just committed, applied to the oracle.
+fn advance(oracle: &mut Oracle, table: &str, delta: &TableDelta) {
+    let committed = oracle.get_mut(table).expect("oracle table");
+    committed.apply_delta(delta).expect("committed delta");
 }
 
 fn set_dosage(key: Vec<Value>, v: u8) -> WriteOp {
@@ -380,7 +396,13 @@ fn dosage_delta(view: &Table, key: Vec<Value>, v: u8) -> TableDelta {
     }
 }
 
-fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: &mut i64) {
+fn apply_peer_op(
+    peer: &mut PeerNode,
+    oracle: &mut Oracle,
+    op: &PeerOp,
+    version: &mut u64,
+    next_pid: &mut i64,
+) {
     match op {
         PeerOp::LocalDosage(k, v) => {
             if let Some(key) = pick_key(&peer.shared_table(WARD_PD).expect("view"), *k) {
@@ -420,11 +442,10 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
         PeerOp::Rollback(k, v) => {
             if let Some(key) = pick_key(&peer.shared_table(WARD_PD).expect("view"), *k) {
                 let before = state_of(peer);
-                let pending = peer.pending_snapshot();
                 let inverses = peer
                     .write_shared(WARD_PD, set_dosage(key, *v))
                     .expect("staged write");
-                peer.rollback_writes(&inverses, pending);
+                peer.rollback_writes(&inverses);
                 // The log grew (the undo is logged too); nothing else moved.
                 let after = state_of(peer);
                 assert!(after.next_seq >= before.next_seq);
@@ -443,10 +464,11 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
             if !delta.is_empty() {
                 *version += 1;
                 peer.commit_delta(table, &delta, *version).expect("commit");
+                advance(oracle, table, &delta);
             }
         }
         PeerOp::RemoteDosage(k, v, fault) => {
-            let base = committed_view(peer, WARD_PD);
+            let base = committed_view(oracle, WARD_PD);
             let Some(key) = pick_key(&base, *k) else {
                 return;
             };
@@ -474,6 +496,7 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
                 peer.apply_remote_delta(WARD_PD, &view_delta, &source_delta, announced, *version);
             if *fault == Fault::None {
                 result.expect("remote dosage");
+                advance(oracle, WARD_PD, &view_delta);
             } else {
                 assert!(result.is_err(), "{fault:?} must be refused");
                 assert_eq!(state_of(peer), before, "{fault:?} left a trace");
@@ -485,7 +508,7 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
             if peer.has_pending_change(WARD_RD).expect("pending") {
                 return;
             }
-            let base = committed_view(peer, WARD_RD);
+            let base = committed_view(oracle, WARD_RD);
             let Some(key) = pick_key(&base, *k) else {
                 return;
             };
@@ -507,12 +530,13 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
                 *version,
             )
             .expect("remote retire");
+            advance(oracle, WARD_RD, &view_delta);
         }
         PeerOp::RemoteView(k, v) => {
             if peer.has_pending_change(WARD_PD).expect("pending") {
                 return;
             }
-            let mut view = committed_view(peer, WARD_PD);
+            let mut view = committed_view(oracle, WARD_PD);
             let Some(key) = pick_key(&view, *k) else {
                 return;
             };
@@ -525,19 +549,22 @@ fn apply_peer_op(peer: &mut PeerNode, op: &PeerOp, version: &mut u64, next_pid: 
             *version += 1;
             peer.apply_remote_view(WARD_PD, &view, view.content_hash(), *version)
                 .expect("remote view");
+            advance(oracle, WARD_PD, &delta);
         }
     }
 }
 
-/// (a) folds equal the hash of the assembled rows, (b) the flush's
-/// baseline inverses equal the full diff, (c) the running byte total
-/// equals the sum over the rows.
-fn assert_store_invariants(peer: &PeerNode, context: &str) {
+/// Against the oracle: (a) the store fold equals the hash of the
+/// assembled rows and the committed hash equals the oracle's, (b) the
+/// baseline overlay reads as the oracle, row for row, (c) the pending
+/// delta and the flush's baseline inverses equal the full diffs in
+/// either direction, (d) the running byte total equals the sum over the
+/// rows.
+fn assert_store_invariants(peer: &PeerNode, oracle: &Oracle, context: &str) {
     let mut expected_inverses = Vec::new();
     for table in WARD_SHARES {
         let store = peer.shared_store(table).expect("store");
-        let baseline = peer.baseline(table).expect("baseline");
-        let (stored_rows, baseline_rows) = (store.assemble(), baseline.assemble());
+        let (stored_rows, committed) = (store.assemble(), &oracle[table]);
         assert_eq!(
             peer.shared_hash(table).expect("hash"),
             stored_rows.content_hash(),
@@ -545,18 +572,27 @@ fn assert_store_invariants(peer: &PeerNode, context: &str) {
         );
         assert_eq!(
             peer.committed_hash(table).expect("hash"),
-            baseline_rows.content_hash(),
-            "{context}: `{table}` baseline fold"
+            committed.content_hash(),
+            "{context}: `{table}` committed hash"
         );
-        for (map, rows) in [(store, &stored_rows), (baseline, &baseline_rows)] {
-            let bytes: u64 = rows.rows().map(|r| r.encode().len() as u64).sum();
-            assert_eq!(
-                map.encoded_bytes(),
-                bytes,
-                "{context}: `{table}` byte total"
-            );
-        }
-        let inverse = diff_tables(&stored_rows, &baseline_rows);
+        let baseline = peer.baseline(table).expect("baseline");
+        assert_eq!(
+            diff_tables(&baseline, committed),
+            TableDelta::default(),
+            "{context}: `{table}` baseline overlay"
+        );
+        assert_eq!(
+            peer.pending_delta(table).expect("pending"),
+            diff_tables(committed, &stored_rows),
+            "{context}: `{table}` pending delta"
+        );
+        let bytes: u64 = stored_rows.rows().map(|r| r.encode().len() as u64).sum();
+        assert_eq!(
+            store.encoded_bytes(),
+            bytes,
+            "{context}: `{table}` byte total"
+        );
+        let inverse = diff_tables(&stored_rows, committed);
         if !inverse.is_empty() {
             expected_inverses.push((table.to_string(), inverse));
         }
@@ -574,12 +610,14 @@ proptest! {
         let mut reference: Option<(PeerState, Vec<LogRecord>)> = None;
         for shards in [1usize, 2, 4, 8] {
             let mut peer = ward_doctor(shards);
+            let mut oracle = oracle_of(&peer);
             prop_assert_eq!(peer.is_sharded(WARD_PD), shards > 1);
-            assert_store_invariants(&peer, &format!("shards={shards} after join"));
+            assert_store_invariants(&peer, &oracle, &format!("shards={shards} after join"));
             let (mut version, mut next_pid) = (0u64, 1000i64);
             for (i, op) in script.iter().enumerate() {
-                apply_peer_op(&mut peer, op, &mut version, &mut next_pid);
-                assert_store_invariants(&peer, &format!("shards={shards} step {i} {op:?}"));
+                apply_peer_op(&mut peer, &mut oracle, op, &mut version, &mut next_pid);
+                let context = format!("shards={shards} step {i} {op:?}");
+                assert_store_invariants(&peer, &oracle, &context);
             }
             // Same state and the same mutation log whatever the shard
             // count: the WAL never sees how a store is split.
