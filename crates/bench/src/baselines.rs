@@ -16,7 +16,8 @@
 //!   string) per update; like ours it is payload-independent, but it
 //!   carries no fine-grained permission or bidirectional-update metadata.
 //!
-//! Signatures: our hash-based signatures are ~16 KiB, far larger than the
+//! Signatures: our hash-based (Winternitz/MSS) signatures are ~2.3 KiB —
+//! 67 chain values plus the Merkle path — still far larger than the
 //! ~72-byte ECDSA signatures a production deployment would use. To keep
 //! the storage comparison about *architecture* rather than signature
 //! scheme, [`tx_chain_bytes`] reports the unsigned transaction body plus a

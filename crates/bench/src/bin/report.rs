@@ -321,7 +321,8 @@ fn e7_conflict_rule() {
         let mut blocks = 0usize;
         while !mp.is_empty() {
             let sel = mp.select(128, &BTreeSet::new());
-            mp.remove_committed(&sel);
+            let ids: Vec<_> = sel.iter().map(|stx| stx.id()).collect();
+            mp.remove_committed(&ids);
             blocks += 1;
         }
         let ideal = 64usize.div_ceil(128).max(1);

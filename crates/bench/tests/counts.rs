@@ -16,6 +16,7 @@ use medledger_bench::{
     two_peer_system_durable, two_peer_system_sharded,
 };
 use medledger_core::{ConsensusKind, FlushRecord};
+use medledger_crypto::KeyPair;
 use medledger_engine::LedgerService;
 use medledger_node::wire::WireWrite;
 use medledger_node::{Deployment, GatewayConfig, SubmitReply};
@@ -164,12 +165,39 @@ fn a_sharded_two_row_commit_costs_2_blocks_2_rows_182_bytes() {
     bench.ledger.check_consistency().expect("consistent");
 }
 
+/// What everything below is made of: a signature under a 256-key tree —
+/// 67 chain values and an 8-node path, 32 bytes each, behind four one-byte
+/// varints (two leaf indices, two counts).
+#[test]
+fn a_signature_encodes_to_2404_bytes() {
+    let mut keys = KeyPair::generate("counts-signature", 256);
+    let signature = keys.sign(b"a transaction digest").expect("sign");
+    assert_eq!(signature.encoded().len(), 2_404);
+    assert_eq!(2_404, 4 + 32 * (67 + 8));
+}
+
+/// `chain_bytes_per_commit`: a one-member wave seals two blocks of one
+/// transaction each, the request and the aggregated ack.
+#[test]
+fn a_one_member_wave_appends_5793_chain_bytes() {
+    let (mut bench, backend) = two_peer_system_durable("chain-bytes", pbft(), 256);
+    one_dosage_update(&mut bench, FIRST_PID, 1);
+    let log = SharedBackend::from_state(backend.snapshot_state())
+        .read_from("log", 0)
+        .expect("read");
+    let newest = FlushRecord::decode(log.last().expect("a flush")).expect("decode flush record");
+    let txs: Vec<usize> = newest.blocks.iter().map(|b| b.txs.len()).collect();
+    assert_eq!(txs, [1, 1]);
+    let chain_bytes: usize = newest.blocks.iter().map(|b| b.encoded().len()).sum();
+    assert_eq!(chain_bytes, 5_793);
+}
+
 /// `wal_bytes_per_commit`, `binary_vs_json_record_bytes_ratio`: eight
 /// durable commits with no snapshot in between — one flush record each,
 /// all in the one `log` stream — then the doctor's WAL records sized in
 /// the storage codec and as JSON.
 #[test]
-fn eight_durable_commits_append_278405_log_bytes() {
+fn eight_durable_commits_append_50517_log_bytes() {
     let (mut bench, backend) = two_peer_system_durable("persist-report", pbft(), 256);
     let log = |backend: &SharedBackend| -> Vec<Vec<u8>> {
         SharedBackend::from_state(backend.snapshot_state())
@@ -182,7 +210,7 @@ fn eight_durable_commits_append_278405_log_bytes() {
     }
     let flushed = log(&backend).split_off(before);
     assert_eq!(flushed.len(), 8, "one record per commit");
-    assert_eq!(flushed.iter().map(Vec::len).sum::<usize>(), 278_405);
+    assert_eq!(flushed.iter().map(Vec::len).sum::<usize>(), 50_517);
 
     let records: Vec<LogRecord> = log(&backend)
         .iter()

@@ -50,7 +50,7 @@
 //! contract state the chain produced ([`System::check_consistency`]): a
 //! database that contradicts its ledger fails loudly instead of serving.
 //!
-//! The log is never cut: blocks are ~98 % of its bytes and recovery
+//! The log is never cut: blocks are ~90 % of its bytes and recovery
 //! needs every one until the chain itself can be checkpointed.
 //!
 //! What is deliberately **not** persisted: peer signing keys (re-derived

@@ -17,9 +17,11 @@
 //! * [`merkle`] — binary Merkle trees with inclusion proofs, used for block
 //!   transaction roots and contract state roots.
 //! * [`sig`] — a publicly verifiable, N-time hash-based signature scheme
-//!   (Lamport one-time signatures under a Merkle tree, a small Merkle
-//!   Signature Scheme) used to sign ledger transactions. Key generation
-//!   derives its one-time keys on every available core.
+//!   (Winternitz one-time signatures, w = 16, under a Merkle tree: a small
+//!   Merkle Signature Scheme) used to sign ledger transactions. A
+//!   signature is 67 chain values plus the Merkle path, ≈ 2.3 KiB under a
+//!   256-key tree. Key generation derives its one-time keys on every
+//!   available core.
 //! * [`prg`] — a deterministic SHA-256 counter-mode byte stream used to
 //!   derive keys and to make every experiment reproducible.
 //! * [`mod@crc32`] — CRC-32 frame checksums for the durable-storage WAL

@@ -15,9 +15,12 @@
 //! Both produce the same digest for every input, so public keys, tx ids,
 //! block hashes, state roots and stored bytes do not depend on the machine.
 //! Messages of at most 119 bytes, which pad to one or two blocks (domain
-//! tag + one to three digests: Lamport secrets and public values, Merkle nodes, attestation
-//! fold steps) are padded on the stack and compressed in one call instead
-//! of going through the streaming hasher's buffer.
+//! tag + one to three digests: one-time-key secrets, Merkle nodes,
+//! attestation fold steps) are padded on the stack and compressed in one
+//! call instead of going through the streaming hasher's buffer. A hash
+//! chain — the same ≤ 55-byte message shape hashed over and over, as in the
+//! Winternitz chains of [`crate::sig`] — keeps its block padded between
+//! steps (`OneBlock`).
 //!
 //! Validated against the NIST test vectors in the unit tests below, on
 //! both kernels, and against HMAC vectors in [`crate::hmac`].
@@ -198,7 +201,12 @@ fn finish(
     let padded = if used < 56 { 64 } else { 128 };
     tail[padded - 8..padded].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
     kernel.compress_blocks(state, &tail[..padded]);
+    state_bytes(state)
+}
 
+/// The digest a final `state` stands for: its words, big-endian.
+#[inline]
+fn state_bytes(state: &[u32; 8]) -> Hash256 {
     let mut out = [0u8; 32];
     for (bytes, word) in out.chunks_exact_mut(4).zip(state.iter()) {
         bytes.copy_from_slice(&word.to_be_bytes());
@@ -226,6 +234,47 @@ fn digest_parts(kernel: Kernel, parts: &[&[u8]]) -> Hash256 {
     }
     let mut state = H0;
     finish(kernel, &mut state, &mut tail, len, len as u64)
+}
+
+/// A message of fixed length ≤ 55 bytes held in its one padded block, to be
+/// hashed again and again with some of its bytes rewritten in between (the
+/// steps of a hash chain): each [`OneBlock::digest`] is one compression, with
+/// no gathering and no padding. Digests equal [`sha256`] of the message.
+pub(crate) struct OneBlock {
+    block: [u8; 64],
+    len: usize,
+    kernel: Kernel,
+}
+
+impl OneBlock {
+    /// Longest message whose terminator and bit length fit the same block.
+    pub(crate) const MAX: usize = 55;
+
+    /// An all-zero message of `len` (≤ [`OneBlock::MAX`]) bytes.
+    pub(crate) fn new(len: usize) -> Self {
+        assert!(len <= Self::MAX, "{len} bytes do not pad to one block");
+        let mut block = [0u8; 64];
+        block[len] = 0x80;
+        block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        OneBlock {
+            block,
+            len,
+            kernel: Kernel::detect(),
+        }
+    }
+
+    /// The message bytes, to be overwritten in place.
+    pub(crate) fn message_mut(&mut self) -> &mut [u8] {
+        &mut self.block[..self.len]
+    }
+
+    /// SHA-256 of the message as it stands.
+    #[inline]
+    pub(crate) fn digest(&self) -> Hash256 {
+        let mut state = H0;
+        self.kernel.compress_blocks(&mut state, &self.block);
+        state_bytes(&state)
+    }
 }
 
 /// The portable kernel: one application of the compression function per
@@ -491,6 +540,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A message kept in its padded block hashes as `sha256` of it does, at
+    /// every length that fits and again after its bytes are rewritten.
+    #[test]
+    fn one_block_matches_oneshot() {
+        for kernel in kernels() {
+            for len in [0usize, 1, 32, 54, OneBlock::MAX] {
+                let mut block = OneBlock::new(len);
+                block.kernel = kernel;
+                assert_eq!(block.digest(), sha256(&vec![0u8; len]), "{len} zeros");
+                for round in 0..3u8 {
+                    let data: Vec<u8> = (0..len)
+                        .map(|i| (i as u8).wrapping_mul(7) ^ round)
+                        .collect();
+                    block.message_mut().copy_from_slice(&data);
+                    assert_eq!(block.digest(), sha256(&data), "{kernel:?}, {len} bytes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "do not pad to one block")]
+    fn one_block_refuses_a_two_block_message() {
+        OneBlock::new(OneBlock::MAX + 1);
     }
 
     /// Incremental hashing must agree with one-shot hashing for every split

@@ -1,18 +1,29 @@
-//! Hash-based digital signatures: Lamport one-time signatures under a
+//! Hash-based digital signatures: Winternitz one-time signatures under a
 //! Merkle tree (a small Merkle Signature Scheme, MSS).
 //!
 //! This gives MedLedger *publicly verifiable* transaction signatures built
 //! entirely from SHA-256:
 //!
-//! * A [`KeyPair`] deterministically derives `capacity` Lamport one-time
+//! * A [`KeyPair`] deterministically derives `capacity` Winternitz one-time
 //!   keys from a seed; the **public key is the Merkle root** over the
 //!   one-time public keys, and doubles as the account identifier on the
 //!   permissioned ledger.
-//! * Each [`Signature`] reveals, per digest bit, one of the two secret
-//!   preimages of the chosen one-time key, plus the complementary public
-//!   values and the Merkle authentication path to the root.
+//! * A one-time key is [`Signature::CHAINS`] = 67 hash chains of 15 steps
+//!   each. The message digest is read as 64 base-16 digits, followed by
+//!   the 3 digits of the checksum `Σ (15 − digit)`; a [`Signature`]
+//!   reveals, per digit `d`, the value `d` steps along that chain, plus
+//!   the Merkle authentication path to the root — 67 × 32 B ≈ 2.1 KiB +
+//!   path. The verifier walks each chain its remaining `15 − d` steps and
+//!   must land on the one-time public key. Raising a message digit lowers
+//!   the checksum, and a chain cannot be walked backwards, which is what
+//!   makes a revealed signature useless for any other digest.
 //! * Signing consumes one-time keys; reusing an exhausted key pair is an
 //!   error ([`SigningError::KeysExhausted`]), never silent reuse.
+//!
+//! Every chain step is one SHA-256 compression: its input (tag, chain
+//! number, step number, 32-byte value) pads to a single block. A one-time
+//! key costs ≈ 1 100 compressions to derive, a signature ≈ 600 on average,
+//! a verification ≈ 550.
 //!
 //! The scheme's unforgeability reduces to the preimage resistance of
 //! SHA-256, which is exactly the strength the paper's architecture needs
@@ -20,15 +31,41 @@
 
 use crate::hash::Hash256;
 use crate::merkle::{MerkleProof, MerkleTree};
-use crate::sha256::{sha256, sha256_concat, Sha256};
+use crate::sha256::{sha256, sha256_concat, OneBlock, Sha256};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Number of message-digest bits, hence Lamport value pairs per key.
-const BITS: usize = 256;
+/// Base-16 digits of a message digest, one hash chain each.
+const MESSAGE_DIGITS: usize = 64;
+
+/// Steps from a chain's secret to its public end: the largest digit.
+const STEPS: u8 = 15;
+
+/// Hash chains per one-time key: the 64 message digits plus the 3 base-16
+/// digits of their checksum (`64 × 15 = 960 < 16³`).
+const CHAINS: usize = MESSAGE_DIGITS + 3;
+
+/// Domain tag of a chain step; followed by the chain number, the step
+/// number and the 32-byte value being advanced.
+const STEP_TAG: &[u8] = b"medledger.wots.step:";
+
+/// Domain tag of a chain's secret start; followed by the seed, the
+/// one-time key's index and the chain number.
+const SECRET_TAG: &[u8] = b"medledger.sk:";
+
+/// Bytes a chain step hashes.
+const STEP_LEN: usize = STEP_TAG.len() + 2 + 32;
+
+/// Bytes a secret is derived from.
+const SECRET_LEN: usize = SECRET_TAG.len() + 32 + 8 + 1;
+
+// Both fit SHA-256's single padded block (≤ 55 message bytes), so a chain
+// step and a secret are one compression each.
+const _: () = assert!(STEP_LEN <= OneBlock::MAX);
+const _: () = assert!(SECRET_LEN <= OneBlock::MAX);
 
 /// Fewest one-time keys worth deriving on more than one thread: a leaf is
-/// ≈1 800 compressions, so below this a thread spawn is not paid back.
+/// ≈1 100 compressions, so below this a thread spawn is not paid back.
 const PARALLEL_MIN_LEAVES: usize = 64;
 
 /// A verifying key: the Merkle root over the one-time public keys.
@@ -73,16 +110,14 @@ impl fmt::Display for SigningError {
 
 impl std::error::Error for SigningError {}
 
-/// A Merkle/Lamport signature.
+/// A Merkle/Winternitz signature.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Signature {
     /// Which one-time key was used.
     pub leaf_index: u64,
-    /// Per digest bit: the revealed secret preimage.
-    pub revealed: Vec<Hash256>,
-    /// Per digest bit: the public value for the *complementary* bit, needed
-    /// to reconstruct the one-time public key.
-    pub complements: Vec<Hash256>,
+    /// Per digit of the message digest and its checksum: the value that
+    /// many steps along the chain. Exactly [`Signature::CHAINS`] values.
+    pub chains: Vec<Hash256>,
     /// Authentication path from the one-time public key to the root.
     pub auth_path: MerkleProof,
 }
@@ -98,43 +133,78 @@ impl fmt::Debug for Signature {
     }
 }
 
+/// The chain positions a digest selects: its 64 base-16 digits, most
+/// significant first, then the 3 digits of the checksum `Σ (15 − digit)`.
+fn digits_of(digest: &Hash256) -> [u8; CHAINS] {
+    let mut digits = [0u8; CHAINS];
+    for (pair, byte) in digits.chunks_exact_mut(2).zip(digest.as_bytes()) {
+        pair[0] = byte >> 4;
+        pair[1] = byte & 0x0f;
+    }
+    let checksum: u16 = digits[..MESSAGE_DIGITS]
+        .iter()
+        .map(|&d| u16::from(STEPS - d))
+        .sum();
+    digits[MESSAGE_DIGITS] = (checksum >> 8) as u8;
+    digits[MESSAGE_DIGITS + 1] = (checksum >> 4) as u8 & 0x0f;
+    digits[MESSAGE_DIGITS + 2] = checksum as u8 & 0x0f;
+    digits
+}
+
+/// Advances `value`, which sits `from` steps along chain `chain`, to `to`
+/// steps along it (`from ≤ to ≤ STEPS`). Step `s` is
+/// `sha256(STEP_TAG ‖ [chain, s] ‖ value)`: one compression, on a block
+/// whose tag and padding are laid out once per walk.
+fn walk(chain: u8, mut value: Hash256, from: u8, to: u8) -> Hash256 {
+    let mut block = OneBlock::new(STEP_LEN);
+    let message = block.message_mut();
+    message[..STEP_TAG.len()].copy_from_slice(STEP_TAG);
+    message[STEP_TAG.len()] = chain;
+    for step in from..to {
+        let message = block.message_mut();
+        message[STEP_TAG.len() + 1] = step;
+        message[STEP_TAG.len() + 2..].copy_from_slice(value.as_bytes());
+        value = block.digest();
+    }
+    value
+}
+
+/// The Merkle leaf of a one-time key: the hash of its chain ends, in order.
+fn leaf_of(ends: impl Iterator<Item = Hash256>) -> Hash256 {
+    let mut h = Sha256::new();
+    h.update(b"medledger.wots.leaf:");
+    for end in ends {
+        h.update(end.as_bytes());
+    }
+    h.finalize()
+}
+
 impl Signature {
+    /// Number of chain values in a well-formed signature. Anything else is
+    /// rejected by [`Signature::verify`] and by the storage codec.
+    pub const CHAINS: usize = CHAINS;
+
     /// Verifies this signature over `msg` against `public`.
     pub fn verify(&self, public: &PublicKey, msg: &[u8]) -> bool {
-        if self.revealed.len() != BITS || self.complements.len() != BITS {
-            return false;
-        }
-        let digest = sha256(msg);
-        // Reconstruct the one-time public key: for each bit, the public
-        // value of the signed side is H(revealed); the other side comes
-        // from `complements`.
-        let mut leaf_hasher = Sha256::new();
-        leaf_hasher.update(b"medledger.ots.leaf:");
-        for j in 0..BITS {
-            let bit = bit_at(&digest, j);
-            let signed_pub = sha256_concat(&[b"medledger.ots.pub:", self.revealed[j].as_bytes()]);
-            let (pub0, pub1) = if bit == 0 {
-                (signed_pub, self.complements[j])
-            } else {
-                (self.complements[j], signed_pub)
-            };
-            leaf_hasher.update(pub0.as_bytes());
-            leaf_hasher.update(pub1.as_bytes());
-        }
-        let leaf = leaf_hasher.finalize();
-        if self.auth_path.leaf_index != self.leaf_index {
-            return false;
-        }
-        self.auth_path.verify(&public.0, &leaf)
+        self.verify_digest(public, &sha256(msg))
     }
 
-    /// Approximate wire size in bytes (used by the storage experiments).
-    pub fn encoded_len(&self) -> usize {
-        8 + 32 * (self.revealed.len() + self.complements.len() + self.auth_path.path.len())
+    /// [`Signature::verify`] for a message whose SHA-256 is `digest`.
+    fn verify_digest(&self, public: &PublicKey, digest: &Hash256) -> bool {
+        if self.chains.len() != CHAINS || self.auth_path.leaf_index != self.leaf_index {
+            return false;
+        }
+        // Walk every chain from the revealed position to its end: the ends
+        // are the one-time public key, whose hash is the Merkle leaf.
+        let digits = digits_of(digest);
+        let ends = (0u8..)
+            .zip(self.chains.iter().zip(digits))
+            .map(|(chain, (value, digit))| walk(chain, *value, digit, STEPS));
+        self.auth_path.verify(&public.0, &leaf_of(ends))
     }
 }
 
-/// A signing key: `capacity` Lamport one-time keys under one Merkle root.
+/// A signing key: `capacity` Winternitz one-time keys under one Merkle root.
 ///
 /// All secret material is derived on demand from a 32-byte seed, so the
 /// in-memory footprint is small regardless of capacity.
@@ -157,10 +227,6 @@ impl fmt::Debug for KeyPair {
             self.capacity
         )
     }
-}
-
-fn bit_at(digest: &Hash256, j: usize) -> u8 {
-    (digest.as_bytes()[j / 8] >> (7 - (j % 8))) & 1
 }
 
 impl KeyPair {
@@ -253,30 +319,21 @@ impl KeyPair {
         self.next_index = self.next_index.max(used.min(self.capacity));
     }
 
-    fn ots_secret(seed: &Hash256, key_index: u64, bit_pos: u64, bit_val: u8) -> Hash256 {
+    /// The secret start of chain `chain` of one-time key `key_index`.
+    fn ots_secret(seed: &Hash256, key_index: u64, chain: u8) -> Hash256 {
         sha256_concat(&[
-            b"medledger.ots.sk:",
+            SECRET_TAG,
             seed.as_bytes(),
             &key_index.to_be_bytes(),
-            &bit_pos.to_be_bytes(),
-            &[bit_val],
+            &[chain],
         ])
     }
 
-    fn ots_public(secret: &Hash256) -> Hash256 {
-        sha256_concat(&[b"medledger.ots.pub:", secret.as_bytes()])
-    }
-
     fn ots_leaf_hash(seed: &Hash256, key_index: u64) -> Hash256 {
-        let mut h = Sha256::new();
-        h.update(b"medledger.ots.leaf:");
-        for j in 0..BITS as u64 {
-            for bit in 0..2u8 {
-                let pk = Self::ots_public(&Self::ots_secret(seed, key_index, j, bit));
-                h.update(pk.as_bytes());
-            }
-        }
-        h.finalize()
+        leaf_of(
+            (0..CHAINS as u8)
+                .map(|chain| walk(chain, Self::ots_secret(seed, key_index, chain), 0, STEPS)),
+        )
     }
 
     /// Signs `msg`, consuming the next one-time key.
@@ -286,23 +343,17 @@ impl KeyPair {
         }
         let idx = self.next_index;
         self.next_index += 1;
-        let digest = sha256(msg);
-        let mut revealed = Vec::with_capacity(BITS);
-        let mut complements = Vec::with_capacity(BITS);
-        for j in 0..BITS {
-            let bit = bit_at(&digest, j);
-            revealed.push(Self::ots_secret(&self.seed, idx, j as u64, bit));
-            let other = Self::ots_secret(&self.seed, idx, j as u64, 1 - bit);
-            complements.push(Self::ots_public(&other));
-        }
+        let chains = (0u8..)
+            .zip(digits_of(&sha256(msg)))
+            .map(|(chain, digit)| walk(chain, Self::ots_secret(&self.seed, idx, chain), 0, digit))
+            .collect();
         let auth_path = self
             .tree
             .prove(idx as usize)
             .expect("index < capacity, proof must exist");
         Ok(Signature {
             leaf_index: idx,
-            revealed,
-            complements,
+            chains,
             auth_path,
         })
     }
@@ -326,19 +377,16 @@ pub fn ack_message(table_id: &str, version: u64, applied_hash: &Hash256) -> Vec<
 
 impl Signature {
     /// Canonical digest of this signature's full content (leaf index,
-    /// revealed preimages, complements, authentication path).
+    /// chain values, authentication path).
     ///
     /// Used as a signature *share* in aggregated acknowledgements: the
     /// digest commits to every byte of the share, so the fold over shares
     /// changes if any contributor's signature is altered.
     pub fn share_digest(&self) -> Hash256 {
         let mut h = Sha256::new();
-        h.update(b"medledger.ack.share.v1:");
+        h.update(b"medledger.ack.share.v2:");
         h.update(&self.leaf_index.to_be_bytes());
-        for r in &self.revealed {
-            h.update(r.as_bytes());
-        }
-        for c in &self.complements {
+        for c in &self.chains {
             h.update(c.as_bytes());
         }
         h.update(&self.auth_path.leaf_index.to_be_bytes());
@@ -375,6 +423,7 @@ pub fn fold_attestation(message: &[u8], shares: &[(PublicKey, Hash256)]) -> Hash
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sign_verify_round_trip() {
@@ -470,16 +519,20 @@ mod tests {
         }
     }
 
+    /// A flipped byte in any one of the 67 chain values — message digits
+    /// and checksum digits alike — breaks the signature.
     #[test]
-    fn tampered_signature_fails() {
+    fn a_flipped_byte_in_any_chain_value_fails() {
         let mut kp = KeyPair::generate("mallory-target", 4);
-        let mut sig = kp.sign(b"legit").expect("sign");
-        sig.revealed[17] = Hash256([0xee; 32]);
-        assert!(!sig.verify(&kp.public(), b"legit"));
-
-        let mut sig2 = kp.sign(b"legit").expect("sign");
-        sig2.complements[200] = Hash256([0x11; 32]);
-        assert!(!sig2.verify(&kp.public(), b"legit"));
+        let sig = kp.sign(b"legit").expect("sign");
+        assert_eq!(sig.chains.len(), Signature::CHAINS);
+        assert_eq!(Signature::CHAINS, 67);
+        for chain in 0..Signature::CHAINS {
+            let mut bad = sig.clone();
+            bad.chains[chain].0[chain % 32] ^= 0x01;
+            assert!(!bad.verify(&kp.public(), b"legit"), "chain {chain}");
+        }
+        assert!(sig.verify(&kp.public(), b"legit"));
     }
 
     #[test]
@@ -488,22 +541,127 @@ mod tests {
         let mut sig = kp.sign(b"m").expect("sign");
         sig.leaf_index = 1; // auth path still for leaf 0
         assert!(!sig.verify(&kp.public(), b"m"));
-    }
-
-    #[test]
-    fn truncated_signature_fails() {
-        let mut kp = KeyPair::generate("trunc", 2);
-        let mut sig = kp.sign(b"m").expect("sign");
-        sig.revealed.pop();
+        // Moving the path's index along as well proves a different leaf.
+        sig.auth_path.leaf_index = 1;
         assert!(!sig.verify(&kp.public(), b"m"));
     }
 
     #[test]
-    fn encoded_len_is_plausible() {
-        let mut kp = KeyPair::generate("size", 8);
+    fn truncated_and_over_long_signatures_fail() {
+        let mut kp = KeyPair::generate("trunc", 2);
         let sig = kp.sign(b"m").expect("sign");
-        // 512 hashes + 3-deep path + index.
-        assert_eq!(sig.encoded_len(), 8 + 32 * (256 + 256 + 3));
+        let mut short = sig.clone();
+        short.chains.pop();
+        assert!(!short.verify(&kp.public(), b"m"));
+        let mut long = sig.clone();
+        long.chains.push(Hash256::ZERO);
+        assert!(!long.verify(&kp.public(), b"m"));
+        // The shape an older build wrote: 512 values.
+        let mut lamport = sig.clone();
+        lamport.chains.resize(512, Hash256::ZERO);
+        assert!(!lamport.verify(&kp.public(), b"m"));
+        assert!(sig.verify(&kp.public(), b"m"));
+    }
+
+    /// A chain step is `sha256(tag ‖ [chain, step] ‖ value)`, domain-separated
+    /// per chain and per step, and walks compose.
+    #[test]
+    fn a_chain_step_is_one_tagged_hash() {
+        let x = sha256(b"start");
+        let step = |chain: u8, step: u8, v: &Hash256| {
+            sha256_concat(&[b"medledger.wots.step:", &[chain, step], v.as_bytes()])
+        };
+        assert_eq!(walk(5, x, 3, 3), x);
+        assert_eq!(walk(5, x, 3, 4), step(5, 3, &x));
+        assert_eq!(walk(66, x, 0, 2), step(66, 1, &step(66, 0, &x)));
+        assert_ne!(walk(5, x, 3, 4), walk(6, x, 3, 4));
+        assert_ne!(walk(5, x, 3, 4), walk(5, x, 4, 5));
+        assert_eq!(walk(9, walk(9, x, 0, 6), 6, STEPS), walk(9, x, 0, STEPS));
+    }
+
+    #[test]
+    fn digits_are_the_digest_nibbles_and_their_checksum() {
+        let all_f = digits_of(&Hash256([0xff; 32]));
+        assert_eq!(all_f[..MESSAGE_DIGITS], [15u8; MESSAGE_DIGITS]);
+        assert_eq!(all_f[MESSAGE_DIGITS..], [0, 0, 0]);
+        // Σ (15 − 0) over 64 digits = 960 = 0x3c0: the largest checksum.
+        let zero = digits_of(&Hash256::ZERO);
+        assert_eq!(zero[..MESSAGE_DIGITS], [0u8; MESSAGE_DIGITS]);
+        assert_eq!(zero[MESSAGE_DIGITS..], [0x3, 0xc, 0x0]);
+        let mut one = [0u8; 32];
+        one[0] = 0xa5;
+        let digits = digits_of(&Hash256(one));
+        assert_eq!(digits[..2], [0xa, 0x5]);
+        // 960 − 10 − 5 = 945 = 0x3b1.
+        assert_eq!(digits[MESSAGE_DIGITS..], [0x3, 0xb, 0x1]);
+    }
+
+    /// The forgery the checksum exists to stop: from a signature on digest
+    /// `d`, anyone can walk message chain `j` one step further and so hold
+    /// valid values for every *message* digit of a digest that differs
+    /// from `d` only in digit `j` being one higher. That digest's checksum
+    /// is one lower, though, and no one can walk a checksum chain back.
+    #[test]
+    fn raising_any_single_message_digit_fails_on_the_checksum() {
+        let mut kp = KeyPair::generate("forgery-target", 4);
+        let public = kp.public();
+        let msg = b"transfer 1";
+        let digest = sha256(msg);
+        let digits = digits_of(&digest);
+        let sig = kp.sign(msg).expect("sign");
+        assert!(sig.verify_digest(&public, &digest));
+        let end =
+            |s: &Signature, at: &[u8; CHAINS], c: usize| walk(c as u8, s.chains[c], at[c], STEPS);
+
+        let mut tried = 0;
+        for j in (0..MESSAGE_DIGITS).filter(|&j| digits[j] < STEPS) {
+            let mut raised = digest;
+            raised.0[j / 2] += if j % 2 == 0 { 0x10 } else { 0x01 };
+            let raised_digits = digits_of(&raised);
+            assert_eq!(raised_digits[j], digits[j] + 1);
+
+            let mut forged = sig.clone();
+            forged.chains[j] = walk(j as u8, sig.chains[j], digits[j], digits[j] + 1);
+            // Every message chain of the forgery reaches the true end ...
+            for c in 0..MESSAGE_DIGITS {
+                assert_eq!(end(&forged, &raised_digits, c), end(&sig, &digits, c));
+            }
+            // ... but some checksum chain does not, so it verifies for
+            // neither digest.
+            assert!((MESSAGE_DIGITS..CHAINS)
+                .any(|c| end(&forged, &raised_digits, c) != end(&sig, &digits, c)));
+            assert!(!forged.verify_digest(&public, &raised), "digit {j}");
+            assert!(!forged.verify_digest(&public, &digest), "digit {j}");
+            tried += 1;
+        }
+        assert!(tried > 32, "a SHA-256 digest has few 0xf digits");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Sign → verify over random messages at a random leaf; the
+        /// signature verifies for that message under that key alone.
+        #[test]
+        fn sign_then_verify_at_any_leaf(
+            msg in proptest::collection::vec(any::<u8>(), 0..200),
+            leaf in 0u64..8,
+            flip in 0usize..200,
+        ) {
+            let mut kp = KeyPair::generate("prop", 8);
+            kp.restore_used(leaf);
+            let sig = kp.sign(&msg).expect("sign");
+            prop_assert_eq!(sig.leaf_index, leaf);
+            prop_assert_eq!(sig.chains.len(), Signature::CHAINS);
+            prop_assert!(sig.verify(&kp.public(), &msg));
+            prop_assert!(!sig.verify(&KeyPair::generate("other", 8).public(), &msg));
+            let mut other = msg.clone();
+            match other.get_mut(flip) {
+                Some(byte) => *byte ^= 0x40,
+                None => other.push(0),
+            }
+            prop_assert!(!sig.verify(&kp.public(), &other));
+        }
     }
 
     #[test]
@@ -526,7 +684,7 @@ mod tests {
         let sig = kp.sign(&msg).expect("sign");
         let d = sig.share_digest();
         let mut tampered = sig.clone();
-        tampered.revealed[0] = Hash256([0xaa; 32]);
+        tampered.chains[0] = Hash256([0xaa; 32]);
         assert_ne!(d, tampered.share_digest());
         let mut tampered2 = sig.clone();
         tampered2.leaf_index ^= 1;

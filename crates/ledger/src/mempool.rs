@@ -11,7 +11,9 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 /// A FIFO mempool with conflict-aware block selection.
 #[derive(Clone, Debug, Default)]
 pub struct Mempool {
-    queue: VecDeque<SignedTransaction>,
+    /// Pending transactions in arrival order, each beside its id (taken
+    /// once, on arrival).
+    queue: VecDeque<(TxId, SignedTransaction)>,
     ids: HashSet<TxId>,
 }
 
@@ -38,7 +40,7 @@ impl Mempool {
         if !self.ids.insert(id) {
             return false;
         }
-        self.queue.push_back(tx);
+        self.queue.push_back((id, tx));
         true
     }
 
@@ -55,7 +57,7 @@ impl Mempool {
         let mut out = Vec::new();
         let mut used_keys: BTreeSet<&str> = BTreeSet::new();
         let mut blocked_senders: BTreeSet<crate::transaction::AccountId> = BTreeSet::new();
-        for tx in &self.queue {
+        for (_, tx) in &self.queue {
             if out.len() >= max {
                 break;
             }
@@ -73,13 +75,13 @@ impl Mempool {
         out
     }
 
-    /// Removes transactions (by id) that were committed in a block.
-    pub fn remove_committed(&mut self, committed: &[SignedTransaction]) {
-        let ids: BTreeSet<TxId> = committed.iter().map(SignedTransaction::id).collect();
-        self.queue.retain(|tx| !ids.contains(&tx.id()));
-        for id in ids {
-            self.ids.remove(&id);
+    /// Removes the transactions with these ids: the ones a block committed.
+    pub fn remove_committed(&mut self, committed: &[TxId]) {
+        for id in committed {
+            self.ids.remove(id);
         }
+        let ids = &self.ids;
+        self.queue.retain(|(id, _)| ids.contains(id));
     }
 
     /// The conflict keys of all queued transactions. The group-commit
@@ -90,7 +92,7 @@ impl Mempool {
     pub fn pending_conflict_keys(&self) -> BTreeSet<String> {
         self.queue
             .iter()
-            .filter_map(|t| t.tx.conflict_key.clone())
+            .filter_map(|(_, t)| t.tx.conflict_key.clone())
             .collect()
     }
 
@@ -98,7 +100,7 @@ impl Mempool {
     pub fn pending_for_key(&self, key: &str) -> usize {
         self.queue
             .iter()
-            .filter(|t| t.tx.conflict_key.as_deref() == Some(key))
+            .filter(|(_, t)| t.tx.conflict_key.as_deref() == Some(key))
             .count()
     }
 }
@@ -204,7 +206,7 @@ mod tests {
         );
 
         // After commit the id can be re-added (fresh lifecycle).
-        mp.remove_committed(std::slice::from_ref(&locked_tx));
+        mp.remove_committed(&[locked_tx.id()]);
         assert!(mp.add(locked_tx));
     }
 
@@ -220,7 +222,7 @@ mod tests {
         let keys = mp.pending_conflict_keys();
         assert_eq!(keys.len(), 2);
         assert!(keys.contains("D13") && keys.contains("D23"));
-        mp.remove_committed(std::slice::from_ref(&a));
+        mp.remove_committed(&[a.id()]);
         assert!(!mp.pending_conflict_keys().contains("D13"));
     }
 
@@ -242,7 +244,7 @@ mod tests {
         let b = tx(&mut kp, 1, Some("D13"));
         mp.add(a.clone());
         mp.add(b.clone());
-        mp.remove_committed(&[a]);
+        mp.remove_committed(&[a.id()]);
         assert_eq!(mp.len(), 1);
         // The remaining D13 tx can now be selected.
         let sel = mp.select(10, &BTreeSet::new());

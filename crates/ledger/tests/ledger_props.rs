@@ -76,10 +76,11 @@ proptest! {
                     Hash256::ZERO,
                     ts,
                     n.validator.public(),
-                    sel.clone(),
+                    sel,
                 );
                 n.chain.append(block).expect("valid block");
-                mp.remove_committed(&sel);
+                let ids: Vec<_> = n.chain.tip().txs.iter().map(|stx| stx.id()).collect();
+                mp.remove_committed(&ids);
             }
         }
         verify_chain(&n.chain).expect("chain verifies");

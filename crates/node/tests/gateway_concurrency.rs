@@ -320,6 +320,16 @@ fn peer_loops_own_state_and_see_wave_notifications() {
     let report = dep.pump().expect("wave");
     assert!(report.members > 0);
     let waves = report.wave;
+    // `pump` returns once the wave's frames are *sent*; the peer loops may
+    // still be reading them. A loop reads its frames in the order they were
+    // sent and the check-in is the last of a wave, so a peer whose check-ins
+    // have caught up has counted everything before them. Bounded wait.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while dep.telemetry().iter().any(|(_, c)| c.checkins < waves)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     for (name, counts) in dep.telemetry() {
         assert_eq!(
             counts.checkouts, waves,

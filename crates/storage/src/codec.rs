@@ -259,10 +259,11 @@ pub fn put_seq<T: Encode>(out: &mut Vec<u8>, items: &[T]) {
     }
 }
 
-/// Decodes a varint-counted sequence.
+/// Decodes a varint-counted sequence. Whatever the count says, no more
+/// memory is reserved up front than there are bytes left to decode from.
 pub fn take_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>> {
     let len = r.take_len()?;
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(len.min(r.remaining() / std::mem::size_of::<T>().max(1)));
     for _ in 0..len {
         out.push(T::decode_from(r)?);
     }
@@ -316,18 +317,29 @@ impl Decode for MerkleProof {
 impl Encode for Signature {
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.leaf_index);
-        put_seq(out, &self.revealed);
-        put_seq(out, &self.complements);
+        put_seq(out, &self.chains);
         self.auth_path.encode_into(out);
     }
 }
 
+/// The chain count is written, and must read back as exactly
+/// [`Signature::CHAINS`]: a record from a build with another signature
+/// scheme (Lamport wrote two 256-value sequences here) is a codec error,
+/// not a differently shaped signature.
 impl Decode for Signature {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+        let leaf_index = r.take_varint()?;
+        let chains: Vec<Hash256> = take_seq(r)?;
+        if chains.len() != Signature::CHAINS {
+            return Err(StorageError::Codec(format!(
+                "signature with {} chain values, expected {}",
+                chains.len(),
+                Signature::CHAINS
+            )));
+        }
         Ok(Signature {
-            leaf_index: r.take_varint()?,
-            revealed: take_seq(r)?,
-            complements: take_seq(r)?,
+            leaf_index,
+            chains,
             auth_path: MerkleProof::decode_from(r)?,
         })
     }

@@ -4,7 +4,7 @@
 //! state through the codec) stored as `snap-<id>.bin`:
 //!
 //! ```text
-//! [magic "MLSNAP01": 8 bytes][crc32(payload): u32 LE]
+//! [magic "MLSNAP02": 8 bytes][crc32(payload): u32 LE]
 //! [payload len: u64 LE][payload]
 //! ```
 //!
@@ -21,7 +21,7 @@ use medledger_crypto::crc32::crc32;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"MLSNAP01";
+const MAGIC: &[u8; 8] = b"MLSNAP02";
 const HEADER: usize = 8 + 4 + 8;
 
 /// Directory-backed snapshot store.

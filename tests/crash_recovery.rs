@@ -616,6 +616,48 @@ fn store_in_the_previous_layout_is_refused() {
     );
 }
 
+/// A store written before Winternitz signatures (PR 23): every block in
+/// its log carries 512-value Lamport signatures. Recovery refuses it with
+/// a codec error that names the record — it neither panics nor boots a
+/// chain whose signatures it would read differently.
+#[test]
+fn store_with_lamport_sized_signatures_is_refused() {
+    let cfg = config("crash-lamport");
+    let shared = SharedBackend::new();
+    let mut scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
+    workload_commit(&mut scn, 0).expect("commit");
+    drop(scn);
+
+    // Re-encode the newest flush record as the older build would have
+    // written it: same blocks, 512 values in every signature.
+    let mut state = shared.snapshot_state();
+    let log = state.records_mut("log");
+    let newest = log.len() - 1;
+    let mut record = FlushRecord::decode(&log[newest]).expect("decode");
+    let signatures: Vec<_> = record
+        .blocks
+        .iter_mut()
+        .flat_map(|block| &mut block.txs)
+        .map(|stx| &mut stx.signature)
+        .collect();
+    assert!(!signatures.is_empty(), "the commit sealed blocks");
+    for signature in signatures {
+        signature.chains.resize(512, Hash256::ZERO);
+    }
+    log[newest] = record.encoded();
+
+    let err = match recover(&cfg, state) {
+        Ok(_) => panic!("a Lamport-era store must not boot"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, medledger::CoreError::Storage(msg)
+            if msg.contains(&format!("corrupt flush record {newest}"))
+                && msg.contains("512 chain values, expected 67")),
+        "unexpected error: {err}"
+    );
+}
+
 /// A live system whose disk dies mid-workload: the failing commit
 /// surfaces a storage error, every later flush refuses to run
 /// (poisoned — no silent divergence between memory and disk), and the
