@@ -95,7 +95,7 @@ pub fn get_delta_indexed(
 /// `source + result == put(source, get(source) + view_delta)`.
 /// Untranslatable view changes error exactly as the full
 /// [`crate::exec::put`] would — this is what makes the pipeline's
-/// pre-flight check in delta mode equivalent to the full-table one.
+/// pre-flight check equivalent to trying the full `put` on every peer.
 pub fn put_delta(spec: &LensSpec, source: &Table, view_delta: &TableDelta) -> Result<TableDelta> {
     if view_delta.is_empty() {
         return Ok(TableDelta::default());

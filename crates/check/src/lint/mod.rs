@@ -30,12 +30,14 @@ const DEAD_PUB_ALLOWLIST: &str = "crates/check/dead_pub_allowlist.txt";
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 
 /// Files in scope for the unwrap ban: the layers where a stray panic
-/// takes down a node or corrupts a recovery path, and the contract code
-/// every validator runs over bytes that arrive in transactions.
+/// takes down a node or corrupts a recovery path, the contract code
+/// every validator runs over bytes that arrive in transactions, and the
+/// network crate, whose fan-out pool every wave's receivers apply on.
 fn unwrap_scope(rel: &str) -> bool {
     (rel.starts_with("crates/node/src/") && !rel.starts_with("crates/node/src/bin/"))
         || rel.starts_with("crates/engine/src/")
         || rel.starts_with("crates/contracts/src/")
+        || rel.starts_with("crates/network/src/")
         || rel == "crates/core/src/persist.rs"
         || rel == "crates/core/src/peer.rs"
         || rel == "crates/core/src/system.rs"

@@ -6,7 +6,8 @@
 //!   `crates/node` must carry an `// ordering: <key>` marker naming an
 //!   entry in `ordering_policy.toml` that permits the variants used.
 //! - **unwrap-ban** — no `unwrap()`/`expect(` in non-test code of the
-//!   runtime, engine, persistence, or peer-store layers, except
+//!   runtime, engine, persistence, peer-store, contract or network
+//!   (fan-out pool) layers, except
 //!   lock-poisoning chains and sites explicitly marked
 //!   `// lint: allow(unwrap)`.
 //! - **wire-exhaustive** — every `wire::Message` variant appears in

@@ -35,7 +35,7 @@ use medledger_storage::{DurableStore, StorageBackend};
 use std::fmt;
 use std::path::PathBuf;
 
-pub use crate::system::{ConsensusKind, PeerId, PropagationMode};
+pub use crate::system::{ConsensusKind, PeerId};
 
 // ----------------------------------------------------------------------
 // MedLedger + builder
@@ -258,13 +258,6 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// How shared-table updates travel between peers (defaults to
-    /// [`PropagationMode::Delta`], the incremental hot path).
-    pub fn propagation(mut self, mode: PropagationMode) -> Self {
-        self.config.propagation = mode;
-        self
-    }
-
     /// One-time signing keys per peer (bounds transactions per peer).
     pub fn peer_key_capacity(mut self, n: usize) -> Self {
         self.config.peer_key_capacity = n;
@@ -276,19 +269,6 @@ impl MedLedgerBuilder {
     /// receiver, `1` models the serial one-receiver-at-a-time baseline.
     pub fn fanout_workers(mut self, n: usize) -> Self {
         self.config.fanout_workers = n;
-        self
-    }
-
-    /// Aggregated threshold acks (default on): receivers of one update
-    /// wave contribute signature shares that fold into a single
-    /// `ack_update_aggregate` transaction, so the chain cost of the ack
-    /// side is O(1) per (table, wave) instead of one transaction per
-    /// receiver. `false` restores the legacy one-`ack_update`-per-receiver
-    /// protocol (kept for equivalence tests and comparison benches);
-    /// final tables, hashes, and audit attributions are identical either
-    /// way.
-    pub fn aggregated_acks(mut self, on: bool) -> Self {
-        self.config.aggregated_acks = on;
         self
     }
 
@@ -675,7 +655,7 @@ impl UpdateBatch<'_> {
             return Err(CommitError::EmptyBatch { table_id });
         }
 
-        // Rollback machinery, both modes: every staged write returns the
+        // Rollback machinery: every staged write returns the
         // inverse deltas of the tables it touched; rollback re-applies
         // them in reverse, in O(changed rows) — no table snapshots.
         let mut inverses: Vec<(String, TableDelta)> = Vec::new();

@@ -22,23 +22,21 @@ fn wire_shard_heat(recorder: &Recorder, table_id: &str, store: &mut ShardMap) {
     }
 }
 
-/// How shared-table updates travel between peers.
+/// How shared-table updates travel between peers: row-level
+/// [`TableDelta`]s through the incremental lenses (`get_delta` /
+/// `put_delta`) — the only pipeline there is.
 ///
-/// The mode is a deployment-wide choice ([`crate::system::SystemConfig`]);
-/// both modes produce byte-identical final states — the property the
-/// workspace's mode-equivalence tests assert — but at very different cost:
-/// delta mode's per-update work and bandwidth scale with the rows an
-/// update touched, full-table mode's with the table.
+/// A compile fence, not a choice: the frozen `benchmark/` crate names
+/// this type and passes `PropagationMode::Delta` to [`PeerNode::new`]
+/// (`benchmark/src/ladder.rs`), and `benchmark/` must stay byte-identical
+/// across PRs. The paper-literal whole-table exchange it once selected
+/// against lives on the test side, as the Fig. 5 reference model
+/// (`tests/common/fig5_model.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PropagationMode {
-    /// Ship row-level [`TableDelta`]s and run the lenses incrementally
-    /// (`get_delta` / `put_delta`). The production path.
+    /// Ship row-level deltas and run the lenses incrementally.
     #[default]
     Delta,
-    /// Exchange whole tables and re-run full `get` / `put` on every
-    /// propagation — the paper-literal baseline, kept for comparison
-    /// benches and equivalence tests.
-    FullTable,
 }
 
 /// The committed side of a store's uncommitted changes, keyed by primary
@@ -200,10 +198,8 @@ fn unknown_share(table_id: &str) -> CoreError {
 /// ([`PeerNode::pending_delta`], what the next propagation ships) an
 /// O(changed rows) read.
 ///
-/// The **database manager** methods are the paper's "BX" boxes: in
-/// [`PropagationMode::Delta`] they push row-level deltas through the
-/// lenses (`get_delta` / `put_delta`); in [`PropagationMode::FullTable`]
-/// they re-run full `get` / `put` over whole tables.
+/// The **database manager** methods are the paper's "BX" boxes: they
+/// push row-level deltas through the lenses (`get_delta` / `put_delta`).
 #[derive(Clone, Debug)]
 pub struct PeerNode {
     /// Human-readable name ("Patient", "Doctor", …).
@@ -216,14 +212,11 @@ pub struct PeerNode {
     /// version counters of every table the peer stores (shared ones
     /// included — their rows live in `shared`).
     pub db: Database,
-    /// How this peer exchanges shared-table updates.
-    pub mode: PropagationMode,
     /// Shared-table bindings this peer participates in.
     bindings: BTreeMap<String, PeerBinding>,
     /// Per shared table: the stored copy and its undo rows.
     shared: BTreeMap<String, SharedTable>,
-    /// Key-range shards per shared table (a power of two; always `1` in
-    /// full-table mode, the unsharded reference).
+    /// Key-range shards per shared table (a power of two).
     shards_per_table: usize,
     /// Cached `bx` group indexes, one per `ProjectDistinct` binding
     /// (keyed by shared table id), advanced with every applied source
@@ -249,12 +242,14 @@ impl PeerNode {
     /// Creates a peer with a deterministic key derived from `name` and
     /// `seed`, able to sign `key_capacity` transactions. `shards_per_table`
     /// (normalized to a power of two) splits shared-table state into
-    /// key-range shards in delta mode; `1` is the unsharded baseline.
+    /// key-range shards; `1` is the unsharded baseline. The
+    /// [`PropagationMode`] argument carries no information — it is the
+    /// compile fence that type's docs describe.
     pub fn new(
         name: impl Into<String>,
         seed: &str,
         key_capacity: usize,
-        mode: PropagationMode,
+        _mode: PropagationMode,
         shards_per_table: usize,
     ) -> Self {
         let name = name.into();
@@ -264,13 +259,9 @@ impl PeerNode {
             db: Database::new(name.clone()),
             name,
             keys,
-            mode,
             bindings: BTreeMap::new(),
             shared: BTreeMap::new(),
-            shards_per_table: match mode {
-                PropagationMode::Delta => normalize_shard_count(shards_per_table),
-                PropagationMode::FullTable => 1,
-            },
+            shards_per_table: normalize_shard_count(shards_per_table),
             group_indexes: BTreeMap::new(),
             applied_versions: BTreeMap::new(),
             next_nonce: 0,
@@ -332,8 +323,8 @@ impl PeerNode {
 
     /// Joins a shared table: records the binding, materializes the view
     /// via the lens's `get`, and stores it — committed as joined — under
-    /// `table_id`. In delta mode this also builds the cached group index
-    /// (for `ProjectDistinct` bindings).
+    /// `table_id`. A `ProjectDistinct` binding also gets its cached group
+    /// index.
     pub fn join_share(&mut self, table_id: &str, binding: PeerBinding) -> Result<Hash256> {
         let source = self.db.table(&binding.source_table)?;
         let view = exec::get(&binding.lens, source)?;
@@ -343,14 +334,12 @@ impl PeerNode {
                 self.name
             )));
         }
-        if self.mode == PropagationMode::Delta {
-            if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-                let source_version = self.db.table_version(&binding.source_table);
-                self.group_indexes.insert(
-                    table_id.to_string(),
-                    (source_version, GroupIndex::build(source, view_key)?),
-                );
-            }
+        if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
+            let source_version = self.db.table_version(&binding.source_table);
+            self.group_indexes.insert(
+                table_id.to_string(),
+                (source_version, GroupIndex::build(source, view_key)?),
+            );
         }
         let mut store = ShardMap::from_table(&view, self.shards_per_table);
         wire_shard_heat(&self.telemetry, table_id, &mut store);
@@ -537,10 +526,9 @@ impl PeerNode {
 
     /// Applies an **uncommitted** delta to a shared table's stored copy,
     /// touching only the shards it lands in, and logs it — the one funnel
-    /// of every store change the chain has not committed, in both
-    /// propagation modes, so the committed rows it displaces are kept
-    /// here. Returns the inverse. A rejected delta leaves the store
-    /// untouched and unlogged.
+    /// of every store change the chain has not committed, so the
+    /// committed rows it displaces are kept here. Returns the inverse. A
+    /// rejected delta leaves the store untouched and unlogged.
     ///
     /// The WAL `post_hash` is the shard fold (cached per-shard subtree
     /// roots; only the touched shards rehash) — byte-identical to the
@@ -601,7 +589,7 @@ impl PeerNode {
     /// Applies a local write to a **source** table (Fig. 5 step 0: the
     /// Researcher edits D2 before propagating).
     ///
-    /// In delta mode the write is converted to a row-level delta, pushed
+    /// The write is converted to a row-level delta, pushed
     /// forward through every lens bound to this source (`get_delta`), the
     /// affected shared copies are refreshed incrementally, and the
     /// committed rows they displace are kept until the next propagation.
@@ -616,16 +604,9 @@ impl PeerNode {
             )));
         }
         let source_delta = delta_from_write_op(self.db.table(table)?, &op)?;
-        // Full-table mode defers the lens work to propagation time, but
-        // the write itself still applies as a delta so the caller gets an
-        // inverse for O(changed rows) transactional rollback (same
-        // contract as delta mode — no table snapshots). Delta mode pushes
-        // the source delta forward through every lens on this source
-        // *before* mutating, so the old source anchors the lookups.
-        let derived = match self.mode {
-            PropagationMode::FullTable => Vec::new(),
-            PropagationMode::Delta => self.derive_sibling_deltas(table, None, &source_delta)?,
-        };
+        // Push the source delta forward through every lens on this
+        // source *before* mutating, so the old source anchors the lookups.
+        let derived = self.derive_sibling_deltas(table, None, &source_delta)?;
         let mut inverses = Vec::with_capacity(1 + derived.len());
         let inv = self.apply_source_delta_db(table, &source_delta)?;
         inverses.push((table.to_string(), inv));
@@ -640,9 +621,8 @@ impl PeerNode {
     /// immediately reflects it into the source (entry-level CRUD on
     /// shared data, Fig. 4). The caller still must propagate.
     ///
-    /// Delta mode reflects the change via `put_delta` (O(changed rows))
-    /// and also refreshes sibling shares on the same source via
-    /// `get_delta`; full-table mode re-runs the full lens `put`. Returns
+    /// The change is reflected via `put_delta` (O(changed rows)) and
+    /// sibling shares on the same source refresh via `get_delta`. Returns
     /// applied inverses as in [`PeerNode::write_source`].
     pub fn write_shared(
         &mut self,
@@ -651,30 +631,6 @@ impl PeerNode {
     ) -> Result<Vec<(String, TableDelta)>> {
         let binding = self.binding(table_id)?.clone();
         let view_delta = delta_from_write_op(self.shared_store(table_id)?, &op)?;
-        if self.mode == PropagationMode::FullTable {
-            // The lens still runs as a full `put` (that is the mode's
-            // point), but both mutations apply as deltas so the caller
-            // gets inverses for rollback instead of table snapshots.
-            let view_inv = self.apply_view_delta(table_id, &view_delta)?;
-            let view = self.shared_table(table_id)?;
-            let source_old = self.db.table(&binding.source_table)?;
-            // An untranslatable write must leave the peer untouched: undo
-            // the already-applied view delta before surfacing the error.
-            let new_source = match exec::put(&binding.lens, source_old, &view) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.apply_view_delta(table_id, &view_inv)?;
-                    return Err(e.into());
-                }
-            };
-            let source_delta = diff_tables(source_old, &new_source);
-            let mut inverses = vec![(table_id.to_string(), view_inv)];
-            if !source_delta.is_empty() {
-                let inv = self.apply_source_delta_db(&binding.source_table, &source_delta)?;
-                inverses.push((binding.source_table.clone(), inv));
-            }
-            return Ok(inverses);
-        }
         let source_old = self.db.table(&binding.source_table)?;
         let source_delta = self.put_delta_for_share(table_id, source_old, &view_delta)?;
         // Sibling views refresh from the source delta.
@@ -695,9 +651,8 @@ impl PeerNode {
     }
 
     /// Regenerates the shared view from the (possibly updated) source
-    /// without storing it (full-table Fig. 5 step 1 uses the result to
-    /// diff).
-    pub fn regenerate_view(&self, table_id: &str) -> Result<Table> {
+    /// without storing it.
+    fn regenerate_view(&self, table_id: &str) -> Result<Table> {
         let binding = self.binding(table_id)?;
         let source = self.db.table(&binding.source_table)?;
         Ok(exec::get(&binding.lens, source)?)
@@ -763,11 +718,10 @@ impl PeerNode {
     /// Verifies this peer's copy of a *synced* shared table against the
     /// hash the contract committed: the stored rows, rewound by whatever
     /// undo rows the peer holds, must hash to `contract_hash`. With
-    /// nothing pending (full-table mode between propagations, the
-    /// quiescent delta-mode case) that is the stored copy itself; a peer
-    /// carrying a pending change (e.g. a blocked cascade) is checked at
-    /// every key the change has not touched, and at the touched keys on
-    /// the committed rows it kept.
+    /// nothing pending (the quiescent case) that is the stored copy
+    /// itself; a peer carrying a pending change (e.g. a blocked cascade)
+    /// is checked at every key the change has not touched, and at the
+    /// touched keys on the committed rows it kept.
     ///
     /// What this no longer detects: damage to an *uncommitted* row. The
     /// store is the only copy of a pending row now (there used to be a
@@ -790,7 +744,7 @@ impl PeerNode {
         Ok(())
     }
 
-    // ----- delta-mode propagation hooks -------------------------------
+    // ----- propagation hooks ------------------------------------------
 
     /// The pending delta of `table_id`: what takes the committed baseline
     /// to the stored copy, canonically ordered (empty if nothing is
@@ -800,8 +754,8 @@ impl PeerNode {
     }
 
     /// True iff the peer holds a pending local change of `table_id` —
-    /// the delta-mode Fig. 5 step-6 "does this share now differ?" check,
-    /// answered in O(pending) instead of a full regenerate-and-diff.
+    /// the Fig. 5 step-6 "does this share now differ?" check, answered in
+    /// O(pending) instead of a full regenerate-and-diff.
     pub fn has_pending_change(&self, table_id: &str) -> Result<bool> {
         Ok(!self.pending_delta(table_id)?.is_empty())
     }
@@ -819,7 +773,7 @@ impl PeerNode {
         self.pending_delta(table_id)
     }
 
-    /// Delta-mode Fig. 5 step 1: the delta this peer would propagate for
+    /// Fig. 5 step 1: the delta this peer would propagate for
     /// `table_id`, with the stored copy guaranteed to reflect it.
     ///
     /// Normally this is the pending delta (O(undo rows)). When no writes
@@ -848,8 +802,8 @@ impl PeerNode {
         self.put_delta_for_share(table_id, source, view_delta)
     }
 
-    /// Applies a committed remote delta (Fig. 5 steps 4–5 / 10–11 in
-    /// delta mode): routes the view delta to the shards of the stored
+    /// Applies a committed remote delta (Fig. 5 steps 4–5 / 10–11):
+    /// routes the view delta to the shards of the stored
     /// copy it lands in ([`TableDelta::split_by_shard`]), verifies the
     /// announced hash against the fold of per-shard subtree roots — only
     /// the touched shards rehash — reflects the change into the source
@@ -892,9 +846,10 @@ impl PeerNode {
 
     /// The conflict path: this peer carries uncommitted local changes of
     /// `table_id` (e.g. a permission-blocked cascade awaiting retry)
-    /// while a committed remote update arrives. Resolve exactly as
-    /// full-table mode does — the remote view wins, the lens `put`
-    /// merges it into the source — then re-derive the stored copy of
+    /// while a committed remote update arrives. Resolve as the
+    /// paper-literal whole-table exchange does — the remote view wins,
+    /// the lens `put` merges it into the source (the Fig. 5 reference
+    /// model's receive step) — then re-derive the stored copy of
     /// every sibling share from ground truth, so a residual local
     /// difference survives as a pending delta (the retry is preserved,
     /// not silently dropped). O(table), but only on this rare contended
@@ -1067,7 +1022,7 @@ impl PeerNode {
     /// Rolls a failed transactional batch back: re-applies the staged
     /// writes' inverse deltas — all a caller (the facade's `UpdateBatch`,
     /// the engine's `LedgerService`) has to keep — in reverse order,
-    /// O(changed rows), no table snapshots in either propagation mode.
+    /// O(changed rows), no table snapshots.
     /// Undo rows the store has thereby returned to are dropped, so a
     /// batch leaves no trace and whatever was pending before it (or was
     /// committed since) stays exactly as tracked. Cached group indexes
@@ -1090,13 +1045,11 @@ impl PeerNode {
         self.publish_resident_rows();
     }
 
-    // ----- full-table propagation (the baseline) -----------------------
-
-    /// Applies a whole shared table received from the updating peer
-    /// (Fig. 5 steps 4–5 / 10–11 in full-table mode): verifies the
-    /// announced hash, reflects the change into the source via `put`,
-    /// and replaces the stored copy, which is then the committed baseline.
-    pub fn apply_remote_view(
+    /// Applies a whole shared table in place of the stored copy — the
+    /// tail of the conflict path: verifies the announced hash, reflects
+    /// the change into the source via `put`, and replaces the stored
+    /// copy, which is then the committed baseline.
+    fn apply_remote_view(
         &mut self,
         table_id: &str,
         new_view: &Table,
@@ -1116,7 +1069,15 @@ impl PeerNode {
         let src_rows: Vec<Row> = new_source.rows().cloned().collect();
         self.db
             .apply(&binding.source_table, WriteOp::Replace { rows: src_rows })?;
-        self.commit_view(table_id, new_view, version)?;
+        let shared = self.shared_mut(table_id)?;
+        shared.store.rebuild_from(new_view);
+        shared.undo.clear();
+        let post_hash = shared.store.content_hash();
+        let rows: Vec<Row> = new_view.rows().cloned().collect();
+        self.db
+            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
+        self.applied_versions.insert(table_id.to_string(), version);
+        self.publish_resident_rows();
         // Whole-table rewrites bypass delta tracking: re-derive the group
         // indexes from ground truth.
         self.rebuild_group_indexes_for_source(&binding.source_table)
@@ -1126,23 +1087,6 @@ impl PeerNode {
     /// the stored copy, not a copy.
     pub fn baseline(&self, table_id: &str) -> Result<Baseline<'_>> {
         Ok(self.shared(table_id)?.baseline())
-    }
-
-    /// Marks `view` as committed at `version`: replaces the stored shared
-    /// copy wholesale, logs the rewrite and drops the undo rows (the
-    /// full-table paths; called on the updater after the contract
-    /// accepted its `request_update`).
-    pub fn commit_view(&mut self, table_id: &str, view: &Table, version: u64) -> Result<()> {
-        let shared = self.shared_mut(table_id)?;
-        shared.store.rebuild_from(view);
-        shared.undo.clear();
-        let post_hash = shared.store.content_hash();
-        let rows: Vec<Row> = view.rows().cloned().collect();
-        self.db
-            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
-        self.applied_versions.insert(table_id.to_string(), version);
-        self.publish_resident_rows();
-        Ok(())
     }
 
     /// The Fig. 5 **Step 6** dependency check: other shares of this peer
@@ -1190,7 +1134,7 @@ impl PeerNode {
     /// committed baseline (`diff_tables(stored, baseline)`, read off the
     /// undo rows) — what a flush records next to the stored copies, so
     /// disk like memory holds no second copy of any table. O(undo rows)
-    /// per share in either propagation mode.
+    /// per share.
     pub fn baseline_inverses(&self) -> Vec<(String, TableDelta)> {
         let rewinds = self.shared.iter().map(|(id, t)| (id.clone(), t.rewind()));
         rewinds.filter(|(_, inv)| !inv.is_empty()).collect()
@@ -1210,7 +1154,6 @@ impl PeerNode {
         name: &str,
         seed: &str,
         key_capacity: usize,
-        mode: PropagationMode,
         shards_per_table: usize,
         db: Database,
         bindings: BTreeMap<String, PeerBinding>,
@@ -1219,6 +1162,7 @@ impl PeerNode {
         next_nonce: u64,
         keys_used: u64,
     ) -> Result<PeerNode> {
+        let mode = PropagationMode::Delta;
         let mut peer = PeerNode::new(name, seed, key_capacity, mode, shards_per_table);
         peer.keys.restore_used(keys_used);
         peer.db = db;
@@ -1239,9 +1183,7 @@ impl PeerNode {
                 shared.note_undo(inverse);
             }
             peer.shared.insert(table_id.clone(), shared);
-            if let (PropagationMode::Delta, LensSpec::ProjectDistinct { view_key, .. }) =
-                (mode, &binding.lens)
-            {
+            if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
                 let source_version = peer.db.table_version(&binding.source_table);
                 let idx = GroupIndex::build(peer.db.table(&binding.source_table)?, view_key)?;
                 peer.group_indexes
@@ -1252,6 +1194,11 @@ impl PeerNode {
         Ok(peer)
     }
 }
+
+/// The Fig. 5 reference model the conflict path is checked against.
+#[cfg(test)]
+#[path = "../../../tests/common/fig5_model.rs"]
+mod fig5_model;
 
 #[cfg(test)]
 mod tests {
@@ -1275,12 +1222,8 @@ mod tests {
             .expect("D3 projection")
     }
 
-    fn doctor_with_shares_in(mode: PropagationMode) -> PeerNode {
-        doctor_with_shares_sharded(mode, 1)
-    }
-
-    fn doctor_with_shares_sharded(mode: PropagationMode, shards: usize) -> PeerNode {
-        let mut doctor = PeerNode::new("Doctor", "peer-test", 16, mode, shards);
+    fn doctor_with_shares_sharded(shards: usize) -> PeerNode {
+        let mut doctor = PeerNode::new("Doctor", "peer-test", 16, PropagationMode::Delta, shards);
         doctor.add_source_table("D3", d3_table()).expect("add D3");
         // BX31: share with Patient.
         doctor
@@ -1312,7 +1255,7 @@ mod tests {
     }
 
     fn doctor_with_shares() -> PeerNode {
-        doctor_with_shares_in(PropagationMode::FullTable)
+        doctor_with_shares_sharded(1)
     }
 
     /// The committed view of `table`, read through the baseline overlay.
@@ -1388,7 +1331,7 @@ mod tests {
     #[test]
     fn delta_write_shared_tracks_pending_and_siblings() {
         for shards in [1usize, 8] {
-            let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, shards);
+            let mut doctor = doctor_with_shares_sharded(shards);
             let before_fp = doctor.fingerprint();
             let inverses = doctor
                 .write_shared(
@@ -1442,7 +1385,7 @@ mod tests {
 
     #[test]
     fn delta_remote_apply_advances_baseline_and_stashes_cascades() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
+        let mut doctor = doctor_with_shares();
         // The Researcher retired the Wellbutrin group from the shared
         // D23&D32 — translatable through the project-distinct lens (all
         // group members drop from D3).
@@ -1487,24 +1430,30 @@ mod tests {
     #[test]
     fn conflicting_pending_resolves_like_full_table_mode() {
         // A peer carrying an uncommitted local change receives a
-        // committed remote update of the same table: the delta-mode
-        // conflict path must end byte-identical to full-table mode
-        // (remote wins on the view, lens put merges into the source),
-        // with pending tracking re-derived from ground truth.
-        let mut delta_doc = doctor_with_shares_in(PropagationMode::Delta);
-        let mut full_doc = doctor_with_shares_in(PropagationMode::FullTable);
+        // committed remote update of the same table: the conflict path
+        // must end byte-identical to the Fig. 5 reference model's
+        // whole-table receive (remote wins on the view, lens put merges
+        // into the source), with pending tracking re-derived from ground
+        // truth.
+        let mut doctor = doctor_with_shares();
+        let mut model = fig5_model::ModelPeer::default();
+        model.load_source("D3", d3_table());
+        for share in ["D13&D31", "D23&D32"] {
+            let lens = doctor.bindings[share].lens.clone();
+            model.join(share, "D3", lens);
+        }
 
         // Local uncommitted edit: clinical data of 188, which gives the
-        // delta doctor a pending entry on the patient share.
+        // doctor a pending entry on the patient share.
         let local_edit = WriteOp::Update {
             key: vec![Value::Int(188)],
             assignments: vec![("clinical_data".into(), Value::text("local-note"))],
         };
-        delta_doc
+        doctor
             .write_source("D3", local_edit.clone())
-            .expect("delta write");
-        assert!(delta_doc.has_pending_change("D13&D31").expect("check"));
-        full_doc.db.apply("D3", local_edit).expect("full write");
+            .expect("tracked write");
+        assert!(doctor.has_pending_change("D13&D31").expect("check"));
+        model.write_source("D3", &local_edit).expect("model write");
 
         // A committed remote update (dosage of 189) built on the
         // *committed* baseline arrives at both.
@@ -1515,36 +1464,35 @@ mod tests {
             )],
             ..Default::default()
         };
-        let mut view_new = committed_table(&delta_doc, "D13&D31");
+        let mut view_new = committed_table(&doctor, "D13&D31");
         view_new.apply_delta(&view_delta).expect("view");
         let announced = view_new.content_hash();
 
-        let source_delta = delta_doc
+        let source_delta = doctor
             .translate_remote_delta("D13&D31", &view_delta)
             .expect("translate");
-        delta_doc
+        doctor
             .apply_remote_delta("D13&D31", &view_delta, &source_delta, announced, 1)
             .expect("delta apply");
-        full_doc
-            .apply_remote_view("D13&D31", &view_new, announced, 1)
-            .expect("full apply");
+        model.receive("D13&D31", &view_new).expect("model receive");
 
-        // Byte-identical end state across modes, and the delta doctor's
-        // stored copy equals what its source regenerates.
-        assert_eq!(delta_doc.fingerprint(), full_doc.fingerprint());
+        // Byte-identical end state, and the doctor's stored copy equals
+        // what its source regenerates.
+        assert_eq!(doctor.fingerprint().0, model.fingerprint());
+        assert_eq!(doctor.db.table("D3").expect("D3"), model.source("D3"));
         assert_eq!(
-            delta_doc.shared_table("D13&D31").expect("view"),
-            delta_doc.regenerate_view("D13&D31").expect("regen")
+            doctor.shared_table("D13&D31").expect("view"),
+            doctor.regenerate_view("D13&D31").expect("regen")
         );
-        assert!(!delta_doc.has_pending_change("D13&D31").expect("check"));
-        delta_doc
+        assert!(!doctor.has_pending_change("D13&D31").expect("check"));
+        doctor
             .check_share_integrity("D13&D31", announced)
             .expect("integrity");
     }
 
     #[test]
     fn delta_remote_apply_rejects_hash_mismatch_without_corruption() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
+        let mut doctor = doctor_with_shares();
         let before = doctor.shared_hash("D23&D32").expect("hash");
         let view_delta = TableDelta {
             updates: vec![(
@@ -1565,7 +1513,7 @@ mod tests {
 
     #[test]
     fn prepare_update_delta_falls_back_for_out_of_band_edits() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
+        let mut doctor = doctor_with_shares();
         // Edit the source directly, bypassing write_source tracking.
         doctor
             .db
@@ -1614,7 +1562,7 @@ mod tests {
 
     #[test]
     fn step6_no_overlap_for_disjoint_lenses() {
-        let mut doctor = PeerNode::new("Doctor", "disjoint", 8, PropagationMode::FullTable, 1);
+        let mut doctor = PeerNode::new("Doctor", "disjoint", 8, PropagationMode::Delta, 1);
         doctor.add_source_table("D3", d3_table()).expect("add");
         doctor
             .join_share(
@@ -1645,24 +1593,21 @@ mod tests {
 
     #[test]
     fn write_shared_round_trips_into_source() {
-        for mode in [PropagationMode::FullTable, PropagationMode::Delta] {
-            let mut doctor = doctor_with_shares_in(mode);
-            doctor
-                .write_shared(
-                    "D13&D31",
-                    WriteOp::Update {
-                        key: vec![Value::Int(189)],
-                        assignments: vec![("dosage".into(), Value::text("50 mg once"))],
-                    },
-                )
-                .expect("write shared");
-            let d3 = doctor.db.table("D3").expect("D3");
-            assert_eq!(
-                d3.get(&[Value::Int(189)]).expect("row")[4],
-                Value::text("50 mg once"),
-                "{mode:?}"
-            );
-        }
+        let mut doctor = doctor_with_shares();
+        doctor
+            .write_shared(
+                "D13&D31",
+                WriteOp::Update {
+                    key: vec![Value::Int(189)],
+                    assignments: vec![("dosage".into(), Value::text("50 mg once"))],
+                },
+            )
+            .expect("write shared");
+        let d3 = doctor.db.table("D3").expect("D3");
+        assert_eq!(
+            d3.get(&[Value::Int(189)]).expect("row")[4],
+            Value::text("50 mg once")
+        );
     }
 
     #[test]
@@ -1740,8 +1685,8 @@ mod tests {
     #[test]
     fn sharded_peer_is_byte_identical_to_unsharded() {
         for shards in [2usize, 8] {
-            let mut plain = doctor_with_shares_sharded(PropagationMode::Delta, 1);
-            let mut sharded = doctor_with_shares_sharded(PropagationMode::Delta, shards);
+            let mut plain = doctor_with_shares_sharded(1);
+            let mut sharded = doctor_with_shares_sharded(shards);
             assert!(sharded.is_sharded("D13&D31"));
             assert!(!plain.is_sharded("D13&D31"));
             run_mixed_sequence(&mut plain);
@@ -1779,7 +1724,7 @@ mod tests {
 
     #[test]
     fn sharded_remote_apply_rejects_hash_mismatch_without_corruption() {
-        let mut doctor = doctor_with_shares_sharded(PropagationMode::Delta, 8);
+        let mut doctor = doctor_with_shares_sharded(8);
         let before = doctor.shared_hash("D13&D31").expect("hash");
         let view_delta = TableDelta {
             updates: vec![(
@@ -1938,7 +1883,7 @@ mod tests {
 
     #[test]
     fn cached_group_index_tracks_applied_deltas() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
+        let mut doctor = doctor_with_shares();
         // The ProjectDistinct share got an index at join time.
         assert!(doctor.group_indexes.contains_key("D23&D32"));
         assert!(!doctor.group_indexes.contains_key("D13&D31"));
@@ -1983,7 +1928,7 @@ mod tests {
 
     #[test]
     fn out_of_band_source_edit_never_uses_a_stale_group_index() {
-        let mut doctor = doctor_with_shares_in(PropagationMode::Delta);
+        let mut doctor = doctor_with_shares();
         // Edit the source directly, bypassing the tracked write paths —
         // a supported flow (see prepare_update_delta). The cached index
         // has not seen patient 191 join the Wellbutrin group.

@@ -702,7 +702,6 @@ fn restore_peers(
             &pm.name,
             &sys.config.seed,
             sys.config.peer_key_capacity,
-            sys.config.propagation,
             sys.config.shards_per_table,
             db,
             bindings,

@@ -3,10 +3,9 @@
 
 use crate::agreement::SharingAgreement;
 use crate::error::{CoreError, RevertInfo};
-pub use crate::peer::PropagationMode;
-use crate::peer::{run_shard_job, PeerNode, RemoteShardPlan};
+use crate::peer::{run_shard_job, PeerNode, PropagationMode, RemoteShardPlan};
 use crate::Result;
-use medledger_bx::{changed_attrs, changed_attrs_from_delta, TableDelta};
+use medledger_bx::{changed_attrs_from_delta, TableDelta};
 use medledger_consensus::{PbftConfig, PbftRound, PowModel, ProposerSchedule};
 use medledger_contracts::sharing::{
     AckAggregateArgs, AckUpdateArgs, ChangePermissionArgs, CoRequestUpdateArgs, RegisterShareArgs,
@@ -20,9 +19,8 @@ use medledger_ledger::{
     audit, AccountId, Block, BlockHeader, Chain, Membership, Mempool, Receipt, SignedTransaction,
     Transaction, TxId, TxPayload, TxStatus,
 };
-use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel, PayloadKind};
+use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel};
 use medledger_relational::normalize_shard_count;
-use medledger_relational::Table;
 use medledger_telemetry::{Recorder, StageTimer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -93,9 +91,6 @@ pub struct SystemConfig {
     /// One-time signing keys per peer (bounds how many txs each peer can
     /// send).
     pub peer_key_capacity: usize,
-    /// How shared-table updates travel between peers: row-level deltas
-    /// (the default hot path) or whole tables (the baseline).
-    pub propagation: PropagationMode,
     /// Parallel data-plane channels for the per-receiver fan-out
     /// (Fig. 5 steps 4–5): how many receivers fetch and apply an update
     /// concurrently. `0` (the default) means one channel per receiver —
@@ -110,23 +105,13 @@ pub struct SystemConfig {
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`). With `1` — the default and the equivalence
     /// baseline — every stored copy is a single shard. A larger value
-    /// splits them into digest-aligned shards (delta mode): deltas route
-    /// to the shards they land in, hash verification folds cached per-shard Merkle
-    /// subroots instead of rehashing the whole chunk tree, and one
+    /// splits them into digest-aligned shards: deltas route to the
+    /// shards they land in, hash verification folds cached per-shard
+    /// Merkle subroots instead of rehashing the whole chunk tree, and one
     /// receiver's disjoint shards apply in parallel on the fan-out
     /// worker pool. Final state, hashes, traces and receipts are
     /// byte-identical for every setting.
     pub shards_per_table: usize,
-    /// Fold every receiver's acknowledgement of a committed update into
-    /// **one** aggregated threshold-ack transaction per `(table, wave)`
-    /// (the default): each receiver signs the canonical ack message with
-    /// its own one-time key, the updater verifies the shares off-chain,
-    /// folds them into a single attestation and submits
-    /// `ack_update_aggregate` under a derived conflict key — so the ack
-    /// side of a wave costs O(1) blocks regardless of the receiver
-    /// count. `false` restores the legacy one-`ack_update`-per-receiver
-    /// round (still exercised by the equivalence tests).
-    pub aggregated_acks: bool,
 }
 
 impl Default for SystemConfig {
@@ -141,10 +126,8 @@ impl Default for SystemConfig {
             seed: "medledger".into(),
             max_block_txs: 128,
             peer_key_capacity: 256,
-            propagation: PropagationMode::Delta,
             fanout_workers: 0,
             shards_per_table: 1,
-            aggregated_acks: true,
         }
     }
 }
@@ -164,8 +147,7 @@ pub struct SystemStats {
     pub consensus_bytes: u64,
     /// Peer-to-peer shared-data transfers.
     pub p2p_transfers: u64,
-    /// Peer-to-peer bytes moved (serialized delta size in delta mode,
-    /// encoded table size in full-table mode).
+    /// Peer-to-peer bytes moved (the serialized size of each delta).
     pub p2p_bytes: u64,
     /// Detailed data-plane accounting, including the full-table-equivalent
     /// bytes each transfer would have cost (the bandwidth-win metric).
@@ -238,15 +220,13 @@ pub struct UpdateReport {
     pub synced_ms: u64,
     /// Attributes that changed (what permission was checked on).
     pub changed_attrs: Vec<String>,
-    /// Rows shipped to each sharing peer (changed rows in delta mode,
-    /// the whole table in full-table mode).
+    /// Rows shipped to each sharing peer (the changed rows).
     pub rows_moved: u64,
     /// Total data-plane payload bytes this update moved (all receivers).
     pub bytes_moved: u64,
     /// The on-chain transactions this update produced, in commit order:
     /// the `request_update` first, then the ack side — one aggregated
-    /// threshold ack per wave by default (plus any individual dissent
-    /// acks), or one ack per sharing peer in legacy mode.
+    /// threshold ack (plus any individual dissent acks).
     /// Cascade transactions live in the cascades' own reports.
     pub tx_ids: Vec<TxId>,
     /// Cascaded updates triggered by the Step-6 dependency check.
@@ -384,18 +364,6 @@ pub struct GroupEntryFailure {
 /// Per-member outcome of [`System::commit_group`].
 pub type GroupEntryResult = std::result::Result<UpdateReport, GroupEntryFailure>;
 
-/// Mode-specific payload of a prepared update (what the receivers fetch).
-enum PreparedPayload {
-    /// Row-level delta plus every receiver's pre-translated `put_delta`
-    /// result (computed at pre-flight, consumed at apply time).
-    Delta {
-        delta: TableDelta,
-        source_deltas: BTreeMap<AccountId, TableDelta>,
-    },
-    /// The regenerated whole view (the full-table baseline).
-    Full { view: Table },
-}
-
 /// A Step-1-and-pre-flight-complete update, ready to submit on chain.
 struct PreparedUpdate {
     updater: AccountId,
@@ -403,7 +371,11 @@ struct PreparedUpdate {
     table_id: String,
     attrs: Vec<String>,
     new_hash: Hash256,
-    payload: PreparedPayload,
+    /// What the receivers fetch: the row-level view delta.
+    delta: TableDelta,
+    /// Every receiver's pre-translated `put_delta` result (computed at
+    /// pre-flight, consumed at apply time).
+    source_deltas: BTreeMap<AccountId, TableDelta>,
 }
 
 /// One sibling share the Step-6 dependency check found changed: `account`
@@ -691,7 +663,7 @@ impl System {
             name,
             &self.config.seed,
             self.config.peer_key_capacity,
-            self.config.propagation,
+            PropagationMode::Delta,
             self.config.shards_per_table,
         );
         if self.telemetry.is_enabled() {
@@ -865,6 +837,56 @@ impl System {
         }
     }
 
+    /// Reserves the one-time signatures one update of a share among
+    /// `sharing_peers` will take: the updater's request, one co-request
+    /// per co-author (a peer may co-sign its own member when the engine
+    /// composed two of its submissions) and — when the share has
+    /// receivers — one ack share per receiver plus the updater's
+    /// aggregate ack. They come out of `unreserved`: per signer, the keys
+    /// it held when the wave began less what the wave's earlier members
+    /// reserved (a signer enters at its first reservation; the wave
+    /// spends no key of a signer before that).
+    ///
+    /// All of them must be available BEFORE the request enters the
+    /// mempool: a queued request cannot be withdrawn, so a signer found
+    /// short afterwards would leave the update committed and the table
+    /// locked, with no key left to ever unlock it. An update that would
+    /// overdraw any signer reserves nothing and is refused with
+    /// [`CoreError::KeysExhausted`]. (A dissent ack, which only a
+    /// corrupted share triggers, is not budgeted.)
+    fn reserve_signatures(
+        &self,
+        unreserved: &mut BTreeMap<AccountId, u64>,
+        updater: AccountId,
+        co_signers: impl Iterator<Item = AccountId>,
+        sharing_peers: &BTreeSet<AccountId>,
+    ) -> Result<()> {
+        let receivers = sharing_peers.iter().copied().filter(|p| *p != updater);
+        let ack = receivers.clone().next().map(|_| updater);
+        let mut needed: BTreeMap<AccountId, u64> = BTreeMap::new();
+        for signer in [updater]
+            .into_iter()
+            .chain(co_signers)
+            .chain(receivers)
+            .chain(ack)
+        {
+            *needed.entry(signer).or_insert(0) += 1;
+        }
+        let mut after = Vec::with_capacity(needed.len());
+        for (account, n) in needed {
+            let have = match unreserved.get(&account) {
+                Some(have) => *have,
+                None => self.node(&account)?.keys.remaining(),
+            };
+            after.push((
+                account,
+                have.checked_sub(n).ok_or(CoreError::KeysExhausted)?,
+            ));
+        }
+        unreserved.extend(after);
+        Ok(())
+    }
+
     /// Signs and submits a contract call from a peer; returns the tx id.
     fn submit_call(
         &mut self,
@@ -1026,9 +1048,7 @@ impl System {
 
     /// One update through the whole pipeline: Step 1 + pre-flight,
     /// request transaction, consensus, parallel receiver fan-out, acks,
-    /// Step-6 cascades. Both propagation modes share this skeleton; the
-    /// mode decides how [`System::prepare_update`] computes the payload
-    /// and how the fan-out applies it.
+    /// Step-6 cascades.
     fn propagate_inner(
         &mut self,
         updater: AccountId,
@@ -1053,6 +1073,15 @@ impl System {
                 return Err(e);
             }
         };
+
+        let reserved = self.share_meta(table_id).and_then(|meta| {
+            let no_co_signers = std::iter::empty();
+            self.reserve_signatures(&mut BTreeMap::new(), updater, no_co_signers, &meta.peers)
+        });
+        if let Err(e) = reserved {
+            active.remove(table_id);
+            return Err(e);
+        }
 
         // Step 2: request the update from the smart contract (metadata
         // only — hash + changed attrs; the data itself never touches the
@@ -1095,14 +1124,15 @@ impl System {
         );
 
         // The updater's stored copy becomes the committed baseline.
-        self.commit_local(&prepared, version)?;
+        self.node_mut(&updater)?
+            .commit_delta(table_id, &prepared.delta, version)?;
 
         // Steps 4–5: parallel fan-out to every other sharing peer.
         let fan = self.fanout_apply(&mut prepared, version, committed_ms, &mut trace)?;
 
         // Acks: peers confirm on chain; the table stays locked until all
-        // acks commit (the paper's barrier). One aggregated attestation
-        // transaction by default; one tx per receiver in legacy mode.
+        // acks commit (the paper's barrier): one aggregated attestation
+        // transaction.
         let ack_txs =
             self.submit_ack_round(table_id, version, prepared.new_hash, updater, &fan.others)?;
         self.produce_blocks_until_all(&ack_txs)?;
@@ -1151,147 +1181,69 @@ impl System {
         })
     }
 
-    /// Fig. 5 Step 1 plus the pre-flight translatability check, per
-    /// propagation mode.
-    ///
-    /// * Delta — the pending delta relative to the committed baseline
-    ///   (tracked at write time; falls back to a full diff only for
-    ///   out-of-band edits), plus every sharing peer's pre-translated
-    ///   `put_delta` result, kept and reused at apply time.
-    /// * FullTable — the regenerated whole view, with every sharing
-    ///   peer's full `put` checked before anything commits on chain.
+    /// Fig. 5 Step 1 plus the pre-flight translatability check: the
+    /// pending delta relative to the committed baseline (tracked at write
+    /// time; falls back to a full diff only for out-of-band edits), plus
+    /// every sharing peer's pre-translated `put_delta` result, kept and
+    /// reused at apply time.
     fn prepare_update(
         &mut self,
         updater: AccountId,
         table_id: &str,
         trace: &mut WorkflowTrace,
     ) -> Result<PreparedUpdate> {
-        match self.config.propagation {
-            PropagationMode::Delta => {
-                let (updater_name, delta, attrs, new_hash) = {
-                    let peer = self
-                        .peers
-                        .get_mut(&updater)
-                        .ok_or_else(|| CoreError::UnknownPeer(updater.to_string()))?;
-                    let delta = peer.prepare_update_delta(table_id)?;
-                    if delta.is_empty() {
-                        return Err(CoreError::NoChange(table_id.to_string()));
-                    }
-                    let attrs: Vec<String> =
-                        changed_attrs_from_delta(&peer.baseline(table_id)?, &delta)
-                            .into_iter()
-                            .collect();
-                    let new_hash = peer.shared_hash(table_id)?;
-                    (peer.name.clone(), delta, attrs, new_hash)
-                };
-                trace.push(
-                    "1",
-                    self.clock_ms,
-                    &updater_name,
-                    format!(
-                        "computed `{table_id}` delta via BX-get-delta ({} row(s)); changed attrs: [{}]",
-                        delta.row_count(),
-                        attrs.join(", ")
-                    ),
-                );
-                // Pre-flight: every sharing peer must be able to translate
-                // the delta into its source (`put_delta` must succeed)
-                // *before* anything commits on chain.
-                let meta0 = self.share_meta(table_id)?;
-                let mut source_deltas: BTreeMap<AccountId, TableDelta> = BTreeMap::new();
-                for other in meta0.peers.iter().filter(|p| **p != updater) {
-                    let peer = self
-                        .peers
-                        .get(other)
-                        .ok_or_else(|| CoreError::UnknownPeer(other.to_string()))?;
-                    source_deltas.insert(*other, peer.translate_remote_delta(table_id, &delta)?);
-                }
-                Ok(PreparedUpdate {
-                    updater,
-                    updater_name,
-                    table_id: table_id.to_string(),
-                    attrs,
-                    new_hash,
-                    payload: PreparedPayload::Delta {
-                        delta,
-                        source_deltas,
-                    },
-                })
+        let (updater_name, delta, attrs, new_hash) = {
+            let peer = self.node_mut(&updater)?;
+            let delta = peer.prepare_update_delta(table_id)?;
+            if delta.is_empty() {
+                return Err(CoreError::NoChange(table_id.to_string()));
             }
-            PropagationMode::FullTable => {
-                let (updater_name, current_view, attrs) = {
-                    let peer = self
-                        .peers
-                        .get(&updater)
-                        .ok_or_else(|| CoreError::UnknownPeer(updater.to_string()))?;
-                    let current = peer.regenerate_view(table_id)?;
-                    let baseline = peer.baseline(table_id)?;
-                    let attrs: Vec<String> =
-                        changed_attrs(&baseline, &current).into_iter().collect();
-                    (peer.name.clone(), current, attrs)
-                };
-                if attrs.is_empty() {
-                    return Err(CoreError::NoChange(table_id.to_string()));
-                }
-                let new_hash = current_view.content_hash();
-                trace.push(
-                    "1",
-                    self.clock_ms,
-                    &updater_name,
-                    format!(
-                        "regenerated `{table_id}` via BX-get; changed attrs: [{}]",
-                        attrs.join(", ")
-                    ),
-                );
-                // Pre-flight: every sharing peer must be able to translate
-                // the new view into its source (`put` must succeed) before
-                // anything commits on chain.
-                let meta0 = self.share_meta(table_id)?;
-                for other in meta0.peers.iter().filter(|p| **p != updater) {
-                    let peer = self
-                        .peers
-                        .get(other)
-                        .ok_or_else(|| CoreError::UnknownPeer(other.to_string()))?;
-                    let binding = peer.binding(table_id)?;
-                    let source = peer.db.table(&binding.source_table)?;
-                    medledger_bx::exec::put(&binding.lens, source, &current_view)?;
-                }
-                Ok(PreparedUpdate {
-                    updater,
-                    updater_name,
-                    table_id: table_id.to_string(),
-                    attrs,
-                    new_hash,
-                    payload: PreparedPayload::Full { view: current_view },
-                })
-            }
+            let attrs: Vec<String> = changed_attrs_from_delta(&peer.baseline(table_id)?, &delta)
+                .into_iter()
+                .collect();
+            let new_hash = peer.shared_hash(table_id)?;
+            (peer.name.clone(), delta, attrs, new_hash)
+        };
+        trace.push(
+            "1",
+            self.clock_ms,
+            &updater_name,
+            format!(
+                "computed `{table_id}` delta via BX-get-delta ({} row(s)); changed attrs: [{}]",
+                delta.row_count(),
+                attrs.join(", ")
+            ),
+        );
+        // Pre-flight: every sharing peer must be able to translate the
+        // delta into its source (`put_delta` must succeed) *before*
+        // anything commits on chain.
+        let meta0 = self.share_meta(table_id)?;
+        let mut source_deltas: BTreeMap<AccountId, TableDelta> = BTreeMap::new();
+        for other in meta0.peers.iter().filter(|p| **p != updater) {
+            let translated = self.node(other)?.translate_remote_delta(table_id, &delta)?;
+            source_deltas.insert(*other, translated);
         }
-    }
-
-    /// Makes the state the contract just committed the updater's own
-    /// committed baseline.
-    fn commit_local(&mut self, prepared: &PreparedUpdate, version: u64) -> Result<()> {
-        let peer = self.node_mut(&prepared.updater)?;
-        match &prepared.payload {
-            PreparedPayload::Delta { delta, .. } => {
-                peer.commit_delta(&prepared.table_id, delta, version)
-            }
-            PreparedPayload::Full { view } => peer.commit_view(&prepared.table_id, view, version),
-        }
+        Ok(PreparedUpdate {
+            updater,
+            updater_name,
+            table_id: table_id.to_string(),
+            attrs,
+            new_hash,
+            delta,
+            source_deltas,
+        })
     }
 
     /// Steps 4–5 for every sharing peer other than the updater: fetch the
-    /// committed payload, verify it against the announced hash, apply it,
+    /// committed delta, verify it against the announced hash, apply it,
     /// and reflect it into the local source via BX-put.
     ///
-    /// The per-receiver verify/apply work runs on a pool of scoped
-    /// `std::thread` workers ([`fanout::run_partitioned`]): receivers map
-    /// to **disjoint** `&mut PeerNode`s, so the workers share no state and
-    /// need no locks. Everything order-sensitive — PRG latency draws,
-    /// transfer accounting, trace lines — happens serially outside the
-    /// pool, and results merge back in receiver order, so traces,
-    /// receipts and stats are byte-identical regardless of the host's
-    /// core count. Virtual time follows the same partition via
+    /// The apply work runs on a pool of scoped `std::thread` workers (see
+    /// [`System::apply_on_receivers`]); everything order-sensitive — PRG
+    /// latency draws, transfer accounting, trace lines — happens serially
+    /// outside the pool, and results merge back in receiver order, so
+    /// traces, receipts and stats are byte-identical regardless of the
+    /// host's core count. Virtual time follows
     /// [`fanout::schedule_ms`]: `fanout_workers` parallel data channels,
     /// each serving its chunk of receivers sequentially (0 = one channel
     /// per receiver, i.e. full overlap).
@@ -1313,21 +1265,12 @@ impl System {
             .collect();
 
         // Payload accounting, identical for every receiver.
-        let (kind, rows_moved, payload_bytes, full_table_bytes) = match &prepared.payload {
-            PreparedPayload::Delta { delta, .. } => {
-                let peer = self.node(&prepared.updater)?;
-                (
-                    PayloadKind::Delta,
-                    delta.row_count() as u64,
-                    delta.encoded_size() as u64,
-                    peer.shared_store(&table_id)?.encoded_bytes(),
-                )
-            }
-            PreparedPayload::Full { view } => {
-                let bytes: u64 = view.rows().map(|r| r.encode().len() as u64).sum();
-                (PayloadKind::FullTable, view.len() as u64, bytes, bytes)
-            }
-        };
+        let rows_moved = prepared.delta.row_count() as u64;
+        let payload_bytes = prepared.delta.encoded_size() as u64;
+        let full_table_bytes = self
+            .node(&prepared.updater)?
+            .shared_store(&table_id)?
+            .encoded_bytes();
 
         // Per-receiver latency draws, in receiver order (the PRG sequence
         // is part of the deterministic contract — thread count must never
@@ -1354,60 +1297,14 @@ impl System {
             })
             .collect();
 
-        let new_hash = prepared.new_hash;
-        let tid: &str = &table_id;
-        let results: Vec<Result<()>> = match &mut prepared.payload {
-            // Each receiver's delta routes to the shards of its stored
-            // copy, and ALL receivers' shard jobs run on one
-            // shard-granular pool — see
-            // [`System::fanout_apply_shard_routed`].
-            PreparedPayload::Delta {
-                delta,
-                source_deltas,
-            } => self.fanout_apply_shard_routed(
-                tid,
-                delta,
-                source_deltas,
-                &others,
-                rows_moved,
-                new_hash,
-                version,
-            ),
-            PreparedPayload::Full { view } => {
-                // Parallel apply over disjoint mutable peer references.
-                let exec_workers = self.fanout_pool_workers(others.len(), rows_moved, others.len());
-                let wanted: BTreeSet<AccountId> = others.iter().copied().collect();
-                let mut refs: BTreeMap<AccountId, &mut PeerNode> = self
-                    .peers
-                    .iter_mut()
-                    .filter(|(a, _)| wanted.contains(a))
-                    .map(|(a, p)| (*a, p))
-                    .collect();
-                let jobs: Vec<&mut PeerNode> = others
-                    .iter()
-                    .map(|a| {
-                        refs.remove(a)
-                            .ok_or_else(|| CoreError::UnknownPeer(a.to_string()))
-                    })
-                    .collect::<Result<_>>()?;
-                let view: &Table = view;
-                fanout::run_partitioned(jobs, exec_workers, move |peer| {
-                    peer.apply_remote_view(tid, view, new_hash, version)
-                })
-            }
-        };
+        let results = self.apply_on_receivers(prepared, &others, version);
 
-        // Deterministic merge in receiver order. Unlike the old serial
-        // pipeline (which stopped at the first failed receiver), the
-        // pool contacts EVERY receiver — so every receiver's transfer is
-        // accounted and traced, keeping stats in agreement with actual
-        // peer state even on the error path. A receiver whose apply
-        // failed self-reverted; its trace records the failure, and the
-        // first error is surfaced after the merge. (Workers could
-        // accumulate their own `DataPlaneStats` and fold them with
-        // `DataPlaneStats::merge`; since every transfer of one update is
-        // identical, recording here in receiver order is byte-identical
-        // and simpler.)
+        // Deterministic merge in receiver order. The pool contacts EVERY
+        // receiver — so every receiver's transfer is accounted and
+        // traced, keeping stats in agreement with actual peer state even
+        // on the error path. A receiver whose apply failed self-reverted;
+        // its trace records the failure, and the first error is surfaced
+        // after the merge.
         let mut visible_ms = committed_ms;
         let mut bytes_moved = 0u64;
         let mut first_err: Option<CoreError> = None;
@@ -1416,21 +1313,17 @@ impl System {
             self.stats.p2p_transfers += 1;
             self.stats.p2p_bytes += payload_bytes;
             self.stats.data_plane.record(&DataTransfer {
-                kind,
                 rows: rows_moved,
                 bytes: payload_bytes,
                 full_table_bytes,
             });
             bytes_moved += payload_bytes;
-            let fetched = match kind {
-                PayloadKind::Delta => {
-                    format!("fetched `{table_id}` delta ({rows_moved} row(s)) from {updater_name}")
-                }
-                PayloadKind::FullTable => {
-                    format!("fetched updated `{table_id}` from {updater_name}")
-                }
-            };
-            trace.push("4", applied_at[i], &names[i], fetched);
+            trace.push(
+                "4",
+                applied_at[i],
+                &names[i],
+                format!("fetched `{table_id}` delta ({rows_moved} row(s)) from {updater_name}"),
+            );
             match &results[i] {
                 Err(e) => {
                     trace.push(
@@ -1443,17 +1336,12 @@ impl System {
                         first_err = Some(e.clone());
                     }
                 }
-                Ok(()) => {
-                    let reflected = match kind {
-                        PayloadKind::Delta => {
-                            format!("reflected `{table_id}` delta into source via BX-put")
-                        }
-                        PayloadKind::FullTable => {
-                            format!("reflected `{table_id}` into source via BX-put")
-                        }
-                    };
-                    trace.push("5", applied_at[i], &names[i], reflected);
-                }
+                Ok(()) => trace.push(
+                    "5",
+                    applied_at[i],
+                    &names[i],
+                    format!("reflected `{table_id}` delta into source via BX-put"),
+                ),
             }
         }
         if let Some(e) = first_err {
@@ -1468,16 +1356,18 @@ impl System {
         })
     }
 
-    /// The delta-mode receiver fan-out, in three phases (one shard per
+    /// The receiver side of the fan-out, in three phases (one shard per
     /// table is the degenerate case: one job per receiver):
     ///
     /// 1. **Plan** (read-only): each receiver splits the committed view
     ///    delta by shard and pre-derives its sibling cascade deltas.
     /// 2. **Shard jobs**: every receiver's touched shards become
     ///    independent jobs on ONE pool in [`fanout::run_sharded`]'s
-    ///    shard-granular partitioning mode — so even a single receiver's
-    ///    disjoint shards apply (and pre-warm their Merkle subroots) in
-    ///    parallel.
+    ///    shard-granular partitioning mode — receivers map to disjoint
+    ///    `&mut PeerNode`s and shards to disjoint `&mut Shard`s, so the
+    ///    workers share no state and need no locks, and even a single
+    ///    receiver's disjoint shards apply (and pre-warm their Merkle
+    ///    subroots) in parallel.
     /// 3. **Finish** (serial, receiver order): fold-verify the announced
     ///    hash, log the delta, reflect into the source via BX-put, stash
     ///    sibling cascades.
@@ -1486,17 +1376,20 @@ impl System {
     /// change) fall back to the whole-table resolution, still slotted in
     /// receiver order. Results are byte-identical for any shard and
     /// worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn fanout_apply_shard_routed(
+    fn apply_on_receivers(
         &mut self,
-        table_id: &str,
-        delta: &TableDelta,
-        source_deltas: &mut BTreeMap<AccountId, TableDelta>,
+        prepared: &mut PreparedUpdate,
         others: &[AccountId],
-        rows_moved: u64,
-        new_hash: Hash256,
         version: u64,
     ) -> Vec<Result<()>> {
+        let PreparedUpdate {
+            table_id,
+            delta,
+            source_deltas,
+            new_hash,
+            ..
+        } = prepared;
+        let (table_id, delta, new_hash) = (table_id.as_str(), &*delta, *new_hash);
         let mut slots: Vec<Option<Result<()>>> = others.iter().map(|_| None).collect();
 
         // Phase 1 — plan per receiver.
@@ -1518,6 +1411,7 @@ impl System {
 
         // Phase 2 — all receivers' shard jobs on one pool, shard-granular.
         let total_jobs: usize = sharded.iter().map(|(_, p)| p.job_count()).sum();
+        let rows_moved = delta.row_count() as u64;
         let workers = self.fanout_pool_workers(total_jobs, rows_moved, others.len());
         let shard_results: Vec<Vec<medledger_relational::Result<TableDelta>>> = {
             let wanted: BTreeSet<AccountId> = sharded.iter().map(|(i, _)| others[*i]).collect();
@@ -1561,54 +1455,35 @@ impl System {
             .collect()
     }
 
-    /// OS threads for one fan-out pool run over `total_jobs` jobs
-    /// (receivers, or receiver×shard jobs in shard-granular mode). In
-    /// auto mode (`fanout_workers == 0`) tiny payloads run inline — a
-    /// one-row delta's per-receiver apply is microseconds, not worth a
-    /// thread spawn; an explicit worker count is always honored. The
-    /// single home of the inline threshold for both partition grains.
+    /// OS threads for one fan-out pool run over `total_jobs`
+    /// receiver×shard jobs: the configured channel count, or (auto, `0`)
+    /// whatever parallelism the host offers — except that tiny payloads
+    /// then run inline: a one-row delta's per-receiver apply is
+    /// microseconds, not worth a thread spawn.
     fn fanout_pool_workers(&self, total_jobs: usize, rows_moved: u64, receivers: usize) -> usize {
-        if self.config.fanout_workers == 0
-            && rows_moved * (receivers as u64) < PARALLEL_FANOUT_MIN_ROWS
-        {
-            1
-        } else {
-            self.exec_fanout_workers(total_jobs)
-        }
-    }
-
-    /// OS threads for the fan-out pool: the configured channel count, or
-    /// (auto, `0`) whatever parallelism the host offers, capped at the
-    /// receiver count.
-    fn exec_fanout_workers(&self, receivers: usize) -> usize {
-        let w = match self.config.fanout_workers {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+        let workers = match self.config.fanout_workers {
+            0 if rows_moved * (receivers as u64) < PARALLEL_FANOUT_MIN_ROWS => 1,
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
             w => w,
         };
-        w.min(receivers.max(1))
+        workers.min(total_jobs.max(1))
     }
 
     /// Submits the acknowledgement round for one committed update (the
     /// paper's barrier: the table stays locked until all acks commit).
     ///
-    /// With `aggregated_acks` (the default), every receiver signs the
-    /// canonical ack message with its own one-time key (the same key
-    /// budget the per-receiver round consumed), the updater verifies each
-    /// share off-chain, folds the verified shares into one attestation
-    /// and submits a **single** `ack_update_aggregate` transaction under
-    /// the derived conflict key `"{table}@ack:{version}"`. Distinct
+    /// Every receiver signs the canonical ack message with its own
+    /// one-time key ([`System::sign_ack_shares`]); the updater verifies
+    /// each share off-chain, folds the verified shares into one
+    /// attestation and submits a **single** `ack_update_aggregate`
+    /// transaction under the derived conflict key
+    /// `"{table}@ack:{version}"` ([`System::submit_ack_shares`]). Distinct
     /// derived keys let every table's aggregate share one block per wave,
     /// so the ack side costs O(1) blocks regardless of the receiver
     /// count. A receiver whose share fails verification falls back to an
     /// individual dissent `ack_update` under
     /// `"{table}@ack:{version}:d<i>"`, so the lock/denial semantics of
     /// the paper's barrier survive aggregation unchanged.
-    ///
-    /// With the knob off, the legacy round is submitted: one `ack_update`
-    /// per receiver under the plain table key (serializing one ack block
-    /// per receiver), with the identical args built once and reused.
     fn submit_ack_round(
         &mut self,
         table_id: &str,
@@ -1620,41 +1495,44 @@ impl System {
         if others.is_empty() {
             return Ok(Vec::new());
         }
-        if !self.config.aggregated_acks {
-            let ack = AckUpdateArgs {
-                table_id: table_id.to_string(),
-                version,
-                applied_hash,
-            };
-            let mut ack_txs = Vec::with_capacity(others.len());
-            for other in others {
-                ack_txs.push(self.submit_call(
-                    *other,
-                    "ack_update",
-                    &ack,
-                    Some(table_id.to_string()),
-                )?);
-            }
-            return Ok(ack_txs);
-        }
-
-        // Aggregated path. Shares are collected in canonical (account)
-        // order so every node folds the identical attestation.
         let msg = ack_message(table_id, version, &applied_hash);
+        let shares = self.sign_ack_shares(&msg, others)?;
+        self.submit_ack_shares(table_id, version, applied_hash, updater, &msg, &shares)
+    }
+
+    /// Each receiver's signature over the canonical ack message `msg`, in
+    /// canonical (account) order so every node folds the identical
+    /// attestation.
+    fn sign_ack_shares(
+        &mut self,
+        msg: &[u8],
+        others: &[AccountId],
+    ) -> Result<Vec<(AccountId, Signature)>> {
         let mut sorted: Vec<AccountId> = others.to_vec();
         sorted.sort();
         let mut shares: Vec<(AccountId, Signature)> = Vec::with_capacity(sorted.len());
         for other in &sorted {
-            let peer = self
-                .peers
-                .get_mut(other)
-                .ok_or_else(|| CoreError::UnknownPeer(other.to_string()))?;
-            shares.push((*other, peer.keys.sign(&msg)?));
+            shares.push((*other, self.node_mut(other)?.keys.sign(msg)?));
         }
-        let (contributors, dissenters) = partition_ack_shares(&msg, &shares);
+        Ok(shares)
+    }
+
+    /// The updater's half of the ack round: one aggregate for the shares
+    /// that verify, one dissent `ack_update` per receiver whose share
+    /// does not.
+    fn submit_ack_shares(
+        &mut self,
+        table_id: &str,
+        version: u64,
+        applied_hash: Hash256,
+        updater: AccountId,
+        msg: &[u8],
+        shares: &[(AccountId, Signature)],
+    ) -> Result<Vec<TxId>> {
+        let (contributors, dissenters) = partition_ack_shares(msg, shares);
         let mut ack_txs = Vec::with_capacity(1 + dissenters.len());
         if !contributors.is_empty() {
-            let attestation = fold_attestation(&msg, &contributors);
+            let attestation = fold_attestation(msg, &contributors);
             let args = AckAggregateArgs {
                 table_id: table_id.to_string(),
                 version,
@@ -1691,12 +1569,11 @@ impl System {
     /// share: for every participant, walk the sibling shares overlapping
     /// `table_id` (skipping tables in `active` — updates still in
     /// progress up the serial path's call stack), decide whether each now
-    /// differs, push the numbered trace line, and hand every changed one
-    /// to `on_change`. The propagation mode decides how "differs?" is
-    /// answered: O(pending) tracking in delta mode, a full
-    /// regenerate-and-diff in full-table mode. What happens to a changed
-    /// share is the caller's: the serial path recurses into it (Steps
-    /// 7–11), the wave engine defers it to the next wave.
+    /// differs (it carries a pending change — an O(pending) read), push
+    /// the numbered trace line, and hand every changed one to
+    /// `on_change`. What happens to a changed share is the caller's: the
+    /// serial path recurses into it (Steps 7–11), the wave engine defers
+    /// it to the next wave.
     fn step6_sweep(
         &mut self,
         table_id: &str,
@@ -1717,13 +1594,7 @@ impl System {
                     continue;
                 }
                 let peer = self.node(account)?;
-                let differs = match self.config.propagation {
-                    PropagationMode::Delta => peer.has_pending_change(&other_table)?,
-                    PropagationMode::FullTable => {
-                        let regenerated = peer.regenerate_view(&other_table)?;
-                        !changed_attrs(&peer.baseline(&other_table)?, &regenerated).is_empty()
-                    }
-                };
+                let differs = peer.has_pending_change(&other_table)?;
                 let peer_name = peer.name.clone();
                 trace.push(
                     "6",
@@ -1850,12 +1721,10 @@ impl System {
     /// enforced by `Mempool::select` and re-checked by chain validation —
     /// becomes the batching criterion instead of a one-at-a-time limiter:
     /// because group members touch distinct tables, all their
-    /// `request_update` transactions fit in the next block, and with
-    /// aggregated acks (the default) every member's ack side is one
-    /// transaction too, so the whole group's acks share a block as well —
-    /// consensus cost per update drops to `~2 / group_size` blocks
-    /// (`~(1 + receivers) / group_size` in legacy per-receiver ack mode;
-    /// the request round alone is `1 / group_size` in both).
+    /// `request_update` transactions fit in the next block, and every
+    /// member's ack side is one aggregated transaction too, so the whole
+    /// group's acks share a block as well — consensus cost per update
+    /// drops to `~2 / group_size` blocks.
     ///
     /// Outcomes are demultiplexed per member: a denied or untranslatable
     /// member fails alone — callers roll back exactly that member's
@@ -1891,6 +1760,7 @@ impl System {
         let mut co_txs_out: Vec<Vec<TxId>> = entries.iter().map(|_| Vec::new()).collect();
         let mut deferred: Vec<DeferredCascade> = Vec::new();
         let mut co_seq: usize = 0;
+        let mut unreserved: BTreeMap<AccountId, u64> = BTreeMap::new();
         let stats_before = self.stats;
         let mut timer = StageTimer::start(&self.telemetry, "wave");
 
@@ -1964,39 +1834,20 @@ impl System {
                 new_hash: prepared.new_hash,
                 changed_attrs: declared,
             };
-            let expected_version = match self.share_meta(&e.table_id) {
-                Ok(meta) => meta.version + 1,
+            let meta = match self.share_meta(&e.table_id) {
+                Ok(meta) => meta,
                 Err(err) => {
                     slots[i] = Some(Err(fail(err, false)));
                     continue;
                 }
             };
-            // Every signature this member needs must be available BEFORE
-            // the lead's request enters the mempool: once the request is
-            // queued it cannot be withdrawn, so a late signing failure
-            // would leave the member half-submitted. Count per peer —
-            // the lead's request plus one co-request per co-author, and
-            // the same peer may appear several times (a peer co-signs
-            // its own member when the engine composed two of its
-            // submissions).
-            let mut needed: BTreeMap<AccountId, u64> = BTreeMap::new();
-            *needed.entry(e.updater.account()).or_insert(0) += 1;
-            if self.config.aggregated_acks {
-                // The updater also signs the member's aggregated ack
-                // transaction after the fan-out.
-                *needed.entry(e.updater.account()).or_insert(0) += 1;
-            }
-            for co in &e.co_submitters {
-                *needed.entry(co.peer.account()).or_insert(0) += 1;
-            }
-            let precheck = needed
-                .iter()
-                .find_map(|(account, n)| match self.peers.get(account) {
-                    Some(node) if node.keys.remaining() < *n => Some(CoreError::KeysExhausted),
-                    Some(_) => None,
-                    None => Some(CoreError::UnknownPeer(account.to_string())),
-                });
-            if let Some(err) = precheck {
+            let expected_version = meta.version + 1;
+            // A member that would overdraw a signer fails alone, before
+            // anything of it is queued.
+            let co_signers = e.co_submitters.iter().map(|co| co.peer.account());
+            if let Err(err) =
+                self.reserve_signatures(&mut unreserved, prepared.updater, co_signers, &meta.peers)
+            {
                 slots[i] = Some(Err(fail(err, false)));
                 continue;
             }
@@ -2058,8 +1909,8 @@ impl System {
                         }
                     }
                     if let Some(err) = co_err {
-                        // Unreachable in practice (signing capacity was
-                        // pre-checked above); if it fires, the lead's
+                        // Unreachable in practice (the signatures were
+                        // reserved above); if it fires, the lead's
                         // request is already queued and will commit, so
                         // the member must be reported post-commit-point
                         // to keep the caller from rolling back state the
@@ -2177,7 +2028,10 @@ impl System {
                     "permission verified; update committed at height {height} (version {version})"
                 ),
             );
-            if let Err(e) = self.commit_local(&prepared, version) {
+            let advanced = self
+                .node_mut(&prepared.updater)
+                .and_then(|p| p.commit_delta(&prepared.table_id, &prepared.delta, version));
+            if let Err(e) = advanced {
                 slots[idx] = Some(Err(fail(e, true)));
                 continue;
             }
@@ -2204,13 +2058,10 @@ impl System {
         timer.stage("phase.fanout");
 
         // Phase 4 — submit every member's acks, then wait for all of them
-        // together. With aggregated acks (the default) each member emits
-        // ONE `ack_update_aggregate` under its own derived conflict key,
-        // so the whole group's ack side fits a single block — the wave
-        // pays ~2 rounds (request + aggregated ack) regardless of the
-        // receiver count. In legacy mode, acks of the same table still
-        // serialize across blocks (the conflict rule) while acks of
-        // distinct tables share blocks, i.e. ~max-receivers ack rounds.
+        // together. Each member emits ONE `ack_update_aggregate` under its
+        // own derived conflict key, so the whole group's ack side fits a
+        // single block — the wave pays ~2 rounds (request + aggregated
+        // ack) regardless of the receiver count.
         let mut survivors: Vec<CommittedEntry> = Vec::new();
         for mut c in committed {
             match self.submit_ack_round(
@@ -2502,6 +2353,104 @@ mod ack_share_tests {
         assert_eq!(contributors.len(), 1);
         assert_eq!(contributors[0].0, a.public());
         assert_eq!(dissenters, vec![b.public()]);
+    }
+
+    /// The dissent path end to end: Steps 1–5 as `propagate_inner` runs
+    /// them, then an ack round in which one receiver's share arrives
+    /// damaged at the updater. The contract must take the mix — one
+    /// aggregate for the share that verifies, the dissenter's own
+    /// `ack_update` — attribute each receiver once, and unlock the table.
+    #[test]
+    fn forged_share_dissents_on_chain_and_the_table_still_unlocks() {
+        use crate::facade::MedLedger;
+        use medledger_bx::LensSpec;
+        use medledger_relational::{row, Column, Schema, Table, Value, ValueType, WriteOp};
+
+        let columns = vec![
+            Column::new("patient_id", ValueType::Int),
+            Column::new("dosage", ValueType::Text),
+        ];
+        let mut ward = Table::new(Schema::new(columns, &["patient_id"]).expect("schema"));
+        ward.insert(row![1i64, "10 mg"]).expect("row");
+        let lens = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
+        let mut ledger = MedLedger::builder()
+            .seed("ack-dissent")
+            .pbft(100)
+            .peer_key_capacity(8)
+            .build()
+            .expect("boot");
+        let [hub, a, b] = ["Hub", "A", "B"].map(|name| {
+            let id = ledger.add_peer(name).expect("peer");
+            (ledger.session(id).load_source("S", ward.clone())).expect("source");
+            id
+        });
+        (ledger.session(hub).share("ward"))
+            .bind("S", lens.clone())
+            .with(a, "S", lens.clone())
+            .with(b, "S", lens)
+            .writers("patient_id", &[hub])
+            .writers("dosage", &[hub])
+            .create()
+            .expect("share");
+
+        let set_dose = |dose: &str| WriteOp::Update {
+            key: vec![Value::Int(1)],
+            assignments: vec![("dosage".into(), Value::text(dose))],
+        };
+        let sys = ledger.system_mut();
+        let updater = hub.account();
+        (sys.node_mut(&updater).expect("hub"))
+            .write_shared("ward", set_dose("20 mg"))
+            .expect("staged");
+        let mut trace = WorkflowTrace::default();
+        let mut prepared = (sys.prepare_update(updater, "ward", &mut trace)).expect("prepare");
+        let args = RequestUpdateArgs {
+            table_id: "ward".into(),
+            new_hash: prepared.new_hash,
+            changed_attrs: prepared.attrs.clone(),
+        };
+        let tx = (sys.submit_call(updater, "request_update", &args, Some("ward".into())))
+            .expect("request");
+        sys.produce_blocks_until_receipt(&tx, 32).expect("block");
+        sys.expect_success(&tx).expect("permitted");
+        let version = sys.share_meta("ward").expect("meta").version;
+        (sys.node_mut(&updater).expect("hub"))
+            .commit_delta("ward", &prepared.delta, version)
+            .expect("commit");
+        let fan =
+            (sys.fanout_apply(&mut prepared, version, sys.clock_ms, &mut trace)).expect("fan-out");
+        assert!(!sys.share_meta("ward").expect("meta").synced());
+
+        let hash = prepared.new_hash;
+        let msg = ack_message("ward", version, &hash);
+        let mut shares = sys.sign_ack_shares(&msg, &fan.others).expect("shares");
+        let (honest, forged) = (shares[0].0, shares[1].0);
+        shares[1].1.chains[3] = Hash256([0xee; 32]);
+        let acks =
+            (sys.submit_ack_shares("ward", version, hash, updater, &msg, &shares)).expect("acks");
+        assert_eq!(acks.len(), 2, "one aggregate, one dissent");
+        sys.produce_blocks_until_all(&acks).expect("blocks");
+        for ack in &acks {
+            sys.expect_success(ack).expect("ack accepted");
+        }
+
+        assert!(sys.share_meta("ward").expect("meta").synced());
+        let senders_of = |method: &str| -> Vec<AccountId> {
+            let history = sys.audit("ward");
+            let of_method = history
+                .iter()
+                .filter(|e| e.method.as_deref() == Some(method));
+            of_method.map(|e| e.sender).collect()
+        };
+        assert_eq!(senders_of("ack_update"), vec![forged]);
+        // The aggregate is listed under its submitter, then once per
+        // receiver it stands for.
+        assert_eq!(senders_of("ack_update_aggregate"), vec![updater, honest]);
+        sys.check_consistency().expect("consistent");
+        (ledger.session(hub).begin("ward"))
+            .set(vec![Value::Int(1)], "dosage", Value::text("30 mg"))
+            .commit()
+            .expect("the barrier is open again");
     }
 
     #[test]

@@ -37,10 +37,10 @@
 //! with byte-identical outcomes, receipts and traces (see the core
 //! `shards_per_table` docs).
 
-use medledger_bx::{changed_attrs, changed_attrs_from_delta};
+use medledger_bx::changed_attrs_from_delta;
 use medledger_core::{
     facade, CoSubmitter, CommitError, CommitOutcome, CoreError, GroupEntry, MedLedger, PeerId,
-    PeerNode, PropagationMode, System, UpdateReport,
+    PeerNode, System, UpdateReport,
 };
 use medledger_ledger::TxStatus;
 use medledger_relational::{delta_from_write_op, Row, TableDelta, Value, WriteOp};
@@ -315,8 +315,8 @@ impl LedgerService {
     /// groups onto distinct shared tables, composes same-table
     /// submissions into combined members, commits everything through one
     /// block and one scheduled consensus round (plus the ack side — one
-    /// aggregated threshold ack per member by default, so the wave's
-    /// acks share a single block too), and resolves the affected
+    /// aggregated threshold ack per member, so the wave's acks share a
+    /// single block too), and resolves the affected
     /// tickets. Members whose tables conflict with an earlier member
     /// re-queue for the next wave.
     pub fn tick(&mut self) -> medledger_core::Result<WaveReport> {
@@ -930,22 +930,14 @@ fn rollback(system: &mut System, peer: PeerId, inverses: &[(String, TableDelta)]
 /// The changed-attribute set a peer's *pre-existing* pending delta of
 /// `table_id` would declare (empty when the peer is clean).
 fn pre_existing_attrs(node: &PeerNode, table_id: &str) -> medledger_core::Result<BTreeSet<String>> {
-    match node.mode {
-        PropagationMode::Delta => {
-            let pending = node.pending_delta(table_id)?;
-            if pending.is_empty() {
-                return Ok(BTreeSet::new());
-            }
-            Ok(changed_attrs_from_delta(
-                &node.baseline(table_id)?,
-                &pending,
-            ))
-        }
-        PropagationMode::FullTable => {
-            let regenerated = node.regenerate_view(table_id)?;
-            Ok(changed_attrs(&node.baseline(table_id)?, &regenerated))
-        }
+    let pending = node.pending_delta(table_id)?;
+    if pending.is_empty() {
+        return Ok(BTreeSet::new());
     }
+    Ok(changed_attrs_from_delta(
+        &node.baseline(table_id)?,
+        &pending,
+    ))
 }
 
 /// What staging one submission produced: the applied inverse deltas, the

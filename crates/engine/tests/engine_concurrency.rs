@@ -10,10 +10,12 @@
 
 #![allow(clippy::result_large_err)]
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
+use common::fig5_model::{Fig5Model, Write};
 use medledger_bx::LensSpec;
-use medledger_core::{
-    CommitError, CommitOutcome, ConsensusKind, GroupEntry, MedLedger, PeerId, PropagationMode,
-};
+use medledger_core::{CommitError, CommitOutcome, ConsensusKind, GroupEntry, MedLedger, PeerId};
 use medledger_engine::{CommitTicket, LedgerService};
 use medledger_relational::{row, Column, Schema, Table, Value, ValueType, WriteOp};
 
@@ -52,7 +54,6 @@ fn hub_ledger(
     seed: &str,
     n_tables: usize,
     n_receivers: usize,
-    mode: PropagationMode,
     fanout_workers: usize,
     deny_hub_on: &[usize],
     key_capacity: usize,
@@ -62,7 +63,6 @@ fn hub_ledger(
         .consensus(ConsensusKind::PrivatePbft {
             block_interval_ms: 100,
         })
-        .propagation(mode)
         .fanout_workers(fanout_workers)
         .peer_key_capacity(key_capacity)
         .build()
@@ -166,7 +166,7 @@ fn wave_round(hub: &mut Hub, pid: i64, rev: usize) -> Vec<Result<CommitOutcome, 
 #[test]
 fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
     // Three tables; the hub may not write dosage on the MIDDLE one.
-    let mut hub = hub_ledger("eng-ticketmap", 3, 1, PropagationMode::Delta, 0, &[1], 32);
+    let mut hub = hub_ledger("eng-ticketmap", 3, 1, 0, &[1], 32);
     let tickets = submit_round(&mut hub, 1, 1);
     let wave = hub.service.tick().expect("wave runs");
     assert_eq!(wave.members, 3, "the denied member still rides the wave");
@@ -189,7 +189,7 @@ fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
 
 #[test]
 fn system_level_duplicate_group_members_conflict() {
-    let mut hub = hub_ledger("eng-sysdup", 1, 1, PropagationMode::Delta, 0, &[], 8);
+    let mut hub = hub_ledger("eng-sysdup", 1, 1, 0, &[], 8);
     let hub_id = hub.hub;
     let system = hub.service.ledger_mut().system_mut();
     system
@@ -222,24 +222,8 @@ fn system_level_duplicate_group_members_conflict() {
 #[test]
 fn group_commit_matches_serial_commits_byte_identically() {
     const TABLES: usize = 5;
-    let mut grouped = hub_ledger(
-        "eng-vs-serial",
-        TABLES,
-        2,
-        PropagationMode::Delta,
-        0,
-        &[],
-        32,
-    );
-    let mut serial = hub_ledger(
-        "eng-vs-serial",
-        TABLES,
-        2,
-        PropagationMode::Delta,
-        0,
-        &[],
-        32,
-    );
+    let mut grouped = hub_ledger("eng-vs-serial", TABLES, 2, 0, &[], 32);
+    let mut serial = hub_ledger("eng-vs-serial", TABLES, 2, 0, &[], 32);
 
     let blocks_before = ledger(&grouped).stats().blocks;
     for r in wave_round(&mut grouped, 1, 1) {
@@ -287,15 +271,7 @@ fn stress_thread_counts_and_tables_stay_byte_identical() {
     const ROUNDS: usize = 2;
     let mut reference: Option<Vec<String>> = None;
     for workers in [1usize, 2, 4] {
-        let mut hub = hub_ledger(
-            "eng-stress",
-            TABLES,
-            2,
-            PropagationMode::Delta,
-            workers,
-            &[],
-            32,
-        );
+        let mut hub = hub_ledger("eng-stress", TABLES, 2, workers, &[], 32);
         for rev in 1..=ROUNDS {
             for r in wave_round(&mut hub, 1, rev) {
                 r.expect("member commits");
@@ -320,7 +296,7 @@ fn receipt_and_trace_ordering_is_deterministic() {
     // byte-for-byte on receipts AND traces — thread scheduling must never
     // leak into results.
     let run = |workers: usize| {
-        let mut hub = hub_ledger("eng-det", 3, 2, PropagationMode::Delta, workers, &[], 16);
+        let mut hub = hub_ledger("eng-det", 3, 2, workers, &[], 16);
         let mut receipts: Vec<String> = Vec::new();
         let mut traces = String::new();
         for rev in 1..=2 {
@@ -344,67 +320,196 @@ fn receipt_and_trace_ordering_is_deterministic() {
     assert_eq!(fp_auto, fp_again);
 }
 
+/// The world `hub_ledger` builds (every permission with the hub), in the
+/// Fig. 5 reference model.
+fn hub_model(hub: &Hub) -> Fig5Model {
+    let mut model = Fig5Model::default();
+    let lens = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
+    // (peer name, prefix of its source tables), as `hub_ledger` names them.
+    let mut peers = vec![("Hub".to_string(), "H".to_string())];
+    peers.extend((0..hub.receivers.len()).map(|j| (format!("R{j}"), format!("R{j}"))));
+    for (peer, prefix) in &peers {
+        for t in &hub.tables {
+            (model.add_peer(peer)).load_source(&format!("{prefix}-{t}"), ward_table());
+        }
+    }
+    for t in &hub.tables {
+        let sources: Vec<String> = peers.iter().map(|(_, pre)| format!("{pre}-{t}")).collect();
+        let bindings: Vec<_> = (peers.iter().zip(&sources))
+            .map(|((peer, _), source)| (peer.as_str(), source.as_str(), lens.clone()))
+            .collect();
+        let writers: [(&str, &[&str]); 2] = [("dosage", &["Hub"]), ("patient_id", &["Hub"])];
+        model.create_share(t, &bindings, &writers);
+    }
+    model
+}
+
 #[test]
 fn group_commit_delta_and_full_table_modes_agree() {
-    let run = |mode: PropagationMode| {
-        let mut hub = hub_ledger("eng-modes", 2, 2, mode, 0, &[], 16);
-        for rev in 1..=2 {
-            for r in wave_round(&mut hub, 1, rev) {
-                r.expect("member commits");
-            }
+    // Two rounds of one wave each, over two tables and two receivers,
+    // end where the Fig. 5 reference model ends after committing the
+    // same four updates one at a time, whole tables and full lenses.
+    let mut hub = hub_ledger("eng-modes", 2, 2, 0, &[], 16);
+    let mut model = hub_model(&hub);
+    for rev in 1..=2 {
+        for r in wave_round(&mut hub, 1, rev) {
+            r.expect("member commits");
         }
-        ledger(&hub).check_consistency().expect("consistent");
-        fingerprints(&hub)
-    };
-    assert_eq!(
-        run(PropagationMode::Delta),
-        run(PropagationMode::FullTable),
-        "group commits must be mode-equivalent"
-    );
+        for t in &hub.tables {
+            let set = Write::Shared(WriteOp::Update {
+                key: vec![Value::Int(1)],
+                assignments: vec![("dosage".into(), Value::text(format!("rev-{rev}")))],
+            });
+            model.commit("Hub", t, &[set]).expect("model commits");
+        }
+        common::assert_matches_model(ledger(&hub), &model, &format!("round {rev}"));
+    }
+    ledger(&hub).check_consistency().expect("consistent");
 }
 
 #[test]
 fn denied_member_rolls_back_alone() {
-    for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-        // The hub may not write dosage on ward-1; ward-0 and ward-2 are
-        // fine. All three go into one group.
-        let mut hub = hub_ledger("eng-denied", 3, 1, mode, 0, &[1], 16);
-        let before = ledger(&hub)
-            .reader(hub.hub)
-            .read("ward-1")
-            .expect("read ward-1");
-        let outcomes = wave_round(&mut hub, 1, 1);
-        outcomes[0].as_ref().expect("ward-0 commits");
-        outcomes[2].as_ref().expect("ward-2 commits");
-        let err = outcomes[1].as_ref().unwrap_err();
-        assert!(err.is_permission_denied(), "{mode:?}: got {err}");
-        assert!(
-            err.receipt().is_some(),
-            "{mode:?}: denial carries the reverted on-chain receipt"
-        );
-        // The denied batch's staged writes were rolled back — the hub's
-        // ward-1 copy is untouched — while the committed members stand.
-        let after = ledger(&hub)
-            .reader(hub.hub)
-            .read("ward-1")
-            .expect("read ward-1");
-        assert_eq!(before, after, "{mode:?}: denied member rolled back");
-        let ward0 = ledger(&hub).reader(hub.hub).read("ward-0").expect("ward-0");
+    // The hub may not write dosage on ward-1; ward-0 and ward-2 are
+    // fine. All three go into one group.
+    let mut hub = hub_ledger("eng-denied", 3, 1, 0, &[1], 16);
+    let before = ledger(&hub)
+        .reader(hub.hub)
+        .read("ward-1")
+        .expect("read ward-1");
+    let outcomes = wave_round(&mut hub, 1, 1);
+    outcomes[0].as_ref().expect("ward-0 commits");
+    outcomes[2].as_ref().expect("ward-2 commits");
+    let err = outcomes[1].as_ref().unwrap_err();
+    assert!(err.is_permission_denied(), "got {err}");
+    assert!(
+        err.receipt().is_some(),
+        "denial carries the reverted on-chain receipt"
+    );
+    // The denied batch's staged writes were rolled back — the hub's
+    // ward-1 copy is untouched — while the committed members stand.
+    let after = ledger(&hub)
+        .reader(hub.hub)
+        .read("ward-1")
+        .expect("read ward-1");
+    assert_eq!(before, after, "denied member rolled back");
+    let ward0 = ledger(&hub).reader(hub.hub).read("ward-0").expect("ward-0");
+    assert_eq!(
+        ward0.get(&[Value::Int(1)]).expect("row")[1],
+        Value::text("rev-1"),
+        "committed member stands"
+    );
+    // Every receiver converged on the committed members too.
+    for r in &hub.receivers {
+        let w0 = ledger(&hub).reader(*r).read("ward-0").expect("ward-0");
         assert_eq!(
-            ward0.get(&[Value::Int(1)]).expect("row")[1],
-            Value::text("rev-1"),
-            "{mode:?}: committed member stands"
+            w0.get(&[Value::Int(1)]).expect("row")[1],
+            Value::text("rev-1")
         );
-        // Every receiver converged on the committed members too.
-        for r in &hub.receivers {
-            let w0 = ledger(&hub).reader(*r).read("ward-0").expect("ward-0");
-            assert_eq!(
-                w0.get(&[Value::Int(1)]).expect("row")[1],
-                Value::text("rev-1")
-            );
-        }
-        ledger(&hub).check_consistency().expect("consistent");
     }
+    ledger(&hub).check_consistency().expect("consistent");
+}
+
+/// Regression: a wave reserves every one-time signature it will need —
+/// its receivers' ack shares included — across all of its members,
+/// before any request is queued. Three hubs each share one table with the
+/// one receiver `R`, whose 16 keys cover five full waves and a third of the
+/// sixth. The members `R` cannot acknowledge any more must be refused
+/// alone and up front; checked member by member and for the updater only
+/// (as it used to be), their requests committed, `R` failed to sign, and
+/// their tables stayed locked for good.
+#[test]
+fn a_wave_reserves_its_receivers_signatures_before_anything_is_queued() {
+    const KEYS: u64 = 16;
+    let mut ledger = MedLedger::builder()
+        .seed("eng-reserve")
+        .consensus(ConsensusKind::PrivatePbft {
+            block_interval_ms: 100,
+        })
+        .peer_key_capacity(KEYS as usize)
+        .build()
+        .expect("ledger boots");
+    let lens = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
+    let r = ledger.add_peer("R").expect("receiver");
+    let hubs: Vec<PeerId> = (0..3)
+        .map(|i| {
+            let hub = ledger.add_peer(&format!("H{i}")).expect("hub");
+            let mut session = ledger.session(r);
+            (session.load_source(&format!("R-{i}"), ward_table())).expect("source");
+            let mut session = ledger.session(hub);
+            session.load_source("H", ward_table()).expect("source");
+            (session.share(format!("ward-{i}")).bind("H", lens.clone()))
+                .with(r, format!("R-{i}"), lens.clone())
+                .writers("dosage", &[hub])
+                .writers("patient_id", &[hub])
+                .create()
+                .expect("share");
+            hub
+        })
+        .collect();
+    let mut service = LedgerService::new(ledger);
+
+    // Per round, one update per hub, all three in one wave.
+    let round = |service: &mut LedgerService, rev: usize| -> Vec<bool> {
+        let tickets: Vec<CommitTicket> = (hubs.iter().enumerate())
+            .map(|(i, hub)| {
+                (service.submit(*hub, format!("ward-{i}")))
+                    .set(
+                        vec![Value::Int(1)],
+                        "dosage",
+                        Value::text(format!("rev-{rev}")),
+                    )
+                    .submit()
+                    .expect("submit")
+            })
+            .collect();
+        let wave = service.tick().expect("wave runs");
+        assert_eq!((wave.members, wave.resolved), (3, 3), "round {rev}");
+        let outcomes = tickets.into_iter().map(|t| {
+            let outcome = service.take(t).expect("resolved by the one wave");
+            if let Err(e) = &outcome {
+                assert!(
+                    matches!(
+                        e,
+                        CommitError::Engine(medledger_core::CoreError::KeysExhausted)
+                    ),
+                    "round {rev}: {e}"
+                );
+                assert!(
+                    !e.committed_on_chain(),
+                    "round {rev}: refused before the chain"
+                );
+            }
+            outcome.is_ok()
+        });
+        outcomes.collect()
+    };
+    for rev in 1..=5 {
+        assert_eq!(round(&mut service, rev), [true; 3], "round {rev}");
+    }
+    assert_eq!(round(&mut service, 6), [true, false, false]);
+    assert_eq!(round(&mut service, 7), [false; 3]);
+
+    let ledger = service.ledger();
+    assert_eq!(ledger.remaining_keys(r).expect("keys"), 0);
+    // One key to register the share, two per committed update (request,
+    // aggregate ack) — and none for an update refused.
+    for (hub, committed) in hubs.iter().zip([6, 5, 5]) {
+        let left = ledger.remaining_keys(*hub).expect("keys");
+        assert_eq!(left, KEYS - 1 - 2 * committed);
+    }
+    for (i, committed) in [6u64, 5, 5].into_iter().enumerate() {
+        let table = format!("ward-{i}");
+        let meta = ledger.share_meta(&table).expect("meta");
+        assert!(meta.synced(), "`{table}` is unlocked");
+        assert_eq!(meta.version, committed);
+        // A refused member's staged write was rolled back.
+        for peer in [hubs[i], r] {
+            let view = ledger.reader(peer).read(&table).expect("read");
+            let dose = view.get(&[Value::Int(1)]).expect("row")[1].clone();
+            assert_eq!(dose, Value::text(format!("rev-{committed}")), "`{table}`");
+        }
+    }
+    ledger.check_consistency().expect("consistent");
 }
 
 #[test]
@@ -414,7 +519,7 @@ fn serial_fanout_channel_is_slower_in_virtual_time() {
     // channel per receiver, after the *max*. Virtual wall-clock must
     // reflect that ordering.
     let visibility = |workers: usize| {
-        let mut hub = hub_ledger("eng-chan", 1, 8, PropagationMode::Delta, workers, &[], 8);
+        let mut hub = hub_ledger("eng-chan", 1, 8, workers, &[], 8);
         let outcome = hub
             .service
             .ledger_mut()

@@ -5,7 +5,7 @@
 #![allow(clippy::result_large_err)]
 
 use medledger_bx::LensSpec;
-use medledger_core::{CommitError, ConsensusKind, MedLedger, PeerId, PropagationMode};
+use medledger_core::{CommitError, ConsensusKind, MedLedger, PeerId};
 use medledger_engine::LedgerService;
 use medledger_relational::{row, Column, Schema, Table, Value, ValueType};
 
@@ -40,13 +40,12 @@ fn ward_table() -> Table {
 /// Doctor and Patient share `ward`; the doctor may write `dosage`, the
 /// patient `clinical` — the Fig. 3 split that makes combined same-table
 /// updates exercise per-submitter permissions.
-fn clinic(seed: &str, mode: PropagationMode) -> Clinic {
+fn clinic(seed: &str) -> Clinic {
     let mut ledger = MedLedger::builder()
         .seed(seed)
         .consensus(ConsensusKind::PrivatePbft {
             block_interval_ms: 100,
         })
-        .propagation(mode)
         .peer_key_capacity(64)
         .build()
         .expect("ledger boots");
@@ -84,87 +83,85 @@ fn clinic(seed: &str, mode: PropagationMode) -> Clinic {
 /// receipts.
 #[test]
 fn same_table_submissions_combine_into_one_block() {
-    for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-        let mut c = clinic(&format!("svc-combine-{mode:?}"), mode);
-        let blocks_before = c.service.ledger().stats().blocks;
+    let mut c = clinic("svc-combine");
+    let blocks_before = c.service.ledger().stats().blocks;
 
-        let doctor_ticket = c
-            .service
-            .submit(c.doctor, WARD)
-            .set(vec![Value::Int(1)], "dosage", Value::text("20 mg"))
-            .submit()
-            .expect("doctor submits");
-        let patient_ticket = c
-            .service
-            .submit(c.patient, WARD)
-            .set(vec![Value::Int(1)], "clinical", Value::text("improving"))
-            .submit()
-            .expect("patient submits — same table, not Conflicted");
+    let doctor_ticket = c
+        .service
+        .submit(c.doctor, WARD)
+        .set(vec![Value::Int(1)], "dosage", Value::text("20 mg"))
+        .submit()
+        .expect("doctor submits");
+    let patient_ticket = c
+        .service
+        .submit(c.patient, WARD)
+        .set(vec![Value::Int(1)], "clinical", Value::text("improving"))
+        .submit()
+        .expect("patient submits — same table, not Conflicted");
 
-        let report = c.service.tick().expect("wave commits");
-        assert_eq!(report.members, 1, "one combined member");
-        assert_eq!(report.resolved, 2, "both tickets resolved");
+    let report = c.service.tick().expect("wave commits");
+    assert_eq!(report.members, 1, "one combined member");
+    assert_eq!(report.resolved, 2, "both tickets resolved");
 
-        let doctor_outcome = c
-            .service
-            .take(doctor_ticket)
-            .expect("resolved")
-            .expect("doctor commits");
-        let patient_outcome = c
-            .service
-            .take(patient_ticket)
-            .expect("resolved")
-            .expect("patient commits");
+    let doctor_outcome = c
+        .service
+        .take(doctor_ticket)
+        .expect("resolved")
+        .expect("doctor commits");
+    let patient_outcome = c
+        .service
+        .take(patient_ticket)
+        .expect("resolved")
+        .expect("patient commits");
 
-        // Distinct per-submitter receipts: the lead's request_update and
-        // the co-author's co_request_update are different transactions.
-        let lead_tx = doctor_outcome.receipts[0].tx_id;
-        let co_tx = patient_outcome.receipts[0].tx_id;
-        assert_ne!(lead_tx, co_tx);
-        assert!(patient_outcome.receipts[0].status.is_success());
-        assert!(patient_outcome.receipts[0]
-            .logs_with_topic("CoUpdateCommitted")
-            .next()
-            .is_some());
+    // Distinct per-submitter receipts: the lead's request_update and
+    // the co-author's co_request_update are different transactions.
+    let lead_tx = doctor_outcome.receipts[0].tx_id;
+    let co_tx = patient_outcome.receipts[0].tx_id;
+    assert_ne!(lead_tx, co_tx);
+    assert!(patient_outcome.receipts[0].status.is_success());
+    assert!(patient_outcome.receipts[0]
+        .logs_with_topic("CoUpdateCommitted")
+        .next()
+        .is_some());
 
-        // ONE version bump, and the request + co-request share ONE block
-        // (one scheduled PBFT round decides it).
-        assert_eq!(doctor_outcome.version(), 1);
-        let chain = c.service.ledger().chain();
-        let request_block = chain
-            .blocks()
-            .iter()
-            .find(|b| b.txs.iter().any(|t| t.id() == lead_tx))
-            .expect("request block");
-        assert!(
-            request_block.txs.iter().any(|t| t.id() == co_tx),
-            "co-request must ride the same block as the request"
-        );
-        assert_eq!(request_block.header.wave, Some(1), "wave-attributed");
-        // Whole wave: 1 request block + 1 ack block (one receiver).
-        assert_eq!(c.service.ledger().stats().blocks - blocks_before, 2);
+    // ONE version bump, and the request + co-request share ONE block
+    // (one scheduled PBFT round decides it).
+    assert_eq!(doctor_outcome.version(), 1);
+    let chain = c.service.ledger().chain();
+    let request_block = chain
+        .blocks()
+        .iter()
+        .find(|b| b.txs.iter().any(|t| t.id() == lead_tx))
+        .expect("request block");
+    assert!(
+        request_block.txs.iter().any(|t| t.id() == co_tx),
+        "co-request must ride the same block as the request"
+    );
+    assert_eq!(request_block.header.wave, Some(1), "wave-attributed");
+    // Whole wave: 1 request block + 1 ack block (one receiver).
+    assert_eq!(c.service.ledger().stats().blocks - blocks_before, 2);
 
-        // Both edits composed into the committed state, on every peer.
-        for peer in [c.doctor, c.patient] {
-            let view = c.service.ledger().reader(peer).read(WARD).expect("read");
-            let row = view.get(&[Value::Int(1)]).expect("row");
-            assert_eq!(row[1], Value::text("20 mg"), "{mode:?}");
-            assert_eq!(row[2], Value::text("improving"), "{mode:?}");
-        }
-        c.service
-            .ledger()
-            .check_consistency()
-            .expect("all peers in sync");
-
-        // Both submitters are visible in the table's audit history.
-        let audit = c.service.ledger().audit(WARD);
-        assert!(audit
-            .iter()
-            .any(|e| e.method.as_deref() == Some("request_update")));
-        assert!(audit
-            .iter()
-            .any(|e| e.method.as_deref() == Some("co_request_update")));
+    // Both edits composed into the committed state, on every peer.
+    for peer in [c.doctor, c.patient] {
+        let view = c.service.ledger().reader(peer).read(WARD).expect("read");
+        let row = view.get(&[Value::Int(1)]).expect("row");
+        assert_eq!(row[1], Value::text("20 mg"));
+        assert_eq!(row[2], Value::text("improving"));
     }
+    c.service
+        .ledger()
+        .check_consistency()
+        .expect("all peers in sync");
+
+    // Both submitters are visible in the table's audit history.
+    let audit = c.service.ledger().audit(WARD);
+    assert!(audit
+        .iter()
+        .any(|e| e.method.as_deref() == Some("request_update")));
+    assert!(audit
+        .iter()
+        .any(|e| e.method.as_deref() == Some("co_request_update")));
 }
 
 /// A submitter without permission on its changed attributes is excluded
@@ -173,59 +170,57 @@ fn same_table_submissions_combine_into_one_block() {
 /// chain.
 #[test]
 fn denied_submitter_rolls_back_alone() {
-    for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-        let mut c = clinic(&format!("svc-denied-{mode:?}"), mode);
+    let mut c = clinic("svc-denied");
 
-        let doctor_ticket = c
-            .service
-            .submit(c.doctor, WARD)
-            .set(vec![Value::Int(2)], "dosage", Value::text("5 mg"))
-            .submit()
-            .expect("doctor submits");
-        // The patient may NOT write dosage.
-        let patient_ticket = c
-            .service
-            .submit(c.patient, WARD)
-            .set(
-                vec![Value::Int(3)],
-                "dosage",
-                Value::text("self-medicating"),
-            )
-            .submit()
-            .expect("patient submits");
+    let doctor_ticket = c
+        .service
+        .submit(c.doctor, WARD)
+        .set(vec![Value::Int(2)], "dosage", Value::text("5 mg"))
+        .submit()
+        .expect("doctor submits");
+    // The patient may NOT write dosage.
+    let patient_ticket = c
+        .service
+        .submit(c.patient, WARD)
+        .set(
+            vec![Value::Int(3)],
+            "dosage",
+            Value::text("self-medicating"),
+        )
+        .submit()
+        .expect("patient submits");
 
-        c.service.drain().expect("drain");
+    c.service.drain().expect("drain");
 
-        c.service
-            .take(doctor_ticket)
-            .expect("resolved")
-            .expect("doctor's member commits despite the denied rider");
-        let err = c
-            .service
-            .take(patient_ticket)
-            .expect("resolved")
-            .expect_err("patient denied");
-        assert!(err.is_permission_denied(), "{err}");
-        assert!(!err.committed_on_chain());
-        let receipt = err.receipt().expect("on-chain denial receipt");
-        assert!(!receipt.status.is_success());
+    c.service
+        .take(doctor_ticket)
+        .expect("resolved")
+        .expect("doctor's member commits despite the denied rider");
+    let err = c
+        .service
+        .take(patient_ticket)
+        .expect("resolved")
+        .expect_err("patient denied");
+    assert!(err.is_permission_denied(), "{err}");
+    assert!(!err.committed_on_chain());
+    let receipt = err.receipt().expect("on-chain denial receipt");
+    assert!(!receipt.status.is_success());
 
-        // Lone rollback: the committed state carries the doctor's edit
-        // and NOT the patient's, on every peer.
-        for peer in [c.doctor, c.patient] {
-            let view = c.service.ledger().reader(peer).read(WARD).expect("read");
-            assert_eq!(
-                view.get(&[Value::Int(2)]).expect("row")[1],
-                Value::text("5 mg")
-            );
-            assert_eq!(
-                view.get(&[Value::Int(3)]).expect("row")[1],
-                Value::text("10 mg"),
-                "denied write must not leak into committed state ({mode:?})"
-            );
-        }
-        c.service.ledger().check_consistency().expect("consistent");
+    // Lone rollback: the committed state carries the doctor's edit
+    // and NOT the patient's, on every peer.
+    for peer in [c.doctor, c.patient] {
+        let view = c.service.ledger().reader(peer).read(WARD).expect("read");
+        assert_eq!(
+            view.get(&[Value::Int(2)]).expect("row")[1],
+            Value::text("5 mg")
+        );
+        assert_eq!(
+            view.get(&[Value::Int(3)]).expect("row")[1],
+            Value::text("10 mg"),
+            "denied write must not leak into committed state"
+        );
     }
+    c.service.ledger().check_consistency().expect("consistent");
 }
 
 /// Sequential composition: a later same-table submission sees the
@@ -233,7 +228,7 @@ fn denied_submitter_rolls_back_alone() {
 /// attribute level instead of last-writer-wins.
 #[test]
 fn same_row_same_table_submissions_compose_attribute_wise() {
-    let mut c = clinic("svc-same-row", PropagationMode::Delta);
+    let mut c = clinic("svc-same-row");
     let t1 = c
         .service
         .submit(c.doctor, WARD)
@@ -328,7 +323,7 @@ fn distinct_tables_share_a_wave_and_blocking_commit_works() {
 /// alone or as a same-table co-submission.
 #[test]
 fn insert_then_delete_submission_is_no_change() {
-    let mut c = clinic("svc-cancel", PropagationMode::Delta);
+    let mut c = clinic("svc-cancel");
     // Alone.
     let t = c
         .service
@@ -373,7 +368,7 @@ fn insert_then_delete_submission_is_no_change() {
 /// An unknown or already-taken ticket errors instead of hanging.
 #[test]
 fn waiting_on_a_taken_ticket_errors() {
-    let mut c = clinic("svc-ticket", PropagationMode::Delta);
+    let mut c = clinic("svc-ticket");
     let t = c
         .service
         .submit(c.doctor, WARD)
@@ -388,7 +383,7 @@ fn waiting_on_a_taken_ticket_errors() {
 /// An empty submission is rejected at submit time.
 #[test]
 fn empty_submission_rejected() {
-    let mut c = clinic("svc-empty", PropagationMode::Delta);
+    let mut c = clinic("svc-empty");
     let err = c.service.submit(c.doctor, WARD).submit().unwrap_err();
     assert!(matches!(err, CommitError::EmptyBatch { .. }));
 }

@@ -2,7 +2,7 @@
 //! ONE wave by the `LedgerService` end in byte-identical peer state,
 //! byte-identical committed baselines, and an equivalently attributed
 //! audit trail to the same N batches committed sequentially through the
-//! blocking facade — in both propagation modes.
+//! blocking facade.
 //!
 //! ("Equivalently attributed": the combined trail carries one
 //! `request_update` plus one `co_request_update` per later submitter
@@ -13,7 +13,7 @@
 #![allow(clippy::result_large_err)]
 
 use medledger_bx::LensSpec;
-use medledger_core::{ConsensusKind, MedLedger, PeerId, PropagationMode};
+use medledger_core::{ConsensusKind, MedLedger, PeerId};
 use medledger_engine::LedgerService;
 use medledger_ledger::AccountId;
 use medledger_relational::{row, Column, Schema, Table, Value, ValueType};
@@ -55,13 +55,12 @@ fn ward_table() -> Table {
     t
 }
 
-fn build(seed: &str, mode: PropagationMode) -> (MedLedger, PeerId, PeerId) {
+fn build(seed: &str) -> (MedLedger, PeerId, PeerId) {
     let mut ledger = MedLedger::builder()
         .seed(seed)
         .consensus(ConsensusKind::PrivatePbft {
             block_interval_ms: 50,
         })
-        .propagation(mode)
         .peer_key_capacity(256)
         .build()
         .expect("boots");
@@ -131,58 +130,56 @@ fn update_authors(ledger: &MedLedger) -> BTreeMap<AccountId, usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4 })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     #[test]
     fn combined_wave_equals_sequential_commits(edits in proptest::collection::vec(arb_edit(), 1..6)) {
-        for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-            // Sequential reference: one blocking facade commit per edit,
-            // in submission order.
-            let (mut seq, doctor, patient) = build("wc-equiv", mode);
-            for (i, e) in edits.iter().enumerate() {
-                let (attr, val) = payload(e, i);
-                let who = if e.by_patient { patient } else { doctor };
-                seq.session(who)
-                    .begin(WARD)
-                    .set(vec![Value::Int(e.row)], attr, val)
-                    .commit()
-                    .expect("sequential commit");
-            }
-
-            // Combined: all edits submitted up front, ONE wave.
-            let (ledger, doctor2, patient2) = build("wc-equiv", mode);
-            prop_assert_eq!(doctor.account(), doctor2.account());
-            let mut service = LedgerService::new(ledger);
-            let tickets: Vec<_> = edits
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    let (attr, val) = payload(e, i);
-                    let who = if e.by_patient { patient2 } else { doctor2 };
-                    service
-                        .submit(who, WARD)
-                        .set(vec![Value::Int(e.row)], attr, val)
-                        .submit()
-                        .expect("submit")
-                })
-                .collect();
-            let report = service.tick().expect("wave");
-            prop_assert_eq!(report.members, 1);
-            for t in tickets {
-                service.take(t).expect("resolved").expect("combined commit");
-            }
-            prop_assert!(!service.has_work());
-
-            // Byte-identical final state and committed baselines.
-            let seq_digest = state_digest(&seq, &[doctor, patient]);
-            let svc_digest = state_digest(service.ledger(), &[doctor2, patient2]);
-            prop_assert_eq!(seq_digest, svc_digest);
-            seq.check_consistency().expect("sequential consistent");
-            service.ledger().check_consistency().expect("combined consistent");
-
-            // Same update authors on the audit trail (attribution is
-            // preserved through combining).
-            prop_assert_eq!(update_authors(&seq), update_authors(service.ledger()));
+        // Sequential reference: one blocking facade commit per edit,
+        // in submission order.
+        let (mut seq, doctor, patient) = build("wc-equiv");
+        for (i, e) in edits.iter().enumerate() {
+            let (attr, val) = payload(e, i);
+            let who = if e.by_patient { patient } else { doctor };
+            seq.session(who)
+                .begin(WARD)
+                .set(vec![Value::Int(e.row)], attr, val)
+                .commit()
+                .expect("sequential commit");
         }
+
+        // Combined: all edits submitted up front, ONE wave.
+        let (ledger, doctor2, patient2) = build("wc-equiv");
+        prop_assert_eq!(doctor.account(), doctor2.account());
+        let mut service = LedgerService::new(ledger);
+        let tickets: Vec<_> = edits
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let (attr, val) = payload(e, i);
+                let who = if e.by_patient { patient2 } else { doctor2 };
+                service
+                    .submit(who, WARD)
+                    .set(vec![Value::Int(e.row)], attr, val)
+                    .submit()
+                    .expect("submit")
+            })
+            .collect();
+        let report = service.tick().expect("wave");
+        prop_assert_eq!(report.members, 1);
+        for t in tickets {
+            service.take(t).expect("resolved").expect("combined commit");
+        }
+        prop_assert!(!service.has_work());
+
+        // Byte-identical final state and committed baselines.
+        let seq_digest = state_digest(&seq, &[doctor, patient]);
+        let svc_digest = state_digest(service.ledger(), &[doctor2, patient2]);
+        prop_assert_eq!(seq_digest, svc_digest);
+        seq.check_consistency().expect("sequential consistent");
+        service.ledger().check_consistency().expect("combined consistent");
+
+        // Same update authors on the audit trail (attribution is
+        // preserved through combining).
+        prop_assert_eq!(update_authors(&seq), update_authors(service.ledger()));
     }
 }

@@ -26,4 +26,4 @@ pub mod transfer;
 
 pub use latency::LatencyModel;
 pub use sim::{Delivery, NetStats, NodeId, SimNet};
-pub use transfer::{DataPlaneStats, DataTransfer, PayloadKind};
+pub use transfer::{DataPlaneStats, DataTransfer};

@@ -1,8 +1,8 @@
 //! Data-plane transfer accounting.
 //!
 //! The Fig. 2 "send/request updated data" path is where the incremental
-//! pipeline's bandwidth win shows up: a delta-mode transfer ships only the
-//! changed rows, a full-table transfer ships everything. This module
+//! pipeline's bandwidth win shows up: a transfer ships only the changed
+//! rows, where the paper's cost model ships the whole table. This module
 //! gives the core system and the bench reports one shared vocabulary for
 //! that accounting: each peer-to-peer message is described by a
 //! [`DataTransfer`] and accumulated into [`DataPlaneStats`], which tracks
@@ -11,26 +11,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// What a peer-to-peer shared-data message carries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PayloadKind {
-    /// The whole shared table (the `PropagationMode::FullTable` baseline).
-    FullTable,
-    /// Only the changed rows (delta propagation).
-    Delta,
-}
-
 /// One peer-to-peer shared-data message, sized by its serialized payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DataTransfer {
-    /// Payload flavor.
-    pub kind: PayloadKind,
     /// Rows carried by the message.
     pub rows: u64,
     /// Serialized payload bytes actually moved.
     pub bytes: u64,
-    /// Bytes the same update would have moved as a full table — equal to
-    /// `bytes` for [`PayloadKind::FullTable`] messages.
+    /// Bytes the same update would have moved as a full table.
     pub full_table_bytes: u64,
 }
 
@@ -55,26 +43,6 @@ impl DataPlaneStats {
         self.bytes += t.bytes;
         self.full_table_equiv_bytes += t.full_table_bytes;
     }
-
-    /// Folds another accumulator into this one. Parallel fan-out workers
-    /// each account their own chunk of receivers; merging the per-worker
-    /// accumulators in worker order reproduces the serial totals exactly.
-    pub fn merge(&mut self, other: &DataPlaneStats) {
-        self.transfers += other.transfers;
-        self.rows += other.rows;
-        self.bytes += other.bytes;
-        self.full_table_equiv_bytes += other.full_table_equiv_bytes;
-    }
-
-    /// Fraction of full-table bytes actually moved (1.0 = no saving;
-    /// 0.0 with traffic = everything saved). `None` before any transfer.
-    pub fn bytes_ratio(&self) -> Option<f64> {
-        if self.full_table_equiv_bytes == 0 {
-            None
-        } else {
-            Some(self.bytes as f64 / self.full_table_equiv_bytes as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,17 +50,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_accumulates_and_ratio_reflects_savings() {
+    fn record_accumulates_moved_and_full_table_equivalent_bytes() {
         let mut s = DataPlaneStats::default();
-        assert_eq!(s.bytes_ratio(), None);
         s.record(&DataTransfer {
-            kind: PayloadKind::Delta,
             rows: 2,
             bytes: 100,
             full_table_bytes: 1_000,
         });
         s.record(&DataTransfer {
-            kind: PayloadKind::FullTable,
             rows: 50,
             bytes: 1_000,
             full_table_bytes: 1_000,
@@ -101,36 +66,5 @@ mod tests {
         assert_eq!(s.rows, 52);
         assert_eq!(s.bytes, 1_100);
         assert_eq!(s.full_table_equiv_bytes, 2_000);
-        let ratio = s.bytes_ratio().expect("traffic");
-        assert!((ratio - 0.55).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merging_per_worker_stats_reproduces_serial_totals() {
-        let transfers: Vec<DataTransfer> = (0..7)
-            .map(|i| DataTransfer {
-                kind: PayloadKind::Delta,
-                rows: i + 1,
-                bytes: 10 * (i + 1),
-                full_table_bytes: 100 * (i + 1),
-            })
-            .collect();
-        let mut serial = DataPlaneStats::default();
-        for t in &transfers {
-            serial.record(t);
-        }
-        // Two workers account disjoint chunks, then merge in order.
-        let mut w0 = DataPlaneStats::default();
-        let mut w1 = DataPlaneStats::default();
-        for t in &transfers[..4] {
-            w0.record(t);
-        }
-        for t in &transfers[4..] {
-            w1.record(t);
-        }
-        let mut merged = DataPlaneStats::default();
-        merged.merge(&w0);
-        merged.merge(&w1);
-        assert_eq!(merged, serial);
     }
 }

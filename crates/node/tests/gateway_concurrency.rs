@@ -8,7 +8,7 @@
 #![allow(clippy::result_large_err)]
 
 use medledger_bx::LensSpec;
-use medledger_core::{ConsensusKind, MedLedger, PeerId, PropagationMode};
+use medledger_core::{ConsensusKind, MedLedger, PeerId};
 use medledger_engine::LedgerService;
 use medledger_node::wire::{WireCommit, WireReject, WireWrite};
 use medledger_node::{Deployment, GatewayConfig, SubmitReply};
@@ -46,7 +46,6 @@ fn clinic(seed: &str) -> (LedgerService, PeerId, PeerId) {
         .consensus(ConsensusKind::PrivatePbft {
             block_interval_ms: 100,
         })
-        .propagation(PropagationMode::Delta)
         .peer_key_capacity(64)
         .build()
         .expect("ledger boots");

@@ -35,8 +35,8 @@ pub enum WriteOp {
         /// Primary key of the target row.
         key: Vec<Value>,
     },
-    /// Replace the entire table contents (the full-table propagation
-    /// baseline, Fig. 5 step 4/10 in `PropagationMode::FullTable`).
+    /// Replace the entire table contents (a whole view taking the place
+    /// of a stored copy: the conflict path of a remote apply).
     Replace {
         /// The new rows.
         rows: Vec<Row>,
@@ -204,9 +204,9 @@ impl Database {
     }
 
     /// Applies and logs a row-level delta, returning the **inverse** delta
-    /// (see [`Table::apply_delta`]). One log record per delta — in delta
-    /// propagation mode the write-ahead log grows with the number of
-    /// *updates*, not the number of rows they touch.
+    /// (see [`Table::apply_delta`]). One log record per delta — the
+    /// write-ahead log grows with the number of *updates*, not the
+    /// number of rows they touch.
     pub fn apply_delta(&mut self, table: &str, delta: &TableDelta) -> Result<TableDelta> {
         let t = self
             .tables

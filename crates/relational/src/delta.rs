@@ -45,8 +45,8 @@ impl TableDelta {
     }
 
     /// Canonical wire size of the delta in bytes: what a peer actually
-    /// ships over the data plane in delta propagation mode (the canonical
-    /// row/key encodings plus a one-byte op tag each).
+    /// ships over the data plane (the canonical row/key encodings plus a
+    /// one-byte op tag each).
     pub fn encoded_size(&self) -> usize {
         let key_len = |k: &[Value]| k.iter().map(Value::encoded_len).sum::<usize>();
         let mut bytes = 8; // length header

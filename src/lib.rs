@@ -145,8 +145,8 @@ pub use medledger_workload as workload;
 
 pub use medledger_core::{
     CommitError, CommitOutcome, ConsensusKind, CoreError, FlushRecord, MedLedger, MedLedgerBuilder,
-    PeerId, PeerReader, PeerSession, PropagationMode, Recovery, ShareBuilder, SystemConfig,
-    UpdateBatch, UpdateReport, WorkflowTrace,
+    PeerId, PeerReader, PeerSession, Recovery, ShareBuilder, SystemConfig, UpdateBatch,
+    UpdateReport, WorkflowTrace,
 };
 pub use medledger_engine::{CommitTicket, LedgerService, Submission, WaveReport};
 pub use medledger_relational::{Row, ShardMap, Table, Value};

@@ -8,8 +8,7 @@
 //! design* as the oracle — per share, a plain `Table` advanced only by
 //! what was committed — and drives a peer through random scripts of local
 //! writes, rollbacks, commits, remote applies and conflicted remote
-//! applies, at 1/2/4/8 shards and in both propagation modes, asserting
-//! after every step that
+//! applies, at 1/2/4/8 shards, asserting after every step that
 //!
 //! * the overlay reads as the oracle, row for row,
 //! * `committed_hash` is the oracle's content hash,
@@ -17,9 +16,9 @@
 //! * `pending_delta` is `diff_tables(oracle, store)`.
 
 use medledger::bx::LensSpec;
-use medledger::core::{PeerBinding, PeerNode};
+use medledger::core::{PeerBinding, PeerNode, PropagationMode};
 use medledger::relational::{diff_tables, row, Column, Schema, TableDelta, ValueType, WriteOp};
-use medledger::{PropagationMode, Table, Value};
+use medledger::{Table, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -46,8 +45,8 @@ enum Op {
     /// A committed remote dosage update of the patient share — the
     /// conflict path whenever that share carries a pending change.
     RemoteDosage(u8, u8),
-    /// A committed remote delete on a clean research share (in delta mode
-    /// it leaves a cascade pending on the patient share).
+    /// A committed remote delete on a clean research share (it leaves a
+    /// cascade pending on the patient share).
     RemoteRetire(u8),
 }
 
@@ -69,7 +68,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// row the lens `put` re-creates from the patient share (mechanism
 /// defaulted to NULL) keeps `medication_name → mechanism_of_action`, as
 /// the distinct lens requires.
-fn ward_doctor(mode: PropagationMode, shards: usize) -> PeerNode {
+fn ward_doctor(shards: usize) -> PeerNode {
     let schema = Schema::new(
         vec![
             Column::new("patient_id", ValueType::Int),
@@ -87,6 +86,7 @@ fn ward_doctor(mode: PropagationMode, shards: usize) -> PeerNode {
         let row = row![pid, med, format!("clin-{pid}"), Value::Null, "1x"];
         source.insert(row).expect("insert");
     }
+    let mode = PropagationMode::Delta;
     let mut doctor = PeerNode::new("Doctor", "baseline-oracle", 1, mode, shards);
     doctor.add_source_table("D3", source).expect("source");
     let patient_lens = LensSpec::project(
@@ -127,8 +127,8 @@ fn set_dosage(key: Vec<Value>, v: u8) -> WriteOp {
 }
 
 impl Run {
-    fn new(mode: PropagationMode, shards: usize) -> Run {
-        let peer = ward_doctor(mode, shards);
+    fn new(shards: usize) -> Run {
+        let peer = ward_doctor(shards);
         let joined = |t| (t, peer.shared_table(t).expect("joined view"));
         Run {
             oracle: SHARES.into_iter().map(joined).collect(),
@@ -138,9 +138,8 @@ impl Run {
         }
     }
 
-    /// The committed view of `table` with `delta` on top — what a sender
-    /// in full-table mode ships, and what the announced hash of either
-    /// mode is taken over.
+    /// The committed view of `table` with `delta` on top — what the
+    /// announced hash is taken over.
     fn committed_plus(&self, table: &str, delta: &TableDelta) -> Table {
         let mut view = self.oracle[table].clone();
         view.apply_delta(delta).expect("delta built on the oracle");
@@ -154,18 +153,12 @@ impl Run {
     fn remote(&mut self, table: &'static str, delta: TableDelta) {
         let view = self.committed_plus(table, &delta);
         let announced = view.content_hash();
-        let applied = match self.peer.mode {
-            PropagationMode::Delta => {
-                let Ok(source_delta) = self.peer.translate_remote_delta(table, &delta) else {
-                    return;
-                };
-                let version = self.version + 1;
-                (self.peer).apply_remote_delta(table, &delta, &source_delta, announced, version)
-            }
-            PropagationMode::FullTable => {
-                (self.peer).apply_remote_view(table, &view, announced, self.version + 1)
-            }
+        let Ok(source_delta) = self.peer.translate_remote_delta(table, &delta) else {
+            return;
         };
+        let version = self.version + 1;
+        let applied =
+            (self.peer).apply_remote_delta(table, &delta, &source_delta, announced, version);
         if applied.is_ok() {
             self.version += 1;
             self.oracle.insert(table, view);
@@ -212,26 +205,13 @@ impl Run {
             Op::Commit(research) => {
                 let table = if *research { RD } else { PD };
                 let version = self.version + 1;
-                match self.peer.mode {
-                    PropagationMode::Delta => {
-                        let delta = self.peer.prepare_update_delta(table).expect("prepare");
-                        if delta.is_empty() {
-                            return;
-                        }
-                        (self.peer.commit_delta(table, &delta, version)).expect("commit");
-                        let committed = self.oracle.get_mut(table).expect("oracle table");
-                        committed.apply_delta(&delta).expect("committed delta");
-                    }
-                    PropagationMode::FullTable => {
-                        let view = self.peer.regenerate_view(table).expect("regenerate");
-                        let baseline = self.peer.baseline(table).expect("baseline");
-                        if diff_tables(&baseline, &view).is_empty() {
-                            return;
-                        }
-                        (self.peer.commit_view(table, &view, version)).expect("commit");
-                        self.oracle.insert(table, view);
-                    }
+                let delta = self.peer.prepare_update_delta(table).expect("prepare");
+                if delta.is_empty() {
+                    return;
                 }
+                (self.peer.commit_delta(table, &delta, version)).expect("commit");
+                let committed = self.oracle.get_mut(table).expect("oracle table");
+                committed.apply_delta(&delta).expect("committed delta");
                 self.version = version;
             }
             Op::RemoteDosage(k, v) => {
@@ -304,20 +284,18 @@ impl Run {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn baseline_overlay_reads_as_the_second_copy_it_replaced(
         script in proptest::collection::vec(arb_op(), 1..24)
     ) {
-        for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-            for shards in [1usize, 2, 4, 8] {
-                let mut run = Run::new(mode, shards);
-                run.check(&format!("{mode:?} shards={shards} after join"));
-                for (i, op) in script.iter().enumerate() {
-                    run.apply(op);
-                    run.check(&format!("{mode:?} shards={shards} step {i} {op:?}"));
-                }
+        for shards in [1usize, 2, 4, 8] {
+            let mut run = Run::new(shards);
+            run.check(&format!("shards={shards} after join"));
+            for (i, op) in script.iter().enumerate() {
+                run.apply(op);
+                run.check(&format!("shards={shards} step {i} {op:?}"));
             }
         }
     }

@@ -7,8 +7,12 @@
 //! on-chain receipt, and a Researcher→Doctor→Patient cascade stays
 //! consistent after every step.
 
-use medledger::core::scenario::{self, SHARE_PD, SHARE_RD};
-use medledger::{ConsensusKind, MedLedger, PropagationMode, SystemConfig, Value};
+mod common;
+
+use common::fig5_model::{Refusal, Write};
+use medledger::core::scenario::{self, PATIENT, SHARE_PD, SHARE_RD};
+use medledger::relational::WriteOp;
+use medledger::{ConsensusKind, MedLedger, SystemConfig, Value};
 
 fn config(seed: &str) -> SystemConfig {
     SystemConfig {
@@ -23,13 +27,13 @@ fn config(seed: &str) -> SystemConfig {
 
 #[test]
 fn permission_denied_commit_reverts_via_inverse_deltas_in_full_table_mode() {
-    // Regression for the delta-aware snapshot retirement: full-table
-    // mode no longer snapshots whole tables for rollback — staged
-    // writes return inverse deltas in both modes, and a denied commit
-    // must still restore the shared copy and the source exactly.
-    let mut cfg = config("facade-denied-full");
-    cfg.propagation = PropagationMode::FullTable;
-    let mut scn = scenario::build(cfg).expect("build");
+    // A denied commit rolls back through the staged writes' inverse
+    // deltas — no table is snapshotted — and must still restore the
+    // shared copy and the source exactly: to what they were, and to what
+    // the Fig. 5 reference model holds, which undoes a refused batch by
+    // putting the peer's whole-table snapshot back.
+    let mut scn = scenario::build(config("facade-denied-full")).expect("build");
+    let mut model = common::fig1_model(&scn);
     let before = scn
         .ledger
         .session(scn.patient)
@@ -37,17 +41,14 @@ fn permission_denied_commit_reverts_via_inverse_deltas_in_full_table_mode() {
         .expect("read");
     let d1_before = scn.ledger.session(scn.patient).source("D1").expect("D1");
 
-    let err = scn
-        .ledger
-        .session(scn.patient)
-        .begin(SHARE_PD)
-        .set(
-            vec![Value::Int(188)],
-            "dosage",
-            Value::text("self-medicating"),
-        )
-        .commit()
-        .unwrap_err();
+    let self_medicating = [Write::Shared(WriteOp::Update {
+        key: vec![Value::Int(188)],
+        assignments: vec![("dosage".into(), Value::text("self-medicating"))],
+    })];
+    let batch = (PATIENT, SHARE_PD, self_medicating.as_slice());
+    let (got, expected) = common::commit_on_both(&mut scn.ledger, &mut model, batch, "denied");
+    assert!(matches!(expected, Err(Refusal::Denied(attr)) if attr == "dosage"));
+    let err = got.unwrap_err();
     assert!(err.is_permission_denied(), "{err}");
     assert!(err.receipt().is_some());
 
@@ -59,7 +60,7 @@ fn permission_denied_commit_reverts_via_inverse_deltas_in_full_table_mode() {
     assert_eq!(before.content_hash(), after.content_hash());
     let d1_after = scn.ledger.session(scn.patient).source("D1").expect("D1");
     assert_eq!(d1_before.content_hash(), d1_after.content_hash());
-    scn.ledger.check_consistency().expect("consistent");
+    assert_eq!(&d1_after, model.peer(PATIENT).source("D1"));
 }
 
 #[test]

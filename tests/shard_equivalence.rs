@@ -1,122 +1,40 @@
 //! Shard equivalence: sharded peer storage is observationally identical
-//! to the unsharded baseline.
+//! to the unsharded baseline — and both to the Fig. 5 reference model.
 //!
 //! Property (the ISSUE 5 acceptance criterion): for any sequence of
-//! permission-valid update batches, deployments running
-//! `shards_per_table ∈ {1, 2, 8}` — in **both** propagation modes — end
-//! byte-identical: every peer's stored tables and database fingerprint,
-//! every committed baseline hash, the contract-committed content hashes
-//! (i.e. the folded per-shard Merkle subroots reproduce the unsharded
-//! digest exactly), per-transaction receipts, and the on-chain audit
-//! history. `check_consistency` must hold after every commit, which
+//! update batches, deployments running `shards_per_table ∈ {1, 2, 8}`
+//! end byte-identical: every step of each is held against the reference
+//! model (`tests/common`: stored tables row for row, database
+//! fingerprints, committed baseline hashes, contract versions and
+//! content hashes — i.e. the folded per-shard Merkle subroots reproduce
+//! the unsharded digest exactly), and across shard counts the
+//! per-transaction receipts and the on-chain audit history agree byte
+//! for byte. `check_consistency` must hold after every commit, which
 //! exercises the folded-root verification on every sharded peer.
 //!
 //! A second property drives one stand-alone peer through random local
-//! writes, rollbacks, commits, remote applies (valid, corrupt, conflicted
-//! with a pending change) and whole-view replaces at
-//! `shards_per_table ∈ {1, 2, 4, 8}`: the sharded store is the peer's only
-//! copy of a shared table, so after every step its fold, its running byte
-//! total and the flush's baseline inverses must equal what the assembled
-//! rows say, a refused delta must leave the peer untouched, and every
-//! shard count must end with the same state and the same mutation log.
+//! writes, rollbacks, commits and remote applies (valid, corrupt,
+//! conflicted with a pending change — the path that replaces a stored
+//! copy wholesale) at `shards_per_table ∈ {1, 2, 4, 8}`: the sharded
+//! store is the peer's only copy of a shared table, so after every step
+//! its fold, its running byte total and the flush's baseline inverses
+//! must equal what the assembled rows say, a refused delta must leave the
+//! peer untouched, and every shard count must end with the same state and
+//! the same mutation log.
 
+mod common;
+
+use common::{arb_fig1_op, run_fig1_script};
 use medledger::bx::LensSpec;
-use medledger::core::scenario::{self, Fig1Scenario, SHARE_PD, SHARE_RD};
-use medledger::core::{PeerBinding, PeerNode};
+use medledger::core::scenario::{Fig1Scenario, SHARE_PD, SHARE_RD};
+use medledger::core::{PeerBinding, PeerNode, PropagationMode};
 use medledger::crypto::Hash256;
 use medledger::relational::{
     diff_tables, row, Column, LogRecord, Schema, TableDelta, ValueType, WriteOp,
 };
-use medledger::{ConsensusKind, PropagationMode, SystemConfig, Table, Value};
+use medledger::{Table, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-#[derive(Clone, Debug)]
-enum ScriptOp {
-    /// Doctor edits patient 188's dosage through the patient share.
-    DoctorDosage(u8),
-    /// Patient edits its clinical data through the patient share.
-    PatientClinical(u8),
-    /// Researcher edits a medication's mechanism in its D2 source and
-    /// commits through the research share.
-    ResearcherMechanism(u8, u8),
-}
-
-fn arb_op() -> impl Strategy<Value = ScriptOp> {
-    prop_oneof![
-        (0u8..200).prop_map(ScriptOp::DoctorDosage),
-        (0u8..200).prop_map(ScriptOp::PatientClinical),
-        (0u8..2, 0u8..200).prop_map(|(m, v)| ScriptOp::ResearcherMechanism(m, v)),
-    ]
-}
-
-fn build(mode: PropagationMode, shards: usize, seed: &str) -> Fig1Scenario {
-    scenario::build(SystemConfig {
-        consensus: ConsensusKind::PrivatePbft {
-            block_interval_ms: 50,
-        },
-        seed: seed.into(),
-        peer_key_capacity: 256,
-        propagation: mode,
-        shards_per_table: shards,
-        ..Default::default()
-    })
-    .expect("build")
-}
-
-fn run_script(scn: &mut Fig1Scenario, script: &[ScriptOp]) -> Vec<String> {
-    let mut receipts = Vec::new();
-    for op in script {
-        let result = match op {
-            ScriptOp::DoctorDosage(v) => scn
-                .ledger
-                .session(scn.doctor)
-                .begin(SHARE_PD)
-                .set(
-                    vec![Value::Int(188)],
-                    "dosage",
-                    Value::text(format!("dose-{v}")),
-                )
-                .commit(),
-            ScriptOp::PatientClinical(v) => scn
-                .ledger
-                .session(scn.patient)
-                .begin(SHARE_PD)
-                .set(
-                    vec![Value::Int(188)],
-                    "clinical_data",
-                    Value::text(format!("clin-{v}")),
-                )
-                .commit(),
-            ScriptOp::ResearcherMechanism(m, v) => {
-                let med = ["Ibuprofen", "Wellbutrin"][*m as usize];
-                scn.ledger
-                    .session(scn.researcher)
-                    .begin(SHARE_RD)
-                    .update_source(
-                        "D2",
-                        vec![Value::text(med)],
-                        vec![(
-                            "mechanism_of_action".into(),
-                            Value::text(format!("mech-{v}")),
-                        )],
-                    )
-                    .commit()
-            }
-        };
-        match result {
-            Ok(outcome) => {
-                for r in &outcome.receipts {
-                    receipts.push(format!("{:?}", r.status));
-                }
-            }
-            Err(e) if e.is_no_change() => receipts.push("no-change".into()),
-            Err(e) => panic!("unexpected failure for {op:?}: {e}"),
-        }
-        scn.ledger.check_consistency().expect("consistent");
-    }
-    receipts
-}
 
 fn audit_lines(scn: &Fig1Scenario, table: &str) -> Vec<String> {
     scn.ledger
@@ -127,69 +45,33 @@ fn audit_lines(scn: &Fig1Scenario, table: &str) -> Vec<String> {
 }
 
 proptest! {
-    // Few cases: each runs six whole simulated deployments through
-    // multiple consensus rounds. The shard/table hash equivalence is
-    // separately property-tested at the relational layer.
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    // Three deployments per case, each stepped beside the model. The
+    // shard/table hash equivalence is separately property-tested at the
+    // relational layer.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn sharded_and_unsharded_deployments_end_byte_identical(
-        script in proptest::collection::vec(arb_op(), 1..4)
+        script in proptest::collection::vec(arb_fig1_op(), 1..6)
     ) {
-        for mode in [PropagationMode::Delta, PropagationMode::FullTable] {
-            let mut baseline_scn = build(mode, 1, "shard-equiv");
-            let base_receipts = run_script(&mut baseline_scn, &script);
-
-            for shards in [2usize, 8] {
-                let mut sharded_scn = build(mode, shards, "shard-equiv");
-                let receipts = run_script(&mut sharded_scn, &script);
-                // Per-transaction receipts are identical.
-                prop_assert_eq!(&receipts, &base_receipts);
-
-                // Every peer's shared tables, baseline hashes and whole
-                // database agree byte for byte.
-                let pairs = [
-                    (baseline_scn.patient, sharded_scn.patient),
-                    (baseline_scn.doctor, sharded_scn.doctor),
-                    (baseline_scn.researcher, sharded_scn.researcher),
-                ];
-                for (b_peer, s_peer) in pairs {
-                    let b_reader = baseline_scn.ledger.reader(b_peer);
-                    let s_reader = sharded_scn.ledger.reader(s_peer);
-                    for table in b_reader.shares().expect("shares") {
-                        let b = b_reader.read(&table).expect("read").content_hash();
-                        let s = s_reader.read(&table).expect("read").content_hash();
-                        prop_assert_eq!(b, s);
-                        let b_node = baseline_scn.ledger.system().peer(b_peer).expect("peer");
-                        let s_node = sharded_scn.ledger.system().peer(s_peer).expect("peer");
-                        prop_assert_eq!(
-                            b_node.committed_hash(&table).expect("hash"),
-                            s_node.committed_hash(&table).expect("hash")
-                        );
-                        // The sharded deployment really is sharded (delta
-                        // mode), and its folds back the same hashes.
-                        prop_assert_eq!(
-                            s_node.is_sharded(&table),
-                            mode == PropagationMode::Delta && shards > 1
-                        );
-                    }
-                    let b_fp = baseline_scn.ledger.system().peer(b_peer).expect("peer").fingerprint();
-                    let s_fp = sharded_scn.ledger.system().peer(s_peer).expect("peer").fingerprint();
-                    prop_assert_eq!(b_fp, s_fp);
+        let unsharded = run_fig1_script("shard-equiv", 1, &script);
+        for shards in [2usize, 8] {
+            let sharded = run_fig1_script("shard-equiv", shards, &script);
+            // Per-transaction receipts are identical.
+            prop_assert_eq!(&sharded.receipts, &unsharded.receipts);
+            // The sharded deployment really is sharded.
+            for peer in sharded.scn.ledger.peers() {
+                let node = sharded.scn.ledger.system().peer(peer).expect("peer");
+                for table in node.shares() {
+                    prop_assert!(node.is_sharded(table));
                 }
-
-                // Contract-committed hashes/versions and the on-chain
-                // audit history agree.
-                for table in [SHARE_PD, SHARE_RD] {
-                    let b_meta = baseline_scn.ledger.share_meta(table).expect("meta");
-                    let s_meta = sharded_scn.ledger.share_meta(table).expect("meta");
-                    prop_assert_eq!(b_meta.content_hash, s_meta.content_hash);
-                    prop_assert_eq!(b_meta.version, s_meta.version);
-                    prop_assert_eq!(
-                        audit_lines(&baseline_scn, table),
-                        audit_lines(&sharded_scn, table)
-                    );
-                }
+            }
+            // The on-chain audit history agrees.
+            for table in [SHARE_PD, SHARE_RD] {
+                prop_assert_eq!(
+                    audit_lines(&unsharded.scn, table),
+                    audit_lines(&sharded.scn, table)
+                );
             }
         }
     }
@@ -231,8 +113,6 @@ enum PeerOp {
     /// `apply_remote_delta`: a medication retired from the distinct share,
     /// which cascades into the patient share as pending deletes.
     RemoteRetire(u8),
-    /// `apply_remote_view`: the patient share replaced wholesale.
-    RemoteView(u8, u8),
 }
 
 fn arb_peer_op() -> impl Strategy<Value = PeerOp> {
@@ -251,7 +131,6 @@ fn arb_peer_op() -> impl Strategy<Value = PeerOp> {
         any::<bool>().prop_map(PeerOp::Commit),
         (0u8..255, 0u8..200, fault).prop_map(|(k, v, f)| PeerOp::RemoteDosage(k, v, f)),
         (0u8..255).prop_map(PeerOp::RemoteRetire),
-        (0u8..255, 0u8..200).prop_map(|(k, v)| PeerOp::RemoteView(k, v)),
     ]
 }
 
@@ -531,25 +410,6 @@ fn apply_peer_op(
             )
             .expect("remote retire");
             advance(oracle, WARD_RD, &view_delta);
-        }
-        PeerOp::RemoteView(k, v) => {
-            if peer.has_pending_change(WARD_PD).expect("pending") {
-                return;
-            }
-            let mut view = committed_view(oracle, WARD_PD);
-            let Some(key) = pick_key(&view, *k) else {
-                return;
-            };
-            let delta = dosage_delta(&view, key, *v);
-            view.apply_delta(&delta).expect("valid delta");
-            let before = state_of(peer);
-            let refused = peer.apply_remote_view(WARD_PD, &view, Hash256([9; 32]), *version + 1);
-            assert!(refused.is_err());
-            assert_eq!(state_of(peer), before);
-            *version += 1;
-            peer.apply_remote_view(WARD_PD, &view, view.content_hash(), *version)
-                .expect("remote view");
-            advance(oracle, WARD_PD, &delta);
         }
     }
 }
