@@ -47,6 +47,10 @@ fn main() {
                 "lint: dead-pub allowlist holds {} item(s)",
                 report.dead_pub_allowed
             );
+            println!(
+                "lint: long-fn allowlist holds {} item(s)",
+                report.long_fn_allowed
+            );
             if report.findings.is_empty() {
                 println!("lint: workspace clean");
                 return;

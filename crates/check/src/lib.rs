@@ -16,8 +16,9 @@
 //!    `SAFETY:` comment, every `Ordering::` site in `crates/node` is
 //!    registered in `ordering_policy.toml`, `unwrap`/`expect` stay out
 //!    of non-test hot paths, the wire protocol's `Message` enum is
-//!    handled exhaustively at every dispatch, and no `pub` item goes
-//!    unnamed outside its own tests. The `lint` binary drives it in CI.
+//!    handled exhaustively at every dispatch, no `pub` item goes
+//!    unnamed outside its own tests, and no function runs past 150
+//!    lines unless allowlisted. The `lint` binary drives it in CI.
 //!
 //! Both exist because the runtime is hand-rolled: no executor crate,
 //! no atomics library, no fuzzer is watching these invariants for us.

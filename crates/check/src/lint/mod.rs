@@ -18,6 +18,9 @@ pub struct Report {
     /// Length of the dead-pub allowlist: `pub` items known to have no
     /// caller and kept anyway, a number that should only fall.
     pub dead_pub_allowed: usize,
+    /// Length of the long-fn allowlist: functions known to run over
+    /// [`rules::LONG_FN_MAX`] lines, another number that should only fall.
+    pub long_fn_allowed: usize,
 }
 
 /// Where the dead-pub rule looks for mentions of a `pub` item.
@@ -25,6 +28,16 @@ const DEAD_PUB_SCOPE: &[&str] = &["crates/", "src/", "tests/", "examples/", "ben
 
 /// The dead-pub rule's allowlist, relative to the workspace root.
 const DEAD_PUB_ALLOWLIST: &str = "crates/check/dead_pub_allowlist.txt";
+
+/// The long-fn rule's allowlist, relative to the workspace root.
+const LONG_FN_ALLOWLIST: &str = "crates/check/long_fn_allowlist.txt";
+
+/// Reads and parses the allowlist at `rel` under `root`.
+fn read_allowlist(root: &Path, rel: &str) -> Result<Vec<(usize, String, String)>, String> {
+    let src =
+        std::fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
+    rules::parse_allowlist(&src).map_err(|e| format!("{rel}: {e}"))
+}
 
 /// Directories never scanned (third-party or generated).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
@@ -87,6 +100,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let mut findings = Vec::new();
     let mut used_keys = Vec::new();
     let mut dead_pub_files = Vec::new();
+    let mut long_fns = Vec::new();
 
     for path in rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))? {
         let rel = rel(root, &path);
@@ -96,6 +110,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
         if rel.starts_with("crates/") {
             findings.extend(rules::unsafe_safety(&rel, &lines));
         }
+        long_fns.extend(rules::long_fns(&rel, &lines));
         if rel.starts_with("crates/node/src/") || rel.starts_with("crates/telemetry/src/") {
             findings.extend(rules::ordering_policy(&rel, &lines, &policy));
             used_keys.extend(rules::referenced_keys(&lines));
@@ -108,15 +123,18 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
         }
     }
 
-    let allowlist_src = std::fs::read_to_string(root.join(DEAD_PUB_ALLOWLIST))
-        .map_err(|e| format!("cannot read {DEAD_PUB_ALLOWLIST}: {e}"))?;
-    let allowlist = rules::parse_dead_pub_allowlist(&allowlist_src)
-        .map_err(|e| format!("{DEAD_PUB_ALLOWLIST}: {e}"))?;
+    let dead_pub_allowlist = read_allowlist(root, DEAD_PUB_ALLOWLIST)?;
     let dead = rules::dead_pub(&dead_pub_files);
     findings.extend(rules::dead_pub_findings(
         &dead,
         DEAD_PUB_ALLOWLIST,
-        &allowlist,
+        &dead_pub_allowlist,
+    ));
+    let long_fn_allowlist = read_allowlist(root, LONG_FN_ALLOWLIST)?;
+    findings.extend(rules::long_fn_findings(
+        &long_fns,
+        LONG_FN_ALLOWLIST,
+        &long_fn_allowlist,
     ));
 
     findings.extend(rules::unused_policy_keys(&policy, &used_keys));
@@ -124,7 +142,8 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(Report {
         findings,
-        dead_pub_allowed: allowlist.len(),
+        dead_pub_allowed: dead_pub_allowlist.len(),
+        long_fn_allowed: long_fn_allowlist.len(),
     })
 }
 

@@ -1,4 +1,4 @@
-//! The five lint rules, run over [`super::scan`]ned files:
+//! The six lint rules, run over [`super::scan`]ned files:
 //!
 //! - **unsafe-safety** — every line carrying an `unsafe` token needs a
 //!   `SAFETY:` justification (same line or the comment block above).
@@ -16,6 +16,8 @@
 //! - **dead-pub** — every `pub` item under `crates/*/src` is named
 //!   somewhere other than its own declaration and its own file's
 //!   `#[cfg(test)]` module, or sits on the explicit allowlist.
+//! - **long-fn** — no non-test `fn` under `crates/*/src` spans more than
+//!   [`LONG_FN_MAX`] lines, unless it sits on the explicit allowlist.
 
 use super::policy::Policy;
 use super::scan::Line;
@@ -548,10 +550,10 @@ pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
     items.into_iter().map(report).collect()
 }
 
-/// Parses the dead-pub allowlist: one `<file> <name>` pair per line,
-/// `#` comments and blank lines ignored. Returns `(line number, file,
-/// name)` per entry.
-pub fn parse_dead_pub_allowlist(src: &str) -> Result<Vec<(usize, String, String)>, String> {
+/// Parses a rule's allowlist: one `<file> <name>` pair per line, `#`
+/// comments and blank lines ignored. Returns `(line number, file, name)`
+/// per entry.
+pub fn parse_allowlist(src: &str) -> Result<Vec<(usize, String, String)>, String> {
     let mut entries = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -574,29 +576,138 @@ pub fn dead_pub_findings(
     allowlist_file: &str,
     allowlist: &[(usize, String, String)],
 ) -> Vec<Finding> {
-    let allowed = |file: &str, name: &str| allowlist.iter().any(|(_, f, n)| f == file && n == name);
-    let is_dead = |file: &str, name: &str| dead.iter().any(|(f, _, n)| f == file && n == name);
+    let reported = dead.iter().map(|(file, line, name)| {
+        let message = format!(
+            "`pub` item `{name}` is named nowhere outside this file's tests: \
+             delete it, narrow it, or list it in {allowlist_file}"
+        );
+        (file.clone(), *line, name.clone(), message)
+    });
+    let reported: Vec<_> = reported.collect();
+    apply_allowlist(
+        "dead-pub",
+        &reported,
+        allowlist_file,
+        allowlist,
+        "a dead `pub` item",
+    )
+}
+
+/// One rule's report `(file, line, name, message)` against its
+/// allowlist: every unlisted item is a finding, and so is every entry
+/// that names no reported item (it is `stale_as` no more, or gone).
+fn apply_allowlist(
+    rule: &'static str,
+    reported: &[(String, usize, String, String)],
+    allowlist_file: &str,
+    allowlist: &[(usize, String, String)],
+    stale_as: &str,
+) -> Vec<Finding> {
+    let listed = |file: &str, name: &str| allowlist.iter().any(|(_, f, n)| f == file && n == name);
+    let reports =
+        |file: &str, name: &str| reported.iter().any(|(f, _, n, _)| f == file && n == name);
     let mut findings = Vec::new();
-    for (file, line, name) in dead.iter().filter(|(f, _, n)| !allowed(f, n)) {
+    for (file, line, _, message) in reported.iter().filter(|(f, _, n, _)| !listed(f, n)) {
         findings.push(Finding {
             file: file.clone(),
             line: *line,
-            rule: "dead-pub",
-            message: format!(
-                "`pub` item `{name}` is named nowhere outside this file's tests: \
-                 delete it, narrow it, or list it in {allowlist_file}"
-            ),
+            rule,
+            message: message.clone(),
         });
     }
-    for (line, file, name) in allowlist.iter().filter(|(_, f, n)| !is_dead(f, n)) {
+    for (line, file, name) in allowlist.iter().filter(|(_, f, n)| !reports(f, n)) {
         findings.push(Finding {
             file: allowlist_file.to_string(),
             line: *line,
-            rule: "dead-pub",
-            message: format!("`{file} {name}` is no longer a dead `pub` item: drop the entry"),
+            rule,
+            message: format!("`{file} {name}` is no longer {stale_as}: drop the entry"),
         });
     }
     findings
+}
+
+// ---------------------------------------------------------------------
+// long-fn
+// ---------------------------------------------------------------------
+
+/// The most lines a non-test `fn` under `crates/*/src` may span, from its
+/// `fn` line to its closing brace (doc comments and attributes aside).
+pub const LONG_FN_MAX: usize = 150;
+
+/// The name a line declares a function by (`… fn name…`), if it does.
+fn fn_name(code: &str) -> Option<&str> {
+    let mut words = code.split_whitespace();
+    words.find(|w| *w == "fn")?;
+    Some(leading_ident(words.next()?)).filter(|name| !name.is_empty())
+}
+
+/// The index of the line that closes the body of the `fn` declared on
+/// line `start`; `None` for a declaration without a body (`fn f();`).
+fn body_end(lines: &[Line], start: usize) -> Option<usize> {
+    let (mut braces, mut nesting, mut opened) = (0i64, 0i64, false);
+    for (i, line) in lines.iter().enumerate().skip(start) {
+        for c in line.code.chars() {
+            match c {
+                '(' | '[' => nesting += 1,
+                ')' | ']' => nesting -= 1,
+                ';' if !opened && nesting == 0 => return None,
+                '{' => {
+                    braces += 1;
+                    opened = true;
+                }
+                '}' => braces -= 1,
+                _ => {}
+            }
+        }
+        if opened && braces <= 0 {
+            return Some(i);
+        }
+    }
+    None
+}
+
+/// Every `fn` in the non-test code of `file` — production source under
+/// `crates/*/src` only — that spans more than [`LONG_FN_MAX`] lines:
+/// `(file, line number, name, length)`, in file order.
+pub fn long_fns(file: &str, lines: &[Line]) -> Vec<(String, usize, String, usize)> {
+    if !is_crate_source(file) {
+        return Vec::new();
+    }
+    let mut found = Vec::new();
+    for (i, line) in lines.iter().enumerate().filter(|(_, l)| !l.in_test) {
+        let Some(name) = fn_name(&line.code) else {
+            continue;
+        };
+        let Some(end) = body_end(lines, i) else {
+            continue;
+        };
+        let length = lines[end].number - line.number + 1;
+        if length > LONG_FN_MAX {
+            found.push((file.to_string(), line.number, name.to_string(), length));
+        }
+    }
+    found
+}
+
+/// Applies the allowlist to what [`long_fns`] found across the
+/// workspace: a long function not on the list is a finding, and so is a
+/// listed one that is no longer long (or gone) — the list can only
+/// shrink.
+pub fn long_fn_findings(
+    long: &[(String, usize, String, usize)],
+    allowlist_file: &str,
+    allowlist: &[(usize, String, String)],
+) -> Vec<Finding> {
+    let reported = long.iter().map(|(file, line, name, length)| {
+        let message = format!(
+            "`fn {name}` spans {length} lines, over {LONG_FN_MAX}: split it into named \
+             steps, or list it in {allowlist_file}"
+        );
+        (file.clone(), *line, name.clone(), message)
+    });
+    let reported: Vec<_> = reported.collect();
+    let stale_as = format!("over {LONG_FN_MAX} lines");
+    apply_allowlist("long-fn", &reported, allowlist_file, allowlist, &stale_as)
 }
 
 #[cfg(test)]

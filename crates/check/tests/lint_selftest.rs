@@ -99,14 +99,14 @@ fn dead_pub_rule_still_fires() {
     assert!(rules::dead_pub(&scanned(&[("tests/api.rs", lib)])).is_empty());
 
     // The allowlist excuses a dead item, and goes stale loudly.
-    let allow = rules::parse_dead_pub_allowlist("# why\ncrates/a/src/lib.rs lonely  # hook\n");
+    let allow = rules::parse_allowlist("# why\ncrates/a/src/lib.rs lonely  # hook\n");
     let allow = allow.expect("allowlist parses");
     assert!(rules::dead_pub_findings(&dead, "allow.txt", &allow).is_empty());
     assert_eq!(rules::dead_pub_findings(&dead, "allow.txt", &[]).len(), 1);
     let stale = rules::dead_pub_findings(&[], "allow.txt", &allow);
     assert_eq!(stale.len(), 1);
     assert_eq!((stale[0].file.as_str(), stale[0].line), ("allow.txt", 2));
-    assert!(rules::parse_dead_pub_allowlist("one-word\n").is_err());
+    assert!(rules::parse_allowlist("one-word\n").is_err());
 }
 
 #[test]
@@ -168,4 +168,38 @@ fn exhaustiveness_rule_catches_a_missing_arm() {
     let fs = rules::span_covers("x.rs", &lines, tag, "Kind", &variants, "tag");
     assert_eq!(fs.len(), 1);
     assert!(fs[0].message.contains("Kind::B"));
+}
+
+#[test]
+fn long_fn_rule_still_fires() {
+    let body = |lines: usize| "    step();\n".repeat(lines);
+    // 150 lines from `fn` to `}` pass, 151 do not; a bodiless trait item
+    // and test code are out of scope.
+    let src = format!(
+        "pub fn fits() {{\n{}}}\nfn too_long(a: [u8; 2]) -> u8 {{\n{}}}\n\
+         trait T {{\n    fn bare(&self);\n}}\n\
+         #[cfg(test)]\nmod tests {{\n    fn long_test() {{\n{}    }}\n}}\n",
+        body(148),
+        body(149),
+        body(200)
+    );
+    let lines = scan::scan(&src);
+    let long = rules::long_fns("crates/a/src/lib.rs", &lines);
+    let too_long = (
+        "crates/a/src/lib.rs".to_string(),
+        151,
+        "too_long".to_string(),
+        151,
+    );
+    assert_eq!(long, vec![too_long]);
+    // Only crate sources are in scope.
+    assert!(rules::long_fns("tests/api.rs", &lines).is_empty());
+
+    // The allowlist excuses a long function, and goes stale loudly.
+    let allow = rules::parse_allowlist("crates/a/src/lib.rs too_long\n").expect("parses");
+    assert!(rules::long_fn_findings(&long, "allow.txt", &allow).is_empty());
+    assert_eq!(rules::long_fn_findings(&long, "allow.txt", &[]).len(), 1);
+    let stale = rules::long_fn_findings(&[], "allow.txt", &allow);
+    assert_eq!(stale.len(), 1);
+    assert_eq!((stale[0].file.as_str(), stale[0].line), ("allow.txt", 1));
 }

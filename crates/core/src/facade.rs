@@ -682,8 +682,7 @@ impl UpdateBatch<'_> {
             return Err(CommitError::from_core(e, system));
         }
 
-        let version_before = system.share_meta(&table_id).map(|m| m.version).ok();
-        match system.propagate_update(peer, &table_id) {
+        match system.propagate(peer, &table_id, &mut Vec::new()) {
             Ok(report) => {
                 let mut receipts = Vec::new();
                 collect_receipts(system, &report, &mut receipts);
@@ -693,17 +692,12 @@ impl UpdateBatch<'_> {
                     report,
                 })
             }
-            Err(e) => {
-                // Did our update reach the chain before the failure? If
-                // the contract's version advanced, the new data is
-                // committed and already at the other peers — rolling the
-                // updater back would desynchronize it from the chain.
-                let version_after = system.share_meta(&table_id).map(|m| m.version).ok();
-                let committed_on_chain = matches!(
-                    (version_before, version_after),
-                    (Some(before), Some(after)) if after > before
-                );
-                let err = CommitError::from_core(e, system);
+            Err(failure) => {
+                // An update that reached the chain before the failure is
+                // already at the other peers — rolling the updater back
+                // would desynchronize it from the chain.
+                let committed_on_chain = failure.committed_on_chain;
+                let err = CommitError::from_core(failure.error, system);
                 // NoChange is not a failed propagation: the staged writes
                 // are valid local edits that left the shared view
                 // untouched; keep them (matching direct source writes).

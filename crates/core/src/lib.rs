@@ -49,7 +49,7 @@ pub use peer::{Baseline, PeerNode, PropagationMode};
 pub use persist::{FlushRecord, Recovery};
 pub use system::{
     CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,
-    GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace,
+    GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace, MAX_CASCADE_DEPTH,
 };
 
 /// Crate-wide result alias.

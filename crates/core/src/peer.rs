@@ -861,7 +861,6 @@ impl PeerNode {
         announced_hash: Hash256,
         version: u64,
     ) -> Result<()> {
-        let source_table = self.binding(table_id)?.source_table.clone();
         let mut view_new = self.shared(table_id)?.committed()?;
         view_new.apply_delta(view_delta).map_err(|e| {
             CoreError::ConsistencyViolation(format!(
@@ -873,11 +872,7 @@ impl PeerNode {
         // leaves the peer untouched.
         let rows = view_new.sorted_rows().into_iter().cloned().collect();
         let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
-        self.apply_remote_view(table_id, &view_new, announced_hash, version)?;
-        for share_id in self.sibling_shares(&source_table, Some(table_id)) {
-            self.rederive_from_source(&share_id)?;
-        }
-        Ok(())
+        self.apply_remote_view(table_id, &view_new, announced_hash, version)
     }
 
     // ----- remote apply, in three phases --------------------------------
@@ -1047,8 +1042,16 @@ impl PeerNode {
 
     /// Applies a whole shared table in place of the stored copy — the
     /// tail of the conflict path: verifies the announced hash, reflects
-    /// the change into the source via `put`, and replaces the stored
-    /// copy, which is then the committed baseline.
+    /// the change into the source via `put`, replaces the stored copy
+    /// (then the committed baseline) and re-derives every sibling share
+    /// from the new source, so a residual local difference survives as a
+    /// pending delta.
+    ///
+    /// All of it or none: the `put`, every sibling's `get` (a group lens
+    /// refuses a source that breaks its functional dependency) and every
+    /// group index run on the new source before anything is written, so
+    /// a refused view leaves source, stores, undo rows, log and indexes
+    /// as they were.
     fn apply_remote_view(
         &mut self,
         table_id: &str,
@@ -1063,12 +1066,28 @@ impl PeerNode {
                 announced_hash.short()
             )));
         }
-        let binding = self.binding(table_id)?.clone();
-        let source = self.db.table(&binding.source_table)?;
-        let new_source = exec::put(&binding.lens, source, new_view)?;
+        let binding = self.binding(table_id)?;
+        let source_table = binding.source_table.clone();
+        let new_source = exec::put(&binding.lens, self.db.table(&source_table)?, new_view)?;
+        let mut siblings = Vec::new();
+        for share_id in self.sibling_shares(&source_table, Some(table_id)) {
+            let view = exec::get(&self.binding(&share_id)?.lens, &new_source)?;
+            siblings.push((share_id, view));
+        }
+        let mut indexes = Vec::new();
+        for id in self.indexed_shares_of(&source_table) {
+            if let LensSpec::ProjectDistinct { view_key, .. } = &self.binding(&id)?.lens {
+                indexes.push((id, GroupIndex::build(&new_source, view_key)?));
+            }
+        }
+
         let src_rows: Vec<Row> = new_source.rows().cloned().collect();
         self.db
-            .apply(&binding.source_table, WriteOp::Replace { rows: src_rows })?;
+            .apply(&source_table, WriteOp::Replace { rows: src_rows })?;
+        let source_version = self.db.table_version(&source_table);
+        for (id, index) in indexes {
+            self.group_indexes.insert(id, (source_version, index));
+        }
         let shared = self.shared_mut(table_id)?;
         shared.store.rebuild_from(new_view);
         shared.undo.clear();
@@ -1077,10 +1096,14 @@ impl PeerNode {
         self.db
             .log_external(table_id, WriteOp::Replace { rows }, post_hash);
         self.applied_versions.insert(table_id.to_string(), version);
+        for (share_id, view) in siblings {
+            let stored_delta = diff_tables(self.shared_store(&share_id)?, &view);
+            if !stored_delta.is_empty() {
+                self.apply_view_delta(&share_id, &stored_delta)?;
+            }
+        }
         self.publish_resident_rows();
-        // Whole-table rewrites bypass delta tracking: re-derive the group
-        // indexes from ground truth.
-        self.rebuild_group_indexes_for_source(&binding.source_table)
+        Ok(())
     }
 
     /// The view as of the last committed version: a borrowed overlay of
@@ -1222,9 +1245,30 @@ mod tests {
             .expect("D3 projection")
     }
 
+    /// D3 with a nullable mechanism: a row the patient share's lens
+    /// inserts gets a NULL there instead of being refused.
+    fn d3_nullable_mechanism() -> Table {
+        use medledger_relational::{Column, ValueType};
+        let column = |name: &str| match name {
+            "patient_id" => Column::new(name, ValueType::Int),
+            "mechanism_of_action" => Column::nullable(name, ValueType::Text),
+            _ => Column::new(name, ValueType::Text),
+        };
+        let d3 = d3_table();
+        let columns = d3.schema().column_names().into_iter().map(column).collect();
+        let schema = Schema::new(columns, &["patient_id"]).expect("schema");
+        Table::from_rows(schema, d3.rows().cloned().collect()).expect("D3")
+    }
+
     fn doctor_with_shares_sharded(shards: usize) -> PeerNode {
+        doctor_over(d3_table(), shards)
+    }
+
+    /// The Doctor of Fig. 1 over `d3`, sharing it with the Patient and the
+    /// Researcher.
+    fn doctor_over(d3: Table, shards: usize) -> PeerNode {
         let mut doctor = PeerNode::new("Doctor", "peer-test", 16, PropagationMode::Delta, shards);
-        doctor.add_source_table("D3", d3_table()).expect("add D3");
+        doctor.add_source_table("D3", d3).expect("add D3");
         // BX31: share with Patient.
         doctor
             .join_share(
@@ -1488,6 +1532,60 @@ mod tests {
         doctor
             .check_share_integrity("D13&D31", announced)
             .expect("integrity");
+    }
+
+    #[test]
+    fn failed_conflict_resolution_changes_nothing() {
+        // A second Ibuprofen patient (190), committed; then patient 188
+        // leaves D3 locally — a pending delete on the patient share.
+        let mut doctor = doctor_over(d3_nullable_mechanism(), 1);
+        let row = row![190i64, "Ibuprofen", "CliD3", "MeA1", "1x"];
+        doctor
+            .write_source("D3", WriteOp::Insert { row })
+            .expect("190");
+        let delta = doctor.prepare_update_delta("D13&D31").expect("prepare");
+        doctor.commit_delta("D13&D31", &delta, 1).expect("commit");
+        let key = vec![Value::Int(188)];
+        doctor
+            .write_source("D3", WriteOp::Delete { key })
+            .expect("188");
+        assert!(doctor.has_pending_change("D13&D31").expect("check"));
+
+        // A committed remote update built on the committed baseline, which
+        // still holds 188: the conflict path's whole-view `put` re-creates
+        // 188 with a NULL mechanism beside 190's MeA1, so the Ibuprofen
+        // group breaks the FD the research share's lens stands on.
+        let view_delta = TableDelta {
+            updates: vec![(
+                vec![Value::Int(189)],
+                row![189i64, "Wellbutrin", "CliD2", "remote-dose"],
+            )],
+            ..Default::default()
+        };
+        let mut view_new = committed_table(&doctor, "D13&D31");
+        view_new.apply_delta(&view_delta).expect("view");
+        let source_delta =
+            (doctor.translate_remote_delta("D13&D31", &view_delta)).expect("translate");
+        let state = |p: &PeerNode| {
+            let shares = ["D13&D31", "D23&D32"];
+            let stores: Vec<Table> = shares.map(|s| p.shared_table(s).expect("store")).into();
+            let undo: Vec<Undo> = shares.map(|s| p.shared[s].undo.clone()).into();
+            let indexes = format!("{:?}", p.group_indexes);
+            let versions = p.applied_versions.clone();
+            (
+                p.fingerprint(),
+                stores,
+                undo,
+                p.db.log().to_vec(),
+                indexes,
+                versions,
+            )
+        };
+        let before = state(&doctor);
+        let announced = view_new.content_hash();
+        (doctor.apply_remote_delta("D13&D31", &view_delta, &source_delta, announced, 2))
+            .expect_err("the FD violation is refused");
+        assert_eq!(state(&doctor), before);
     }
 
     #[test]

@@ -312,6 +312,29 @@ impl GroupEntry {
         self.declared_attrs = Some(attrs);
         self
     }
+
+    /// What the member's `request_update` declares, given the attributes
+    /// its delta `changed`: a write-combined member distributes the
+    /// permission check — the lead declares only its own attributes, each
+    /// co-author its own — but the union must still cover every changed
+    /// attribute, or some change would dodge the Fig. 3 matrix entirely.
+    fn declaration(&self, changed: &[String]) -> Result<Vec<String>> {
+        let declared = (self.declared_attrs.clone()).unwrap_or_else(|| changed.to_vec());
+        if self.declared_attrs.is_some() || !self.co_submitters.is_empty() {
+            let mut covered: BTreeSet<&str> = declared.iter().map(String::as_str).collect();
+            for co in &self.co_submitters {
+                covered.extend(co.attrs.iter().map(String::as_str));
+            }
+            if let Some(missing) = changed.iter().find(|a| !covered.contains(a.as_str())) {
+                return Err(CoreError::BadAgreement(format!(
+                    "combined update of `{}` changes attribute `{missing}` \
+                     that no submitter declares",
+                    self.table_id
+                )));
+            }
+        }
+        Ok(declared)
+    }
 }
 
 /// A Step-6 cascade detected but not run by [`System::commit_group`]:
@@ -361,6 +384,22 @@ pub struct GroupEntryFailure {
     pub committed_on_chain: bool,
 }
 
+impl GroupEntryFailure {
+    fn before_commit(error: CoreError) -> Self {
+        GroupEntryFailure {
+            error,
+            committed_on_chain: false,
+        }
+    }
+
+    fn after_commit(error: CoreError) -> Self {
+        GroupEntryFailure {
+            error,
+            committed_on_chain: true,
+        }
+    }
+}
+
 /// Per-member outcome of [`System::commit_group`].
 pub type GroupEntryResult = std::result::Result<UpdateReport, GroupEntryFailure>;
 
@@ -378,17 +417,11 @@ struct PreparedUpdate {
     source_deltas: BTreeMap<AccountId, TableDelta>,
 }
 
-/// One sibling share the Step-6 dependency check found changed: `account`
-/// (display name `peer_name`) now holds a pending change of `table_id`.
-struct Step6Change {
-    account: AccountId,
-    peer_name: String,
-    table_id: String,
-}
-
-/// Completed and blocked cascades of one Step-6 dependency sweep:
-/// `(reports, failed)` where `failed` records `(table_id, reason)`.
-type CascadeOutcome = (Vec<UpdateReport>, Vec<(String, String)>);
+/// How many cascade generations one update may set off before the sharing
+/// topology is taken to be cyclic — the one guard behind
+/// [`System::propagate_update`]'s cascades and the engine's cascade
+/// re-entry.
+pub const MAX_CASCADE_DEPTH: usize = 16;
 
 /// Below this much total fan-out work (payload rows × receivers), the
 /// auto-sized worker pool runs inline — thread spawn would cost more
@@ -398,6 +431,7 @@ type CascadeOutcome = (Vec<UpdateReport>, Vec<(String, String)>);
 const PARALLEL_FANOUT_MIN_ROWS: u64 = 256;
 
 /// What the receiver fan-out produced for one committed update.
+#[derive(Default)]
 struct FanoutSummary {
     /// The receivers, in canonical (account) order.
     others: Vec<AccountId>,
@@ -407,6 +441,43 @@ struct FanoutSummary {
     bytes_moved: u64,
     /// Rows shipped to each receiver.
     rows_moved: u64,
+}
+
+/// One [`System::commit_group`] wave, handed from phase to phase: a slot
+/// per entry that fills when the entry's member fails or finishes, the
+/// members still in flight, and what the wave returns besides.
+struct Wave<'e> {
+    entries: &'e [GroupEntry],
+    slots: Vec<Option<GroupEntryResult>>,
+    /// Per entry: its co-authors' `co_request_update` transactions.
+    co_txs: Vec<Vec<TxId>>,
+    /// The members no phase has resolved yet, in entry order.
+    members: Vec<WaveMember>,
+    deferred: Vec<DeferredCascade>,
+    /// [`System::stats`] when the wave began.
+    before: SystemStats,
+    timer: StageTimer,
+}
+
+impl Wave<'_> {
+    fn fail(&mut self, idx: usize, failure: GroupEntryFailure) {
+        self.slots[idx] = Some(Err(failure));
+    }
+}
+
+/// A member of a [`Wave`] between phases, for entry `idx`. The prepare
+/// phase queues its request `tx`; the fan-out phase sets `committed_ms`,
+/// `version` and `fan`, the ack phase `ack_txs`.
+struct WaveMember {
+    idx: usize,
+    prepared: PreparedUpdate,
+    trace: WorkflowTrace,
+    submitted_ms: u64,
+    tx: TxId,
+    committed_ms: u64,
+    version: u64,
+    fan: FanoutSummary,
+    ack_txs: Vec<TxId>,
 }
 
 /// The whole simulated deployment.
@@ -708,8 +779,9 @@ impl System {
     /// Produces one block: waits for the next block slot, runs consensus,
     /// executes transactions, appends.
     ///
-    /// Crate-internal: callers drive the chain through the facade's
-    /// `UpdateBatch::commit()` (or [`System::propagate_update`]), never
+    /// Crate-internal: updates reach the chain in waves
+    /// ([`System::commit_group`], which the engine drives and
+    /// [`System::propagate_update`] runs one member at a time), never
     /// block by block.
     pub(crate) fn produce_block(&mut self) -> Result<()> {
         let interval = match &self.config.consensus {
@@ -1037,148 +1109,69 @@ impl System {
     // ----- the Fig. 5 workflow ----------------------------------------
 
     /// Propagates a pending local change of `table_id` from `updater` to
-    /// all sharing peers, running the full Fig. 5 workflow including the
-    /// Step-6 dependency check and recursive cascades (Steps 7–11).
+    /// all sharing peers: the Fig. 5 workflow (Steps 1–6) as a one-member
+    /// [`System::commit_group`] wave, then every cascade its Step-6 check
+    /// finds, depth first, each as one more one-member wave (Steps 7–11).
+    /// A cascade that is denied, untranslatable or no change is recorded
+    /// in `failed_cascades`; the update itself stands.
     pub fn propagate_update(&mut self, updater: PeerId, table_id: &str) -> Result<UpdateReport> {
-        let mut active = BTreeSet::new();
-        let report = self.propagate_inner(updater.account(), table_id, &mut active, 0)?;
-        self.flush_storage()?;
-        Ok(report)
+        (self.propagate(updater, table_id, &mut Vec::new())).map_err(|failure| failure.error)
     }
 
-    /// One update through the whole pipeline: Step 1 + pre-flight,
-    /// request transaction, consensus, parallel receiver fan-out, acks,
-    /// Step-6 cascades.
-    fn propagate_inner(
+    /// [`System::propagate_update`], keeping the commit point of a
+    /// failure. `path` holds the tables of the waves this one cascades
+    /// from, outermost first.
+    pub(crate) fn propagate(
         &mut self,
-        updater: AccountId,
+        updater: PeerId,
         table_id: &str,
-        active: &mut BTreeSet<String>,
-        depth: usize,
-    ) -> Result<UpdateReport> {
-        if depth > 16 {
-            return Err(CoreError::ConsistencyViolation(
-                "cascade depth exceeded 16 — cyclic sharing topology?".into(),
+        path: &mut Vec<String>,
+    ) -> std::result::Result<UpdateReport, GroupEntryFailure> {
+        if path.len() > MAX_CASCADE_DEPTH {
+            return Err(GroupEntryFailure::before_commit(
+                CoreError::ConsistencyViolation(format!(
+                    "cascade depth exceeded {MAX_CASCADE_DEPTH} — cyclic sharing topology?"
+                )),
             ));
         }
-        active.insert(table_id.to_string());
-        let mut trace = WorkflowTrace::default();
-        let submitted_ms = self.clock_ms;
-
-        // Step 1 + pre-flight translatability check.
-        let mut prepared = match self.prepare_update(updater, table_id, &mut trace) {
-            Ok(p) => p,
-            Err(e) => {
-                active.remove(table_id);
-                return Err(e);
+        // A one-member wave fails whole only when its flush fails, after
+        // its blocks: the update may be on chain, so the caller keeps it.
+        let outcome = (self.commit_group(&[GroupEntry::new(updater, table_id)]))
+            .map_err(GroupEntryFailure::after_commit)?;
+        let unresolved =
+            || CoreError::ConsistencyViolation("a wave member was left unresolved".into());
+        let mut report = (outcome.results.into_iter().next())
+            .unwrap_or_else(|| Err(GroupEntryFailure::after_commit(unresolved())))?;
+        path.push(table_id.to_string());
+        for d in outcome.deferred {
+            // The Fig. 5 model's late check: no cascade back into a table
+            // on the path, nor into one an earlier cascade has settled.
+            let pending = self
+                .peer(d.peer)
+                .and_then(|p| p.has_pending_change(&d.table_id));
+            if path.contains(&d.table_id) || !pending.map_err(GroupEntryFailure::after_commit)? {
+                continue;
             }
-        };
-
-        let reserved = self.share_meta(table_id).and_then(|meta| {
-            let no_co_signers = std::iter::empty();
-            self.reserve_signatures(&mut BTreeMap::new(), updater, no_co_signers, &meta.peers)
-        });
-        if let Err(e) = reserved {
-            active.remove(table_id);
-            return Err(e);
+            match self.propagate(d.peer, &d.table_id, path) {
+                Ok(cascade) => report.cascades.push(cascade),
+                // A denied or untranslatable cascade must not undo the
+                // committed update; the blocked peer keeps its pending
+                // delta to retry.
+                Err(GroupEntryFailure {
+                    error:
+                        e @ (CoreError::TxReverted(_) | CoreError::Bx(_) | CoreError::NoChange(_)),
+                    ..
+                }) => {
+                    let peer_name = self.peer_name_or_id(d.peer);
+                    let blocked = format!("cascade into `{}` blocked: {e}", d.table_id);
+                    report.trace.push("6", self.clock_ms, &peer_name, blocked);
+                    report.failed_cascades.push((d.table_id, e.to_string()));
+                }
+                Err(failure) => return Err(GroupEntryFailure::after_commit(failure.error)),
+            }
         }
-
-        // Step 2: request the update from the smart contract (metadata
-        // only — hash + changed attrs; the data itself never touches the
-        // chain).
-        let args = RequestUpdateArgs {
-            table_id: table_id.to_string(),
-            new_hash: prepared.new_hash,
-            changed_attrs: prepared.attrs.clone(),
-        };
-        let tx = self.submit_call(updater, "request_update", &args, Some(table_id.to_string()))?;
-        trace.push(
-            "2",
-            self.clock_ms,
-            &prepared.updater_name,
-            format!("sent update request tx {} to sharing contract", tx.short()),
-        );
-
-        // Step 3: consensus + permission verification.
-        self.produce_blocks_until_receipt(&tx, 32)?;
-        if let Err(e) = self.expect_success(&tx) {
-            trace.push(
-                "3",
-                self.clock_ms,
-                "contract",
-                format!("permission DENIED: {e}"),
-            );
-            active.remove(table_id);
-            return Err(e);
-        }
-        let committed_ms = self.clock_ms;
-        let version = self.share_meta(table_id)?.version;
-        trace.push(
-            "3",
-            committed_ms,
-            "contract",
-            format!(
-                "permission verified; update committed at height {} (version {version})",
-                self.chain.height()
-            ),
-        );
-
-        // The updater's stored copy becomes the committed baseline.
-        self.node_mut(&updater)?
-            .commit_delta(table_id, &prepared.delta, version)?;
-
-        // Steps 4–5: parallel fan-out to every other sharing peer.
-        let fan = self.fanout_apply(&mut prepared, version, committed_ms, &mut trace)?;
-
-        // Acks: peers confirm on chain; the table stays locked until all
-        // acks commit (the paper's barrier): one aggregated attestation
-        // transaction.
-        let ack_txs =
-            self.submit_ack_round(table_id, version, prepared.new_hash, updater, &fan.others)?;
-        self.produce_blocks_until_all(&ack_txs)?;
-        for t in &ack_txs {
-            self.expect_success(t)?;
-        }
-        let synced_ms = self.clock_ms;
-        if !fan.others.is_empty() {
-            trace.push(
-                "m",
-                synced_ms,
-                "contract",
-                format!(
-                    "all {} peer(s) acked version {version}; table unlocked",
-                    fan.others.len()
-                ),
-            );
-        }
-
-        // Step 6: dependency check on every peer that applied the change
-        // (and the updater itself), with recursive cascades.
-        let mut participants = fan.others.clone();
-        participants.push(updater);
-        let (cascades, failed_cascades) =
-            self.step6_cascades(table_id, &participants, active, depth, &mut trace)?;
-
-        active.remove(table_id);
-        Ok(UpdateReport {
-            table_id: table_id.to_string(),
-            version,
-            submitted_ms,
-            committed_ms,
-            visible_ms: fan.visible_ms,
-            synced_ms,
-            changed_attrs: prepared.attrs,
-            rows_moved: fan.rows_moved,
-            bytes_moved: fan.bytes_moved,
-            tx_ids: {
-                let mut ids = vec![tx];
-                ids.extend(ack_txs.iter().copied());
-                ids
-            },
-            cascades,
-            failed_cascades,
-            trace,
-        })
+        path.pop();
+        Ok(report)
     }
 
     /// Fig. 5 Step 1 plus the pre-flight translatability check: the
@@ -1565,104 +1558,45 @@ impl System {
         Ok(ack_txs)
     }
 
-    /// The Fig. 5 **Step 6** dependency check, the part both commit paths
-    /// share: for every participant, walk the sibling shares overlapping
-    /// `table_id` (skipping tables in `active` — updates still in
-    /// progress up the serial path's call stack), decide whether each now
-    /// differs (it carries a pending change — an O(pending) read), push
-    /// the numbered trace line, and hand every changed one to
-    /// `on_change`. What happens to a changed share is the caller's: the
-    /// serial path recurses into it (Steps 7–11), the wave engine defers
-    /// it to the next wave.
+    /// The Fig. 5 **Step 6** dependency check after a committed update of
+    /// `table_id`: for every participant, walk the sibling shares
+    /// overlapping `table_id`, decide whether each now differs (it carries
+    /// a pending change — an O(pending) read) and push the numbered trace
+    /// line. Returns the changed ones: the cascades for later waves.
     fn step6_sweep(
-        &mut self,
+        &self,
         table_id: &str,
         participants: &[AccountId],
-        active: &mut BTreeSet<String>,
-        if_changed: &str,
         trace: &mut WorkflowTrace,
-        mut on_change: impl FnMut(
-            &mut Self,
-            &mut BTreeSet<String>,
-            &mut WorkflowTrace,
-            Step6Change,
-        ) -> Result<()>,
-    ) -> Result<()> {
+    ) -> Result<Vec<DeferredCascade>> {
+        let mut changed = Vec::new();
         for account in participants {
-            for other_table in self.node(account)?.overlapping_shares(table_id)? {
-                if active.contains(&other_table) {
-                    continue;
-                }
-                let peer = self.node(account)?;
+            let peer = self.node(account)?;
+            for other_table in peer.overlapping_shares(table_id)? {
                 let differs = peer.has_pending_change(&other_table)?;
-                let peer_name = peer.name.clone();
                 trace.push(
                     "6",
                     self.clock_ms,
-                    &peer_name,
+                    &peer.name,
                     format!(
                         "dependency check: `{other_table}` overlaps `{table_id}`; {}",
                         if differs {
-                            if_changed
+                            "content changed → cascade deferred to next wave"
                         } else {
                             "content unchanged → no cascade"
                         }
                     ),
                 );
                 if differs {
-                    let change = Step6Change {
-                        account: *account,
-                        peer_name,
+                    changed.push(DeferredCascade {
+                        peer: PeerId::from_account(*account),
                         table_id: other_table,
-                    };
-                    on_change(self, active, trace, change)?;
+                        origin: table_id.to_string(),
+                    });
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Step 6 on the serial path: every changed sibling share cascades
-    /// recursively, right here (Steps 7–11).
-    fn step6_cascades(
-        &mut self,
-        table_id: &str,
-        participants: &[AccountId],
-        active: &mut BTreeSet<String>,
-        depth: usize,
-        trace: &mut WorkflowTrace,
-    ) -> Result<CascadeOutcome> {
-        let mut cascades = Vec::new();
-        let mut failed_cascades: Vec<(String, String)> = Vec::new();
-        self.step6_sweep(
-            table_id,
-            participants,
-            active,
-            "content changed → cascade (steps 7-11)",
-            trace,
-            |system, active, trace, change| {
-                match system.propagate_inner(change.account, &change.table_id, active, depth + 1) {
-                    Ok(report) => cascades.push(report),
-                    // A denied or untranslatable cascade must not roll
-                    // back the committed parent update; record it. The
-                    // blocked peer keeps its pending delta to retry.
-                    Err(
-                        e @ (CoreError::TxReverted(_) | CoreError::Bx(_) | CoreError::NoChange(_)),
-                    ) => {
-                        trace.push(
-                            "6",
-                            system.clock_ms,
-                            &change.peer_name,
-                            format!("cascade into `{}` blocked: {e}", change.table_id),
-                        );
-                        failed_cascades.push((change.table_id, e.to_string()));
-                    }
-                    Err(e) => return Err(e),
-                }
-                Ok(())
-            },
-        )?;
-        Ok((cascades, failed_cascades))
+        Ok(changed)
     }
 
     // ----- group commit ------------------------------------------------
@@ -1732,14 +1666,15 @@ impl System {
     /// commits. A member targeting a table that an earlier member (or a
     /// transaction still queued in the mempool) already claims fails with
     /// [`CoreError::Conflicted`]. A whole-group `Err` is reserved for
-    /// engine-level failures (e.g. consensus death) where nothing
-    /// committed.
+    /// engine-level failures where the members' own outcomes are lost:
+    /// today, a failed durable flush.
     ///
-    /// This is the wave engine — the one batching path, driven by
-    /// `medledger-engine`'s `LedgerService` (and so by the gateway pump);
-    /// [`System::propagate_update`] stays beside it as the serial,
-    /// paper-literal reference. Two things it does that the serial path
-    /// does not:
+    /// This is the one commit path: `medledger-engine`'s `LedgerService`
+    /// (and so the gateway pump) drives it with whole waves, and
+    /// [`System::propagate_update`] — the facade's commit — with
+    /// one-member ones. A wave runs as named phases, each a telemetry
+    /// stage (`wave.phase.<name>_us`): screen, prepare, consensus, fanout,
+    /// ack, cascade, flush. Beyond the serial Fig. 5 steps:
     ///
     /// * a write-combined member (non-empty `co_submitters`) submits the
     ///   lead's `request_update` — declaring only the lead's own
@@ -1748,449 +1683,367 @@ impl System {
     ///   declared attributes and individually receipted (`co_txs`);
     /// * the Fig. 5 Step-6 sweep only *detects* cascades and returns them
     ///   as [`DeferredCascade`]s for the caller's next wave, instead of
-    ///   propagating each serially.
+    ///   propagating each inline.
     pub fn commit_group(&mut self, entries: &[GroupEntry]) -> Result<GroupCommitOutcome> {
-        fn fail(error: CoreError, committed_on_chain: bool) -> GroupEntryFailure {
-            GroupEntryFailure {
-                error,
-                committed_on_chain,
+        let mut wave = Wave {
+            entries,
+            slots: vec![None; entries.len()],
+            co_txs: vec![Vec::new(); entries.len()],
+            members: Vec::new(),
+            deferred: Vec::new(),
+            before: self.stats,
+            timer: StageTimer::start(&self.telemetry, "wave"),
+        };
+        self.phase_screen(&mut wave);
+        self.phase_prepare(&mut wave);
+        // A phase whose block production dies ends the wave: it has
+        // resolved every member with its commit point.
+        if self.phase_consensus(&mut wave) {
+            self.phase_fanout(&mut wave);
+            if self.phase_ack(&mut wave) {
+                self.phase_cascade(&mut wave);
+                self.phase_flush(&mut wave)?;
             }
         }
-        let mut slots: Vec<Option<GroupEntryResult>> = entries.iter().map(|_| None).collect();
-        let mut co_txs_out: Vec<Vec<TxId>> = entries.iter().map(|_| Vec::new()).collect();
-        let mut deferred: Vec<DeferredCascade> = Vec::new();
-        let mut co_seq: usize = 0;
-        let mut unreserved: BTreeMap<AccountId, u64> = BTreeMap::new();
-        let stats_before = self.stats;
-        let mut timer = StageTimer::start(&self.telemetry, "wave");
+        self.close_wave(wave)
+    }
 
-        // Conflict screening (see [`System::screen_group`]): distinct,
-        // non-interacting tables only, none with a transaction still
-        // queued from outside the group.
-        for (i, screen) in self.screen_group(entries).into_iter().enumerate() {
+    /// Phase `screen` ([`System::screen_group`]): distinct,
+    /// non-interacting tables only, none with a transaction still queued
+    /// from outside the group.
+    fn phase_screen(&self, wave: &mut Wave<'_>) {
+        for (i, screen) in self.screen_group(wave.entries).into_iter().enumerate() {
             if let Some(err) = screen {
-                slots[i] = Some(Err(fail(err, false)));
+                wave.fail(i, GroupEntryFailure::before_commit(err));
             }
         }
-        timer.stage("phase.screen");
+        wave.timer.stage("phase.screen");
+    }
 
-        // Phase 1 — Step 1 + pre-flight per member, then submit every
-        // `request_update` (distinct conflict keys: the next block takes
-        // them all).
-        struct InFlight {
-            idx: usize,
-            prepared: PreparedUpdate,
-            trace: WorkflowTrace,
-            submitted_ms: u64,
-            tx: TxId,
-            co_txs: Vec<TxId>,
-        }
-        let mut inflight: Vec<InFlight> = Vec::new();
-        for (i, e) in entries.iter().enumerate() {
-            if slots[i].is_some() {
+    /// Phase `prepare`: Step 1 + pre-flight per admitted member, its
+    /// signatures reserved, then its `request_update` (Step 2) and its
+    /// co-requests queued — distinct conflict keys, so the next block
+    /// takes them all. A member that fails here fails alone, before
+    /// anything of it is queued.
+    fn phase_prepare(&mut self, wave: &mut Wave<'_>) {
+        let mut unreserved: BTreeMap<AccountId, u64> = BTreeMap::new();
+        let mut co_seq = 0;
+        let entries = wave.entries;
+        for (idx, entry) in entries.iter().enumerate() {
+            if wave.slots[idx].is_some() {
                 continue;
             }
             let mut trace = WorkflowTrace::default();
             let submitted_ms = self.clock_ms;
-            let prepared = match self.prepare_update(e.updater.account(), &e.table_id, &mut trace) {
-                Ok(p) => p,
+            let updater = entry.updater.account();
+            let queued =
+                (self.prepare_update(updater, &entry.table_id, &mut trace)).and_then(|p| {
+                    let declared = entry.declaration(&p.attrs)?;
+                    let meta = self.share_meta(&entry.table_id)?;
+                    let co_signers = entry.co_submitters.iter().map(|co| co.peer.account());
+                    self.reserve_signatures(&mut unreserved, updater, co_signers, &meta.peers)?;
+                    let args = RequestUpdateArgs {
+                        table_id: entry.table_id.clone(),
+                        new_hash: p.new_hash,
+                        changed_attrs: declared,
+                    };
+                    let key = Some(entry.table_id.clone());
+                    let tx = self.submit_call(updater, "request_update", &args, key)?;
+                    Ok((p, meta.version + 1, tx))
+                });
+            let (prepared, next_version, tx) = match queued {
+                Ok(queued) => queued,
                 Err(err) => {
-                    slots[i] = Some(Err(fail(err, false)));
-                    continue;
-                }
-            };
-            // A write-combined member distributes the permission check:
-            // the lead declares only its own attributes, each co-author
-            // its own. The union must still cover every attribute the
-            // composed delta actually changes — otherwise some change
-            // would dodge the Fig. 3 matrix entirely.
-            let declared = e
-                .declared_attrs
-                .clone()
-                .unwrap_or_else(|| prepared.attrs.clone());
-            if e.declared_attrs.is_some() || !e.co_submitters.is_empty() {
-                let mut covered: BTreeSet<&str> = declared.iter().map(String::as_str).collect();
-                for co in &e.co_submitters {
-                    covered.extend(co.attrs.iter().map(String::as_str));
-                }
-                if let Some(missing) = prepared
-                    .attrs
-                    .iter()
-                    .find(|a| !covered.contains(a.as_str()))
-                {
-                    slots[i] = Some(Err(fail(
-                        CoreError::BadAgreement(format!(
-                            "combined update of `{}` changes attribute `{missing}` \
-                             that no submitter declares",
-                            e.table_id
-                        )),
-                        false,
-                    )));
-                    continue;
-                }
-            }
-            let args = RequestUpdateArgs {
-                table_id: e.table_id.clone(),
-                new_hash: prepared.new_hash,
-                changed_attrs: declared,
-            };
-            let meta = match self.share_meta(&e.table_id) {
-                Ok(meta) => meta,
-                Err(err) => {
-                    slots[i] = Some(Err(fail(err, false)));
-                    continue;
-                }
-            };
-            let expected_version = meta.version + 1;
-            // A member that would overdraw a signer fails alone, before
-            // anything of it is queued.
-            let co_signers = e.co_submitters.iter().map(|co| co.peer.account());
-            if let Err(err) =
-                self.reserve_signatures(&mut unreserved, prepared.updater, co_signers, &meta.peers)
-            {
-                slots[i] = Some(Err(fail(err, false)));
-                continue;
-            }
-            match self.submit_call(
-                prepared.updater,
-                "request_update",
-                &args,
-                Some(e.table_id.clone()),
-            ) {
-                Ok(tx) => {
-                    trace.push(
-                        "2",
-                        self.clock_ms,
-                        &prepared.updater_name,
-                        format!(
-                            "sent update request tx {} to sharing contract (group of {})",
-                            tx.short(),
-                            entries.len()
-                        ),
-                    );
-                    // Each co-author's individually signed co-request
-                    // rides in the same block under a derived conflict
-                    // key (the data change itself is still one per table
-                    // per block — the lead's).
-                    let mut member_co_txs = Vec::with_capacity(e.co_submitters.len());
-                    let mut co_err: Option<CoreError> = None;
-                    for co in &e.co_submitters {
-                        let co_args = CoRequestUpdateArgs {
-                            table_id: e.table_id.clone(),
-                            version: expected_version,
-                            changed_attrs: co.attrs.clone(),
-                            new_hash: prepared.new_hash,
-                        };
-                        let key = format!("{}@co:{co_seq}", e.table_id);
-                        co_seq += 1;
-                        match self.submit_call(
-                            co.peer.account(),
-                            "co_request_update",
-                            &co_args,
-                            Some(key),
-                        ) {
-                            Ok(co_tx) => {
-                                trace.push(
-                                    "2",
-                                    self.clock_ms,
-                                    &self.peer_name_or_id(co.peer),
-                                    format!(
-                                        "co-signed combined update as tx {} (attrs [{}])",
-                                        co_tx.short(),
-                                        co.attrs.join(", ")
-                                    ),
-                                );
-                                member_co_txs.push(co_tx);
-                            }
-                            Err(err) => {
-                                co_err = Some(err);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(err) = co_err {
-                        // Unreachable in practice (the signatures were
-                        // reserved above); if it fires, the lead's
-                        // request is already queued and will commit, so
-                        // the member must be reported post-commit-point
-                        // to keep the caller from rolling back state the
-                        // chain is about to hold.
-                        self.produce_blocks_until_all(&[tx])?;
-                        slots[i] = Some(Err(fail(err, self.expect_success(&tx).is_ok())));
-                        co_txs_out[i] = member_co_txs;
-                        continue;
-                    }
-                    co_txs_out[i] = member_co_txs.clone();
-                    inflight.push(InFlight {
-                        idx: i,
-                        prepared,
-                        trace,
-                        submitted_ms,
-                        tx,
-                        co_txs: member_co_txs,
-                    });
-                }
-                Err(err) => slots[i] = Some(Err(fail(err, false))),
-            }
-        }
-
-        timer.stage("phase.prepare");
-
-        // Phase 2 — one consensus wait for the whole group (a single
-        // scheduled round when the block limit admits everything). If
-        // block production dies mid-group, some requests may already
-        // have committed in earlier blocks: report each member with an
-        // accurate commit point instead of a whole-group error, so
-        // callers only roll back members whose update never reached the
-        // chain.
-        let mut wave_txs: Vec<TxId> = inflight.iter().map(|f| f.tx).collect();
-        wave_txs.extend(inflight.iter().flat_map(|f| f.co_txs.iter().copied()));
-        let consensus_wait = self.produce_blocks_until_all(&wave_txs);
-        timer.stage("phase.consensus");
-        if let Err(e) = consensus_wait {
-            for f in inflight {
-                let committed = matches!(
-                    self.receipts.get(&f.tx),
-                    Some((_, r)) if r.status.is_success()
-                );
-                slots[f.idx] = Some(Err(fail(e.clone(), committed)));
-            }
-            return self.close_wave(timer, stats_before, slots, co_txs_out, deferred);
-        }
-
-        // Phase 3 — demultiplex receipts; committed members advance their
-        // updater and fan out to their receivers.
-        struct CommittedEntry {
-            idx: usize,
-            table_id: String,
-            updater: AccountId,
-            new_hash: Hash256,
-            attrs: Vec<String>,
-            trace: WorkflowTrace,
-            submitted_ms: u64,
-            committed_ms: u64,
-            version: u64,
-            tx: TxId,
-            co_txs: Vec<TxId>,
-            fan: FanoutSummary,
-            ack_txs: Vec<TxId>,
-        }
-        let mut committed: Vec<CommittedEntry> = Vec::new();
-        for f in inflight {
-            let InFlight {
-                idx,
-                mut prepared,
-                mut trace,
-                submitted_ms,
-                tx,
-                co_txs,
-            } = f;
-            if let Err(e) = self.expect_success(&tx) {
-                trace.push(
-                    "3",
-                    self.clock_ms,
-                    "contract",
-                    format!("permission DENIED: {e}"),
-                );
-                slots[idx] = Some(Err(fail(e, false)));
-                continue;
-            }
-            // Co-author attestations are per-submitter outcomes, not
-            // member outcomes: a reverted co-request (a pre-screened
-            // denied rider) never sinks the member — the caller
-            // demultiplexes each co receipt to its own submitter.
-            for (co, co_tx) in entries[idx].co_submitters.iter().zip(&co_txs) {
-                let verdict = match self.expect_success(co_tx) {
-                    Ok(()) => format!("co-author verified for attrs [{}]", co.attrs.join(", ")),
-                    Err(e) => format!("co-author DENIED: {e}"),
-                };
-                let name = self.peer_name_or_id(co.peer);
-                trace.push("3", self.clock_ms, &name, verdict);
-            }
-            let committed_ms = self.receipt_time(&tx).unwrap_or(self.clock_ms);
-            let height = self
-                .receipts
-                .get(&tx)
-                .map(|(h, _)| *h)
-                .unwrap_or_else(|| self.chain.height());
-            let version = match self.share_meta(&prepared.table_id) {
-                Ok(meta) => meta.version,
-                Err(e) => {
-                    slots[idx] = Some(Err(fail(e, true)));
+                    wave.fail(idx, GroupEntryFailure::before_commit(err));
                     continue;
                 }
             };
             trace.push(
-                "3",
-                committed_ms,
-                "contract",
+                "2",
+                self.clock_ms,
+                &prepared.updater_name,
                 format!(
-                    "permission verified; update committed at height {height} (version {version})"
+                    "sent update request tx {} to sharing contract (group of {})",
+                    tx.short(),
+                    entries.len()
                 ),
             );
-            let advanced = self
-                .node_mut(&prepared.updater)
-                .and_then(|p| p.commit_delta(&prepared.table_id, &prepared.delta, version));
-            if let Err(e) = advanced {
-                slots[idx] = Some(Err(fail(e, true)));
+            let new_hash = prepared.new_hash;
+            let (co_txs, co_err) =
+                self.submit_co_requests(entry, next_version, new_hash, &mut co_seq, &mut trace);
+            wave.co_txs[idx] = co_txs;
+            if let Some(error) = co_err {
+                // Unreachable in practice (the signatures were reserved
+                // above); if it fires, the lead's request is already
+                // queued and will commit, so the member must be reported
+                // post-commit-point to keep the caller from rolling back
+                // state the chain is about to hold.
+                let sealed = self.produce_blocks_until_all(&[tx]);
+                let committed_on_chain = sealed.and_then(|()| self.expect_success(&tx)).is_ok();
+                let failure = GroupEntryFailure {
+                    error,
+                    committed_on_chain,
+                };
+                wave.fail(idx, failure);
                 continue;
             }
-            match self.fanout_apply(&mut prepared, version, committed_ms, &mut trace) {
-                Ok(fan) => committed.push(CommittedEntry {
-                    idx,
-                    table_id: prepared.table_id,
-                    updater: prepared.updater,
-                    new_hash: prepared.new_hash,
-                    attrs: prepared.attrs,
-                    trace,
-                    submitted_ms,
-                    committed_ms,
-                    version,
-                    tx,
-                    co_txs,
-                    fan,
-                    ack_txs: Vec::new(),
-                }),
-                Err(e) => slots[idx] = Some(Err(fail(e, true))),
-            }
+            wave.members.push(WaveMember {
+                idx,
+                prepared,
+                trace,
+                submitted_ms,
+                tx,
+                committed_ms: 0,
+                version: 0,
+                fan: FanoutSummary::default(),
+                ack_txs: Vec::new(),
+            });
         }
+        wave.timer.stage("phase.prepare");
+    }
 
-        timer.stage("phase.fanout");
-
-        // Phase 4 — submit every member's acks, then wait for all of them
-        // together. Each member emits ONE `ack_update_aggregate` under its
-        // own derived conflict key, so the whole group's ack side fits a
-        // single block — the wave pays ~2 rounds (request + aggregated
-        // ack) regardless of the receiver count.
-        let mut survivors: Vec<CommittedEntry> = Vec::new();
-        for mut c in committed {
-            match self.submit_ack_round(
-                &c.table_id,
-                c.version,
-                c.new_hash,
-                c.updater,
-                &c.fan.others,
-            ) {
-                Ok(acks) => {
-                    c.ack_txs = acks;
-                    survivors.push(c);
+    /// Each co-author's individually signed co-request for the member of
+    /// `entry`, riding in the lead's block under a derived conflict key
+    /// (the data change itself is still one per table per block — the
+    /// lead's). Returns the transactions queued, and the error that
+    /// stopped the rest, if one did.
+    fn submit_co_requests(
+        &mut self,
+        entry: &GroupEntry,
+        version: u64,
+        new_hash: Hash256,
+        co_seq: &mut usize,
+        trace: &mut WorkflowTrace,
+    ) -> (Vec<TxId>, Option<CoreError>) {
+        let mut co_txs = Vec::with_capacity(entry.co_submitters.len());
+        for co in &entry.co_submitters {
+            let args = CoRequestUpdateArgs {
+                table_id: entry.table_id.clone(),
+                version,
+                changed_attrs: co.attrs.clone(),
+                new_hash,
+            };
+            let key = format!("{}@co:{co_seq}", entry.table_id);
+            *co_seq += 1;
+            match self.submit_call(co.peer.account(), "co_request_update", &args, Some(key)) {
+                Ok(co_tx) => {
+                    trace.push(
+                        "2",
+                        self.clock_ms,
+                        &self.peer_name_or_id(co.peer),
+                        format!(
+                            "co-signed combined update as tx {} (attrs [{}])",
+                            co_tx.short(),
+                            co.attrs.join(", ")
+                        ),
+                    );
+                    co_txs.push(co_tx);
                 }
-                Err(e) => slots[c.idx] = Some(Err(fail(e, true))),
+                Err(err) => return (co_txs, Some(err)),
             }
         }
-        let all_acks: Vec<TxId> = survivors
-            .iter()
-            .flat_map(|c| c.ack_txs.iter().copied())
-            .collect();
-        let ack_wait = self.produce_blocks_until_all(&all_acks);
-        timer.stage("phase.ack");
-        if let Err(e) = ack_wait {
-            // Every survivor's update is already on chain; an ack-phase
-            // consensus failure is post-commit for all of them.
-            for c in survivors {
-                slots[c.idx] = Some(Err(fail(e.clone(), true)));
-            }
-            return self.close_wave(timer, stats_before, slots, co_txs_out, deferred);
-        }
+        (co_txs, None)
+    }
 
-        // Phase 5 — per member: verify acks, close the trace, run the
-        // Step-6 dependency check and defer the cascades it finds.
-        for mut c in survivors {
-            let mut ack_err = None;
-            let mut synced_ms = c.committed_ms;
-            for t in &c.ack_txs {
-                if let Err(e) = self.expect_success(t) {
-                    ack_err = Some(e);
-                    break;
-                }
-                synced_ms = synced_ms.max(self.receipt_time(t).unwrap_or(self.clock_ms));
-            }
-            if let Some(e) = ack_err {
-                slots[c.idx] = Some(Err(fail(e, true)));
-                continue;
-            }
-            if !c.fan.others.is_empty() {
-                c.trace.push(
-                    "m",
-                    synced_ms,
-                    "contract",
-                    format!(
-                        "all {} peer(s) acked version {}; table unlocked",
-                        c.fan.others.len(),
-                        c.version
-                    ),
-                );
-            }
-            let mut participants = c.fan.others.clone();
-            participants.push(c.updater);
-            let swept = self.step6_sweep(
-                &c.table_id,
-                &participants,
-                &mut BTreeSet::new(),
-                "content changed → cascade deferred to next wave",
-                &mut c.trace,
-                |_, _, _, change| {
-                    let peer = PeerId::from_account(change.account);
-                    if !deferred
-                        .iter()
-                        .any(|d| d.peer == peer && d.table_id == change.table_id)
-                    {
-                        deferred.push(DeferredCascade {
-                            peer,
-                            table_id: change.table_id,
-                            origin: c.table_id.clone(),
-                        });
-                    }
-                    Ok(())
-                },
+    /// Phase `consensus`: one wait for the whole group (a single
+    /// scheduled round when the block limit admits everything). If block
+    /// production dies, some requests may already have committed in
+    /// earlier blocks: each member is resolved with an accurate commit
+    /// point instead of a whole-group error, so callers only roll back
+    /// members whose update never reached the chain — and `false` ends
+    /// the wave.
+    fn phase_consensus(&mut self, wave: &mut Wave<'_>) -> bool {
+        let mut txs: Vec<TxId> = wave.members.iter().map(|m| m.tx).collect();
+        txs.extend(
+            wave.members
+                .iter()
+                .flat_map(|m| wave.co_txs[m.idx].iter().copied()),
+        );
+        let sealed = self.produce_blocks_until_all(&txs);
+        wave.timer.stage("phase.consensus");
+        let Err(e) = sealed else {
+            return true;
+        };
+        for m in std::mem::take(&mut wave.members) {
+            let committed_on_chain = matches!(
+                self.receipts.get(&m.tx),
+                Some((_, r)) if r.status.is_success()
             );
-            match swept {
-                Ok(()) => {
-                    slots[c.idx] = Some(Ok(UpdateReport {
-                        table_id: c.table_id,
-                        version: c.version,
-                        submitted_ms: c.submitted_ms,
-                        committed_ms: c.committed_ms,
-                        visible_ms: c.fan.visible_ms,
-                        synced_ms,
-                        changed_attrs: c.attrs,
-                        rows_moved: c.fan.rows_moved,
-                        bytes_moved: c.fan.bytes_moved,
-                        tx_ids: {
-                            let mut ids = vec![c.tx];
-                            ids.extend(c.co_txs.iter().copied());
-                            ids.extend(c.ack_txs.iter().copied());
-                            ids
-                        },
-                        cascades: Vec::new(),
-                        failed_cascades: Vec::new(),
-                        trace: c.trace,
-                    }));
-                }
-                Err(e) => slots[c.idx] = Some(Err(fail(e, true))),
+            let failure = GroupEntryFailure {
+                error: e.clone(),
+                committed_on_chain,
+            };
+            wave.fail(m.idx, failure);
+        }
+        false
+    }
+
+    /// Phase `fanout`: every member's receipts demultiplexed (Step 3);
+    /// a committed member advances its updater and fans out to its
+    /// receivers (Steps 4–5).
+    fn phase_fanout(&mut self, wave: &mut Wave<'_>) {
+        for mut m in std::mem::take(&mut wave.members) {
+            let idx = m.idx;
+            match self.fanout_member(&mut m, &wave.entries[idx].co_submitters, &wave.co_txs[idx]) {
+                Ok(()) => wave.members.push(m),
+                Err(failure) => wave.fail(idx, failure),
             }
         }
+        wave.timer.stage("phase.fanout");
+    }
 
-        timer.stage("phase.cascade");
+    /// Steps 3–5 of one member.
+    fn fanout_member(
+        &mut self,
+        m: &mut WaveMember,
+        co_submitters: &[CoSubmitter],
+        co_txs: &[TxId],
+    ) -> std::result::Result<(), GroupEntryFailure> {
+        if let Err(e) = self.expect_success(&m.tx) {
+            let denied = format!("permission DENIED: {e}");
+            m.trace.push("3", self.clock_ms, "contract", denied);
+            return Err(GroupEntryFailure::before_commit(e));
+        }
+        // Co-author attestations are per-submitter outcomes, not member
+        // outcomes: a reverted co-request (a pre-screened denied rider)
+        // never sinks the member — the caller demultiplexes each co
+        // receipt to its own submitter.
+        for (co, co_tx) in co_submitters.iter().zip(co_txs) {
+            let verdict = match self.expect_success(co_tx) {
+                Ok(()) => format!("co-author verified for attrs [{}]", co.attrs.join(", ")),
+                Err(e) => format!("co-author DENIED: {e}"),
+            };
+            let name = self.peer_name_or_id(co.peer);
+            m.trace.push("3", self.clock_ms, &name, verdict);
+        }
+        let after = GroupEntryFailure::after_commit;
+        m.committed_ms = self.receipt_time(&m.tx).unwrap_or(self.clock_ms);
+        let height =
+            (self.receipts.get(&m.tx).map(|(h, _)| *h)).unwrap_or_else(|| self.chain.height());
+        let version = self
+            .share_meta(&m.prepared.table_id)
+            .map_err(after)?
+            .version;
+        m.version = version;
+        m.trace.push(
+            "3",
+            m.committed_ms,
+            "contract",
+            format!("permission verified; update committed at height {height} (version {version})"),
+        );
+        let prepared = &mut m.prepared;
+        (self.node_mut(&prepared.updater))
+            .and_then(|p| p.commit_delta(&prepared.table_id, &prepared.delta, version))
+            .map_err(after)?;
+        m.fan =
+            (self.fanout_apply(prepared, version, m.committed_ms, &mut m.trace)).map_err(after)?;
+        Ok(())
+    }
 
+    /// Phase `ack`: every member's acks submitted, then one wait for all
+    /// of them. Each member emits ONE `ack_update_aggregate` under its own
+    /// derived conflict key, so the whole group's ack side fits a single
+    /// block — the wave pays ~2 rounds (request + aggregated ack)
+    /// regardless of the receiver count. Every member is on chain by now,
+    /// so a failure here is post-commit; `false` ends the wave.
+    fn phase_ack(&mut self, wave: &mut Wave<'_>) -> bool {
+        for mut m in std::mem::take(&mut wave.members) {
+            let p = &m.prepared;
+            let acks =
+                self.submit_ack_round(&p.table_id, m.version, p.new_hash, p.updater, &m.fan.others);
+            match acks {
+                Ok(acks) => {
+                    m.ack_txs = acks;
+                    wave.members.push(m);
+                }
+                Err(e) => wave.fail(m.idx, GroupEntryFailure::after_commit(e)),
+            }
+        }
+        let acks: Vec<TxId> = wave
+            .members
+            .iter()
+            .flat_map(|m| m.ack_txs.iter().copied())
+            .collect();
+        let sealed = self.produce_blocks_until_all(&acks);
+        wave.timer.stage("phase.ack");
+        let Err(e) = sealed else {
+            return true;
+        };
+        for m in std::mem::take(&mut wave.members) {
+            wave.fail(m.idx, GroupEntryFailure::after_commit(e.clone()));
+        }
+        false
+    }
+
+    /// Phase `cascade`: per member, its acks verified, its trace closed
+    /// and its Step-6 dependency check run; the cascades found are
+    /// deferred to the caller's next wave.
+    fn phase_cascade(&mut self, wave: &mut Wave<'_>) {
+        for m in std::mem::take(&mut wave.members) {
+            let idx = m.idx;
+            let result = self.finish_member(wave, m);
+            wave.slots[idx] = Some(result);
+        }
+        wave.timer.stage("phase.cascade");
+    }
+
+    /// The `cascade` phase of one member: its report.
+    fn finish_member(&mut self, wave: &mut Wave<'_>, mut m: WaveMember) -> GroupEntryResult {
+        let after = GroupEntryFailure::after_commit;
+        let mut synced_ms = m.committed_ms;
+        for t in &m.ack_txs {
+            self.expect_success(t).map_err(after)?;
+            synced_ms = synced_ms.max(self.receipt_time(t).unwrap_or(self.clock_ms));
+        }
+        let receivers = m.fan.others.len();
+        if receivers > 0 {
+            let unlocked = format!(
+                "all {receivers} peer(s) acked version {}; table unlocked",
+                m.version
+            );
+            m.trace.push("m", synced_ms, "contract", unlocked);
+        }
+        let mut participants = m.fan.others.clone();
+        participants.push(m.prepared.updater);
+        let changed = self.step6_sweep(&m.prepared.table_id, &participants, &mut m.trace);
+        for d in changed.map_err(after)? {
+            if !(wave.deferred.iter()).any(|q| q.peer == d.peer && q.table_id == d.table_id) {
+                wave.deferred.push(d);
+            }
+        }
+        let mut tx_ids = vec![m.tx];
+        tx_ids.extend(&wave.co_txs[m.idx]);
+        tx_ids.extend(&m.ack_txs);
+        Ok(UpdateReport {
+            table_id: m.prepared.table_id,
+            version: m.version,
+            submitted_ms: m.submitted_ms,
+            committed_ms: m.committed_ms,
+            visible_ms: m.fan.visible_ms,
+            synced_ms,
+            changed_attrs: m.prepared.attrs,
+            rows_moved: m.fan.rows_moved,
+            bytes_moved: m.fan.bytes_moved,
+            tx_ids,
+            cascades: Vec::new(),
+            failed_cascades: Vec::new(),
+            trace: m.trace,
+        })
+    }
+
+    /// Phase `flush`: the wave's one durable record (a no-op in memory
+    /// beyond dropping the peers' mutation logs).
+    fn phase_flush(&mut self, wave: &mut Wave<'_>) -> Result<()> {
         self.flush_storage()?;
-        timer.stage("phase.flush");
-        self.close_wave(timer, stats_before, slots, co_txs_out, deferred)
+        wave.timer.stage("phase.flush");
+        Ok(())
     }
 
     /// The one way out of [`System::commit_group`]: closes the wave's
     /// telemetry and assembles the outcome, every member resolved.
-    fn close_wave(
-        &self,
-        timer: StageTimer,
-        before: SystemStats,
-        slots: Vec<Option<GroupEntryResult>>,
-        co_txs: Vec<Vec<TxId>>,
-        deferred: Vec<DeferredCascade>,
-    ) -> Result<GroupCommitOutcome> {
-        self.record_wave_telemetry(timer, before);
-        let results = slots
-            .into_iter()
+    fn close_wave(&self, wave: Wave<'_>) -> Result<GroupCommitOutcome> {
+        self.record_wave_telemetry(wave.timer, wave.before);
+        let results = (wave.slots.into_iter())
             .map(|s| {
                 s.ok_or_else(|| {
                     CoreError::ConsistencyViolation("a wave member was left unresolved".into())
@@ -2199,8 +2052,8 @@ impl System {
             .collect::<Result<_>>()?;
         Ok(GroupCommitOutcome {
             results,
-            co_txs,
-            deferred,
+            co_txs: wave.co_txs,
+            deferred: wave.deferred,
         })
     }
 
@@ -2355,8 +2208,8 @@ mod ack_share_tests {
         assert_eq!(dissenters, vec![b.public()]);
     }
 
-    /// The dissent path end to end: Steps 1–5 as `propagate_inner` runs
-    /// them, then an ack round in which one receiver's share arrives
+    /// The dissent path end to end: Steps 1–5 by hand, as a one-member
+    /// wave runs them, then an ack round in which one receiver's share arrives
     /// damaged at the updater. The contract must take the mix — one
     /// aggregate for the share that verifies, the dissenter's own
     /// `ack_update` — attribute each receiver once, and unlock the table.

@@ -60,10 +60,10 @@
 //! rounds.
 //!
 //! The blocking shapes remain: [`Submission::commit`] is a thin
-//! submit+wait wrapper, and the facade's `UpdateBatch::commit` is
-//! untouched — one update at a time through
-//! `System::propagate_update`, the serial Fig. 5 reference the
-//! equivalence tests compare the waves against.
+//! submit+wait wrapper, and the facade's `UpdateBatch::commit` runs the
+//! same wave engine one update at a time — `System::propagate_update`, a
+//! one-member wave per update and per cascade. What the waves are checked
+//! against is the test-side Fig. 5 model (`tests/common/fig5_model.rs`).
 //!
 //! ```
 //! use medledger_bx::LensSpec;

@@ -10,8 +10,8 @@
 //! [`CommitOutcome`]s retrievable with [`LedgerService::take`] (or
 //! blocking via [`CommitTicket::wait`] / [`LedgerService::drain`]).
 //!
-//! Two things the facade's one-update-at-a-time `UpdateBatch::commit`
-//! cannot do:
+//! Two things the facade's `UpdateBatch::commit` — one update, then its
+//! cascades, each a one-member wave — cannot do:
 //!
 //! * **Same-table write combining** — several submissions against one
 //!   shared table are *composed* into a single group member instead of
@@ -25,7 +25,7 @@
 //!   **alone**, and still rides the block as a reverting co-request so
 //!   the denial is on-chain auditable.
 //! * **Cascade re-entry** — a committed member's Fig. 5 Step-6 cascades
-//!   are not run serially; they are detected and re-entered into the
+//!   are not run one by one; they are detected and re-entered into the
 //!   *next* wave, where cascades touching distinct tables again share
 //!   one block and one consensus round.
 //!
@@ -40,17 +40,12 @@
 use medledger_bx::changed_attrs_from_delta;
 use medledger_core::{
     facade, CoSubmitter, CommitError, CommitOutcome, CoreError, GroupEntry, MedLedger, PeerId,
-    PeerNode, System, UpdateReport,
+    PeerNode, System, UpdateReport, MAX_CASCADE_DEPTH,
 };
 use medledger_ledger::TxStatus;
 use medledger_relational::{delta_from_write_op, Row, TableDelta, Value, WriteOp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-
-/// Maximum cascade re-entry generations before a cascade is recorded as
-/// failed — the wave-pipelined analogue of the serial path's depth-16 guard
-/// against cyclic sharing topologies.
-const MAX_CASCADE_DEPTH: u32 = 16;
 
 /// Handle to one submission; resolves to a [`CommitOutcome`] /
 /// [`CommitError`] once the wave holding it commits.
@@ -99,7 +94,9 @@ struct QueuedCascade {
     peer: PeerId,
     table_id: String,
     origin: String,
-    depth: u32,
+    /// Cascade generations since the submission (its guard is
+    /// [`MAX_CASCADE_DEPTH`], the same as the facade's).
+    depth: usize,
 }
 
 /// The record of one cascade the scheduler ran (or failed to run) as part
@@ -116,7 +113,7 @@ pub struct CascadeRecord {
     pub wave: u64,
     /// The propagation report, or the reason the cascade stayed blocked
     /// (permission denied / untranslatable — the peer keeps its pending
-    /// delta for a later retry, exactly like the serial path).
+    /// delta for a later retry, exactly like the facade's cascades).
     pub result: Result<UpdateReport, String>,
 }
 
@@ -445,7 +442,7 @@ impl LedgerService {
         };
 
         // ---- demultiplex per member / per submitter ------------------
-        let mut member_depth: BTreeMap<String, u32> = BTreeMap::new();
+        let mut member_depth: BTreeMap<String, usize> = BTreeMap::new();
         for (i, (m, result)) in members.into_iter().zip(outcome.results).enumerate() {
             match m {
                 WaveMember::Cascade(c) => {

@@ -19,8 +19,8 @@
 //! Determinism: exactly one task (the pump) ever touches the
 //! `LedgerService`, and waves compose submissions in arrival order, so
 //! a fixed arrival order produces byte-identical state, receipts, and
-//! audit history to the serial path — regardless of executor thread
-//! count.
+//! audit history to the same submissions ticked through a serial
+//! `LedgerService` — regardless of executor thread count.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -699,6 +699,79 @@ fn dead_disk_poisons_the_live_system_but_recovers() {
     assert_live(&mut recovered);
 }
 
+/// A facade commit is one wave per update, each ending in its own flush
+/// record: a crash between the Doctor's medication rename and the cascade
+/// it sets off into the research share keeps the rename. The recovered
+/// Doctor holds the cascade as a pending change, and propagating it ends
+/// exactly where an uncrashed run does.
+#[test]
+fn crash_between_a_parent_wave_and_its_cascade_keeps_the_parent() {
+    let cfg = config("crash-cascade");
+    // The rename changes the research share's view key, so its cascade
+    // declares every attribute: the Doctor needs the mechanism too.
+    let grant = |scn: &mut Fig1Scenario| {
+        let (doctor, researcher) = (scn.doctor, scn.researcher);
+        (scn.ledger.session(researcher))
+            .grant(SHARE_RD, "mechanism_of_action", &[doctor, researcher])
+            .expect("grant");
+    };
+    let rename = |scn: &mut Fig1Scenario| {
+        let outcome = (scn.ledger.session(scn.doctor).begin(SHARE_PD))
+            .set(
+                vec![Value::Int(188)],
+                "medication_name",
+                Value::text("IbuprofenXR"),
+            )
+            .commit()
+            .expect("rename");
+        assert_eq!(outcome.cascades().len(), 1, "the rename cascades");
+    };
+
+    let mut uncrashed = durable_fig1(&cfg, Box::new(SharedBackend::new())).expect("build");
+    grant(&mut uncrashed);
+    rename(&mut uncrashed);
+
+    let recorder = RecordingBackend::new(SharedBackend::new());
+    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone())).expect("build");
+    grant(&mut scn);
+    let writes_before = recorder.captures().len();
+    rename(&mut scn);
+    let writes = recorder.captures().split_off(writes_before);
+    let parent_record = (writes.iter().position(|(call, _)| *call == Call::Append))
+        .expect("the parent wave appends its record");
+    let (_, after_parent) = (writes.into_iter().nth(parent_record + 1))
+        .expect("the cascade wave writes after the parent's record");
+
+    let mut recovered = recover(&cfg, after_parent).expect("recover");
+    recovered.check_consistency().expect("consistent");
+    let (pd, rd) = (
+        recovered.share_meta(SHARE_PD).expect("meta"),
+        recovered.share_meta(SHARE_RD).expect("meta"),
+    );
+    assert_eq!((pd.version, rd.version), (1, 0));
+    let sys = recovered.system();
+    for (meta, table) in [(&pd, SHARE_PD), (&rd, SHARE_RD)] {
+        for account in &meta.peers {
+            let peer = (sys.peer_ids().into_iter())
+                .find(|id| id.account() == *account)
+                .and_then(|id| sys.peer(id).ok())
+                .expect("sharing peer");
+            assert_eq!(peer.applied_versions[table], meta.version, "{}", peer.name);
+        }
+    }
+    let doctor = recovered.peer_id("Doctor").expect("doctor");
+    let pending = sys
+        .peer(doctor)
+        .and_then(|p| p.has_pending_change(SHARE_RD));
+    assert!(pending.expect("check"), "the cascade waits on the Doctor");
+
+    (recovered.system_mut())
+        .propagate_update(doctor, SHARE_RD)
+        .expect("the cascade commits after recovery");
+    recovered.check_consistency().expect("consistent");
+    assert_eq!(capture(&recovered), capture(&uncrashed.ledger));
+}
+
 /// The sharded configuration exercises the fold-verification path: the
 /// recovered per-shard subroots must re-fold to the contract hashes.
 #[test]
