@@ -179,7 +179,7 @@ fn a_signature_encodes_to_2404_bytes() {
 /// `chain_bytes_per_commit`: a one-member wave seals two blocks of one
 /// transaction each, the request and the aggregated ack.
 #[test]
-fn a_one_member_wave_appends_5793_chain_bytes() {
+fn a_one_member_wave_appends_5795_chain_bytes() {
     let (mut bench, backend) = two_peer_system_durable("chain-bytes", pbft(), 256);
     one_dosage_update(&mut bench, FIRST_PID, 1);
     let log = SharedBackend::from_state(backend.snapshot_state())
@@ -189,7 +189,9 @@ fn a_one_member_wave_appends_5793_chain_bytes() {
     let txs: Vec<usize> = newest.blocks.iter().map(|b| b.txs.len()).collect();
     assert_eq!(txs, [1, 1]);
     let chain_bytes: usize = newest.blocks.iter().map(|b| b.encoded().len()).sum();
-    assert_eq!(chain_bytes, 5_793);
+    // Each block's header carries its wave stamp: `Some(wave)` encodes
+    // one byte longer than `None` (a facade commit is a scheduler wave).
+    assert_eq!(chain_bytes, 5_793 + 2);
 }
 
 /// `wal_bytes_per_commit`, `binary_vs_json_record_bytes_ratio`: eight
@@ -197,7 +199,7 @@ fn a_one_member_wave_appends_5793_chain_bytes() {
 /// all in the one `log` stream — then the doctor's WAL records sized in
 /// the storage codec and as JSON.
 #[test]
-fn eight_durable_commits_append_50517_log_bytes() {
+fn eight_durable_commits_append_50533_log_bytes() {
     let (mut bench, backend) = two_peer_system_durable("persist-report", pbft(), 256);
     let log = |backend: &SharedBackend| -> Vec<Vec<u8>> {
         SharedBackend::from_state(backend.snapshot_state())
@@ -210,7 +212,9 @@ fn eight_durable_commits_append_50517_log_bytes() {
     }
     let flushed = log(&backend).split_off(before);
     assert_eq!(flushed.len(), 8, "one record per commit");
-    assert_eq!(flushed.iter().map(Vec::len).sum::<usize>(), 50_517);
+    // Sixteen blocks, each one wave-stamp byte longer than an unstamped
+    // one (waves 1–8 fit one varint byte).
+    assert_eq!(flushed.iter().map(Vec::len).sum::<usize>(), 50_517 + 16);
 
     let records: Vec<LogRecord> = log(&backend)
         .iter()

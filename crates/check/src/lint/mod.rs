@@ -51,10 +51,7 @@ fn unwrap_scope(rel: &str) -> bool {
         || rel.starts_with("crates/engine/src/")
         || rel.starts_with("crates/contracts/src/")
         || rel.starts_with("crates/network/src/")
-        || rel == "crates/core/src/persist.rs"
-        || rel == "crates/core/src/peer.rs"
-        || rel == "crates/core/src/system.rs"
-        || rel == "crates/core/src/facade.rs"
+        || rel.starts_with("crates/core/src/")
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

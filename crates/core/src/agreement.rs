@@ -7,6 +7,7 @@
 //! same logical table bound differently — Patient derives it from D1 via
 //! BX13, Doctor from D3 via BX31.
 
+use crate::error::CoreError;
 use medledger_bx::LensSpec;
 use medledger_ledger::AccountId;
 use serde::{Deserialize, Serialize};
@@ -89,18 +90,21 @@ impl SharingAgreementBuilder {
         self
     }
 
-    /// Finalizes the agreement.
-    ///
-    /// # Panics
-    /// Panics if no authority was set (a construction bug, not a runtime
-    /// condition).
-    pub fn build(self) -> SharingAgreement {
-        SharingAgreement {
+    /// Finalizes the agreement; one without an authority is a
+    /// [`CoreError::BadAgreement`].
+    pub fn build(self) -> crate::Result<SharingAgreement> {
+        let authority = self.authority.ok_or_else(|| {
+            CoreError::BadAgreement(format!(
+                "share `{}`: the agreement needs an authority",
+                self.table_id
+            ))
+        })?;
+        Ok(SharingAgreement {
             table_id: self.table_id,
             bindings: self.bindings,
             write_permission: self.write_permission,
-            authority: self.authority.expect("agreement needs an authority"),
-        }
+            authority,
+        })
     }
 }
 
@@ -126,7 +130,8 @@ mod tests {
             )
             .allow_write("dosage", &[doctor])
             .authority(doctor)
-            .build();
+            .build()
+            .expect("agreement");
         assert_eq!(a.table_id, "D13&D31");
         assert_eq!(a.peers().len(), 2);
         assert_eq!(a.write_permission["dosage"], vec![doctor]);
@@ -135,16 +140,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "authority")]
-    fn build_without_authority_panics() {
+    fn build_without_authority_is_a_typed_error() {
         let doctor = KeyPair::generate("agr-d2", 2).public();
-        let _ = SharingAgreement::builder("T")
+        let built = SharingAgreement::builder("T")
             .bind(
                 doctor,
                 "D",
                 LensSpec::select(medledger_relational::Predicate::True),
             )
             .build();
+        assert!(
+            matches!(&built, Err(CoreError::BadAgreement(msg)) if msg.contains("authority")),
+            "{built:?}"
+        );
     }
 
     #[test]
@@ -164,7 +172,8 @@ mod tests {
             )
             .allow_write("x", &[doctor])
             .authority(doctor)
-            .build();
+            .build()
+            .expect("agreement");
         let json = serde_json::to_string(&a).expect("serialize");
         let back: SharingAgreement = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(a, back);

@@ -19,18 +19,20 @@
 //!    On failure the staged writes are rolled back — the batch is
 //!    transactional from the updater's point of view — and the error is a
 //!    typed [`CommitError`] (permission denials carry the reverted
-//!    on-chain receipt).
+//!    on-chain receipt). [`UpdateBatch::submit`] queues the same batch
+//!    for the scheduler's next wave instead (see [`crate::sched`]).
 
 use crate::agreement::SharingAgreement;
 use crate::error::CoreError;
 use crate::persist::Recovery;
+use crate::sched::{CommitTicket, StagedOp};
 use crate::system::{System, SystemConfig, SystemStats, UpdateReport, WorkflowTrace};
 use crate::Result;
 use medledger_bx::LensSpec;
 use medledger_contracts::SharedTableMeta;
 use medledger_ledger::{AuditEntry, Chain, Receipt, RevertKind};
 use medledger_network::LatencyModel;
-use medledger_relational::{Row, Table, TableDelta, Value, WriteOp};
+use medledger_relational::{Row, Table, Value, WriteOp};
 use medledger_storage::{DurableStore, StorageBackend};
 use std::fmt;
 use std::path::PathBuf;
@@ -194,8 +196,8 @@ impl MedLedger {
     /// the facade's transactional staging and rollback guarantees. The
     /// sanctioned path for concurrent / batched commits is
     /// `medledger-engine`'s `LedgerService` (ticketed `submit()` +
-    /// `drain()`), which drives `System::commit_group` through this
-    /// seam so callers never have to.
+    /// `drain()`), which drives the scheduler's `System::run_wave`
+    /// through this seam so callers never have to.
     #[doc(hidden)]
     pub fn system_mut(&mut self) -> &mut System {
         &mut self.system
@@ -426,12 +428,7 @@ impl<'a> PeerSession<'a> {
 
     /// Stages a transactional batch of writes against a shared table.
     pub fn begin(&mut self, table_id: impl Into<String>) -> UpdateBatch<'_> {
-        UpdateBatch {
-            system: self.system,
-            peer: self.peer,
-            table_id: table_id.into(),
-            ops: Vec::new(),
-        }
+        UpdateBatch::new(self.system, self.peer, table_id)
     }
 }
 
@@ -547,7 +544,7 @@ impl ShareBuilder<'_, '_> {
             let accounts: Vec<_> = writers.iter().map(PeerId::account).collect();
             builder = builder.allow_write(attr, &accounts);
         }
-        self.session.system.create_share(&builder.build())
+        self.session.system.create_share(&builder.build()?)
     }
 }
 
@@ -555,24 +552,16 @@ impl ShareBuilder<'_, '_> {
 // UpdateBatch + CommitOutcome + CommitError
 // ----------------------------------------------------------------------
 
-/// One staged local write.
-enum StagedOp {
-    /// A write against the shared table's materialized copy (reflected
-    /// into the source via BX-put when staged).
-    Shared(WriteOp),
-    /// A write against one of the peer's *source* tables (the Fig. 5
-    /// step-0 shape: edit the source, then propagate the derived view).
-    Source { table: String, op: WriteOp },
-}
-
 /// A staged, transactional batch of writes against one shared table.
 ///
-/// Writes are buffered until [`UpdateBatch::commit`]; commit applies them
-/// locally, then drives the full Fig. 5 pipeline. If anything fails
-/// *before the update commits on chain* — an invalid staged write, an
-/// untranslatable view, a permission denial, the consistency barrier —
-/// the tables the batch touched are rolled back to their pre-batch state
-/// and a typed [`CommitError`] is returned. Two deliberate exceptions:
+/// Writes are buffered until [`UpdateBatch::commit`] (or
+/// [`UpdateBatch::submit`]) queues them for the scheduler; the wave that
+/// admits the batch applies them locally, then drives the full Fig. 5
+/// pipeline. If anything fails *before the update commits on chain* — an
+/// invalid staged write, an untranslatable view, a permission denial, the
+/// consistency barrier — the tables the batch touched are rolled back to
+/// their pre-batch state and a typed [`CommitError`] is returned. Two
+/// deliberate exceptions:
 ///
 /// * [`CommitError::NoChange`] keeps the local writes (they are valid
 ///   edits of the peer's own data that simply produced no observable
@@ -582,7 +571,7 @@ enum StagedOp {
 ///   already on chain and at the other peers — rolling the updater back
 ///   would desynchronize it. [`CommitError::committed_on_chain`] reports
 ///   which side of the commit point the failure fell on.
-#[must_use = "staged writes do nothing until .commit()"]
+#[must_use = "staged writes do nothing until .commit() or .submit()"]
 pub struct UpdateBatch<'s> {
     system: &'s mut System,
     peer: PeerId,
@@ -590,18 +579,26 @@ pub struct UpdateBatch<'s> {
     ops: Vec<StagedOp>,
 }
 
-impl UpdateBatch<'_> {
+impl<'s> UpdateBatch<'s> {
+    /// An empty batch by `peer` against shared `table_id` (what
+    /// [`PeerSession::begin`] opens, for callers that hold the `System`).
+    pub fn new(system: &'s mut System, peer: PeerId, table_id: impl Into<String>) -> Self {
+        UpdateBatch {
+            system,
+            peer,
+            table_id: table_id.into(),
+            ops: Vec::new(),
+        }
+    }
+
     /// Stages an entry-level insert into the shared table.
-    pub fn insert(mut self, row: Row) -> Self {
-        self.ops.push(StagedOp::Shared(WriteOp::Insert { row }));
-        self
+    pub fn insert(self, row: Row) -> Self {
+        self.write(WriteOp::Insert { row })
     }
 
     /// Stages an entry-level multi-attribute update.
-    pub fn update(mut self, key: Vec<Value>, assignments: Vec<(String, Value)>) -> Self {
-        self.ops
-            .push(StagedOp::Shared(WriteOp::Update { key, assignments }));
-        self
+    pub fn update(self, key: Vec<Value>, assignments: Vec<(String, Value)>) -> Self {
+        self.write(WriteOp::Update { key, assignments })
     }
 
     /// Stages a single-attribute update (sugar over
@@ -611,24 +608,36 @@ impl UpdateBatch<'_> {
     }
 
     /// Stages an entry-level delete.
-    pub fn delete(mut self, key: Vec<Value>) -> Self {
-        self.ops.push(StagedOp::Shared(WriteOp::Delete { key }));
-        self
+    pub fn delete(self, key: Vec<Value>) -> Self {
+        self.write(WriteOp::Delete { key })
     }
 
     /// Stages an update against one of the peer's *source* tables; the
     /// change reaches the shared table through the lens on commit (the
     /// Researcher-edits-D2 shape of Fig. 5).
     pub fn update_source(
-        mut self,
+        self,
         table: impl Into<String>,
         key: Vec<Value>,
         assignments: Vec<(String, Value)>,
     ) -> Self {
-        self.ops.push(StagedOp::Source {
-            table: table.into(),
-            op: WriteOp::Update { key, assignments },
-        });
+        self.write_source(table, WriteOp::Update { key, assignments })
+    }
+
+    /// Stages a raw shared-table write — the generic entry the wire
+    /// gateway replays `Submit` frames through; [`UpdateBatch::insert`] /
+    /// [`UpdateBatch::update`] / [`UpdateBatch::delete`] are sugar over
+    /// it.
+    pub fn write(mut self, op: WriteOp) -> Self {
+        self.ops.push(StagedOp::Shared(op));
+        self
+    }
+
+    /// Stages a raw write against one of the peer's *source* tables (the
+    /// generic form of [`UpdateBatch::update_source`]).
+    pub fn write_source(mut self, table: impl Into<String>, op: WriteOp) -> Self {
+        let table = table.into();
+        self.ops.push(StagedOp::Source { table, op });
         self
     }
 
@@ -637,91 +646,47 @@ impl UpdateBatch<'_> {
         self.ops.len()
     }
 
-    /// Applies the staged writes and drives the full Fig. 5 pipeline:
+    /// Queues the batch for the scheduler's next wave — **non-blocking**
+    /// — and returns the ticket its outcome resolves under. Nothing
+    /// touches any peer until the wave that admits it, and a batch
+    /// against a table another queued batch targets is not rejected: the
+    /// wave composes same-table batches into one combined member.
+    #[allow(clippy::result_large_err)]
+    pub fn submit(self) -> std::result::Result<CommitTicket, CommitError> {
+        self.enqueue().map(|(_, ticket)| ticket)
+    }
+
+    /// Commits the batch through the whole Fig. 5 pipeline:
     /// request-update transaction, consensus, permission verification,
-    /// peer fetch + BX-put, acks, and Step-6 cascades.
+    /// peer fetch + BX-put, acks, and the Step-6 cascades.
+    ///
+    /// This is [`UpdateBatch::submit`], then waves until the batch and
+    /// every cascade it set off are through — each cascade re-enters the
+    /// wave after the one that found it — and the outcome assembled with
+    /// those cascades: nested in `report.cascades` as they set each other
+    /// off, blocked ones in `report.failed_cascades` (the commit itself
+    /// stands), their receipts after the batch's own.
     ///
     /// On success every sharing peer holds the new data (and the table is
     /// unlocked); on a pre-commit failure the updater's staged writes are
     /// rolled back (see the type-level docs for the two exceptions).
+    #[allow(clippy::result_large_err)]
     pub fn commit(self) -> std::result::Result<CommitOutcome, CommitError> {
-        let UpdateBatch {
-            system,
-            peer,
-            table_id,
-            ops,
-        } = self;
-        if ops.is_empty() {
-            return Err(CommitError::EmptyBatch { table_id });
-        }
-
-        // Rollback machinery: every staged write returns the
-        // inverse deltas of the tables it touched; rollback re-applies
-        // them in reverse, in O(changed rows) — no table snapshots.
-        let mut inverses: Vec<(String, TableDelta)> = Vec::new();
-        let staged = (|| -> Result<()> {
-            let node = system.peer_mut(peer)?;
-            for op in ops {
-                match op {
-                    StagedOp::Shared(op) => inverses.extend(node.write_shared(&table_id, op)?),
-                    StagedOp::Source { table, op } => {
-                        inverses.extend(node.write_source(&table, op)?)
-                    }
-                }
-            }
-            Ok(())
-        })();
-        let rollback = |system: &mut System| {
-            // An unknown peer staged nothing.
-            if let Ok(node) = system.peer_mut(peer) {
-                node.rollback_writes(&inverses);
-            }
-        };
-        if let Err(e) = staged {
-            rollback(system);
-            return Err(CommitError::from_core(e, system));
-        }
-
-        match system.propagate(peer, &table_id, &mut Vec::new()) {
-            Ok(report) => {
-                let mut receipts = Vec::new();
-                collect_receipts(system, &report, &mut receipts);
-                Ok(CommitOutcome {
-                    trace: report.trace.clone(),
-                    receipts,
-                    report,
-                })
-            }
-            Err(failure) => {
-                // An update that reached the chain before the failure is
-                // already at the other peers — rolling the updater back
-                // would desynchronize it from the chain.
-                let committed_on_chain = failure.committed_on_chain;
-                let err = CommitError::from_core(failure.error, system);
-                // NoChange is not a failed propagation: the staged writes
-                // are valid local edits that left the shared view
-                // untouched; keep them (matching direct source writes).
-                if !committed_on_chain && !err.is_no_change() {
-                    rollback(system);
-                }
-                Err(err.with_commit_point(committed_on_chain))
-            }
-        }
+        let (system, ticket) = self.enqueue()?;
+        system.commit_ticket(ticket)
     }
-}
 
-/// Collects the receipts of every transaction a report (and its cascades)
-/// produced, in commit order — the receipts a [`CommitOutcome`] carries.
-/// Public so engines layered above the facade (the wave pipeline in
-/// `medledger-engine`) can assemble identical outcomes.
-pub fn collect_receipts(system: &System, report: &UpdateReport, out: &mut Vec<Receipt>) {
-    for tx in &report.tx_ids {
-        if let Some(r) = system.receipt(tx) {
-            out.push(r.clone());
+    /// Queues the staged writes, handing the system back so `commit` can
+    /// go on to run the waves.
+    #[allow(clippy::result_large_err)]
+    fn enqueue(self) -> std::result::Result<(&'s mut System, CommitTicket), CommitError> {
+        if self.ops.is_empty() {
+            return Err(CommitError::EmptyBatch {
+                table_id: self.table_id,
+            });
         }
-    }
-    for cascade in &report.cascades {
-        collect_receipts(system, cascade, out);
+        let ticket = self.system.enqueue(self.peer, self.table_id, self.ops);
+        Ok((self.system, ticket))
     }
 }
 
@@ -845,10 +810,8 @@ pub enum CommitError {
 
 impl CommitError {
     /// Classifies an engine error into the typed commit-error taxonomy,
-    /// resolving reverted transactions to their on-chain receipts. Public
-    /// so engines layered above the facade (the wave pipeline) can
-    /// surface identical errors.
-    pub fn from_core(e: CoreError, system: &System) -> Self {
+    /// resolving reverted transactions to their on-chain receipts.
+    pub(crate) fn from_core(e: CoreError, system: &System) -> Self {
         match e {
             CoreError::TxReverted(info) => {
                 let receipt = system.receipt(&info.tx_id).cloned();

@@ -17,11 +17,14 @@
 //!   peers, the permissioned chain with PBFT (or a public-PoW model), the
 //!   sharing contract, and the Fig. 4 / Fig. 5 workflows with numbered
 //!   traces,
+//! * [`sched`] — the one commit scheduler: queued submissions and
+//!   Step-6 cascades, admitted, staged and committed one wave at a time
+//!   through the engine's `commit_group`,
 //! * [`facade`] — the public surface: [`facade::MedLedger`] (fluent
 //!   builder, typed [`system::PeerId`] handles),
 //!   [`facade::PeerSession`] (read / share / audit / grant), and the
 //!   transactional [`facade::UpdateBatch`] whose `commit()` drives the
-//!   whole Fig. 5 pipeline and returns a typed
+//!   whole Fig. 5 pipeline through the scheduler and returns a typed
 //!   [`facade::CommitOutcome`],
 //! * [`scenario`] — the paper's exact Fig. 1 scenario, programmatically,
 //! * [`exposure`] — the attribute-exposure metrics behind the paper's
@@ -37,6 +40,7 @@ pub mod facade;
 pub mod peer;
 pub mod persist;
 pub mod scenario;
+pub mod sched;
 pub mod system;
 
 pub use agreement::{PeerBinding, SharingAgreement};
@@ -47,6 +51,7 @@ pub use facade::{
 };
 pub use peer::{Baseline, PeerNode, PropagationMode};
 pub use persist::{FlushRecord, Recovery};
+pub use sched::{CascadeRecord, CommitTicket, WaveReport};
 pub use system::{
     CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,
     GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace, MAX_CASCADE_DEPTH,

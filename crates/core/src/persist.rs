@@ -24,7 +24,10 @@
 //!    again as the records they retire, and a restart replays at most one
 //!    snapshot's worth of records;
 //! 3. the record is appended as **one** CRC frame to the `log` stream and
-//!    the backend is synced: one write, one fsync.
+//!    the backend is synced: one write, one fsync;
+//! 4. if it took a snapshot, every snapshot older than it but the one
+//!    the previous record named is deleted — retention by reference, so
+//!    an orphan (below) never counts toward what is kept.
 //!
 //! **The frame is the commit point.** It is intact or torn, never half a
 //! flush, so there is nothing to roll back: the log layer drops a torn
@@ -276,8 +279,7 @@ impl Encode for FlushRecord {
 
 impl Decode for FlushRecord {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
-        let n = r.take_len()?;
-        let mut peer_records = Vec::with_capacity(n);
+        let (n, mut peer_records) = r.take_count()?;
         for _ in 0..n {
             peer_records.push((String::decode_from(r)?, take_seq(r)?));
         }
@@ -555,6 +557,7 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
     p.checked(synced)?;
 
     // Committed: advance the watermarks and drain the in-memory logs.
+    let previous_snapshot = p.snapshot_id;
     p.epoch = epoch;
     p.snapshot_id = snapshot_id;
     p.snapshot_bytes = snapshot_bytes;
@@ -572,6 +575,13 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
         peer.db.truncate_log(*seq);
     }
     p.peer_seqs = next_seqs;
+    // Snapshots are retained by reference: the one this record names and
+    // the one the previous record named (recovery's fallback) stay,
+    // anything older goes — an orphan of a crashed flush never counts.
+    if take_snapshot {
+        let retained = (p.backend).retain_snapshots(&[previous_snapshot, snapshot_id]);
+        p.checked(retained)?;
+    }
     if telemetry.is_enabled() {
         telemetry.add("storage.flushes", 1);
         telemetry.add("storage.wal_bytes", wal_bytes);
@@ -727,8 +737,9 @@ fn restore_peers(
 /// *preparation*, never commit order, so the replay also re-verifies
 /// that wave attributions are non-decreasing — a chain whose blocks
 /// sealed out of wave order was not produced by this pipeline and must
-/// not serve.
-fn replay_chain(sys: &mut System, blocks: impl Iterator<Item = Block>) -> Result<()> {
+/// not serve. Returns the newest wave stamped (0 if none): the count the
+/// scheduler resumes from.
+fn replay_chain(sys: &mut System, blocks: impl Iterator<Item = Block>) -> Result<u64> {
     let mut last_wave: Option<u64> = None;
     for block in blocks {
         let height = block.header.height;
@@ -757,7 +768,7 @@ fn replay_chain(sys: &mut System, blocks: impl Iterator<Item = Block>) -> Result
             CoreError::Storage(format!("recovered chain rejects block {height}: {e}"))
         })?;
     }
-    Ok(())
+    Ok(last_wave.unwrap_or(0))
 }
 
 impl System {
@@ -838,7 +849,7 @@ impl System {
 
         let mut sys = System::new(config);
         let debt_bytes = restore_peers(&mut sys, snapshot, &records, &meta)?;
-        replay_chain(
+        sys.sched.wave = replay_chain(
             &mut sys,
             records.into_iter().flat_map(|record| record.blocks),
         )?;

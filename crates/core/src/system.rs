@@ -175,7 +175,7 @@ pub struct WorkflowTrace {
 }
 
 impl WorkflowTrace {
-    fn push(
+    pub(crate) fn push(
         &mut self,
         number: impl Into<String>,
         at_ms: u64,
@@ -339,10 +339,10 @@ impl GroupEntry {
 
 /// A Step-6 cascade detected but not run by [`System::commit_group`]:
 /// `peer` holds a pending change of `table_id` caused by the committed
-/// update of `origin`. The caller (the engine's `LedgerService`)
-/// re-enters cascades touching distinct tables into its **next wave** —
-/// one more shared block and one more scheduled round for all of them —
-/// instead of propagating each serially.
+/// update of `origin`. The scheduler ([`System::run_wave`]) re-enters
+/// cascades touching distinct tables into its **next wave** — one more
+/// shared block and one more scheduled round for all of them — instead
+/// of propagating each serially.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeferredCascade {
     /// The peer whose sibling share now differs.
@@ -418,9 +418,9 @@ struct PreparedUpdate {
 }
 
 /// How many cascade generations one update may set off before the sharing
-/// topology is taken to be cyclic — the one guard behind
-/// [`System::propagate_update`]'s cascades and the engine's cascade
-/// re-entry.
+/// topology is taken to be cyclic: a queued cascade whose path of origin
+/// tables is longer is recorded as blocked instead of run (see
+/// [`crate::sched`]).
 pub const MAX_CASCADE_DEPTH: usize = 16;
 
 /// Below this much total fan-out work (payload rows × receivers), the
@@ -498,9 +498,11 @@ pub struct System {
     pub(crate) prg: Prg,
     pub(crate) receipts: BTreeMap<TxId, (u64, Receipt)>,
     pub(crate) stats: SystemStats,
-    /// The commit-pipeline wave currently producing blocks, if any
-    /// (stamped into every block header; see `BlockHeader::wave`).
-    wave: Option<u64>,
+    /// The wave currently producing blocks, if any (stamped into every
+    /// block header; see `BlockHeader::wave`).
+    pub(crate) wave: Option<u64>,
+    /// The commit scheduler: queues, outcomes, cascade log, counters.
+    pub(crate) sched: crate::sched::Scheduler,
     /// The attached durable-storage session, if any (see
     /// [`crate::persist`]). `None` — the default — keeps the system fully
     /// in-memory, exactly as before.
@@ -548,6 +550,7 @@ impl System {
             receipts: BTreeMap::new(),
             stats: SystemStats::default(),
             wave: None,
+            sched: Default::default(),
             persist: None,
             telemetry: Recorder::disabled(),
             config,
@@ -569,18 +572,6 @@ impl System {
     /// [`System::set_recorder`] was called).
     pub fn recorder(&self) -> &Recorder {
         &self.telemetry
-    }
-
-    /// Marks the start of a commit-pipeline wave: every block produced
-    /// until [`System::end_wave`] carries `wave` in its header, so the
-    /// chain records which consensus rounds each wave paid for.
-    pub fn begin_wave(&mut self, wave: u64) {
-        self.wave = Some(wave);
-    }
-
-    /// Ends the current wave (blocks go back to unattributed).
-    pub fn end_wave(&mut self) {
-        self.wave = None;
     }
 
     /// A default system with the sharing contract deployed.
@@ -699,7 +690,7 @@ impl System {
     }
 
     /// A peer's display name, falling back to the short id.
-    fn peer_name_or_id(&self, peer: PeerId) -> String {
+    pub(crate) fn peer_name_or_id(&self, peer: PeerId) -> String {
         self.peers
             .get(&peer.account())
             .map(|p| p.name.clone())
@@ -780,9 +771,8 @@ impl System {
     /// executes transactions, appends.
     ///
     /// Crate-internal: updates reach the chain in waves
-    /// ([`System::commit_group`], which the engine drives and
-    /// [`System::propagate_update`] runs one member at a time), never
-    /// block by block.
+    /// ([`System::commit_group`], which the scheduler's
+    /// [`System::run_wave`] drives), never block by block.
     pub(crate) fn produce_block(&mut self) -> Result<()> {
         let interval = match &self.config.consensus {
             ConsensusKind::PrivatePbft { block_interval_ms } => *block_interval_ms,
@@ -1107,72 +1097,6 @@ impl System {
     }
 
     // ----- the Fig. 5 workflow ----------------------------------------
-
-    /// Propagates a pending local change of `table_id` from `updater` to
-    /// all sharing peers: the Fig. 5 workflow (Steps 1–6) as a one-member
-    /// [`System::commit_group`] wave, then every cascade its Step-6 check
-    /// finds, depth first, each as one more one-member wave (Steps 7–11).
-    /// A cascade that is denied, untranslatable or no change is recorded
-    /// in `failed_cascades`; the update itself stands.
-    pub fn propagate_update(&mut self, updater: PeerId, table_id: &str) -> Result<UpdateReport> {
-        (self.propagate(updater, table_id, &mut Vec::new())).map_err(|failure| failure.error)
-    }
-
-    /// [`System::propagate_update`], keeping the commit point of a
-    /// failure. `path` holds the tables of the waves this one cascades
-    /// from, outermost first.
-    pub(crate) fn propagate(
-        &mut self,
-        updater: PeerId,
-        table_id: &str,
-        path: &mut Vec<String>,
-    ) -> std::result::Result<UpdateReport, GroupEntryFailure> {
-        if path.len() > MAX_CASCADE_DEPTH {
-            return Err(GroupEntryFailure::before_commit(
-                CoreError::ConsistencyViolation(format!(
-                    "cascade depth exceeded {MAX_CASCADE_DEPTH} — cyclic sharing topology?"
-                )),
-            ));
-        }
-        // A one-member wave fails whole only when its flush fails, after
-        // its blocks: the update may be on chain, so the caller keeps it.
-        let outcome = (self.commit_group(&[GroupEntry::new(updater, table_id)]))
-            .map_err(GroupEntryFailure::after_commit)?;
-        let unresolved =
-            || CoreError::ConsistencyViolation("a wave member was left unresolved".into());
-        let mut report = (outcome.results.into_iter().next())
-            .unwrap_or_else(|| Err(GroupEntryFailure::after_commit(unresolved())))?;
-        path.push(table_id.to_string());
-        for d in outcome.deferred {
-            // The Fig. 5 model's late check: no cascade back into a table
-            // on the path, nor into one an earlier cascade has settled.
-            let pending = self
-                .peer(d.peer)
-                .and_then(|p| p.has_pending_change(&d.table_id));
-            if path.contains(&d.table_id) || !pending.map_err(GroupEntryFailure::after_commit)? {
-                continue;
-            }
-            match self.propagate(d.peer, &d.table_id, path) {
-                Ok(cascade) => report.cascades.push(cascade),
-                // A denied or untranslatable cascade must not undo the
-                // committed update; the blocked peer keeps its pending
-                // delta to retry.
-                Err(GroupEntryFailure {
-                    error:
-                        e @ (CoreError::TxReverted(_) | CoreError::Bx(_) | CoreError::NoChange(_)),
-                    ..
-                }) => {
-                    let peer_name = self.peer_name_or_id(d.peer);
-                    let blocked = format!("cascade into `{}` blocked: {e}", d.table_id);
-                    report.trace.push("6", self.clock_ms, &peer_name, blocked);
-                    report.failed_cascades.push((d.table_id, e.to_string()));
-                }
-                Err(failure) => return Err(GroupEntryFailure::after_commit(failure.error)),
-            }
-        }
-        path.pop();
-        Ok(report)
-    }
 
     /// Fig. 5 Step 1 plus the pre-flight translatability check: the
     /// pending delta relative to the committed baseline (tracked at write
@@ -1612,7 +1536,7 @@ impl System {
     ///   footprints, so committing one would cascade into (or absorb
     ///   uncommitted state of) the other. Interacting tables must
     ///   serialize across groups, exactly like same-table claims.
-    pub fn screen_group(&self, entries: &[GroupEntry]) -> Vec<Option<CoreError>> {
+    pub(crate) fn screen_group(&self, entries: &[GroupEntry]) -> Vec<Option<CoreError>> {
         let queued = self.mempool.pending_conflict_keys();
         let mut out: Vec<Option<CoreError>> = Vec::with_capacity(entries.len());
         let mut admitted: Vec<&str> = Vec::new();
@@ -1669,12 +1593,14 @@ impl System {
     /// engine-level failures where the members' own outcomes are lost:
     /// today, a failed durable flush.
     ///
-    /// This is the one commit path: `medledger-engine`'s `LedgerService`
-    /// (and so the gateway pump) drives it with whole waves, and
-    /// [`System::propagate_update`] — the facade's commit — with
-    /// one-member ones. A wave runs as named phases, each a telemetry
-    /// stage (`wave.phase.<name>_us`): screen, prepare, consensus, fanout,
-    /// ack, cascade, flush. Beyond the serial Fig. 5 steps:
+    /// This is the one commit engine, and [`System::run_wave`] — the one
+    /// scheduler, behind both the facade's `UpdateBatch::commit` and
+    /// `medledger-engine`'s `LedgerService` — its one caller: it stages
+    /// the members, stamps the blocks with the wave number, and
+    /// demultiplexes the outcome. A wave runs as named phases, each a
+    /// telemetry stage (`wave.phase.<name>_us`): screen, prepare,
+    /// consensus, fanout, ack, cascade, flush. Beyond the serial Fig. 5
+    /// steps:
     ///
     /// * a write-combined member (non-empty `co_submitters`) submits the
     ///   lead's `request_update` — declaring only the lead's own

@@ -1,15 +1,15 @@
 //! # medledger-engine
 //!
-//! The **commit pipeline**: the ticketed [`LedgerService`], the one front
-//! door for batched and concurrent commits, layered between the typed
-//! facade (`MedLedger`) and the core `System`'s wave engine
-//! (`System::commit_group`).
+//! The **commit pipeline**: the ticketed [`LedgerService`], the front
+//! door for batched and concurrent commits over the core `System`'s one
+//! scheduler (`medledger_core::sched`: `System::run_wave`, which drives
+//! the wave engine `System::commit_group`).
 //!
 //! The paper's Fig. 5 workflow is request/response — a writer submits an
 //! update and later learns whether consensus admitted it — so the
 //! service front door is asynchronous: stage writes, [`Submission::submit`]
 //! for a [`CommitTicket`] (non-blocking), and let
-//! [`LedgerService::tick`] / [`LedgerService::drain`] form **waves**:
+//! [`LedgerService::tick`] / [`LedgerService::drain`] run **waves**:
 //!
 //! ```text
 //!   submit(T1 by A)┐                                ┌ ticket A ─ outcome
@@ -43,7 +43,10 @@
 //! * **Cascade re-entry** — Step-6 cascades are detected, not run
 //!   inline: they become first-class members of the next wave, where
 //!   cascades touching distinct tables again share one block and one
-//!   scheduled round.
+//!   scheduled round. A cascade carries the path of tables it descends
+//!   from; it is dropped if its table is on that path or its peer's
+//!   change has already gone out (the Fig. 5 model's rule), and recorded
+//!   as blocked past `MAX_CASCADE_DEPTH`.
 //! * **Parallel fan-out** — the per-receiver fetch/`put_delta`/verify
 //!   pipeline runs on a scoped `std::thread` worker pool inside the core
 //!   `System` (receivers map to disjoint peers, so no locks), with PRG
@@ -59,11 +62,14 @@
 //! contending writers pay `~(1 + receivers) / n` instead of `n` full
 //! rounds.
 //!
-//! The blocking shapes remain: [`Submission::commit`] is a thin
-//! submit+wait wrapper, and the facade's `UpdateBatch::commit` runs the
-//! same wave engine one update at a time — `System::propagate_update`, a
-//! one-member wave per update and per cascade. What the waves are checked
-//! against is the test-side Fig. 5 model (`tests/common/fig5_model.rs`).
+//! Everything above lives in `medledger-core`; this crate is tickets and
+//! the gateway-facing demultiplexing over it. A [`Submission`] *is* the
+//! facade's `UpdateBatch`, and the blocking `commit()` on it — the
+//! facade's commit — is the same queue: submit, then waves until the
+//! batch and every cascade it set off are through. Both front doors
+//! advance one wave count ([`LedgerService::waves`]). What the waves are
+//! checked against is the test-side Fig. 5 model
+//! (`tests/common/fig5_model.rs`).
 //!
 //! ```
 //! use medledger_bx::LensSpec;
@@ -139,8 +145,11 @@
 
 mod service;
 
-pub use medledger_core::{CommitError, CommitOutcome, GroupEntry, GroupEntryFailure};
-pub use service::{CascadeRecord, CommitTicket, LedgerService, Submission, WaveReport};
+pub use medledger_core::{
+    CascadeRecord, CommitError, CommitOutcome, CommitTicket, GroupEntry, GroupEntryFailure,
+    WaveReport,
+};
+pub use service::{LedgerService, Submission};
 
 /// The single crate-internal funnel onto the facade's hidden `System`
 /// escape hatch (read side). Everything in this crate that needs the raw

@@ -21,11 +21,10 @@ pub struct BlockHeader {
     /// The validator that proposed the block.
     pub proposer: AccountId,
     /// The commit-pipeline wave this block was produced for, if any: all
-    /// blocks of one `LedgerService` wave (the combined request round,
-    /// its batched ack rounds) carry the same wave number, attributing
-    /// consensus cost to the wave that paid it. `None` for blocks
-    /// produced outside a wave (bootstrap, share registration, the
-    /// blocking one-off paths).
+    /// blocks of one wave (the combined request round, its batched ack
+    /// rounds) carry the same wave number, attributing consensus cost to
+    /// the wave that paid it. `None` for blocks produced outside a wave
+    /// (bootstrap, share registration, permission grants).
     pub wave: Option<u64>,
 }
 

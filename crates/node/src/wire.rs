@@ -853,8 +853,7 @@ impl Message {
             0 => {
                 let peer = String::decode_from(r)?;
                 let table = String::decode_from(r)?;
-                let len = r.take_len()?;
-                let mut writes = Vec::with_capacity(len);
+                let (len, mut writes) = r.take_count()?;
                 for _ in 0..len {
                     writes.push(match r.take_u8()? {
                         0 => WireWrite::Shared(WriteOp::decode_from(r)?),

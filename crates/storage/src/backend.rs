@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 /// Streams are created implicitly on first touch. Record indices are
 /// dense and start at 0; a stream is never cut, from either end.
 /// Snapshot ids are chosen by the caller (the core uses the flush
-/// epoch); the newest two by id are retained.
+/// epoch); a snapshot stays until [`StorageBackend::retain_snapshots`]
+/// drops it.
 pub trait StorageBackend: Send {
     /// Appends a record to `stream`, returning its index.
     fn append(&mut self, stream: &str, payload: &[u8]) -> Result<u64>;
@@ -24,7 +25,14 @@ pub trait StorageBackend: Send {
     fn read_from(&mut self, stream: &str, from: u64) -> Result<Vec<Vec<u8>>>;
 
     /// Stores snapshot `id` atomically (visible fully or not at all).
+    /// Nothing is pruned here: an unreferenced snapshot must never
+    /// displace one a record names.
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()>;
+
+    /// Deletes every snapshot older than the newest id in `keep` that
+    /// `keep` does not name. The core calls it once the record naming
+    /// the newest is synced, keeping that one and the one before it.
+    fn retain_snapshots(&mut self, keep: &[u64]) -> Result<()>;
 
     /// Returns snapshot `id` if it is still retained (`None` if not; an
     /// error if it is there but damaged).
@@ -94,11 +102,12 @@ impl StorageBackend for MemoryBackend {
 
     fn write_snapshot(&mut self, id: u64, payload: &[u8]) -> Result<()> {
         self.snapshots.insert(id, payload.to_vec());
-        // Match the durable store's retention: latest two.
-        while self.snapshots.len() > 2 {
-            let oldest = *self.snapshots.keys().next().expect("non-empty");
-            self.snapshots.remove(&oldest);
-        }
+        Ok(())
+    }
+
+    fn retain_snapshots(&mut self, keep: &[u64]) -> Result<()> {
+        let newest = keep.iter().copied().max().unwrap_or(0);
+        (self.snapshots).retain(|id, _| *id >= newest || keep.contains(id));
         Ok(())
     }
 
@@ -159,6 +168,10 @@ impl StorageBackend for SharedBackend {
         self.with(|b| b.write_snapshot(id, payload))
     }
 
+    fn retain_snapshots(&mut self, keep: &[u64]) -> Result<()> {
+        self.with(|b| b.retain_snapshots(keep))
+    }
+
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>> {
         self.with(|b| b.read_snapshot(id))
     }
@@ -185,13 +198,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_keep_latest_two() {
+    fn snapshots_are_retained_by_reference() {
         let mut b = MemoryBackend::new();
-        for id in 1..=4u64 {
+        for id in 1..=5u64 {
             b.write_snapshot(id, &[id as u8]).expect("write");
         }
-        assert_eq!(b.snapshot_count(), 2);
-        assert!(b.read_snapshot(2).expect("read").is_none());
-        assert_eq!(b.read_snapshot(4).expect("read"), Some(vec![4]));
+        assert_eq!(b.snapshot_count(), 5, "writing prunes nothing");
+        // 2 and 4 are named; 5 is newer than every named one (an orphan
+        // a later flush may yet reuse as its epoch) and stays too.
+        b.retain_snapshots(&[2, 4]).expect("retain");
+        assert_eq!(b.snapshot_count(), 3);
+        assert!(b.read_snapshot(1).expect("read").is_none());
+        assert!(b.read_snapshot(3).expect("read").is_none());
+        assert_eq!(b.read_snapshot(2).expect("read"), Some(vec![2]));
+        assert_eq!(b.read_snapshot(5).expect("read"), Some(vec![5]));
     }
 }

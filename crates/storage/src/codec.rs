@@ -126,8 +126,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a varint, validated as a collection length against the
-    /// bytes actually remaining (each element needs ≥ 1 byte), so a
-    /// corrupt length cannot trigger a huge allocation.
+    /// bytes actually remaining (each element needs ≥ 1 byte).
     pub fn take_len(&mut self) -> Result<usize> {
         let len = self.take_varint()? as usize;
         if len > self.remaining() {
@@ -137,6 +136,16 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(len)
+    }
+
+    /// A [`Reader::take_len`] count plus an empty vector for that many
+    /// elements, reserving — whatever the count says — no more memory
+    /// than there are bytes left to decode them from, so a corrupt count
+    /// cannot trigger a huge allocation.
+    pub fn take_count<T>(&mut self) -> Result<(usize, Vec<T>)> {
+        let len = self.take_len()?;
+        let room = self.remaining() / std::mem::size_of::<T>().max(1);
+        Ok((len, Vec::with_capacity(len.min(room))))
     }
 }
 
@@ -259,11 +268,10 @@ pub fn put_seq<T: Encode>(out: &mut Vec<u8>, items: &[T]) {
     }
 }
 
-/// Decodes a varint-counted sequence. Whatever the count says, no more
-/// memory is reserved up front than there are bytes left to decode from.
+/// Decodes a varint-counted sequence (reserving as
+/// [`Reader::take_count`] does).
 pub fn take_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>> {
-    let len = r.take_len()?;
-    let mut out = Vec::with_capacity(len.min(r.remaining() / std::mem::size_of::<T>().max(1)));
+    let (len, mut out) = r.take_count()?;
     for _ in 0..len {
         out.push(T::decode_from(r)?);
     }
@@ -411,8 +419,7 @@ impl Encode for Row {
 
 impl Decode for Row {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.take_len()?;
-        let mut cells = Vec::with_capacity(len);
+        let (len, mut cells) = r.take_count()?;
         for _ in 0..len {
             cells.push(Value::decode_from(r)?);
         }
@@ -479,8 +486,7 @@ impl Encode for Schema {
 impl Decode for Schema {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         let columns: Vec<Column> = take_seq(r)?;
-        let len = r.take_len()?;
-        let mut keys = Vec::with_capacity(len);
+        let (len, mut keys) = r.take_count()?;
         for _ in 0..len {
             keys.push(String::decode_from(r)?);
         }
@@ -504,8 +510,7 @@ impl Encode for Table {
 impl Decode for Table {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         let schema = Schema::decode_from(r)?;
-        let len = r.take_len()?;
-        let mut rows = Vec::with_capacity(len);
+        let (len, mut rows) = r.take_count()?;
         for _ in 0..len {
             rows.push(Row::decode_from(r)?);
         }
@@ -547,15 +552,13 @@ impl Encode for TableDelta {
 impl Decode for TableDelta {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         let inserts = take_seq(r)?;
-        let n_updates = r.take_len()?;
-        let mut updates = Vec::with_capacity(n_updates);
+        let (n_updates, mut updates) = r.take_count()?;
         for _ in 0..n_updates {
             let key: Vec<Value> = take_seq(r)?;
             let row = Row::decode_from(r)?;
             updates.push((key, row));
         }
-        let n_deletes = r.take_len()?;
-        let mut deletes = Vec::with_capacity(n_deletes);
+        let (n_deletes, mut deletes) = r.take_count()?;
         for _ in 0..n_deletes {
             deletes.push(take_seq(r)?);
         }
@@ -613,8 +616,7 @@ impl Decode for WriteOp {
             },
             1 => {
                 let key = take_seq(r)?;
-                let len = r.take_len()?;
-                let mut assignments = Vec::with_capacity(len);
+                let (len, mut assignments) = r.take_count()?;
                 for _ in 0..len {
                     let col = String::decode_from(r)?;
                     let val = Value::decode_from(r)?;

@@ -11,9 +11,9 @@
 //! Writes go through a temp file + rename + directory fsync, so a crash
 //! mid-write leaves either the old set of snapshots or the new one,
 //! never a half file, and a write that returned survives a power cut.
-//! The two most recent snapshots are retained; older ones are pruned
-//! after a successful write, so the caller has an older snapshot to
-//! fall back to if the newest file fails its checksum.
+//! Writing prunes nothing; the caller says which snapshots to keep
+//! ([`SnapshotDir::retain`]) once a record names the new one, so an
+//! orphan of a crashed flush never displaces a named snapshot.
 
 use crate::wal::{create_dir_durable, sync_dir};
 use crate::{Result, StorageError};
@@ -42,7 +42,7 @@ impl SnapshotDir {
         self.dir.join(format!("snap-{id:012}.bin"))
     }
 
-    /// Writes snapshot `id` atomically and prunes all but the newest two.
+    /// Writes snapshot `id` atomically.
     pub fn write(&self, id: u64, payload: &[u8]) -> Result<()> {
         let mut bytes = Vec::with_capacity(HEADER + payload.len());
         bytes.extend_from_slice(MAGIC);
@@ -55,7 +55,6 @@ impl SnapshotDir {
         f.sync_all()?;
         drop(f);
         fs::rename(&tmp, self.path_for(id))?;
-        self.prune(2)?;
         sync_dir(&self.dir)?;
         Ok(())
     }
@@ -88,13 +87,18 @@ impl SnapshotDir {
         Ok(Some(parse(&bytes, &path)?))
     }
 
-    /// Removes all but the newest `keep` snapshots.
-    fn prune(&self, keep: usize) -> Result<()> {
-        let ids = self.ids()?;
-        if ids.len() > keep {
-            for id in &ids[..ids.len() - keep] {
-                fs::remove_file(self.path_for(*id))?;
-            }
+    /// Removes every snapshot older than the newest id in `keep` that
+    /// `keep` does not name.
+    pub fn retain(&self, keep: &[u64]) -> Result<()> {
+        let newest = keep.iter().copied().max().unwrap_or(0);
+        let doomed: Vec<u64> = (self.ids()?.into_iter())
+            .filter(|id| *id < newest && !keep.contains(id))
+            .collect();
+        for id in &doomed {
+            fs::remove_file(self.path_for(*id))?;
+        }
+        if !doomed.is_empty() {
+            sync_dir(&self.dir)?;
         }
         Ok(())
     }
@@ -138,19 +142,21 @@ mod tests {
     }
 
     #[test]
-    fn write_read_prune() {
-        let dir = temp_dir("wrp");
+    fn write_read_retain() {
+        let dir = temp_dir("wrr");
         let snaps = SnapshotDir::open(&dir).expect("open");
         assert!(snaps.ids().expect("ids").is_empty());
-        for id in 1..=3u64 {
+        for id in 1..=4u64 {
             snaps
                 .write(id, format!("state-{id}").as_bytes())
                 .expect("write");
         }
-        assert_eq!(snaps.ids().expect("ids"), vec![2, 3], "pruned to two");
+        assert_eq!(snaps.ids().expect("ids"), vec![1, 2, 3, 4], "no pruning");
+        snaps.retain(&[1, 3]).expect("retain");
+        assert_eq!(snaps.ids().expect("ids"), vec![1, 3, 4]);
         assert_eq!(snaps.read(3).expect("read").expect("some"), b"state-3");
-        assert_eq!(snaps.read(2).expect("read").expect("some"), b"state-2");
-        assert!(snaps.read(1).expect("read").is_none());
+        assert_eq!(snaps.read(1).expect("read").expect("some"), b"state-1");
+        assert!(snaps.read(2).expect("read").is_none());
         fs::remove_dir_all(&dir).ok();
     }
 

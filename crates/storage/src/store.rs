@@ -100,6 +100,10 @@ impl StorageBackend for DurableStore {
         self.snapshots.write(id, payload)
     }
 
+    fn retain_snapshots(&mut self, keep: &[u64]) -> Result<()> {
+        self.snapshots.retain(keep)
+    }
+
     fn read_snapshot(&mut self, id: u64) -> Result<Option<Vec<u8>>> {
         self.snapshots.read(id)
     }

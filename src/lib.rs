@@ -105,8 +105,8 @@
 //! | [`network`] | deterministic latency-modeled message simulation |
 //! | [`storage`] | versioned binary codec, segmented WALs, snapshots, storage backends |
 //! | [`workload`] | synthetic EHR generation, update streams, de-identification |
-//! | [`core`] | the engine (`System`), the facade, the Fig. 1 scenario |
-//! | [`engine`] | the ticketed commit pipeline: group-commit waves, write combining, parallel fan-out |
+//! | [`core`] | the engine (`System`), its commit scheduler, the facade, the Fig. 1 scenario |
+//! | [`engine`] | the ticketed front door over the core's commit scheduler (group-commit waves, write combining, cascade re-entry) |
 //! | [`node`] | async runtime, per-peer event loops, wire protocol, gateway |
 //!
 //! ## The ticketed commit pipeline
@@ -120,9 +120,10 @@
 //! submitter rolls back alone) instead of rejected, and Step-6 cascades
 //! re-enter the next wave instead of running serially. Updates touching
 //! **distinct** shared tables ride the same wave, one block for all of
-//! them. The blocking [`UpdateBatch`] `commit()` stays as the
-//! one-update-at-a-time Fig. 5 reference. See the `medledger-engine`
-//! crate docs for a runnable example.
+//! them. The blocking [`UpdateBatch`] `commit()` is the same scheduler:
+//! it queues its batch and runs waves until the batch and every cascade
+//! it set off are through. See the `medledger-engine` crate docs for a
+//! runnable example.
 //!
 //! For a *deployment* — per-peer event loops, a framed wire protocol,
 //! and a concurrent gateway serving thousands of client sessions over

@@ -114,6 +114,12 @@ impl StorageBackend for RecordingBackend {
         self.inner.read_snapshot(id)
     }
 
+    /// Not a crash point: it runs after the record naming the snapshots
+    /// it keeps is synced, and deleting fewer of the rest is harmless.
+    fn retain_snapshots(&mut self, keep: &[u64]) -> StorageResult<()> {
+        self.inner.retain_snapshots(keep)
+    }
+
     fn sync(&mut self) -> StorageResult<()> {
         self.record(Call::Sync);
         self.inner.sync()
@@ -169,6 +175,13 @@ impl StorageBackend for CrashBackend {
 
     fn read_snapshot(&mut self, id: u64) -> StorageResult<Option<Vec<u8>>> {
         self.inner.read_snapshot(id)
+    }
+
+    fn retain_snapshots(&mut self, keep: &[u64]) -> StorageResult<()> {
+        if self.dead {
+            return self.injected();
+        }
+        self.inner.retain_snapshots(keep)
     }
 
     fn sync(&mut self) -> StorageResult<()> {
@@ -569,6 +582,70 @@ fn orphan_snapshot_of_a_crashed_flush_is_never_used() {
     let again = recover(&cfg, survivor.snapshot_state()).expect("recover again");
     assert_eq!(capture(&again), caught_up);
     assert!(again.peer_id("Nurse").is_err(), "the orphan held the nurse");
+}
+
+/// The state a crash leaves when it hits a structural flush (a new peer:
+/// snapshot, then record) right at its record append — an orphan
+/// snapshot on disk that no record names.
+fn crash_adding_a_peer(ledger: &mut MedLedger, recorder: &RecordingBackend) -> MemoryBackend {
+    let writes_before = recorder.captures().len();
+    ledger.add_peer("Nurse").expect("add peer");
+    let (calls, states): (Vec<Call>, Vec<MemoryBackend>) = (recorder.captures())
+        .split_off(writes_before)
+        .into_iter()
+        .unzip();
+    assert_eq!(calls, [Call::Snapshot, Call::Append]);
+    states.into_iter().nth(1).expect("state before the append")
+}
+
+/// Two crashes between a snapshot write and its record, with an ordinary
+/// commit between them, leave two orphans. Neither may push out the
+/// snapshot the newest intact record names: retention counts named
+/// snapshots, never files. Once a snapshot flush commits, every orphan
+/// older than it goes and exactly two named snapshots stay.
+#[test]
+fn two_orphan_snapshots_never_displace_the_named_one() {
+    let cfg = config("crash-two-orphans");
+    let recorder = RecordingBackend::new(SharedBackend::new());
+    let mut scn = durable_fig1(&cfg, Box::new(recorder.clone())).expect("build");
+    workload_commit(&mut scn, 0).expect("commit");
+    let first_crash = crash_adding_a_peer(&mut scn.ledger, &recorder);
+    drop(scn);
+
+    // Recover past the first orphan; an ordinary commit takes its id as
+    // its epoch, so the second crash orphans a snapshot with a new id.
+    let recorder = RecordingBackend::new(SharedBackend::from_state(first_crash));
+    let mut ledger = MedLedger::builder()
+        .config(cfg.clone())
+        .storage_backend(Box::new(recorder.clone()))
+        .build()
+        .expect("recover past the first orphan");
+    assert_live(&mut ledger);
+    let committed = capture(&ledger);
+    let second_crash = crash_adding_a_peer(&mut ledger, &recorder);
+    drop(ledger);
+
+    let survivor = SharedBackend::from_state(second_crash);
+    let mut recovered = MedLedger::builder()
+        .config(cfg.clone())
+        .storage_backend(Box::new(survivor.clone()))
+        .build()
+        .expect("recover past the second orphan");
+    assert_eq!(capture(&recovered), committed);
+    assert!(
+        recovered.peer_id("Nurse").is_err(),
+        "an orphan held the nurse"
+    );
+
+    // A committed snapshot flush retires both orphans and every named
+    // snapshot but the one before it.
+    recovered.add_peer("Nurse").expect("add peer");
+    assert_eq!(survivor.snapshot_state().snapshot_count(), 2);
+    let added = capture(&recovered);
+    drop(recovered);
+    let again = recover(&cfg, survivor.snapshot_state()).expect("recover again");
+    assert_eq!(capture(&again), added);
+    assert!(again.peer_id("Nurse").is_ok());
 }
 
 /// Corruption *inside* the committed region is a storage lie, not a torn
