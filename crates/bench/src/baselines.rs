@@ -6,12 +6,13 @@
 //! storage since each node has the same copy of blockchain".
 //!
 //! Three per-update on-chain cost models, all built from the *actual*
-//! transaction encodings of this codebase so the comparison is fair:
+//! transaction encoding of this codebase — the storage codec the chain
+//! stores — so the comparison is fair:
 //!
 //! * **MedLedger (ours)** — a `request_update` call: table id, content
 //!   hash, changed attributes. Size independent of the record payload.
-//! * **HDG \[22\]** — the full (encrypted) record data travels on chain;
-//!   we hex-encode the canonical record bytes into the transaction.
+//! * **HDG \[22\]** — the full (encrypted) record data travels on chain:
+//!   the canonical record bytes are the call's argument.
 //! * **MedRec \[4\]** — a pointer record (content hash + provider location
 //!   string) per update; like ours it is payload-independent, but it
 //!   carries no fine-grained permission or bidirectional-update metadata.
@@ -23,9 +24,11 @@
 //! scheme, [`tx_chain_bytes`] reports the unsigned transaction body plus a
 //! modeled 72-byte production signature.
 
+use medledger_contracts::call::{RequestUpdateArgs, SharingCall};
 use medledger_crypto::{sha256, Hash256, KeyPair};
 use medledger_ledger::{Transaction, TxPayload};
 use medledger_relational::Table;
+use medledger_storage::Encode;
 
 /// Modeled size of a production (ECDSA-style) signature.
 pub const MODELED_SIGNATURE_BYTES: usize = 72;
@@ -33,7 +36,7 @@ pub const MODELED_SIGNATURE_BYTES: usize = 72;
 /// Bytes a blockchain node stores for one transaction: the encoded body
 /// plus a modeled production signature.
 pub fn tx_chain_bytes(tx: &Transaction) -> usize {
-    serde_json::to_vec(tx).expect("tx serializes").len() + MODELED_SIGNATURE_BYTES
+    tx.encoded().len() + MODELED_SIGNATURE_BYTES
 }
 
 fn dummy_account() -> medledger_ledger::AccountId {
@@ -42,18 +45,18 @@ fn dummy_account() -> medledger_ledger::AccountId {
 
 /// One update's on-chain bytes under **our** model: metadata only.
 pub fn ours_update_bytes(table_id: &str, changed_attrs: &[&str]) -> usize {
-    let args = serde_json::json!({
-        "table_id": table_id,
-        "new_hash": Hash256([7; 32]),
-        "changed_attrs": changed_attrs,
+    let call = SharingCall::RequestUpdate(RequestUpdateArgs {
+        table_id: table_id.to_string(),
+        new_hash: Hash256([7; 32]),
+        changed_attrs: changed_attrs.iter().map(|a| a.to_string()).collect(),
     });
     let tx = Transaction {
         sender: dummy_account(),
         nonce: 0,
         payload: TxPayload::CallContract {
             contract: Hash256([1; 32]),
-            method: "request_update".into(),
-            args: serde_json::to_vec(&args).expect("args"),
+            method: call.method().into(),
+            args: call.encoded(),
         },
         conflict_key: Some(table_id.to_string()),
     };
@@ -69,17 +72,13 @@ pub fn hdg_update_bytes(record: &Table) -> usize {
     for row in record.sorted_rows() {
         payload.extend_from_slice(&row.encode());
     }
-    // Hex encoding mirrors how binary ciphertexts are carried in
-    // JSON-bodied transactions.
-    let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
-    let args = serde_json::json!({ "record": hex });
     let tx = Transaction {
         sender: dummy_account(),
         nonce: 0,
         payload: TxPayload::CallContract {
             contract: Hash256([2; 32]),
             method: "store_record".into(),
-            args: serde_json::to_vec(&args).expect("args"),
+            args: payload.encoded(),
         },
         conflict_key: None,
     };
@@ -89,18 +88,16 @@ pub fn hdg_update_bytes(record: &Table) -> usize {
 /// One update's on-chain bytes under the **MedRec** model: a pointer
 /// (hash + provider location) plus a record-level permission entry.
 pub fn medrec_update_bytes(provider_url: &str) -> usize {
-    let args = serde_json::json!({
-        "record_hash": sha256(b"record"),
-        "location": provider_url,
-        "permission": "patient,provider",
-    });
+    let mut args = sha256(b"record").encoded();
+    provider_url.to_string().encode_into(&mut args);
+    "patient,provider".to_string().encode_into(&mut args);
     let tx = Transaction {
         sender: dummy_account(),
         nonce: 0,
         payload: TxPayload::CallContract {
             contract: Hash256([3; 32]),
             method: "update_pointer".into(),
-            args: serde_json::to_vec(&args).expect("args"),
+            args,
         },
         conflict_key: None,
     };

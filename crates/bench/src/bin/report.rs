@@ -19,11 +19,11 @@ use medledger_bench::{
 use medledger_bx::exec::{get, put};
 use medledger_bx::{check_getput, check_putget};
 use medledger_consensus::{PbftConfig, PbftRound, PowModel};
-use medledger_contracts::runtime::CallCtx;
-use medledger_contracts::sharing::{
-    AckUpdateArgs, ChangePermissionArgs, RegisterShareArgs, RequestUpdateArgs, SharingContract,
+use medledger_contracts::call::{
+    AckUpdateArgs, ChangePermissionArgs, RegisterShareArgs, RequestUpdateArgs, SharingCall,
 };
-use medledger_contracts::ContractState;
+use medledger_contracts::runtime::CallCtx;
+use medledger_contracts::{ContractState, SharingContract};
 use medledger_core::exposure::{
     all_attrs, exposure_report, paper_fine_grained_design, paper_profiles, total_interference,
     SharingDesign,
@@ -35,6 +35,7 @@ use medledger_engine::LedgerService;
 use medledger_ledger::{Mempool, Transaction, TxPayload};
 use medledger_network::LatencyModel;
 use medledger_relational::Value;
+use medledger_storage::Encode;
 use medledger_telemetry::{Recorder, Registry, Snapshot};
 use medledger_workload::{fig1_full_records, EhrGenerator, UpdateStream};
 use std::collections::BTreeSet;
@@ -507,7 +508,12 @@ fn e12_contract_gas() {
         timestamp_ms: 1_000,
     };
     let mut state = ContractState::new();
-    let reg = RegisterShareArgs {
+    let mut gas = |sender, call: SharingCall| {
+        let method = call.method();
+        let out = SharingContract::call(&mut state, &ctx(sender), method, &call.encoded());
+        out.unwrap_or_else(|e| panic!("{method}: {e}")).gas_used
+    };
+    let reg = SharingCall::RegisterShare(RegisterShareArgs {
         table_id: "D13&D31".into(),
         peers: vec![doctor, patient],
         write_permission: [
@@ -519,57 +525,37 @@ fn e12_contract_gas() {
         .collect(),
         authority: doctor,
         initial_hash: Hash256([5; 32]),
-    };
-    let out = SharingContract::call(
-        &mut state,
-        &ctx(doctor),
-        "register_share",
-        &serde_json::to_vec(&reg).expect("args"),
-    )
-    .expect("register");
-    println!("{:<28} {:>8} gas", "register_share (3 attrs)", out.gas_used);
+    });
+    println!(
+        "{:<28} {:>8} gas",
+        "register_share (3 attrs)",
+        gas(doctor, reg)
+    );
 
-    let req = RequestUpdateArgs {
+    let req = SharingCall::RequestUpdate(RequestUpdateArgs {
         table_id: "D13&D31".into(),
         new_hash: Hash256([6; 32]),
         changed_attrs: vec!["dosage".into()],
-    };
-    let out = SharingContract::call(
-        &mut state,
-        &ctx(doctor),
-        "request_update",
-        &serde_json::to_vec(&req).expect("args"),
-    )
-    .expect("update");
-    println!("{:<28} {:>8} gas", "request_update (1 attr)", out.gas_used);
+    });
+    println!(
+        "{:<28} {:>8} gas",
+        "request_update (1 attr)",
+        gas(doctor, req)
+    );
 
-    let ack = AckUpdateArgs {
+    let ack = SharingCall::AckUpdate(AckUpdateArgs {
         table_id: "D13&D31".into(),
         version: 1,
         applied_hash: Hash256([6; 32]),
-    };
-    let out = SharingContract::call(
-        &mut state,
-        &ctx(patient),
-        "ack_update",
-        &serde_json::to_vec(&ack).expect("args"),
-    )
-    .expect("ack");
-    println!("{:<28} {:>8} gas", "ack_update", out.gas_used);
+    });
+    println!("{:<28} {:>8} gas", "ack_update", gas(patient, ack));
 
-    let chg = ChangePermissionArgs {
+    let chg = SharingCall::ChangePermission(ChangePermissionArgs {
         table_id: "D13&D31".into(),
         attr: "dosage".into(),
         writers: vec![doctor, patient],
-    };
-    let out = SharingContract::call(
-        &mut state,
-        &ctx(doctor),
-        "change_permission",
-        &serde_json::to_vec(&chg).expect("args"),
-    )
-    .expect("change");
-    println!("{:<28} {:>8} gas", "change_permission", out.gas_used);
+    });
+    println!("{:<28} {:>8} gas", "change_permission", gas(doctor, chg));
 
     // Workload sanity: a mixed stream's denial rate when patients try
     // dosage writes (permission ablation flavor).

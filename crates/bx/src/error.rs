@@ -1,11 +1,10 @@
 //! Lens errors.
 
 use medledger_relational::RelationalError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from lens construction and execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum BxError {
     /// An underlying relational operation failed.
     Relational(RelationalError),

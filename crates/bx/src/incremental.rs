@@ -276,8 +276,8 @@ fn get_delta_project_distinct(
     let mut out = TableDelta::default();
     for group in &touched {
         let old_members = members.rows_of(group);
-        let old_proj: Option<Row> = match old_members {
-            Some(m) => Some(proj_of(old_row(m.iter().next().expect("non-empty group"))?)),
+        let old_proj: Option<Row> = match old_members.and_then(|m| m.iter().next()) {
+            Some(first) => Some(proj_of(old_row(first)?)),
             None => None,
         };
         // Rows of this group after the delta: untouched old members keep

@@ -1,17 +1,18 @@
-//! Serializable lens specifications.
+//! Lens specifications, and their form in the storage codec.
 
 use medledger_relational::{Predicate, Value};
-use serde::{Deserialize, Serialize};
+use medledger_storage::codec::{put_seq, take_seq};
+use medledger_storage::{Decode, Encode, Reader, StorageError};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A serializable lens description.
+/// A lens description, as data.
 ///
 /// `LensSpec` is the form carried inside sharing agreements (the peers
-/// agree on "the shared table is *this* function of my source"), stored
-/// alongside the contract metadata, and interpreted by
-/// [`crate::exec::get`] / [`crate::exec::put`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// agree on "the shared table is *this* function of my source"), kept in
+/// each peer's snapshot beside its share bindings (in the storage codec),
+/// and interpreted by [`crate::exec::get`] / [`crate::exec::put`].
+#[derive(Clone, Debug, PartialEq)]
 pub enum LensSpec {
     /// Key-preserving projection: keep `attrs` (which must include the
     /// source primary key, in order, as `view_key`).
@@ -120,6 +121,71 @@ impl LensSpec {
     }
 }
 
+impl Encode for LensSpec {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            LensSpec::Project {
+                attrs,
+                view_key,
+                defaults,
+            } => {
+                out.push(0);
+                put_seq(out, attrs);
+                put_seq(out, view_key);
+                defaults.encode_into(out);
+            }
+            LensSpec::ProjectDistinct { attrs, view_key } => {
+                out.push(1);
+                put_seq(out, attrs);
+                put_seq(out, view_key);
+            }
+            LensSpec::Select { pred } => {
+                out.push(2);
+                pred.encode_into(out);
+            }
+            LensSpec::Rename { from, to } => {
+                out.push(3);
+                from.encode_into(out);
+                to.encode_into(out);
+            }
+            LensSpec::Compose { first, second } => {
+                out.push(4);
+                first.encode_into(out);
+                second.encode_into(out);
+            }
+        }
+    }
+}
+
+impl Decode for LensSpec {
+    fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
+        let boxed = |r: &mut Reader<'_>| LensSpec::decode_from(r).map(Box::new);
+        Ok(match r.take_u8()? {
+            0 => LensSpec::Project {
+                attrs: take_seq(r)?,
+                view_key: take_seq(r)?,
+                defaults: Decode::decode_from(r)?,
+            },
+            1 => LensSpec::ProjectDistinct {
+                attrs: take_seq(r)?,
+                view_key: take_seq(r)?,
+            },
+            2 => LensSpec::Select {
+                pred: Predicate::decode_from(r)?,
+            },
+            3 => LensSpec::Rename {
+                from: String::decode_from(r)?,
+                to: String::decode_from(r)?,
+            },
+            4 => LensSpec::Compose {
+                first: boxed(r)?,
+                second: boxed(r)?,
+            },
+            t => return Err(StorageError::Codec(format!("invalid lens tag {t}"))),
+        })
+    }
+}
+
 impl fmt::Display for LensSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -159,16 +225,16 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn codec_round_trip() {
         let l = LensSpec::project_with_defaults(
             &["id", "dose"],
             &["id"],
             &[("addr", Value::text("unknown"))],
         )
-        .compose(LensSpec::select(Predicate::eq("id", Value::Int(1))));
-        let json = serde_json::to_string(&l).expect("serialize");
-        let back: LensSpec = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(l, back);
+        .compose(LensSpec::select(Predicate::eq("id", Value::Int(1))))
+        .compose(LensSpec::rename("dose", "dosage"))
+        .compose(LensSpec::project_distinct(&["dosage"], &["dosage"]));
+        assert_eq!(LensSpec::decode(&l.encoded()).expect("decodes"), l);
     }
 
     #[test]

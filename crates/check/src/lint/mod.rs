@@ -44,14 +44,19 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 
 /// Files in scope for the unwrap ban: the layers where a stray panic
 /// takes down a node or corrupts a recovery path, the contract code
-/// every validator runs over bytes that arrive in transactions, and the
-/// network crate, whose fan-out pool every wave's receivers apply on.
+/// every validator runs over bytes that arrive in transactions, the
+/// network crate, whose fan-out pool every wave's receivers apply on, and
+/// the crates that decode what arrives or was stored — the codec, WAL and
+/// snapshots (storage), blocks (ledger) and lens specs (bx).
 fn unwrap_scope(rel: &str) -> bool {
     (rel.starts_with("crates/node/src/") && !rel.starts_with("crates/node/src/bin/"))
         || rel.starts_with("crates/engine/src/")
         || rel.starts_with("crates/contracts/src/")
         || rel.starts_with("crates/network/src/")
         || rel.starts_with("crates/core/src/")
+        || rel.starts_with("crates/ledger/src/")
+        || rel.starts_with("crates/bx/src/")
+        || rel.starts_with("crates/storage/src/")
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

@@ -4,7 +4,6 @@ use crate::sharing::SharingContract;
 use crate::state::ContractState;
 use medledger_crypto::{sha256_concat, Hash256};
 use medledger_ledger::{AccountId, LogEntry, Receipt, SignedTransaction, TxPayload, TxStatus};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,7 +30,7 @@ pub struct CallOutput {
 }
 
 /// Contract execution errors — these become transaction reverts.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ContractError {
     /// Caller lacks permission for the operation.
     PermissionDenied(String),
@@ -178,7 +177,7 @@ impl ContractRuntime {
                     logs: vec![LogEntry {
                         contract: id,
                         topic: "ContractDeployed".into(),
-                        data: serde_json::json!({ "deployer": stx.tx.sender }).to_string(),
+                        data: format!("deployer={}", stx.tx.sender),
                     }],
                     gas_used: 32 + code.len() as u64 / 16,
                 })
@@ -210,24 +209,24 @@ impl ContractRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharing::RegisterShareArgs;
+    use crate::call::{RegisterShareArgs, RemoveShareArgs, SharingCall};
     use medledger_crypto::KeyPair;
     use medledger_ledger::Transaction;
+    use medledger_storage::Encode;
 
     fn signed_call(
         kp: &mut KeyPair,
         nonce: u64,
         contract: Hash256,
-        method: &str,
-        args: &impl serde::Serialize,
+        call: SharingCall,
     ) -> SignedTransaction {
         Transaction {
             sender: kp.public(),
             nonce,
             payload: TxPayload::CallContract {
                 contract,
-                method: method.into(),
-                args: serde_json::to_vec(args).expect("args"),
+                method: call.method().into(),
+                args: call.encoded(),
             },
             conflict_key: None,
         }
@@ -269,7 +268,7 @@ mod tests {
             authority: doctor.public(),
             initial_hash: Hash256([1; 32]),
         };
-        let stx = signed_call(&mut doctor, 1, cid, "register_share", &args);
+        let stx = signed_call(&mut doctor, 1, cid, SharingCall::RegisterShare(args));
         let receipt = rt.execute(&stx, 2, 200);
         assert!(receipt.status.is_success());
         assert_eq!(receipt.logs[0].topic, "SharedTableRegistered");
@@ -293,7 +292,7 @@ mod tests {
             authority: doctor.public(),
             initial_hash: Hash256::ZERO,
         };
-        let stx = signed_call(&mut doctor, 1, cid, "register_share", &args);
+        let stx = signed_call(&mut doctor, 1, cid, SharingCall::RegisterShare(args));
         let receipt = rt.execute(&stx, 2, 200);
         assert!(!receipt.status.is_success());
         assert!(receipt.logs.is_empty());
@@ -304,13 +303,10 @@ mod tests {
     fn call_to_missing_contract_reverts() {
         let mut rt = ContractRuntime::new();
         let mut kp = KeyPair::generate("rt-x", 4);
-        let stx = signed_call(
-            &mut kp,
-            0,
-            Hash256([9; 32]),
-            "remove_share",
-            &serde_json::json!({"table_id": "t"}),
-        );
+        let remove = SharingCall::RemoveShare(RemoveShareArgs {
+            table_id: "t".into(),
+        });
+        let stx = signed_call(&mut kp, 0, Hash256([9; 32]), remove);
         let receipt = rt.execute(&stx, 1, 1);
         assert!(matches!(receipt.status, TxStatus::Reverted { .. }));
     }
@@ -331,7 +327,7 @@ mod tests {
                 authority: doctor.public(),
                 initial_hash: Hash256([1; 32]),
             };
-            let stx = signed_call(&mut doctor, 1, cid, "register_share", &args);
+            let stx = signed_call(&mut doctor, 1, cid, SharingCall::RegisterShare(args));
             rt.execute(&stx, 2, 200);
             rt.state_root()
         };
@@ -353,7 +349,7 @@ mod tests {
             authority: doctor.public(),
             initial_hash: Hash256([1; 32]),
         };
-        let stx = signed_call(&mut doctor, 1, cid, "register_share", &args);
+        let stx = signed_call(&mut doctor, 1, cid, SharingCall::RegisterShare(args));
         rt.execute(&stx, 2, 200);
         let state = rt.contract_state(&cid).expect("deployed");
         let meta = SharingContract::load_meta(state, "T").expect("registered");

@@ -17,16 +17,25 @@
 //! `request_update` calls on the table revert, which is the enforcement of
 //! *"only when all sharing peers have had the newest shared data can they
 //! execute further operations"* (Sec. III-B).
+//!
+//! Calls arrive typed: [`SharingContract::call`] decodes one
+//! [`SharingCall`] from a transaction's method and argument bytes and
+//! runs its handler. Each Fig. 3 row is stored in the storage codec, and
+//! each event log is a `key=value` line nothing parses.
 
+use crate::call::{
+    AckAggregateArgs, AckUpdateArgs, ChangePermissionArgs, CoRequestUpdateArgs, RegisterShareArgs,
+    RemoveShareArgs, RequestUpdateArgs, SharingCall,
+};
 use crate::runtime::{CallCtx, CallOutput, ContractError};
 use crate::state::ContractState;
 use medledger_crypto::Hash256;
 use medledger_ledger::{AccountId, LogEntry};
-use serde::{Deserialize, Serialize};
+use medledger_storage::struct_codec;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-shared-table metadata (one Fig. 3 row).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SharedTableMeta {
     /// Metadata id, e.g. `"D13&D31"`.
     pub table_id: String,
@@ -92,99 +101,20 @@ impl SharedTableMeta {
     }
 }
 
-/// Arguments of `register_share`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RegisterShareArgs {
-    /// New metadata id.
-    pub table_id: String,
-    /// Sharing peers (must include the sender).
-    pub peers: Vec<AccountId>,
-    /// Per-attribute writer lists.
-    pub write_permission: BTreeMap<String, Vec<AccountId>>,
-    /// Permission-change authority (must be a peer).
-    pub authority: AccountId,
-    /// Content hash of the initial shared data.
-    pub initial_hash: Hash256,
-}
-
-/// Arguments of `request_update`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RequestUpdateArgs {
-    /// Target metadata id.
-    pub table_id: String,
-    /// Content hash of the updated shared data.
-    pub new_hash: Hash256,
-    /// Attributes whose values changed (checked against write permission).
-    pub changed_attrs: Vec<String>,
-}
-
-/// Arguments of `co_request_update` — a co-author's signature on an
-/// update already requested by the lead updater in the same block (the
-/// write-combining path: several peers' deltas composed into one data
-/// update, each peer permission-checked and receipted individually).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CoRequestUpdateArgs {
-    /// Target metadata id.
-    pub table_id: String,
-    /// The version the lead's `request_update` is expected to commit.
-    pub version: u64,
-    /// Attributes **this co-author** changed (checked against the
-    /// co-author's write permission, not the lead's).
-    pub changed_attrs: Vec<String>,
-    /// Content hash of the composed shared data (must match what the lead
-    /// committed).
-    pub new_hash: Hash256,
-}
-
-/// Arguments of `ack_update`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AckUpdateArgs {
-    /// Target metadata id.
-    pub table_id: String,
-    /// The version being acknowledged.
-    pub version: u64,
-    /// Content hash of the data the peer applied (must match).
-    pub applied_hash: Hash256,
-}
-
-/// Arguments of `ack_update_aggregate` — one threshold ack transaction
-/// standing in for every contributing receiver's individual `ack_update`
-/// of the same `(table, version)` wave. The updater submits it after
-/// verifying each receiver's one-time signature share over the canonical
-/// ack message off-chain; `attestation` is the SHA-256 fold over the
-/// verified shares (see `medledger_crypto::fold_attestation`), kept
-/// on-chain so any auditor holding the shares can recompute it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct AckAggregateArgs {
-    /// Target metadata id.
-    pub table_id: String,
-    /// The version being acknowledged.
-    pub version: u64,
-    /// Content hash of the data every contributor applied (must match).
-    pub applied_hash: Hash256,
-    /// Contributing receivers, in canonical (sorted) order, no duplicates.
-    pub contributors: Vec<AccountId>,
-    /// Fold of the contributors' verified signature shares.
-    pub attestation: Hash256,
-}
-
-/// Arguments of `change_permission`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ChangePermissionArgs {
-    /// Target metadata id.
-    pub table_id: String,
-    /// Attribute whose writer set changes.
-    pub attr: String,
-    /// The new writer set (must be a subset of the peers).
-    pub writers: Vec<AccountId>,
-}
-
-/// Arguments of `remove_share` (table-level delete in Fig. 4).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RemoveShareArgs {
-    /// Target metadata id.
-    pub table_id: String,
-}
+// How a Fig. 3 row sits in contract state, and so in every state root.
+struct_codec!(SharedTableMeta {
+    table_id,
+    peers,
+    write_permission,
+    authority,
+    last_update_ms,
+    version,
+    content_hash,
+    updater,
+    pending_acks,
+    ack_count,
+    ack_bitmap: seq
+});
 
 /// The native sharing contract: a stateless handler over [`ContractState`].
 pub struct SharingContract;
@@ -208,7 +138,7 @@ impl SharingContract {
 
     /// Loads a table's metadata from contract storage.
     pub fn load_meta(state: &ContractState, table_id: &str) -> Option<SharedTableMeta> {
-        state.get_json(&meta_key(table_id))
+        state.get_decoded(&meta_key(table_id))
     }
 
     /// Lists all registered metadata ids.
@@ -222,22 +152,23 @@ impl SharingContract {
             .collect()
     }
 
-    /// Dispatches a method call.
+    /// Decodes one [`SharingCall`] from a transaction's `(method, args)`
+    /// and runs it; a call that does not decode reverts with
+    /// [`ContractError::BadCall`].
     pub fn call(
         state: &mut ContractState,
         ctx: &CallCtx,
         method: &str,
         args: &[u8],
     ) -> Result<CallOutput, ContractError> {
-        match method {
-            "register_share" => Self::register_share(state, ctx, parse(args)?),
-            "request_update" => Self::request_update(state, ctx, parse(args)?),
-            "co_request_update" => Self::co_request_update(state, ctx, parse(args)?),
-            "ack_update" => Self::ack_update(state, ctx, parse(args)?),
-            "ack_update_aggregate" => Self::ack_update_aggregate(state, ctx, parse(args)?),
-            "change_permission" => Self::change_permission(state, ctx, parse(args)?),
-            "remove_share" => Self::remove_share(state, ctx, parse(args)?),
-            other => Err(ContractError::BadCall(format!("unknown method `{other}`"))),
+        match SharingCall::decode(method, args)? {
+            SharingCall::RegisterShare(a) => Self::register_share(state, ctx, a),
+            SharingCall::RequestUpdate(a) => Self::request_update(state, ctx, a),
+            SharingCall::CoRequestUpdate(a) => Self::co_request_update(state, ctx, a),
+            SharingCall::AckUpdate(a) => Self::ack_update(state, ctx, a),
+            SharingCall::AckUpdateAggregate(a) => Self::ack_update_aggregate(state, ctx, a),
+            SharingCall::ChangePermission(a) => Self::change_permission(state, ctx, a),
+            SharingCall::RemoveShare(a) => Self::remove_share(state, ctx, a),
         }
     }
 
@@ -297,16 +228,17 @@ impl SharingContract {
             ack_count: 0,
             ack_bitmap: Vec::new(),
         };
-        state.set_json(meta_key(&args.table_id), &meta)?;
+        state.set_encoded(meta_key(&args.table_id), &meta);
         Ok(CallOutput {
             logs: vec![log(
                 ctx,
                 "SharedTableRegistered",
-                serde_json::json!({
-                    "table_id": args.table_id,
-                    "peers": meta.peers,
-                    "authority": meta.authority,
-                }),
+                format!(
+                    "table_id={} peers={} authority={}",
+                    args.table_id,
+                    list(&meta.peers),
+                    meta.authority
+                ),
             )],
             gas_used: GAS_BASE + GAS_PER_ATTR * attr_count,
         })
@@ -356,20 +288,20 @@ impl SharingContract {
         meta.ack_count = 0;
         meta.ack_bitmap.clear();
         let version = meta.version;
-        let pending: Vec<AccountId> = meta.pending_acks.iter().copied().collect();
-        state.set_json(meta_key(&args.table_id), &meta)?;
+        state.set_encoded(meta_key(&args.table_id), &meta);
         Ok(CallOutput {
             logs: vec![log(
                 ctx,
                 "UpdateCommitted",
-                serde_json::json!({
-                    "table_id": args.table_id,
-                    "version": version,
-                    "new_hash": args.new_hash,
-                    "changed_attrs": args.changed_attrs,
-                    "updater": ctx.sender,
-                    "pending": pending,
-                }),
+                format!(
+                    "table_id={} version={version} new_hash={} changed_attrs={} updater={} \
+                     pending={}",
+                    args.table_id,
+                    args.new_hash,
+                    list(&args.changed_attrs),
+                    ctx.sender,
+                    list(&meta.pending_acks)
+                ),
             )],
             gas_used: GAS_BASE + GAS_PER_ATTR * args.changed_attrs.len() as u64,
         })
@@ -425,12 +357,13 @@ impl SharingContract {
             logs: vec![log(
                 ctx,
                 "CoUpdateCommitted",
-                serde_json::json!({
-                    "table_id": args.table_id,
-                    "version": args.version,
-                    "co_author": ctx.sender,
-                    "changed_attrs": args.changed_attrs,
-                }),
+                format!(
+                    "table_id={} version={} co_author={} changed_attrs={}",
+                    args.table_id,
+                    args.version,
+                    ctx.sender,
+                    list(&args.changed_attrs)
+                ),
             )],
             gas_used: GAS_BASE + GAS_PER_ATTR * args.changed_attrs.len() as u64,
         })
@@ -465,21 +398,20 @@ impl SharingContract {
         meta.pending_acks.remove(&ctx.sender);
         let synced = meta.synced();
         let version = meta.version;
-        state.set_json(meta_key(&args.table_id), &meta)?;
+        state.set_encoded(meta_key(&args.table_id), &meta);
         let mut logs = vec![log(
             ctx,
             "AckRecorded",
-            serde_json::json!({
-                "table_id": args.table_id,
-                "peer": ctx.sender,
-                "version": version,
-            }),
+            format!(
+                "table_id={} peer={} version={version}",
+                args.table_id, ctx.sender
+            ),
         )];
         if synced {
             logs.push(log(
                 ctx,
                 "AllPeersSynced",
-                serde_json::json!({ "table_id": args.table_id, "version": version }),
+                format!("table_id={} version={version}", args.table_id),
             ));
         }
         Ok(CallOutput {
@@ -547,22 +479,22 @@ impl SharingContract {
         }
         let synced = meta.synced();
         let version = meta.version;
-        state.set_json(meta_key(&args.table_id), &meta)?;
+        state.set_encoded(meta_key(&args.table_id), &meta);
         let mut logs = vec![log(
             ctx,
             "AckAggregateRecorded",
-            serde_json::json!({
-                "table_id": args.table_id,
-                "version": version,
-                "contributors": args.contributors,
-                "attestation": args.attestation,
-            }),
+            format!(
+                "table_id={} version={version} contributors={} attestation={}",
+                args.table_id,
+                list(&args.contributors),
+                args.attestation
+            ),
         )];
         if synced {
             logs.push(log(
                 ctx,
                 "AllPeersSynced",
-                serde_json::json!({ "table_id": args.table_id, "version": version }),
+                format!("table_id={} version={version}", args.table_id),
             ));
         }
         Ok(CallOutput {
@@ -598,16 +530,17 @@ impl SharingContract {
         }
         meta.write_permission.insert(args.attr.clone(), writers);
         meta.last_update_ms = ctx.timestamp_ms;
-        state.set_json(meta_key(&args.table_id), &meta)?;
+        state.set_encoded(meta_key(&args.table_id), &meta);
         Ok(CallOutput {
             logs: vec![log(
                 ctx,
                 "PermissionChanged",
-                serde_json::json!({
-                    "table_id": args.table_id,
-                    "attr": args.attr,
-                    "writers": args.writers,
-                }),
+                format!(
+                    "table_id={} attr={} writers={}",
+                    args.table_id,
+                    args.attr,
+                    list(&args.writers)
+                ),
             )],
             gas_used: GAS_BASE + GAS_PER_ATTR,
         })
@@ -642,30 +575,33 @@ impl SharingContract {
             logs: vec![log(
                 ctx,
                 "ShareRemoved",
-                serde_json::json!({ "table_id": args.table_id, "by": ctx.sender }),
+                format!("table_id={} by={}", args.table_id, ctx.sender),
             )],
             gas_used: GAS_BASE,
         })
     }
 }
 
-fn parse<T: serde::de::DeserializeOwned>(args: &[u8]) -> Result<T, ContractError> {
-    serde_json::from_slice(args)
-        .map_err(|e| ContractError::BadCall(format!("argument decoding failed: {e}")))
-}
-
-fn log(ctx: &CallCtx, topic: &str, data: serde_json::Value) -> LogEntry {
+fn log(ctx: &CallCtx, topic: &str, data: String) -> LogEntry {
     LogEntry {
         contract: ctx.contract,
         topic: topic.to_string(),
-        data: data.to_string(),
+        data,
     }
+}
+
+/// `a,b,c` for a log line.
+fn list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    (items.into_iter().map(|i| i.to_string()))
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use medledger_crypto::KeyPair;
+    use medledger_storage::Encode;
 
     struct Fixture {
         state: ContractState,
@@ -688,10 +624,9 @@ mod tests {
         sender: AccountId,
         ts: u64,
         method: &str,
-        args: &impl Serialize,
+        args: &impl Encode,
     ) -> Result<CallOutput, ContractError> {
-        let encoded = serde_json::to_vec(args).expect("args");
-        SharingContract::call(&mut f.state, &ctx(sender, ts), method, &encoded)
+        SharingContract::call(&mut f.state, &ctx(sender, ts), method, &args.encoded())
     }
 
     /// Registers the paper's D13&D31 share: Doctor writes everything,

@@ -1,8 +1,7 @@
 //! Contract key-value state with Merkle state roots.
 
-use crate::runtime::ContractError;
 use medledger_crypto::{merkle::MerkleTree, Hash256};
-use serde::{Deserialize, Serialize};
+use medledger_storage::{Decode, Encode};
 use std::collections::BTreeMap;
 
 /// Persistent key-value storage of one contract.
@@ -10,7 +9,7 @@ use std::collections::BTreeMap;
 /// Keys and values are byte strings; the state root is a Merkle root over
 /// the sorted `(key, value)` entries, so replicas can cheaply compare
 /// whole contract states.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContractState {
     entries: BTreeMap<Vec<u8>, Vec<u8>>,
 }
@@ -60,22 +59,15 @@ impl ContractState {
         MerkleTree::from_data(&encoded).root()
     }
 
-    /// Typed read: deserializes a JSON value stored under `key`.
-    pub fn get_json<T: serde::de::DeserializeOwned>(&self, key: &[u8]) -> Option<T> {
-        self.get(key).and_then(|v| serde_json::from_slice(v).ok())
+    /// Typed read: decodes the value stored under `key` (`None` if absent
+    /// or not an encoding of `T`).
+    pub fn get_decoded<T: Decode>(&self, key: &[u8]) -> Option<T> {
+        self.get(key).and_then(|v| T::decode(v).ok())
     }
 
-    /// Typed write: serializes `value` as JSON under `key`. A value that
-    /// does not encode reverts the call instead of stopping the validator.
-    pub fn set_json<T: Serialize>(
-        &mut self,
-        key: impl Into<Vec<u8>>,
-        value: &T,
-    ) -> Result<(), ContractError> {
-        let encoded = serde_json::to_vec(value)
-            .map_err(|e| ContractError::BadCall(format!("contract state does not encode: {e}")))?;
-        self.set(key, encoded);
-        Ok(())
+    /// Typed write: stores the encoding of `value` under `key`.
+    pub fn set_encoded<T: Encode>(&mut self, key: impl Into<Vec<u8>>, value: &T) {
+        self.set(key, value.encoded());
     }
 }
 
@@ -123,12 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn codec_round_trip() {
         let mut s = ContractState::new();
-        s.set_json(b"meta".to_vec(), &vec![1u64, 2, 3])
-            .expect("encodes");
-        let back: Vec<u64> = s.get_json(b"meta").expect("stored");
-        assert_eq!(back, vec![1, 2, 3]);
-        assert!(s.get_json::<String>(b"meta").is_none());
+        s.set_encoded(b"meta".to_vec(), &("dosage".to_string(), 3u64));
+        let back: (String, u64) = s.get_decoded(b"meta").expect("stored");
+        assert_eq!(back, ("dosage".to_string(), 3));
+        assert!(s.get_decoded::<u64>(b"meta").is_none());
     }
 }

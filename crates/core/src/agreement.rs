@@ -10,11 +10,11 @@
 use crate::error::CoreError;
 use medledger_bx::LensSpec;
 use medledger_ledger::AccountId;
-use serde::{Deserialize, Serialize};
+use medledger_storage::struct_codec;
 use std::collections::BTreeMap;
 
 /// One peer's side of a sharing agreement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PeerBinding {
     /// The peer's local source table name (e.g. `"D1"`).
     pub source_table: String,
@@ -22,8 +22,11 @@ pub struct PeerBinding {
     pub lens: LensSpec,
 }
 
+// A peer's bindings are part of its snapshot.
+struct_codec!(PeerBinding { source_table, lens });
+
 /// A complete sharing agreement (one shared table).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SharingAgreement {
     /// The shared table id — the Fig. 3 "Metadata ID" (e.g. `"D13&D31"`).
     pub table_id: String,
@@ -112,6 +115,7 @@ impl SharingAgreementBuilder {
 mod tests {
     use super::*;
     use medledger_crypto::KeyPair;
+    use medledger_storage::{Decode, Encode};
 
     #[test]
     fn builder_assembles_agreement() {
@@ -156,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn agreements_serialize() {
+    fn bindings_round_trip_through_the_codec() {
         let doctor = KeyPair::generate("agr-ser", 2).public();
         let patient = KeyPair::generate("agr-ser2", 2).public();
         let a = SharingAgreement::builder("T")
@@ -174,8 +178,7 @@ mod tests {
             .authority(doctor)
             .build()
             .expect("agreement");
-        let json = serde_json::to_string(&a).expect("serialize");
-        let back: SharingAgreement = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(a, back);
+        let back = BTreeMap::<AccountId, PeerBinding>::decode(&a.bindings.encoded());
+        assert_eq!(back.expect("decodes"), a.bindings);
     }
 }

@@ -29,8 +29,8 @@ use crate::sched::{CommitTicket, StagedOp};
 use crate::system::{System, SystemConfig, SystemStats, UpdateReport, WorkflowTrace};
 use crate::Result;
 use medledger_bx::LensSpec;
-use medledger_contracts::SharedTableMeta;
-use medledger_ledger::{AuditEntry, Chain, Receipt, RevertKind};
+use medledger_contracts::{AuditEntry, SharedTableMeta};
+use medledger_ledger::{Chain, Receipt, RevertKind};
 use medledger_network::LatencyModel;
 use medledger_relational::{Row, Table, Value, WriteOp};
 use medledger_storage::{DurableStore, StorageBackend};

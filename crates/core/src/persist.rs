@@ -61,6 +61,7 @@
 //! signatures the flush record counts) and the mempool (transactions not
 //! yet in a block are lost on crash, exactly like a real node).
 
+use crate::agreement::PeerBinding;
 use crate::error::CoreError;
 use crate::peer::PeerNode;
 use crate::system::{System, SystemConfig, SystemStats};
@@ -68,8 +69,8 @@ use crate::Result;
 use medledger_crypto::Hash256;
 use medledger_ledger::Block;
 use medledger_relational::{Database, LogRecord, Table, TableDelta};
-use medledger_storage::codec::{put_bytes, put_seq, put_varint, take_seq, Reader};
-use medledger_storage::{Decode, Encode, StorageBackend};
+use medledger_storage::codec::{put_bytes, put_varint, take_seq, Reader};
+use medledger_storage::{struct_codec, Decode, Encode, StorageBackend};
 use medledger_telemetry::Recorder;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -124,7 +125,7 @@ struct FlushMeta {
     admin_used: u64,
     /// The deployed sharing contract id, if any.
     contract: Option<Hash256>,
-    /// Aggregate statistics (flattened; see `encode_stats`).
+    /// Aggregate statistics (flattened; see its `Encode` impl).
     stats: SystemStats,
     /// Per-peer watermarks and derived-state deltas.
     peers: Vec<PeerMeta>,
@@ -142,99 +143,69 @@ pub struct FlushRecord {
     meta: FlushMeta,
 }
 
-fn encode_stats(out: &mut Vec<u8>, stats: &SystemStats) {
-    for v in [
-        stats.blocks,
-        stats.txs,
-        stats.reverted_txs,
-        stats.consensus_msgs,
-        stats.consensus_bytes,
-        stats.p2p_transfers,
-        stats.p2p_bytes,
-        stats.data_plane.transfers,
-        stats.data_plane.rows,
-        stats.data_plane.bytes,
-        stats.data_plane.full_table_equiv_bytes,
-    ] {
-        put_varint(out, v);
-    }
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> medledger_storage::Result<SystemStats> {
-    // Struct-literal fields evaluate in written order, matching
-    // `encode_stats` exactly.
-    Ok(SystemStats {
-        blocks: r.take_varint()?,
-        txs: r.take_varint()?,
-        reverted_txs: r.take_varint()?,
-        consensus_msgs: r.take_varint()?,
-        consensus_bytes: r.take_varint()?,
-        p2p_transfers: r.take_varint()?,
-        p2p_bytes: r.take_varint()?,
-        data_plane: medledger_network::DataPlaneStats {
-            transfers: r.take_varint()?,
-            rows: r.take_varint()?,
-            bytes: r.take_varint()?,
-            full_table_equiv_bytes: r.take_varint()?,
-        },
-    })
-}
-
-impl Encode for PeerMeta {
+impl Encode for SystemStats {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.name.encode_into(out);
-        put_varint(out, self.next_seq);
-        put_varint(out, self.next_nonce);
-        put_varint(out, self.keys_used);
-        put_seq(out, &self.applied_versions);
-        put_seq(out, &self.baseline_inverses);
+        for v in [
+            self.blocks,
+            self.txs,
+            self.reverted_txs,
+            self.consensus_msgs,
+            self.consensus_bytes,
+            self.p2p_transfers,
+            self.p2p_bytes,
+            self.data_plane.transfers,
+            self.data_plane.rows,
+            self.data_plane.bytes,
+            self.data_plane.full_table_equiv_bytes,
+        ] {
+            put_varint(out, v);
+        }
     }
 }
 
-impl Decode for PeerMeta {
+impl Decode for SystemStats {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
-        Ok(PeerMeta {
-            name: String::decode_from(r)?,
-            next_seq: r.take_varint()?,
-            next_nonce: r.take_varint()?,
-            keys_used: r.take_varint()?,
-            applied_versions: take_seq(r)?,
-            baseline_inverses: take_seq(r)?,
+        // Struct-literal fields evaluate in written order, matching
+        // `encode_into` exactly.
+        Ok(SystemStats {
+            blocks: r.take_varint()?,
+            txs: r.take_varint()?,
+            reverted_txs: r.take_varint()?,
+            consensus_msgs: r.take_varint()?,
+            consensus_bytes: r.take_varint()?,
+            p2p_transfers: r.take_varint()?,
+            p2p_bytes: r.take_varint()?,
+            data_plane: medledger_network::DataPlaneStats {
+                transfers: r.take_varint()?,
+                rows: r.take_varint()?,
+                bytes: r.take_varint()?,
+                full_table_equiv_bytes: r.take_varint()?,
+            },
         })
     }
 }
 
-impl Encode for FlushMeta {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.epoch);
-        put_varint(out, self.snapshot_id);
-        put_varint(out, self.clock_ms);
-        put_varint(out, self.last_block_ms);
-        self.prg_state.encode_into(out);
-        self.pow_state.encode_into(out);
-        put_varint(out, self.admin_used);
-        self.contract.encode_into(out);
-        encode_stats(out, &self.stats);
-        put_seq(out, &self.peers);
-    }
-}
+struct_codec!(PeerMeta {
+    name,
+    next_seq,
+    next_nonce,
+    keys_used,
+    applied_versions: seq,
+    baseline_inverses: seq
+});
 
-impl Decode for FlushMeta {
-    fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
-        Ok(FlushMeta {
-            epoch: r.take_varint()?,
-            snapshot_id: r.take_varint()?,
-            clock_ms: r.take_varint()?,
-            last_block_ms: r.take_varint()?,
-            prg_state: Decode::decode_from(r)?,
-            pow_state: Decode::decode_from(r)?,
-            admin_used: r.take_varint()?,
-            contract: Decode::decode_from(r)?,
-            stats: decode_stats(r)?,
-            peers: take_seq(r)?,
-        })
-    }
-}
+struct_codec!(FlushMeta {
+    epoch,
+    snapshot_id,
+    clock_ms,
+    last_block_ms,
+    prg_state,
+    pow_state,
+    admin_used,
+    contract,
+    stats,
+    peers: seq
+});
 
 /// Encodes the data sections of a flush record — what it commits, ahead
 /// of the [`FlushMeta`] that closes it — from borrowed state. Returns the
@@ -298,7 +269,7 @@ struct PeerSnapshot {
     tables: Vec<(String, Table)>,
     versions: Vec<(String, u64)>,
     base_seq: u64,
-    bindings_json: Vec<u8>,
+    bindings: BTreeMap<String, PeerBinding>,
 }
 
 impl Decode for PeerSnapshot {
@@ -309,7 +280,7 @@ impl Decode for PeerSnapshot {
             tables: take_seq(r)?,
             versions: take_seq(r)?,
             base_seq: r.take_varint()?,
-            bindings_json: r.take_bytes()?,
+            bindings: Decode::decode_from(r)?,
         })
     }
 }
@@ -361,8 +332,7 @@ fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
             put_varint(&mut out, *version);
         }
         put_varint(&mut out, next_seq);
-        let bindings_json = serde_json::to_vec(peer.bindings_map()).map_err(storage_err)?;
-        put_bytes(&mut out, &bindings_json);
+        peer.bindings_map().encode_into(&mut out);
     }
     Ok(out)
 }
@@ -705,16 +675,13 @@ fn restore_peers(
                 pm.next_seq
             )));
         }
-        let bindings = serde_json::from_slice(&ps.bindings_json).map_err(|e| {
-            CoreError::Storage(format!("corrupt bindings for peer {}: {e}", pm.name))
-        })?;
         let peer = PeerNode::restore_from_parts(
             &pm.name,
             &sys.config.seed,
             sys.config.peer_key_capacity,
             sys.config.shards_per_table,
             db,
-            bindings,
+            ps.bindings,
             &pm.baseline_inverses,
             pm.applied_versions.iter().cloned().collect(),
             pm.next_nonce,

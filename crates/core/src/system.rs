@@ -7,20 +7,21 @@ use crate::peer::{run_shard_job, PeerNode, PropagationMode, RemoteShardPlan};
 use crate::Result;
 use medledger_bx::{changed_attrs_from_delta, TableDelta};
 use medledger_consensus::{PbftConfig, PbftRound, PowModel, ProposerSchedule};
-use medledger_contracts::sharing::{
+use medledger_contracts::call::{
     AckAggregateArgs, AckUpdateArgs, ChangePermissionArgs, CoRequestUpdateArgs, RegisterShareArgs,
-    RequestUpdateArgs,
+    RemoveShareArgs, RequestUpdateArgs,
 };
-use medledger_contracts::{ContractError, ContractRuntime, SharedTableMeta, SharingContract};
+use medledger_contracts::{audit, ContractRuntime, SharedTableMeta, SharingCall, SharingContract};
 use medledger_crypto::{
     ack_message, fold_attestation, Hash256, KeyPair, MerkleTree, Prg, Signature,
 };
 use medledger_ledger::{
-    audit, AccountId, Block, BlockHeader, Chain, Membership, Mempool, Receipt, SignedTransaction,
+    AccountId, Block, BlockHeader, Chain, Membership, Mempool, Receipt, SignedTransaction,
     Transaction, TxId, TxPayload, TxStatus,
 };
 use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel};
 use medledger_relational::normalize_shard_count;
+use medledger_storage::Encode;
 use medledger_telemetry::{Recorder, StageTimer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -953,16 +954,10 @@ impl System {
     fn submit_call(
         &mut self,
         sender: AccountId,
-        method: &str,
-        args: &impl serde::Serialize,
+        call: SharingCall,
         conflict_key: Option<String>,
     ) -> Result<TxId> {
         let contract = self.sharing_contract()?;
-        let args = serde_json::to_vec(args).map_err(|e| {
-            CoreError::Contract(ContractError::BadCall(format!(
-                "`{method}` arguments do not encode: {e}"
-            )))
-        })?;
         let peer = self
             .peers
             .get_mut(&sender)
@@ -972,8 +967,8 @@ impl System {
             nonce: peer.take_nonce(),
             payload: TxPayload::CallContract {
                 contract,
-                method: method.into(),
-                args,
+                method: call.method().into(),
+                args: call.encoded(),
             },
             conflict_key,
         };
@@ -1033,8 +1028,7 @@ impl System {
         };
         let tx = self.submit_call(
             agreement.authority,
-            "register_share",
-            &args,
+            SharingCall::RegisterShare(args),
             Some(agreement.table_id.clone()),
         )?;
         self.produce_blocks_until_receipt(&tx, 16)?;
@@ -1065,8 +1059,7 @@ impl System {
         };
         let tx = self.submit_call(
             authority.account(),
-            "change_permission",
-            &args,
+            SharingCall::ChangePermission(args),
             Some(table_id.to_string()),
         )?;
         self.produce_blocks_until_receipt(&tx, 16)?;
@@ -1082,8 +1075,10 @@ impl System {
     pub fn remove_share(&mut self, authority: PeerId, table_id: &str) -> Result<()> {
         let authority = authority.account();
         let meta = self.share_meta(table_id)?;
-        let args = serde_json::json!({ "table_id": table_id });
-        let tx = self.submit_call(authority, "remove_share", &args, Some(table_id.to_string()))?;
+        let remove = SharingCall::RemoveShare(RemoveShareArgs {
+            table_id: table_id.to_string(),
+        });
+        let tx = self.submit_call(authority, remove, Some(table_id.to_string()))?;
         self.produce_blocks_until_receipt(&tx, 16)?;
         self.expect_success(&tx)?;
         for account in &meta.peers {
@@ -1459,8 +1454,7 @@ impl System {
             };
             ack_txs.push(self.submit_call(
                 updater,
-                "ack_update_aggregate",
-                &args,
+                SharingCall::AckUpdateAggregate(args),
                 Some(format!("{table_id}@ack:{version}")),
             )?);
         }
@@ -1473,8 +1467,7 @@ impl System {
             for (i, d) in dissenters.iter().enumerate() {
                 ack_txs.push(self.submit_call(
                     *d,
-                    "ack_update",
-                    &ack,
+                    SharingCall::AckUpdate(ack.clone()),
                     Some(format!("{table_id}@ack:{version}:d{i}")),
                 )?);
             }
@@ -1674,7 +1667,7 @@ impl System {
                         changed_attrs: declared,
                     };
                     let key = Some(entry.table_id.clone());
-                    let tx = self.submit_call(updater, "request_update", &args, key)?;
+                    let tx = self.submit_call(updater, SharingCall::RequestUpdate(args), key)?;
                     Ok((p, meta.version + 1, tx))
                 });
             let (prepared, next_version, tx) = match queued {
@@ -1751,7 +1744,8 @@ impl System {
             };
             let key = format!("{}@co:{co_seq}", entry.table_id);
             *co_seq += 1;
-            match self.submit_call(co.peer.account(), "co_request_update", &args, Some(key)) {
+            let call = SharingCall::CoRequestUpdate(args);
+            match self.submit_call(co.peer.account(), call, Some(key)) {
                 Ok(co_tx) => {
                     trace.push(
                         "2",
@@ -2188,8 +2182,8 @@ mod ack_share_tests {
             new_hash: prepared.new_hash,
             changed_attrs: prepared.attrs.clone(),
         };
-        let tx = (sys.submit_call(updater, "request_update", &args, Some("ward".into())))
-            .expect("request");
+        let call = SharingCall::RequestUpdate(args);
+        let tx = (sys.submit_call(updater, call, Some("ward".into()))).expect("request");
         sys.produce_blocks_until_receipt(&tx, 32).expect("block");
         sys.expect_success(&tx).expect("permitted");
         let version = sys.share_meta("ward").expect("meta").version;

@@ -1,31 +1,14 @@
 //! The 256-bit digest type used throughout MedLedger.
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
 /// A 256-bit digest (the output of SHA-256).
 ///
 /// Used as block hashes, transaction ids, Merkle roots, contract state
 /// roots, account identifiers and table content hashes. The type is `Copy`
-/// and totally ordered so it can serve as a map key everywhere. It
-/// serializes as a 64-char hex string, so it is usable as a JSON map key
-/// (account-keyed maps appear throughout contract metadata).
+/// and totally ordered so it can serve as a map key everywhere.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hash256(pub [u8; 32]);
-
-impl Serialize for Hash256 {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex())
-    }
-}
-
-impl<'de> Deserialize<'de> for Hash256 {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Hash256::from_hex(&s).ok_or_else(|| D::Error::custom("invalid 64-char hex digest"))
-    }
-}
 
 impl Hash256 {
     /// The all-zero digest, used as the parent of the genesis block and as

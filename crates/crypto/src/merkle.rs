@@ -7,7 +7,6 @@
 
 use crate::hash::Hash256;
 use crate::sha256::sha256_concat;
-use serde::{Deserialize, Serialize};
 
 const LEAF_TAG: &[u8] = &[0x00];
 const NODE_TAG: &[u8] = &[0x01];
@@ -105,7 +104,7 @@ impl MerkleTree {
 /// An inclusion proof: the sibling hashes on the path from a leaf to the
 /// root, plus the leaf index (which determines left/right orientation at
 /// each level).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Index of the proven leaf in the original leaf list.
     pub leaf_index: u64,

@@ -32,7 +32,6 @@
 use crate::hash::Hash256;
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::sha256::{sha256, sha256_concat, OneBlock, Sha256};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Base-16 digits of a message digest, one hash chain each.
@@ -71,7 +70,7 @@ const PARALLEL_MIN_LEAVES: usize = 64;
 /// A verifying key: the Merkle root over the one-time public keys.
 ///
 /// Also used as the account identifier (`AccountId`) across the ledger.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PublicKey(pub Hash256);
 
 impl PublicKey {
@@ -111,7 +110,7 @@ impl fmt::Display for SigningError {
 impl std::error::Error for SigningError {}
 
 /// A Merkle/Winternitz signature.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Signature {
     /// Which one-time key was used.
     pub leaf_index: u64,

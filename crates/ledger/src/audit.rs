@@ -1,116 +1,12 @@
-//! Chain auditing: reconstruct the history of any shared table.
+//! Chain auditing: the structural re-check a fresh auditor node runs.
 //!
 //! The paper: "Blockchain properties such as immutability, auditability,
 //! and transparency enable nodes to check and review update history on
-//! shared data." This module is that review path.
+//! shared data." [`verify_chain`] is the *check*; the *review* — a shared
+//! table's history read off its contract calls — is
+//! `medledger_contracts::audit`, beside the call format it decodes.
 
 use crate::chain::Chain;
-use crate::transaction::{AccountId, TxId};
-use serde::Serialize;
-
-/// One audited event in a shared table's history.
-///
-/// (Serialize-only: entries are reconstructed from the chain, never
-/// parsed back, and the static `kind` label cannot be deserialized.)
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct AuditEntry {
-    /// Block height where the transaction committed.
-    pub height: u64,
-    /// Block timestamp (simulated ms).
-    pub timestamp_ms: u64,
-    /// The transaction id.
-    pub tx_id: TxId,
-    /// Who sent it.
-    pub sender: AccountId,
-    /// Payload kind (`deploy` / `call` / `noop`).
-    pub kind: &'static str,
-    /// Method name for contract calls, if any.
-    pub method: Option<String>,
-}
-
-/// Returns the chronological history of transactions touching conflict key
-/// `key` (a shared-table id).
-///
-/// Besides exact matches, this includes co-authored combined updates,
-/// whose `co_request_update` transactions carry the derived conflict key
-/// `"{key}@co:<n>"` (derived so several co-signatures of one table fit in
-/// one block without violating the one-transaction-per-key rule). Every
-/// submitter of a write-combined update therefore stays individually
-/// visible in the table's history.
-///
-/// Aggregated threshold acks get the same treatment from the other side:
-/// an `ack_update_aggregate` transaction carries the derived conflict key
-/// `"{key}@ack:<version>"` (dissent fallbacks `"{key}@ack:<version>:d<n>"`)
-/// and replaces R per-receiver `ack_update` transactions. So that no
-/// receiver disappears from the audit trail, the aggregate is *expanded*
-/// here: after the submitter's own entry, one entry per contributing
-/// receiver is emitted (same block, same tx id, sender = the contributor),
-/// reconstructed from the transaction's `contributors` argument.
-pub fn history_for_key(chain: &Chain, key: &str) -> Vec<AuditEntry> {
-    let co_prefix = format!("{key}@co:");
-    let ack_prefix = format!("{key}@ack:");
-    let mut out = Vec::new();
-    for block in chain.blocks() {
-        for stx in &block.txs {
-            let matches = match stx.tx.conflict_key.as_deref() {
-                Some(k) => k == key || k.starts_with(&co_prefix) || k.starts_with(&ack_prefix),
-                None => false,
-            };
-            if matches {
-                let (method, args) = match &stx.tx.payload {
-                    crate::transaction::TxPayload::CallContract { method, args, .. } => {
-                        (Some(method.clone()), Some(args))
-                    }
-                    _ => (None, None),
-                };
-                out.push(AuditEntry {
-                    height: block.header.height,
-                    timestamp_ms: block.header.timestamp_ms,
-                    tx_id: stx.id(),
-                    sender: stx.tx.sender,
-                    kind: stx.tx.payload.kind(),
-                    method: method.clone(),
-                });
-                if method.as_deref() == Some("ack_update_aggregate") {
-                    if let Some(args) = args {
-                        for contributor in aggregate_contributors(args) {
-                            out.push(AuditEntry {
-                                height: block.header.height,
-                                timestamp_ms: block.header.timestamp_ms,
-                                tx_id: stx.id(),
-                                sender: contributor,
-                                kind: stx.tx.payload.kind(),
-                                method: method.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Parses the `contributors` list out of `ack_update_aggregate` call args.
-///
-/// Tolerant by construction: a malformed argument blob yields no extra
-/// attributions rather than failing the whole audit.
-fn aggregate_contributors(args: &[u8]) -> Vec<AccountId> {
-    let Ok(value) = serde_json::from_slice::<serde_json::Value>(args) else {
-        return Vec::new();
-    };
-    let Some(serde_json::Value::Array(items)) = value.get("contributors") else {
-        return Vec::new();
-    };
-    items
-        .iter()
-        .filter_map(|v| {
-            v.as_str()
-                .and_then(medledger_crypto::Hash256::from_hex)
-                .map(medledger_crypto::PublicKey)
-        })
-        .collect()
-}
 
 /// Re-validates the whole chain structure from genesis: linkage, tx roots
 /// and the one-transaction-per-key rule. Returns the first problem found.
@@ -158,129 +54,25 @@ mod tests {
     use crate::transaction::{Transaction, TxPayload};
     use medledger_crypto::{Hash256, KeyPair};
 
-    fn setup() -> (Chain, KeyPair, KeyPair) {
-        let alice = KeyPair::generate("audit-alice", 16);
+    #[test]
+    fn verify_chain_accepts_valid() {
+        let mut alice = KeyPair::generate("audit-alice", 16);
         let validator = KeyPair::generate("audit-validator", 16);
         let mut m = Membership::new([alice.public()]);
         m.add_validator(validator.public());
-        (Chain::new(m, validator.public()), alice, validator)
-    }
-
-    fn call_tx(kp: &mut KeyPair, nonce: u64, key: &str, method: &str) -> crate::SignedTransaction {
-        Transaction {
-            sender: kp.public(),
-            nonce,
-            payload: TxPayload::CallContract {
-                contract: Hash256::ZERO,
-                method: method.into(),
-                args: vec![],
-            },
-            conflict_key: Some(key.into()),
-        }
-        .sign(kp)
-        .expect("sign")
-    }
-
-    #[test]
-    fn history_reconstructs_in_order() {
-        let (mut chain, mut alice, validator) = setup();
-        for (i, method) in ["request_update", "ack_update", "request_update"]
-            .iter()
-            .enumerate()
-        {
-            let t = call_tx(&mut alice, i as u64, "D13&D31", method);
-            let b = Block::assemble(
-                chain.height() + 1,
-                chain.tip().hash(),
-                Hash256::ZERO,
-                (i as u64 + 1) * 1000,
-                validator.public(),
-                vec![t],
-            );
-            chain.append(b).expect("append");
-        }
-        let hist = history_for_key(&chain, "D13&D31");
-        assert_eq!(hist.len(), 3);
-        assert_eq!(hist[0].method.as_deref(), Some("request_update"));
-        assert_eq!(hist[1].method.as_deref(), Some("ack_update"));
-        assert!(hist.windows(2).all(|w| w[0].height < w[1].height));
-        assert!(history_for_key(&chain, "other").is_empty());
-    }
-
-    #[test]
-    fn history_includes_co_request_keys() {
-        let (mut chain, mut alice, validator) = setup();
-        let lead = call_tx(&mut alice, 0, "D13&D31", "request_update");
-        let co = call_tx(&mut alice, 1, "D13&D31@co:0", "co_request_update");
-        let unrelated = call_tx(&mut alice, 2, "D13&D31-other", "request_update");
-        let b = Block::assemble(
-            1,
-            chain.tip().hash(),
-            Hash256::ZERO,
-            1000,
-            validator.public(),
-            vec![lead, co, unrelated],
-        );
-        chain.append(b).expect("append");
-        let hist = history_for_key(&chain, "D13&D31");
-        assert_eq!(hist.len(), 2);
-        assert_eq!(hist[1].method.as_deref(), Some("co_request_update"));
-        // The sibling table with a prefix-sharing id is not swept in.
-        assert_eq!(history_for_key(&chain, "D13&D31-other").len(), 1);
-    }
-
-    #[test]
-    fn history_expands_aggregated_ack_contributors() {
-        let (mut chain, mut alice, validator) = setup();
-        let peer_a = KeyPair::generate("audit-peer-a", 2).public();
-        let peer_b = KeyPair::generate("audit-peer-b", 2).public();
-        let args = format!(
-            r#"{{"table_id":"D13&D31","version":1,"applied_hash":"{}","contributors":["{}","{}"],"attestation":"{}"}}"#,
-            Hash256([2; 32]).to_hex(),
-            peer_a.0.to_hex(),
-            peer_b.0.to_hex(),
-            Hash256([9; 32]).to_hex(),
-        );
-        let agg = Transaction {
+        let mut chain = Chain::new(m, validator.public());
+        let t = Transaction {
             sender: alice.public(),
             nonce: 0,
             payload: TxPayload::CallContract {
                 contract: Hash256::ZERO,
-                method: "ack_update_aggregate".into(),
-                args: args.into_bytes(),
+                method: "request_update".into(),
+                args: vec![],
             },
-            conflict_key: Some("D13&D31@ack:1".into()),
+            conflict_key: Some("D13&D31".into()),
         }
         .sign(&mut alice)
         .expect("sign");
-        let b = Block::assemble(
-            1,
-            chain.tip().hash(),
-            Hash256::ZERO,
-            1000,
-            validator.public(),
-            vec![agg],
-        );
-        chain.append(b).expect("append");
-        let hist = history_for_key(&chain, "D13&D31");
-        // Submitter entry + one attribution entry per contributor.
-        assert_eq!(hist.len(), 3);
-        assert_eq!(hist[0].sender, alice.public());
-        assert_eq!(hist[1].sender, peer_a);
-        assert_eq!(hist[2].sender, peer_b);
-        assert!(hist
-            .iter()
-            .all(|e| e.method.as_deref() == Some("ack_update_aggregate")));
-        // All three share the on-chain transaction.
-        assert_eq!(hist[0].tx_id, hist[1].tx_id);
-        // A dissent fallback key also belongs to the table's history.
-        assert!(history_for_key(&chain, "other").is_empty());
-    }
-
-    #[test]
-    fn verify_chain_accepts_valid() {
-        let (mut chain, mut alice, validator) = setup();
-        let t = call_tx(&mut alice, 0, "D13&D31", "request_update");
         let b = Block::assemble(
             1,
             chain.tip().hash(),

@@ -11,9 +11,8 @@
 use crate::block::{Block, BlockHeader};
 use crate::receipt::{LogEntry, Receipt, RevertKind, TxStatus};
 use crate::transaction::{SignedTransaction, Transaction, TxPayload};
-use medledger_crypto::{Hash256, PublicKey, Signature};
-use medledger_storage::codec::{put_seq, put_varint, take_seq};
-use medledger_storage::{Decode, Encode, Reader};
+use medledger_crypto::Hash256;
+use medledger_storage::{struct_codec, Decode, Encode, Reader};
 use medledger_storage::{Result, StorageError};
 
 impl Encode for TxPayload {
@@ -57,83 +56,23 @@ impl Decode for TxPayload {
     }
 }
 
-impl Encode for Transaction {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.sender.encode_into(out);
-        put_varint(out, self.nonce);
-        self.payload.encode_into(out);
-        self.conflict_key.encode_into(out);
-    }
-}
-
-impl Decode for Transaction {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Transaction {
-            sender: PublicKey::decode_from(r)?,
-            nonce: r.take_varint()?,
-            payload: TxPayload::decode_from(r)?,
-            conflict_key: Option::<String>::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for SignedTransaction {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.tx.encode_into(out);
-        self.signature.encode_into(out);
-    }
-}
-
-impl Decode for SignedTransaction {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(SignedTransaction {
-            tx: Transaction::decode_from(r)?,
-            signature: Signature::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for BlockHeader {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.height);
-        self.parent.encode_into(out);
-        self.tx_root.encode_into(out);
-        self.state_root.encode_into(out);
-        put_varint(out, self.timestamp_ms);
-        self.proposer.encode_into(out);
-        self.wave.encode_into(out);
-    }
-}
-
-impl Decode for BlockHeader {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(BlockHeader {
-            height: r.take_varint()?,
-            parent: Hash256::decode_from(r)?,
-            tx_root: Hash256::decode_from(r)?,
-            state_root: Hash256::decode_from(r)?,
-            timestamp_ms: r.take_varint()?,
-            proposer: PublicKey::decode_from(r)?,
-            wave: Option::<u64>::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for Block {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.header.encode_into(out);
-        put_seq(out, &self.txs);
-    }
-}
-
-impl Decode for Block {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Block {
-            header: BlockHeader::decode_from(r)?,
-            txs: take_seq(r)?,
-        })
-    }
-}
+struct_codec!(Transaction {
+    sender,
+    nonce,
+    payload,
+    conflict_key
+});
+struct_codec!(SignedTransaction { tx, signature });
+struct_codec!(BlockHeader {
+    height,
+    parent,
+    tx_root,
+    state_root,
+    timestamp_ms,
+    proposer,
+    wave
+});
+struct_codec!(Block { header, txs: seq });
 
 // Tag 5 belonged to the retired bytecode-VM revert; it stays unassigned
 // so stored receipts keep their meaning.
@@ -190,43 +129,17 @@ impl Decode for TxStatus {
     }
 }
 
-impl Encode for LogEntry {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.contract.encode_into(out);
-        self.topic.encode_into(out);
-        self.data.encode_into(out);
-    }
-}
-
-impl Decode for LogEntry {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(LogEntry {
-            contract: Hash256::decode_from(r)?,
-            topic: String::decode_from(r)?,
-            data: String::decode_from(r)?,
-        })
-    }
-}
-
-impl Encode for Receipt {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.tx_id.encode_into(out);
-        self.status.encode_into(out);
-        put_varint(out, self.gas_used);
-        put_seq(out, &self.logs);
-    }
-}
-
-impl Decode for Receipt {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Receipt {
-            tx_id: Hash256::decode_from(r)?,
-            status: TxStatus::decode_from(r)?,
-            gas_used: r.take_varint()?,
-            logs: take_seq(r)?,
-        })
-    }
-}
+struct_codec!(LogEntry {
+    contract,
+    topic,
+    data
+});
+struct_codec!(Receipt {
+    tx_id,
+    status,
+    gas_used,
+    logs: seq
+});
 
 #[cfg(test)]
 mod tests {
@@ -309,7 +222,7 @@ mod tests {
             logs: vec![LogEntry {
                 contract: Hash256([4; 32]),
                 topic: "UpdateCommitted".into(),
-                data: "{\"table\":\"D13&D31\"}".into(),
+                data: "table_id=D13&D31 version=1".into(),
             }],
         });
     }
@@ -330,16 +243,5 @@ mod tests {
         assert_eq!(bytes[33], 4);
         bytes[33] = 5;
         assert!(Receipt::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json() {
-        let stx = sample_signed(1);
-        let binary = stx.encoded().len();
-        let json = serde_json::to_vec(&stx).expect("json").len();
-        assert!(
-            binary * 2 < json,
-            "binary {binary} bytes should be well under half of JSON {json} bytes"
-        );
     }
 }

@@ -3,10 +3,9 @@
 use crate::transaction::{AccountId, SignedTransaction};
 use medledger_crypto::{merkle::MerkleTree, sha256_concat, Hash256};
 use medledger_storage::Encode;
-use serde::{Deserialize, Serialize};
 
 /// A block header.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Height in the chain (genesis = 0).
     pub height: u64,
@@ -38,7 +37,7 @@ impl BlockHeader {
 }
 
 /// A block: header plus ordered transactions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// The header.
     pub header: BlockHeader,

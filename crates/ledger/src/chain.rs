@@ -3,12 +3,11 @@
 use crate::block::Block;
 use crate::transaction::{AccountId, TxId};
 use medledger_crypto::Hash256;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Chain validation errors.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChainError {
     /// Block height is not `tip + 1`.
     BadHeight {
@@ -93,7 +92,7 @@ impl std::error::Error for ChainError {}
 
 /// The permissioned membership list: accounts allowed to transact, and the
 /// subset allowed to propose blocks (validators).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Membership {
     members: BTreeSet<AccountId>,
     validators: BTreeSet<AccountId>,
@@ -176,6 +175,8 @@ impl Chain {
 
     /// Current tip block.
     pub fn tip(&self) -> &Block {
+        // lint: allow(unwrap) — `Chain::new` starts from genesis and no
+        // method removes a block, so the chain is never empty.
         self.blocks.last().expect("genesis always present")
     }
 

@@ -15,10 +15,12 @@
 //!   [`Transaction::conflict_key`] (the shared-table id); block assembly
 //!   ([`Mempool::select`]) and block validation ([`Chain::validate_block`])
 //!   both enforce the rule.
-//! * **Auditability** — the [`audit`] module reconstructs the full update
-//!   history of any shared table from the chain, the paper's
-//!   "blockchain-based immutable shared ledger enables users to trace data
-//!   updates history".
+//! * **Auditability** — [`audit::verify_chain`] re-checks the whole chain
+//!   from genesis, the integrity half of the paper's "blockchain-based
+//!   immutable shared ledger enables users to trace data updates
+//!   history"; reading a shared table's history means reading its
+//!   contract calls, so that half lives with the contract
+//!   (`medledger-contracts::audit`).
 //!
 //! Consensus (who gets to append) lives in `medledger-consensus`; contract
 //! execution (what a committed block *means*) lives in
@@ -32,7 +34,7 @@ pub mod mempool;
 pub mod receipt;
 pub mod transaction;
 
-pub use audit::{history_for_key, verify_chain, AuditEntry};
+pub use audit::verify_chain;
 pub use block::{Block, BlockHeader};
 pub use chain::{Chain, ChainError, Membership};
 pub use mempool::Mempool;

@@ -7,7 +7,6 @@
 
 use crate::transaction::TxId;
 use medledger_crypto::Hash256;
-use serde::{Deserialize, Serialize};
 
 /// Machine-readable classification of a revert.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// runtime maps its error variants onto these); carried in receipts so
 /// callers above the chain can react to *why* a transaction failed
 /// without parsing the human-readable reason string.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RevertKind {
     /// The caller lacked write/authority permission.
     PermissionDenied,
@@ -32,7 +31,7 @@ pub enum RevertKind {
 }
 
 /// Outcome of executing one transaction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxStatus {
     /// Executed and state changes were applied.
     Success,
@@ -61,18 +60,19 @@ impl TxStatus {
 }
 
 /// One event emitted by a contract during execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogEntry {
     /// Emitting contract.
     pub contract: Hash256,
     /// Event name (e.g. `UpdateCommitted`, `SharedTableRegistered`).
     pub topic: String,
-    /// JSON-encoded event payload.
+    /// Human-readable event payload (`key=value` pairs); nothing parses
+    /// it — readers match on `topic`.
     pub data: String,
 }
 
 /// The receipt of one executed transaction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Receipt {
     /// The executed transaction.
     pub tx_id: TxId,

@@ -2,34 +2,6 @@
 
 use medledger_crypto::{sha256_concat, Hash256, KeyPair, PublicKey, Signature};
 use medledger_storage::Encode;
-use serde::{Deserialize, Serialize};
-
-/// Hex (de)serialization for byte fields, keeping JSON transaction
-/// encodings compact (a raw `Vec<u8>` would serialize as a number array,
-/// ~3.7× larger — which would distort the storage experiments).
-mod hex_bytes {
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &[u8], ser: S) -> Result<S::Ok, S::Error> {
-        let mut s = String::with_capacity(bytes.len() * 2);
-        for b in bytes {
-            s.push_str(&format!("{b:02x}"));
-        }
-        ser.serialize_str(&s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<Vec<u8>, D::Error> {
-        let s = String::deserialize(de)?;
-        if s.len() % 2 != 0 {
-            return Err(D::Error::custom("odd-length hex string"));
-        }
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(D::Error::custom))
-            .collect()
-    }
-}
 
 /// An account on the permissioned ledger — the Merkle root of the owner's
 /// hash-based signing keys (see `medledger-crypto::sig`).
@@ -40,20 +12,18 @@ pub type TxId = Hash256;
 
 /// What a transaction does.
 ///
-/// Payload arguments are opaque bytes at this layer (serde-encoded by the
+/// Payload arguments are opaque bytes at this layer (encoded by the
 /// contracts crate); the ledger cares only about ordering, signatures and
 /// conflict keys.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TxPayload {
     /// Deploy a contract. The new contract's id is derived from the
     /// deployer and nonce.
     DeployContract {
         /// Contract bytecode or a native-contract tag (interpreted by the
         /// contract runtime).
-        #[serde(with = "hex_bytes")]
         code: Vec<u8>,
         /// Serialized constructor arguments.
-        #[serde(with = "hex_bytes")]
         init: Vec<u8>,
     },
     /// Call a method on an existing contract.
@@ -63,7 +33,6 @@ pub enum TxPayload {
         /// Method name.
         method: String,
         /// Serialized arguments.
-        #[serde(with = "hex_bytes")]
         args: Vec<u8>,
     },
     /// A no-op marker transaction (used by benches to measure pure
@@ -83,7 +52,7 @@ impl TxPayload {
 }
 
 /// An unsigned transaction body.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// Sender account.
     pub sender: AccountId,
@@ -120,7 +89,7 @@ impl Transaction {
 }
 
 /// A signed transaction as it travels through mempool, blocks and audits.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SignedTransaction {
     /// The signed body.
     pub tx: Transaction,

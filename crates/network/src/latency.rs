@@ -1,10 +1,9 @@
 //! Latency models for the simulated network.
 
 use medledger_crypto::Prg;
-use serde::{Deserialize, Serialize};
 
 /// How long a message takes to deliver, in virtual milliseconds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant {

@@ -9,10 +9,8 @@
 //! both the bytes actually moved and the full-table-equivalent bytes the
 //! same update would have cost, so reports can state the saving directly.
 
-use serde::{Deserialize, Serialize};
-
 /// One peer-to-peer shared-data message, sized by its serialized payload.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DataTransfer {
     /// Rows carried by the message.
     pub rows: u64,
@@ -23,7 +21,7 @@ pub struct DataTransfer {
 }
 
 /// Accumulated data-plane traffic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataPlaneStats {
     /// Messages sent.
     pub transfers: u64,

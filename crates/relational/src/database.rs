@@ -7,11 +7,10 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
 use medledger_crypto::{sha256_concat, Hash256};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One logged mutation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WriteOp {
     /// Insert a full row.
     Insert {
@@ -65,7 +64,7 @@ impl WriteOp {
 }
 
 /// One entry of the local write-ahead log.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogRecord {
     /// Monotonic sequence number within this database.
     pub seq: u64,
@@ -82,7 +81,7 @@ pub struct LogRecord {
 /// All mutations flow through [`Database::apply`] so they are logged.
 /// The log and the version counters may also cover tables stored
 /// elsewhere ([`Database::log_external`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Database {
     /// Owner label (peer name); used in error messages and audits.
     pub owner: String,
@@ -92,13 +91,11 @@ pub struct Database {
     /// whole-table swaps), so callers caching
     /// state derived from a table (e.g. a peer's group indexes) can
     /// detect that the table moved under them.
-    #[serde(default)]
     versions: BTreeMap<String, u64>,
     /// Sequence number of the oldest record still in `log`: records below
     /// it were handed to durable storage and dropped via
     /// [`Database::truncate_log`]. Sequence numbers stay monotonic across
     /// truncation.
-    #[serde(default)]
     base_seq: u64,
 }
 

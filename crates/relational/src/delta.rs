@@ -15,14 +15,13 @@ use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A key-aligned difference between two versions of a table.
 ///
 /// The three row sets are disjoint by key and canonically ordered, so two
 /// peers diffing the same pair of tables produce byte-identical deltas.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct TableDelta {
     /// Rows present in `new` but not `old` (by key).
     pub inserts: Vec<Row>,

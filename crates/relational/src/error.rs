@@ -1,11 +1,10 @@
 //! The crate-wide error type.
 
 use crate::value::ValueType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from relational operations.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RelationalError {
     /// A named column does not exist in the schema.
     UnknownColumn {

@@ -4,11 +4,10 @@ use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -40,9 +39,9 @@ impl fmt::Display for CmpOp {
 
 /// A predicate over rows of a known schema.
 ///
-/// Serializable so it can travel inside lens specifications in sharing
-/// agreements.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Travels inside lens specifications in sharing agreements (and so in
+/// snapshots, in the storage codec).
+#[derive(Clone, Debug, PartialEq)]
 pub enum Predicate {
     /// Always true.
     True,

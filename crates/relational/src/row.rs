@@ -1,12 +1,11 @@
 //! Table rows.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// A row: one value per schema column, in schema order.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Row(pub Vec<Value>);
 
 impl Row {

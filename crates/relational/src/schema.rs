@@ -4,11 +4,10 @@ use crate::error::RelationalError;
 use crate::row::Row;
 use crate::value::ValueType;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One column of a schema.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Column {
     /// Column name (attribute name in the paper, e.g. `medication_name`).
     pub name: String,
@@ -39,7 +38,7 @@ impl Column {
 }
 
 /// A table schema: ordered columns plus a primary key.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Schema {
     columns: Vec<Column>,
     /// Indexes (into `columns`) of the primary key attributes.

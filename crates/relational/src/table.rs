@@ -8,7 +8,6 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use medledger_crypto::{merkle, sha256_concat, Hash256};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
@@ -178,13 +177,10 @@ impl HashCache {
 /// each mutation refreshes only the changed rows' chunk of the digest, so
 /// hashing cost after `k` changed rows is `O(k · n/chunks + chunks)`, not
 /// a full re-encode of the table.
-#[derive(Serialize, Deserialize)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
-    #[serde(skip)]
     index: BTreeMap<Vec<Value>, usize>,
-    #[serde(skip)]
     cache: Mutex<HashCache>,
 }
 
@@ -241,17 +237,9 @@ impl Table {
 
     /// Rows sorted by primary key (canonical order).
     ///
-    /// Served straight from the ordered key index — no per-call sort. The
-    /// sort fallback only runs when the index is stale (a deserialized
-    /// table before [`Table::rebuild_index`]).
+    /// Served straight from the ordered key index — no per-call sort.
     pub fn sorted_rows(&self) -> Vec<&Row> {
-        if self.index.len() == self.rows.len() {
-            self.index.values().map(|&pos| &self.rows[pos]).collect()
-        } else {
-            let mut out: Vec<&Row> = self.rows.iter().collect();
-            out.sort_by_key(|a| self.schema.key_of(a));
-            out
-        }
+        self.index.values().map(|&pos| &self.rows[pos]).collect()
     }
 
     // ----- cache bookkeeping ------------------------------------------
@@ -637,23 +625,6 @@ impl Table {
         self.cache.lock().expect("cache lock").stats
     }
 
-    /// Rebuilds the primary-key index (needed after deserialization); also
-    /// discards the incremental hash cache so the next
-    /// [`Table::content_hash`] rebuilds it from the rows.
-    pub fn rebuild_index(&mut self) -> Result<()> {
-        self.index.clear();
-        for (pos, row) in self.rows.iter().enumerate() {
-            let key = self.schema.key_of(row);
-            if self.index.insert(key.clone(), pos).is_some() {
-                return Err(RelationalError::DuplicateKey {
-                    key: format_key(&key),
-                });
-            }
-        }
-        self.cache.get_mut().expect("cache lock").invalidate();
-        Ok(())
-    }
-
     /// Renders the table as an aligned ASCII grid (used by the report
     /// binary to regenerate the paper's Fig. 1 layout).
     pub fn to_pretty(&self) -> String {
@@ -906,11 +877,8 @@ mod tests {
         t.delete(&[Value::Int(77)]).expect("delete");
         let warm = t.content_hash();
 
-        let mut cold =
+        let cold =
             Table::from_rows(patients_schema(), t.rows().cloned().collect()).expect("rebuild");
-        assert_eq!(warm, cold.content_hash());
-        // And after an explicit cache reset.
-        cold.rebuild_index().expect("rebuild index");
         assert_eq!(warm, cold.content_hash());
     }
 
@@ -1034,13 +1002,6 @@ mod tests {
         assert!(r.schema().has_column("dose"));
         assert!(!r.schema().has_column("dosage"));
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn rebuild_index_after_manual_rows() {
-        let mut t = patients();
-        t.rebuild_index().expect("rebuild");
-        assert!(t.get(&[Value::Int(188)]).is_some());
     }
 
     #[test]

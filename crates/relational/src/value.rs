@@ -1,12 +1,11 @@
 //! Dynamically typed cell values.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// The type of a [`Value`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValueType {
     /// The null type (only inhabited by `Value::Null`).
     Null,
@@ -42,7 +41,7 @@ impl fmt::Display for ValueType {
 /// `total_cmp`) so rows can be canonically sorted and content-hashed, and
 /// hashable so values can key indexes. Equality on floats is bitwise, which
 /// is the right notion for replication: peers must agree byte-for-byte.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// Absent / unknown.
     Null,

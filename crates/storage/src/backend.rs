@@ -147,10 +147,13 @@ impl SharedBackend {
 
     /// A deep copy of the current backend state.
     pub fn snapshot_state(&self) -> MemoryBackend {
+        // lint: allow(unwrap) — the lock is only poisoned by a panic while
+        // held, and no backend call panics: that would be a bug to surface.
         self.inner.lock().expect("backend lock").clone()
     }
 
     fn with<T>(&self, f: impl FnOnce(&mut MemoryBackend) -> Result<T>) -> Result<T> {
+        // lint: allow(unwrap) — as in `snapshot_state`.
         f(&mut self.inner.lock().expect("backend lock"))
     }
 }

@@ -1,15 +1,17 @@
 //! Compact, versioned, length-prefixed binary codec.
 //!
-//! The vendored-serde JSON detour on the hot hashing paths re-encoded
-//! every transaction and block header as JSON text before hashing; this
-//! module replaces it with a deterministic binary format used both for
-//! hashing domains (ledger digests carry `v2` domain tags over these
-//! bytes) and for everything the durable-storage subsystem writes: WAL
-//! records, snapshots, and table images.
+//! The system's one serialization format: hashing domains (ledger
+//! digests carry `v2` domain tags over these bytes), contract call
+//! arguments and contract state, the node's wire frames, and everything
+//! the durable-storage subsystem writes — WAL records, snapshots, and
+//! table images.
 //!
 //! Format conventions:
 //! * integers ≥ 0 of variable magnitude (lengths, counts, sequence
-//!   numbers) are LEB128 varints;
+//!   numbers) are LEB128 varints, in their shortest form only;
+//! * sets and maps are a count and their elements in ascending order, and
+//!   decode only from strictly ascending elements — so, like a varint,
+//!   each has exactly one encoding;
 //! * fixed-width values (`i64`, `f64` bits, digests) are big-endian raw
 //!   bytes;
 //! * enums are a `u8` tag followed by the variant's fields;
@@ -26,8 +28,10 @@
 use crate::{Result, StorageError};
 use medledger_crypto::{Hash256, MerkleProof, PublicKey, Signature};
 use medledger_relational::{
-    Column, LogRecord, Row, Schema, ShardMap, Table, TableDelta, Value, ValueType, WriteOp,
+    CmpOp, Column, LogRecord, Predicate, Row, Schema, ShardMap, Table, TableDelta, Value,
+    ValueType, WriteOp,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Serializes a value into the storage binary format.
 pub trait Encode {
@@ -102,7 +106,9 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Consumes a LEB128 varint.
+    /// Consumes a LEB128 varint in its shortest form: a padded one (a
+    /// final `0x00` after a continuation byte) is an error, so every
+    /// value reads back from exactly the bytes [`put_varint`] writes.
     pub fn take_varint(&mut self) -> Result<u64> {
         let mut value: u64 = 0;
         let mut shift = 0u32;
@@ -113,6 +119,9 @@ impl<'a> Reader<'a> {
             }
             value |= u64::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(StorageError::Codec("varint is not in shortest form".into()));
+                }
                 return Ok(value);
             }
             shift += 7;
@@ -278,6 +287,122 @@ pub fn take_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>> {
     Ok(out)
 }
 
+/// Implements [`Encode`] and [`Decode`] for a struct as its fields, in
+/// the order listed, each in its own encoding — except a field marked
+/// `seq`, a `Vec` of elements other than bytes, which goes through
+/// [`put_seq`] / [`take_seq`]. Decoding fills the fields in the same
+/// order, so the two impls cannot disagree.
+///
+/// ```
+/// # use medledger_storage::{struct_codec, Decode, Encode};
+/// struct Share { table_id: String, versions: Vec<u64> }
+/// struct_codec!(Share { table_id, versions: seq });
+/// let share = Share { table_id: "ward".into(), versions: vec![1, 300] };
+/// assert_eq!(Share::decode(&share.encoded()).unwrap().versions, [1, 300]);
+/// ```
+#[macro_export]
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident $(: $seq:ident)?),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $($crate::struct_codec!(@put out, self.$field $(, $seq)?);)*
+            }
+        }
+
+        impl $crate::Decode for $ty {
+            fn decode_from(r: &mut $crate::Reader<'_>) -> $crate::Result<Self> {
+                Ok($ty { $($field: $crate::struct_codec!(@take r $(, $seq)?),)* })
+            }
+        }
+    };
+    (@put $out:ident, $value:expr) => {
+        $crate::Encode::encode_into(&$value, $out)
+    };
+    (@put $out:ident, $value:expr, seq) => {
+        $crate::codec::put_seq($out, &$value)
+    };
+    (@take $r:ident) => {
+        $crate::Decode::decode_from($r)?
+    };
+    (@take $r:ident, seq) => {
+        $crate::codec::take_seq($r)?
+    };
+}
+
+/// Encodes a map as a count and its entries in key order, each value
+/// written by `value` (for value types without an [`Encode`] impl of
+/// their own, such as a `Vec` of keys).
+pub fn put_map<K: Encode, V>(
+    out: &mut Vec<u8>,
+    map: &BTreeMap<K, V>,
+    mut value: impl FnMut(&mut Vec<u8>, &V),
+) {
+    put_varint(out, map.len() as u64);
+    for (k, v) in map {
+        k.encode_into(out);
+        value(out, v);
+    }
+}
+
+/// Decodes what [`put_map`] writes, each value read by `value`; keys that
+/// are not strictly ascending are an error, so a map has one encoding.
+pub fn take_map<K: Decode + Ord, V>(
+    r: &mut Reader<'_>,
+    mut value: impl FnMut(&mut Reader<'_>) -> Result<V>,
+) -> Result<BTreeMap<K, V>> {
+    let len = r.take_len()?;
+    let mut map = BTreeMap::new();
+    for _ in 0..len {
+        let k = K::decode_from(r)?;
+        if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+            return Err(StorageError::Codec(
+                "map keys are not strictly ascending".into(),
+            ));
+        }
+        map.insert(k, value(r)?);
+    }
+    Ok(map)
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_map(out, self, |out, v| v.encode_into(out));
+    }
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+        take_map(r, V::decode_from)
+    }
+}
+
+impl<T: Encode> Encode for BTreeSet<T> {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self {
+            item.encode_into(out);
+        }
+    }
+}
+
+/// Strictly ascending elements only, as for a map's keys.
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+        let len = r.take_len()?;
+        let mut set = BTreeSet::new();
+        for _ in 0..len {
+            let item = T::decode_from(r)?;
+            if set.last().is_some_and(|last| *last >= item) {
+                return Err(StorageError::Codec(
+                    "set elements are not strictly ascending".into(),
+                ));
+            }
+            set.insert(item);
+        }
+        Ok(set)
+    }
+}
+
 // ----- crypto types ----------------------------------------------------
 
 impl Encode for Hash256 {
@@ -306,21 +431,10 @@ impl Decode for PublicKey {
     }
 }
 
-impl Encode for MerkleProof {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.leaf_index);
-        put_seq(out, &self.path);
-    }
-}
-
-impl Decode for MerkleProof {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(MerkleProof {
-            leaf_index: r.take_varint()?,
-            path: take_seq(r)?,
-        })
-    }
-}
+crate::struct_codec!(MerkleProof {
+    leaf_index,
+    path: seq
+});
 
 impl Encode for Signature {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -454,23 +568,7 @@ impl Decode for ValueType {
     }
 }
 
-impl Encode for Column {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.name.encode_into(out);
-        self.ty.encode_into(out);
-        self.nullable.encode_into(out);
-    }
-}
-
-impl Decode for Column {
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Column {
-            name: String::decode_from(r)?,
-            ty: ValueType::decode_from(r)?,
-            nullable: bool::decode_from(r)?,
-        })
-    }
-}
+crate::struct_codec!(Column { name, ty, nullable });
 
 impl Encode for Schema {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -637,22 +735,92 @@ impl Decode for WriteOp {
     }
 }
 
-impl Encode for LogRecord {
+crate::struct_codec!(LogRecord {
+    seq,
+    table,
+    op,
+    post_hash
+});
+
+impl Encode for CmpOp {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.seq);
-        self.table.encode_into(out);
-        self.op.encode_into(out);
-        self.post_hash.encode_into(out);
+        out.push(match self {
+            CmpOp::Eq => 0,
+            CmpOp::Ne => 1,
+            CmpOp::Lt => 2,
+            CmpOp::Le => 3,
+            CmpOp::Gt => 4,
+            CmpOp::Ge => 5,
+        });
     }
 }
 
-impl Decode for LogRecord {
+impl Decode for CmpOp {
     fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(LogRecord {
-            seq: r.take_varint()?,
-            table: String::decode_from(r)?,
-            op: WriteOp::decode_from(r)?,
-            post_hash: Hash256::decode_from(r)?,
+        Ok(match r.take_u8()? {
+            0 => CmpOp::Eq,
+            1 => CmpOp::Ne,
+            2 => CmpOp::Lt,
+            3 => CmpOp::Le,
+            4 => CmpOp::Gt,
+            5 => CmpOp::Ge,
+            t => return Err(StorageError::Codec(format!("invalid comparison tag {t}"))),
+        })
+    }
+}
+
+impl Encode for Predicate {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Predicate::True => out.push(0),
+            Predicate::False => out.push(1),
+            Predicate::Cmp { attr, op, value } => {
+                out.push(2);
+                attr.encode_into(out);
+                op.encode_into(out);
+                // Qualified for the same reason as in the `Row` impl.
+                Encode::encode_into(value, out);
+            }
+            Predicate::IsNull { attr } => {
+                out.push(3);
+                attr.encode_into(out);
+            }
+            Predicate::And(a, b) => {
+                out.push(4);
+                a.encode_into(out);
+                b.encode_into(out);
+            }
+            Predicate::Or(a, b) => {
+                out.push(5);
+                a.encode_into(out);
+                b.encode_into(out);
+            }
+            Predicate::Not(p) => {
+                out.push(6);
+                p.encode_into(out);
+            }
+        }
+    }
+}
+
+impl Decode for Predicate {
+    fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
+        let boxed = |r: &mut Reader<'_>| Predicate::decode_from(r).map(Box::new);
+        Ok(match r.take_u8()? {
+            0 => Predicate::True,
+            1 => Predicate::False,
+            2 => Predicate::Cmp {
+                attr: String::decode_from(r)?,
+                op: CmpOp::decode_from(r)?,
+                value: Value::decode_from(r)?,
+            },
+            3 => Predicate::IsNull {
+                attr: String::decode_from(r)?,
+            },
+            4 => Predicate::And(boxed(r)?, boxed(r)?),
+            5 => Predicate::Or(boxed(r)?, boxed(r)?),
+            6 => Predicate::Not(boxed(r)?),
+            t => return Err(StorageError::Codec(format!("invalid predicate tag {t}"))),
         })
     }
 }
@@ -695,6 +863,50 @@ mod tests {
     fn varint_rejects_overflow() {
         let mut r = Reader::new(&[0xFF; 10]);
         assert!(r.take_varint().is_err());
+    }
+
+    #[test]
+    fn varint_rejects_padding() {
+        // 0 and 1 padded with a continuation byte each.
+        for padded in [&[0x80, 0x00][..], &[0x81, 0x80, 0x00]] {
+            assert!(Reader::new(padded).take_varint().is_err(), "{padded:?}");
+        }
+    }
+
+    #[test]
+    fn sets_and_maps_round_trip_and_decode_only_ascending() {
+        let set: BTreeSet<String> = ["a", "b"].map(String::from).into();
+        round_trip(&set);
+        let map: BTreeMap<String, u64> = [("a".to_string(), 1), ("b".to_string(), 2)].into();
+        round_trip(&map);
+        let mut swapped = Vec::new();
+        put_varint(&mut swapped, 2);
+        for (k, v) in map.iter().rev() {
+            k.encode_into(&mut swapped);
+            v.encode_into(&mut swapped);
+        }
+        assert!(BTreeMap::<String, u64>::decode(&swapped).is_err());
+        let mut twice = Vec::new();
+        put_seq(&mut twice, &["a".to_string(), "a".to_string()]);
+        assert!(BTreeSet::<String>::decode(&twice).is_err());
+    }
+
+    #[test]
+    fn predicates_round_trip() {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            round_trip(&op);
+        }
+        let pred = Predicate::cmp("age", CmpOp::Ge, Value::Int(18))
+            .and(Predicate::IsNull { attr: "x".into() }.not())
+            .or(Predicate::True.and(Predicate::False));
+        round_trip(&pred);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! 1. **Codec** ([`codec`]) — a compact, versioned, length-prefixed
 //!    binary encoding ([`Encode`]/[`Decode`]) for the value, table, and
-//!    log types the ledger hashes and persists. It replaces the JSON
-//!    canonical forms on the hot hashing paths and is what WAL records
-//!    and snapshots are made of.
+//!    log types the ledger hashes and persists. It is the system's one
+//!    serialization format: what ledger digests hash, what WAL records,
+//!    snapshots and wire frames are made of, and what contract calls and
+//!    contract state are written in.
 //! 2. **WAL** ([`wal`]) — segmented, CRC-framed append-only record
 //!    streams with torn-tail truncation on open and loud failure on
 //!    mid-log corruption; a stream is never cut once written.

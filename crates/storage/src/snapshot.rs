@@ -4,9 +4,13 @@
 //! state through the codec) stored as `snap-<id>.bin`:
 //!
 //! ```text
-//! [magic "MLSNAP02": 8 bytes][crc32(payload): u32 LE]
+//! [magic "MLSNAP03": 8 bytes][crc32(payload): u32 LE]
 //! [payload len: u64 LE][payload]
 //! ```
+//!
+//! The magic names the payload's format: `MLSNAP03` snapshots carry share
+//! bindings in the codec, where `MLSNAP02` ones carried them as JSON. A
+//! file in another `MLSNAP` format is refused, by name.
 //!
 //! Writes go through a temp file + rename + directory fsync, so a crash
 //! mid-write leaves either the old set of snapshots or the new one,
@@ -21,7 +25,7 @@ use medledger_crypto::crc32::crc32;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"MLSNAP02";
+const MAGIC: &[u8; 8] = b"MLSNAP03";
 const HEADER: usize = 8 + 4 + 8;
 
 /// Directory-backed snapshot store.
@@ -106,16 +110,38 @@ impl SnapshotDir {
 
 /// Validates a snapshot file's framing and checksum.
 fn parse(bytes: &[u8], path: &Path) -> Result<Vec<u8>> {
-    if bytes.len() < HEADER || &bytes[..8] != MAGIC {
+    let header = bytes.split_first_chunk::<8>().and_then(|(magic, rest)| {
+        let (crc, rest) = rest.split_first_chunk::<4>()?;
+        let (len, payload) = rest.split_first_chunk::<8>()?;
+        Some((
+            magic,
+            u32::from_le_bytes(*crc),
+            u64::from_le_bytes(*len),
+            payload,
+        ))
+    });
+    let Some((magic, crc, len, payload)) = header else {
         return Err(StorageError::Corrupt(format!(
-            "snapshot {} has bad magic or truncated header",
+            "snapshot {} has a truncated header",
+            path.display()
+        )));
+    };
+    if magic != MAGIC {
+        let why = if magic.starts_with(b"MLSNAP") {
+            format!(
+                "is in format {}, written by another build; this one reads only {}",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(MAGIC)
+            )
+        } else {
+            "has bad magic".to_string()
+        };
+        return Err(StorageError::Corrupt(format!(
+            "snapshot {} {why}",
             path.display()
         )));
     }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let payload = &bytes[HEADER..];
-    if payload.len() != len {
+    if payload.len() as u64 != len {
         return Err(StorageError::Corrupt(format!(
             "snapshot {} declares {len} payload bytes, has {}",
             path.display(),
@@ -174,6 +200,20 @@ mod tests {
         fs::write(&path, &bytes).expect("write");
         assert!(matches!(snaps.read(6), Err(StorageError::Corrupt(_))));
         assert_eq!(snaps.read(5).expect("read").expect("some"), b"good-old");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn another_format_is_refused_by_name() {
+        let dir = temp_dir("format");
+        let snaps = SnapshotDir::open(&dir).expect("open");
+        snaps.write(1, b"payload").expect("write");
+        let path = dir.join("snap-000000000001.bin");
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[..8].copy_from_slice(b"MLSNAP02");
+        fs::write(&path, &bytes).expect("write");
+        let err = snaps.read(1).expect_err("old format");
+        assert!(err.to_string().contains("in format MLSNAP02"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,7 +18,7 @@ use crate::snapshot::SnapshotDir;
 use crate::wal::{create_dir_durable, SegmentedLog};
 use crate::Result;
 use medledger_crypto::sha256;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::PathBuf;
 
 /// Default segment rotation budget (bytes).
@@ -78,12 +78,13 @@ impl DurableStore {
     }
 
     fn stream(&mut self, name: &str) -> Result<&mut SegmentedLog> {
-        if !self.streams.contains_key(name) {
-            let dir = self.root.join("streams").join(stream_dir_name(name));
-            let log = SegmentedLog::open(dir, self.segment_bytes)?;
-            self.streams.insert(name.to_string(), log);
-        }
-        Ok(self.streams.get_mut(name).expect("just inserted"))
+        Ok(match self.streams.entry(name.to_string()) {
+            Entry::Occupied(open) => open.into_mut(),
+            Entry::Vacant(slot) => {
+                let dir = self.root.join("streams").join(stream_dir_name(name));
+                slot.insert(SegmentedLog::open(dir, self.segment_bytes)?)
+            }
+        })
     }
 }
 

@@ -116,8 +116,10 @@ fn scan_segment<'a>(bytes: &'a [u8], mut visit: impl FnMut(&'a [u8])) -> ScanOut
                 torn: Some(format!("{rest}-byte partial frame header")),
             };
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        let le_u32 = |at: usize| {
+            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+        };
+        let (len, crc) = (le_u32(pos), le_u32(pos + 4));
         if len > MAX_RECORD {
             return ScanOutcome {
                 records,
@@ -230,31 +232,27 @@ impl SegmentedLog {
     /// segment once the current one exceeds the byte budget.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
         let index = self.len();
-        let rotate = match self.segments.last() {
-            None => true,
-            Some(s) => s.bytes >= self.segment_bytes,
+        let seg = match self.segments.last_mut() {
+            Some(seg) if seg.bytes < self.segment_bytes => seg,
+            _ => {
+                let path = self.dir.join(format!("seg-{index:012}.log"));
+                File::create(&path)?.sync_all()?;
+                sync_dir(&self.dir)?;
+                self.writer = None;
+                self.segments.push_mut(Segment {
+                    first: index,
+                    records: 0,
+                    bytes: 0,
+                    path,
+                })
+            }
         };
-        if rotate {
-            let path = self.dir.join(format!("seg-{index:012}.log"));
-            File::create(&path)?.sync_all()?;
-            sync_dir(&self.dir)?;
-            self.segments.push(Segment {
-                first: index,
-                records: 0,
-                bytes: 0,
-                path,
-            });
-            self.writer = None;
-        }
-        let seg = self.segments.last_mut().expect("segment just ensured");
-        if self.writer.is_none() {
-            self.writer = Some(OpenOptions::new().append(true).open(&seg.path)?);
-        }
+        let writer = match self.writer.as_mut() {
+            Some(writer) => writer,
+            None => (self.writer).insert(OpenOptions::new().append(true).open(&seg.path)?),
+        };
         let framed = frame(payload);
-        self.writer
-            .as_mut()
-            .expect("writer just opened")
-            .write_all(&framed)?;
+        writer.write_all(&framed)?;
         seg.records += 1;
         seg.bytes += framed.len() as u64;
         Ok(index)

@@ -17,10 +17,9 @@
 use crate::ehr::EhrGenerator;
 use medledger_crypto::Prg;
 use medledger_relational::Value;
-use serde::{Deserialize, Serialize};
 
 /// What kind of edit an update performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateKind {
     /// Change a patient's dosage (doctor-side edit).
     Dosage,
@@ -31,7 +30,7 @@ pub enum UpdateKind {
 }
 
 /// One update in a workload stream.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadUpdate {
     /// Which kind of edit.
     pub kind: UpdateKind,

@@ -311,8 +311,8 @@ fn assert_live(ledger: &mut MedLedger) {
 // ----------------------------------------------------------------------
 
 /// Commits in the sweep: enough for the replay debt to reach the
-/// snapshot's size twice (Fig. 1's snapshot is ~1.8 KB and a commit logs
-/// ~350 B of peer records, so a cadence snapshot falls every 5–6).
+/// snapshot's size twice (Fig. 1's snapshot is ~1.4 KB and a commit logs
+/// ~350 B of peer records, so a cadence snapshot falls every 4–5).
 const SWEEP_COMMITS: usize = 12;
 
 /// Crash at *every* storage write the workload performs. One recorded
@@ -397,7 +397,13 @@ fn a_commit_is_one_append_and_one_sync() {
             assert_eq!(calls, [Call::Append, Call::Sync], "commit {i}");
         }
     }
-    assert_eq!(snapshot_commits, 1, "one cadence snapshot in eight commits");
+    // Fig. 1's snapshot is 1 379 bytes (1 810 while share bindings were
+    // JSON) and a commit logs ~350 B of peer records, so the replay debt
+    // reaches it every ~4 commits.
+    assert_eq!(
+        snapshot_commits, 2,
+        "two cadence snapshots in eight commits"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -733,6 +739,40 @@ fn store_with_lamport_sized_signatures_is_refused() {
                 && msg.contains("512 chain values, expected 67")),
         "unexpected error: {err}"
     );
+}
+
+/// A store whose snapshots an older build wrote: `MLSNAP02` snapshots
+/// carry share bindings as JSON, which this build no longer reads. Every
+/// named snapshot is refused by its format, so recovery fails with a
+/// storage error that says so — it never boots on a misread snapshot.
+#[test]
+fn store_with_mlsnap02_snapshots_is_refused() {
+    let cfg = config("crash-mlsnap02");
+    let root = scratch_dir("mlsnap02");
+    let store = DurableStore::open(&root).expect("open");
+    let mut scn = durable_fig1(&cfg, Box::new(store)).expect("build");
+    workload_commit(&mut scn, 0).expect("commit");
+    drop(scn);
+
+    let snapshots = files_under(&root, "snap-");
+    assert!(!snapshots.is_empty(), "set-up took snapshots");
+    for path in &snapshots {
+        let mut bytes = std::fs::read(path).expect("read");
+        assert_eq!(&bytes[..8], b"MLSNAP03");
+        bytes[..8].copy_from_slice(b"MLSNAP02");
+        std::fs::write(path, &bytes).expect("write");
+    }
+
+    let err = match recover_dir(&cfg, &root) {
+        Ok(_) => panic!("a store with MLSNAP02 snapshots must not boot"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(&err, medledger::CoreError::Storage(msg)
+            if msg.contains("in format MLSNAP02") && msg.contains("reads only MLSNAP03")),
+        "unexpected error: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A live system whose disk dies mid-workload: the failing commit

@@ -11,9 +11,15 @@
 //! earlier build recovers under this one only while these hold, so a
 //! failure here means a hash output, a domain tag, the padding or a
 //! canonical encoding moved — never "update the constants".
+//!
+//! The second test pins what the contract puts on chain: one call's
+//! argument bytes and the state root a fixed pair of calls leaves.
 
+use medledger::contracts::call::{RegisterShareArgs, RequestUpdateArgs};
+use medledger::contracts::{ContractRuntime, SharingCall, SharingContract};
 use medledger::crypto::{ack_message, Hash256, KeyPair, PublicKey};
 use medledger::ledger::{BlockHeader, Transaction, TxPayload};
+use medledger::storage::Encode;
 
 /// The public key the same label derived under the Lamport scheme (up to
 /// PR 22). The transaction and header encodings only ever saw it as 32
@@ -77,5 +83,79 @@ fn hash_formats_are_pinned() {
         header.hash().to_hex(),
         "58025dde4b6b147c7df11791b6c7585028d16bd42fdbbfb6794f415cb3602a65",
         "block hash"
+    );
+}
+
+/// The contract's own formats, pinned when contract calls and contract
+/// state moved from JSON to the storage codec. A `request_update` call's
+/// argument bytes, and the state root a fixed `register_share` +
+/// `request_update` leaves — the root every block header carries, so a
+/// change to how a Fig. 3 row is stored moves every block hash after it.
+#[test]
+fn contract_formats_are_pinned() {
+    let call = SharingCall::RequestUpdate(RequestUpdateArgs {
+        table_id: "D13&D31".into(),
+        new_hash: Hash256([0x5a; 32]),
+        changed_attrs: vec!["dosage".into()],
+    });
+    let hex: String = call.encoded().iter().map(|b| format!("{b:02x}")).collect();
+    // The table id (a varint length, then UTF-8), the new hash (32 raw
+    // bytes), the changed attributes (a varint count, then each as the
+    // table id is). The method name travels beside the bytes, not in them.
+    assert_eq!(
+        hex,
+        "0744313326443331\
+         5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a\
+         0106646f73616765",
+        "request_update arguments"
+    );
+
+    let mut keys = KeyPair::generate("golden-contract", 4);
+    let (doctor, patient) = (keys.public(), PublicKey(Hash256([0x44; 32])));
+    let mut runtime = ContractRuntime::new();
+    let mut nonce = 0;
+    let mut execute = |payload: TxPayload, timestamp_ms: u64| {
+        let stx = Transaction {
+            sender: doctor,
+            nonce,
+            payload,
+            conflict_key: None,
+        }
+        .sign(&mut keys)
+        .expect("sign");
+        nonce += 1;
+        let receipt = runtime.execute(&stx, nonce, timestamp_ms);
+        assert!(receipt.status.is_success(), "{:?}", receipt.status);
+    };
+    execute(
+        TxPayload::DeployContract {
+            code: SharingContract::CODE_TAG.to_vec(),
+            init: vec![],
+        },
+        1_000,
+    );
+    let contract = ContractRuntime::contract_id(&doctor, 0);
+    let register = SharingCall::RegisterShare(RegisterShareArgs {
+        table_id: "D13&D31".into(),
+        peers: vec![doctor, patient],
+        write_permission: [("dosage".to_string(), vec![doctor])].into(),
+        authority: doctor,
+        initial_hash: Hash256([0x11; 32]),
+    });
+    for (call, timestamp_ms) in [(register, 2_000), (call, 3_000)] {
+        let payload = TxPayload::CallContract {
+            contract,
+            method: call.method().into(),
+            args: call.encoded(),
+        };
+        execute(payload, timestamp_ms);
+    }
+    // A digest over the contract id and the Merkle root of the contract's
+    // one entry: the Fig. 3 row, every field of `SharedTableMeta` in the
+    // codec, version 1 and the patient's ack pending.
+    assert_eq!(
+        runtime.state_root().to_hex(),
+        "1aab3c9999500024f176baceffc5ccf8c3d79546b85280014fae9ef360164473",
+        "state root after register_share + request_update"
     );
 }
