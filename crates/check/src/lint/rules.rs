@@ -7,7 +7,8 @@
 //!   entry in `ordering_policy.toml` that permits the variants used.
 //! - **unwrap-ban** — no `unwrap()`/`expect(` in non-test code of the
 //!   runtime, engine, persistence, peer-store, contract, network
-//!   (fan-out pool), ledger, lens or storage layers, except
+//!   (fan-out pool), consensus, telemetry, ledger, lens or storage
+//!   layers, except
 //!   lock-poisoning chains and sites explicitly marked
 //!   `// lint: allow(unwrap)`.
 //! - **wire-exhaustive** — every `wire::Message` variant appears in

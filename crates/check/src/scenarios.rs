@@ -76,8 +76,8 @@ pub fn all() -> Vec<Scenario> {
             build: rt_shutdown,
         },
         Scenario {
-            name: "gateway-checkout",
-            build: gateway_checkout,
+            name: "pump-request-reply",
+            build: pump_request_reply,
         },
         Scenario {
             name: "telemetry-heatmap",
@@ -478,49 +478,52 @@ fn rt_shutdown() -> ScenarioRun {
 // gateway pump model
 // ---------------------------------------------------------------------
 
-/// The gateway's Checkout/Checkin pump in miniature: two peers request
-/// a wave over a capacity-1 line, the pump serves one at a time and
-/// acks over a oneshot. The lent flag asserts mutual exclusion across
-/// the pump's switch point; lost wakers anywhere in the chain deadlock.
-fn gateway_checkout() -> ScenarioRun {
+/// The gateway's request/reply path in miniature: `Deployment::{pump,
+/// stats, shutdown}` each send a `PumpEvent` carrying a `OneSender` to
+/// the one pump task and block on the reply. Two callers send over a
+/// capacity-1 channel; the pump serves one request at a time and answers
+/// over each oneshot. The busy flag asserts the pump never serves two
+/// requests at once across its switch point; a lost waker anywhere in
+/// the chain deadlocks.
+fn pump_request_reply() -> ScenarioRun {
     let (req_tx, mut req_rx) = sync::channel::<(u32, sync::OneSender<u32>)>(1);
     let req_tx2 = req_tx.clone();
     let served = Arc::new(AtomicUsize::new(0));
     let served2 = Arc::clone(&served);
     let served3 = Arc::clone(&served);
-    let lent = Arc::new(AtomicBool::new(false));
+    let busy = Arc::new(AtomicBool::new(false));
     ScenarioRun {
         threads: vec![
             Box::new(move || {
-                for wave in 0..2u32 {
-                    let (peer, ack) = block_on(req_rx.recv()).expect("peers alive");
+                for n in 0..2u32 {
+                    let (caller, reply) = block_on(req_rx.recv()).expect("callers alive");
                     assert!(
-                        !lent.swap(true, Ordering::SeqCst),
-                        "wave checked out twice concurrently"
+                        !busy.swap(true, Ordering::SeqCst),
+                        "pump served two requests at once"
                     );
-                    sched::point("scn.gateway.lend");
-                    lent.store(false, Ordering::SeqCst);
+                    sched::point("scn.pump.serve");
+                    busy.store(false, Ordering::SeqCst);
                     served2.fetch_add(1, Ordering::SeqCst);
-                    let _ = peer;
-                    let _ = ack.send(wave);
+                    let _ = caller;
+                    let _ = reply.send(n);
                 }
             }),
             Box::new(move || {
-                let (ack_tx, ack_rx) = sync::oneshot::<u32>();
-                assert!(block_on(req_tx.send((0, ack_tx))).is_ok(), "pump alive");
-                assert!(block_on(ack_rx).is_some(), "pump must ack peer 0");
+                let (reply_tx, reply_rx) = sync::oneshot::<u32>();
+                assert!(block_on(req_tx.send((0, reply_tx))).is_ok(), "pump alive");
+                assert!(block_on(reply_rx).is_some(), "pump must answer caller 0");
             }),
             Box::new(move || {
-                let (ack_tx, ack_rx) = sync::oneshot::<u32>();
-                assert!(block_on(req_tx2.send((1, ack_tx))).is_ok(), "pump alive");
-                assert!(block_on(ack_rx).is_some(), "pump must ack peer 1");
+                let (reply_tx, reply_rx) = sync::oneshot::<u32>();
+                assert!(block_on(req_tx2.send((1, reply_tx))).is_ok(), "pump alive");
+                assert!(block_on(reply_rx).is_some(), "pump must answer caller 1");
             }),
         ],
         finale: Some(Box::new(move || {
             assert_eq!(
                 served3.load(Ordering::SeqCst),
                 2,
-                "pump must serve both peers"
+                "pump must serve both callers"
             );
         })),
     }

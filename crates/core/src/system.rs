@@ -559,8 +559,8 @@ impl System {
     }
 
     /// Installs a live-telemetry recorder on the system and every
-    /// attached peer. Call once after construction (or any time — later
-    /// peers pick the recorder up as they attach). Passing a disabled
+    /// peer. Call once after construction (or any time — later peers
+    /// pick the recorder up as they join). Passing a disabled
     /// recorder turns telemetry back off.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         for peer in self.peers.values_mut() {
@@ -651,43 +651,6 @@ impl System {
         self.peers
             .get_mut(account)
             .ok_or_else(|| CoreError::UnknownPeer(account.to_string()))
-    }
-
-    /// Removes a peer's node state from the system, transferring
-    /// ownership to the caller. The name registration stays, so the
-    /// peer is expected back: a system with detached peers must not run
-    /// updates or flushes until every peer is [re-attached]. This is
-    /// the ownership seam the `medledger-node` runtime is built on —
-    /// between waves each per-peer event loop owns its `PeerNode`; the
-    /// wave pump checks peers out, ticks, and checks them back in.
-    ///
-    /// [re-attached]: System::attach_peer
-    pub fn detach_peer(&mut self, peer: PeerId) -> Result<PeerNode> {
-        self.peers
-            .remove(&peer.account())
-            .ok_or_else(|| CoreError::UnknownPeer(peer.to_string()))
-    }
-
-    /// Returns a [detached] peer's node state to the system. Rejects a
-    /// node whose account was never registered here (the name map is
-    /// the registration of record) or whose slot is already occupied.
-    ///
-    /// [detached]: System::detach_peer
-    pub fn attach_peer(&mut self, mut node: PeerNode) -> Result<()> {
-        if self.names.get(&node.name) != Some(&node.account) {
-            return Err(CoreError::UnknownPeer(node.name.clone()));
-        }
-        if self.peers.contains_key(&node.account) {
-            return Err(CoreError::BadAgreement(format!(
-                "peer `{}` is already attached",
-                node.name
-            )));
-        }
-        if self.telemetry.is_enabled() {
-            node.set_recorder(&self.telemetry);
-        }
-        self.peers.insert(node.account, node);
-        Ok(())
     }
 
     /// A peer's display name, falling back to the short id.

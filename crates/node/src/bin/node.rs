@@ -99,6 +99,7 @@ fn run(args: Args) -> Result<(), String> {
         ledger
     };
     let boot_mark = ledger.stats().blocks;
+    let peers = ledger.peers().len();
 
     // Serve the gateway with live telemetry: a shared registry the
     // deployment records into, drained by a periodic printer thread.
@@ -113,9 +114,8 @@ fn run(args: Args) -> Result<(), String> {
     )
     .map_err(|e| format!("deployment failed: {e}"))?;
     println!(
-        "node: gateway up — {} executor threads, {} peer event loops",
-        args.threads,
-        dep.telemetry().len()
+        "node: gateway up — {} executor threads, {} peers",
+        args.threads, peers
     );
 
     // Periodic snapshot line (wave-phase p50/p95, chain counters, shard
@@ -208,8 +208,7 @@ fn run(args: Args) -> Result<(), String> {
     // `report` binary consumes.
     print!("{}", registry.snapshot().render_text());
 
-    // Orderly drain: outstanding waves run, peers re-attach, durable
-    // state flushes.
+    // Orderly drain: outstanding waves run, then durable state flushes.
     dep.close().map_err(|e| format!("close failed: {e}"))?;
     println!("node: drained and closed cleanly");
     Ok(())

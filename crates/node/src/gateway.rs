@@ -1,8 +1,9 @@
 //! The concurrent gateway front door over `LedgerService`.
 //!
-//! A [`Deployment`] splits a ledger into one pump task plus one event
-//! loop per peer (see [`crate::peer_loop`]), then accepts any number of
-//! client sessions ([`Deployment::connect`]). Sessions speak the
+//! A [`Deployment`] hands a ledger to one pump task, which owns the
+//! `LedgerService` and, inside its `System`, every peer's state for the
+//! deployment's whole life. It accepts any number of client sessions
+//! ([`Deployment::connect`]). Sessions speak the
 //! [`crate::wire`] protocol; their submissions are multiplexed into
 //! waves by the pump — the existing `tick()`/`drain()` scheduler *is*
 //! the wave pump, which is what keeps the concurrent path byte-identical
@@ -26,11 +27,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use medledger_core::{CommitError, CommitOutcome, CoreError, PeerId, PeerNode};
+use medledger_core::{CommitError, CommitOutcome, CoreError};
 use medledger_engine::{CommitTicket, LedgerService, WaveReport};
 use medledger_telemetry::Recorder;
 
-use crate::peer_loop::{self, PeerTelemetry};
 use crate::rt::Runtime;
 use crate::sync::{self, OneSender};
 use crate::wire::{
@@ -46,7 +46,7 @@ use crate::wire::{
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
     /// Executor worker threads. `1` gives a single-lane deterministic
-    /// schedule; more overlaps sessions and peer loops.
+    /// schedule; more overlaps session I/O with the pump.
     pub threads: usize,
     /// Bound on queued (admitted but not yet waved) submissions; the
     /// admission queue. Past it, submissions get
@@ -63,9 +63,9 @@ pub struct GatewayConfig {
     pub auto_pump: bool,
     /// Live-telemetry recorder. Disabled by default; install one
     /// ([`GatewayConfig::recorder`]) and the deployment feeds it
-    /// gateway counters, ticket-wait histograms, per-peer wire-byte
-    /// gauges, and — via [`medledger_core::System::set_recorder`] —
-    /// the core's per-wave phase timings and shard heat map.
+    /// gateway counters, ticket-wait histograms, and — via
+    /// [`medledger_core::System::set_recorder`] — the core's per-wave
+    /// phase timings and shard heat map.
     pub telemetry: Recorder,
 }
 
@@ -158,20 +158,6 @@ enum PumpEvent {
     },
 }
 
-struct PeerHandle {
-    id: PeerId,
-    name: String,
-    conn: WireConn,
-    to_loop: sync::Sender<Box<PeerNode>>,
-    from_loop: sync::Receiver<Box<PeerNode>>,
-    /// `applied_versions` as of the last scatter — diffed after a wave
-    /// to decide which fan-out notifications this peer gets.
-    applied_baseline: std::collections::BTreeMap<String, u64>,
-    /// This peer's wire-byte tally (chained into the deployment-wide
-    /// meter), exported as the `wire.peer.<Name>.bytes` gauge.
-    meter: ByteMeter,
-}
-
 struct TicketEntry {
     session: u64,
     /// Correlation id of a parked `Poll`, answered at resolution.
@@ -185,17 +171,12 @@ struct TicketEntry {
 
 struct Pump {
     service: LedgerService,
-    peers: Vec<PeerHandle>,
     sessions: BTreeMap<u64, sync::Sender<Envelope>>,
     tickets: BTreeMap<u64, TicketEntry>,
     engine_map: BTreeMap<CommitTicket, u64>,
     next_ticket: u64,
     stats: GatewayStats,
     cfg: GatewayConfig,
-}
-
-fn wire_err(context: &str, e: WireError) -> CoreError {
-    CoreError::BadAgreement(format!("{context}: {e}"))
 }
 
 /// Flattens an engine outcome into its wire form.
@@ -289,7 +270,7 @@ impl Pump {
                         // The queue went idle with work pending: every
                         // submission that arrived during the previous
                         // wave rides the next one together.
-                        let _ = self.run_wave().await;
+                        let _ = self.run_wave();
                         continue;
                     }
                     match events.recv().await {
@@ -313,14 +294,13 @@ impl Pump {
                 }
                 PumpEvent::Frame { session, env } => self.handle_frame(session, env),
                 PumpEvent::Pump { done } => {
-                    let report = self.run_wave().await;
-                    let _ = done.send(report);
+                    let _ = done.send(self.run_wave());
                 }
                 PumpEvent::Stats { reply } => {
                     let _ = reply.send(self.stats);
                 }
                 PumpEvent::Shutdown { done } => {
-                    let _ = done.send(self.shutdown().await);
+                    let _ = done.send(self.shutdown());
                     return;
                 }
             }
@@ -481,138 +461,19 @@ impl Pump {
         sub.submit().map_err(|e| to_wire_reject(&e))
     }
 
-    /// Gathers every peer, runs one wave, scatters peers back with the
-    /// wave's notifications, and routes resolved outcomes to their
-    /// sessions (answering parked polls).
-    async fn run_wave(&mut self) -> medledger_core::Result<WaveReport> {
+    /// Runs one wave and routes resolved outcomes to their sessions
+    /// (answering parked polls).
+    fn run_wave(&mut self) -> medledger_core::Result<WaveReport> {
         if !self.service.has_work() {
             return Ok(WaveReport::default());
         }
-        let wave = self.service.waves() + 1;
-        self.gather(wave).await?;
         let tick_result = self.service.tick();
-        let resolved = self.service.take_resolved();
-        self.scatter(wave, tick_result.as_ref().ok().copied())
-            .await?;
-        for (engine_ticket, result) in resolved {
+        for (engine_ticket, result) in self.service.take_resolved() {
             self.route(engine_ticket, to_wire_outcome(result));
         }
         let report = tick_result?;
         self.stats.waves = self.service.waves();
-        if self.cfg.telemetry.is_enabled() {
-            for ph in &self.peers {
-                self.cfg
-                    .telemetry
-                    .set(&format!("wire.peer.{}.bytes", ph.name), ph.meter.bytes());
-            }
-        }
         Ok(report)
-    }
-
-    /// Checks every peer's state out of its event loop and attaches it
-    /// to the system (tick and durable flush both require the full peer
-    /// set present).
-    async fn gather(&mut self, wave: u64) -> medledger_core::Result<()> {
-        for ph in &mut self.peers {
-            ph.conn
-                .send(&Envelope {
-                    corr: wave,
-                    body: Message::Checkout {
-                        peer: ph.name.clone(),
-                        wave,
-                    },
-                })
-                .await
-                .map_err(|e| wire_err("checkout send", e))?;
-            match ph
-                .conn
-                .recv()
-                .await
-                .map_err(|e| wire_err("checkout ack", e))?
-            {
-                Some(Envelope {
-                    body: Message::CheckoutAck { .. },
-                    ..
-                }) => {}
-                other => {
-                    return Err(CoreError::BadAgreement(format!(
-                        "peer `{}` answered checkout with {other:?}",
-                        ph.name
-                    )))
-                }
-            }
-            let node = ph.from_loop.recv().await.ok_or_else(|| {
-                CoreError::BadAgreement(format!("peer `{}` loop died mid-checkout", ph.name))
-            })?;
-            self.service.ledger_mut().system_mut().attach_peer(*node)?;
-        }
-        Ok(())
-    }
-
-    /// Detaches every peer and returns it to its event loop, carrying
-    /// the wave's fan-out / seal notifications when the wave committed.
-    async fn scatter(
-        &mut self,
-        wave: u64,
-        report: Option<WaveReport>,
-    ) -> medledger_core::Result<()> {
-        for ph in &mut self.peers {
-            let before = ph.applied_baseline.clone();
-            let node = self.service.ledger_mut().system_mut().detach_peer(ph.id)?;
-            if let Some(report) = report {
-                for (table, version) in &node.applied_versions {
-                    if before.get(table) != Some(version) {
-                        ph.conn
-                            .send(&Envelope {
-                                corr: 0,
-                                body: Message::FanOut {
-                                    wave,
-                                    table: table.clone(),
-                                    version: *version,
-                                },
-                            })
-                            .await
-                            .map_err(|e| wire_err("fan-out", e))?;
-                    }
-                }
-                // One aggregated threshold ack per wave member seals
-                // the ack round; the same members ride the wave's one
-                // consensus block.
-                ph.conn
-                    .send(&Envelope {
-                        corr: 0,
-                        body: Message::AckSealed {
-                            wave,
-                            acks: report.members as u64,
-                        },
-                    })
-                    .await
-                    .map_err(|e| wire_err("ack-sealed", e))?;
-                ph.conn
-                    .send(&Envelope {
-                        corr: 0,
-                        body: Message::ConsensusSealed {
-                            wave,
-                            commits: report.members as u64,
-                        },
-                    })
-                    .await
-                    .map_err(|e| wire_err("consensus-sealed", e))?;
-            }
-            ph.applied_baseline = node.applied_versions.clone();
-            let _ = ph.to_loop.try_send(Box::new(node));
-            ph.conn
-                .send(&Envelope {
-                    corr: wave,
-                    body: Message::Checkin {
-                        peer: ph.name.clone(),
-                        wave,
-                    },
-                })
-                .await
-                .map_err(|e| wire_err("checkin", e))?;
-        }
-        Ok(())
     }
 
     fn route(&mut self, engine_ticket: CommitTicket, result: Result<WireCommit, WireReject>) {
@@ -647,11 +508,11 @@ impl Pump {
     }
 
     /// Drains every queued submission, pushes any still-unclaimed
-    /// outcomes to their sessions, recalls every peer's state, stops
-    /// the loops, and hands the (fully re-attached) service back.
-    async fn shutdown(mut self) -> medledger_core::Result<LedgerService> {
+    /// outcomes to their sessions, tells every session `Closed`, and
+    /// hands the service back.
+    fn shutdown(mut self) -> medledger_core::Result<LedgerService> {
         while self.service.has_work() {
-            self.run_wave().await?;
+            self.run_wave()?;
         }
         // Unclaimed outcomes: push proactively (corr 0) so a client
         // mid-`wait` still gets its resolution before the `Closed`.
@@ -668,50 +529,6 @@ impl Pump {
                 );
             }
         }
-        let final_wave = self.service.waves() + 1;
-        for ph in &mut self.peers {
-            ph.conn
-                .send(&Envelope {
-                    corr: final_wave,
-                    body: Message::Checkout {
-                        peer: ph.name.clone(),
-                        wave: final_wave,
-                    },
-                })
-                .await
-                .map_err(|e| wire_err("final checkout", e))?;
-            match ph
-                .conn
-                .recv()
-                .await
-                .map_err(|e| wire_err("final checkout ack", e))?
-            {
-                Some(Envelope {
-                    body: Message::CheckoutAck { .. },
-                    ..
-                }) => {}
-                other => {
-                    return Err(CoreError::BadAgreement(format!(
-                        "peer `{}` answered final checkout with {other:?}",
-                        ph.name
-                    )))
-                }
-            }
-            let node = ph.from_loop.recv().await.ok_or_else(|| {
-                CoreError::BadAgreement(format!("peer `{}` loop died at shutdown", ph.name))
-            })?;
-            self.service.ledger_mut().system_mut().attach_peer(*node)?;
-            ph.conn
-                .send(&Envelope {
-                    corr: final_wave,
-                    body: Message::Close,
-                })
-                .await
-                .map_err(|e| wire_err("loop close", e))?;
-            // The loop replies `Closed` and exits; tolerate it dying
-            // without the courtesy frame.
-            let _ = ph.conn.recv().await;
-        }
         for outbox in self.sessions.values() {
             let _ = outbox.try_send(Envelope {
                 corr: 0,
@@ -727,70 +544,34 @@ impl Pump {
 // ---------------------------------------------------------------------
 
 /// A running multi-node deployment: one pump task owning the
-/// [`LedgerService`], one event loop per peer, and a front door for
+/// [`LedgerService`], and with it every peer, plus a front door for
 /// client sessions.
 pub struct Deployment {
     rt: Runtime,
     events: sync::Sender<PumpEvent>,
     meter: ByteMeter,
     next_session: Arc<AtomicU64>,
-    telemetry: Vec<(String, PeerTelemetry)>,
     pipe_capacity: usize,
 }
 
 impl Deployment {
-    /// Splits `service` into per-peer event loops plus a pump task and
-    /// starts serving. Every registered peer's state is detached from
-    /// the system and moved into its own loop.
+    /// Hands `service` to a new pump task and starts serving. Every
+    /// registered peer stays attached to the service's `System`.
     pub fn start(
         mut service: LedgerService,
         cfg: GatewayConfig,
     ) -> medledger_core::Result<Deployment> {
         let rt = Runtime::new(cfg.threads);
-        let meter = ByteMeter::new();
         if cfg.telemetry.is_enabled() {
-            // Install the recorder while every peer is still attached,
-            // so each one's shared-table stores wire into the heat map.
             service
                 .ledger_mut()
                 .system_mut()
                 .set_recorder(cfg.telemetry.clone());
         }
-        let peer_ids = service.ledger().peers();
-        let mut peers = Vec::with_capacity(peer_ids.len());
-        let mut telemetry = Vec::with_capacity(peer_ids.len());
-        for id in peer_ids {
-            let name = service.ledger().peer_name(id)?;
-            let node = service.ledger_mut().system_mut().detach_peer(id)?;
-            let baseline = node.applied_versions.clone();
-            let peer_meter = meter.chained();
-            let (pump_conn, loop_conn) = duplex_metered(cfg.pipe_capacity, &peer_meter);
-            let (to_loop, loop_inbox) = sync::unbounded();
-            let (loop_outbox, from_loop) = sync::unbounded();
-            let tele = PeerTelemetry::default();
-            telemetry.push((name.clone(), tele.clone()));
-            rt.spawn(peer_loop::run(
-                loop_conn,
-                Box::new(node),
-                loop_inbox,
-                loop_outbox,
-                tele,
-            ));
-            peers.push(PeerHandle {
-                id,
-                name,
-                conn: pump_conn,
-                to_loop,
-                from_loop,
-                applied_baseline: baseline,
-                meter: peer_meter,
-            });
-        }
         let (events, inbox) = sync::unbounded();
         let pipe_capacity = cfg.pipe_capacity;
         let pump = Pump {
             service,
-            peers,
             sessions: BTreeMap::new(),
             tickets: BTreeMap::new(),
             engine_map: BTreeMap::new(),
@@ -802,9 +583,8 @@ impl Deployment {
         Ok(Deployment {
             rt,
             events,
-            meter,
+            meter: ByteMeter::new(),
             next_session: Arc::new(AtomicU64::new(1)),
-            telemetry,
             pipe_capacity,
         })
     }
@@ -870,18 +650,10 @@ impl Deployment {
         self.rt.block_on(rx).unwrap_or_default()
     }
 
-    /// Total bytes pushed through every wire pipe of this deployment
-    /// (frames to/from sessions and peer loops alike).
+    /// Total bytes pushed through this deployment's session pipes
+    /// (frames to and from clients).
     pub fn wire_bytes(&self) -> u64 {
         self.meter.bytes()
-    }
-
-    /// Per-peer event-loop telemetry, in peer account order.
-    pub fn telemetry(&self) -> Vec<(String, crate::peer_loop::TelemetryCounts)> {
-        self.telemetry
-            .iter()
-            .map(|(n, t)| (n.clone(), t.snapshot()))
-            .collect()
     }
 
     /// Blocks on a future using the deployment's runtime — how
@@ -905,9 +677,9 @@ impl Deployment {
         self.rt.handle()
     }
 
-    /// Drains every queued submission, stops loops and sessions, and
-    /// returns the service with all peers re-attached (state intact,
-    /// nothing flushed or consumed — callers inspect or keep using it).
+    /// Drains every queued submission, closes the sessions, and returns
+    /// the service (state intact, nothing flushed or consumed — callers
+    /// inspect or keep using it).
     pub fn shutdown(self) -> medledger_core::Result<LedgerService> {
         let (tx, rx) = sync::oneshot();
         self.events

@@ -1,26 +1,26 @@
-//! Async multi-node runtime for the medledger reproduction: per-peer
-//! event loops, a length-prefixed wire protocol, and a concurrent
-//! gateway front door over the ticketed commit pipeline.
+//! Async multi-node runtime for the medledger reproduction: a
+//! length-prefixed wire protocol and a concurrent gateway front door
+//! over the ticketed commit pipeline.
 //!
 //! The rest of the workspace models the paper's stakeholders as structs
-//! inside one `System`. This crate gives the deployment *processes*:
-//! each peer's state lives in its own event loop, control-plane traffic
-//! travels as framed bytes on the [`medledger_storage`] binary codec,
-//! and clients talk to a single concurrent **gateway** instead of
-//! holding `&mut` on the whole world. Everything is built on a
-//! hand-rolled executor — no external async dependencies.
+//! inside one `System`. This crate serves that system to concurrent
+//! clients. One pump task owns the service and, inside it, every peer's
+//! state; control-plane traffic travels as framed bytes on the
+//! [`medledger_storage`] binary codec; and clients talk to a single
+//! concurrent **gateway** instead of holding `&mut` on the whole world.
+//! Everything is built on a hand-rolled executor — no external async
+//! dependencies.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  GatewayClient ──frames──▶ session reader ─┐
-//!  GatewayClient ──frames──▶ session reader ─┤   events    ┌──────────┐
-//!      ⋮                         ⋮           ├───────────▶ │   Pump   │
-//!  session writer ◀──outbox── replies ◀──────┘             │ (owns    │
-//!                                                          │ Ledger-  │
-//!  peer loop (Patient)  ◀──Checkout/FanOut/Checkin──▶      │ Service) │
-//!  peer loop (Doctor)   ◀──Checkout/FanOut/Checkin──▶      └──────────┘
-//!  peer loop (Researcher)◀─Checkout/FanOut/Checkin──▶
+//!  GatewayClient ──frames──▶ session reader ─┤   events    ┌──────────────┐
+//!      ⋮                         ⋮           ├───────────▶ │     Pump     │
+//!  session writer ◀──outbox── replies ◀──────┘             │ (owns Ledger-│
+//!                                                          │  Service and │
+//!                                                          │  every peer) │
+//!                                                          └──────────────┘
 //! ```
 //!
 //! - [`rt`] — the executor: a work queue over N worker threads, a timer
@@ -30,11 +30,6 @@
 //! - [`wire`] — `[u32 len][version][corr][Message]` frames over bounded
 //!   in-process byte [`wire::pipe`]s with genuine backpressure; every
 //!   payload round-trips through the storage codec.
-//! - [`peer_loop`] — one loop per stakeholder **owning** its
-//!   [`PeerNode`](medledger_core::PeerNode) between waves; the pump
-//!   borrows the node for a wave via a `Checkout`/`Checkin` handshake
-//!   and streams `FanOut`/`AckSealed`/`ConsensusSealed` notifications
-//!   back after each commit.
 //! - [`gateway`] — the front door: thousands of client sessions
 //!   multiplex submissions into waves of the existing
 //!   [`LedgerService`](medledger_engine::LedgerService) `tick()`;
@@ -85,7 +80,7 @@
 //!     .create()
 //!     .unwrap();
 //!
-//! // Serve it: peers move into their event loops, the gateway opens.
+//! // Serve it: the pump takes the service, the gateway opens.
 //! let dep = Deployment::start(LedgerService::new(ledger), GatewayConfig::default()).unwrap();
 //!
 //! // A client session submits a dosage update over the wire and awaits
@@ -108,7 +103,7 @@
 //! assert_eq!(commit.version, 1);
 //! assert!(!commit.receipts.is_empty());
 //!
-//! // Drain the deployment and get the ledger back, fully re-attached.
+//! // Drain the deployment and get the ledger back, every peer in it.
 //! let service = dep.shutdown().unwrap();
 //! assert_eq!(service.ledger().peers().len(), 2);
 //! ```
@@ -116,12 +111,10 @@
 #![forbid(unsafe_code)]
 
 pub mod gateway;
-pub mod peer_loop;
 pub mod rt;
 pub mod sched;
 pub mod sync;
 pub mod wire;
 
 pub use gateway::{Deployment, GatewayClient, GatewayConfig, GatewayStats, SubmitReply};
-pub use peer_loop::{PeerTelemetry, TelemetryCounts};
 pub use rt::Runtime;

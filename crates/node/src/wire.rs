@@ -1,7 +1,7 @@
 //! Length-prefixed wire protocol over in-process byte pipes.
 //!
-//! Every conversation between a client session, the gateway pump, and a
-//! per-peer event loop is serialized through this module: an
+//! Every conversation between a client session and the gateway pump is
+//! serialized through this module: an
 //! [`Envelope`] (correlation id + [`Message`]) is encoded with the
 //! `medledger-storage` binary codec, prefixed with a big-endian `u32`
 //! length, and pushed through a bounded byte [`pipe`] — the in-process
@@ -97,15 +97,9 @@ impl From<StorageError> for WireError {
 
 /// Shared tally of bytes pushed through pipes created with it; the
 /// bench uses one to report wire bytes per commit.
-///
-/// Meters can be [chained](ByteMeter::chained): a child meter keeps its
-/// own tally *and* forwards every byte to its parent, which is how the
-/// gateway gets per-peer wire-byte telemetry while the deployment-wide
-/// total keeps working.
 #[derive(Clone, Default)]
 pub struct ByteMeter {
     count: Arc<std::sync::atomic::AtomicU64>,
-    parent: Option<Arc<ByteMeter>>,
 }
 
 impl ByteMeter {
@@ -114,17 +108,7 @@ impl ByteMeter {
         Self::default()
     }
 
-    /// A child meter: bytes added to it count on both the child and
-    /// this meter.
-    pub fn chained(&self) -> ByteMeter {
-        ByteMeter {
-            count: Arc::default(),
-            parent: Some(Arc::new(self.clone())),
-        }
-    }
-
-    /// Total bytes written through metered pipes so far (this meter and
-    /// its children).
+    /// Total bytes written through metered pipes so far.
     pub fn bytes(&self) -> u64 {
         // ordering: byte-meter
         self.count.load(std::sync::atomic::Ordering::Relaxed)
@@ -134,9 +118,6 @@ impl ByteMeter {
         self.count
             // ordering: byte-meter
             .fetch_add(n as u64, std::sync::atomic::Ordering::Relaxed);
-        if let Some(p) = &self.parent {
-            p.add(n);
-        }
     }
 }
 
@@ -630,9 +611,12 @@ impl fmt::Display for WireReject {
     }
 }
 
-/// The protocol. Requests flow client → gateway and pump → peer loop;
-/// replies echo the request's correlation id; `FanOut` / `AckSealed` /
-/// `ConsensusSealed` are oneway notifications (corr 0).
+/// The protocol. Requests flow client → gateway; replies echo the
+/// request's correlation id; outcomes the gateway pushes unasked at
+/// shutdown carry corr 0.
+///
+/// Tags 6–11 are unassigned and refused on decode; the other tags stay
+/// where they are so every frame keeps its bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     /// Client → gateway: stage `writes` against `table` as `peer`.
@@ -676,52 +660,6 @@ pub enum Message {
     Pending {
         /// The still-open ticket.
         ticket: u64,
-    },
-    /// Pump → peer loop: surrender your peer state for wave `wave`
-    /// (the state itself moves over the deployment's state channel; the
-    /// wire carries the control handshake).
-    Checkout {
-        /// The peer being gathered.
-        peer: String,
-        /// The wave it is gathered for.
-        wave: u64,
-    },
-    /// Peer loop → pump: state surrendered.
-    CheckoutAck {
-        /// The surrendered peer.
-        peer: String,
-    },
-    /// Pump → peer loop (oneway): your peer was updated by the wave's
-    /// fan-out (Fig. 5 step 5 — new view pushed to sharing peers).
-    FanOut {
-        /// The sealing wave.
-        wave: u64,
-        /// The table whose update reached this peer.
-        table: String,
-        /// The committed contract version.
-        version: u64,
-    },
-    /// Pump → peer loop (oneway): the wave's ack round sealed.
-    AckSealed {
-        /// The sealing wave.
-        wave: u64,
-        /// Acks aggregated into the threshold transaction.
-        acks: u64,
-    },
-    /// Pump → peer loop (oneway): consensus sealed the wave's block.
-    ConsensusSealed {
-        /// The sealed wave.
-        wave: u64,
-        /// Commits in the wave.
-        commits: u64,
-    },
-    /// Pump → peer loop: your (possibly updated) peer state is coming
-    /// back on the state channel.
-    Checkin {
-        /// The returned peer.
-        peer: String,
-        /// The wave that just ran.
-        wave: u64,
     },
     /// Orderly shutdown request.
     Close,
@@ -804,40 +742,6 @@ impl Message {
                 out.push(5);
                 put_varint(out, *ticket);
             }
-            Message::Checkout { peer, wave } => {
-                out.push(6);
-                peer.encode_into(out);
-                put_varint(out, *wave);
-            }
-            Message::CheckoutAck { peer } => {
-                out.push(7);
-                peer.encode_into(out);
-            }
-            Message::FanOut {
-                wave,
-                table,
-                version,
-            } => {
-                out.push(8);
-                put_varint(out, *wave);
-                table.encode_into(out);
-                put_varint(out, *version);
-            }
-            Message::AckSealed { wave, acks } => {
-                out.push(9);
-                put_varint(out, *wave);
-                put_varint(out, *acks);
-            }
-            Message::ConsensusSealed { wave, commits } => {
-                out.push(10);
-                put_varint(out, *wave);
-                put_varint(out, *commits);
-            }
-            Message::Checkin { peer, wave } => {
-                out.push(11);
-                peer.encode_into(out);
-                put_varint(out, *wave);
-            }
             Message::Close => out.push(12),
             Message::Closed => out.push(13),
             Message::StatsRequest => out.push(14),
@@ -905,30 +809,6 @@ impl Message {
             }
             5 => Message::Pending {
                 ticket: r.take_varint()?,
-            },
-            6 => Message::Checkout {
-                peer: String::decode_from(r)?,
-                wave: r.take_varint()?,
-            },
-            7 => Message::CheckoutAck {
-                peer: String::decode_from(r)?,
-            },
-            8 => Message::FanOut {
-                wave: r.take_varint()?,
-                table: String::decode_from(r)?,
-                version: r.take_varint()?,
-            },
-            9 => Message::AckSealed {
-                wave: r.take_varint()?,
-                acks: r.take_varint()?,
-            },
-            10 => Message::ConsensusSealed {
-                wave: r.take_varint()?,
-                commits: r.take_varint()?,
-            },
-            11 => Message::Checkin {
-                peer: String::decode_from(r)?,
-                wave: r.take_varint()?,
             },
             12 => Message::Close,
             13 => Message::Closed,
@@ -1011,27 +891,6 @@ mod tests {
                 }),
             },
             Message::Pending { ticket: 9 },
-            Message::Checkout {
-                peer: "doctor".into(),
-                wave: 4,
-            },
-            Message::CheckoutAck {
-                peer: "doctor".into(),
-            },
-            Message::FanOut {
-                wave: 4,
-                table: "clinical_data".into(),
-                version: 3,
-            },
-            Message::AckSealed { wave: 4, acks: 2 },
-            Message::ConsensusSealed {
-                wave: 4,
-                commits: 1,
-            },
-            Message::Checkin {
-                peer: "doctor".into(),
-                wave: 4,
-            },
             Message::Close,
             Message::Closed,
             Message::StatsRequest,
@@ -1059,6 +918,21 @@ mod tests {
             Envelope::from_frame(&bytes),
             Err(WireError::Version { .. })
         ));
+    }
+
+    #[test]
+    fn retired_message_tags_are_refused() {
+        // Tags 6–11 are unassigned: a frame carrying one fails to
+        // decode instead of reading as another message.
+        for tag in 6u8..=11 {
+            let frame = [WIRE_VERSION, 0, tag, 1, b'x', 4];
+            match Envelope::from_frame(&frame) {
+                Err(WireError::Codec(StorageError::Codec(msg))) => {
+                    assert_eq!(msg, format!("invalid message tag {tag}"))
+                }
+                other => panic!("tag {tag} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -303,49 +303,6 @@ fn gateway_sessions_match_serial_waves_byte_for_byte() {
 }
 
 #[test]
-fn peer_loops_own_state_and_see_wave_notifications() {
-    let plan = fixed_plan();
-    let (service, _, _) = clinic("gw-telemetry");
-    let dep = Deployment::start(service, GatewayConfig::default().manual_pump())
-        .expect("deployment starts");
-    let mut client = dep.connect();
-    for w in &plan.writes {
-        let peer = if w.doctor { "Doctor" } else { "Patient" };
-        let reply = dep
-            .block_on(client.submit(peer, WARD, vec![WireWrite::Shared(w.op())]))
-            .expect("submit");
-        assert!(matches!(reply, SubmitReply::Accepted { .. }));
-    }
-    let report = dep.pump().expect("wave");
-    assert!(report.members > 0);
-    let waves = report.wave;
-    // `pump` returns once the wave's frames are *sent*; the peer loops may
-    // still be reading them. A loop reads its frames in the order they were
-    // sent and the check-in is the last of a wave, so a peer whose check-ins
-    // have caught up has counted everything before them. Bounded wait.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while dep.telemetry().iter().any(|(_, c)| c.checkins < waves)
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    for (name, counts) in dep.telemetry() {
-        assert_eq!(
-            counts.checkouts, waves,
-            "peer `{name}` was gathered for every wave"
-        );
-        assert_eq!(counts.checkins, waves, "and returned after each");
-        assert_eq!(counts.consensus_sealed, waves);
-        assert_eq!(counts.acks_sealed, waves);
-        assert!(
-            counts.fan_outs > 0,
-            "peer `{name}` saw the committed update fan out"
-        );
-    }
-    dep.shutdown().expect("shutdown");
-}
-
-#[test]
 fn admission_queue_overloads_then_recovers() {
     let (service, _, _) = clinic("gw-backpressure");
     let dep = Deployment::start(

@@ -119,7 +119,7 @@ fn receipt(status: TxStatus) -> Receipt {
     }
 }
 
-/// Real frames, one per message shape the gateway and the peer loops
+/// Real frames, one per message shape the gateway and its sessions
 /// exchange with a payload worth damaging.
 fn frames() -> &'static [Vec<u8>] {
     static FRAMES: LazyLock<Vec<Vec<u8>>> = LazyLock::new(|| {
@@ -177,10 +177,9 @@ fn frames() -> &'static [Vec<u8>] {
                     })),
                 }),
             },
-            Message::FanOut {
-                wave: 4,
-                table: "ward".into(),
-                version: 3,
+            Message::Poll {
+                ticket: 7,
+                park: true,
             },
             Message::Stats {
                 json: r#"{"counters":{"chain.waves":4,"gateway.submissions":9}}"#.into(),

@@ -324,6 +324,9 @@ impl HeatMap {
                         Ok(_) => {
                             self.labels
                                 .lock()
+                                // lint: allow(unwrap) — poisoned only by a
+                                // panic while held, and a map insert or
+                                // clone under it does not panic.
                                 .expect("heat map label lock")
                                 .insert(tag, (table.to_string(), shard));
                             true
@@ -343,6 +346,7 @@ impl HeatMap {
 
     /// Point-in-time view, cells sorted by (table, shard).
     pub fn snapshot(&self) -> HeatMapSnapshot {
+        // lint: allow(unwrap) — as in `record`.
         let labels = self.labels.lock().expect("heat map label lock").clone();
         let mut cells = Vec::new();
         for slot in &self.slots {

@@ -56,6 +56,8 @@ impl Registry {
             counters: self
                 .counters
                 .lock()
+                // lint: allow(unwrap) — poisoned only by a panic while
+                // held; `get_or_create` and this read do not panic.
                 .expect("registry counter lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
@@ -63,6 +65,7 @@ impl Registry {
             gauges: self
                 .gauges
                 .lock()
+                // lint: allow(unwrap) — as for the counters.
                 .expect("registry gauge lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
@@ -70,6 +73,7 @@ impl Registry {
             histograms: self
                 .histograms
                 .lock()
+                // lint: allow(unwrap) — as for the counters.
                 .expect("registry histogram lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -77,6 +81,7 @@ impl Registry {
             heatmaps: self
                 .heatmaps
                 .lock()
+                // lint: allow(unwrap) — as for the counters.
                 .expect("registry heat map lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
@@ -86,6 +91,8 @@ impl Registry {
 }
 
 fn get_or_create<M: Default>(map: &Mutex<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
+    // lint: allow(unwrap) — poisoned only by a panic while held, and a
+    // lookup, `M::default()` or an insert under it does not panic.
     let mut map = map.lock().expect("registry name map lock");
     match map.get(name) {
         Some(m) => Arc::clone(m),

@@ -107,7 +107,7 @@
 //! | [`workload`] | synthetic EHR generation, update streams, de-identification |
 //! | [`core`] | the engine (`System`), its commit scheduler, the facade, the Fig. 1 scenario |
 //! | [`engine`] | the ticketed front door over the core's commit scheduler (group-commit waves, write combining, cascade re-entry) |
-//! | [`node`] | async runtime, per-peer event loops, wire protocol, gateway |
+//! | [`node`] | async runtime, wire protocol, gateway over one pump task |
 //!
 //! ## The ticketed commit pipeline
 //!
@@ -125,9 +125,9 @@
 //! it set off are through. See the `medledger-engine` crate docs for a
 //! runnable example.
 //!
-//! For a *deployment* — per-peer event loops, a framed wire protocol,
-//! and a concurrent gateway serving thousands of client sessions over
-//! that pipeline on a dependency-free async runtime — see the
+//! For a *deployment* — a framed wire protocol and a concurrent gateway
+//! serving thousands of client sessions over that pipeline, one pump
+//! task owning the service, on a dependency-free async runtime — see the
 //! [`node`] crate ([`node::Deployment`]).
 
 pub use medledger_bx as bx;
