@@ -17,10 +17,14 @@
 //!
 //! * `Project`, `Select`, `Rename` — fully incremental: cost is
 //!   O(delta rows), with per-row key lookups into the unchanged table.
-//! * `Compose` — partially incremental: the delta is pushed through both
-//!   stages row-by-row, but the intermediate view must be materialized
-//!   once (an O(table) `get` of the first stage) to anchor the second
-//!   stage's lookups.
+//! * `Compose` — the delta is pushed through both stages row by row. Over
+//!   a **row-wise** tree (only `Select`, `Project` and `Rename`: each view
+//!   row is a function of the one source row with its key) the second
+//!   stage's lookups are anchored on a middle view built from just the
+//!   source rows at the delta's keys, so the cost is O(delta rows). Only a
+//!   `Compose` tree containing `ProjectDistinct` materializes the whole
+//!   middle view (an O(table) `get` of the first stage), because group
+//!   membership needs every row.
 //! * `ProjectDistinct` — incremental via the source-side **group index**
 //!   ([`crate::group::GroupIndex`], `group key → source row keys`):
 //!   translating a group row's change touches only that group's source
@@ -29,6 +33,7 @@
 //!   without one, a partial touched-groups-only index is built in a
 //!   single scan — no view materialization, no full diff.
 
+use crate::analysis;
 use crate::error::BxError;
 use crate::exec::{self, get};
 use crate::group::{group_attr_indexes, GroupIndex};
@@ -61,7 +66,7 @@ pub fn get_delta(
             if mid_delta.is_empty() {
                 return Ok(TableDelta::default());
             }
-            let mid_old = get(first, source_old)?;
+            let mid_old = middle(first, second, source_old, &mid_delta, first)?;
             get_delta(second, &mid_old, &mid_delta)
         }
         LensSpec::ProjectDistinct { attrs, view_key } => {
@@ -109,7 +114,7 @@ pub fn put_delta(spec: &LensSpec, source: &Table, view_delta: &TableDelta) -> Re
         LensSpec::Select { pred } => put_delta_select(source, view_delta, pred),
         LensSpec::Rename { from, to } => put_delta_rename(source, view_delta, from, to),
         LensSpec::Compose { first, second } => {
-            let mid = get(first, source)?;
+            let mid = middle(first, second, source, view_delta, spec)?;
             let mid_delta = put_delta(second, &mid, view_delta)?;
             put_delta(first, source, &mid_delta)
         }
@@ -609,6 +614,54 @@ fn put_delta_project_distinct(
 }
 
 // ----------------------------------------------------------------------
+
+/// The middle view `first ∘ second` translates `delta` across: `first`'s
+/// view of `source`, as far as `second` reads it. `delta`'s rows are rows
+/// of `delta_lens`'s view.
+///
+/// In a row-wise tree (only `Select`, `Project` and `Rename`) each middle
+/// row is a function of the one source row with its key, and `second`
+/// reads the middle only through its schema and through lookups by keys
+/// of `delta`. A middle built from the source rows at those keys answers
+/// every such read as the whole one does, in O(delta). `ProjectDistinct`
+/// reads whole groups, and an ill-formed tree can fail on rows the delta
+/// never touches: both get the whole middle.
+fn middle(
+    first: &LensSpec,
+    second: &LensSpec,
+    source: &Table,
+    delta: &TableDelta,
+    delta_lens: &LensSpec,
+) -> Result<Table> {
+    let delta_schema = match analysis::view_schema(delta_lens, source.schema()) {
+        Ok(schema) if row_wise(first) && row_wise(second) => schema,
+        _ => return get(first, source),
+    };
+    // A wrong-arity insert gets the empty key, which no row has; the
+    // combinator's own `check_row` rejects it.
+    let keys = delta.touched_keys(|row| {
+        if row.len() == delta_schema.arity() {
+            delta_schema.key_of(row)
+        } else {
+            Vec::new()
+        }
+    });
+    let mut rows = Table::new(source.schema().clone());
+    for key in &keys {
+        if let Some(row) = source.get(key) {
+            rows.insert(row.clone())?;
+        }
+    }
+    get(first, &rows)
+}
+
+fn row_wise(spec: &LensSpec) -> bool {
+    match spec {
+        LensSpec::ProjectDistinct { .. } => false,
+        LensSpec::Compose { first, second } => row_wise(first) && row_wise(second),
+        LensSpec::Project { .. } | LensSpec::Select { .. } | LensSpec::Rename { .. } => true,
+    }
+}
 
 fn lookup<'t>(table: &'t Table, key: &[Value]) -> Result<&'t Row> {
     table.get(key).ok_or_else(|| BxError::InvalidDelta {

@@ -3,12 +3,22 @@
 //! Strategy: generate random source tables over a fixed medical-ish schema,
 //! random lenses from the combinator family, and random *translatable*
 //! view edits; assert GetPut and PutGet hold on every combination.
+//!
+//! The second half referees the delta pipeline on random lens *trees*
+//! (depth ≤ 3, every combinator) and random deltas, untranslatable and
+//! stale ones included: `put_delta` / `get_delta` must agree with the full
+//! `exec::put` / `exec::get` on the delta-applied table, and exactly —
+//! errors included — with a reference `Compose` arm that materialises the
+//! whole middle view.
 
 use medledger_bx::exec::{get, put};
-use medledger_bx::laws::{check_getput, check_putget};
-use medledger_bx::LensSpec;
-use medledger_relational::{Column, Predicate, Row, Schema, Table, Value, ValueType};
+use medledger_bx::laws::{check_getput, check_putget, check_well_behaved};
+use medledger_bx::{analysis, get_delta, put_delta, BxError, LensSpec};
+use medledger_relational::{
+    CmpOp, Column, Predicate, Row, Schema, Table, TableDelta, Value, ValueType,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Source schema: id (key), med, mech, dose, addr — a compressed version
 /// of the paper's full-record schema.
@@ -168,6 +178,334 @@ proptest! {
                 attr,
                 analysis.footprint
             );
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Random lens trees: the delta pipeline against the full path
+// ----------------------------------------------------------------------
+
+/// A splitmix64 stream: a tree and its delta are drawn from one seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len())]
+    }
+}
+
+/// The source columns, each its own origin.
+const SOURCE_ORIGINS: [&str; 5] = ["id", "med", "mech", "dose", "addr"];
+
+/// A value of source column `origin`, from a domain a little wider than
+/// `arb_source`'s: fresh keys, new medications and a mechanism that
+/// breaks the `med → mech` dependency all occur.
+fn value_of(origin: &str, d: &mut Draw) -> Value {
+    match origin {
+        "id" => Value::Int(d.below(60) as i64),
+        "med" => Value::text(format!("med{}", d.below(7))),
+        "mech" => Value::text(format!("mech-of-med{}", d.below(7))),
+        "dose" => Value::text(format!("dose{}", d.below(5))),
+        _ => Value::text(format!("addr{}", d.below(5))),
+    }
+}
+
+/// The view a tree has built so far: its columns with the source column
+/// each one's values come from, and its one key column.
+struct Shape {
+    cols: Vec<(String, &'static str)>,
+    key: String,
+    renames: usize,
+}
+
+/// A well-formed lens tree of height ≤ 3 over `source_schema()`.
+fn random_tree(d: &mut Draw) -> LensSpec {
+    let mut shape = Shape {
+        cols: SOURCE_ORIGINS.iter().map(|c| (c.to_string(), *c)).collect(),
+        key: "id".to_string(),
+        renames: 0,
+    };
+    tree(&mut shape, 3, d)
+}
+
+fn tree(shape: &mut Shape, height: u32, d: &mut Draw) -> LensSpec {
+    if height > 1 && d.below(3) > 0 {
+        let first = tree(shape, height - 1, d);
+        return first.compose(tree(shape, height - 1, d));
+    }
+    let has_group = shape.cols.iter().any(|(_, o)| *o == "med" || *o == "mech");
+    match d.below(9) {
+        0..=2 => random_select(shape, d),
+        3..=5 => random_project(shape, d),
+        6 | 7 => random_rename(shape, d),
+        _ if has_group => random_distinct(shape, d),
+        _ => random_select(shape, d),
+    }
+}
+
+fn random_select(shape: &Shape, d: &mut Draw) -> LensSpec {
+    let (name, origin) = d.pick(&shape.cols).clone();
+    let atom = |d: &mut Draw| Predicate::eq(name.clone(), value_of(origin, d));
+    LensSpec::select(match d.below(4) {
+        0 => atom(d),
+        1 => atom(d).or(atom(d)),
+        2 => atom(d).not(),
+        _ => Predicate::cmp(name.clone(), CmpOp::Lt, value_of(origin, d)),
+    })
+}
+
+/// Keeps the key and a random subset of the other columns; each dropped
+/// column gets an insert default or none.
+fn random_project(shape: &mut Shape, d: &mut Draw) -> LensSpec {
+    let (mut attrs, mut kept, mut defaults) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, origin) in &shape.cols {
+        if *name == shape.key || d.below(2) == 0 {
+            attrs.push(name.as_str());
+            kept.push((name.clone(), *origin));
+        } else if d.below(2) == 0 {
+            defaults.push((name.as_str(), value_of(origin, d)));
+        }
+    }
+    let lens = LensSpec::project_with_defaults(&attrs, &[shape.key.as_str()], &defaults);
+    shape.cols = kept;
+    lens
+}
+
+fn random_rename(shape: &mut Shape, d: &mut Draw) -> LensSpec {
+    let i = d.below(shape.cols.len());
+    shape.renames += 1;
+    let to = format!("{}_{}", shape.cols[i].1, shape.renames);
+    let from = std::mem::replace(&mut shape.cols[i].0, to.clone());
+    if shape.key == from {
+        shape.key = to.clone();
+    }
+    LensSpec::rename(from, to)
+}
+
+/// Groups by medication or by mechanism: `arb_source` makes each
+/// determine the other, so the functional dependency holds either way.
+fn random_distinct(shape: &mut Shape, d: &mut Draw) -> LensSpec {
+    let mut kept: Vec<(String, &'static str)> = shape
+        .cols
+        .iter()
+        .filter(|(_, o)| *o == "med" || *o == "mech")
+        .cloned()
+        .collect();
+    if kept.len() == 2 && d.below(2) == 0 {
+        kept.remove(d.below(2));
+    }
+    let key = d.pick(&kept).0.clone();
+    let attrs: Vec<&str> = kept.iter().map(|(n, _)| n.as_str()).collect();
+    let lens = LensSpec::project_distinct(&attrs, &[key.as_str()]);
+    shape.cols = kept;
+    shape.key = key;
+    lens
+}
+
+/// One or two operations on distinct keys of `table`, whose columns carry
+/// values of the source columns `origins`: a cell update, a delete, an
+/// insert (of a fresh key, of a key a select hides, or of a key already
+/// present), an update or delete of a key the table lacks, and — with
+/// `wrong_arity` — an insert of a row one cell short or long.
+fn random_delta(table: &Table, origins: &[&str], wrong_arity: bool, d: &mut Draw) -> TableDelta {
+    let schema = table.schema();
+    let key_at = schema.key_indexes()[0];
+    let rows = table.sorted_rows();
+    let random_cells =
+        |d: &mut Draw| -> Vec<Value> { origins.iter().map(|o| value_of(o, d)).collect() };
+    let mut delta = TableDelta::default();
+    let mut used = BTreeSet::new();
+    for _ in 0..1 + d.below(2) {
+        match d.below(7) {
+            0 | 1 if !rows.is_empty() => {
+                let row = *d.pick(&rows);
+                let mut cells: Vec<Value> = row.iter().cloned().collect();
+                let at = d.below(cells.len());
+                if at != key_at {
+                    cells[at] = value_of(origins[at], d);
+                }
+                let key = schema.key_of(row);
+                if used.insert(key.clone()) {
+                    delta.updates.push((key, Row::new(cells)));
+                }
+            }
+            2 if !rows.is_empty() => {
+                let row = *d.pick(&rows);
+                let key = schema.key_of(row);
+                if used.insert(key.clone()) {
+                    delta.deletes.push(key);
+                }
+            }
+            3 => {
+                let row = Row::new(random_cells(d));
+                let key = schema.key_of(&row);
+                if table.contains_key(&key) || !used.insert(key.clone()) {
+                    continue;
+                }
+                if d.below(2) == 0 {
+                    delta.deletes.push(key);
+                } else {
+                    delta.updates.push((key, row));
+                }
+            }
+            4 if wrong_arity => {
+                let mut cells = random_cells(d);
+                if d.below(2) == 0 {
+                    cells.pop();
+                } else {
+                    cells.push(Value::text("extra"));
+                }
+                delta.inserts.push(Row::new(cells));
+            }
+            _ => {
+                let row = Row::new(random_cells(d));
+                if used.insert(schema.key_of(&row)) {
+                    delta.inserts.push(row);
+                }
+            }
+        }
+    }
+    delta
+}
+
+/// The source column behind each column of `lens`'s view.
+fn view_origins(lens: &LensSpec) -> Vec<&'static str> {
+    let analysis =
+        analysis::analyze(lens, &source_schema()).expect("generated trees are well formed");
+    analysis
+        .view_schema
+        .column_names()
+        .iter()
+        .map(|c| {
+            let origin = &analysis.attr_origin[*c];
+            *SOURCE_ORIGINS
+                .iter()
+                .find(|o| *o == origin)
+                .expect("a source column")
+        })
+        .collect()
+}
+
+/// `put_delta` with a `Compose` arm that materialises the whole middle
+/// view: the reference a restricted middle must match exactly.
+fn materialised_put_delta(
+    spec: &LensSpec,
+    source: &Table,
+    view_delta: &TableDelta,
+) -> Result<TableDelta, BxError> {
+    match spec {
+        LensSpec::Compose { first, second } if !view_delta.is_empty() => {
+            let mid = get(first, source)?;
+            let mid_delta = materialised_put_delta(second, &mid, view_delta)?;
+            materialised_put_delta(first, source, &mid_delta)
+        }
+        _ => put_delta(spec, source, view_delta),
+    }
+}
+
+/// `get_delta` with a `Compose` arm that materialises the whole middle
+/// view.
+fn materialised_get_delta(
+    spec: &LensSpec,
+    source: &Table,
+    source_delta: &TableDelta,
+) -> Result<TableDelta, BxError> {
+    match spec {
+        LensSpec::Compose { first, second } if !source_delta.is_empty() => {
+            let mid_delta = materialised_get_delta(first, source, source_delta)?;
+            if mid_delta.is_empty() {
+                return Ok(TableDelta::default());
+            }
+            let mid = get(first, source)?;
+            materialised_get_delta(second, &mid, &mid_delta)
+        }
+        _ => get_delta(spec, source, source_delta),
+    }
+}
+
+/// Two failures agree when they are the same `BxError` variant. Only a
+/// one-row delta is held to it: with two bad rows the delta and full
+/// paths may meet them in either order.
+fn same_failure(delta: &TableDelta, a: &BxError, b: &BxError) -> bool {
+    delta.row_count() > 1 || std::mem::discriminant(a) == std::mem::discriminant(b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// put_delta ≡ exec::put then diff, on random trees and view deltas;
+    /// and GetPut / PutGet wherever the edit translates.
+    #[test]
+    fn put_delta_matches_full_put_on_random_trees(src in arb_source(24), seed in any::<u64>()) {
+        let mut d = Draw(seed);
+        let lens = random_tree(&mut d);
+        let view = get(&lens, &src).expect("generated trees are well formed");
+        let view_delta = random_delta(&view, &view_origins(&lens), true, &mut d);
+        let incremental = put_delta(&lens, &src, &view_delta);
+        prop_assert_eq!(&incremental, &materialised_put_delta(&lens, &src, &view_delta));
+
+        let mut edited = view.clone();
+        if edited.apply_delta(&view_delta).is_err() {
+            // Stale keys, duplicate keys and wrong arity: no view to put.
+            prop_assert!(incremental.is_err(), "{}: stale {:?} translated", lens, view_delta);
+            return Ok(());
+        }
+        match (incremental, put(&lens, &src, &edited)) {
+            (Ok(delta), Ok(full)) => {
+                let mut applied = src.clone();
+                prop_assert!(applied.apply_delta(&delta).is_ok(), "{}: {:?} does not apply", lens, delta);
+                prop_assert_eq!(&applied, &full);
+                prop_assert_eq!(applied.content_hash(), full.content_hash());
+                check_well_behaved(&lens, &src, &edited)
+                    .map_err(|e| TestCaseError::fail(format!("{lens}: {e}")))?;
+            }
+            (Err(a), Err(b)) => prop_assert!(
+                same_failure(&view_delta, &a, &b),
+                "{}: put_delta failed with {:?}, put with {:?}", lens, a, b
+            ),
+            (a, b) => {
+                return Err(TestCaseError::fail(format!("{lens}: put_delta {a:?}, put {b:?}")));
+            }
+        }
+    }
+
+    /// get_delta ≡ exec::get then diff, on random trees and source deltas.
+    #[test]
+    fn get_delta_matches_full_get_on_random_trees(src in arb_source(24), seed in any::<u64>()) {
+        let mut d = Draw(seed);
+        let lens = random_tree(&mut d);
+        let view = get(&lens, &src).expect("generated trees are well formed");
+        let source_delta = random_delta(&src, &SOURCE_ORIGINS, false, &mut d);
+        let incremental = get_delta(&lens, &src, &source_delta);
+        prop_assert_eq!(&incremental, &materialised_get_delta(&lens, &src, &source_delta));
+
+        let mut changed = src.clone();
+        if changed.apply_delta(&source_delta).is_err() {
+            return Ok(());
+        }
+        match (incremental, get(&lens, &changed)) {
+            (Ok(delta), Ok(full)) => {
+                let mut applied = view.clone();
+                prop_assert!(applied.apply_delta(&delta).is_ok(), "{}: {:?} does not apply", lens, delta);
+                prop_assert_eq!(&applied, &full);
+                prop_assert_eq!(applied.content_hash(), full.content_hash());
+            }
+            (Err(a), Err(b)) => prop_assert!(
+                same_failure(&source_delta, &a, &b),
+                "{}: get_delta failed with {:?}, get with {:?}", lens, a, b
+            ),
+            (a, b) => {
+                return Err(TestCaseError::fail(format!("{lens}: get_delta {a:?}, get {b:?}")));
+            }
         }
     }
 }

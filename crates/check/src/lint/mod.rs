@@ -47,9 +47,10 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 /// every validator runs over bytes that arrive in transactions, the
 /// network crate, whose fan-out pool every wave's receivers apply on, the
 /// consensus round every wave seals its block with, the telemetry every
-/// wave records into, and the crates that decode what arrives or was
+/// wave records into, the crates that decode what arrives or was
 /// stored — the codec, WAL and snapshots (storage), blocks (ledger) and
-/// lens specs (bx). Still outside: `relational` and `crypto`.
+/// lens specs (bx) — and the tables and shards every one of them
+/// reads and writes (relational). Still outside: `crypto`.
 fn unwrap_scope(rel: &str) -> bool {
     (rel.starts_with("crates/node/src/") && !rel.starts_with("crates/node/src/bin/"))
         || rel.starts_with("crates/engine/src/")
@@ -61,6 +62,7 @@ fn unwrap_scope(rel: &str) -> bool {
         || rel.starts_with("crates/ledger/src/")
         || rel.starts_with("crates/bx/src/")
         || rel.starts_with("crates/storage/src/")
+        || rel.starts_with("crates/relational/src/")
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

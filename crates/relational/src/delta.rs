@@ -303,18 +303,9 @@ pub fn delta_from_write_op(table: &impl KeyedRows, op: &WriteOp) -> Result<Table
             let current = table.get(key).ok_or_else(|| RelationalError::KeyNotFound {
                 key: format!("{key:?}"),
             })?;
-            let mut candidate = current.clone();
-            for (col, val) in assignments {
-                let idx = schema.index_of(col)?;
-                if schema.key_indexes().contains(&idx) {
-                    return Err(RelationalError::InvalidKey {
-                        reason: format!("cannot assign key column `{col}` in update"),
-                    });
-                }
-                *candidate.get_mut(idx).expect("index valid") = val.clone();
-            }
-            schema.check_row(&candidate)?;
-            delta.updates.push((key.clone(), candidate));
+            delta
+                .updates
+                .push((key.clone(), schema.assign(current, assignments)?));
         }
         WriteOp::Delete { key } => {
             if table.get(key).is_none() {

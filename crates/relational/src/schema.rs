@@ -193,6 +193,33 @@ impl Schema {
     pub fn key_of(&self, row: &Row) -> Vec<crate::Value> {
         self.key.iter().map(|&i| row[i].clone()).collect()
     }
+
+    /// `row` with the named columns set, validated against this schema.
+    /// Key columns cannot be assigned (delete + insert instead).
+    pub(crate) fn assign<C: AsRef<str>>(
+        &self,
+        row: &Row,
+        assignments: &[(C, crate::Value)],
+    ) -> Result<Row> {
+        let mut out = row.clone();
+        for (col, val) in assignments {
+            let col = col.as_ref();
+            let idx = self.index_of(col)?;
+            if self.key.contains(&idx) {
+                return Err(RelationalError::InvalidKey {
+                    reason: format!("cannot assign key column `{col}` in update"),
+                });
+            }
+            let actual = out.len();
+            let cell = out.get_mut(idx).ok_or(RelationalError::ArityMismatch {
+                expected: self.arity(),
+                actual,
+            })?;
+            *cell = val.clone();
+        }
+        self.check_row(&out)?;
+        Ok(out)
+    }
 }
 
 impl fmt::Display for Schema {

@@ -56,7 +56,7 @@ use medledger_crypto::{merkle, Hash256};
 use medledger_telemetry::HeatMapHandle;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Clamps a configured shard count to a valid value: a power of two in
 /// `1 ..= 256` (the content digest's maximum chunk fan-out).
@@ -170,7 +170,7 @@ impl Clone for Shard {
             shard_count: self.shard_count,
             table: self.table.clone(),
             encoded_bytes: self.encoded_bytes,
-            cache: Mutex::new(self.cache.lock().expect("shard cache lock").clone()),
+            cache: Mutex::new(self.cache().clone()),
             heat: self.heat.clone(),
             heat_label: self.heat_label.clone(),
         }
@@ -194,6 +194,12 @@ impl Shard {
             heat: HeatMapHandle::disabled(),
             heat_label: String::new(),
         }
+    }
+
+    fn cache(&self) -> MutexGuard<'_, ShardCache> {
+        // lint: allow(unwrap) — poisoned only by a panic while held, and
+        // the cache code under it only reads and writes maps.
+        self.cache.lock().expect("shard cache lock")
     }
 
     /// The fragment table (rows routed to this shard).
@@ -270,6 +276,7 @@ impl Shard {
                 delta.encoded_size() as u64,
             );
         }
+        // lint: allow(unwrap) — as for `Shard::cache`.
         let cache = self.cache.get_mut().expect("shard cache lock");
         if !cache.valid {
             return Ok(inverse);
@@ -318,7 +325,7 @@ impl Shard {
     /// subroots). No-op when the layout is coarser than the shard split.
     pub fn warm(&self, chunk_count: usize) {
         if chunk_count >= self.shard_count {
-            let mut cache = self.cache.lock().expect("shard cache lock");
+            let mut cache = self.cache();
             self.subroot_locked(&mut cache, chunk_count);
         }
     }
@@ -405,6 +412,8 @@ impl ShardMap {
             shard
                 .table
                 .insert(row.clone())
+                // lint: allow(unwrap) — `table`'s rows are schema-valid and
+                // key-unique, and each goes to exactly one shard.
                 .expect("source table rows are valid and key-unique");
             shard.encoded_bytes += row.encoded_len() as u64;
         }
@@ -528,6 +537,9 @@ impl ShardMap {
                     for (t, inv) in applied.iter().rev() {
                         self.shards[*t]
                             .apply(inv, plan.chunk_count)
+                            // lint: allow(unwrap) — the inverse of the
+                            // sub-delta this shard just applied restores
+                            // the rows it was validated against.
                             .expect("inverse of a just-applied sub-delta applies");
                     }
                     return Err(e);
@@ -556,7 +568,7 @@ impl ShardMap {
                 .shards
                 .iter()
                 .map(|s| {
-                    let mut cache = s.cache.lock().expect("shard cache lock");
+                    let mut cache = s.cache();
                     s.subroot_locked(&mut cache, chunk_count)
                 })
                 .collect();
@@ -572,7 +584,7 @@ impl ShardMap {
                 let mut merged: BTreeMap<Vec<Value>, Hash256> = BTreeMap::new();
                 for s in (c * group)..((c + 1) * group) {
                     let shard = &self.shards[s];
-                    let mut cache = shard.cache.lock().expect("shard cache lock");
+                    let mut cache = shard.cache();
                     shard.ensure_cache(&mut cache, chunk_count);
                     if let Some(bucket) = cache.leaves.get(&c) {
                         merged.extend(bucket.iter().map(|(k, v)| (k.clone(), *v)));
@@ -593,6 +605,8 @@ impl ShardMap {
         let mut out = Table::new(self.schema.clone());
         for row in self.rows() {
             out.insert(row.clone())
+                // lint: allow(unwrap) — shard rows are schema-valid, and a
+                // key routes to one shard, so keys are unique across them.
                 .expect("shard rows are valid and globally key-unique");
         }
         out

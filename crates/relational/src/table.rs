@@ -10,7 +10,7 @@ use crate::Result;
 use medledger_crypto::{merkle, sha256_concat, Hash256};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Domain tag for row-chunk digests (distinct from Merkle leaf/node tags).
 pub(crate) const CHUNK_TAG: &[u8] = &[0x02];
@@ -159,6 +159,35 @@ impl HashCache {
         }
         self.root = None;
     }
+
+    /// Chunk `c`'s digest, recomputed if dirty.
+    fn digest_at(&mut self, c: usize) -> Hash256 {
+        if let Some(digest) = self.digests[c] {
+            return digest;
+        }
+        let digest = chunk_digest(self.chunks[c].values());
+        self.digests[c] = Some(digest);
+        self.stats.chunk_recomputes += 1;
+        digest
+    }
+
+    /// Node `i` of fold level `l`, refolded if dirty. A dirty chunk
+    /// dirties every node above it ([`HashCache::mark_dirty`]), so the
+    /// walk down the dirty nodes reaches every dirty chunk.
+    fn node_at(&mut self, l: usize, i: usize) -> Hash256 {
+        if let Some(node) = self.levels[l][i] {
+            return node;
+        }
+        let (left, right) = if l == 0 {
+            (self.digest_at(2 * i), self.digest_at(2 * i + 1))
+        } else {
+            (self.node_at(l - 1, 2 * i), self.node_at(l - 1, 2 * i + 1))
+        };
+        let node = merkle::node_hash(&left, &right);
+        self.levels[l][i] = Some(node);
+        self.stats.node_recomputes += 1;
+        node
+    }
 }
 
 /// A table: schema + rows + a primary-key index.
@@ -190,7 +219,7 @@ impl Clone for Table {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
             index: self.index.clone(),
-            cache: Mutex::new(self.cache.lock().expect("cache lock").clone()),
+            cache: Mutex::new(self.cache().clone()),
         }
     }
 }
@@ -244,10 +273,21 @@ impl Table {
 
     // ----- cache bookkeeping ------------------------------------------
 
+    fn cache(&self) -> MutexGuard<'_, HashCache> {
+        // lint: allow(unwrap) — poisoned only by a panic while held, and
+        // the cache code under it indexes only vectors it sized itself.
+        self.cache.lock().expect("cache lock")
+    }
+
+    fn cache_mut(&mut self) -> &mut HashCache {
+        // lint: allow(unwrap) — as for `cache`.
+        self.cache.get_mut().expect("cache lock")
+    }
+
     /// Records an inserted/replaced row in the hash cache. `new_len` is
     /// the row count after the mutation.
     fn note_upsert(&mut self, key: &[Value], row: &Row, new_len: usize) {
-        let cache = self.cache.get_mut().expect("cache lock");
+        let cache = self.cache_mut();
         if !cache.valid {
             return;
         }
@@ -265,7 +305,7 @@ impl Table {
     /// Records a deleted row in the hash cache. `new_len` is the row
     /// count after the mutation.
     fn note_delete(&mut self, key: &[Value], new_len: usize) {
-        let cache = self.cache.get_mut().expect("cache lock");
+        let cache = self.cache_mut();
         if !cache.valid {
             return;
         }
@@ -339,17 +379,7 @@ impl Table {
                 key: format_key(key),
             })?;
         // Validate before mutating so failed updates leave the row intact.
-        let mut candidate = self.rows[pos].clone();
-        for (col, val) in assignments {
-            let idx = self.schema.index_of(col)?;
-            if self.schema.key_indexes().contains(&idx) {
-                return Err(RelationalError::InvalidKey {
-                    reason: format!("cannot assign key column `{col}` in update"),
-                });
-            }
-            *candidate.get_mut(idx).expect("index valid") = val.clone();
-        }
-        self.schema.check_row(&candidate)?;
+        let candidate = self.schema.assign(&self.rows[pos], assignments)?;
         self.note_upsert(key, &candidate, self.rows.len());
         self.rows[pos] = candidate;
         Ok(())
@@ -377,7 +407,7 @@ impl Table {
     pub fn clear(&mut self) {
         self.rows.clear();
         self.index.clear();
-        self.cache.get_mut().expect("cache lock").invalidate();
+        self.cache_mut().invalidate();
     }
 
     /// Applies a row-level delta atomically: every entry is validated
@@ -445,8 +475,7 @@ impl Table {
             self.rows[pos] = row.clone();
         }
         for key in &delta.deletes {
-            let removed = self.delete(key).expect("validated");
-            inverse.inserts.push(removed);
+            inverse.inserts.push(self.delete(key)?);
         }
         for (row, key) in delta.inserts.iter().zip(insert_keys) {
             let new_len = self.rows.len() + 1;
@@ -546,7 +575,7 @@ impl Table {
     /// clean fold subtrees are reused as-is. A cold cache (fresh
     /// deserialization) triggers one full rebuild.
     pub fn content_hash(&self) -> Hash256 {
-        let mut cache = self.cache.lock().expect("cache lock");
+        let mut cache = self.cache();
         let want_chunks = chunk_count_for(self.rows.len());
         if !cache.valid || cache.rows != self.rows.len() || cache.chunks.len() != want_chunks {
             // Full rebuild from the rows.
@@ -578,51 +607,24 @@ impl Table {
         if let Some(root) = cache.root {
             return root;
         }
-        if cache.schema_digest.is_none() {
-            cache.schema_digest = Some(merkle::leaf_hash(&self.schema_digest_bytes()));
-        }
-        // Recompute dirty chunk digests only.
-        for c in 0..cache.chunks.len() {
-            if cache.digests[c].is_none() {
-                cache.digests[c] = Some(chunk_digest(cache.chunks[c].values()));
-                cache.stats.chunk_recomputes += 1;
-            }
-        }
+        let schema_digest = *cache
+            .schema_digest
+            .get_or_insert_with(|| merkle::leaf_hash(&self.schema_digest_bytes()));
         // Refold only the dirty paths of the chunk tree; clean subtrees
         // are served from the cached levels. The resulting top node is by
         // construction identical to `merkle::fold_nodes(digests)`.
-        for l in 0..cache.levels.len() {
-            for i in 0..cache.levels[l].len() {
-                if cache.levels[l][i].is_some() {
-                    continue;
-                }
-                let (left, right) = if l == 0 {
-                    (
-                        cache.digests[2 * i].expect("just flushed"),
-                        cache.digests[2 * i + 1].expect("just flushed"),
-                    )
-                } else {
-                    (
-                        cache.levels[l - 1][2 * i].expect("lower level folded"),
-                        cache.levels[l - 1][2 * i + 1].expect("lower level folded"),
-                    )
-                };
-                cache.levels[l][i] = Some(merkle::node_hash(&left, &right));
-                cache.stats.node_recomputes += 1;
-            }
-        }
-        let top = match cache.levels.last() {
-            Some(level) => level[0].expect("top folded"),
-            None => cache.digests[0].expect("just flushed"),
+        let top = match cache.levels.len() {
+            0 => cache.digest_at(0),
+            height => cache.node_at(height - 1, 0),
         };
-        let root = merkle::node_hash(&cache.schema_digest.expect("just set"), &top);
+        let root = merkle::node_hash(&schema_digest, &top);
         cache.root = Some(root);
         root
     }
 
     /// Snapshot of the incremental-hash work counters (see [`HashStats`]).
     pub fn hash_stats(&self) -> HashStats {
-        self.cache.lock().expect("cache lock").stats
+        self.cache().stats
     }
 
     /// Renders the table as an aligned ASCII grid (used by the report
