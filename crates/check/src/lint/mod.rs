@@ -49,8 +49,9 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 /// consensus round every wave seals its block with, the telemetry every
 /// wave records into, the crates that decode what arrives or was
 /// stored — the codec, WAL and snapshots (storage), blocks (ledger) and
-/// lens specs (bx) — and the tables and shards every one of them
-/// reads and writes (relational). Still outside: `crypto`.
+/// lens specs (bx) — the tables and shards every one of them
+/// reads and writes (relational), and the hashes, Merkle trees and
+/// signatures all of it rests on (crypto).
 fn unwrap_scope(rel: &str) -> bool {
     (rel.starts_with("crates/node/src/") && !rel.starts_with("crates/node/src/bin/"))
         || rel.starts_with("crates/engine/src/")
@@ -63,6 +64,7 @@ fn unwrap_scope(rel: &str) -> bool {
         || rel.starts_with("crates/bx/src/")
         || rel.starts_with("crates/storage/src/")
         || rel.starts_with("crates/relational/src/")
+        || rel.starts_with("crates/crypto/src/")
 }
 
 /// Recursively collects `.rs` files under `root`, skipping

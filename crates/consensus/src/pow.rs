@@ -57,17 +57,6 @@ impl PowModel {
     pub fn restore_prg_state(&mut self, counter: u64, buf_pos: usize) {
         self.prg.restore_state(counter, buf_pos);
     }
-
-    /// Samples `count` block arrival times starting from `start_ms`.
-    pub fn arrival_times(&mut self, start_ms: u64, count: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(count);
-        let mut t = start_ms;
-        for _ in 0..count {
-            t += self.next_interval_ms();
-            out.push(t);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -114,15 +103,6 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn arrival_times_are_monotonic() {
-        let mut m = PowModel::new(500, "arrivals");
-        let times = m.arrival_times(100, 50);
-        assert_eq!(times.len(), 50);
-        assert!(times[0] > 100);
-        assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

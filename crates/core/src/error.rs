@@ -55,11 +55,6 @@ pub enum CoreError {
     ConsistencyViolation(String),
     /// The update produced no change (nothing to propagate).
     NoChange(String),
-    /// A group-commit member targets a shared table that another queued
-    /// (or still-uncommitted) update already claims — the paper's
-    /// one-update-per-table-per-block rule surfaced as a typed error
-    /// instead of a silent re-queue.
-    Conflicted(String),
     /// The durable storage layer failed (WAL/snapshot I/O, corruption, or
     /// a recovered state that disagrees with the recovered chain).
     Storage(String),
@@ -80,9 +75,6 @@ impl fmt::Display for CoreError {
             CoreError::KeysExhausted => write!(f, "signing keys exhausted"),
             CoreError::ConsistencyViolation(s) => write!(f, "consistency violation: {s}"),
             CoreError::NoChange(s) => write!(f, "no change to propagate for `{s}`"),
-            CoreError::Conflicted(s) => {
-                write!(f, "another queued update already claims shared table `{s}`")
-            }
             CoreError::Storage(s) => write!(f, "storage: {s}"),
         }
     }

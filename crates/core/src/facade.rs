@@ -832,7 +832,6 @@ impl CommitError {
                 }
             }
             CoreError::NoChange(table_id) => CommitError::NoChange { table_id },
-            CoreError::Conflicted(table_id) => CommitError::Conflicted { table_id },
             CoreError::Bx(e) => CommitError::Untranslatable {
                 reason: e.to_string(),
             },

@@ -18,8 +18,8 @@
 //!   sharing contract, and the Fig. 4 / Fig. 5 workflows with numbered
 //!   traces,
 //! * [`sched`] — the one commit scheduler: queued submissions and
-//!   Step-6 cascades, admitted, staged and committed one wave at a time
-//!   through the engine's `commit_group`,
+//!   Step-6 cascades, admitted, staged and committed one wave at a time;
+//!   `System::run_wave` runs one wave through seven phases,
 //! * [`facade`] — the public surface: [`facade::MedLedger`] (fluent
 //!   builder, typed [`system::PeerId`] handles),
 //!   [`facade::PeerSession`] (read / share / audit / grant), and the
@@ -53,8 +53,7 @@ pub use peer::{Baseline, PeerNode, PropagationMode};
 pub use persist::{FlushRecord, Recovery};
 pub use sched::{CascadeRecord, CommitTicket, WaveReport};
 pub use system::{
-    CoSubmitter, ConsensusKind, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryFailure,
-    GroupEntryResult, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace, MAX_CASCADE_DEPTH,
+    ConsensusKind, PeerId, System, SystemConfig, UpdateReport, WorkflowTrace, MAX_CASCADE_DEPTH,
 };
 
 /// Crate-wide result alias.

@@ -4,7 +4,8 @@
 //! cascade — reaches the chain through [`System::run_wave`].
 //!
 //! Submissions queue with a [`CommitTicket`]; cascades queue with the
-//! path of tables they descend from. One wave runs as named steps:
+//! path of tables they descend from. One wave is one value, owned by
+//! `run_wave` from admission to settlement, and runs as named steps:
 //!
 //! 1. **admit** (`System::admit`) — queued cascades first (their
 //!    deltas already sit on their peers), then submissions in arrival
@@ -12,16 +13,21 @@
 //!    its own path or its peer no longer holds a pending change of it —
 //!    the rule of the test-side Fig. 5 model — and recorded as blocked if
 //!    its path is longer than [`MAX_CASCADE_DEPTH`]. The claims are then
-//!    screened: distinct, non-interacting tables only.
+//!    screened, once: distinct, non-interacting tables only.
 //! 2. **stage** (`System::stage_group`) — per admitted table the first
 //!    viable submission leads, staged on its own peer; later submissions
 //!    compose onto the lead's copy, each co-author pre-screened on its
 //!    own attributes (a denied one unwinds alone and rides the block as a
 //!    receipted denial).
-//! 3. **commit** — one [`System::commit_group`] for every member.
-//! 4. **settle** (`System::settle_wave`) — outcomes demultiplexed to
-//!    tickets, Step-6 cascades re-entered with their paths, a wave that
-//!    made no progress resolved by its oldest waiter, the rest requeued.
+//! 3. **commit** — the wave's phases (`System::phase_*`, each named after
+//!    its `wave.phase.*` histogram): prepare, consensus, fanout, ack,
+//!    cascade, flush. A member that fails leaves the wave in the phase
+//!    where it fails, its tickets resolved with the commit point that
+//!    phase knows.
+//! 4. **settle** (`System::settle_wave`) — the landed members' outcomes
+//!    to their tickets, the cascade records logged, Step-6 cascades
+//!    re-entered with their paths, a wave that made no progress resolved
+//!    by its oldest waiter, the rest requeued.
 //!
 //! The facade's commit enqueues one submission and runs waves until it
 //! and every cascade it set off are through; the engine's
@@ -30,14 +36,12 @@
 use crate::error::CoreError;
 use crate::facade::{CommitError, CommitOutcome};
 use crate::peer::PeerNode;
-use crate::system::{
-    CoSubmitter, DeferredCascade, GroupCommitOutcome, GroupEntry, GroupEntryResult, PeerId, System,
-    UpdateReport, MAX_CASCADE_DEPTH,
-};
+use crate::system::{Flight, PeerId, System, UpdateReport, MAX_CASCADE_DEPTH};
 use crate::Result;
 use medledger_bx::changed_attrs_from_delta;
 use medledger_ledger::{Receipt, RevertKind, TxId, TxStatus};
 use medledger_relational::{delta_from_write_op, TableDelta, WriteOp};
+use medledger_telemetry::StageTimer;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -67,7 +71,7 @@ pub(crate) enum StagedOp {
 }
 
 /// One submission waiting for a wave.
-struct Pending {
+pub(crate) struct Pending {
     ticket: CommitTicket,
     peer: PeerId,
     table_id: String,
@@ -75,7 +79,7 @@ struct Pending {
 }
 
 /// A Step-6 cascade queued for a later wave.
-struct QueuedCascade {
+pub(crate) struct QueuedCascade {
     peer: PeerId,
     table_id: String,
     /// The tables of the updates this cascade descends from, the
@@ -138,7 +142,7 @@ pub(crate) struct Scheduler {
     pub(crate) wave: u64,
 }
 
-/// Admission state of one co-submitter.
+/// Admission state of one co-author.
 enum CoState {
     /// Composed into the member; its co-request should succeed.
     Admitted,
@@ -148,35 +152,140 @@ enum CoState {
     Rider { reason: String },
 }
 
+/// A co-author of a write-combined member: a submission whose delta
+/// composes onto the lead's staged change. It signs its own
+/// `co_request_update` in the lead's block — permission-checked on
+/// **its** attributes and individually receipted, a pre-screened
+/// rider's denial included, so the refusal is on-chain auditable.
+pub(crate) struct CoAuthor {
+    sub: Pending,
+    state: CoState,
+    /// The attributes its writes changed: what its co-request declares.
+    pub(crate) attrs: Vec<String>,
+    /// Its `co_request_update`, once the prepare phase queued it.
+    pub(crate) tx: Option<TxId>,
+}
+
+impl CoAuthor {
+    /// The co-authoring peer.
+    pub(crate) fn peer(&self) -> PeerId {
+        self.sub.peer
+    }
+}
+
 /// One same-table submission group, staged as one member.
-struct StagedGroup {
-    entry: GroupEntry,
+pub(crate) struct StagedGroup {
+    table_id: String,
     lead: Pending,
-    /// Per co-submitter, aligned with `entry.co_submitters`.
-    co: Vec<(CoState, Pending)>,
+    /// The attributes the lead itself changed (sorted): what a combined
+    /// member's `request_update` declares.
+    lead_attrs: Vec<String>,
+    co: Vec<CoAuthor>,
     /// Every staged write of the member, on the lead's peer.
     inverses: Vec<(String, TableDelta)>,
 }
 
-/// One member of the wave under construction.
-enum Member {
-    Cascade(QueuedCascade),
+/// One member of a wave: a pending change of one shared table, already
+/// staged on its updater.
+pub(crate) enum Member {
+    /// A re-entered Step-6 cascade, the `rank`-th of the wave's cascade
+    /// members (its record keeps that place in the cascade log).
+    Cascade { rank: usize, cascade: QueuedCascade },
+    /// A submission group.
     Group(StagedGroup),
 }
 
 impl Member {
-    fn entry(&self) -> GroupEntry {
+    /// The peer whose staged change is committed.
+    pub(crate) fn updater(&self) -> PeerId {
         match self {
-            Member::Cascade(c) => GroupEntry::new(c.peer, c.table_id.clone()),
-            Member::Group(g) => g.entry.clone(),
+            Member::Cascade { cascade, .. } => cascade.peer,
+            Member::Group(g) => g.lead.peer,
         }
+    }
+
+    /// The shared table the change targets (distinct per member).
+    pub(crate) fn table_id(&self) -> &str {
+        match self {
+            Member::Cascade { cascade, .. } => &cascade.table_id,
+            Member::Group(g) => &g.table_id,
+        }
+    }
+
+    /// The co-authors composed into the member (none unless combined).
+    pub(crate) fn co_authors(&self) -> &[CoAuthor] {
+        match self {
+            Member::Cascade { .. } => &[],
+            Member::Group(g) => &g.co,
+        }
+    }
+
+    /// Mutable [`Member::co_authors`].
+    pub(crate) fn co_authors_mut(&mut self) -> &mut [CoAuthor] {
+        match self {
+            Member::Cascade { .. } => &mut [],
+            Member::Group(g) => &mut g.co,
+        }
+    }
+
+    /// What the member's `request_update` declares, given the attributes
+    /// its delta `changed`. A sole author declares exactly those (the
+    /// per-op attribute union the staging saw can over-approximate, e.g.
+    /// a batch that sets and then reverts an attribute). A combined
+    /// member distributes the permission check — the lead declares only
+    /// its own attributes, each co-author its own — but the union must
+    /// still cover every changed attribute, or some change would dodge
+    /// the Fig. 3 matrix entirely.
+    pub(crate) fn declaration(&self, changed: &[String]) -> Result<Vec<String>> {
+        let Member::Group(g) = self else {
+            return Ok(changed.to_vec());
+        };
+        if g.co.is_empty() {
+            return Ok(changed.to_vec());
+        }
+        let covered: BTreeSet<&str> = (g.lead_attrs.iter())
+            .chain(g.co.iter().flat_map(|co| &co.attrs))
+            .map(String::as_str)
+            .collect();
+        if let Some(missing) = changed.iter().find(|a| !covered.contains(a.as_str())) {
+            return Err(CoreError::BadAgreement(format!(
+                "combined update of `{}` changes attribute `{missing}` \
+                 that no submitter declares",
+                g.table_id
+            )));
+        }
+        Ok(g.lead_attrs.clone())
     }
 }
 
-/// One wave between steps: its members and what it sends back.
-struct Plan {
-    wave: u64,
-    members: Vec<Member>,
+/// The Step-6 cascades one landed member found, as `(peer, table)`.
+pub(crate) type Found = Vec<(PeerId, String)>;
+
+/// A cascade member that left the wave, its record written to the cascade
+/// log at settlement.
+struct CascadeExit {
+    rank: usize,
+    cascade: QueuedCascade,
+    result: std::result::Result<UpdateReport, String>,
+    /// The Step-6 cascades it found, to re-enter after it.
+    found: Found,
+}
+
+/// One wave, from admission to settlement: its members as they move
+/// through the phases — each leaves exactly once, failed or landed — and
+/// what it sends back to the queues.
+pub(crate) struct Wave {
+    /// The wave number (stamped into every block it produces).
+    pub(crate) number: u64,
+    /// Admitted and staged members awaiting `prepare`, in admission order.
+    pub(crate) members: Vec<Member>,
+    /// Members past `prepare`, still in flight, in admission order.
+    pub(crate) flying: Vec<Flight>,
+    /// Groups through `cascade`: their reports and the Step-6 cascades
+    /// they found, settled once the flush is durable.
+    landed: Vec<(StagedGroup, UpdateReport, Found)>,
+    /// Cascade members that left, failed or landed.
+    exits: Vec<CascadeExit>,
     requeue_subs: Vec<Pending>,
     requeue_cascades: Vec<QueuedCascade>,
     /// Tickets this wave resolved.
@@ -280,8 +389,8 @@ impl System {
         };
         while open(self) && self.has_work() {
             if let Err(e) = self.run_wave() {
-                // A wave fails whole only after its blocks: what was
-                // committed stays (see `abort_wave`).
+                // A wave fails whole only at its flush, after its blocks:
+                // what was committed stays (see `System::phase_flush`).
                 return Err(match self.take_outcome(ticket) {
                     Some(Err(err)) => err,
                     _ => CommitError::from_core(e, self).with_commit_point(true),
@@ -331,48 +440,55 @@ impl System {
 
     /// Forms and commits ONE wave: admits queued cascades and submission
     /// groups onto distinct, non-interacting shared tables, composes
-    /// same-table submissions into combined members, commits everything
-    /// through one [`System::commit_group`] — one block and one
-    /// scheduled consensus round for the requests, one for the aggregated
-    /// acks — and resolves the affected tickets. Members whose tables
-    /// conflict with an earlier member's re-queue for the next wave.
+    /// same-table submissions into combined members, runs them through
+    /// the phases — one block and one scheduled consensus round for the
+    /// requests, one for the aggregated acks — and resolves the affected
+    /// tickets. Members whose tables conflict with an earlier member's
+    /// re-queue for the next wave.
+    ///
+    /// The one `Err` is a failed durable flush, after the wave's blocks:
+    /// the members still in flight then resolve to it past the commit
+    /// point, the rest to their own outcomes.
     pub fn run_wave(&mut self) -> Result<WaveReport> {
         if !self.has_work() {
             return Ok(WaveReport::default());
         }
+        let mut timer = StageTimer::start(&self.telemetry, "wave");
+        let before = self.stats;
         self.sched.wave += 1;
-        let mut plan = Plan {
-            wave: self.sched.wave,
+        let mut wave = Wave {
+            number: self.sched.wave,
             members: Vec::new(),
+            flying: Vec::new(),
+            landed: Vec::new(),
+            exits: Vec::new(),
             requeue_subs: Vec::new(),
             requeue_cascades: Vec::new(),
             resolved: 0,
         };
-        for (table_id, subs) in self.admit(&mut plan) {
-            if let Some(group) = self.stage_group(&table_id, subs, &mut plan) {
-                plan.members.push(Member::Group(group));
+        for (table_id, subs) in self.admit(&mut wave) {
+            if let Some(group) = self.stage_group(&table_id, subs, &mut wave) {
+                wave.members.push(Member::Group(group));
             }
         }
-        let entries: Vec<GroupEntry> = plan.members.iter().map(Member::entry).collect();
-        self.wave = Some(plan.wave);
-        let outcome = self.commit_group(&entries);
+        timer.stage("phase.screen");
+        let members = wave.members.len();
+        self.wave = Some(wave.number);
+        let flushed = self.run_phases(&mut wave, timer, before);
         self.wave = None;
-        let cascades_deferred = match outcome {
-            Ok(outcome) => self.settle_wave(&mut plan, outcome),
-            Err(e) => {
-                self.abort_wave(&mut plan, &e);
-                self.requeue(plan);
-                return Err(e);
-            }
-        };
-        self.guard_progress(&mut plan, entries.len());
+        let cascades_deferred = self.settle_wave(&mut wave);
+        if let Err(e) = flushed {
+            self.requeue(wave);
+            return Err(e);
+        }
+        self.guard_progress(&mut wave, members);
         let report = WaveReport {
-            wave: plan.wave,
-            members: entries.len(),
-            resolved: plan.resolved,
+            wave: wave.number,
+            members,
+            resolved: wave.resolved,
             cascades_deferred,
         };
-        self.requeue(plan);
+        self.requeue(wave);
         Ok(report)
     }
 
@@ -381,7 +497,7 @@ impl System {
     /// (same-table / queued-transaction / lens-footprint interaction,
     /// earlier claims winning). Admitted cascades become members; the
     /// admitted submission groups are returned for staging.
-    fn admit(&mut self, plan: &mut Plan) -> Vec<(String, Vec<Pending>)> {
+    fn admit(&mut self, wave: &mut Wave) -> Vec<(String, Vec<Pending>)> {
         let cascades: Vec<QueuedCascade> = self.sched.deferred.drain(..).collect();
         let submissions: Vec<Pending> = self.sched.pending.drain(..).collect();
         let mut claimed: BTreeSet<String> = BTreeSet::new();
@@ -396,23 +512,23 @@ impl System {
                 continue;
             }
             if let Err(e) = pending {
-                self.log_cascade(&c, plan.wave, Err(e.to_string()));
+                self.log_cascade(&c, wave.number, Err(e.to_string()));
             } else if c.path.len() > MAX_CASCADE_DEPTH {
                 let deep = format!(
                     "cascade depth exceeded {MAX_CASCADE_DEPTH} — cyclic sharing topology?"
                 );
-                self.log_cascade(&c, plan.wave, Err(deep));
+                self.log_cascade(&c, wave.number, Err(deep));
             } else if claimed.insert(c.table_id.clone()) {
                 cascade_claims.push(c);
             } else {
-                plan.requeue_cascades.push(c);
+                wave.requeue_cascades.push(c);
             }
         }
         let mut groups: Vec<(String, Vec<Pending>)> = Vec::new();
         for s in submissions {
             if claimed.contains(&s.table_id) {
                 // An older cascade already claims this table this wave.
-                plan.requeue_subs.push(s);
+                wave.requeue_subs.push(s);
             } else if let Some((_, g)) = groups.iter_mut().find(|(t, _)| *t == s.table_id) {
                 g.push(s);
             } else {
@@ -420,26 +536,23 @@ impl System {
             }
         }
 
-        let claims: Vec<GroupEntry> = (cascade_claims.iter())
-            .map(|c| GroupEntry::new(c.peer, c.table_id.clone()))
-            .chain(
-                groups
-                    .iter()
-                    .map(|(t, subs)| GroupEntry::new(subs[0].peer, t.clone())),
-            )
-            .collect();
-        let mut screens = self.screen_group(&claims).into_iter();
-        for c in cascade_claims {
-            match screens.next().flatten() {
-                None => plan.members.push(Member::Cascade(c)),
-                Some(_) => plan.requeue_cascades.push(c),
+        let claims = (cascade_claims.iter().map(|c| c.table_id.as_str()))
+            .chain(groups.iter().map(|(t, _)| t.as_str()));
+        let mut screens = self.screen_group(claims).into_iter();
+        for cascade in cascade_claims {
+            if screens.next() == Some(true) {
+                let rank = wave.members.len();
+                wave.members.push(Member::Cascade { rank, cascade });
+            } else {
+                wave.requeue_cascades.push(cascade);
             }
         }
         let mut admitted = Vec::new();
         for (table_id, subs) in groups {
-            match screens.next().flatten() {
-                None => admitted.push((table_id, subs)),
-                Some(_) => plan.requeue_subs.extend(subs),
+            if screens.next() == Some(true) {
+                admitted.push((table_id, subs));
+            } else {
+                wave.requeue_subs.extend(subs);
             }
         }
         admitted
@@ -454,34 +567,26 @@ impl System {
         &mut self,
         table_id: &str,
         subs: Vec<Pending>,
-        plan: &mut Plan,
+        wave: &mut Wave,
     ) -> Option<StagedGroup> {
         let mut queue: VecDeque<Pending> = subs.into();
-        let mut group = self.stage_lead(table_id, &mut queue, plan)?;
+        let mut group = self.stage_lead(table_id, &mut queue, wave)?;
         if !queue.is_empty() {
-            self.stage_co_authors(&mut group, queue, plan);
-        }
-        // A sole-authored member declares exactly what the engine's
-        // prepare step computes from the composed pending delta (the
-        // per-op attribute union can over-approximate, e.g. a batch that
-        // sets and then reverts an attribute). Only a combined member
-        // needs the split declaration.
-        if group.entry.co_submitters.is_empty() {
-            group.entry.declared_attrs = None;
+            self.stage_co_authors(&mut group, queue, wave);
         }
         let touched = |g: &StagedGroup| -> BTreeSet<String> {
             g.inverses.iter().map(|(t, _)| t.clone()).collect()
         };
         let mine = touched(&group);
-        let overlap = plan.members.iter().any(|m| match m {
+        let overlap = wave.members.iter().any(|m| match m {
             Member::Group(g) => g.lead.peer == group.lead.peer && !touched(g).is_disjoint(&mine),
-            Member::Cascade(_) => false,
+            Member::Cascade { .. } => false,
         });
         if overlap {
             self.unwind(group.lead.peer, &group.inverses);
-            plan.requeue_subs.push(group.lead);
-            plan.requeue_subs
-                .extend(group.co.into_iter().map(|(_, sub)| sub));
+            wave.requeue_subs.push(group.lead);
+            wave.requeue_subs
+                .extend(group.co.into_iter().map(|co| co.sub));
             return None;
         }
         Some(group)
@@ -496,7 +601,7 @@ impl System {
         &mut self,
         table_id: &str,
         queue: &mut VecDeque<Pending>,
-        plan: &mut Plan,
+        wave: &mut Wave,
     ) -> Option<StagedGroup> {
         while let Some(lead) = queue.pop_front() {
             // The lead also ships (and must declare) whatever pending
@@ -508,7 +613,7 @@ impl System {
                 Ok(staged) => staged,
                 Err(e) => {
                     let err = CommitError::from_core(e, self);
-                    self.resolve(plan, lead.ticket, Err(err));
+                    self.resolve(wave, lead.ticket, Err(err));
                     continue;
                 }
             };
@@ -524,13 +629,13 @@ impl System {
                 let no_change = CommitError::NoChange {
                     table_id: table_id.to_string(),
                 };
-                self.resolve(plan, lead.ticket, Err(no_change));
+                self.resolve(wave, lead.ticket, Err(no_change));
                 continue;
             }
-            let entry = GroupEntry::new(lead.peer, table_id).declaring(attrs.into_iter().collect());
             return Some(StagedGroup {
-                entry,
+                table_id: table_id.to_string(),
                 lead,
+                lead_attrs: attrs.into_iter().collect(),
                 co: Vec::new(),
                 inverses: staged.inverses,
             });
@@ -547,9 +652,9 @@ impl System {
         &mut self,
         group: &mut StagedGroup,
         queue: VecDeque<Pending>,
-        plan: &mut Plan,
+        wave: &mut Wave,
     ) {
-        let (table_id, lead_peer) = (group.entry.table_id.clone(), group.lead.peer);
+        let (table_id, lead_peer) = (group.table_id.clone(), group.lead.peer);
         // Nothing commits on chain while a wave stages, so one read of
         // the matrix serves every co-author.
         let meta = match self.share_meta(&table_id) {
@@ -558,7 +663,7 @@ impl System {
                 // Nothing can combine; the lead goes alone.
                 let err = CommitError::from_core(e, self);
                 for sub in queue {
-                    self.resolve(plan, sub.ticket, Err(err.clone()));
+                    self.resolve(wave, sub.ticket, Err(err.clone()));
                 }
                 return;
             }
@@ -571,14 +676,14 @@ impl System {
                 .iter()
                 .any(|w| matches!(w, StagedOp::Source { .. }));
             if sub.peer != lead_peer && source_write {
-                plan.requeue_subs.push(sub);
+                wave.requeue_subs.push(sub);
                 continue;
             }
             let staged = match self.stage_writes(lead_peer, &table_id, &sub.writes) {
                 Ok(staged) => staged,
                 Err(e) => {
                     let err = CommitError::from_core(e, self);
-                    self.resolve(plan, sub.ticket, Err(err));
+                    self.resolve(wave, sub.ticket, Err(err));
                     continue;
                 }
             };
@@ -589,7 +694,7 @@ impl System {
                 // gets `NoChange` and keeps its valid local edits on its
                 // OWN peer.
                 self.unwind(lead_peer, &staged.inverses);
-                plan.requeue_subs.push(sub);
+                wave.requeue_subs.push(sub);
                 continue;
             }
             let attrs: Vec<String> = staged.attrs.into_iter().collect();
@@ -605,12 +710,12 @@ impl System {
                     CoState::Rider { reason }
                 }
             };
-            let co = CoSubmitter {
-                peer: sub.peer,
+            group.co.push(CoAuthor {
+                sub,
+                state,
                 attrs,
-            };
-            group.entry.co_submitters.push(co);
-            group.co.push((state, sub));
+                tx: None,
+            });
         }
     }
 
@@ -645,9 +750,9 @@ impl System {
         }
     }
 
-    fn resolve(&mut self, plan: &mut Plan, ticket: CommitTicket, outcome: Outcome) {
+    fn resolve(&mut self, wave: &mut Wave, ticket: CommitTicket, outcome: Outcome) {
         self.sched.resolved.insert(ticket, outcome);
-        plan.resolved += 1;
+        wave.resolved += 1;
     }
 
     /// Appends a cascade's record to the log, returning its index.
@@ -670,88 +775,124 @@ impl System {
         self.sched.cascade_log.len() - 1
     }
 
-    /// Step **settle**: every member's outcome to its tickets or its
-    /// cascade record, then the wave's Step-6 cascades re-entered, each
-    /// with its path. Returns how many were re-entered.
-    fn settle_wave(&mut self, plan: &mut Plan, outcome: GroupCommitOutcome) -> usize {
-        let GroupCommitOutcome {
-            results,
-            co_txs,
-            deferred,
-        } = outcome;
-        // Per committed table: the path, root and record a cascade it
-        // sets off descends from.
-        let mut origins: BTreeMap<String, (Vec<String>, CommitTicket, Option<usize>)> =
-            BTreeMap::new();
-        let mut co_txs = co_txs.into_iter();
-        let members = std::mem::take(&mut plan.members);
-        for (member, result) in members.into_iter().zip(results) {
-            let co_txs = co_txs.next().unwrap_or_default();
-            match member {
-                Member::Cascade(c) => {
-                    let record = result.map_err(|f| f.error.to_string());
-                    let at = self.log_cascade(&c, plan.wave, record);
-                    let mut path = c.path;
-                    path.push(c.table_id.clone());
-                    origins.insert(c.table_id, (path, c.root, Some(at)));
-                }
-                Member::Group(g) => {
-                    let table_id = g.entry.table_id.clone();
-                    origins.insert(table_id.clone(), (vec![table_id], g.lead.ticket, None));
-                    self.resolve_group(plan, g, result, co_txs);
-                }
-            }
-        }
-        self.reenter(plan, deferred, &origins)
-    }
-
-    /// Resolves every submitter of one committed (or failed) group
-    /// member. `co_txs` is the member's `co_request_update` transactions,
-    /// aligned with `g.co`.
-    fn resolve_group(
+    /// A member leaves the wave failed, in the phase that failed it;
+    /// `committed` says whether its update reached the chain first. A
+    /// group resolves its tickets here — its staged writes unwound unless
+    /// they committed (or changed nothing) — and a cascade takes the
+    /// error to its record.
+    pub(crate) fn fail(
         &mut self,
-        plan: &mut Plan,
-        g: StagedGroup,
-        result: GroupEntryResult,
-        co_txs: Vec<TxId>,
+        wave: &mut Wave,
+        member: Member,
+        error: CoreError,
+        committed: bool,
     ) {
-        let receipt_of =
-            |sys: &System, j: usize| co_txs.get(j).and_then(|t| sys.receipt(t)).cloned();
-        let report = match result {
-            Ok(report) => report,
-            Err(f) => {
-                let committed = f.committed_on_chain;
-                let err = CommitError::from_core(f.error, self);
-                if !committed && !err.is_no_change() {
-                    self.unwind(g.lead.peer, &g.inverses);
-                }
-                self.resolve(
-                    plan,
-                    g.lead.ticket,
-                    Err(err.clone().with_commit_point(committed)),
-                );
-                for (j, (state, sub)) in g.co.into_iter().enumerate() {
-                    let outcome = match state {
-                        // A pre-screened denial stands on its own,
-                        // whatever happened to the member.
-                        CoState::Rider { reason } => {
-                            let receipt = receipt_of(self, j).filter(|r| !r.status.is_success());
-                            Err(CommitError::PermissionDenied { reason, receipt })
-                        }
-                        // The composed data never reached the chain and
-                        // the lead's unwind took this submitter's writes
-                        // too: its buffered ops are intact — retry.
-                        CoState::Admitted if !committed => {
-                            plan.requeue_subs.push(sub);
-                            continue;
-                        }
-                        CoState::Admitted => Err(err.clone().with_commit_point(true)),
-                    };
-                    self.resolve(plan, sub.ticket, outcome);
-                }
+        let g = match member {
+            Member::Group(g) => g,
+            Member::Cascade { rank, cascade } => {
+                wave.exits.push(CascadeExit {
+                    rank,
+                    cascade,
+                    result: Err(error.to_string()),
+                    found: Vec::new(),
+                });
                 return;
             }
         };
+        let err = CommitError::from_core(error, self);
+        if !committed && !err.is_no_change() {
+            self.unwind(g.lead.peer, &g.inverses);
+        }
+        let lead_outcome = Err(err.clone().with_commit_point(committed));
+        self.resolve(wave, g.lead.ticket, lead_outcome);
+        for co in g.co {
+            let outcome = match co.state {
+                // A pre-screened denial stands on its own, whatever
+                // happened to the member.
+                CoState::Rider { reason } => {
+                    let receipt = (co.tx.and_then(|tx| self.receipt(&tx)))
+                        .filter(|r| !r.status.is_success())
+                        .cloned();
+                    Err(CommitError::PermissionDenied { reason, receipt })
+                }
+                // The composed data never reached the chain and the
+                // lead's unwind took this submitter's writes too: its
+                // buffered ops are intact — retry.
+                CoState::Admitted if !committed => {
+                    wave.requeue_subs.push(co.sub);
+                    continue;
+                }
+                CoState::Admitted => Err(err.clone().with_commit_point(true)),
+            };
+            self.resolve(wave, co.sub.ticket, outcome);
+        }
+    }
+
+    /// A member leaves the wave landed: through the `cascade` phase with
+    /// its report and the Step-6 cascades it `found`, settled once the
+    /// wave's flush is durable.
+    pub(crate) fn land(
+        &mut self,
+        wave: &mut Wave,
+        member: Member,
+        report: UpdateReport,
+        found: Found,
+    ) {
+        match member {
+            Member::Group(g) => wave.landed.push((g, report, found)),
+            Member::Cascade { rank, cascade } => wave.exits.push(CascadeExit {
+                rank,
+                cascade,
+                result: Ok(report),
+                found,
+            }),
+        }
+    }
+
+    /// The wave's flush failed: every landed member is on chain, so each
+    /// fails past the commit point — a landed cascade records the error
+    /// and re-enters nothing.
+    pub(crate) fn fail_landed(&mut self, wave: &mut Wave, error: &CoreError) {
+        for (g, _, _) in std::mem::take(&mut wave.landed) {
+            self.fail(wave, Member::Group(g), error.clone(), true);
+        }
+        for exit in wave.exits.iter_mut().filter(|x| x.result.is_ok()) {
+            exit.result = Err(error.to_string());
+            exit.found.clear();
+        }
+    }
+
+    /// Step **settle**: the cascade members' records to the log in
+    /// admission order, every landed group's outcome to its tickets, and
+    /// the Step-6 cascades they found re-entered, each with its path.
+    /// Returns how many were re-entered.
+    fn settle_wave(&mut self, wave: &mut Wave) -> usize {
+        let mut queued = 0;
+        let mut exits = std::mem::take(&mut wave.exits);
+        exits.sort_by_key(|x| x.rank);
+        for CascadeExit {
+            cascade,
+            result,
+            found,
+            ..
+        } in exits
+        {
+            let at = self.log_cascade(&cascade, wave.number, result);
+            let mut path = cascade.path;
+            path.push(cascade.table_id);
+            queued += self.reenter(wave, found, &path, cascade.root, Some(at));
+        }
+        for (g, report, found) in std::mem::take(&mut wave.landed) {
+            let (path, root) = (vec![g.table_id.clone()], g.lead.ticket);
+            self.resolve_landed(wave, g, report);
+            queued += self.reenter(wave, found, &path, root, None);
+        }
+        queued
+    }
+
+    /// Resolves every submitter of one landed group: the lead its full
+    /// outcome, each co-author its own co-request receipt.
+    fn resolve_landed(&mut self, wave: &mut Wave, g: StagedGroup, report: UpdateReport) {
         // The lead: the full outcome (the request, every co-request and
         // the acks, in commit order).
         let mut receipts = Vec::new();
@@ -761,18 +902,18 @@ impl System {
             receipts,
             report: report.clone(),
         };
-        self.resolve(plan, g.lead.ticket, Ok(lead));
-        // Co-submitters: each its own co-request receipt; a rider the
-        // typed denial carrying it.
-        for (j, (state, sub)) in g.co.into_iter().enumerate() {
-            let receipt = receipt_of(self, j);
-            let outcome = match (&state, receipt) {
+        self.resolve(wave, g.lead.ticket, Ok(lead));
+        // Co-authors: each its own co-request receipt; a rider the typed
+        // denial carrying it.
+        for co in g.co {
+            let receipt = co.tx.and_then(|tx| self.receipt(&tx)).cloned();
+            let outcome = match (&co.state, receipt) {
                 (_, Some(r)) if r.status.is_success() => Ok(CommitOutcome {
                     trace: report.trace.clone(),
                     receipts: vec![r],
                     report: report.clone(),
                 }),
-                (_, Some(r)) => Err(co_revert_error(r, matches!(state, CoState::Admitted))),
+                (_, Some(r)) => Err(co_revert_error(r, matches!(co.state, CoState::Admitted))),
                 (CoState::Rider { reason }, None) => Err(CommitError::PermissionDenied {
                     reason: reason.clone(),
                     receipt: None,
@@ -781,60 +922,38 @@ impl System {
                     "co-request receipt missing".into(),
                 ))),
             };
-            self.resolve(plan, sub.ticket, outcome);
+            self.resolve(wave, co.sub.ticket, outcome);
         }
     }
 
-    /// Queues the wave's Step-6 cascades for the next one, each with the
-    /// path of its origin; one already queued for the same peer and table
-    /// is not queued twice. Returns how many were queued.
+    /// Queues the Step-6 cascades one landed member `found` for the next
+    /// wave, each descending from `path`; one already queued for the same
+    /// peer and table is not queued twice. Returns how many were queued.
     fn reenter(
         &mut self,
-        plan: &mut Plan,
-        deferred: Vec<DeferredCascade>,
-        origins: &BTreeMap<String, (Vec<String>, CommitTicket, Option<usize>)>,
+        wave: &mut Wave,
+        found: Found,
+        path: &[String],
+        root: CommitTicket,
+        parent: Option<usize>,
     ) -> usize {
         let mut queued = 0;
-        for d in deferred {
-            let Some((path, root, parent)) = origins.get(&d.origin) else {
-                continue;
-            };
+        for (peer, table_id) in found {
             let dup = (self.sched.deferred.iter())
-                .chain(&plan.requeue_cascades)
-                .any(|q| q.peer == d.peer && q.table_id == d.table_id);
+                .chain(&wave.requeue_cascades)
+                .any(|q| q.peer == peer && q.table_id == table_id);
             if !dup {
                 queued += 1;
-                plan.requeue_cascades.push(QueuedCascade {
-                    peer: d.peer,
-                    table_id: d.table_id,
-                    path: path.clone(),
-                    root: *root,
-                    parent: *parent,
+                wave.requeue_cascades.push(QueuedCascade {
+                    peer,
+                    table_id,
+                    path: path.to_vec(),
+                    root,
+                    parent,
                 });
             }
         }
         queued
-    }
-
-    /// A wave whose [`System::commit_group`] failed whole — a failed
-    /// durable flush, after its blocks: every member's tickets resolve to
-    /// the failure past the commit point (the state stays: the chain may
-    /// hold it) and every cascade member records it.
-    fn abort_wave(&mut self, plan: &mut Plan, e: &CoreError) {
-        let err = CommitError::from_core(e.clone(), self).with_commit_point(true);
-        for member in std::mem::take(&mut plan.members) {
-            match member {
-                Member::Group(g) => {
-                    self.resolve(plan, g.lead.ticket, Err(err.clone()));
-                    for (_, sub) in g.co {
-                        self.resolve(plan, sub.ticket, Err(err.clone()));
-                    }
-                }
-                Member::Cascade(c) => {
-                    self.log_cascade(&c, plan.wave, Err(e.to_string()));
-                }
-            }
-        }
     }
 
     /// The progress guard: a wave normally commits a member or resolves
@@ -842,31 +961,31 @@ impl System {
     /// foreign transaction parked in the mempool claims every candidate
     /// table) would make a drain spin if requeued verbatim, so the oldest
     /// waiter is resolved with the blockage instead.
-    fn guard_progress(&mut self, plan: &mut Plan, members: usize) {
-        if members > 0 || plan.resolved > 0 {
+    fn guard_progress(&mut self, wave: &mut Wave, members: usize) {
+        if members > 0 || wave.resolved > 0 {
             return;
         }
-        if !plan.requeue_subs.is_empty() {
-            let oldest = plan.requeue_subs.remove(0);
+        if !wave.requeue_subs.is_empty() {
+            let oldest = wave.requeue_subs.remove(0);
             let table_id = oldest.table_id;
             self.resolve(
-                plan,
+                wave,
                 oldest.ticket,
                 Err(CommitError::Conflicted { table_id }),
             );
-        } else if !plan.requeue_cascades.is_empty() {
-            let oldest = plan.requeue_cascades.remove(0);
+        } else if !wave.requeue_cascades.is_empty() {
+            let oldest = wave.requeue_cascades.remove(0);
             let starved = "cascade starved: its table stays claimed by a queued \
                            transaction outside the pipeline";
-            self.log_cascade(&oldest, plan.wave, Err(starved.into()));
+            self.log_cascade(&oldest, wave.number, Err(starved.into()));
         }
     }
 
     /// Requeued work goes back in order, ahead of anything submitted
     /// after the wave began.
-    fn requeue(&mut self, plan: Plan) {
-        self.sched.pending.extend(plan.requeue_subs);
-        self.sched.deferred.extend(plan.requeue_cascades);
+    fn requeue(&mut self, wave: Wave) {
+        self.sched.pending.extend(wave.requeue_subs);
+        self.sched.deferred.extend(wave.requeue_cascades);
     }
 }
 

@@ -4,6 +4,7 @@
 use crate::agreement::SharingAgreement;
 use crate::error::{CoreError, RevertInfo};
 use crate::peer::{run_shard_job, PeerNode, PropagationMode, RemoteShardPlan};
+use crate::sched::{Found, Member, Wave};
 use crate::Result;
 use medledger_bx::{changed_attrs_from_delta, TableDelta};
 use medledger_consensus::{PbftConfig, PbftRound, PowModel, ProposerSchedule};
@@ -262,148 +263,6 @@ impl UpdateReport {
     }
 }
 
-/// A co-author of a write-combined group member: a peer whose own delta
-/// was composed into the lead updater's staged change. Each co-submitter
-/// gets its own `co_request_update` transaction in the same block —
-/// permission-checked on **its** declared attributes and individually
-/// receipted (including denials, for which the engine deliberately
-/// includes pre-screened riders so the refusal is on-chain auditable).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CoSubmitter {
-    /// The co-authoring peer.
-    pub peer: PeerId,
-    /// The attributes this co-author's delta changed.
-    pub attrs: Vec<String>,
-}
-
-/// One member of a group commit: a pending local change of `table_id`
-/// already staged on `updater`, to be committed alongside the other
-/// members in a single block and a single scheduled consensus round (see
-/// [`System::commit_group`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupEntry {
-    /// The peer whose staged change is being committed.
-    pub updater: PeerId,
-    /// The shared table the change targets (distinct per group member).
-    pub table_id: String,
-    /// For a write-combined member: the attributes the **lead** updater
-    /// itself changed — what its `request_update` declares instead of the
-    /// full (composed) changed-attribute set, so the contract checks each
-    /// author's permission on each author's own attributes. `None` means
-    /// the member is sole-authored and declares everything it changed.
-    pub declared_attrs: Option<Vec<String>>,
-    /// Co-authors whose deltas were composed into the member (empty for
-    /// sole-authored members).
-    pub co_submitters: Vec<CoSubmitter>,
-}
-
-impl GroupEntry {
-    /// Convenience constructor for a sole-authored member.
-    pub fn new(updater: PeerId, table_id: impl Into<String>) -> Self {
-        GroupEntry {
-            updater,
-            table_id: table_id.into(),
-            declared_attrs: None,
-            co_submitters: Vec::new(),
-        }
-    }
-
-    /// Restricts the lead's declared attributes (write-combined members).
-    pub fn declaring(mut self, attrs: Vec<String>) -> Self {
-        self.declared_attrs = Some(attrs);
-        self
-    }
-
-    /// What the member's `request_update` declares, given the attributes
-    /// its delta `changed`: a write-combined member distributes the
-    /// permission check — the lead declares only its own attributes, each
-    /// co-author its own — but the union must still cover every changed
-    /// attribute, or some change would dodge the Fig. 3 matrix entirely.
-    fn declaration(&self, changed: &[String]) -> Result<Vec<String>> {
-        let declared = (self.declared_attrs.clone()).unwrap_or_else(|| changed.to_vec());
-        if self.declared_attrs.is_some() || !self.co_submitters.is_empty() {
-            let mut covered: BTreeSet<&str> = declared.iter().map(String::as_str).collect();
-            for co in &self.co_submitters {
-                covered.extend(co.attrs.iter().map(String::as_str));
-            }
-            if let Some(missing) = changed.iter().find(|a| !covered.contains(a.as_str())) {
-                return Err(CoreError::BadAgreement(format!(
-                    "combined update of `{}` changes attribute `{missing}` \
-                     that no submitter declares",
-                    self.table_id
-                )));
-            }
-        }
-        Ok(declared)
-    }
-}
-
-/// A Step-6 cascade detected but not run by [`System::commit_group`]:
-/// `peer` holds a pending change of `table_id` caused by the committed
-/// update of `origin`. The scheduler ([`System::run_wave`]) re-enters
-/// cascades touching distinct tables into its **next wave** — one more
-/// shared block and one more scheduled round for all of them — instead
-/// of propagating each serially.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeferredCascade {
-    /// The peer whose sibling share now differs.
-    pub peer: PeerId,
-    /// The table carrying the pending cascade delta.
-    pub table_id: String,
-    /// The committed table whose update triggered the cascade.
-    pub origin: String,
-}
-
-/// What [`System::commit_group`] returns: per-member results, the
-/// co-authors' transaction ids (aligned with each entry's
-/// `co_submitters`, for per-submitter receipt demultiplexing), and the
-/// cascades deferred to the caller's next wave.
-#[derive(Debug)]
-pub struct GroupCommitOutcome {
-    /// Per-member outcome, in entry order.
-    pub results: Vec<GroupEntryResult>,
-    /// Per-member co-author transactions: `co_txs[i][j]` is the
-    /// `co_request_update` of `entries[i].co_submitters[j]` (resolve its
-    /// receipt via [`System::receipt`]). Empty when a member failed
-    /// before its transactions were submitted.
-    pub co_txs: Vec<Vec<TxId>>,
-    /// The Step-6 cascades the committed members triggered,
-    /// deduplicated.
-    pub deferred: Vec<DeferredCascade>,
-}
-
-/// Why one member of a group commit failed while the group proceeded.
-#[derive(Clone, Debug)]
-pub struct GroupEntryFailure {
-    /// The underlying failure.
-    pub error: CoreError,
-    /// True iff the member's update reached the chain before the failure
-    /// — the caller must then *keep* the updater's local state (it
-    /// already matches the chain and the other peers); false means
-    /// nothing committed and the member's staged writes should be rolled
-    /// back via their inverse deltas.
-    pub committed_on_chain: bool,
-}
-
-impl GroupEntryFailure {
-    fn before_commit(error: CoreError) -> Self {
-        GroupEntryFailure {
-            error,
-            committed_on_chain: false,
-        }
-    }
-
-    fn after_commit(error: CoreError) -> Self {
-        GroupEntryFailure {
-            error,
-            committed_on_chain: true,
-        }
-    }
-}
-
-/// Per-member outcome of [`System::commit_group`].
-pub type GroupEntryResult = std::result::Result<UpdateReport, GroupEntryFailure>;
-
 /// A Step-1-and-pre-flight-complete update, ready to submit on chain.
 struct PreparedUpdate {
     updater: AccountId,
@@ -444,33 +303,11 @@ struct FanoutSummary {
     rows_moved: u64,
 }
 
-/// One [`System::commit_group`] wave, handed from phase to phase: a slot
-/// per entry that fills when the entry's member fails or finishes, the
-/// members still in flight, and what the wave returns besides.
-struct Wave<'e> {
-    entries: &'e [GroupEntry],
-    slots: Vec<Option<GroupEntryResult>>,
-    /// Per entry: its co-authors' `co_request_update` transactions.
-    co_txs: Vec<Vec<TxId>>,
-    /// The members no phase has resolved yet, in entry order.
-    members: Vec<WaveMember>,
-    deferred: Vec<DeferredCascade>,
-    /// [`System::stats`] when the wave began.
-    before: SystemStats,
-    timer: StageTimer,
-}
-
-impl Wave<'_> {
-    fn fail(&mut self, idx: usize, failure: GroupEntryFailure) {
-        self.slots[idx] = Some(Err(failure));
-    }
-}
-
-/// A member of a [`Wave`] between phases, for entry `idx`. The prepare
-/// phase queues its request `tx`; the fan-out phase sets `committed_ms`,
+/// A wave member between phases, past `prepare`: the prepare phase
+/// queues its request `tx`; the fan-out phase sets `committed_ms`,
 /// `version` and `fan`, the ack phase `ack_txs`.
-struct WaveMember {
-    idx: usize,
+pub(crate) struct Flight {
+    member: Member,
     prepared: PreparedUpdate,
     trace: WorkflowTrace,
     submitted_ms: u64,
@@ -734,9 +571,8 @@ impl System {
     /// Produces one block: waits for the next block slot, runs consensus,
     /// executes transactions, appends.
     ///
-    /// Crate-internal: updates reach the chain in waves
-    /// ([`System::commit_group`], which the scheduler's
-    /// [`System::run_wave`] drives), never block by block.
+    /// Crate-internal: updates reach the chain in waves (the scheduler's
+    /// [`System::run_wave`]), never block by block.
     pub(crate) fn produce_block(&mut self) -> Result<()> {
         let interval = match &self.config.consensus {
             ConsensusKind::PrivatePbft { block_interval_ms } => *block_interval_ms,
@@ -1442,13 +1278,14 @@ impl System {
     /// `table_id`: for every participant, walk the sibling shares
     /// overlapping `table_id`, decide whether each now differs (it carries
     /// a pending change — an O(pending) read) and push the numbered trace
-    /// line. Returns the changed ones: the cascades for later waves.
+    /// line. Returns the changed ones, as `(peer, table)`: the cascades
+    /// for later waves.
     fn step6_sweep(
         &self,
         table_id: &str,
         participants: &[AccountId],
         trace: &mut WorkflowTrace,
-    ) -> Result<Vec<DeferredCascade>> {
+    ) -> Result<Found> {
         let mut changed = Vec::new();
         for account in participants {
             let peer = self.node(account)?;
@@ -1468,53 +1305,45 @@ impl System {
                     ),
                 );
                 if differs {
-                    changed.push(DeferredCascade {
-                        peer: PeerId::from_account(*account),
-                        table_id: other_table,
-                        origin: table_id.to_string(),
-                    });
+                    changed.push((PeerId::from_account(*account), other_table));
                 }
             }
         }
         Ok(changed)
     }
 
-    // ----- group commit ------------------------------------------------
+    // ----- the wave's phases -------------------------------------------
 
-    /// Screens a prospective commit group for members that cannot share
-    /// a block. A member is inadmissible (`Some(CoreError::Conflicted)`)
-    /// when — earlier members winning —
+    /// Screens a wave's claimed tables, in claim order, for the ones that
+    /// cannot share a block: a table is admitted (`true`) unless —
+    /// earlier claims winning —
     ///
-    /// * an earlier member already claims the same table,
+    /// * an earlier claim already holds the same table,
     /// * the mempool still holds a transaction for the table, or
-    /// * the table *interacts* with an earlier member's table: some
+    /// * the table *interacts* with an earlier admitted table: some
     ///   sharing peer binds both to one source with overlapping lens
     ///   footprints, so committing one would cascade into (or absorb
     ///   uncommitted state of) the other. Interacting tables must
-    ///   serialize across groups, exactly like same-table claims.
-    pub(crate) fn screen_group(&self, entries: &[GroupEntry]) -> Vec<Option<CoreError>> {
+    ///   serialize across waves, exactly like same-table claims.
+    pub(crate) fn screen_group<'t>(&self, tables: impl Iterator<Item = &'t str>) -> Vec<bool> {
         let queued = self.mempool.pending_conflict_keys();
-        let mut out: Vec<Option<CoreError>> = Vec::with_capacity(entries.len());
         let mut admitted: Vec<&str> = Vec::new();
-        for e in entries {
-            let conflicted = queued.contains(&e.table_id)
-                || admitted.iter().any(|t| *t == e.table_id)
-                || admitted
-                    .iter()
-                    .any(|t| self.tables_interact(t, &e.table_id));
-            if conflicted {
-                out.push(Some(CoreError::Conflicted(e.table_id.clone())));
-            } else {
-                admitted.push(&e.table_id);
-                out.push(None);
+        let mut out = Vec::new();
+        for table in tables {
+            let conflicted = queued.contains(table)
+                || admitted.contains(&table)
+                || admitted.iter().any(|t| self.tables_interact(t, table));
+            if !conflicted {
+                admitted.push(table);
             }
+            out.push(!conflicted);
         }
         out
     }
 
     /// True iff some sharing peer of `a` also participates in `b` with
     /// an overlapping lens footprint on the same source — the Step-6
-    /// dependency relation, applied pairwise to group members.
+    /// dependency relation, applied pairwise to wave members.
     fn tables_interact(&self, a: &str, b: &str) -> bool {
         let Ok(meta) = self.share_meta(a) else {
             return false;
@@ -1527,116 +1356,89 @@ impl System {
         })
     }
 
-    /// Commits many staged updates touching **distinct** shared tables in
-    /// one block and one scheduled consensus round, then fans each update
-    /// out to its receivers and batches all acknowledgement rounds.
+    /// Commits the wave's staged members — pending changes of
+    /// **distinct**, non-interacting shared tables — in one block and one
+    /// scheduled consensus round, then fans each update out to its
+    /// receivers and batches all acknowledgement rounds.
     ///
     /// The paper's conflict rule — one update per shared table per block,
     /// enforced by `Mempool::select` and re-checked by chain validation —
     /// becomes the batching criterion instead of a one-at-a-time limiter:
-    /// because group members touch distinct tables, all their
-    /// `request_update` transactions fit in the next block, and every
-    /// member's ack side is one aggregated transaction too, so the whole
-    /// group's acks share a block as well — consensus cost per update
-    /// drops to `~2 / group_size` blocks.
+    /// because members touch distinct tables, all their `request_update`
+    /// transactions fit in the next block, and every member's ack side is
+    /// one aggregated transaction too, so the whole wave's acks share a
+    /// block as well — consensus cost per update drops to
+    /// `~2 / wave_size` blocks.
     ///
-    /// Outcomes are demultiplexed per member: a denied or untranslatable
-    /// member fails alone — callers roll back exactly that member's
-    /// staged writes via its inverse deltas — while the rest of the block
-    /// commits. A member targeting a table that an earlier member (or a
-    /// transaction still queued in the mempool) already claims fails with
-    /// [`CoreError::Conflicted`]. A whole-group `Err` is reserved for
-    /// engine-level failures where the members' own outcomes are lost:
-    /// today, a failed durable flush.
+    /// Each phase is a telemetry stage (`wave.phase.<name>_us`; `screen`,
+    /// admission and staging, is stamped before): prepare, consensus,
+    /// fanout, ack, cascade, flush. A member that fails leaves the wave
+    /// in its phase ([`System::fail`]): a denied or untranslatable
+    /// member fails alone — its staged writes unwound via their inverse
+    /// deltas — while the rest of the block commits. A phase whose block
+    /// production dies ends the wave, every member in flight resolved
+    /// with its commit point. Beyond the serial Fig. 5 steps:
     ///
-    /// This is the one commit engine, and [`System::run_wave`] — the one
-    /// scheduler, behind both the facade's `UpdateBatch::commit` and
-    /// `medledger-engine`'s `LedgerService` — its one caller: it stages
-    /// the members, stamps the blocks with the wave number, and
-    /// demultiplexes the outcome. A wave runs as named phases, each a
-    /// telemetry stage (`wave.phase.<name>_us`): screen, prepare,
-    /// consensus, fanout, ack, cascade, flush. Beyond the serial Fig. 5
-    /// steps:
+    /// * a write-combined member submits the lead's `request_update` —
+    ///   declaring only the lead's own attributes — plus one
+    ///   `co_request_update` per co-author in the **same block**, each
+    ///   permission-checked on that co-author's attributes and
+    ///   individually receipted;
+    /// * the Fig. 5 Step-6 sweep only *detects* cascades, which settle
+    ///   re-enters into the next wave instead of propagating each inline.
     ///
-    /// * a write-combined member (non-empty `co_submitters`) submits the
-    ///   lead's `request_update` — declaring only the lead's own
-    ///   attributes — plus one `co_request_update` per co-author in the
-    ///   **same block**, each permission-checked on that co-author's
-    ///   declared attributes and individually receipted (`co_txs`);
-    /// * the Fig. 5 Step-6 sweep only *detects* cascades and returns them
-    ///   as [`DeferredCascade`]s for the caller's next wave, instead of
-    ///   propagating each inline.
-    pub fn commit_group(&mut self, entries: &[GroupEntry]) -> Result<GroupCommitOutcome> {
-        let mut wave = Wave {
-            entries,
-            slots: vec![None; entries.len()],
-            co_txs: vec![Vec::new(); entries.len()],
-            members: Vec::new(),
-            deferred: Vec::new(),
-            before: self.stats,
-            timer: StageTimer::start(&self.telemetry, "wave"),
-        };
-        self.phase_screen(&mut wave);
-        self.phase_prepare(&mut wave);
-        // A phase whose block production dies ends the wave: it has
-        // resolved every member with its commit point.
-        if self.phase_consensus(&mut wave) {
-            self.phase_fanout(&mut wave);
-            if self.phase_ack(&mut wave) {
-                self.phase_cascade(&mut wave);
-                self.phase_flush(&mut wave)?;
+    /// The wave's telemetry closes unless the flush fails; that failure
+    /// is the one `Err`.
+    pub(crate) fn run_phases(
+        &mut self,
+        wave: &mut Wave,
+        mut timer: StageTimer,
+        before: SystemStats,
+    ) -> Result<()> {
+        self.phase_prepare(wave, &mut timer);
+        if self.phase_consensus(wave, &mut timer) {
+            self.phase_fanout(wave, &mut timer);
+            if self.phase_ack(wave, &mut timer) {
+                self.phase_cascade(wave, &mut timer);
+                self.phase_flush(wave, &mut timer)?;
             }
         }
-        self.close_wave(wave)
+        self.record_wave_telemetry(timer, before);
+        Ok(())
     }
 
-    /// Phase `screen` ([`System::screen_group`]): distinct,
-    /// non-interacting tables only, none with a transaction still queued
-    /// from outside the group.
-    fn phase_screen(&self, wave: &mut Wave<'_>) {
-        for (i, screen) in self.screen_group(wave.entries).into_iter().enumerate() {
-            if let Some(err) = screen {
-                wave.fail(i, GroupEntryFailure::before_commit(err));
-            }
-        }
-        wave.timer.stage("phase.screen");
-    }
-
-    /// Phase `prepare`: Step 1 + pre-flight per admitted member, its
-    /// signatures reserved, then its `request_update` (Step 2) and its
-    /// co-requests queued — distinct conflict keys, so the next block
-    /// takes them all. A member that fails here fails alone, before
-    /// anything of it is queued.
-    fn phase_prepare(&mut self, wave: &mut Wave<'_>) {
+    /// Phase `prepare`: Step 1 + pre-flight per member, its signatures
+    /// reserved, then its `request_update` (Step 2) and its co-requests
+    /// queued — distinct conflict keys, so the next block takes them all.
+    /// A member that fails here fails alone, before anything of it is
+    /// queued.
+    fn phase_prepare(&mut self, wave: &mut Wave, timer: &mut StageTimer) {
         let mut unreserved: BTreeMap<AccountId, u64> = BTreeMap::new();
         let mut co_seq = 0;
-        let entries = wave.entries;
-        for (idx, entry) in entries.iter().enumerate() {
-            if wave.slots[idx].is_some() {
-                continue;
-            }
+        let size = wave.members.len();
+        for mut member in std::mem::take(&mut wave.members) {
             let mut trace = WorkflowTrace::default();
             let submitted_ms = self.clock_ms;
-            let updater = entry.updater.account();
-            let queued =
-                (self.prepare_update(updater, &entry.table_id, &mut trace)).and_then(|p| {
-                    let declared = entry.declaration(&p.attrs)?;
-                    let meta = self.share_meta(&entry.table_id)?;
-                    let co_signers = entry.co_submitters.iter().map(|co| co.peer.account());
-                    self.reserve_signatures(&mut unreserved, updater, co_signers, &meta.peers)?;
-                    let args = RequestUpdateArgs {
-                        table_id: entry.table_id.clone(),
-                        new_hash: p.new_hash,
-                        changed_attrs: declared,
-                    };
-                    let key = Some(entry.table_id.clone());
-                    let tx = self.submit_call(updater, SharingCall::RequestUpdate(args), key)?;
-                    Ok((p, meta.version + 1, tx))
-                });
+            let updater = member.updater().account();
+            let table_id = member.table_id().to_string();
+            let queued = (self.prepare_update(updater, &table_id, &mut trace)).and_then(|p| {
+                let declared = member.declaration(&p.attrs)?;
+                let meta = self.share_meta(&table_id)?;
+                let co_signers = member.co_authors().iter().map(|co| co.peer().account());
+                self.reserve_signatures(&mut unreserved, updater, co_signers, &meta.peers)?;
+                let args = RequestUpdateArgs {
+                    table_id: table_id.clone(),
+                    new_hash: p.new_hash,
+                    changed_attrs: declared,
+                };
+                let key = Some(table_id.clone());
+                let tx = self.submit_call(updater, SharingCall::RequestUpdate(args), key)?;
+                Ok((p, meta.version + 1, tx))
+            });
             let (prepared, next_version, tx) = match queued {
                 Ok(queued) => queued,
-                Err(err) => {
-                    wave.fail(idx, GroupEntryFailure::before_commit(err));
+                Err(error) => {
+                    self.fail(wave, member, error, false);
                     continue;
                 }
             };
@@ -1645,32 +1447,31 @@ impl System {
                 self.clock_ms,
                 &prepared.updater_name,
                 format!(
-                    "sent update request tx {} to sharing contract (group of {})",
-                    tx.short(),
-                    entries.len()
+                    "sent update request tx {} to sharing contract (group of {size})",
+                    tx.short()
                 ),
             );
             let new_hash = prepared.new_hash;
-            let (co_txs, co_err) =
-                self.submit_co_requests(entry, next_version, new_hash, &mut co_seq, &mut trace);
-            wave.co_txs[idx] = co_txs;
-            if let Some(error) = co_err {
+            let co_queued = self.submit_co_requests(
+                &mut member,
+                next_version,
+                new_hash,
+                &mut co_seq,
+                &mut trace,
+            );
+            if let Err(error) = co_queued {
                 // Unreachable in practice (the signatures were reserved
                 // above); if it fires, the lead's request is already
                 // queued and will commit, so the member must be reported
                 // post-commit-point to keep the caller from rolling back
                 // state the chain is about to hold.
                 let sealed = self.produce_blocks_until_all(&[tx]);
-                let committed_on_chain = sealed.and_then(|()| self.expect_success(&tx)).is_ok();
-                let failure = GroupEntryFailure {
-                    error,
-                    committed_on_chain,
-                };
-                wave.fail(idx, failure);
+                let committed = sealed.and_then(|()| self.expect_success(&tx)).is_ok();
+                self.fail(wave, member, error, committed);
                 continue;
             }
-            wave.members.push(WaveMember {
-                idx,
+            wave.flying.push(Flight {
+                member,
                 prepared,
                 trace,
                 submitted_ms,
@@ -1681,132 +1482,113 @@ impl System {
                 ack_txs: Vec::new(),
             });
         }
-        wave.timer.stage("phase.prepare");
+        timer.stage("phase.prepare");
     }
 
-    /// Each co-author's individually signed co-request for the member of
-    /// `entry`, riding in the lead's block under a derived conflict key
-    /// (the data change itself is still one per table per block — the
-    /// lead's). Returns the transactions queued, and the error that
-    /// stopped the rest, if one did.
+    /// Each co-author's individually signed co-request for `member`,
+    /// riding in the lead's block under a derived conflict key (the data
+    /// change itself is still one per table per block — the lead's). Each
+    /// co-author keeps its transaction; the error that stopped the rest,
+    /// if one did.
     fn submit_co_requests(
         &mut self,
-        entry: &GroupEntry,
+        member: &mut Member,
         version: u64,
         new_hash: Hash256,
         co_seq: &mut usize,
         trace: &mut WorkflowTrace,
-    ) -> (Vec<TxId>, Option<CoreError>) {
-        let mut co_txs = Vec::with_capacity(entry.co_submitters.len());
-        for co in &entry.co_submitters {
+    ) -> Result<()> {
+        let table_id = member.table_id().to_string();
+        for co in member.co_authors_mut() {
             let args = CoRequestUpdateArgs {
-                table_id: entry.table_id.clone(),
+                table_id: table_id.clone(),
                 version,
                 changed_attrs: co.attrs.clone(),
                 new_hash,
             };
-            let key = format!("{}@co:{co_seq}", entry.table_id);
+            let key = format!("{table_id}@co:{co_seq}");
             *co_seq += 1;
             let call = SharingCall::CoRequestUpdate(args);
-            match self.submit_call(co.peer.account(), call, Some(key)) {
-                Ok(co_tx) => {
-                    trace.push(
-                        "2",
-                        self.clock_ms,
-                        &self.peer_name_or_id(co.peer),
-                        format!(
-                            "co-signed combined update as tx {} (attrs [{}])",
-                            co_tx.short(),
-                            co.attrs.join(", ")
-                        ),
-                    );
-                    co_txs.push(co_tx);
-                }
-                Err(err) => return (co_txs, Some(err)),
-            }
+            let co_tx = self.submit_call(co.peer().account(), call, Some(key))?;
+            trace.push(
+                "2",
+                self.clock_ms,
+                &self.peer_name_or_id(co.peer()),
+                format!(
+                    "co-signed combined update as tx {} (attrs [{}])",
+                    co_tx.short(),
+                    co.attrs.join(", ")
+                ),
+            );
+            co.tx = Some(co_tx);
         }
-        (co_txs, None)
+        Ok(())
     }
 
-    /// Phase `consensus`: one wait for the whole group (a single
-    /// scheduled round when the block limit admits everything). If block
-    /// production dies, some requests may already have committed in
-    /// earlier blocks: each member is resolved with an accurate commit
-    /// point instead of a whole-group error, so callers only roll back
-    /// members whose update never reached the chain — and `false` ends
+    /// Phase `consensus`: one wait for the whole wave (a single scheduled
+    /// round when the block limit admits everything). If block production
+    /// dies, some requests may already have committed in earlier blocks:
+    /// each member fails with an accurate commit point, so only members
+    /// whose update never reached the chain roll back — and `false` ends
     /// the wave.
-    fn phase_consensus(&mut self, wave: &mut Wave<'_>) -> bool {
-        let mut txs: Vec<TxId> = wave.members.iter().map(|m| m.tx).collect();
-        txs.extend(
-            wave.members
-                .iter()
-                .flat_map(|m| wave.co_txs[m.idx].iter().copied()),
-        );
+    fn phase_consensus(&mut self, wave: &mut Wave, timer: &mut StageTimer) -> bool {
+        let mut txs: Vec<TxId> = wave.flying.iter().map(|m| m.tx).collect();
+        txs.extend(wave.flying.iter().flat_map(|m| {
+            let co = m.member.co_authors().iter();
+            co.filter_map(|co| co.tx)
+        }));
         let sealed = self.produce_blocks_until_all(&txs);
-        wave.timer.stage("phase.consensus");
+        timer.stage("phase.consensus");
         let Err(e) = sealed else {
             return true;
         };
-        for m in std::mem::take(&mut wave.members) {
-            let committed_on_chain = matches!(
+        for m in std::mem::take(&mut wave.flying) {
+            let committed = matches!(
                 self.receipts.get(&m.tx),
                 Some((_, r)) if r.status.is_success()
             );
-            let failure = GroupEntryFailure {
-                error: e.clone(),
-                committed_on_chain,
-            };
-            wave.fail(m.idx, failure);
+            self.fail(wave, m.member, e.clone(), committed);
         }
         false
     }
 
-    /// Phase `fanout`: every member's receipts demultiplexed (Step 3);
-    /// a committed member advances its updater and fans out to its
-    /// receivers (Steps 4–5).
-    fn phase_fanout(&mut self, wave: &mut Wave<'_>) {
-        for mut m in std::mem::take(&mut wave.members) {
-            let idx = m.idx;
-            match self.fanout_member(&mut m, &wave.entries[idx].co_submitters, &wave.co_txs[idx]) {
-                Ok(()) => wave.members.push(m),
-                Err(failure) => wave.fail(idx, failure),
+    /// Phase `fanout`: every member's receipts demultiplexed (Step 3); a
+    /// member the contract denied fails before the commit point, a
+    /// committed one advances its updater and fans out to its receivers
+    /// (Steps 4–5).
+    fn phase_fanout(&mut self, wave: &mut Wave, timer: &mut StageTimer) {
+        for mut m in std::mem::take(&mut wave.flying) {
+            if let Err(e) = self.expect_success(&m.tx) {
+                self.fail(wave, m.member, e, false);
+                continue;
+            }
+            match self.fanout_member(&mut m) {
+                Ok(()) => wave.flying.push(m),
+                Err(e) => self.fail(wave, m.member, e, true),
             }
         }
-        wave.timer.stage("phase.fanout");
+        timer.stage("phase.fanout");
     }
 
-    /// Steps 3–5 of one member.
-    fn fanout_member(
-        &mut self,
-        m: &mut WaveMember,
-        co_submitters: &[CoSubmitter],
-        co_txs: &[TxId],
-    ) -> std::result::Result<(), GroupEntryFailure> {
-        if let Err(e) = self.expect_success(&m.tx) {
-            let denied = format!("permission DENIED: {e}");
-            m.trace.push("3", self.clock_ms, "contract", denied);
-            return Err(GroupEntryFailure::before_commit(e));
-        }
+    /// Steps 3–5 of one member whose request committed.
+    fn fanout_member(&mut self, m: &mut Flight) -> Result<()> {
         // Co-author attestations are per-submitter outcomes, not member
         // outcomes: a reverted co-request (a pre-screened denied rider)
-        // never sinks the member — the caller demultiplexes each co
-        // receipt to its own submitter.
-        for (co, co_tx) in co_submitters.iter().zip(co_txs) {
-            let verdict = match self.expect_success(co_tx) {
+        // never sinks the member — settlement gives each co-author its
+        // own receipt.
+        for co in m.member.co_authors() {
+            let Some(co_tx) = co.tx else { continue };
+            let verdict = match self.expect_success(&co_tx) {
                 Ok(()) => format!("co-author verified for attrs [{}]", co.attrs.join(", ")),
                 Err(e) => format!("co-author DENIED: {e}"),
             };
-            let name = self.peer_name_or_id(co.peer);
+            let name = self.peer_name_or_id(co.peer());
             m.trace.push("3", self.clock_ms, &name, verdict);
         }
-        let after = GroupEntryFailure::after_commit;
         m.committed_ms = self.receipt_time(&m.tx).unwrap_or(self.clock_ms);
         let height =
             (self.receipts.get(&m.tx).map(|(h, _)| *h)).unwrap_or_else(|| self.chain.height());
-        let version = self
-            .share_meta(&m.prepared.table_id)
-            .map_err(after)?
-            .version;
+        let version = self.share_meta(&m.prepared.table_id)?.version;
         m.version = version;
         m.trace.push(
             "3",
@@ -1816,66 +1598,63 @@ impl System {
         );
         let prepared = &mut m.prepared;
         (self.node_mut(&prepared.updater))
-            .and_then(|p| p.commit_delta(&prepared.table_id, &prepared.delta, version))
-            .map_err(after)?;
-        m.fan =
-            (self.fanout_apply(prepared, version, m.committed_ms, &mut m.trace)).map_err(after)?;
+            .and_then(|p| p.commit_delta(&prepared.table_id, &prepared.delta, version))?;
+        m.fan = self.fanout_apply(prepared, version, m.committed_ms, &mut m.trace)?;
         Ok(())
     }
 
     /// Phase `ack`: every member's acks submitted, then one wait for all
     /// of them. Each member emits ONE `ack_update_aggregate` under its own
-    /// derived conflict key, so the whole group's ack side fits a single
+    /// derived conflict key, so the whole wave's ack side fits a single
     /// block — the wave pays ~2 rounds (request + aggregated ack)
     /// regardless of the receiver count. Every member is on chain by now,
     /// so a failure here is post-commit; `false` ends the wave.
-    fn phase_ack(&mut self, wave: &mut Wave<'_>) -> bool {
-        for mut m in std::mem::take(&mut wave.members) {
+    fn phase_ack(&mut self, wave: &mut Wave, timer: &mut StageTimer) -> bool {
+        for mut m in std::mem::take(&mut wave.flying) {
             let p = &m.prepared;
             let acks =
                 self.submit_ack_round(&p.table_id, m.version, p.new_hash, p.updater, &m.fan.others);
             match acks {
                 Ok(acks) => {
                     m.ack_txs = acks;
-                    wave.members.push(m);
+                    wave.flying.push(m);
                 }
-                Err(e) => wave.fail(m.idx, GroupEntryFailure::after_commit(e)),
+                Err(e) => self.fail(wave, m.member, e, true),
             }
         }
-        let acks: Vec<TxId> = wave
-            .members
-            .iter()
+        let acks: Vec<TxId> = (wave.flying.iter())
             .flat_map(|m| m.ack_txs.iter().copied())
             .collect();
         let sealed = self.produce_blocks_until_all(&acks);
-        wave.timer.stage("phase.ack");
+        timer.stage("phase.ack");
         let Err(e) = sealed else {
             return true;
         };
-        for m in std::mem::take(&mut wave.members) {
-            wave.fail(m.idx, GroupEntryFailure::after_commit(e.clone()));
+        for m in std::mem::take(&mut wave.flying) {
+            self.fail(wave, m.member, e.clone(), true);
         }
         false
     }
 
     /// Phase `cascade`: per member, its acks verified, its trace closed
-    /// and its Step-6 dependency check run; the cascades found are
-    /// deferred to the caller's next wave.
-    fn phase_cascade(&mut self, wave: &mut Wave<'_>) {
-        for m in std::mem::take(&mut wave.members) {
-            let idx = m.idx;
-            let result = self.finish_member(wave, m);
-            wave.slots[idx] = Some(result);
+    /// and its Step-6 dependency check run; it lands with its report and
+    /// the cascades it found.
+    fn phase_cascade(&mut self, wave: &mut Wave, timer: &mut StageTimer) {
+        for mut m in std::mem::take(&mut wave.flying) {
+            match self.finish_member(&mut m) {
+                Ok((report, found)) => self.land(wave, m.member, report, found),
+                Err(e) => self.fail(wave, m.member, e, true),
+            }
         }
-        wave.timer.stage("phase.cascade");
+        timer.stage("phase.cascade");
     }
 
-    /// The `cascade` phase of one member: its report.
-    fn finish_member(&mut self, wave: &mut Wave<'_>, mut m: WaveMember) -> GroupEntryResult {
-        let after = GroupEntryFailure::after_commit;
+    /// The `cascade` phase of one member: its report and the Step-6
+    /// cascades it found.
+    fn finish_member(&mut self, m: &mut Flight) -> Result<(UpdateReport, Found)> {
         let mut synced_ms = m.committed_ms;
         for t in &m.ack_txs {
-            self.expect_success(t).map_err(after)?;
+            self.expect_success(t)?;
             synced_ms = synced_ms.max(self.receipt_time(t).unwrap_or(self.clock_ms));
         }
         let receivers = m.fan.others.len();
@@ -1888,56 +1667,38 @@ impl System {
         }
         let mut participants = m.fan.others.clone();
         participants.push(m.prepared.updater);
-        let changed = self.step6_sweep(&m.prepared.table_id, &participants, &mut m.trace);
-        for d in changed.map_err(after)? {
-            if !(wave.deferred.iter()).any(|q| q.peer == d.peer && q.table_id == d.table_id) {
-                wave.deferred.push(d);
-            }
-        }
+        let found = self.step6_sweep(&m.prepared.table_id, &participants, &mut m.trace)?;
         let mut tx_ids = vec![m.tx];
-        tx_ids.extend(&wave.co_txs[m.idx]);
+        tx_ids.extend(m.member.co_authors().iter().filter_map(|co| co.tx));
         tx_ids.extend(&m.ack_txs);
-        Ok(UpdateReport {
-            table_id: m.prepared.table_id,
+        let report = UpdateReport {
+            table_id: std::mem::take(&mut m.prepared.table_id),
             version: m.version,
             submitted_ms: m.submitted_ms,
             committed_ms: m.committed_ms,
             visible_ms: m.fan.visible_ms,
             synced_ms,
-            changed_attrs: m.prepared.attrs,
+            changed_attrs: std::mem::take(&mut m.prepared.attrs),
             rows_moved: m.fan.rows_moved,
             bytes_moved: m.fan.bytes_moved,
             tx_ids,
             cascades: Vec::new(),
             failed_cascades: Vec::new(),
-            trace: m.trace,
-        })
+            trace: std::mem::take(&mut m.trace),
+        };
+        Ok((report, found))
     }
 
     /// Phase `flush`: the wave's one durable record (a no-op in memory
-    /// beyond dropping the peers' mutation logs).
-    fn phase_flush(&mut self, wave: &mut Wave<'_>) -> Result<()> {
-        self.flush_storage()?;
-        wave.timer.stage("phase.flush");
+    /// beyond dropping the peers' mutation logs). If it fails, every
+    /// landed member fails past the commit point (its blocks stand).
+    fn phase_flush(&mut self, wave: &mut Wave, timer: &mut StageTimer) -> Result<()> {
+        if let Err(e) = self.flush_storage() {
+            self.fail_landed(wave, &e);
+            return Err(e);
+        }
+        timer.stage("phase.flush");
         Ok(())
-    }
-
-    /// The one way out of [`System::commit_group`]: closes the wave's
-    /// telemetry and assembles the outcome, every member resolved.
-    fn close_wave(&self, wave: Wave<'_>) -> Result<GroupCommitOutcome> {
-        self.record_wave_telemetry(wave.timer, wave.before);
-        let results = (wave.slots.into_iter())
-            .map(|s| {
-                s.ok_or_else(|| {
-                    CoreError::ConsistencyViolation("a wave member was left unresolved".into())
-                })
-            })
-            .collect::<Result<_>>()?;
-        Ok(GroupCommitOutcome {
-            results,
-            co_txs: wave.co_txs,
-            deferred: wave.deferred,
-        })
     }
 
     /// Closes out one wave's telemetry: the total-latency histogram plus

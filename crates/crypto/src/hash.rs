@@ -21,12 +21,6 @@ impl Hash256 {
         &self.0
     }
 
-    /// Builds a digest from raw bytes.
-    #[inline]
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Hash256(bytes)
-    }
-
     /// Renders the digest as a lowercase hex string (64 chars).
     pub fn to_hex(&self) -> String {
         let mut s = String::with_capacity(64);
@@ -56,20 +50,6 @@ impl Hash256 {
             out[i] = (hi << 4) | lo;
         }
         Some(Hash256(out))
-    }
-
-    /// True iff this is the all-zero digest.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
-
-    /// Interprets the first 8 bytes as a big-endian integer. Used to derive
-    /// deterministic pseudo-random choices (e.g. proposer selection) from
-    /// digests.
-    #[inline]
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8 bytes"))
     }
 }
 
@@ -136,21 +116,6 @@ mod tests {
         let h = Hash256([0xAB; 32]);
         let upper = h.to_hex().to_uppercase();
         assert_eq!(Hash256::from_hex(&upper), Some(h));
-    }
-
-    #[test]
-    fn zero_is_zero() {
-        assert!(Hash256::ZERO.is_zero());
-        assert!(!Hash256([1; 32]).is_zero());
-    }
-
-    #[test]
-    fn prefix_u64_is_big_endian() {
-        let mut bytes = [0u8; 32];
-        bytes[7] = 1;
-        assert_eq!(Hash256(bytes).prefix_u64(), 1);
-        bytes[0] = 1;
-        assert_eq!(Hash256(bytes).prefix_u64(), (1 << 56) + 1);
     }
 
     #[test]

@@ -37,17 +37,18 @@ impl MerkleTree {
         if leaves.is_empty() {
             return MerkleTree { levels: vec![] };
         }
-        let mut levels = vec![leaves];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
+        let mut levels = Vec::new();
+        let mut level = leaves;
+        while level.len() > 1 {
+            let mut next = Vec::with_capacity(level.len().div_ceil(2));
+            for pair in level.chunks(2) {
                 let left = &pair[0];
                 let right = pair.get(1).unwrap_or(left);
                 next.push(node_hash(left, right));
             }
-            levels.push(next);
+            levels.push(std::mem::replace(&mut level, next));
         }
+        levels.push(level);
         MerkleTree { levels }
     }
 
@@ -132,11 +133,6 @@ impl MerkleProof {
     pub fn depth(&self) -> usize {
         self.path.len()
     }
-}
-
-/// Convenience: the Merkle root over raw data items.
-pub fn merkle_root<D: AsRef<[u8]>>(items: &[D]) -> Hash256 {
-    MerkleTree::from_data(items).root()
 }
 
 /// Folds already-hashed tree nodes pairwise up to a single root, without
@@ -258,7 +254,6 @@ mod tests {
         let t1 = MerkleTree::from_data(&items);
         let t2 = MerkleTree::from_leaves(items.iter().map(|d| leaf_hash(d)).collect());
         assert_eq!(t1.root(), t2.root());
-        assert_eq!(merkle_root(&items), t1.root());
     }
 
     #[test]

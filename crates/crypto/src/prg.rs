@@ -34,16 +34,6 @@ impl Prg {
         Self::new(sha256_concat(&[b"medledger.prg.v1:", label.as_bytes()]))
     }
 
-    /// Derives an independent child generator. Children with different
-    /// labels produce statistically independent streams.
-    pub fn child(&self, label: &str) -> Prg {
-        Prg::new(sha256_concat(&[
-            b"medledger.prg.child:",
-            self.seed.as_bytes(),
-            label.as_bytes(),
-        ]))
-    }
-
     fn refill(&mut self) {
         let block = sha256_concat(&[
             b"medledger.prg.block:",
@@ -160,18 +150,6 @@ mod tests {
         let va: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn children_are_independent_streams() {
-        let root = Prg::from_label("root");
-        let mut c1 = root.child("net");
-        let mut c2 = root.child("keys");
-        assert_ne!(c1.next_hash(), c2.next_hash());
-        // Child derivation does not consume parent state.
-        let mut root2 = Prg::from_label("root");
-        let mut root1 = root.clone();
-        assert_eq!(root1.next_u64(), root2.next_u64());
     }
 
     #[test]

@@ -280,10 +280,10 @@ impl OneBlock {
 /// The portable kernel: one application of the compression function per
 /// 64-byte block of `blocks`.
 fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
-    for block in blocks.chunks_exact(64) {
+    for block in blocks.as_chunks::<64>().0 {
         let mut w = [0u32; 64];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+        for (i, word) in block.as_chunks::<4>().0.iter().enumerate() {
+            w[i] = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -370,10 +370,11 @@ fn compress_blocks_shani(state: &mut [u32; 8], blocks: &[u8]) {
         };
     }
 
-    for block in blocks.chunks_exact(64) {
+    for block in blocks.as_chunks::<64>().0 {
         let (abef_in, cdgh_in) = (abef, cdgh);
+        let quarters = block.as_chunks::<16>().0;
         let load = |i: usize| {
-            let chunk: &[u8; 16] = block[16 * i..16 * i + 16].try_into().expect("16 bytes");
+            let chunk = &quarters[i];
             // SAFETY: `chunk` is 16 readable bytes and `loadu` asks for no
             // alignment; this closure runs only inside this function, which
             // `Kernel::compress_blocks` enters only once

@@ -341,15 +341,13 @@ impl KeyPair {
             return Err(SigningError::KeysExhausted);
         }
         let idx = self.next_index;
+        // Every index below the capacity has a leaf, so a proof.
+        let auth_path = (self.tree.prove(idx as usize)).ok_or(SigningError::KeysExhausted)?;
         self.next_index += 1;
         let chains = (0u8..)
             .zip(digits_of(&sha256(msg)))
             .map(|(chain, digit)| walk(chain, Self::ots_secret(&self.seed, idx, chain), 0, digit))
             .collect();
-        let auth_path = self
-            .tree
-            .prove(idx as usize)
-            .expect("index < capacity, proof must exist");
         Ok(Signature {
             leaf_index: idx,
             chains,

@@ -2,8 +2,8 @@
 //!
 //! The **commit pipeline**: the ticketed [`LedgerService`], the front
 //! door for batched and concurrent commits over the core `System`'s one
-//! scheduler (`medledger_core::sched`: `System::run_wave`, which drives
-//! the wave engine `System::commit_group`).
+//! scheduler (`medledger_core::sched`: `System::run_wave`, which runs
+//! one wave through seven phases).
 //!
 //! The paper's Fig. 5 workflow is request/response — a writer submits an
 //! update and later learns whether consensus admitted it — so the
@@ -145,10 +145,7 @@
 
 mod service;
 
-pub use medledger_core::{
-    CascadeRecord, CommitError, CommitOutcome, CommitTicket, GroupEntry, GroupEntryFailure,
-    WaveReport,
-};
+pub use medledger_core::{CascadeRecord, CommitError, CommitOutcome, CommitTicket, WaveReport};
 pub use service::{LedgerService, Submission};
 
 /// The single crate-internal funnel onto the facade's hidden `System`

@@ -15,7 +15,7 @@ mod common;
 
 use common::fig5_model::{Fig5Model, Write};
 use medledger_bx::LensSpec;
-use medledger_core::{CommitError, CommitOutcome, ConsensusKind, GroupEntry, MedLedger, PeerId};
+use medledger_core::{CommitError, CommitOutcome, ConsensusKind, MedLedger, PeerId};
 use medledger_engine::{CommitTicket, LedgerService};
 use medledger_relational::{row, Column, Schema, Table, Value, ValueType, WriteOp};
 
@@ -185,38 +185,6 @@ fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
         assert!(hub.service.take(*ticket).is_none(), "taken exactly once");
     }
     ledger(&hub).check_consistency().expect("consistent");
-}
-
-#[test]
-fn system_level_duplicate_group_members_conflict() {
-    let mut hub = hub_ledger("eng-sysdup", 1, 1, 0, &[], 8);
-    let hub_id = hub.hub;
-    let system = hub.service.ledger_mut().system_mut();
-    system
-        .peer_mut(hub_id)
-        .expect("hub")
-        .write_shared(
-            "ward-0",
-            WriteOp::Update {
-                key: vec![Value::Int(1)],
-                assignments: vec![("dosage".into(), Value::text("dup"))],
-            },
-        )
-        .expect("stage");
-    let results = system
-        .commit_group(&[
-            GroupEntry::new(hub_id, "ward-0"),
-            GroupEntry::new(hub_id, "ward-0"),
-        ])
-        .expect("group runs")
-        .results;
-    assert!(results[0].is_ok(), "first claim commits");
-    let failure = results[1].as_ref().unwrap_err();
-    assert!(!failure.committed_on_chain);
-    assert!(matches!(
-        failure.error,
-        medledger_core::CoreError::Conflicted(ref t) if t == "ward-0"
-    ));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use crate::block::Block;
 use crate::transaction::{AccountId, TxId};
 use medledger_crypto::Hash256;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Chain validation errors.
@@ -132,18 +132,12 @@ impl Membership {
     pub fn validators(&self) -> Vec<AccountId> {
         self.validators.iter().copied().collect()
     }
-
-    /// Number of members.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
 }
 
 /// The validated chain plus per-account nonce tracking.
 #[derive(Clone, Debug)]
 pub struct Chain {
     blocks: Vec<Block>,
-    by_hash: HashMap<Hash256, u64>,
     membership: Membership,
     next_nonce: BTreeMap<AccountId, u64>,
 }
@@ -152,11 +146,8 @@ impl Chain {
     /// Creates a chain with an implicit empty genesis (height 0, no txs).
     pub fn new(membership: Membership, genesis_proposer: AccountId) -> Self {
         let genesis = Block::assemble(0, Hash256::ZERO, Hash256::ZERO, 0, genesis_proposer, vec![]);
-        let mut by_hash = HashMap::new();
-        by_hash.insert(genesis.hash(), 0);
         Chain {
             blocks: vec![genesis],
-            by_hash,
             membership,
             next_nonce: BTreeMap::new(),
         }
@@ -193,13 +184,6 @@ impl Chain {
     /// Block at a height.
     pub fn block_at(&self, height: u64) -> Option<&Block> {
         self.blocks.get(height as usize)
-    }
-
-    /// Block by hash.
-    pub fn block_by_hash(&self, hash: &Hash256) -> Option<&Block> {
-        self.by_hash
-            .get(hash)
-            .and_then(|&h| self.blocks.get(h as usize))
     }
 
     /// The next expected nonce for an account.
@@ -269,7 +253,6 @@ impl Chain {
             let n = self.next_nonce.entry(stx.tx.sender).or_insert(0);
             *n = stx.tx.nonce + 1;
         }
-        self.by_hash.insert(block.hash(), block.header.height);
         self.blocks.push(block);
         Ok(())
     }
@@ -481,19 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_hash_and_height() {
+    fn lookup_by_height() {
         let mut n = net();
         n.chain.append(block(&n, vec![], 10)).expect("append");
-        let tip_hash = n.chain.tip().hash();
         assert_eq!(
-            n.chain
-                .block_by_hash(&tip_hash)
-                .expect("block")
-                .header
-                .height,
-            1
+            n.chain.block_at(1).map(|b| b.hash()),
+            Some(n.chain.tip().hash())
         );
-        assert!(n.chain.block_at(1).is_some());
         assert!(n.chain.block_at(2).is_none());
     }
 

@@ -95,14 +95,6 @@ impl Mempool {
             .filter_map(|(_, t)| t.tx.conflict_key.clone())
             .collect()
     }
-
-    /// Pending transactions touching `key` (diagnostics / benches).
-    pub fn pending_for_key(&self, key: &str) -> usize {
-        self.queue
-            .iter()
-            .filter(|(_, t)| t.tx.conflict_key.as_deref() == Some(key))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +137,6 @@ mod tests {
         // skipping b's D13 tx would break b's nonce sequence.
         assert_eq!(sel.len(), 1);
         assert_eq!(sel[0].tx.sender, kp_a.public());
-        assert_eq!(mp.pending_for_key("D13"), 2);
     }
 
     #[test]

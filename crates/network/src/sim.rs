@@ -66,7 +66,7 @@ impl<M> Ord for Pending<M> {
 ///
 /// Messages are enqueued with a latency drawn from the model and delivered
 /// in timestamp order by [`SimNet::step`]. The simulation clock only moves
-/// when a message is delivered or [`SimNet::advance_to`] is called.
+/// when a message is delivered.
 #[derive(Debug)]
 pub struct SimNet<M> {
     now_ms: u64,
@@ -130,18 +130,6 @@ impl<M> SimNet<M> {
         Some(deliver_at)
     }
 
-    /// Sends `msg` to every node in `to`, cloning the payload.
-    pub fn broadcast(&mut self, from: NodeId, to: &[NodeId], msg: M, bytes: usize)
-    where
-        M: Clone,
-    {
-        for &t in to {
-            if t != from {
-                self.send(from, t, msg.clone(), bytes);
-            }
-        }
-    }
-
     /// Schedules a timer: a message from a node to itself after `delay_ms`
     /// (used for consensus timeouts and block-interval ticks). Timers are
     /// never dropped.
@@ -171,11 +159,6 @@ impl<M> SimNet<M> {
             msg: p.msg,
         })
     }
-
-    /// Advances the clock without delivering (no-op if `t` is in the past).
-    pub fn advance_to(&mut self, t_ms: u64) {
-        self.now_ms = self.now_ms.max(t_ms);
-    }
 }
 
 #[cfg(test)]
@@ -189,9 +172,8 @@ mod tests {
     #[test]
     fn delivery_in_timestamp_order() {
         let mut n = net();
+        n.schedule(2, "b", 7);
         n.send(1, 2, "a", 1);
-        n.advance_to(2);
-        n.send(2, 3, "b", 1);
         let d1 = n.step().expect("first");
         let d2 = n.step().expect("second");
         assert_eq!(d1.msg, "a");
@@ -217,15 +199,6 @@ mod tests {
         n.send(1, 3, "second", 1);
         assert_eq!(n.step().expect("d").msg, "first");
         assert_eq!(n.step().expect("d").msg, "second");
-    }
-
-    #[test]
-    fn broadcast_skips_self() {
-        let mut n = net();
-        n.broadcast(1, &[1, 2, 3], "m", 4);
-        assert_eq!(n.pending(), 2);
-        assert_eq!(n.stats().sent, 2);
-        assert_eq!(n.stats().bytes, 8);
     }
 
     #[test]

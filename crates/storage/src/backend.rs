@@ -76,11 +76,6 @@ impl MemoryBackend {
         self.snapshots.len()
     }
 
-    /// Names of streams that have been touched.
-    pub fn stream_names(&self) -> Vec<String> {
-        self.streams.keys().cloned().collect()
-    }
-
     /// The records of `stream`, editable in place — how a test tampers
     /// with what a deployment wrote before recovering from it.
     pub fn records_mut(&mut self, stream: &str) -> &mut Vec<Vec<u8>> {

@@ -27,13 +27,18 @@
 //! and the deployment still *works* — a post-recovery commit goes
 //! through with the surviving keys and nonces.
 
+use medledger::bx::LensSpec;
 use medledger::core::scenario::{self, Fig1Scenario, SHARE_PD, SHARE_RD};
 use medledger::crypto::Hash256;
+use medledger::relational::{row, Column, Schema, ValueType};
 use medledger::storage::{
     Decode, DurableStore, Encode, MemoryBackend, Result as StorageResult, SharedBackend,
     StorageBackend, StorageError,
 };
-use medledger::{ConsensusKind, FlushRecord, LedgerService, MedLedger, SystemConfig, Value};
+use medledger::{
+    ConsensusKind, CoreError, FlushRecord, LedgerService, MedLedger, PeerId, SystemConfig, Table,
+    Value,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -814,6 +819,119 @@ fn dead_disk_poisons_the_live_system_but_recovers() {
     let mut recovered = recover(&cfg, shared.snapshot_state()).expect("recover");
     recovered.check_consistency().expect("consistent");
     assert_live(&mut recovered);
+}
+
+/// A hub sharing three unrelated ward tables with one receiver, each
+/// bound to its own source on both sides: on `ward-ok` and
+/// `ward-combined` the hub may write `dosage`, on `ward-denied` only the
+/// receiver may.
+fn three_ward_service(
+    cfg: &SystemConfig,
+    backend: Box<dyn StorageBackend>,
+) -> medledger::core::Result<(LedgerService, PeerId, PeerId)> {
+    let mut ledger = MedLedger::builder()
+        .config(cfg.clone())
+        .storage_backend(backend)
+        .build()?;
+    let hub = ledger.add_peer("Hub")?;
+    let receiver = ledger.add_peer("Receiver")?;
+    let columns = vec![
+        Column::new("patient_id", ValueType::Int),
+        Column::new("dosage", ValueType::Text),
+    ];
+    let mut ward = Table::new(Schema::new(columns, &["patient_id"])?);
+    for pid in 1..=2i64 {
+        ward.insert(row![pid, "10 mg"])?;
+    }
+    let lens = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
+    for (table, dosage_writer) in [
+        ("ward-ok", hub),
+        ("ward-denied", receiver),
+        ("ward-combined", hub),
+    ] {
+        let (h, r) = (format!("H-{table}"), format!("R-{table}"));
+        ledger.session(hub).load_source(&h, ward.clone())?;
+        ledger.session(receiver).load_source(&r, ward.clone())?;
+        (ledger.session(hub).share(table))
+            .bind(h, lens.clone())
+            .with(receiver, r, lens.clone())
+            .writers("dosage", &[dosage_writer])
+            .writers("patient_id", &[hub])
+            .create()?;
+    }
+    Ok((LedgerService::new(ledger), hub, receiver))
+}
+
+/// A wave whose durable flush fails settles each member by its own
+/// outcome: only the members its blocks committed get the storage error
+/// past the commit point. The contract's denial of a lead, and the
+/// pre-screened denial of a rider, stay denials that never reached the
+/// chain — the lead's staged writes unwound.
+#[test]
+fn a_failed_flush_fails_only_the_members_in_flight() {
+    let cfg = config("crash-flush-members");
+    let setup_appends = {
+        let probe = RecordingBackend::new(SharedBackend::new());
+        three_ward_service(&cfg, Box::new(probe.clone())).expect("probe build");
+        probe.count(Call::Append) as u64
+    };
+    let shared = SharedBackend::new();
+    let crash = CrashBackend::new(shared.clone(), setup_appends);
+    let (mut service, hub, receiver) = three_ward_service(&cfg, Box::new(crash)).expect("build");
+
+    let submit = |service: &mut LedgerService, peer: PeerId, table: &str, pid: i64| {
+        (service.submit(peer, table))
+            .set(vec![Value::Int(pid)], "dosage", Value::text("20 mg"))
+            .submit()
+            .expect("submit")
+    };
+    let committed = submit(&mut service, hub, "ward-ok", 1);
+    let denied_lead = submit(&mut service, hub, "ward-denied", 1);
+    let combined_lead = submit(&mut service, hub, "ward-combined", 1);
+    let rider = submit(&mut service, receiver, "ward-combined", 2);
+
+    let err = service.tick().expect_err("the wave's flush dies");
+    assert!(matches!(err, CoreError::Storage(_)), "{err}");
+    let outcomes = service.take_resolved();
+    let tickets: Vec<_> = outcomes.iter().map(|(t, _)| *t).collect();
+    assert_eq!(tickets, [committed, denied_lead, combined_lead, rider]);
+    assert!(tickets.iter().all(|t| service.take(*t).is_none()), "once");
+    let outcome = |ticket| {
+        let (_, outcome) = (outcomes.iter())
+            .find(|(t, _)| *t == ticket)
+            .expect("resolved");
+        outcome
+            .as_ref()
+            .expect_err("no member settles as committed")
+    };
+    for ticket in [committed, combined_lead] {
+        let err = outcome(ticket);
+        assert!(err.committed_on_chain(), "in flight at the flush: {err}");
+        assert!(err.to_string().contains("injected"), "{err}");
+    }
+    let err = outcome(denied_lead);
+    assert!(err.is_permission_denied(), "{err}");
+    assert!(err.receipt().is_some(), "the denial is on chain");
+    assert!(!err.committed_on_chain());
+    let sys = service.ledger().system();
+    let pending = sys
+        .peer(hub)
+        .and_then(|p| p.has_pending_change("ward-denied"));
+    assert!(!pending.expect("check"), "the denied lead's writes unwound");
+    let err = outcome(rider);
+    assert!(err.is_permission_denied(), "{err}");
+    assert!(!err.committed_on_chain());
+
+    // The next submission's wave refuses to flush.
+    let next = submit(&mut service, hub, "ward-ok", 2);
+    let err = service.tick().expect_err("poisoned");
+    assert!(err.to_string().contains("poisoned"), "{err}");
+    let err = service.take(next).expect("resolved").expect_err("poisoned");
+    assert!(err.to_string().contains("poisoned"), "{err}");
+
+    // The bytes that made it to the dead disk still recover.
+    let recovered = recover(&cfg, shared.snapshot_state()).expect("recover");
+    recovered.check_consistency().expect("consistent");
 }
 
 /// A facade commit is one wave per update, each ending in its own flush
