@@ -237,12 +237,10 @@ impl Member {
     /// still cover every changed attribute, or some change would dodge
     /// the Fig. 3 matrix entirely.
     pub(crate) fn declaration(&self, changed: &[String]) -> Result<Vec<String>> {
-        let Member::Group(g) = self else {
-            return Ok(changed.to_vec());
+        let g = match self {
+            Member::Group(g) if !g.co.is_empty() => g,
+            _ => return Ok(changed.to_vec()),
         };
-        if g.co.is_empty() {
-            return Ok(changed.to_vec());
-        }
         let covered: BTreeSet<&str> = (g.lead_attrs.iter())
             .chain(g.co.iter().flat_map(|co| &co.attrs))
             .map(String::as_str)
