@@ -9,8 +9,9 @@
 //!    snapshots and wire frames are made of, and what contract calls and
 //!    contract state are written in.
 //! 2. **WAL** ([`wal`]) — segmented, CRC-framed append-only record
-//!    streams with torn-tail truncation on open and loud failure on
-//!    mid-log corruption; a stream is never cut once written.
+//!    streams in zero-filled segments, with a torn tail zeroed on open
+//!    and loud failure on mid-log corruption; a stream is never cut once
+//!    written.
 //! 3. **Backend** ([`backend`], [`store`], [`snapshot`]) — the
 //!    [`StorageBackend`] trait the system core writes through, with an
 //!    in-memory implementation for hermetic tests and a directory-backed

@@ -15,9 +15,11 @@
 //! Writes go through a temp file + rename + directory fsync, so a crash
 //! mid-write leaves either the old set of snapshots or the new one,
 //! never a half file, and a write that returned survives a power cut.
-//! Writing prunes nothing; the caller says which snapshots to keep
-//! ([`SnapshotDir::retain`]) once a record names the new one, so an
-//! orphan of a crashed flush never displaces a named snapshot.
+//! The temp file such a crash leaves is deleted the next time the
+//! directory is opened. Writing prunes nothing; the caller says which
+//! snapshots to keep ([`SnapshotDir::retain`]) once a record names the
+//! new one, so an orphan of a crashed flush never displaces a named
+//! snapshot.
 
 use crate::wal::{create_dir_durable, sync_dir};
 use crate::{Result, StorageError};
@@ -35,10 +37,26 @@ pub struct SnapshotDir {
 }
 
 impl SnapshotDir {
-    /// Opens (creating if needed) the snapshot directory.
+    /// Opens (creating if needed) the snapshot directory, deleting the
+    /// temp file a crash between a write and its rename left behind.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         create_dir_durable(&dir)?;
+        let mut removed = false;
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default();
+            if name.starts_with("snap-") && name.ends_with(".tmp") {
+                fs::remove_file(&path)?;
+                removed = true;
+            }
+        }
+        if removed {
+            sync_dir(&dir)?;
+        }
         Ok(SnapshotDir { dir })
     }
 
@@ -200,6 +218,23 @@ mod tests {
         fs::write(&path, &bytes).expect("write");
         assert!(matches!(snaps.read(6), Err(StorageError::Corrupt(_))));
         assert_eq!(snaps.read(5).expect("read").expect("some"), b"good-old");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_deletes_a_crashed_writes_temp_file() {
+        let dir = temp_dir("orphan-tmp");
+        let snaps = SnapshotDir::open(&dir).expect("open");
+        snaps.write(1, b"one").expect("write");
+        snaps.write(2, b"two").expect("write");
+        // A crash between the temp file's write and its rename.
+        let tmp = dir.join("snap-000000000003.tmp");
+        fs::write(&tmp, b"half a snapshot").expect("plant");
+        let snaps = SnapshotDir::open(&dir).expect("reopen");
+        assert!(!tmp.exists(), "the temp file is gone");
+        assert_eq!(snaps.ids().expect("ids"), vec![1, 2]);
+        assert_eq!(snaps.read(1).expect("read").expect("some"), b"one");
+        assert_eq!(snaps.read(2).expect("read").expect("some"), b"two");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,24 +8,44 @@
 //! [payload len: u32 LE][crc32(payload): u32 LE][payload bytes]
 //! ```
 //!
-//! and appended to numbered segment files `seg-<first record index>.log`;
-//! a segment rotates once it exceeds the configured byte budget. Creating
-//! a segment (or the log's directory) also fsyncs the directory that
-//! holds the new entry, so a power cut cannot lose a file whose contents
-//! were already synced.
+//! and written to numbered segment files `seg-<first record index>.log`;
+//! a segment rotates once its frames reach the configured byte budget.
+//!
+//! Segments are preallocated. Creating one zero-fills it to the budget
+//! and syncs it, and fsyncs the directory that holds the new entry, so a
+//! power cut cannot lose a file whose contents were already synced. A
+//! segment is its frames, then a zero tail:
+//!
+//! ```text
+//! [frame][frame]…[frame][0x00 … 0x00 up to the budget]
+//! ```
+//!
+//! Each frame is written at its offset, over blocks the file already
+//! owns, so a sync is one `sync_data` that flushes data only: no block
+//! allocation, no size change, no journal commit. Only a frame that runs
+//! past the zeroed end grows the file, and then the segment is full and
+//! the next append rotates. An all-zero frame header, or an all-zero
+//! remainder too short to hold one, ends a segment's frames; an empty
+//! payload would frame as exactly that (`crc32(b"") == 0`), so
+//! [`SegmentedLog::append`] refuses one. A segment an older build wrote
+//! ends at its last frame, with no tail, and reads the same.
 //!
 //! Recovery semantics on open (the crash contract):
-//! * a **torn tail** — an incomplete frame, or a final frame whose CRC
-//!   fails, at the very end of the *last* segment — is the signature of
-//!   a crash mid-append and is silently truncated away;
-//! * a bad frame anywhere *else* is real corruption and fails loudly
-//!   ([`StorageError::Corrupt`]) — replaying past it would resurrect a
-//!   database that disagrees with the chain.
+//! * a **torn tail** — an incomplete frame, a final frame whose CRC
+//!   fails, or a non-zero byte after the frames, in the *last* segment —
+//!   is the signature of a crash mid-append and is zeroed in place, never
+//!   cut, so the segment stays preallocated; a last segment shorter than
+//!   the budget (an older build's, or one a crash caught mid-creation) is
+//!   zero-filled up to it;
+//! * a bad frame or a non-zero tail anywhere *else* is real corruption
+//!   and fails loudly ([`StorageError::Corrupt`]) — replaying past it
+//!   would resurrect a database that disagrees with the chain.
 
 use crate::{Result, StorageError};
 use medledger_crypto::crc32::crc32;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Frame header size: payload length + CRC, both `u32` LE.
@@ -35,6 +55,9 @@ const FRAME_HEADER: usize = 8;
 /// treated as corruption rather than an allocation request.
 const MAX_RECORD: u32 = 1 << 30;
 
+/// The one source every zero-fill writes from, whatever the segment size.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+
 /// One on-disk segment.
 #[derive(Debug)]
 struct Segment {
@@ -42,7 +65,8 @@ struct Segment {
     first: u64,
     /// Records stored in this segment.
     records: u64,
-    /// File size in bytes (valid frames only).
+    /// Bytes covered by valid frames: where the next frame goes, and
+    /// where the zero tail starts.
     bytes: u64,
     path: PathBuf,
 }
@@ -63,6 +87,24 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Writes zeros over `[from, to)` of `file`.
+fn zero_fill(file: &File, from: u64, to: u64) -> std::io::Result<()> {
+    let mut at = from;
+    while at < to {
+        let n = (to - at).min(ZEROS.len() as u64);
+        file.write_all_at(&ZEROS[..n as usize], at)?;
+        at += n;
+    }
+    Ok(())
+}
+
+/// True iff every byte is zero, checked a word at a time.
+fn all_zero(bytes: &[u8]) -> bool {
+    let (words, rest) = bytes.as_chunks::<8>();
+    let ored = words.iter().fold(0, |acc, w| acc | u64::from_ne_bytes(*w));
+    ored == 0 && rest.iter().all(|b| *b == 0)
 }
 
 /// Fsyncs a directory, making the entries created, renamed or removed
@@ -89,31 +131,29 @@ pub(crate) fn create_dir_durable(dir: &Path) -> std::io::Result<()> {
 struct ScanOutcome {
     /// Valid frames found.
     records: u64,
-    /// Bytes covered by valid frames (< file length iff a tail was torn).
+    /// Bytes covered by valid frames (where the zero tail starts).
     valid_bytes: u64,
     /// Description of the invalid tail, if any.
     torn: Option<String>,
 }
 
 /// Walks a segment's frames, handing each valid payload to `visit` and
-/// stopping at the first invalid frame.
+/// stopping at the zero tail or at the first invalid frame.
 fn scan_segment<'a>(bytes: &'a [u8], mut visit: impl FnMut(&'a [u8])) -> ScanOutcome {
     let mut records = 0u64;
     let mut pos = 0usize;
     loop {
-        let rest = bytes.len() - pos;
-        if rest == 0 {
+        let rest = &bytes[pos..];
+        if rest.len() < FRAME_HEADER || rest[..FRAME_HEADER] == [0; FRAME_HEADER] {
+            // The frames end here; all that may follow is the zero tail.
+            let torn = (!all_zero(rest)).then(|| match rest.len() {
+                n if n < FRAME_HEADER => format!("{n}-byte partial frame header"),
+                _ => "non-zero bytes after the zero frame header".into(),
+            });
             return ScanOutcome {
                 records,
                 valid_bytes: pos as u64,
-                torn: None,
-            };
-        }
-        if rest < FRAME_HEADER {
-            return ScanOutcome {
-                records,
-                valid_bytes: pos as u64,
-                torn: Some(format!("{rest}-byte partial frame header")),
+                torn,
             };
         }
         let le_u32 = |at: usize| {
@@ -154,10 +194,11 @@ fn scan_segment<'a>(bytes: &'a [u8], mut visit: impl FnMut(&'a [u8])) -> ScanOut
 
 impl SegmentedLog {
     /// Opens (or creates) the log in `dir`, scanning and validating every
-    /// segment. Torn tails on the last segment are truncated; corruption
-    /// anywhere else fails loudly.
+    /// segment. A torn tail on the last segment is zeroed in place;
+    /// corruption anywhere else fails loudly.
     pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self> {
         let dir = dir.into();
+        let segment_bytes = segment_bytes.max(1);
         create_dir_durable(&dir)?;
         let mut paths: Vec<PathBuf> = fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
@@ -183,19 +224,27 @@ impl SegmentedLog {
             }
             let bytes = fs::read(path)?;
             let outcome = scan_segment(&bytes, |_| {});
-            if let Some(reason) = outcome.torn {
-                if Some(i) == last {
-                    // Crash signature: drop the torn tail and carry on.
+            if Some(i) == last {
+                // Crash signature: zero a torn tail in place, and fill a
+                // short segment up to the budget, so the appends to come
+                // overwrite blocks the file owns.
+                let len = bytes.len() as u64;
+                let from = match outcome.torn {
+                    Some(_) => outcome.valid_bytes,
+                    None => len,
+                };
+                let to = len.max(segment_bytes);
+                if from < to {
                     let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(outcome.valid_bytes)?;
+                    zero_fill(&f, from, to)?;
                     f.sync_all()?;
-                } else {
-                    return Err(StorageError::Corrupt(format!(
-                        "segment {}: {reason} mid-log (only the final segment \
-                         may carry a torn tail)",
-                        path.display()
-                    )));
                 }
+            } else if let Some(reason) = outcome.torn {
+                return Err(StorageError::Corrupt(format!(
+                    "segment {}: {reason} mid-log (only the final segment \
+                     may carry a torn tail)",
+                    path.display()
+                )));
             }
             next_index += outcome.records;
             segments.push(Segment {
@@ -207,7 +256,7 @@ impl SegmentedLog {
         }
         Ok(SegmentedLog {
             dir,
-            segment_bytes: segment_bytes.max(1),
+            segment_bytes,
             segments,
             writer: None,
         })
@@ -228,17 +277,27 @@ impl SegmentedLog {
         self.segments.len() as u64
     }
 
-    /// Appends a record, returning its index. Rotates into a fresh
-    /// segment once the current one exceeds the byte budget.
+    /// Appends a record, returning its index. Rotates into a fresh,
+    /// zero-filled segment once the current one's frames reach the byte
+    /// budget. An empty payload is refused: its frame header would read
+    /// as the start of the zero tail.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
+        if payload.is_empty() {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "an empty record cannot be appended: its frame header is all zeros",
+            )));
+        }
         let index = self.len();
         let seg = match self.segments.last_mut() {
             Some(seg) if seg.bytes < self.segment_bytes => seg,
             _ => {
                 let path = self.dir.join(format!("seg-{index:012}.log"));
-                File::create(&path)?.sync_all()?;
+                let file = File::create(&path)?;
+                zero_fill(&file, 0, self.segment_bytes)?;
+                file.sync_all()?;
                 sync_dir(&self.dir)?;
-                self.writer = None;
+                self.writer = Some(file);
                 self.segments.push_mut(Segment {
                     first: index,
                     records: 0,
@@ -249,10 +308,10 @@ impl SegmentedLog {
         };
         let writer = match self.writer.as_mut() {
             Some(writer) => writer,
-            None => (self.writer).insert(OpenOptions::new().append(true).open(&seg.path)?),
+            None => (self.writer).insert(OpenOptions::new().write(true).open(&seg.path)?),
         };
         let framed = frame(payload);
-        writer.write_all(&framed)?;
+        writer.write_all_at(&framed, seg.bytes)?;
         seg.records += 1;
         seg.bytes += framed.len() as u64;
         Ok(index)
@@ -265,7 +324,11 @@ impl SegmentedLog {
             if seg.first + seg.records <= from {
                 continue;
             }
-            let bytes = fs::read(&seg.path)?;
+            // The frames only: the zero tail after them holds nothing.
+            let mut bytes = Vec::new();
+            File::open(&seg.path)?
+                .take(seg.bytes)
+                .read_to_end(&mut bytes)?;
             let mut index = seg.first;
             let outcome = scan_segment(&bytes, |payload| {
                 if index >= from {
@@ -283,11 +346,11 @@ impl SegmentedLog {
         Ok(out)
     }
 
-    /// Flushes buffered appends to the OS and fsyncs the active segment.
+    /// Makes the active segment's frames durable: one `sync_data`, which
+    /// commits no metadata unless a frame grew the file.
     pub fn sync(&mut self) -> Result<()> {
-        if let Some(w) = &mut self.writer {
-            w.flush()?;
-            w.sync_all()?;
+        if let Some(w) = &self.writer {
+            w.sync_data()?;
         }
         Ok(())
     }
@@ -313,6 +376,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("medledger-wal-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Writes `seg-<first>.log` holding `payloads`' frames, then `tail`
+    /// zero bytes.
+    fn write_segment(dir: &Path, first: u64, payloads: &[&[u8]], tail: usize) -> PathBuf {
+        fs::create_dir_all(dir).expect("mkdir");
+        let mut bytes: Vec<u8> = payloads.iter().flat_map(|p| frame(p)).collect();
+        bytes.resize(bytes.len() + tail, 0);
+        let path = dir.join(format!("seg-{first:012}.log"));
+        fs::write(&path, bytes).expect("write segment");
+        path
     }
 
     #[test]
@@ -369,8 +443,14 @@ mod tests {
         drop(log);
         let seg = dir.join("seg-000000000000.log");
         let mut bytes = fs::read(&seg).expect("read");
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xFF; // corrupt the last payload byte
+        // Walk the frames to the end of the last payload; the zero tail
+        // follows it.
+        let mut end = 0;
+        while bytes[end..end + FRAME_HEADER] != [0; FRAME_HEADER] {
+            let len = u32::from_le_bytes(bytes[end..end + 4].try_into().expect("4 bytes"));
+            end += FRAME_HEADER + len as usize;
+        }
+        bytes[end - 1] ^= 0xFF; // corrupt the last payload byte
         fs::write(&seg, &bytes).expect("write");
         let log = SegmentedLog::open(&dir, 1 << 20).expect("reopen truncates");
         assert_eq!(log.len(), 1, "corrupt final record dropped as torn");
@@ -422,6 +502,115 @@ mod tests {
         fs::remove_file(dir.join("seg-000000000000.log")).expect("unlink");
         let err = SegmentedLog::open(&dir, 16).expect_err("must fail");
         assert!(matches!(err, StorageError::Corrupt(_)));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segments_are_zero_filled_and_frames_overwrite_the_tail() {
+        let dir = temp_dir("prealloc");
+        let mut log = SegmentedLog::open(&dir, 4096).expect("open");
+        log.append(b"alpha").expect("append");
+        log.append(b"beta").expect("append");
+        log.sync().expect("sync");
+        let seg = dir.join("seg-000000000000.log");
+        let bytes = fs::read(&seg).expect("read");
+        assert_eq!(bytes.len(), 4096, "the segment keeps its budget's size");
+        let frames = [frame(b"alpha"), frame(b"beta")].concat();
+        assert_eq!(&bytes[..frames.len()], &frames[..]);
+        assert!(all_zero(&bytes[frames.len()..]), "then the zero tail");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_tail_is_zeroed_in_place_not_cut() {
+        let dir = temp_dir("torn-zeroed");
+        let mut log = SegmentedLog::open(&dir, 4096).expect("open");
+        log.append(b"alpha").expect("append");
+        log.sync().expect("sync");
+        drop(log);
+        // A crash mid-append into the zero tail: a header and part of a
+        // payload landed, the rest of the frame did not.
+        let seg = dir.join("seg-000000000000.log");
+        let mut bytes = fs::read(&seg).expect("read");
+        let valid = frame(b"alpha").len();
+        let torn = frame(b"a record that never finished");
+        bytes[valid..valid + 12].copy_from_slice(&torn[..12]);
+        fs::write(&seg, &bytes).expect("write");
+
+        let mut log = SegmentedLog::open(&dir, 4096).expect("reopen");
+        assert_eq!(log.len(), 1);
+        let bytes = fs::read(&seg).expect("read");
+        assert_eq!(bytes.len(), 4096, "zeroed, not cut");
+        assert!(all_zero(&bytes[valid..]));
+        assert_eq!(log.append(b"gamma").expect("append"), 1);
+        log.sync().expect("sync");
+        let log = SegmentedLog::open(&dir, 4096).expect("reopen");
+        assert_eq!(
+            log.read_from(0).expect("read"),
+            vec![b"alpha".to_vec(), b"gamma".to_vec()]
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_last_segment_with_a_short_zero_remainder_opens() {
+        for short in 1..FRAME_HEADER {
+            let dir = temp_dir(&format!("short-{short}"));
+            write_segment(&dir, 0, &[b"record-0"], short);
+            write_segment(&dir, 1, &[b"record-1"], 0);
+            let log = SegmentedLog::open(&dir, 64).expect("a short zero remainder is the tail");
+            assert_eq!(
+                log.read_from(0).expect("read"),
+                vec![b"record-0".to_vec(), b"record-1".to_vec()]
+            );
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn non_zero_byte_in_a_non_last_segments_tail_is_corrupt() {
+        // One byte where the next frame header would start, or deep in
+        // the tail after an all-zero header.
+        for (tag, at) in [("header", 2), ("deep", 40)] {
+            let dir = temp_dir(&format!("dirty-tail-{tag}"));
+            let seg = write_segment(&dir, 0, &[b"record-0"], 64);
+            write_segment(&dir, 1, &[b"record-1"], 0);
+            let mut bytes = fs::read(&seg).expect("read");
+            bytes[frame(b"record-0").len() + at] = 1;
+            fs::write(&seg, &bytes).expect("write");
+            let err = SegmentedLog::open(&dir, 64).expect_err("must fail");
+            assert!(matches!(err, StorageError::Corrupt(_)), "{tag}: {err}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn empty_payload_is_refused() {
+        let dir = temp_dir("empty");
+        let mut log = SegmentedLog::open(&dir, 64).expect("open");
+        assert!(log.append(b"").is_err());
+        assert!(log.is_empty());
+        log.append(b"record").expect("append");
+        assert_eq!(log.len(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segment_without_a_zero_tail_opens_and_takes_a_frame_at_its_end() {
+        // A segment an older build wrote: frames only, ending at the last.
+        let dir = temp_dir("untailed");
+        let seg = write_segment(&dir, 0, &[b"alpha", b"beta"], 0);
+        let mut log = SegmentedLog::open(&dir, 1024).expect("open");
+        assert_eq!(log.len(), 2);
+        assert_eq!(fs::metadata(&seg).expect("stat").len(), 1024, "filled");
+        assert_eq!(log.append(b"gamma").expect("append"), 2);
+        log.sync().expect("sync");
+        let log = SegmentedLog::open(&dir, 1024).expect("reopen");
+        assert_eq!(
+            log.read_from(0).expect("read"),
+            vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()]
+        );
+        assert_eq!(log.segment_count(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -479,34 +479,123 @@ fn uncommitted_flush_suffix_is_discarded_on_recovery() {
     let segments = files_under(&root, "seg-");
     assert_eq!(segments.len(), 1, "this short run fits one segment");
     let bytes = std::fs::read(&segments[0]).expect("read segment");
-    let (mut start, mut next) = (0usize, 0usize);
-    while next < bytes.len() {
-        start = next;
-        let len = u32::from_le_bytes(bytes[start..start + 4].try_into().expect("4 bytes"));
-        next = start + 8 + len as usize;
-    }
-    assert_eq!(next, bytes.len(), "frames tile the segment");
+    let (start, next) = *frame_spans(&bytes).last().expect("a frame");
 
-    // Cut inside the header, in mid-payload, and one byte short.
+    // Cut inside the header, in mid-payload, and one byte short — each
+    // two ways: the file cut there (what a torn store of a build without
+    // a zero tail looks like), or `[cut, frame end)` still zeros (what a
+    // torn write into the preallocated tail leaves). Zeroing a byte that
+    // is already zero tears nothing, so the zeroed cuts start at the
+    // frame's last non-zero byte at the latest.
+    let last_non_zero = (bytes[..next].iter())
+        .rposition(|b| *b != 0)
+        .expect("a non-zero byte");
     for (tag, keep) in [
         ("header", start + 3),
         ("payload", start + 8 + (next - start - 8) / 2),
         ("last-byte", next - 1),
     ] {
-        let copy = scratch_dir(&format!("suffix-{tag}"));
-        copy_dir(&root, &copy);
-        let segment = &files_under(&copy, "seg-")[0];
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(segment)
-            .expect("open segment");
-        file.set_len(keep as u64).expect("cut");
-        drop(file);
+        for zeroed in [false, true] {
+            let tag = format!("{tag}-{}", if zeroed { "zeroed" } else { "cut" });
+            let copy = scratch_dir(&format!("suffix-{tag}"));
+            copy_dir(&root, &copy);
+            let segment = &files_under(&copy, "seg-")[0];
+            if zeroed {
+                let mut torn = std::fs::read(segment).expect("read segment");
+                torn[keep.min(last_non_zero)..next].fill(0);
+                std::fs::write(segment, torn).expect("write segment");
+            } else {
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(segment)
+                    .expect("open segment");
+                file.set_len(keep as u64).expect("cut");
+            }
 
-        let mut recovered =
-            recover_dir(&cfg, &copy).unwrap_or_else(|e| panic!("cut at {tag}: {e}"));
-        assert_eq!(capture(&recovered), committed, "cut at {tag}");
+            let mut recovered = recover_dir(&cfg, &copy).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(capture(&recovered), committed, "{tag}");
+            assert_live(&mut recovered);
+            let _ = std::fs::remove_dir_all(&copy);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The `[start, end)` of each frame in a segment's bytes, walked to the
+/// all-zero header that ends them; everything after it must be zeros.
+fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    while let Some(header) = bytes.get(start..start + 8).filter(|h| **h != [0; 8]) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+        spans.push((start, start + 8 + len as usize));
+        start += 8 + len as usize;
+    }
+    assert!(
+        bytes[start..].iter().all(|b| *b == 0),
+        "the rest of the segment is zeros"
+    );
+    spans
+}
+
+/// A crash while a rotation creates the next segment leaves it holding
+/// no frame: empty, half zero-filled or fully zero-filled. Recovery
+/// reaches the last commit, and the next commit lands in that segment.
+#[test]
+fn crash_creating_a_segment_recovers_the_last_commit() {
+    const SEGMENT_BYTES: u64 = 256;
+    let cfg = config("crash-rotation");
+    let root = scratch_dir("rotation");
+    let store = DurableStore::open_with_segment_bytes(&root, SEGMENT_BYTES).expect("open");
+    let mut scn = durable_fig1(&cfg, Box::new(store)).expect("build");
+    for i in 0..2 {
+        workload_commit(&mut scn, i).expect("commit");
+    }
+    let committed = capture(&scn.ledger);
+    drop(scn);
+
+    // Every flush record outgrows a 256-byte segment, so the next append
+    // rotates into `seg-<records so far>.log`.
+    let last = files_under(&root, "seg-").pop().expect("a segment");
+    let first: u64 = (last.file_name().and_then(|n| n.to_str()))
+        .and_then(|n| n.strip_prefix("seg-")?.strip_suffix(".log")?.parse().ok())
+        .expect("segment index");
+    let frames = frame_spans(&std::fs::read(&last).expect("read segment"));
+    let (_, end) = *frames.last().expect("a frame");
+    assert!(end as u64 >= SEGMENT_BYTES, "the last segment is full");
+    let next = first + frames.len() as u64;
+
+    for (tag, zeros) in [
+        ("empty", 0),
+        ("half", SEGMENT_BYTES / 2),
+        ("full", SEGMENT_BYTES),
+    ] {
+        let copy = scratch_dir(&format!("rotation-{tag}"));
+        copy_dir(&root, &copy);
+        let stream = last.parent().expect("stream dir");
+        let created = copy
+            .join(stream.strip_prefix(&root).expect("under root"))
+            .join(format!("seg-{next:012}.log"));
+        std::fs::write(&created, vec![0; zeros as usize]).expect("plant segment");
+        let segments = files_under(&copy, "seg-").len();
+
+        let reopen = || {
+            let store = DurableStore::open_with_segment_bytes(&copy, SEGMENT_BYTES);
+            MedLedger::builder()
+                .config(cfg.clone())
+                .storage_backend(Box::new(store.expect("reopen")))
+                .build()
+        };
+        let mut recovered = reopen().unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(capture(&recovered), committed, "{tag}");
         assert_live(&mut recovered);
+        let landed = capture(&recovered);
+        drop(recovered);
+        assert_eq!(files_under(&copy, "seg-").len(), segments, "{tag}");
+        let frames = frame_spans(&std::fs::read(&created).expect("read"));
+        assert_eq!(frames.len(), 1, "{tag}: the next commit's record");
+        let again = reopen().unwrap_or_else(|e| panic!("{tag}: {e}"));
+        assert_eq!(capture(&again), landed, "{tag}");
         let _ = std::fs::remove_dir_all(&copy);
     }
     let _ = std::fs::remove_dir_all(&root);
