@@ -51,6 +51,11 @@ fn main() {
                 "lint: long-fn allowlist holds {} item(s)",
                 report.long_fn_allowed
             );
+            for (krate, lines) in &report.code_lines {
+                println!("lint: crates/{krate}/src holds {lines} code line(s)");
+            }
+            let total: usize = report.code_lines.values().sum();
+            println!("lint: crates/*/src holds {total} code line(s) in all");
             if report.findings.is_empty() {
                 println!("lint: workspace clean");
                 return;

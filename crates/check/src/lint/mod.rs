@@ -7,6 +7,7 @@ pub mod policy;
 pub mod rules;
 pub mod scan;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use rules::Finding;
@@ -21,6 +22,9 @@ pub struct Report {
     /// Length of the long-fn allowlist: functions known to run over
     /// [`rules::LONG_FN_MAX`] lines, another number that should only fall.
     pub long_fn_allowed: usize,
+    /// Non-test code lines ([`rules::code_lines`]) under each
+    /// `crates/<name>/src`, by crate name. A report, not a gate.
+    pub code_lines: BTreeMap<String, usize>,
 }
 
 /// Where the dead-pub rule looks for mentions of a `pub` item.
@@ -111,6 +115,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let mut used_keys = Vec::new();
     let mut dead_pub_files = Vec::new();
     let mut long_fns = Vec::new();
+    let mut code_lines = BTreeMap::new();
 
     for path in rust_files(root).map_err(|e| format!("walking {}: {e}", root.display()))? {
         let rel = rel(root, &path);
@@ -121,6 +126,12 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
             findings.extend(rules::unsafe_safety(&rel, &lines));
         }
         long_fns.extend(rules::long_fns(&rel, &lines));
+        if let Some((krate, _)) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once("/src/"))
+        {
+            *code_lines.entry(krate.to_string()).or_default() += rules::code_lines(&lines);
+        }
         if rel.starts_with("crates/node/src/") || rel.starts_with("crates/telemetry/src/") {
             findings.extend(rules::ordering_policy(&rel, &lines, &policy));
             used_keys.extend(rules::referenced_keys(&lines));
@@ -154,6 +165,7 @@ pub fn run_workspace(root: &Path) -> Result<Report, String> {
         findings,
         dead_pub_allowed: dead_pub_allowlist.len(),
         long_fn_allowed: long_fn_allowlist.len(),
+        code_lines,
     })
 }
 

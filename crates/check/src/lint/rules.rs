@@ -499,6 +499,16 @@ fn pub_item_name(code: &str) -> Option<&str> {
     Some(leading_ident(words.next()?)).filter(|name| !name.is_empty())
 }
 
+/// The code lines of a scanned file: lines outside `#[cfg(test)]` whose
+/// code part, comments stripped, is not blank. The one way the workspace
+/// counts its size.
+pub fn code_lines(lines: &[Line]) -> usize {
+    lines
+        .iter()
+        .filter(|l| !l.in_test && !l.code.trim().is_empty())
+        .count()
+}
+
 /// Whether `file` is production source of a workspace crate.
 fn is_crate_source(file: &str) -> bool {
     let mut parts = file.split('/');

@@ -203,3 +203,13 @@ fn long_fn_rule_still_fires() {
     assert_eq!(stale.len(), 1);
     assert_eq!((stale[0].file.as_str(), stale[0].line), ("allow.txt", 1));
 }
+
+#[test]
+fn code_lines_skip_blank_comment_and_test_lines() {
+    let src = "//! Module docs.\n\nuse std::fmt;\n\n/// Doc comment.\nfn f() {\n    \
+               // a comment\n    let s = \"// not a comment\"; /* trailing */\n    /* block\n    \
+               still block */\n}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+    let lines = scan::scan(src);
+    // `use`, `fn f() {`, `let s = ...`, `}`.
+    assert_eq!(rules::code_lines(&lines), 4);
+}

@@ -19,7 +19,8 @@
 //!   digest: [`ShardMap`] partitions rows (and, via
 //!   [`TableDelta::split_by_shard`], deltas) so disjoint shards apply
 //!   independently while the folded per-shard Merkle subroots reproduce
-//!   [`Table::content_hash`] byte-identically,
+//!   [`Table::content_hash`] byte-identically (both fold the one
+//!   incremental digest tree every table keeps),
 //! * [`predicate`] — a small predicate AST for selections,
 //! * [`database`] — named tables plus a write-ahead log of every mutation
 //!   (the basis for peer-side auditing),
@@ -32,6 +33,7 @@
 
 pub mod database;
 pub mod delta;
+mod digest;
 pub mod error;
 pub mod predicate;
 pub mod row;

@@ -12,12 +12,13 @@
 //!   ([`TableDelta::split_by_shard`]); applying an update touches only
 //!   the shards its rows land in, and disjoint shards can apply in
 //!   parallel (each shard is its own little table plus digest state).
-//! * **Hashing**: each shard caches the Merkle subtree root over its
-//!   chunk run. The map-level [`ShardMap::content_hash`] folds the
-//!   per-shard subroots — byte-identical to the unsharded
-//!   [`Table::content_hash`] (both funnel through the same root formula),
-//!   but after a `k`-shard update only `k` subtrees rebuild instead of
-//!   the whole chunk tree.
+//! * **Hashing**: each shard's fragment table keeps its digest tree
+//!   under the *map-wide* chunk layout, so the fold over the shard's
+//!   chunk run is a subtree of the unsharded fold. The map-level
+//!   [`ShardMap::content_hash`] folds the per-shard subroots —
+//!   byte-identical to the unsharded [`Table::content_hash`] (both use
+//!   the same digest tree and root formula) — and a touched shard
+//!   refolds only the dirty paths of its subtree.
 //!
 //! The shard count is a deployment knob (power of two, `1` = unsharded
 //! behavior); [`shard_of_key`] is deterministic in the key alone, so two
@@ -44,19 +45,19 @@
 //! ```
 
 use crate::delta::{KeyedRows, TableDelta};
+use crate::digest::{
+    chunk_count_for, chunk_digest, chunk_of_route, fold_content_root, key_route, schema_leaf,
+    MAX_CHUNKS,
+};
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::table::{
-    chunk_count_for, chunk_digest, chunk_of_digest, fold_content_root, key_digest,
-    schema_digest_bytes, Table, MAX_CHUNKS,
-};
+use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
-use medledger_crypto::{merkle, Hash256};
+use medledger_crypto::Hash256;
 use medledger_telemetry::HeatMapHandle;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
 
 /// Clamps a configured shard count to a valid value: a power of two in
 /// `1 ..= 256` (the content digest's maximum chunk fan-out).
@@ -72,7 +73,7 @@ pub fn shard_of_key(key: &[Value], shard_count: usize) -> usize {
     if shard_count <= 1 {
         return 0;
     }
-    chunk_of_digest(&key_digest(key), shard_count)
+    chunk_of_route(key_route(key), shard_count)
 }
 
 impl TableDelta {
@@ -125,29 +126,13 @@ impl ShardPlan {
     }
 }
 
-/// The digest state one shard maintains: per-chunk leaf hashes for the
-/// *global* chunk layout, clean chunk digests, and the cached subtree
-/// root over the shard's owned chunk run.
-#[derive(Clone, Debug, Default)]
-struct ShardCache {
-    valid: bool,
-    /// The global chunk layout these buckets reflect.
-    chunk_count: usize,
-    /// Global chunk id → key → row leaf hash (only chunks whose digest
-    /// range intersects this shard hold entries).
-    leaves: BTreeMap<usize, BTreeMap<Vec<Value>, Hash256>>,
-    /// Clean chunk digests (owned chunks only; absent = dirty).
-    digests: BTreeMap<usize, Hash256>,
-    /// Cached fold over the owned chunk run (aligned layouts only).
-    subroot: Option<Hash256>,
-}
-
-/// One shard: a fragment [`Table`] holding the rows routed here, plus the
-/// shard's slice of the incremental content digest.
+/// One shard: a fragment [`Table`] holding the rows routed here.
 ///
-/// The fragment's own table-level hash cache is never consulted — the
-/// shard maintains digest state under the *map-wide* chunk layout, which
-/// is what makes the fold byte-identical to hashing the assembled table.
+/// The fragment's digest tree is kept under the *map-wide* chunk layout
+/// ([`Shard::apply`] sets it), not the fragment's own, which is what makes
+/// the fold over the shard's chunk run byte-identical to the same subtree
+/// of the assembled table's fold.
+#[derive(Clone)]
 pub struct Shard {
     index: usize,
     shard_count: usize,
@@ -155,26 +140,11 @@ pub struct Shard {
     /// Σ [`Row::encoded_len`] over the fragment rows, adjusted by every
     /// applied delta.
     encoded_bytes: u64,
-    cache: Mutex<ShardCache>,
     /// Live heat-map feed: every successful [`Shard::apply`] attributes
     /// its row/byte cost to `(heat_label, index)`. No-op by default.
     heat: HeatMapHandle,
     /// Table name the heat cells are attributed to.
     heat_label: String,
-}
-
-impl Clone for Shard {
-    fn clone(&self) -> Self {
-        Shard {
-            index: self.index,
-            shard_count: self.shard_count,
-            table: self.table.clone(),
-            encoded_bytes: self.encoded_bytes,
-            cache: Mutex::new(self.cache().clone()),
-            heat: self.heat.clone(),
-            heat_label: self.heat_label.clone(),
-        }
-    }
 }
 
 impl fmt::Debug for Shard {
@@ -190,76 +160,17 @@ impl Shard {
             shard_count,
             table: Table::new(schema),
             encoded_bytes: 0,
-            cache: Mutex::new(ShardCache::default()),
             heat: HeatMapHandle::disabled(),
             heat_label: String::new(),
         }
     }
 
-    fn cache(&self) -> MutexGuard<'_, ShardCache> {
-        // lint: allow(unwrap) — poisoned only by a panic while held, and
-        // the cache code under it only reads and writes maps.
-        self.cache.lock().expect("shard cache lock")
-    }
-
-    /// The fragment table (rows routed to this shard).
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// Rows in this shard.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True iff the shard holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// The global chunks this shard owns under `chunk_count`: a
-    /// contiguous `[start, end)` run. Only meaningful for aligned
-    /// layouts (`chunk_count >= shard_count`) — coarser layouts have no
-    /// per-shard subtree and go through [`ShardMap::content_hash`]'s
-    /// merge branch instead.
-    fn owned_chunks(&self, chunk_count: usize) -> (usize, usize) {
-        assert!(
-            chunk_count >= self.shard_count,
-            "per-shard chunk runs exist only when the chunk layout is at \
-             least as fine as the shard split"
-        );
-        let m = chunk_count / self.shard_count;
-        (self.index * m, (self.index + 1) * m)
-    }
-
-    /// Rebuilds the digest cache from the fragment rows under the given
-    /// layout (no-op when already valid and aligned).
-    fn ensure_cache(&self, cache: &mut ShardCache, chunk_count: usize) {
-        if cache.valid && cache.chunk_count == chunk_count {
-            return;
-        }
-        cache.leaves.clear();
-        cache.digests.clear();
-        cache.subroot = None;
-        cache.chunk_count = chunk_count;
-        let schema = self.table.schema();
-        for row in self.table.rows() {
-            let key = schema.key_of(row);
-            let c = chunk_of_digest(&key_digest(&key), chunk_count);
-            cache
-                .leaves
-                .entry(c)
-                .or_default()
-                .insert(key, merkle::leaf_hash(&row.encode()));
-        }
-        cache.valid = true;
-    }
-
     /// Applies this shard's sub-delta under the target layout, updating
-    /// the fragment rows and the digest state, and returns the inverse
+    /// the fragment rows and their digest tree, and returns the inverse
     /// sub-delta. Validation and atomicity are [`Table::apply_delta`]'s;
-    /// a failed apply leaves the shard untouched.
+    /// a failed apply leaves the shard's rows untouched.
     pub fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
+        self.table.set_layout(chunk_count);
         let inverse = self.table.apply_delta(delta)?;
         // The inverse holds exactly the rows this delta replaced or removed.
         let bytes_of = |rows: &[Row], updates: &[(Vec<Value>, Row)]| {
@@ -276,46 +187,6 @@ impl Shard {
                 delta.encoded_size() as u64,
             );
         }
-        // lint: allow(unwrap) — as for `Shard::cache`.
-        let cache = self.cache.get_mut().expect("shard cache lock");
-        if !cache.valid {
-            return Ok(inverse);
-        }
-        if cache.chunk_count != chunk_count {
-            // Layout change: re-bucket the existing leaves, keep them.
-            let old = std::mem::take(&mut cache.leaves);
-            cache.digests.clear();
-            cache.subroot = None;
-            cache.chunk_count = chunk_count;
-            for (key, leaf) in old.into_values().flatten() {
-                let c = chunk_of_digest(&key_digest(&key), chunk_count);
-                cache.leaves.entry(c).or_default().insert(key, leaf);
-            }
-        }
-        let mut touch = |key: Vec<Value>, leaf: Option<Hash256>| {
-            let c = chunk_of_digest(&key_digest(&key), chunk_count);
-            let bucket = cache.leaves.entry(c).or_default();
-            match leaf {
-                Some(l) => {
-                    bucket.insert(key, l);
-                }
-                None => {
-                    bucket.remove(&key);
-                }
-            }
-            cache.digests.remove(&c);
-            cache.subroot = None;
-        };
-        let schema = self.table.schema();
-        for row in &delta.inserts {
-            touch(schema.key_of(row), Some(merkle::leaf_hash(&row.encode())));
-        }
-        for (key, row) in &delta.updates {
-            touch(key.clone(), Some(merkle::leaf_hash(&row.encode())));
-        }
-        for key in &delta.deletes {
-            touch(key.clone(), None);
-        }
         Ok(inverse)
     }
 
@@ -325,36 +196,17 @@ impl Shard {
     /// subroots). No-op when the layout is coarser than the shard split.
     pub fn warm(&self, chunk_count: usize) {
         if chunk_count >= self.shard_count {
-            let mut cache = self.cache();
-            self.subroot_locked(&mut cache, chunk_count);
+            self.subroot(chunk_count);
         }
     }
 
-    /// The fold over this shard's owned chunk run (aligned layouts only:
-    /// `chunk_count >= shard_count`).
-    fn subroot_locked(&self, cache: &mut ShardCache, chunk_count: usize) -> Hash256 {
-        debug_assert!(chunk_count >= self.shard_count);
-        self.ensure_cache(cache, chunk_count);
-        if let Some(root) = cache.subroot {
-            return root;
-        }
-        let (start, end) = self.owned_chunks(chunk_count);
-        let empty = BTreeMap::new();
-        let mut digests = Vec::with_capacity(end - start);
-        for c in start..end {
-            let d = match cache.digests.get(&c) {
-                Some(d) => *d,
-                None => {
-                    let d = chunk_digest(cache.leaves.get(&c).unwrap_or(&empty).values());
-                    cache.digests.insert(c, d);
-                    d
-                }
-            };
-            digests.push(d);
-        }
-        let root = merkle::fold_nodes(&digests);
-        cache.subroot = Some(root);
-        root
+    /// The fold over this shard's owned chunk run — the contiguous
+    /// `chunk_count / shard_count` chunks its digest range covers (aligned
+    /// layouts only: `chunk_count >= shard_count`).
+    fn subroot(&self, chunk_count: usize) -> Hash256 {
+        let run = chunk_count / self.shard_count;
+        self.table
+            .with_tree(chunk_count, |tree| tree.fold(self.index * run, run))
     }
 }
 
@@ -365,24 +217,13 @@ impl Shard {
 /// table's [`Table::content_hash`] byte for byte, and
 /// [`ShardMap::apply_delta`] equals applying the same delta to the
 /// assembled table (returning the same inverse, canonically ordered).
+#[derive(Clone)]
 pub struct ShardMap {
     schema: Schema,
     shard_count: usize,
     shards: Vec<Shard>,
     rows: usize,
     schema_leaf: Hash256,
-}
-
-impl Clone for ShardMap {
-    fn clone(&self) -> Self {
-        ShardMap {
-            schema: self.schema.clone(),
-            shard_count: self.shard_count,
-            shards: self.shards.clone(),
-            rows: self.rows,
-            schema_leaf: self.schema_leaf,
-        }
-    }
 }
 
 impl fmt::Debug for ShardMap {
@@ -399,8 +240,8 @@ impl fmt::Debug for ShardMap {
 
 impl ShardMap {
     /// Splits `table` into `shard_count` shards (count normalized via
-    /// [`normalize_shard_count`]). Digest caches build lazily on the
-    /// first fold.
+    /// [`normalize_shard_count`]). The shards' digest trees build lazily
+    /// on the first fold.
     pub fn from_table(table: &Table, shard_count: usize) -> Self {
         let shard_count = normalize_shard_count(shard_count);
         let schema = table.schema().clone();
@@ -417,7 +258,7 @@ impl ShardMap {
                 .expect("source table rows are valid and key-unique");
             shard.encoded_bytes += row.encoded_len() as u64;
         }
-        let schema_leaf = merkle::leaf_hash(&schema_digest_bytes(&schema));
+        let schema_leaf = schema_leaf(&schema);
         ShardMap {
             schema,
             shard_count,
@@ -448,13 +289,8 @@ impl ShardMap {
     }
 
     /// The current chunk layout (determined by the total row count).
-    pub fn chunk_count(&self) -> usize {
+    fn chunk_count(&self) -> usize {
         chunk_count_for(self.rows)
-    }
-
-    /// One shard, by index.
-    pub fn shard(&self, index: usize) -> &Shard {
-        &self.shards[index]
     }
 
     /// Mutable access to all shards (disjoint `&mut Shard`s are what a
@@ -557,43 +393,37 @@ impl ShardMap {
     /// byte-identical to [`Table::content_hash`] of the assembled table.
     ///
     /// With the chunk layout at least as fine as the shard split (every
-    /// table of ≳ `32 × shards` rows), each shard contributes its cached
-    /// subroot and only shards touched since the last fold recompute
-    /// anything. Coarser layouts (tiny tables) merge leaf buckets across
-    /// shards instead.
+    /// table of ≳ `32 × shards` rows), each shard contributes the fold
+    /// over its chunk run, and a shard touched since the last fold
+    /// refolds only its dirty paths. Coarser layouts (tiny tables) merge
+    /// leaf buckets across shards instead.
     pub fn content_hash(&self) -> Hash256 {
         let chunk_count = self.chunk_count();
         if chunk_count >= self.shard_count {
-            let subroots: Vec<Hash256> = self
-                .shards
-                .iter()
-                .map(|s| {
-                    let mut cache = s.cache();
-                    s.subroot_locked(&mut cache, chunk_count)
-                })
-                .collect();
+            let subroots: Vec<Hash256> =
+                self.shards.iter().map(|s| s.subroot(chunk_count)).collect();
             // fold(subroots) == fold(all chunk digests): each subroot is
             // the fold of a contiguous, equal, power-of-two chunk run.
-            fold_content_root(&self.schema_leaf, &subroots)
-        } else {
-            // Fewer chunks than shards: each chunk's digest range spans
-            // several shards; merge their leaf buckets in key order.
-            let mut digests = Vec::with_capacity(chunk_count);
-            let group = self.shard_count / chunk_count;
-            for c in 0..chunk_count {
-                let mut merged: BTreeMap<Vec<Value>, Hash256> = BTreeMap::new();
-                for s in (c * group)..((c + 1) * group) {
-                    let shard = &self.shards[s];
-                    let mut cache = shard.cache();
-                    shard.ensure_cache(&mut cache, chunk_count);
-                    if let Some(bucket) = cache.leaves.get(&c) {
-                        merged.extend(bucket.iter().map(|(k, v)| (k.clone(), *v)));
-                    }
-                }
-                digests.push(chunk_digest(merged.values()));
-            }
-            fold_content_root(&self.schema_leaf, &digests)
+            return fold_content_root(&self.schema_leaf, &subroots);
         }
+        // Fewer chunks than shards: each chunk's digest range spans a
+        // group of shards; merge their buckets of it in key order.
+        let group = self.shard_count / chunk_count;
+        let digests: Vec<Hash256> = self
+            .shards
+            .chunks(group)
+            .enumerate()
+            .map(|(c, shards)| {
+                let mut merged: BTreeMap<Vec<Value>, Hash256> = BTreeMap::new();
+                for shard in shards {
+                    shard.table.with_tree(chunk_count, |tree| {
+                        merged.extend(tree.bucket(c).map(|(k, leaf)| (k.clone(), *leaf)))
+                    });
+                }
+                chunk_digest(merged.values())
+            })
+            .collect();
+        fold_content_root(&self.schema_leaf, &digests)
     }
 
     /// Reassembles the shards into one table (row order is unspecified;
@@ -645,6 +475,7 @@ impl KeyedRows for ShardMap {
 mod tests {
     use super::*;
     use crate::delta::diff_tables;
+    use crate::digest::HashStats;
     use crate::row;
     use crate::schema::Column;
     use crate::value::ValueType;
@@ -834,5 +665,49 @@ mod tests {
         manual.commit_plan(&plan);
         assert_eq!(manual.content_hash(), serial.content_hash());
         assert_eq!(manual.content_hash(), new.content_hash());
+    }
+
+    #[test]
+    fn shard_folds_refold_dirty_paths_and_never_rebuild_on_relayout() {
+        let stats = |m: &ShardMap| -> Vec<HashStats> {
+            m.shards.iter().map(|s| s.table.hash_stats()).collect()
+        };
+        for shards in [1usize, 4] {
+            let old = table(1024);
+            let mut m = ShardMap::from_table(&old, shards);
+            assert_eq!(m.content_hash(), old.content_hash());
+            let warm = stats(&m);
+
+            // One changed row: one chunk digest, and at most the
+            // log2(owned chunks) fold nodes of its shard's dirty path.
+            let mut new = old.clone();
+            new.update(&[Value::Int(7)], &[("dose", Value::text("x"))])
+                .expect("update");
+            m.apply_delta(&diff_tables(&old, &new)).expect("apply");
+            assert_eq!(m.content_hash(), new.content_hash());
+            let after = stats(&m);
+            let sum = |f: fn(&HashStats) -> u64, v: &[HashStats]| v.iter().map(f).sum::<u64>();
+            let chunks = sum(|s| s.chunk_recomputes, &after) - sum(|s| s.chunk_recomputes, &warm);
+            let nodes = sum(|s| s.node_recomputes, &after) - sum(|s| s.node_recomputes, &warm);
+            let owned = (m.chunk_count() / shards) as u64;
+            assert_eq!(chunks, 1, "shards={shards}");
+            assert!(
+                nodes <= owned.trailing_zeros() as u64,
+                "shards={shards}: {nodes} nodes"
+            );
+
+            // Crossing the 1 056-row threshold (32 → 64 chunks) re-buckets
+            // every shard's leaves, touched or not, and rebuilds none.
+            let mut grown = new.clone();
+            for i in 2000..2040i64 {
+                grown.insert(row![i, "grown", "1x"]).expect("insert");
+            }
+            m.apply_delta(&diff_tables(&new, &grown)).expect("grow");
+            assert_eq!(m.chunk_count(), 64);
+            assert_eq!(m.content_hash(), grown.content_hash(), "shards={shards}");
+            for (before, now) in warm.iter().zip(stats(&m)) {
+                assert_eq!(now.full_rebuilds, before.full_rebuilds, "shards={shards}");
+            }
+        }
     }
 }

@@ -1,194 +1,19 @@
 //! Keyed in-memory tables.
 
 use crate::delta::TableDelta;
+use crate::digest::{chunk_count_for, ChunkTree};
 use crate::error::RelationalError;
 use crate::predicate::Predicate;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
-use medledger_crypto::{merkle, sha256_concat, Hash256};
+use medledger_crypto::Hash256;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
-/// Domain tag for row-chunk digests (distinct from Merkle leaf/node tags).
-pub(crate) const CHUNK_TAG: &[u8] = &[0x02];
-
-/// Rows per chunk the incremental digest aims for; the chunk count grows
-/// in power-of-two steps up to [`MAX_CHUNKS`] as the table grows.
-const CHUNK_TARGET: usize = 32;
-
-/// Upper bound on the chunk fan-out.
-pub(crate) const MAX_CHUNKS: usize = 256;
-
-/// Number of row chunks the content hash uses for a table of `n` rows.
-///
-/// Deterministic in `n` (and therefore in table *content*), so two tables
-/// with the same rows always chunk — and hash — identically.
-pub(crate) fn chunk_count_for(n: usize) -> usize {
-    (n / CHUNK_TARGET)
-        .max(1)
-        .next_power_of_two()
-        .min(MAX_CHUNKS)
-}
-
-/// Chunk index of a key digest under a `count`-chunk layout (`count` a
-/// power of two ≤ 256): the **top** `log2(count)` bits of the digest's
-/// first byte. Top-bit routing makes a chunk a *contiguous* digest range,
-/// so a power-of-two group of consecutive chunks is itself a digest range
-/// — the alignment [`crate::shard`] relies on to give every shard a
-/// contiguous run of chunks (and therefore a cacheable Merkle subtree).
-pub(crate) fn chunk_of_digest(key_digest: &Hash256, count: usize) -> usize {
-    debug_assert!(count.is_power_of_two() && count <= 256);
-    (key_digest.as_bytes()[0] as usize * count) >> 8
-}
-
-/// Canonical digest of a primary key (the routing value for both chunk
-/// and shard placement).
-pub(crate) fn key_digest(key: &[Value]) -> Hash256 {
-    let mut buf = Vec::with_capacity(16 * key.len());
-    for v in key {
-        v.encode_into(&mut buf);
-    }
-    medledger_crypto::sha256(&buf)
-}
-
-/// The canonical byte encoding of a schema, as covered by
-/// [`Table::content_hash`].
-pub(crate) fn schema_digest_bytes(schema: &Schema) -> Vec<u8> {
-    let mut schema_bytes = Vec::new();
-    for c in schema.columns() {
-        schema_bytes.extend_from_slice(c.name.as_bytes());
-        schema_bytes.push(0);
-        schema_bytes.extend_from_slice(c.ty.to_string().as_bytes());
-        schema_bytes.push(if c.nullable { 1 } else { 0 });
-    }
-    for &k in schema.key_indexes() {
-        schema_bytes.extend_from_slice(&(k as u64).to_be_bytes());
-    }
-    schema_bytes
-}
-
-/// Digest of one chunk's leaf hashes, in canonical key order.
-pub(crate) fn chunk_digest<'a>(leaves: impl Iterator<Item = &'a Hash256>) -> Hash256 {
-    let mut parts: Vec<&[u8]> = vec![CHUNK_TAG];
-    let collected: Vec<&Hash256> = leaves.collect();
-    parts.extend(collected.iter().map(|h| h.as_bytes() as &[u8]));
-    sha256_concat(&parts)
-}
-
-/// Folds a schema digest and an ordered, power-of-two list of chunk
-/// digests into the canonical table content root. This is *the* root
-/// formula — [`Table::content_hash`] and the sharded
-/// [`crate::shard::ShardMap::content_hash`] both funnel through it, which
-/// is what keeps the two byte-identical.
-pub(crate) fn fold_content_root(schema_leaf: &Hash256, chunk_digests: &[Hash256]) -> Hash256 {
-    merkle::node_hash(schema_leaf, &merkle::fold_nodes(chunk_digests))
-}
-
-/// Counters of incremental-hash work, exposed via [`Table::hash_stats`].
-///
-/// The WAL-heavy durable path recomputes the content hash once per log
-/// record; these counters make the cost observable (and testable): after
-/// one changed row, `chunk_recomputes` should rise by 1 and
-/// `node_recomputes` by at most `log2(chunks)` — not by the whole
-/// digest fold.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HashStats {
-    /// Times the cache was rebuilt from all rows (cold cache, fan-out
-    /// growth, deserialization).
-    pub full_rebuilds: u64,
-    /// Chunk digests computed (each walks one chunk's leaf hashes).
-    pub chunk_recomputes: u64,
-    /// Internal fold-tree nodes hashed above the chunk level.
-    pub node_recomputes: u64,
-}
-
-/// The incremental content-hash cache: per-row leaf digests grouped into
-/// key-addressed chunks, plus cached chunk digests, the cached internal
-/// levels of the chunk fold tree, and the cached root.
-///
-/// Mutations update only the touched rows' leaf digests and mark their
-/// chunk — and the fold-tree path above it — dirty;
-/// [`Table::content_hash`] then recomputes the dirty chunk digests and
-/// only the `log2(chunks)` fold nodes on the dirty paths instead of
-/// re-folding every chunk digest. The cache is an acceleration structure
-/// only: when it desynchronizes (e.g. after deserialization), it is
-/// rebuilt from the rows, so the hash value never depends on cache state.
-#[derive(Debug, Default, Clone)]
-struct HashCache {
-    /// Per-chunk leaf digests (key → leaf hash), ordered by key.
-    chunks: Vec<BTreeMap<Vec<Value>, Hash256>>,
-    /// Cached digest per chunk; `None` = dirty.
-    digests: Vec<Option<Hash256>>,
-    /// Cached fold-tree levels above the chunks: `levels[0]` holds the
-    /// pairwise hashes of the chunk digests (`chunks.len() / 2` nodes),
-    /// each next level halves again, down to a single node. `None` =
-    /// dirty. Empty when there is only one chunk.
-    levels: Vec<Vec<Option<Hash256>>>,
-    /// Cached root over schema digest + chunk digests.
-    root: Option<Hash256>,
-    /// Cached schema digest.
-    schema_digest: Option<Hash256>,
-    /// Rows accounted for (consistency check against the table).
-    rows: usize,
-    /// False until the cache has been (re)built from the rows.
-    valid: bool,
-    /// Work counters (survive invalidation).
-    stats: HashStats,
-}
-
-impl HashCache {
-    fn invalidate(&mut self) {
-        let stats = self.stats;
-        *self = HashCache::default();
-        self.stats = stats;
-    }
-
-    /// Chunk index for a key under the current fan-out.
-    fn chunk_of(key_digest: &Hash256, count: usize) -> usize {
-        chunk_of_digest(key_digest, count)
-    }
-
-    /// Marks chunk `c` and the fold-tree path above it dirty.
-    fn mark_dirty(&mut self, c: usize) {
-        self.digests[c] = None;
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            level[c >> (l + 1)] = None;
-        }
-        self.root = None;
-    }
-
-    /// Chunk `c`'s digest, recomputed if dirty.
-    fn digest_at(&mut self, c: usize) -> Hash256 {
-        if let Some(digest) = self.digests[c] {
-            return digest;
-        }
-        let digest = chunk_digest(self.chunks[c].values());
-        self.digests[c] = Some(digest);
-        self.stats.chunk_recomputes += 1;
-        digest
-    }
-
-    /// Node `i` of fold level `l`, refolded if dirty. A dirty chunk
-    /// dirties every node above it ([`HashCache::mark_dirty`]), so the
-    /// walk down the dirty nodes reaches every dirty chunk.
-    fn node_at(&mut self, l: usize, i: usize) -> Hash256 {
-        if let Some(node) = self.levels[l][i] {
-            return node;
-        }
-        let (left, right) = if l == 0 {
-            (self.digest_at(2 * i), self.digest_at(2 * i + 1))
-        } else {
-            (self.node_at(l - 1, 2 * i), self.node_at(l - 1, 2 * i + 1))
-        };
-        let node = merkle::node_hash(&left, &right);
-        self.levels[l][i] = Some(node);
-        self.stats.node_recomputes += 1;
-        node
-    }
-}
+pub use crate::digest::HashStats;
 
 /// A table: schema + rows + a primary-key index.
 ///
@@ -203,14 +28,15 @@ impl HashCache {
 /// the paper's "all peers hold the newest shared data" condition. The
 /// ordered index makes [`Table::sorted_rows`] a plain index walk (no
 /// per-call sort), and the content hash is maintained *incrementally*:
-/// each mutation refreshes only the changed rows' chunk of the digest, so
-/// hashing cost after `k` changed rows is `O(k · n/chunks + chunks)`, not
-/// a full re-encode of the table.
+/// each mutation refreshes only the changed row's leaf and dirties its
+/// chunk's path in the digest tree, so hashing cost after `k` changed
+/// rows is `O(k · n/chunks + k · log2 chunks)`, not a full re-encode of
+/// the table.
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     index: BTreeMap<Vec<Value>, usize>,
-    cache: Mutex<HashCache>,
+    tree: Mutex<ChunkTree>,
 }
 
 impl Clone for Table {
@@ -219,7 +45,7 @@ impl Clone for Table {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
             index: self.index.clone(),
-            cache: Mutex::new(self.cache().clone()),
+            tree: Mutex::new(self.tree().clone()),
         }
     }
 }
@@ -231,7 +57,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             index: BTreeMap::new(),
-            cache: Mutex::new(HashCache::default()),
+            tree: Mutex::new(ChunkTree::default()),
         }
     }
 
@@ -271,56 +97,41 @@ impl Table {
         self.index.values().map(|&pos| &self.rows[pos]).collect()
     }
 
-    // ----- cache bookkeeping ------------------------------------------
+    // ----- digest bookkeeping -----------------------------------------
 
-    fn cache(&self) -> MutexGuard<'_, HashCache> {
+    fn tree(&self) -> MutexGuard<'_, ChunkTree> {
         // lint: allow(unwrap) — poisoned only by a panic while held, and
-        // the cache code under it indexes only vectors it sized itself.
-        self.cache.lock().expect("cache lock")
+        // the tree code under it indexes only vectors it sized itself.
+        self.tree.lock().expect("digest tree lock")
     }
 
-    fn cache_mut(&mut self) -> &mut HashCache {
-        // lint: allow(unwrap) — as for `cache`.
-        self.cache.get_mut().expect("cache lock")
+    fn tree_mut(&mut self) -> &mut ChunkTree {
+        // lint: allow(unwrap) — as for `tree`.
+        self.tree.get_mut().expect("digest tree lock")
     }
 
-    /// Records an inserted/replaced row in the hash cache. `new_len` is
-    /// the row count after the mutation.
-    fn note_upsert(&mut self, key: &[Value], row: &Row, new_len: usize) {
-        let cache = self.cache_mut();
-        if !cache.valid {
-            return;
-        }
-        if chunk_count_for(new_len) != cache.chunks.len() {
-            cache.invalidate();
-            return;
-        }
-        let leaf = merkle::leaf_hash(&row.encode());
-        let c = HashCache::chunk_of(&key_digest(key), cache.chunks.len());
-        cache.chunks[c].insert(key.to_vec(), leaf);
-        cache.mark_dirty(c);
-        cache.rows = new_len;
+    /// Records `key`'s new row (`None`: its deletion) in the digest tree.
+    fn touch(&mut self, key: &[Value], row: Option<&Row>) {
+        self.tree_mut().touch(key, row);
     }
 
-    /// Records a deleted row in the hash cache. `new_len` is the row
-    /// count after the mutation.
-    fn note_delete(&mut self, key: &[Value], new_len: usize) {
-        let cache = self.cache_mut();
-        if !cache.valid {
-            return;
-        }
-        if chunk_count_for(new_len) != cache.chunks.len() {
-            cache.invalidate();
-            return;
-        }
-        let c = HashCache::chunk_of(&key_digest(key), cache.chunks.len());
-        cache.chunks[c].remove(key);
-        cache.mark_dirty(c);
-        cache.rows = new_len;
+    /// Re-buckets the digest tree under `layout` (a no-op while cold), so
+    /// the next touches land in the chunks a fold under `layout` reads.
+    pub(crate) fn set_layout(&mut self, layout: usize) {
+        self.tree_mut().set_layout(layout);
     }
 
-    fn schema_digest_bytes(&self) -> Vec<u8> {
-        schema_digest_bytes(&self.schema)
+    /// Runs `f` on the digest tree under `layout`, building the tree from
+    /// the rows first if it is cold.
+    pub(crate) fn with_tree<R>(&self, layout: usize, f: impl FnOnce(&mut ChunkTree) -> R) -> R {
+        let mut tree = self.tree();
+        if tree.is_cold() {
+            let rows = self.rows.iter().map(|r| (self.schema.key_of(r), r));
+            tree.build(layout, rows);
+        } else {
+            tree.set_layout(layout);
+        }
+        f(&mut tree)
     }
 
     // ----- mutations ---------------------------------------------------
@@ -334,8 +145,7 @@ impl Table {
                 key: format_key(&key),
             });
         }
-        let new_len = self.rows.len() + 1;
-        self.note_upsert(&key, &row, new_len);
+        self.touch(&key, Some(&row));
         self.index.insert(key, self.rows.len());
         self.rows.push(row);
         Ok(())
@@ -346,13 +156,11 @@ impl Table {
     pub fn upsert(&mut self, row: Row) -> Result<bool> {
         self.schema.check_row(&row)?;
         let key = self.schema.key_of(&row);
+        self.touch(&key, Some(&row));
         if let Some(&pos) = self.index.get(&key) {
-            self.note_upsert(&key, &row, self.rows.len());
             self.rows[pos] = row;
             Ok(true)
         } else {
-            let new_len = self.rows.len() + 1;
-            self.note_upsert(&key, &row, new_len);
             self.index.insert(key, self.rows.len());
             self.rows.push(row);
             Ok(false)
@@ -380,7 +188,7 @@ impl Table {
             })?;
         // Validate before mutating so failed updates leave the row intact.
         let candidate = self.schema.assign(&self.rows[pos], assignments)?;
-        self.note_upsert(key, &candidate, self.rows.len());
+        self.touch(key, Some(&candidate));
         self.rows[pos] = candidate;
         Ok(())
     }
@@ -399,7 +207,7 @@ impl Table {
             let moved_key = self.schema.key_of(&self.rows[pos]);
             self.index.insert(moved_key, pos);
         }
-        self.note_delete(key, self.rows.len());
+        self.touch(key, None);
         Ok(removed)
     }
 
@@ -407,7 +215,7 @@ impl Table {
     pub fn clear(&mut self) {
         self.rows.clear();
         self.index.clear();
-        self.cache_mut().invalidate();
+        self.tree_mut().reset(0);
     }
 
     /// Applies a row-level delta atomically: every entry is validated
@@ -471,15 +279,14 @@ impl Table {
         for (key, row) in &delta.updates {
             let pos = self.index[key];
             inverse.updates.push((key.clone(), self.rows[pos].clone()));
-            self.note_upsert(key, row, self.rows.len());
+            self.touch(key, Some(row));
             self.rows[pos] = row.clone();
         }
         for key in &delta.deletes {
             inverse.inserts.push(self.delete(key)?);
         }
         for (row, key) in delta.inserts.iter().zip(insert_keys) {
-            let new_len = self.rows.len() + 1;
-            self.note_upsert(&key, row, new_len);
+            self.touch(&key, Some(row));
             self.index.insert(key.clone(), self.rows.len());
             self.rows.push(row.clone());
             inverse.deletes.push(key);
@@ -569,62 +376,20 @@ impl Table {
     /// key-addressed row-chunk digests. Equal table contents ⇒ equal
     /// hashes, regardless of insertion order.
     ///
-    /// The hash is served from the incremental cache: after `k` changed
-    /// rows only the touched chunks and the `O(k · log2(chunks))` fold
-    /// nodes on their dirty paths are rehashed — clean chunk digests and
-    /// clean fold subtrees are reused as-is. A cold cache (fresh
+    /// The hash is served from the incremental digest tree: after `k`
+    /// changed rows only the touched chunks and the `O(k · log2(chunks))`
+    /// fold nodes on their dirty paths are rehashed — clean chunk digests
+    /// and clean fold subtrees are reused as-is. Crossing a layout
+    /// threshold re-buckets the cached leaves; a cold tree (fresh table or
     /// deserialization) triggers one full rebuild.
     pub fn content_hash(&self) -> Hash256 {
-        let mut cache = self.cache();
-        let want_chunks = chunk_count_for(self.rows.len());
-        if !cache.valid || cache.rows != self.rows.len() || cache.chunks.len() != want_chunks {
-            // Full rebuild from the rows.
-            cache.chunks = vec![BTreeMap::new(); want_chunks];
-            for row in &self.rows {
-                let key = self.schema.key_of(row);
-                let c = HashCache::chunk_of(&key_digest(&key), want_chunks);
-                cache.chunks[c].insert(key, merkle::leaf_hash(&row.encode()));
-            }
-            cache.digests = vec![None; want_chunks];
-            cache.levels = {
-                let mut levels = Vec::new();
-                let mut width = want_chunks / 2;
-                while width >= 1 {
-                    levels.push(vec![None; width]);
-                    if width == 1 {
-                        break;
-                    }
-                    width /= 2;
-                }
-                levels
-            };
-            cache.root = None;
-            cache.schema_digest = None;
-            cache.rows = self.rows.len();
-            cache.valid = true;
-            cache.stats.full_rebuilds += 1;
-        }
-        if let Some(root) = cache.root {
-            return root;
-        }
-        let schema_digest = *cache
-            .schema_digest
-            .get_or_insert_with(|| merkle::leaf_hash(&self.schema_digest_bytes()));
-        // Refold only the dirty paths of the chunk tree; clean subtrees
-        // are served from the cached levels. The resulting top node is by
-        // construction identical to `merkle::fold_nodes(digests)`.
-        let top = match cache.levels.len() {
-            0 => cache.digest_at(0),
-            height => cache.node_at(height - 1, 0),
-        };
-        let root = merkle::node_hash(&schema_digest, &top);
-        cache.root = Some(root);
-        root
+        let layout = chunk_count_for(self.rows.len());
+        self.with_tree(layout, |tree| tree.root(&self.schema))
     }
 
     /// Snapshot of the incremental-hash work counters (see [`HashStats`]).
     pub fn hash_stats(&self) -> HashStats {
-        self.cache().stats
+        self.tree().stats()
     }
 
     /// Renders the table as an aligned ASCII grid (used by the report
@@ -702,6 +467,7 @@ fn format_key(key: &[Value]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::CHUNK_TARGET;
     use crate::row;
     use crate::schema::Column;
     use crate::value::ValueType;

@@ -1,7 +1,10 @@
 //! Property-based tests of the relational substrate's invariants.
 
-use medledger_relational::{Column, Predicate, Row, Schema, Table, Value, ValueType};
+use medledger_relational::{
+    Column, Predicate, Row, Schema, ShardMap, Table, TableDelta, Value, ValueType,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn schema() -> Schema {
     Schema::new(
@@ -132,6 +135,164 @@ proptest! {
         let mut seen = std::collections::BTreeSet::new();
         for r in t.rows() {
             prop_assert!(seen.insert(r.encode()), "encoding collision for {r:?}");
+        }
+    }
+}
+
+/// Rows the threshold referee keeps at most: past the 544-row layout
+/// threshold, so a sequence can cross 64, 96, 160, 288 and 544 both ways.
+const REFEREE_MAX_ROWS: usize = 600;
+
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+fn referee_row(id: i64, salt: u64) -> Row {
+    Row::new(vec![
+        Value::Int(id),
+        Value::text(format!("name{}", mix(salt ^ id as u64) % 13)),
+        Value::Int((mix(salt.wrapping_add(id as u64)) % 50) as i64),
+    ])
+}
+
+/// One step of a referee sequence as a delta against `model`. `kind`
+/// 0 and 1 grow by `amount`, 2 shrinks by half as much (so sequences
+/// drift up to the cap and cross back down), 3 mixes updates, deletes
+/// and inserts; 4 builds a delta every copy must reject: fresh inserts
+/// plus an update of a key no copy holds. Returns the delta and whether
+/// it must apply.
+fn referee_step(
+    model: &BTreeMap<i64, Row>,
+    next_id: &mut i64,
+    (kind, amount, seed): (u8, usize, u64),
+) -> (TableDelta, bool) {
+    let mut delta = TableDelta::default();
+    let mut picked: Vec<i64> = model.keys().copied().collect();
+    picked.sort_by_key(|id| mix(seed ^ *id as u64));
+    let room = REFEREE_MAX_ROWS - model.len();
+    let mut insert = |delta: &mut TableDelta, n: usize| {
+        for _ in 0..n {
+            delta.inserts.push(referee_row(*next_id, seed));
+            *next_id += 1;
+        }
+    };
+    match kind {
+        0 => insert(&mut delta, amount.min(room)),
+        1 => {
+            delta.deletes = picked
+                .iter()
+                .take(amount)
+                .map(|&id| vec![Value::Int(id)])
+                .collect()
+        }
+        3 => {
+            let (updates, rest) = picked.split_at(picked.len().min(amount / 4));
+            for &id in updates {
+                delta
+                    .updates
+                    .push((vec![Value::Int(id)], referee_row(id, seed ^ 1)));
+            }
+            delta.deletes = rest
+                .iter()
+                .take(amount / 8)
+                .map(|&id| vec![Value::Int(id)])
+                .collect();
+            insert(&mut delta, (amount / 8).min(room));
+        }
+        _ => {
+            insert(&mut delta, (amount / 2).min(room));
+            delta
+                .updates
+                .push((vec![Value::Int(-1)], referee_row(-1, seed)));
+            return (delta, false);
+        }
+    }
+    delta.sort_canonical(|r| vec![r[0].clone()]);
+    (delta, true)
+}
+
+/// Drives `map` the way a peer's remote apply does: plan, one job per
+/// touched shard (sub-apply, then warm), and either commit the plan or,
+/// when a shard rejected its sub-delta, revert the shards that applied,
+/// newest first, under the plan's layout.
+fn apply_planned(map: &mut ShardMap, delta: &TableDelta) -> bool {
+    let plan = map.plan(delta);
+    let mut applied = Vec::new();
+    let mut rejected = false;
+    for (s, (shard, sub)) in map.shards_mut().iter_mut().zip(&plan.per_shard).enumerate() {
+        if sub.is_empty() {
+            continue;
+        }
+        match shard.apply(sub, plan.chunk_count) {
+            Ok(inverse) => {
+                shard.warm(plan.chunk_count);
+                applied.push((s, inverse));
+            }
+            Err(_) => rejected = true,
+        }
+    }
+    if rejected {
+        for (s, inverse) in applied.iter().rev() {
+            map.shards_mut()[*s]
+                .apply(inverse, plan.chunk_count)
+                .expect("inverse of a just-applied sub-delta applies");
+        }
+        return false;
+    }
+    map.commit_plan(&plan);
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Warm incremental digests across layout thresholds, up and down: a
+    /// `Table`, `ShardMap`s driven through `apply_delta` and the same
+    /// maps driven shard by shard (rejected sub-deltas reverted) all hash
+    /// like a cold table of the same rows after every step.
+    #[test]
+    fn warm_digests_match_cold_across_thresholds(
+        steps in proptest::collection::vec((0u8..5, 0usize..260, any::<u64>()), 8..28)
+    ) {
+        let shard_counts = [1usize, 2, 4, 8];
+        let mut model: BTreeMap<i64, Row> = BTreeMap::new();
+        let mut next_id = 0i64;
+        let mut table = Table::new(schema());
+        let mut serial: Vec<ShardMap> =
+            shard_counts.iter().map(|&s| ShardMap::from_table(&table, s)).collect();
+        let mut planned = serial.clone();
+        for step in steps {
+            let (delta, valid) = referee_step(&model, &mut next_id, step);
+            prop_assert_eq!(table.apply_delta(&delta).is_ok(), valid);
+            for map in &mut serial {
+                prop_assert_eq!(map.apply_delta(&delta).is_ok(), valid);
+            }
+            for map in &mut planned {
+                prop_assert_eq!(apply_planned(map, &delta), valid);
+            }
+            if valid {
+                for row in &delta.inserts {
+                    model.insert(row[0].as_int().expect("int key"), row.clone());
+                }
+                for (key, row) in &delta.updates {
+                    model.insert(key[0].as_int().expect("int key"), row.clone());
+                }
+                for key in &delta.deletes {
+                    model.remove(&key[0].as_int().expect("int key"));
+                }
+            }
+            let cold = Table::from_rows(schema(), model.values().cloned().collect())
+                .expect("cold rebuild")
+                .content_hash();
+            prop_assert!(table.content_hash() == cold, "table at {} rows", model.len());
+            for (map, shards) in serial.iter().zip(shard_counts) {
+                prop_assert!(map.content_hash() == cold, "apply_delta, {shards} shards, {} rows", model.len());
+            }
+            for (map, shards) in planned.iter().zip(shard_counts) {
+                prop_assert!(map.content_hash() == cold, "planned, {shards} shards, {} rows", model.len());
+            }
         }
     }
 }

@@ -13,13 +13,18 @@
 //! canonical encoding moved — never "update the constants".
 //!
 //! The second test pins what the contract puts on chain: one call's
-//! argument bytes and the state root a fixed pair of calls leaves.
+//! argument bytes and the state root a fixed pair of calls leaves. The
+//! third pins the table content digest the barrier compares, for a plain
+//! table and for its sharded fold.
 
 use medledger::contracts::call::{RegisterShareArgs, RequestUpdateArgs};
 use medledger::contracts::{ContractRuntime, SharingCall, SharingContract};
 use medledger::crypto::{ack_message, Hash256, KeyPair, PublicKey};
 use medledger::ledger::{BlockHeader, Transaction, TxPayload};
+use medledger::relational::{row, Column, Schema, ValueType};
 use medledger::storage::Encode;
+use medledger::workload::fig1_full_records;
+use medledger::{ShardMap, Table};
 
 /// The public key the same label derived under the Lamport scheme (up to
 /// PR 22). The transaction and header encodings only ever saw it as 32
@@ -157,5 +162,74 @@ fn contract_formats_are_pinned() {
         runtime.state_root().to_hex(),
         "1aab3c9999500024f176baceffc5ccf8c3d79546b85280014fae9ef360164473",
         "state root after register_share + request_update"
+    );
+}
+
+/// A table of `n` rows under a fixed schema; each row's cells are a fixed
+/// function of its id, so the table is the same on every build.
+fn formula_table(n: i64) -> Table {
+    let schema = Schema::new(
+        vec![
+            Column::new("id", ValueType::Int),
+            Column::new("medication", ValueType::Text),
+            Column::new("dose_mg", ValueType::Int),
+        ],
+        &["id"],
+    )
+    .expect("schema");
+    let mut table = Table::new(schema);
+    for i in 0..n {
+        let medication = format!("med-{}", (i * 7919) % 97);
+        table
+            .insert(row![i, medication, (i * 31) % 500])
+            .expect("insert");
+    }
+    table
+}
+
+/// The table content hash: the Merkle root over the schema leaf and the
+/// key-routed row chunks. The peers and the sharing contract compare it
+/// to enforce the paper's barrier, and a stored log record carries it,
+/// so it must not move. A shard map's fold must equal the plain table's
+/// bytes, both when each shard owns a run of chunks (600 rows over 4
+/// shards: 32 chunks, five fold levels) and when the chunks are fewer
+/// than the shards (40 rows over 8 shards: one chunk).
+#[test]
+fn table_digest_is_pinned() {
+    let full = fig1_full_records();
+    let d3 = full
+        .project(
+            &[
+                "patient_id",
+                "medication_name",
+                "clinical_data",
+                "mechanism_of_action",
+                "dosage",
+            ],
+            &["patient_id"],
+        )
+        .expect("4fd5a9fe8adc64db8c0e48df343cdbf8788136a8769142ca1455f3cae14508c8");
+    assert_eq!(
+        d3.content_hash().to_hex(),
+        "4fd5a9fe8adc64db8c0e48df343cdbf8788136a8769142ca1455f3cae14508c8",
+        "Fig. 1 D3 (one chunk)"
+    );
+
+    let large = formula_table(600);
+    let large_hex = "2cb4a85cd5bc44c7e8b734cff8a0d356e0ab32baf7b8eb95d01bc1d247d52b18";
+    assert_eq!(large.content_hash().to_hex(), large_hex, "600 rows");
+    assert_eq!(
+        ShardMap::from_table(&large, 4).content_hash().to_hex(),
+        large_hex,
+        "600 rows over 4 shards"
+    );
+
+    let small = formula_table(40);
+    let small_hex = "62bf105fe11c75dc3d4e6ec34b08b9995f405c1882f1ca5a723680f542a657c7";
+    assert_eq!(small.content_hash().to_hex(), small_hex, "40 rows");
+    assert_eq!(
+        ShardMap::from_table(&small, 8).content_hash().to_hex(),
+        small_hex,
+        "40 rows over 8 shards"
     );
 }
