@@ -356,11 +356,20 @@ fn put_delta_project(
     let k: Vec<&str> = view_key.iter().map(String::as_str).collect();
     let view_schema = source.schema().project(&a, &k)?;
     let src_schema = source.schema();
-    let view_pos: BTreeMap<&str, usize> = attrs
+    // Source column → its position in the view, once per call.
+    let by_name: BTreeMap<&str, usize> = attrs
         .iter()
         .enumerate()
         .map(|(i, a)| (a.as_str(), i))
         .collect();
+    let view_pos: Vec<Option<usize>> = src_schema
+        .columns()
+        .iter()
+        .map(|c| by_name.get(c.name.as_str()).copied())
+        .collect();
+    // Every source column kept: a source row is a projection of its view
+    // row, which shares the view row itself when the order is the same.
+    let kept_all: Option<Vec<usize>> = view_pos.iter().copied().collect();
 
     let mut out = TableDelta::default();
     for vrow in &view_delta.inserts {
@@ -371,11 +380,15 @@ fn put_delta_project(
                 reason: format!("view insert {vrow:?} duplicates an existing source key"),
             });
         }
+        if let Some(idxs) = &kept_all {
+            out.inserts.push(vrow.project(idxs));
+            continue;
+        }
         // Dropped columns come from defaults or NULL (if nullable);
         // otherwise the insert is untranslatable — same rule as full put.
         let mut cells = Vec::with_capacity(src_schema.arity());
-        for col in src_schema.columns() {
-            if let Some(&vp) = view_pos.get(col.name.as_str()) {
+        for (col, vp) in src_schema.columns().iter().zip(&view_pos) {
+            if let Some(vp) = *vp {
                 cells.push(vrow[vp].clone());
             } else if let Some(d) = defaults.get(&col.name) {
                 cells.push(d.clone());
@@ -401,16 +414,18 @@ fn put_delta_project(
             });
         }
         let srow = lookup(source, key)?;
-        let merged: Vec<Value> = src_schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, col)| match view_pos.get(col.name.as_str()) {
-                Some(&vp) => vrow[vp].clone(),
-                None => srow[i].clone(),
-            })
-            .collect();
-        let merged = Row::new(merged);
+        let merged = if let Some(idxs) = &kept_all {
+            vrow.project(idxs)
+        } else {
+            view_pos
+                .iter()
+                .enumerate()
+                .map(|(i, vp)| match *vp {
+                    Some(vp) => vrow[vp].clone(),
+                    None => srow[i].clone(),
+                })
+                .collect()
+        };
         if merged != *srow {
             out.updates.push((key.clone(), merged));
         }
@@ -419,8 +434,7 @@ fn put_delta_project(
         lookup(source, key)?;
         out.deletes.push(key.clone());
     }
-    let schema = src_schema.clone();
-    out.sort_canonical(|r| schema.key_of(r));
+    out.sort_canonical(|r| src_schema.key_of(r));
     Ok(out)
 }
 
@@ -829,6 +843,42 @@ mod tests {
                 ..Default::default()
             },
         );
+    }
+
+    #[test]
+    fn project_put_delta_over_every_column_in_any_order() {
+        let src = d3();
+        let all = [
+            "patient_id",
+            "medication_name",
+            "clinical_data",
+            "mechanism_of_action",
+            "dosage",
+        ];
+        let mut reversed = all;
+        reversed.reverse();
+        let cases = [
+            (all, row![188i64, "Ibuprofen", "CliD1", "MeA1", "halved"]),
+            (
+                reversed,
+                row!["halved", "MeA1", "CliD1", "Ibuprofen", 188i64],
+            ),
+        ];
+        for (attrs, updated) in cases {
+            let lens = LensSpec::project(&attrs, &["patient_id"]);
+            let mut inserted = updated.clone();
+            let id = attrs.iter().position(|a| *a == "patient_id").expect("key");
+            *inserted.get_mut(id).expect("key cell") = Value::Int(191);
+            assert_put_equiv(
+                &lens,
+                &src,
+                &TableDelta {
+                    inserts: vec![inserted],
+                    updates: vec![(vec![Value::Int(188)], updated)],
+                    ..Default::default()
+                },
+            );
+        }
     }
 
     #[test]

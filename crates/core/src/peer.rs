@@ -1118,14 +1118,21 @@ impl PeerNode {
     /// regeneration.
     pub fn overlapping_shares(&self, table_id: &str) -> Result<Vec<String>> {
         let binding = self.binding(table_id)?;
-        let source_schema = self.db.table(&binding.source_table)?.schema().clone();
-        let base = analysis::analyze(&binding.lens, &source_schema)?;
+        let source_schema = self.db.table(&binding.source_table)?.schema();
+        let siblings: Vec<_> = self
+            .bindings
+            .iter()
+            .filter(|(id, b)| *id != table_id && b.source_table == binding.source_table)
+            .collect();
+        // A lone binding has nothing to overlap; `join_share` already ran
+        // its lens on this source, so skipping the analysis hides no error.
+        if siblings.is_empty() {
+            return Ok(Vec::new());
+        }
+        let base = analysis::analyze(&binding.lens, source_schema)?;
         let mut out = Vec::new();
-        for (other_id, other_binding) in &self.bindings {
-            if other_id == table_id || other_binding.source_table != binding.source_table {
-                continue;
-            }
-            let other = analysis::analyze(&other_binding.lens, &source_schema)?;
+        for (other_id, other_binding) in siblings {
+            let other = analysis::analyze(&other_binding.lens, source_schema)?;
             if base.overlaps(&other) {
                 out.push(other_id.clone());
             }

@@ -853,7 +853,7 @@ mod tests {
                 table: "clinical_data".into(),
                 writes: vec![
                     WireWrite::Shared(WriteOp::Insert {
-                        row: Row(vec![Value::Int(1), Value::text("x")]),
+                        row: Row::new(vec![Value::Int(1), Value::text("x")]),
                     }),
                     WireWrite::Source {
                         table: "D13".into(),
@@ -990,7 +990,7 @@ mod tests {
             writes: (0..64)
                 .map(|i| {
                     WireWrite::Shared(WriteOp::Insert {
-                        row: Row(vec![Value::Int(i), Value::text("payload payload")]),
+                        row: Row::new(vec![Value::Int(i), Value::text("payload payload")]),
                     })
                 })
                 .collect(),

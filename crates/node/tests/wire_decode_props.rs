@@ -134,7 +134,7 @@ fn frames() -> &'static [Vec<u8>] {
                         assignments: vec![dosage("two tablets a day")],
                     }),
                     WireWrite::Shared(WriteOp::Insert {
-                        row: Row(vec![Value::Int(189), Value::text("one tablet, with food")]),
+                        row: Row::new(vec![Value::Int(189), Value::text("one tablet, with food")]),
                     }),
                     WireWrite::Source {
                         table: "D3".into(),
@@ -147,7 +147,7 @@ fn frames() -> &'static [Vec<u8>] {
                             inserts: Vec::new(),
                             updates: vec![(
                                 vec![Value::Int(190)],
-                                Row(vec![Value::Int(190), Value::text("as needed")]),
+                                Row::new(vec![Value::Int(190), Value::text("as needed")]),
                             )],
                             deletes: vec![vec![Value::Int(191)]],
                         },

@@ -7,6 +7,9 @@
 //!
 //! * [`value`] — the dynamically typed cell values with a total order and a
 //!   canonical byte encoding (so tables can be content-hashed),
+//! * [`row`](mod@row) — rows, each an immutable shared slice of cells: a clone
+//!   bumps a reference count and `get_mut` is copy-on-write, so the
+//!   deltas, inverses and undo rows that carry a row share its cells,
 //! * [`schema`] — column descriptions and primary keys,
 //! * [`table`] — keyed tables with O(1) key lookup, canonical
 //!   [`Table::content_hash`] Merkle fingerprints, and the relational

@@ -3,15 +3,23 @@
 use crate::value::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// A row: one value per schema column, in schema order.
+///
+/// The cells are an immutable shared slice, so cloning a row — into a
+/// delta, an inverse, an undo log or a shard fragment — bumps a
+/// reference count instead of copying every cell, and equality
+/// short-circuits on two handles to the same cells. [`Row::get_mut`] is
+/// copy-on-write: it never writes through to another handle's cells.
+/// Order, hashing and the encoding are all defined over the cells.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Row(pub Vec<Value>);
+pub struct Row(Arc<[Value]>);
 
 impl Row {
     /// Builds a row from values.
     pub fn new(values: Vec<Value>) -> Self {
-        Row(values)
+        Row(values.into())
     }
 
     /// Number of cells.
@@ -29,9 +37,13 @@ impl Row {
         self.0.get(idx)
     }
 
-    /// Mutable access to the cell at `idx`.
+    /// Mutable access to the cell at `idx`; copies the cells first when
+    /// another handle shares them.
     pub fn get_mut(&mut self, idx: usize) -> Option<&mut Value> {
-        self.0.get_mut(idx)
+        if idx >= self.0.len() {
+            return None;
+        }
+        Arc::make_mut(&mut self.0).get_mut(idx)
     }
 
     /// Iterates over the cells.
@@ -43,7 +55,7 @@ impl Row {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 * self.0.len() + 8);
         out.extend_from_slice(&(self.0.len() as u64).to_be_bytes());
-        for v in &self.0 {
+        for v in self.0.iter() {
             v.encode_into(&mut out);
         }
         out
@@ -54,8 +66,12 @@ impl Row {
         8 + self.0.iter().map(Value::encoded_len).sum::<usize>()
     }
 
-    /// Extracts the sub-row at the given column indexes.
+    /// Extracts the sub-row at the given column indexes; every column in
+    /// order is this row itself, shared.
     pub fn project(&self, idxs: &[usize]) -> Row {
+        if idxs.len() == self.len() && idxs.iter().enumerate().all(|(i, &j)| i == j) {
+            return self.clone();
+        }
         Row(idxs.iter().map(|&i| self.0[i].clone()).collect())
     }
 }
@@ -82,7 +98,7 @@ impl Index<usize> for Row {
 
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
-        Row(values)
+        Row::new(values)
     }
 }
 
@@ -119,6 +135,8 @@ mod tests {
         let r = row![1i64, "a", "b"];
         let p = r.project(&[2, 0]);
         assert_eq!(p, row!["b", 1i64]);
+        assert_eq!(r.project(&[2, 1, 0]), row!["b", "a", 1i64]);
+        assert_eq!(r.project(&[0, 1, 2]), r);
     }
 
     #[test]
@@ -152,5 +170,19 @@ mod tests {
         assert_eq!(r.get(2), None);
         *r.get_mut(0).expect("cell") = Value::Int(9);
         assert_eq!(r[0], Value::Int(9));
+        assert!(r.get_mut(2).is_none());
+    }
+
+    #[test]
+    fn get_mut_on_a_clone_leaves_the_original() {
+        let original = row![1i64, "Ibuprofen", 1.5];
+        let bytes = original.encode();
+        let mut copy = original.clone();
+        assert_eq!(copy, original);
+        *copy.get_mut(1).expect("cell") = Value::text("Aspirin");
+        assert_eq!(original[1], Value::text("Ibuprofen"));
+        assert_eq!(original.encode(), bytes);
+        assert_eq!(copy[1], Value::text("Aspirin"));
+        assert_ne!(copy, original);
     }
 }

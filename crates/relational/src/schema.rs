@@ -4,6 +4,7 @@ use crate::error::RelationalError;
 use crate::row::Row;
 use crate::value::ValueType;
 use crate::Result;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// One column of a schema.
@@ -54,9 +55,9 @@ impl Schema {
                 reason: "primary key must name at least one column".into(),
             });
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::with_capacity(columns.len());
         for c in &columns {
-            if !seen.insert(c.name.clone()) {
+            if !seen.insert(c.name.as_str()) {
                 return Err(RelationalError::SchemaMismatch {
                     reason: format!("duplicate column `{}`", c.name),
                 });
@@ -159,9 +160,19 @@ impl Schema {
     /// Derives the schema of a projection onto `attrs`, keyed by
     /// `view_key`. Both must name existing columns; `view_key ⊆ attrs`.
     pub fn project(&self, attrs: &[&str], view_key: &[&str]) -> Result<Schema> {
+        let by_name: HashMap<&str, usize> = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.name.as_str(), i))
+            .collect();
         let mut cols = Vec::with_capacity(attrs.len());
         for a in attrs {
-            let idx = self.index_of(a)?;
+            let idx = *by_name
+                .get(a)
+                .ok_or_else(|| RelationalError::UnknownColumn {
+                    column: (*a).to_string(),
+                })?;
             cols.push(self.columns[idx].clone());
         }
         for k in view_key {
@@ -354,6 +365,55 @@ mod tests {
         let s = demo();
         let err = s.project(&["dosage"], &["patient_id"]).unwrap_err();
         assert!(matches!(err, RelationalError::InvalidKey { .. }));
+    }
+
+    #[test]
+    fn project_errors_are_pinned() {
+        let s = demo();
+        // The first unknown attribute in `attrs` order is the one named.
+        let err = s
+            .project(&["patient_id", "nope", "gone"], &["patient_id"])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RelationalError::UnknownColumn {
+                column: "nope".into()
+            }
+        );
+        let err = s.project(&["dosage", "gone"], &["nope"]).unwrap_err();
+        assert_eq!(
+            err,
+            RelationalError::UnknownColumn {
+                column: "gone".into()
+            }
+        );
+        // An attribute listed twice is a duplicate column of the view.
+        let err = s
+            .project(&["patient_id", "dosage", "dosage"], &["patient_id"])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RelationalError::SchemaMismatch {
+                reason: "duplicate column `dosage`".into()
+            }
+        );
+        let err = s.project(&["dosage"], &["patient_id"]).unwrap_err();
+        assert_eq!(
+            err,
+            RelationalError::InvalidKey {
+                reason: "view key column `patient_id` not in projection".into()
+            }
+        );
+        // A nullable view key is refused by `Schema::new`.
+        let err = s
+            .project(&["patient_id", "dosage"], &["dosage"])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RelationalError::InvalidKey {
+                reason: "key column `dosage` must not be nullable".into()
+            }
+        );
     }
 
     #[test]

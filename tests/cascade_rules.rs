@@ -37,7 +37,7 @@ fn table(columns: &[&str]) -> Table {
     let mut t = Table::new(Schema::new(cols, &["id"]).expect("schema"));
     let mut row = vec![Value::Int(1)];
     row.extend(columns.iter().map(|_| Value::text("v0")));
-    t.insert(Row(row)).expect("seed row");
+    t.insert(Row::new(row)).expect("seed row");
     t
 }
 
