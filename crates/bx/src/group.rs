@@ -69,11 +69,6 @@ impl GroupIndex {
         })
     }
 
-    /// The group attributes this index is keyed by.
-    pub fn group_attrs(&self) -> &[String] {
-        &self.group_attrs
-    }
-
     /// The source row keys of one group (`None` if the group is absent).
     pub fn rows_of(&self, group: &[Value]) -> Option<&BTreeSet<Vec<Value>>> {
         self.groups.get(group)

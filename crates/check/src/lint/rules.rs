@@ -16,13 +16,15 @@
 //!   variant in the tag maps and the gateway's rejection mapping.
 //! - **dead-pub** — every `pub` item under `crates/*/src` is named
 //!   somewhere other than its own declaration and its own file's
-//!   `#[cfg(test)]` module, or sits on the explicit allowlist.
+//!   `#[cfg(test)]` module, or sits on the explicit allowlist. A method
+//!   of an inherent `impl Type` is named only by `Type::name`,
+//!   `Self::name` or a call `.name(` / `.name::<`.
 //! - **long-fn** — no non-test `fn` under `crates/*/src` spans more than
 //!   [`LONG_FN_MAX`] lines, unless it sits on the explicit allowlist.
 
 use super::policy::Policy;
 use super::scan::Line;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One rule violation.
 #[derive(Debug, Clone)]
@@ -515,46 +517,122 @@ fn is_crate_source(file: &str) -> bool {
     parts.next() == Some("crates") && parts.nth(1) == Some("src")
 }
 
+/// The type a line opens an inherent `impl<..> Type<..>` block for
+/// (`None` for a trait impl or any other line).
+fn impl_header(code: &str) -> Option<String> {
+    let mut depth = 0;
+    let outside_generics = |c: &char| {
+        depth += match c {
+            '<' => 1,
+            '>' => -1,
+            _ => 0,
+        };
+        depth == 0 && *c != '>'
+    };
+    let flat: String = code.chars().filter(outside_generics).collect();
+    let mut words = flat.split_whitespace();
+    if words.next() != Some("impl") || has_token(&flat, "for") {
+        return None;
+    }
+    Some(leading_ident(words.next()?.rsplit("::").next()?).to_string())
+}
+
+/// Per line of a file: the type whose inherent `impl` block the line
+/// sits directly in (`None` outside one, or nested deeper in it).
+fn impl_owners(lines: &[Line]) -> Vec<Option<String>> {
+    let mut owners = Vec::with_capacity(lines.len());
+    let (mut depth, mut header) = (0, None);
+    let mut blocks: Vec<(usize, String)> = Vec::new();
+    for line in lines {
+        if header.is_none() {
+            header = impl_header(&line.code);
+        }
+        let owner = blocks.last().filter(|(at, _)| *at == depth);
+        owners.push(owner.map(|(_, ty)| ty.clone()));
+        for c in line.code.chars() {
+            match c {
+                '{' => {
+                    depth += 1;
+                    blocks.extend(header.take().map(|ty| (depth, ty)));
+                }
+                '}' => {
+                    if blocks.last().is_some_and(|(at, _)| *at == depth) {
+                        blocks.pop();
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                _ => {}
+            }
+        }
+    }
+    owners
+}
+
+/// How `code` names the identifier at `start..end`: the path segment
+/// before it (`Type` in `Type::name`), and whether it is a method call
+/// (`.name(` or `.name::<`).
+fn mention_of(code: &str, start: usize, end: usize) -> (Option<&str>, bool) {
+    let (before, after) = (&code[..start], &code[end..]);
+    let qualifier = before.strip_suffix("::").map(|head| {
+        let from = head.trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
+        &head[from.len()..]
+    });
+    let dotted = before.ends_with('.') && !before.ends_with("..");
+    let call = dotted && (after.starts_with('(') || after.starts_with("::<"));
+    (qualifier, call)
+}
+
 /// Every `pub` item declared in non-test code under `crates/*/src`
-/// whose name no line of `files` (repo-relative path, scanned lines)
-/// mentions, other than the declaration itself and the declaring file's
-/// own `#[cfg(test)]` code: `(file, line number, name)`, in file order.
-/// Matching is by identifier, not by path, so it errs towards "used":
-/// a name shared with any other item is never reported.
+/// that no line of `files` (repo-relative path, scanned lines) names,
+/// other than the declaration itself and the declaring file's own
+/// `#[cfg(test)]` code: `(file, line number, name)`, in file order.
+/// A method of an inherent `impl Type` is named by `Type::name`,
+/// `Self::name` or a method call `.name(` / `.name::<`; any other item
+/// by its bare identifier. Matching is by name, not by resolved path,
+/// so it errs towards "used": a method called `.name(` on any type, or
+/// another item sharing its identifier, is never reported.
 pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
     let mut items = Vec::new();
+    let owners: Vec<_> = files.iter().map(|(_, lines)| impl_owners(lines)).collect();
     for (f, (file, lines)) in files.iter().enumerate() {
         if !is_crate_source(file) {
             continue;
         }
         for (l, line) in lines.iter().enumerate().filter(|(_, line)| !line.in_test) {
-            items.extend(pub_item_name(&line.code).map(|name| (f, l, name)));
+            let is_fn = fn_name(&line.code).is_some();
+            let method_of = owners[f][l].as_deref().filter(|_| is_fn);
+            items.extend(pub_item_name(&line.code).map(|name| (f, l, name, method_of)));
         }
     }
-    // Per declared name: the non-test lines that mention it, and the
-    // files that mention it from test code.
-    type Mentions = (BTreeSet<(usize, usize)>, BTreeSet<usize>);
-    let mut mentions: BTreeMap<&str, Mentions> = (items
-        .iter()
-        .map(|(_, _, name)| (*name, Mentions::default())))
-    .collect();
+    // Per declared name, every place it appears: `(file, line, in test
+    // code, qualifier, method call)`.
+    type Mention<'a> = (usize, usize, bool, Option<&'a str>, bool);
+    let mut mentions: BTreeMap<&str, Vec<Mention>> = (items.iter())
+        .map(|(_, _, name, _)| (*name, Vec::new()))
+        .collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     for (f, (_, lines)) in files.iter().enumerate() {
         for (l, line) in lines.iter().enumerate() {
-            let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-            for ident in line.code.split(|c| !is_ident(c)) {
-                match mentions.get_mut(ident) {
-                    Some((_, tests)) if line.in_test => tests.insert(f),
-                    Some((code, _)) => code.insert((f, l)),
-                    None => false,
-                };
+            let code = line.code.as_str();
+            for ident in code.split(|c| !is_ident(c)) {
+                if let Some(found) = mentions.get_mut(ident) {
+                    let start = ident.as_ptr() as usize - code.as_ptr() as usize;
+                    let (qualifier, call) = mention_of(code, start, start + ident.len());
+                    found.push((f, l, line.in_test, qualifier, call));
+                }
             }
         }
     }
-    items.retain(|(f, l, name)| {
-        let (code, tests) = &mentions[name];
-        code.iter().all(|at| at == &(*f, *l)) && tests.iter().all(|file| file == f)
+    items.retain(|(f, l, name, method_of)| {
+        let names = |(_, _, _, qualifier, call): &&Mention| match method_of {
+            Some(ty) => *call || qualifier.is_some_and(|q| q == *ty || q == "Self"),
+            None => true,
+        };
+        // Outside the declaring file, or on another of its non-test lines.
+        let elsewhere = |(mf, ml, in_test, _, _): &Mention| mf != f || (!in_test && ml != l);
+        !mentions[name].iter().filter(names).any(elsewhere)
     });
-    let report = |(f, l, name): (usize, usize, &str)| {
+    let report = |(f, l, name, _): (usize, usize, &str, _)| {
         let (file, lines) = &files[f];
         (file.clone(), lines[l].number, name.to_string())
     };

@@ -56,10 +56,6 @@ pub fn all() -> Vec<Scenario> {
             build: mpsc_try_send_vs_recv_drop,
         },
         Scenario {
-            name: "notify-before-wait",
-            build: notify_before_wait,
-        },
-        Scenario {
             name: "pipe-backpressure",
             build: pipe_backpressure,
         },
@@ -224,40 +220,6 @@ fn mpsc_try_send_vs_recv_drop() -> ScenarioRun {
             let prefix: Vec<u32> = (0..got.len() as u32).collect();
             assert_eq!(*got, prefix, "receiver must see an in-order prefix");
         })),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------
-
-/// The historical `Notify` bug class, driven through the canonical
-/// create-future / check-condition / await pattern: because the
-/// generation is captured at `notified()` (not at first poll), a notify
-/// landing between the condition check and the await still resolves the
-/// future. The [`broken::all`] double captures at first poll instead
-/// and deadlocks under exactly that interleaving.
-fn notify_before_wait() -> ScenarioRun {
-    let n = sync::Notify::new();
-    let n2 = n.clone();
-    let ready = Arc::new(AtomicBool::new(false));
-    let ready2 = Arc::clone(&ready);
-    ScenarioRun {
-        threads: vec![
-            Box::new(move || loop {
-                let fut = n.notified();
-                sched::point("scn.notified.gap");
-                if ready.load(Ordering::SeqCst) {
-                    break;
-                }
-                block_on(fut);
-            }),
-            Box::new(move || {
-                ready2.store(true, Ordering::SeqCst);
-                n2.notify_waiters();
-            }),
-        ],
-        finale: None,
     }
 }
 
@@ -687,8 +649,8 @@ pub mod broken {
         wakers: Vec<Waker>,
     }
 
-    /// `Notify` double with the historical bug: the generation is
-    /// captured at **first poll** instead of at `notified()`, so a
+    /// A broadcast-notify double with a lost-wake-up bug: the generation
+    /// is captured at **first poll** instead of at `notified()`, so a
     /// notify landing in between is invisible and the waiter parks
     /// forever.
     #[derive(Clone)]
@@ -756,10 +718,10 @@ pub mod broken {
         ScenarioRun {
             threads: vec![
                 Box::new(move || {
-                    // Same canonical pattern as `notify-before-wait`;
-                    // with first-poll capture the notify can land in
-                    // the window between the `ready` check and the
-                    // first poll, and the waiter parks forever.
+                    // The canonical create-future / check-condition /
+                    // await pattern; with first-poll capture the notify
+                    // can land in the window between the `ready` check
+                    // and the first poll, and the waiter parks forever.
                     loop {
                         let fut = n.notified();
                         sched::point("scn.bnotify.gap");

@@ -110,6 +110,23 @@ fn dead_pub_rule_still_fires() {
 }
 
 #[test]
+fn dead_pub_reads_methods_by_path() {
+    // `Ward::open` shares its name with the live free fn `open`, which
+    // no longer keeps it alive; `close` is live through a method call,
+    // `beds` through its path, `admit` through `Self::admit`.
+    let lib = "pub struct Ward<T>(T);\nimpl<T: Copy> Ward<T> {\n    pub fn open() {}\n    \
+               pub fn close(&self) {}\n    pub fn beds(&self) {}\n    pub fn admit() {}\n    \
+               fn new() { Self::admit(); }\n}\npub fn open() {}\n";
+    let caller = "fn t(w: &Ward<u8>) {\n    open();\n    w.close();\n    Ward::beds(w);\n}\n";
+    let files = [("crates/a/src/lib.rs", lib), ("tests/api.rs", caller)];
+    let files: Vec<_> = (files.iter())
+        .map(|(file, src)| (file.to_string(), scan::scan(src)))
+        .collect();
+    let open = ("crates/a/src/lib.rs".to_string(), 3, "open".to_string());
+    assert_eq!(rules::dead_pub(&files), vec![open]);
+}
+
+#[test]
 fn policy_file_documents_every_key() {
     let policy_src =
         std::fs::read_to_string(workspace_root().join("crates/check/ordering_policy.toml"))

@@ -38,11 +38,7 @@ fn production_scenarios_hold() {
 #[test]
 fn small_scenarios_are_exhausted() {
     let checker = small_budget();
-    for name in [
-        "oneshot-send-take",
-        "oneshot-drop-vs-poll",
-        "notify-before-wait",
-    ] {
+    for name in ["oneshot-send-take", "oneshot-drop-vs-poll"] {
         let sc = scenarios::by_name(name).expect("known scenario");
         let outcome = checker.check(&sc);
         assert!(

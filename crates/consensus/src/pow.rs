@@ -33,11 +33,6 @@ impl PowModel {
         Self::new(Self::ETHEREUM_MEAN_MS, seed)
     }
 
-    /// The configured mean interval.
-    pub fn mean_interval_ms(&self) -> u64 {
-        self.mean_interval_ms
-    }
-
     /// Samples the time until the next block (ms, at least 1).
     pub fn next_interval_ms(&mut self) -> u64 {
         // Inverse-CDF sampling of Exp(1/mean): -mean * ln(1 - U).

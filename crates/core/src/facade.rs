@@ -31,7 +31,6 @@ use crate::Result;
 use medledger_bx::LensSpec;
 use medledger_contracts::{AuditEntry, SharedTableMeta};
 use medledger_ledger::{Chain, Receipt, RevertKind};
-use medledger_network::LatencyModel;
 use medledger_relational::{Row, Table, Value, WriteOp};
 use medledger_storage::{DurableStore, StorageBackend};
 use std::fmt;
@@ -224,12 +223,6 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Public proof-of-work model with the given mean block interval.
-    pub fn pow(mut self, mean_interval_ms: u64) -> Self {
-        self.config.consensus = ConsensusKind::PublicPow { mean_interval_ms };
-        self
-    }
-
     /// Any consensus flavor.
     pub fn consensus(mut self, kind: ConsensusKind) -> Self {
         self.config.consensus = kind;
@@ -239,18 +232,6 @@ impl MedLedgerBuilder {
     /// Number of PBFT validators.
     pub fn validators(mut self, n: usize) -> Self {
         self.config.n_validators = n;
-        self
-    }
-
-    /// Validator-to-validator latency model.
-    pub fn validator_latency(mut self, latency: LatencyModel) -> Self {
-        self.config.validator_latency = latency;
-        self
-    }
-
-    /// Peer-to-peer data-plane latency model.
-    pub fn p2p_latency(mut self, latency: LatencyModel) -> Self {
-        self.config.p2p_latency = latency;
         self
     }
 
@@ -639,11 +620,6 @@ impl<'s> UpdateBatch<'s> {
         let table = table.into();
         self.ops.push(StagedOp::Source { table, op });
         self
-    }
-
-    /// Number of staged writes.
-    pub fn staged(&self) -> usize {
-        self.ops.len()
     }
 
     /// Queues the batch for the scheduler's next wave — **non-blocking**

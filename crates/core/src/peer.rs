@@ -200,6 +200,9 @@ fn unknown_share(table_id: &str) -> CoreError {
 ///
 /// The **database manager** methods are the paper's "BX" boxes: they
 /// push row-level deltas through the lenses (`get_delta` / `put_delta`).
+/// They are the only writers of the peer's tables — [`PeerNode::db`]
+/// is read-only — so the derived structures (undo rows, group indexes,
+/// the log) never fall behind the rows they are derived from.
 #[derive(Clone, Debug)]
 pub struct PeerNode {
     /// Human-readable name ("Patient", "Doctor", …).
@@ -208,10 +211,10 @@ pub struct PeerNode {
     pub account: AccountId,
     /// Signing keys for ledger transactions.
     pub keys: KeyPair,
-    /// Local database: the source tables, plus the mutation log and
-    /// version counters of every table the peer stores (shared ones
-    /// included — their rows live in `shared`).
-    pub db: Database,
+    /// Local database: the source tables, plus the mutation log of every
+    /// table the peer stores (shared ones included — their rows live in
+    /// `shared`).
+    db: Database,
     /// Shared-table bindings this peer participates in.
     bindings: BTreeMap<String, PeerBinding>,
     /// Per shared table: the stored copy and its undo rows.
@@ -221,10 +224,7 @@ pub struct PeerNode {
     /// Cached `bx` group indexes, one per `ProjectDistinct` binding
     /// (keyed by shared table id), advanced with every applied source
     /// delta — the O(group) hot path for group-lens translation.
-    /// Each entry is `(source table version at last sync, index)`; the
-    /// version guard ([`Database::table_version`]) means an index left
-    /// stale by an out-of-band `db` edit is bypassed, never misused.
-    group_indexes: BTreeMap<String, (u64, GroupIndex)>,
+    group_indexes: BTreeMap<String, GroupIndex>,
     /// Last applied version per shared table (mirror of contract state).
     pub applied_versions: BTreeMap<String, u64>,
     /// Next ledger nonce.
@@ -294,6 +294,18 @@ impl PeerNode {
         }
     }
 
+    /// The local database, read-only: its source tables and the mutation
+    /// log. Every write goes through this peer's methods.
+    pub fn db(&self) -> &Database {
+        &self.db
+    }
+
+    /// Drops log records below `upto` once durable storage holds them
+    /// (see [`Database::truncate_log`]).
+    pub(crate) fn truncate_log(&mut self, upto: u64) {
+        self.db.truncate_log(upto);
+    }
+
     /// True iff `table_id`'s stored state is split into more than one
     /// shard on this peer.
     pub fn is_sharded(&self, table_id: &str) -> bool {
@@ -335,16 +347,12 @@ impl PeerNode {
             )));
         }
         if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-            let source_version = self.db.table_version(&binding.source_table);
-            self.group_indexes.insert(
-                table_id.to_string(),
-                (source_version, GroupIndex::build(source, view_key)?),
-            );
+            let idx = GroupIndex::build(source, view_key)?;
+            self.group_indexes.insert(table_id.to_string(), idx);
         }
         let mut store = ShardMap::from_table(&view, self.shards_per_table);
         wire_shard_heat(&self.telemetry, table_id, &mut store);
         let hash = store.content_hash();
-        self.db.bump_version(table_id);
         let undo = Undo::new();
         self.shared
             .insert(table_id.to_string(), SharedTable { store, undo });
@@ -361,7 +369,6 @@ impl PeerNode {
         self.shared.remove(table_id);
         self.group_indexes.remove(table_id);
         self.applied_versions.remove(table_id);
-        self.db.bump_version(table_id);
         self.publish_resident_rows();
         Ok(())
     }
@@ -418,19 +425,8 @@ impl PeerNode {
             .collect()
     }
 
-    /// The cached group index of `share_id`, only when it is provably in
-    /// sync with the source (the recorded [`Database::table_version`]
-    /// still matches). Out-of-band edits straight to `db` bump the
-    /// version, so a stale index is bypassed — never silently used.
-    fn fresh_group_index(&self, share_id: &str) -> Option<&GroupIndex> {
-        let (source_version, idx) = self.group_indexes.get(share_id)?;
-        let source = &self.bindings.get(share_id)?.source_table;
-        (*source_version == self.db.table_version(source)).then_some(idx)
-    }
-
     /// `get_delta` through `share_id`'s lens, using the cached group
-    /// index when the binding is a `ProjectDistinct` and the index is
-    /// fresh (falls back to the partial-index path otherwise).
+    /// index when the binding is a `ProjectDistinct`.
     fn get_delta_for_share(
         &self,
         share_id: &str,
@@ -438,15 +434,14 @@ impl PeerNode {
         source_delta: &TableDelta,
     ) -> Result<TableDelta> {
         let lens = &self.binding(share_id)?.lens;
-        Ok(match self.fresh_group_index(share_id) {
+        Ok(match self.group_indexes.get(share_id) {
             Some(idx) => incremental::get_delta_indexed(lens, source_old, source_delta, idx)?,
             None => incremental::get_delta(lens, source_old, source_delta)?,
         })
     }
 
     /// `put_delta` through `share_id`'s lens, using the cached group
-    /// index when the binding is a `ProjectDistinct` and the index is
-    /// fresh (falls back to the partial-index path otherwise).
+    /// index when the binding is a `ProjectDistinct`.
     fn put_delta_for_share(
         &self,
         share_id: &str,
@@ -454,7 +449,7 @@ impl PeerNode {
         view_delta: &TableDelta,
     ) -> Result<TableDelta> {
         let lens = &self.binding(share_id)?.lens;
-        Ok(match self.fresh_group_index(share_id) {
+        Ok(match self.group_indexes.get(share_id) {
             Some(idx) => incremental::put_delta_indexed(lens, source, view_delta, idx)?,
             None => incremental::put_delta(lens, source, view_delta)?,
         })
@@ -480,20 +475,8 @@ impl PeerNode {
         Ok(derived)
     }
 
-    /// Re-stamps every index on `source_table` as synced with the
-    /// source's current mutation version.
-    fn mark_group_indexes_synced(&mut self, source_table: &str) {
-        let version = self.db.table_version(source_table);
-        for id in self.indexed_shares_of(source_table) {
-            if let Some(entry) = self.group_indexes.get_mut(&id) {
-                entry.0 = version;
-            }
-        }
-    }
-
     /// Advances every cached group index bound to `source_table` past
-    /// `delta`. Must run while the pre-delta source is still in `db`;
-    /// the caller re-stamps sync versions after the table itself moves.
+    /// `delta`. Must run while the pre-delta source is still in `db`.
     fn advance_group_indexes(&mut self, source_table: &str, delta: &TableDelta) -> Result<()> {
         if delta.is_empty() {
             return Ok(());
@@ -501,7 +484,7 @@ impl PeerNode {
         let source_old = self.db.table(source_table)?;
         for (id, binding) in &self.bindings {
             if binding.source_table == source_table {
-                if let Some((_, idx)) = self.group_indexes.get_mut(id) {
+                if let Some(idx) = self.group_indexes.get_mut(id) {
                     idx.apply_source_delta(source_old, delta)?;
                 }
             }
@@ -510,15 +493,14 @@ impl PeerNode {
     }
 
     /// Rebuilds the cached group indexes of every `ProjectDistinct`
-    /// binding on `source_table` from the current source contents (used
-    /// after whole-table rewrites and out-of-band edits that bypass
-    /// delta tracking), stamping them with the current table version.
+    /// binding on `source_table` from the current source contents — after
+    /// a source delta the table refused, which the indexes had already
+    /// advanced past.
     fn rebuild_group_indexes_for_source(&mut self, source_table: &str) -> Result<()> {
-        let version = self.db.table_version(source_table);
         for id in self.indexed_shares_of(source_table) {
             if let LensSpec::ProjectDistinct { view_key, .. } = &self.binding(&id)?.lens {
                 let idx = GroupIndex::build(self.db.table(source_table)?, view_key)?;
-                self.group_indexes.insert(id, (version, idx));
+                self.group_indexes.insert(id, idx);
             }
         }
         Ok(())
@@ -546,44 +528,20 @@ impl PeerNode {
         Ok(inverse)
     }
 
-    /// Applies a delta to a **source** table, keeping the cached group
-    /// indexes in step. Returns the inverse.
-    ///
-    /// Fresh indexes advance incrementally (O(delta)); indexes left
-    /// behind by an out-of-band edit straight to `db` (detected via
-    /// [`Database::table_version`]) are rebuilt from ground truth after
-    /// the apply instead — correctness never depends on every caller
-    /// using the tracked paths.
+    /// Applies a delta to a **source** table, advancing the cached group
+    /// indexes in step (O(delta)). Returns the inverse.
     fn apply_source_delta_db(
         &mut self,
         source_table: &str,
         delta: &TableDelta,
     ) -> Result<TableDelta> {
-        let indexed = self.indexed_shares_of(source_table);
-        if indexed.is_empty() {
-            return Ok(self.db.apply_delta(source_table, delta)?);
-        }
-        let current = self.db.table_version(source_table);
-        let all_fresh = indexed.iter().all(|id| self.group_indexes[id].0 == current);
-        if all_fresh {
-            self.advance_group_indexes(source_table, delta)?;
-            match self.db.apply_delta(source_table, delta) {
-                Ok(inv) => {
-                    self.mark_group_indexes_synced(source_table);
-                    Ok(inv)
-                }
-                Err(e) => {
-                    // The indexes advanced past a delta the table
-                    // refused — re-derive them before surfacing.
-                    self.rebuild_group_indexes_for_source(source_table)?;
-                    Err(e.into())
-                }
-            }
-        } else {
-            let inv = self.db.apply_delta(source_table, delta)?;
+        self.advance_group_indexes(source_table, delta)?;
+        self.db.apply_delta(source_table, delta).or_else(|e| {
+            // The indexes advanced past a delta the table refused —
+            // re-derive them before surfacing.
             self.rebuild_group_indexes_for_source(source_table)?;
-            Ok(inv)
-        }
+            Err(e.into())
+        })
     }
 
     /// Applies a local write to a **source** table (Fig. 5 step 0: the
@@ -648,14 +606,6 @@ impl PeerNode {
             inverses.push((share_id, inv));
         }
         Ok(inverses)
-    }
-
-    /// Regenerates the shared view from the (possibly updated) source
-    /// without storing it.
-    fn regenerate_view(&self, table_id: &str) -> Result<Table> {
-        let binding = self.binding(table_id)?;
-        let source = self.db.table(&binding.source_table)?;
-        Ok(exec::get(&binding.lens, source)?)
     }
 
     /// The stored (materialized) copy of a shared table, as the peer
@@ -760,31 +710,12 @@ impl PeerNode {
         Ok(!self.pending_delta(table_id)?.is_empty())
     }
 
-    /// Brings `table_id`'s stored copy in line with what the source
-    /// regenerates — the O(table) fallback for changes the tracked write
-    /// paths never saw. Returns the regenerated view's delta against the
-    /// committed baseline.
-    fn rederive_from_source(&mut self, table_id: &str) -> Result<TableDelta> {
-        let regenerated = self.regenerate_view(table_id)?;
-        let stored_delta = diff_tables(self.shared_store(table_id)?, &regenerated);
-        if !stored_delta.is_empty() {
-            self.apply_view_delta(table_id, &stored_delta)?;
-        }
-        self.pending_delta(table_id)
-    }
-
     /// Fig. 5 step 1: the delta this peer would propagate for
-    /// `table_id`, with the stored copy guaranteed to reflect it.
-    ///
-    /// Normally this is the pending delta (O(undo rows)). When no writes
-    /// were tracked (out-of-band edits straight to `db`), it falls back
-    /// to a full regenerate-and-diff and brings the stored copy in line.
-    pub fn prepare_update_delta(&mut self, table_id: &str) -> Result<TableDelta> {
-        let pending = self.pending_delta(table_id)?;
-        if !pending.is_empty() {
-            return Ok(pending);
-        }
-        self.rederive_from_source(table_id)
+    /// `table_id` — its pending delta. Every write goes through this
+    /// peer's methods, which keep the stored copy in step with the
+    /// source, so the stored copy already reflects it.
+    pub fn prepare_update_delta(&self, table_id: &str) -> Result<TableDelta> {
+        self.pending_delta(table_id)
     }
 
     /// Translates an incoming view delta into this peer's source delta
@@ -1084,10 +1015,7 @@ impl PeerNode {
         let src_rows: Vec<Row> = new_source.rows().cloned().collect();
         self.db
             .apply(&source_table, WriteOp::Replace { rows: src_rows })?;
-        let source_version = self.db.table_version(&source_table);
-        for (id, index) in indexes {
-            self.group_indexes.insert(id, (source_version, index));
-        }
+        self.group_indexes.extend(indexes);
         let shared = self.shared_mut(table_id)?;
         shared.store.rebuild_from(new_view);
         shared.undo.clear();
@@ -1214,10 +1142,8 @@ impl PeerNode {
             }
             peer.shared.insert(table_id.clone(), shared);
             if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-                let source_version = peer.db.table_version(&binding.source_table);
                 let idx = GroupIndex::build(peer.db.table(&binding.source_table)?, view_key)?;
-                peer.group_indexes
-                    .insert(table_id.clone(), (source_version, idx));
+                peer.group_indexes.insert(table_id.clone(), idx);
             }
         }
         peer.bindings = bindings;
@@ -1236,6 +1162,7 @@ mod tests {
     use medledger_bx::LensSpec;
     use medledger_relational::{row, Value};
     use medledger_workload::{fig1_full_records, full_records_schema};
+    use proptest::prelude::*;
 
     fn d3_table() -> Table {
         fig1_full_records()
@@ -1531,9 +1458,11 @@ mod tests {
         // what its source regenerates.
         assert_eq!(doctor.fingerprint().0, model.fingerprint());
         assert_eq!(doctor.db.table("D3").expect("D3"), model.source("D3"));
+        let binding = doctor.binding("D13&D31").expect("binding");
+        let source = doctor.db.table(&binding.source_table).expect("source");
         assert_eq!(
             doctor.shared_table("D13&D31").expect("view"),
-            doctor.regenerate_view("D13&D31").expect("regen")
+            exec::get(&binding.lens, source).expect("regen")
         );
         assert!(!doctor.has_pending_change("D13&D31").expect("check"));
         doctor
@@ -1614,41 +1543,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::ConsistencyViolation(_)));
         assert_eq!(doctor.shared_hash("D23&D32").expect("hash"), before);
-    }
-
-    #[test]
-    fn prepare_update_delta_falls_back_for_out_of_band_edits() {
-        let mut doctor = doctor_with_shares();
-        // Edit the source directly, bypassing write_source tracking.
-        doctor
-            .db
-            .apply(
-                "D3",
-                WriteOp::Update {
-                    key: vec![Value::Int(188)],
-                    assignments: vec![("dosage".into(), Value::text("stop"))],
-                },
-            )
-            .expect("edit source");
-        let delta = doctor.prepare_update_delta("D13&D31").expect("prepare");
-        assert_eq!(delta.updates.len(), 1);
-        // The stored copy caught up and the pending delta is tracked.
-        assert_eq!(
-            doctor
-                .shared_table("D13&D31")
-                .expect("D31")
-                .get(&[Value::Int(188)])
-                .expect("row")[3],
-            Value::text("stop")
-        );
-        assert!(doctor.has_pending_change("D13&D31").expect("check"));
-        // Committing the delta advances the baseline and clears pending.
-        doctor.commit_delta("D13&D31", &delta, 1).expect("commit");
-        assert!(!doctor.has_pending_change("D13&D31").expect("check"));
-        assert_eq!(
-            doctor.shared_hash("D13&D31").expect("hash"),
-            doctor.committed_hash("D13&D31").expect("hash")
-        );
     }
 
     #[test]
@@ -2005,9 +1899,8 @@ mod tests {
             &["medication_name".to_string()],
         )
         .expect("rebuild");
-        // The index is fresh (advanced, not rebuilt) and correct.
-        assert!(doctor.fresh_group_index("D23&D32").is_some());
-        let cached = &doctor.group_indexes["D23&D32"].1;
+        // The index advanced and is correct.
+        let cached = &doctor.group_indexes["D23&D32"];
         assert_eq!(cached.group_count(), rebuilt.group_count());
         let ibu = cached
             .rows_of(&[Value::text("Ibuprofen")])
@@ -2031,53 +1924,170 @@ mod tests {
         assert_eq!(indexed, fresh);
     }
 
-    #[test]
-    fn out_of_band_source_edit_never_uses_a_stale_group_index() {
-        let mut doctor = doctor_with_shares();
-        // Edit the source directly, bypassing the tracked write paths —
-        // a supported flow (see prepare_update_delta). The cached index
-        // has not seen patient 191 join the Wellbutrin group.
-        doctor
-            .db
-            .apply(
-                "D3",
-                WriteOp::Insert {
-                    row: row![191i64, "Wellbutrin", "CliD9", "MeA2", "50 mg"],
-                },
-            )
-            .expect("out-of-band insert");
-        assert!(
-            doctor.fresh_group_index("D23&D32").is_none(),
-            "version guard must flag the index stale"
-        );
-        // Translating a whole-group delete must still cover BOTH members
-        // (189 and the out-of-band 191) — the stale index is bypassed.
-        let view_delta = TableDelta {
-            deletes: vec![vec![Value::text("Wellbutrin")]],
+    /// Every `ProjectDistinct` share's cached index equals a rebuild over
+    /// the current source, and every stored copy equals what its lens
+    /// reads off the source.
+    fn check_derived_state(peer: &PeerNode) -> std::result::Result<(), TestCaseError> {
+        for (share, binding) in &peer.bindings {
+            let source = peer.db.table(&binding.source_table).expect("source");
+            let (store, view) = (peer.shared_table(share), exec::get(&binding.lens, source));
+            let (store, view) = (store.expect("store"), view.expect("get"));
+            prop_assert!(
+                store == view,
+                "`{share}` stores {store:?}, its lens reads {view:?}"
+            );
+            if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
+                let rebuilt = GroupIndex::build(source, view_key).expect("build");
+                let cached = &peer.group_indexes[share];
+                let (cached, rebuilt) = (format!("{cached:?}"), format!("{rebuilt:?}"));
+                prop_assert!(
+                    cached == rebuilt,
+                    "`{share}` index {cached} != rebuild {rebuilt}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A committed remote update of one row (one group) of `share`, built
+    /// on the committed baseline: `(view delta, announced hash)`. `None`
+    /// when the baseline does not hold `key`.
+    fn remote_update(
+        peer: &PeerNode,
+        share: &str,
+        key: Value,
+        value: &str,
+    ) -> Option<(TableDelta, Hash256)> {
+        let mut view = committed_table(peer, share);
+        let column = if share == "D13&D31" { 3 } else { 1 };
+        let mut row = view.get(std::slice::from_ref(&key))?.clone();
+        *row.get_mut(column)? = Value::text(value);
+        let delta = TableDelta {
+            updates: vec![(vec![key], row)],
             ..Default::default()
         };
-        let translated = doctor
-            .translate_remote_delta("D23&D32", &view_delta)
-            .expect("translate");
-        assert!(translated.deletes.contains(&vec![Value::Int(189)]));
-        assert!(translated.deletes.contains(&vec![Value::Int(191)]));
-        // The next tracked source apply rebuilds the index from ground
-        // truth and re-stamps it fresh.
-        doctor
-            .write_source(
-                "D3",
-                WriteOp::Update {
-                    key: vec![Value::Int(188)],
-                    assignments: vec![("dosage".into(), Value::text("1x"))],
-                },
-            )
-            .expect("tracked write");
-        assert!(doctor.fresh_group_index("D23&D32").is_some());
-        let idx = &doctor.group_indexes["D23&D32"].1;
-        assert!(idx
-            .rows_of(&[Value::text("Wellbutrin")])
-            .expect("group")
-            .contains(&vec![Value::Int(191)]));
+        view.apply_delta(&delta).ok()?;
+        Some((delta, view.content_hash()))
+    }
+
+    /// One step of a random script over the Fig. 1 doctor, through the
+    /// peer's own methods only; a step the peer refuses is skipped.
+    fn run_step(
+        peer: &mut PeerNode,
+        staged: &mut Vec<Vec<(String, TableDelta)>>,
+        step: (u8, u64, u64),
+    ) {
+        const MEDS: [&str; 3] = ["Ibuprofen", "Wellbutrin", "Metformin"];
+        let (op, a, b) = step;
+        let pid = Value::Int(186 + a as i64);
+        let med = MEDS[b as usize % MEDS.len()];
+        let share = ["D13&D31", "D23&D32"][a as usize % 2];
+        let set = |column: &str, value: String| vec![(column.to_string(), Value::text(value))];
+        let written = match op {
+            0 => {
+                // Join the group's mechanism, or (b = 3) break the FD.
+                let group = peer.shared_store("D23&D32").expect("D32");
+                let mech = match group.get(&[Value::text(med)]) {
+                    Some(row) if b != 3 => row[1].clone(),
+                    _ => Value::text(format!("MeA-{b}")),
+                };
+                let row = Row::new(vec![
+                    pid,
+                    Value::text(med),
+                    Value::text("CliD"),
+                    mech,
+                    Value::text("1x"),
+                ]);
+                peer.write_source("D3", WriteOp::Insert { row })
+            }
+            1 => {
+                let column = ["dosage", "clinical_data", "mechanism_of_action"][b as usize % 3];
+                let op = WriteOp::Update {
+                    key: vec![pid],
+                    assignments: set(column, format!("v{b}")),
+                };
+                peer.write_source("D3", op)
+            }
+            2 => peer.write_source("D3", WriteOp::Delete { key: vec![pid] }),
+            3 => {
+                let op = WriteOp::Update {
+                    key: vec![pid],
+                    assignments: set("dosage", format!("s{b}")),
+                };
+                peer.write_shared("D13&D31", op)
+            }
+            4 => {
+                let assignments = set("mechanism_of_action", format!("MeS-{a}"));
+                let op = WriteOp::Update {
+                    key: vec![Value::text(med)],
+                    assignments,
+                };
+                peer.write_shared("D23&D32", op)
+            }
+            5 => {
+                if let Some(inverses) = staged.pop() {
+                    peer.rollback_writes(&inverses);
+                }
+                return;
+            }
+            6 => {
+                let delta = peer.prepare_update_delta(share).expect("pending");
+                if !delta.is_empty() {
+                    let version = peer.applied_versions[share] + 1;
+                    peer.commit_delta(share, &delta, version).expect("commit");
+                    staged.clear();
+                }
+                return;
+            }
+            _ => {
+                // A remote update, with or without a pending change of
+                // `share` (the latter is the conflict path).
+                let key = if share == "D13&D31" {
+                    pid
+                } else {
+                    Value::text(med)
+                };
+                let Some((delta, announced)) = remote_update(peer, share, key, &format!("r{b}"))
+                else {
+                    return;
+                };
+                let Ok(source_delta) = peer.translate_remote_delta(share, &delta) else {
+                    return;
+                };
+                let version = peer.applied_versions[share] + 1;
+                if peer
+                    .apply_remote_delta(share, &delta, &source_delta, announced, version)
+                    .is_ok()
+                {
+                    staged.clear();
+                }
+                return;
+            }
+        };
+        staged.extend(written.ok());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// After every in-band step of a random script — source and
+        /// shared writes, rollbacks, commits, remote applies with and
+        /// without a pending change — the cached group indexes and the
+        /// stored copies equal what a rebuild from the source gives, at 1
+        /// and 4 shards.
+        #[test]
+        fn group_indexes_and_stores_track_random_scripts(
+            script in proptest::collection::vec((0u8..8, 0u64..6, 0u64..4), 1..24),
+        ) {
+            for shards in [1usize, 4] {
+                let mut doctor = doctor_over(d3_nullable_mechanism(), shards);
+                let mut staged = Vec::new();
+                for &step in &script {
+                    run_step(&mut doctor, &mut staged, step);
+                    check_derived_state(&doctor)?;
+                }
+            }
+        }
     }
 
     #[test]

@@ -267,18 +267,21 @@ struct PeerSnapshot {
     name: String,
     owner: String,
     tables: Vec<(String, Table)>,
-    versions: Vec<(String, u64)>,
     base_seq: u64,
     bindings: BTreeMap<String, PeerBinding>,
 }
 
 impl Decode for PeerSnapshot {
     fn decode_from(r: &mut Reader<'_>) -> medledger_storage::Result<Self> {
+        let (name, owner) = (String::decode_from(r)?, String::decode_from(r)?);
+        let tables = take_seq(r)?;
+        // The retired per-table version list: written empty, and skipped
+        // so snapshots that still carry one recover.
+        take_seq::<(String, u64)>(r)?;
         Ok(PeerSnapshot {
-            name: String::decode_from(r)?,
-            owner: String::decode_from(r)?,
-            tables: take_seq(r)?,
-            versions: take_seq(r)?,
+            name,
+            owner,
+            tables,
             base_seq: r.take_varint()?,
             bindings: Decode::decode_from(r)?,
         })
@@ -313,7 +316,7 @@ fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
             .peers
             .get(account)
             .ok_or_else(|| missing_peer(name, "while snapshotting"))?;
-        let (owner, tables, versions, next_seq) = peer.db.export_parts();
+        let (owner, tables, next_seq) = peer.db().export_parts();
         let stored = peer.stored_copies();
         name.encode_into(&mut out);
         put_bytes(&mut out, owner.as_bytes());
@@ -326,11 +329,7 @@ fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
             table_id.encode_into(&mut out);
             store.encode_into(&mut out);
         }
-        put_varint(&mut out, versions.len() as u64);
-        for (table_name, version) in versions {
-            table_name.encode_into(&mut out);
-            put_varint(&mut out, *version);
-        }
+        put_varint(&mut out, 0); // the retired per-table version list
         put_varint(&mut out, next_seq);
         peer.bindings_map().encode_into(&mut out);
     }
@@ -471,16 +470,16 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
             .peer_seqs
             .get(name)
             .copied()
-            .unwrap_or_else(|| peer.db.base_seq());
-        if peer.db.base_seq() > from_seq {
+            .unwrap_or_else(|| peer.db().base_seq());
+        if peer.db().base_seq() > from_seq {
             p.poisoned = true;
             return Err(CoreError::Storage(format!(
                 "peer {name} database log truncated past the persisted \
                  watermark ({} > {from_seq})",
-                peer.db.base_seq()
+                peer.db().base_seq()
             )));
         }
-        let records = peer.db.log_since(from_seq);
+        let records = peer.db().log_since(from_seq);
         next_seqs.insert(name.clone(), from_seq + records.len() as u64);
         if !records.is_empty() {
             peer_records.push((name.as_str(), records));
@@ -542,7 +541,7 @@ fn flush_inner(sys: &mut System, p: &mut Persistence, force_snapshot: bool) -> R
             .peers
             .get_mut(&sys.names[name])
             .ok_or_else(|| missing_peer(name, "while draining its log"))?;
-        peer.db.truncate_log(*seq);
+        peer.truncate_log(*seq);
     }
     p.peer_seqs = next_seqs;
     // Snapshots are retained by reference: the one this record names and
@@ -650,12 +649,7 @@ fn restore_peers(
                 pm.name
             ))
         })?;
-        let mut db = Database::from_parts(
-            ps.owner,
-            ps.tables.into_iter().collect(),
-            ps.versions.into_iter().collect(),
-            ps.base_seq,
-        );
+        let mut db = Database::from_parts(ps.owner, ps.tables.into_iter().collect(), ps.base_seq);
         let own_records = later
             .iter()
             .flat_map(|record| &record.peer_records)
@@ -777,7 +771,7 @@ impl System {
             // A backend attached later starts from a forced snapshot and
             // logs from each database's `base_seq`, wherever that is.
             for peer in self.peers.values_mut() {
-                peer.db.truncate_log(peer.db.next_seq());
+                peer.truncate_log(peer.db().next_seq());
             }
             return Ok(());
         };
@@ -874,11 +868,13 @@ pub enum Recovery {
 
 #[cfg(test)]
 mod tests {
+    use super::{build_snapshot, Snapshot};
     use crate::facade::MedLedger;
     use crate::scenario::{self, SHARE_PD};
     use crate::system::{ConsensusKind, SystemConfig};
-    use medledger_relational::Value;
-    use medledger_storage::SharedBackend;
+    use medledger_relational::{Table, Value};
+    use medledger_storage::codec::{put_bytes, put_varint};
+    use medledger_storage::{Decode, Encode, SharedBackend};
 
     fn config(seed: &str) -> SystemConfig {
         SystemConfig {
@@ -962,6 +958,61 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_a_retired_version_list_still_decodes() {
+        let scn = scenario::build(config("persist-versions")).expect("fig1");
+        let sys = scn.ledger.system();
+        // The layout every earlier `MLSNAP03` snapshot has: a per-table
+        // mutation count between the tables and `base_seq`.
+        let mut old = Vec::new();
+        put_varint(&mut old, 7);
+        put_varint(&mut old, sys.names.len() as u64);
+        for (name, account) in &sys.names {
+            let peer = &sys.peers[account];
+            let (owner, tables, next_seq) = peer.db().export_parts();
+            name.encode_into(&mut old);
+            put_bytes(&mut old, owner.as_bytes());
+            put_varint(&mut old, (tables.len() + peer.stored_copies().len()) as u64);
+            for (table_name, table) in tables {
+                table_name.encode_into(&mut old);
+                table.encode_into(&mut old);
+            }
+            for (table_id, store) in peer.stored_copies() {
+                table_id.encode_into(&mut old);
+                store.encode_into(&mut old);
+            }
+            let names: Vec<_> = (tables.keys())
+                .chain(peer.stored_copies().map(|(id, _)| id))
+                .collect();
+            put_varint(&mut old, names.len() as u64);
+            for (version, table_name) in names.into_iter().enumerate() {
+                table_name.encode_into(&mut old);
+                put_varint(&mut old, version as u64 + 3);
+            }
+            put_varint(&mut old, next_seq);
+            peer.bindings_map().encode_into(&mut old);
+        }
+
+        let current = build_snapshot(sys, 7).expect("snapshot");
+        assert!(current.len() < old.len(), "the version lists are gone");
+        for payload in [old, current] {
+            let snapshot = Snapshot::decode(&payload).expect("decodes");
+            assert_eq!(snapshot.id, 7);
+            assert_eq!(snapshot.peers.len(), sys.names.len());
+            for ps in snapshot.peers {
+                let peer = &sys.peers[&sys.names[&ps.name]];
+                let sources = peer.db().export_parts().1.clone().into_iter();
+                let stored =
+                    (peer.stored_copies()).map(|(id, store)| (id.clone(), store.assemble()));
+                let tables: Vec<(String, Table)> = sources.chain(stored).collect();
+                assert_eq!(ps.owner, peer.db().owner);
+                assert_eq!(ps.tables, tables, "{}", ps.name);
+                assert_eq!(ps.base_seq, peer.db().next_seq(), "{}", ps.name);
+                assert_eq!(&ps.bindings, peer.bindings_map(), "{}", ps.name);
+            }
+        }
+    }
+
+    #[test]
     fn in_memory_node_drops_its_write_log_and_can_still_turn_durable() {
         fn set_dosage(ledger: &mut MedLedger, value: &str) {
             let doctor = ledger.peer_id("Doctor").expect("doctor");
@@ -978,8 +1029,8 @@ mod tests {
         // Every store mutation was logged — and, with no storage to read
         // the log, dropped at the commit boundary.
         for peer in scn.ledger.system().peers.values() {
-            assert!(peer.db.next_seq() > 0, "{} logged nothing", peer.name);
-            assert!(peer.db.log().is_empty(), "{} kept its log", peer.name);
+            assert!(peer.db().next_seq() > 0, "{} logged nothing", peer.name);
+            assert!(peer.db().log().is_empty(), "{} kept its log", peer.name);
         }
 
         // Attaching storage afterwards snapshots the whole state, so
@@ -991,7 +1042,7 @@ mod tests {
             .expect("attach");
         set_dosage(&mut scn.ledger, "three tablets");
         let fingerprints: Vec<_> = (scn.ledger.system().peers.values())
-            .map(|p| (p.name.clone(), p.fingerprint(), p.db.next_seq()))
+            .map(|p| (p.name.clone(), p.fingerprint(), p.db().next_seq()))
             .collect();
         let height = scn.ledger.chain().height();
         scn.ledger.close().expect("close");
@@ -1002,7 +1053,7 @@ mod tests {
             .build()
             .expect("recover");
         let recovered_fps: Vec<_> = (recovered.system().peers.values())
-            .map(|p| (p.name.clone(), p.fingerprint(), p.db.next_seq()))
+            .map(|p| (p.name.clone(), p.fingerprint(), p.db().next_seq()))
             .collect();
         assert_eq!(recovered_fps, fingerprints);
         assert_eq!(recovered.chain().height(), height);

@@ -1015,7 +1015,7 @@ fn stage_onto(
                 // also feed sibling shares (Step-6 cascade material).
                 let binding = node.binding(table_id)?.clone();
                 if binding.source_table == *table {
-                    let source = node.db.table(table)?;
+                    let source = node.db().table(table)?;
                     let source_delta = delta_from_write_op(source, op)?;
                     let view_delta = medledger_bx::get_delta(&binding.lens, source, &source_delta)?;
                     let current_view = node.shared_store(table_id)?;

@@ -431,11 +431,6 @@ impl System {
         &self.chain
     }
 
-    /// The contract runtime.
-    pub fn runtime(&self) -> &ContractRuntime {
-        &self.runtime
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> SystemStats {
         self.stats
@@ -796,7 +791,7 @@ impl System {
                 .peers
                 .get(account)
                 .ok_or_else(|| CoreError::UnknownPeer(account.to_string()))?;
-            let source = peer.db.table(&binding.source_table)?;
+            let source = peer.db().table(&binding.source_table)?;
             let view = medledger_bx::exec::get(&binding.lens, source)?;
             let h = view.content_hash();
             match initial_hash {
@@ -894,17 +889,16 @@ impl System {
 
     /// Fig. 5 Step 1 plus the pre-flight translatability check: the
     /// pending delta relative to the committed baseline (tracked at write
-    /// time; falls back to a full diff only for out-of-band edits), plus
-    /// every sharing peer's pre-translated `put_delta` result, kept and
-    /// reused at apply time.
+    /// time), plus every sharing peer's pre-translated `put_delta` result,
+    /// kept and reused at apply time.
     fn prepare_update(
-        &mut self,
+        &self,
         updater: AccountId,
         table_id: &str,
         trace: &mut WorkflowTrace,
     ) -> Result<PreparedUpdate> {
         let (updater_name, delta, attrs, new_hash) = {
-            let peer = self.node_mut(&updater)?;
+            let peer = self.node(&updater)?;
             let delta = peer.prepare_update_delta(table_id)?;
             if delta.is_empty() {
                 return Err(CoreError::NoChange(table_id.to_string()));

@@ -76,11 +76,6 @@ impl MerkleTree {
             .unwrap_or(Hash256::ZERO)
     }
 
-    /// The leaf digest at `index`, if present.
-    pub fn leaf(&self, index: usize) -> Option<Hash256> {
-        self.levels.first().and_then(|l| l.get(index)).copied()
-    }
-
     /// Produces an inclusion proof for the leaf at `index`.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
         if index >= self.len() {

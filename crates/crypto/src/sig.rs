@@ -298,11 +298,6 @@ impl KeyPair {
         self.capacity - self.next_index
     }
 
-    /// Total one-time key capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// One-time keys already consumed (the next leaf index to sign with).
     pub fn used(&self) -> u64 {
         self.next_index
@@ -459,7 +454,7 @@ mod tests {
     #[test]
     fn exhaustion_is_an_error() {
         let mut kp = KeyPair::generate("dave", 2);
-        assert_eq!(kp.capacity(), 2);
+        assert_eq!(kp.capacity, 2);
         kp.sign(b"1").expect("sign 1");
         kp.sign(b"2").expect("sign 2");
         assert_eq!(kp.sign(b"3"), Err(SigningError::KeysExhausted));
@@ -468,9 +463,9 @@ mod tests {
     #[test]
     fn capacity_rounds_up_to_power_of_two() {
         let kp = KeyPair::generate("e", 3);
-        assert_eq!(kp.capacity(), 4);
+        assert_eq!(kp.capacity, 4);
         let kp = KeyPair::generate("e", 0);
-        assert_eq!(kp.capacity(), 1);
+        assert_eq!(kp.capacity, 1);
     }
 
     #[test]
@@ -508,7 +503,7 @@ mod tests {
 
             let mut oracle = KeyPair::over_leaves(seed, serial);
             let mut keys = KeyPair::from_seed(seed, capacity);
-            assert_eq!(keys.capacity(), rounded as u64);
+            assert_eq!(keys.capacity, rounded as u64);
             assert_eq!(keys.public(), oracle.public(), "capacity {capacity}");
             let signature = keys.sign(b"same bytes").expect("sign");
             assert_eq!(signature, oracle.sign(b"same bytes").expect("sign"));

@@ -25,8 +25,8 @@
 //!
 //! - [`rt`] — the executor: a work queue over N worker threads, a timer
 //!   thread, `block_on`, and quiescence-aware [`Runtime::drain`].
-//! - [`sync`] — oneshot, bounded/unbounded mpsc channels, and
-//!   [`sync::Notify`], all usable from any future on the executor.
+//! - [`sync`] — oneshot and bounded/unbounded mpsc channels, usable
+//!   from any future on the executor.
 //! - [`wire`] — `[u32 len][version][corr][Message]` frames over bounded
 //!   in-process byte [`wire::pipe`]s with genuine backpressure; every
 //!   payload round-trips through the storage codec.

@@ -319,7 +319,6 @@ impl Core {
 pub struct Runtime {
     core: Arc<Core>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    workers: usize,
 }
 
 impl Runtime {
@@ -352,13 +351,7 @@ impl Runtime {
         Runtime {
             core,
             threads: Mutex::new(threads),
-            workers,
         }
-    }
-
-    /// The configured executor thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// A cloneable handle for spawning from inside tasks.
@@ -579,31 +572,6 @@ impl Future for Sleep {
     }
 }
 
-/// Cooperative yield: reschedules the current task behind everything
-/// already queued and resolves on its next poll.
-pub fn yield_now() -> YieldNow {
-    YieldNow { yielded: false }
-}
-
-/// Future returned by [`yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 #[doc(hidden)]
 pub mod probe {
     //! Model-checker window onto the executor internals.
@@ -736,15 +704,6 @@ mod tests {
         let start = Instant::now();
         rt.block_on(rt.sleep(Duration::from_millis(20)));
         assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn yield_now_round_trips() {
-        let rt = Runtime::new(1);
-        rt.block_on(async {
-            yield_now().await;
-            yield_now().await;
-        });
     }
 
     #[test]

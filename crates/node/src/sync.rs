@@ -1,10 +1,9 @@
 //! Waker-based async synchronization primitives.
 //!
-//! Channels ([`channel`], [`unbounded`]), one-shot rendezvous
-//! ([`oneshot`]) and a broadcast [`Notify`]. None of them know about the
-//! executor — they park wakers and wake them — so they compose with
-//! [`crate::rt::Runtime`], with `block_on` on a plain thread, or with
-//! any other future-driving loop.
+//! Channels ([`channel`], [`unbounded`]) and one-shot rendezvous
+//! ([`oneshot`]). Neither knows about the executor — they park wakers
+//! and wake them — so they compose with [`crate::rt::Runtime`], with
+//! `block_on` on a plain thread, or with any other future-driving loop.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -357,90 +356,6 @@ impl<T> Future for Recv<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------
-
-struct NotifyState {
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-/// A broadcast wake-up: waiters capture the current generation and
-/// resolve once [`Notify::notify_waiters`] advances it. The gateway uses
-/// one per ticket table to turn "outcome arrived" into an event-driven
-/// wake instead of a poll loop.
-#[derive(Clone)]
-pub struct Notify {
-    state: Arc<Mutex<NotifyState>>,
-}
-
-impl Default for Notify {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Notify {
-    /// Creates an un-notified instance.
-    pub fn new() -> Self {
-        Notify {
-            state: Arc::new(Mutex::new(NotifyState {
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// A future resolving at the next [`Notify::notify_waiters`] call
-    /// after this one.
-    pub fn notified(&self) -> Notified {
-        // The generation is captured *here*, not at first poll: a
-        // notify landing between this call and the first poll must
-        // still resolve the future (the checker's `notify` scenarios
-        // pin this down).
-        sched::point("notify.notified");
-        let g = self.state.lock().expect("notify lock").generation;
-        Notified {
-            state: Arc::clone(&self.state),
-            observed: g,
-        }
-    }
-
-    /// Wakes every current waiter.
-    pub fn notify_waiters(&self) {
-        sched::point("notify.notify");
-        let wakers: Vec<Waker> = {
-            let mut s = self.state.lock().expect("notify lock");
-            s.generation += 1;
-            s.wakers.drain(..).collect()
-        };
-        for w in wakers {
-            w.wake();
-        }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-pub struct Notified {
-    state: Arc<Mutex<NotifyState>>,
-    observed: u64,
-}
-
-impl Future for Notified {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        sched::point("notify.poll");
-        let mut s = self.state.lock().expect("notify lock");
-        if s.generation != self.observed {
-            return Poll::Ready(());
-        }
-        s.wakers.push(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,22 +419,5 @@ mod tests {
             assert_eq!(rx.recv().await, Some(1));
             assert_eq!(rx.recv().await, None);
         });
-    }
-
-    #[test]
-    fn notify_wakes_parked_waiters() {
-        let rt = Runtime::new(2);
-        let n = Notify::new();
-        let waiter = {
-            let n = n.clone();
-            rt.spawn(async move {
-                n.notified().await;
-                42u32
-            })
-        };
-        // Give the waiter a moment to park, then notify.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        n.notify_waiters();
-        assert_eq!(rt.block_on(waiter), 42);
     }
 }

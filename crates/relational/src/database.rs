@@ -79,19 +79,14 @@ pub struct LogRecord {
 /// A named collection of tables with a mutation log.
 ///
 /// All mutations flow through [`Database::apply`] so they are logged.
-/// The log and the version counters may also cover tables stored
-/// elsewhere ([`Database::log_external`]).
+/// The log may also cover tables stored elsewhere
+/// ([`Database::log_external`]).
 #[derive(Clone, Debug)]
 pub struct Database {
     /// Owner label (peer name); used in error messages and audits.
     pub owner: String,
     tables: BTreeMap<String, Table>,
     log: Vec<LogRecord>,
-    /// Per-table mutation counter: bumped by every write path (including
-    /// whole-table swaps), so callers caching
-    /// state derived from a table (e.g. a peer's group indexes) can
-    /// detect that the table moved under them.
-    versions: BTreeMap<String, u64>,
     /// Sequence number of the oldest record still in `log`: records below
     /// it were handed to durable storage and dropped via
     /// [`Database::truncate_log`]. Sequence numbers stay monotonic across
@@ -106,7 +101,6 @@ impl Database {
             owner: owner.into(),
             tables: BTreeMap::new(),
             log: Vec::new(),
-            versions: BTreeMap::new(),
             base_seq: 0,
         }
     }
@@ -117,28 +111,12 @@ impl Database {
         self.base_seq + self.log.len() as u64
     }
 
-    /// Counts one mutation of `name`. Every write path below calls it; a
-    /// caller storing a table itself calls it where this database would
-    /// have (table creation and drop).
-    pub fn bump_version(&mut self, name: &str) {
-        *self.versions.entry(name.to_string()).or_insert(0) += 1;
-    }
-
-    /// Monotonic mutation counter of one table (0 for unknown tables).
-    /// Any write path — logged applies, table creation or replacement —
-    /// advances it, so equality of two
-    /// observations proves the table content did not change in between.
-    pub fn table_version(&self, name: &str) -> u64 {
-        self.versions.get(name).copied().unwrap_or(0)
-    }
-
     /// Inserts a pre-built table.
     pub fn put_table(&mut self, name: impl Into<String>, table: Table) -> Result<()> {
         let name = name.into();
         if self.tables.contains_key(&name) {
             return Err(RelationalError::TableExists { table: name });
         }
-        self.bump_version(&name);
         self.tables.insert(name, table);
         Ok(())
     }
@@ -190,7 +168,6 @@ impl Database {
             }
         }
         let post_hash = t.content_hash();
-        self.bump_version(table);
         self.log.push(LogRecord {
             seq: self.next_seq(),
             table: table.to_string(),
@@ -213,7 +190,6 @@ impl Database {
             })?;
         let inverse = t.apply_delta(delta)?;
         let post_hash = t.content_hash();
-        self.bump_version(table);
         self.log.push(LogRecord {
             seq: self.next_seq(),
             table: table.to_string(),
@@ -228,10 +204,9 @@ impl Database {
     /// Logs a mutation of a table whose rows the caller stores itself (a
     /// peer keeps its shared tables in its own sharded store, but their
     /// history in this log). The caller has applied `op` and attests
-    /// that the table hashes to `post_hash` afterwards; the record and the
-    /// version bump are the ones [`Database::apply`] would have produced.
+    /// that the table hashes to `post_hash` afterwards; the record is the
+    /// one [`Database::apply`] would have produced.
     pub fn log_external(&mut self, table: &str, op: WriteOp, post_hash: Hash256) {
-        self.bump_version(table);
         self.log.push(LogRecord {
             seq: self.next_seq(),
             table: table.to_string(),
@@ -240,7 +215,7 @@ impl Database {
         });
     }
 
-    /// Removes a table without counting a mutation: its rows move to a
+    /// Removes a table without logging a mutation: its rows move to a
     /// store of the caller's, which keeps reporting their mutations
     /// through [`Database::log_external`].
     pub fn detach_table(&mut self, name: &str) -> Result<Table> {
@@ -343,33 +318,26 @@ impl Database {
                 ),
             });
         }
-        self.bump_version(&rec.table);
         self.log.push(rec.clone());
         Ok(())
     }
 
     /// Decomposes the database for snapshot encoding. Returns
-    /// `(owner, tables, versions, next_seq)`; the in-memory log is *not*
-    /// part of a snapshot (the WAL owns history).
-    pub fn export_parts(&self) -> (&str, &BTreeMap<String, Table>, &BTreeMap<String, u64>, u64) {
-        (&self.owner, &self.tables, &self.versions, self.next_seq())
+    /// `(owner, tables, next_seq)`; the in-memory log is *not* part of a
+    /// snapshot (the WAL owns history).
+    pub fn export_parts(&self) -> (&str, &BTreeMap<String, Table>, u64) {
+        (&self.owner, &self.tables, self.next_seq())
     }
 
     /// Reassembles a database from snapshot parts: the inverse of
     /// [`Database::export_parts`]. The log starts empty with `base_seq`
     /// positioned so the next mutation continues the pre-snapshot
     /// sequence.
-    pub fn from_parts(
-        owner: String,
-        tables: BTreeMap<String, Table>,
-        versions: BTreeMap<String, u64>,
-        base_seq: u64,
-    ) -> Self {
+    pub fn from_parts(owner: String, tables: BTreeMap<String, Table>, base_seq: u64) -> Self {
         Database {
             owner,
             tables,
             log: Vec::new(),
-            versions,
             base_seq,
         }
     }
@@ -630,12 +598,10 @@ mod tests {
             },
         )
         .expect("insert");
-        let (owner, tables, versions, next) = db.export_parts();
-        let rebuilt =
-            Database::from_parts(owner.to_string(), tables.clone(), versions.clone(), next);
+        let (owner, tables, next) = db.export_parts();
+        let rebuilt = Database::from_parts(owner.to_string(), tables.clone(), next);
         assert_eq!(rebuilt.fingerprint(), db.fingerprint());
         assert_eq!(rebuilt.base_seq(), 1);
         assert!(rebuilt.log().is_empty(), "snapshots do not carry the log");
-        assert_eq!(rebuilt.table_version("t"), db.table_version("t"));
     }
 }

@@ -38,11 +38,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         // ordering: telemetry-relaxed
@@ -232,13 +227,6 @@ pub struct HistogramSnapshot {
     pub p95: u64,
     /// Estimated 99th percentile.
     pub p99: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean value (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// One heat-map slot: an owner tag claimed once by CAS, then two
@@ -559,7 +547,7 @@ mod tests {
     fn counter_and_gauge_basics() {
         let c = Counter::new();
         c.add(5);
-        c.inc();
+        c.add(1);
         assert_eq!(c.get(), 6);
         let g = Gauge::new();
         g.set(10);

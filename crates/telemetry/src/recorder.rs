@@ -108,11 +108,6 @@ impl Recorder {
 pub struct CounterHandle(Option<Arc<Counter>>);
 
 impl CounterHandle {
-    /// The permanent no-op handle.
-    pub fn disabled() -> Self {
-        CounterHandle(None)
-    }
-
     /// True when backed by a live metric.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
@@ -123,11 +118,6 @@ impl CounterHandle {
         if let Some(c) = &self.0 {
             c.add(n);
         }
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
     }
 }
 
@@ -166,11 +156,6 @@ impl GaugeHandle {
 pub struct HistogramHandle(Option<Arc<Histogram>>);
 
 impl HistogramHandle {
-    /// The permanent no-op handle.
-    pub fn disabled() -> Self {
-        HistogramHandle(None)
-    }
-
     /// True when backed by a live metric.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()

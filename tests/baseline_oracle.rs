@@ -185,7 +185,7 @@ impl Run {
                 }
             }
             Op::SetClinical(k, v) => {
-                let source = self.peer.db.table("D3").expect("D3").clone();
+                let source = self.peer.db().table("D3").expect("D3").clone();
                 if let Some(key) = pick_key(&source, *k) {
                     let assignments =
                         vec![("clinical_data".into(), Value::text(format!("clin-{v}")))];

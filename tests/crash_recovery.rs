@@ -1188,7 +1188,7 @@ fn snapshots_truncate_the_wal_and_bound_its_growth() {
 
     // In-memory: the retained log window is shorter than the full record
     // sequence — `Database::truncate_log` ran on the flush path.
-    let doctor_db = &scn.ledger.system().peer(scn.doctor).expect("doctor").db;
+    let doctor_db = &scn.ledger.system().peer(scn.doctor).expect("doctor").db();
     let total_records = doctor_db.next_seq();
     let retained = doctor_db.log_since(0).len() as u64;
     assert!(total_records > 0);

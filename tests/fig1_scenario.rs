@@ -160,7 +160,7 @@ fn views_regenerate_from_sources_by_get() {
     ] {
         let node = scn.ledger.system().peer(peer).expect("peer");
         let binding = node.binding(share).expect("binding");
-        let source = node.db.table(&binding.source_table).expect("source");
+        let source = node.db().table(&binding.source_table).expect("source");
         let regen = medledger::bx::exec::get(&binding.lens, source).expect("get");
         let stored = node.shared_table(share).expect("stored");
         assert_eq!(

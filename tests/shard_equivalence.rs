@@ -224,7 +224,7 @@ fn state_of(peer: &PeerNode) -> PeerState {
             .iter()
             .map(|t| peer.applied_versions[*t])
             .collect(),
-        next_seq: peer.db.next_seq(),
+        next_seq: peer.db().next_seq(),
     }
 }
 
@@ -309,7 +309,7 @@ fn apply_peer_op(
                 .expect("source insert");
         }
         PeerOp::SourceClinical(k, v) => {
-            let source = peer.db.table("D3").expect("D3").clone();
+            let source = peer.db().table("D3").expect("D3").clone();
             if let Some(key) = pick_key(&source, *k) {
                 let op = WriteOp::Update {
                     key,
@@ -481,7 +481,7 @@ proptest! {
             }
             // Same state and the same mutation log whatever the shard
             // count: the WAL never sees how a store is split.
-            let end = (state_of(&peer), peer.db.log().to_vec());
+            let end = (state_of(&peer), peer.db().log().to_vec());
             match &reference {
                 None => reference = Some(end),
                 Some(unsharded) => prop_assert_eq!(&end, unsharded),
