@@ -123,6 +123,23 @@ pub struct PbftRound {
 /// Size of the non-payload part of each protocol message.
 const MSG_OVERHEAD: usize = 32 /* digest */ + 32 /* tag */ + 16;
 
+/// A round's pairwise validator keys (see [`PbftRound::pair_keys`]).
+struct PairKeys(Vec<HmacKey>);
+
+impl PairKeys {
+    /// The authenticator of a `kind` message for `view` and `digest` from
+    /// replica `from` to replica `to`.
+    fn tag(&self, kind: u8, view: u64, digest: &Hash256, from: usize, to: usize) -> Hash256 {
+        let (lo, hi) = if from < to { (from, to) } else { (to, from) };
+        let mut body = [0u8; 1 + 8 + 32 + 8];
+        body[0] = kind;
+        body[1..9].copy_from_slice(&view.to_be_bytes());
+        body[9..41].copy_from_slice(digest.as_bytes());
+        body[41..].copy_from_slice(&(from as u64).to_be_bytes());
+        self.0[hi * (hi - 1) / 2 + lo].mac(&body)
+    }
+}
+
 impl PbftRound {
     /// Creates a round.
     pub fn new(config: PbftConfig) -> Self {
@@ -145,24 +162,24 @@ impl PbftRound {
         self
     }
 
-    fn pair_key(&self, a: usize, b: usize) -> HmacKey {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let seed = sha256_concat(&[
-            b"medledger.pbft.pairkey:",
-            self.config.seed.as_bytes(),
-            &(lo as u64).to_be_bytes(),
-            &(hi as u64).to_be_bytes(),
-        ]);
-        HmacKey::new(seed.as_bytes())
-    }
-
-    fn tag(&self, kind: u8, view: u64, digest: &Hash256, from: usize, to: usize) -> Hash256 {
-        let mut body = Vec::with_capacity(64);
-        body.push(kind);
-        body.extend_from_slice(&view.to_be_bytes());
-        body.extend_from_slice(digest.as_bytes());
-        body.extend_from_slice(&(from as u64).to_be_bytes());
-        self.pair_key(from, to).mac(&body)
+    /// The HMAC key every pair of validators shares, one per unordered
+    /// pair `lo < hi`, at index `hi (hi − 1) / 2 + lo`: derived once per
+    /// round, so a message's tag costs only its HMAC.
+    fn pair_keys(&self) -> PairKeys {
+        let n = self.config.n;
+        let mut keys = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for hi in 0..n {
+            for lo in 0..hi {
+                let seed = sha256_concat(&[
+                    b"medledger.pbft.pairkey:",
+                    self.config.seed.as_bytes(),
+                    &(lo as u64).to_be_bytes(),
+                    &(hi as u64).to_be_bytes(),
+                ]);
+                keys.push(HmacKey::new(seed.as_bytes()));
+            }
+        }
+        PairKeys(keys)
     }
 
     fn proposer_of(&self, height: u64, view: u64) -> usize {
@@ -182,7 +199,7 @@ impl PbftRound {
         let mut replicas: Vec<Replica> = (0..n).map(|_| Replica::default()).collect();
         let mut view_changes: u64 = 0;
         let mut auth_failures: u64 = 0;
-        let all: Vec<u64> = (0..n as u64).collect();
+        let keys = self.pair_keys();
 
         // Initial pre-prepare from the view-0 proposer, plus a timeout
         // timer on every live replica.
@@ -190,7 +207,7 @@ impl PbftRound {
         if !self.crashed.contains(&proposer) {
             for to in 0..n {
                 if to != proposer {
-                    let tag = self.tag(0, 0, &digest, proposer, to);
+                    let tag = keys.tag(0, 0, &digest, proposer, to);
                     net.send(
                         proposer as u64,
                         to as u64,
@@ -214,7 +231,7 @@ impl PbftRound {
                 .insert(proposer);
             for to in 0..n {
                 if to != proposer {
-                    let tag = self.tag(1, 0, &digest, proposer, to);
+                    let tag = keys.tag(1, 0, &digest, proposer, to);
                     net.send(
                         proposer as u64,
                         to as u64,
@@ -266,7 +283,7 @@ impl PbftRound {
                         replicas[me].prepares.entry(digest).or_default().insert(me);
                         for to in 0..n {
                             if to != me {
-                                let tag = self.tag(0, new_view, &digest, me, to);
+                                let tag = keys.tag(0, new_view, &digest, me, to);
                                 net.send(
                                     me as u64,
                                     to as u64,
@@ -278,7 +295,7 @@ impl PbftRound {
                                     },
                                     self.payload_bytes + MSG_OVERHEAD,
                                 );
-                                let ptag = self.tag(1, new_view, &digest, me, to);
+                                let ptag = keys.tag(1, new_view, &digest, me, to);
                                 net.send(
                                     me as u64,
                                     to as u64,
@@ -305,7 +322,7 @@ impl PbftRound {
                     from,
                     tag,
                 } => {
-                    if self.tag(0, view, &d, from, me) != tag {
+                    if keys.tag(0, view, &d, from, me) != tag {
                         auth_failures += 1;
                         continue;
                     }
@@ -325,7 +342,7 @@ impl PbftRound {
                         r.prepares.entry(d).or_default().insert(me);
                         for to in 0..n {
                             if to != me {
-                                let ptag = self.tag(1, view, &d, me, to);
+                                let ptag = keys.tag(1, view, &d, me, to);
                                 net.send(
                                     me as u64,
                                     to as u64,
@@ -347,7 +364,7 @@ impl PbftRound {
                     from,
                     tag,
                 } => {
-                    if self.tag(1, view, &d, from, me) != tag {
+                    if keys.tag(1, view, &d, from, me) != tag {
                         auth_failures += 1;
                         continue;
                     }
@@ -360,7 +377,7 @@ impl PbftRound {
                         let view_now = r.view;
                         for to in 0..n {
                             if to != me {
-                                let ctag = self.tag(2, view_now, &d, me, to);
+                                let ctag = keys.tag(2, view_now, &d, me, to);
                                 net.send(
                                     me as u64,
                                     to as u64,
@@ -382,7 +399,7 @@ impl PbftRound {
                     from,
                     tag,
                 } => {
-                    if self.tag(2, view, &d, from, me) != tag {
+                    if keys.tag(2, view, &d, from, me) != tag {
                         auth_failures += 1;
                         continue;
                     }
@@ -407,17 +424,18 @@ impl PbftRound {
                     }
                 }
             }
-            let _ = &all;
         }
 
         let stats = net.stats();
-        // Safety: all committed replicas must agree on the digest. (They
-        // trivially do here because only one digest circulates, but the
-        // assertion guards future extensions.)
+        // Safety: every committed replica holds a commit quorum on the one
+        // proposed digest. (Trivially so while only one digest circulates,
+        // but the assertion guards future extensions.) A replica whose
+        // pre-prepare was dropped commits without having accepted, so
+        // `accepted` is not what to check.
         debug_assert!(replicas
             .iter()
             .filter(|r| r.committed_at.is_some())
-            .all(|r| r.accepted == Some(digest)));
+            .all(|r| r.commits.get(&digest).map_or(0, BTreeSet::len) >= quorum));
         RoundOutcome {
             committed: first_commit.is_some(),
             first_commit_ms: first_commit,
@@ -538,6 +556,31 @@ mod tests {
         });
         let out = round.run(3, digest(), 1_000_000);
         assert!(out.committed);
+    }
+
+    /// Tags are the pair's HMAC over `kind ‖ view ‖ digest ‖ from`, either
+    /// direction of a pair sharing one key. Pinned values: a change to a
+    /// key's derivation, the body's layout or the pair index shows here.
+    #[test]
+    fn tags_are_pinned() {
+        let round = PbftRound::new(PbftConfig {
+            n: 5,
+            seed: "pin-tags".into(),
+            ..Default::default()
+        });
+        let keys = round.pair_keys();
+        assert_eq!(keys.0.len(), 10);
+        let d = sha256_concat(&[b"pinned-block"]);
+        #[rustfmt::skip]
+        let pinned = [
+            (0u8, 0u64, 0usize, 1usize, "c7dec278ef40e99fa2ab660e98c34edfa696abf503ee30af24ccd40d54ac5f9b"),
+            (1, 3, 4, 2, "76816ee637af0dd62a3b0b1a237a55c5f14af8d27d3323299231fc3b5326a072"),
+            (2, 7, 2, 4, "8dff1569127b5b0e7cc4889f14d846cbee844045673c92183a23ac68786491b5"),
+            (2, u64::MAX, 3, 0, "a072e87f91248d3ceddaee956c0fc9d8262acb90518db3ad0723956878b788c8"),
+        ];
+        for (kind, view, from, to, hex) in pinned {
+            assert_eq!(keys.tag(kind, view, &d, from, to).to_hex(), hex);
+        }
     }
 
     #[test]

@@ -46,12 +46,8 @@ impl HmacKey {
 
     /// Computes the authenticator for `msg`.
     pub fn mac(&self, msg: &[u8]) -> Hash256 {
-        let mut inner = self.inner.clone();
-        inner.update(msg);
-        let inner_digest = inner.finalize();
-        let mut outer = self.outer.clone();
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        let inner_digest = self.inner.finalize_with(msg);
+        self.outer.finalize_with(inner_digest.as_bytes())
     }
 
     /// Verifies an authenticator in constant time over the digest bytes.

@@ -8,7 +8,8 @@
 //!
 //! * [`sha256()`] / [`Sha256`] — the hash function, one-shot and
 //!   incremental (module [`mod@sha256`]). Its compression function has
-//!   a hardware kernel (x86 SHA extensions) and a portable scalar one;
+//!   a hardware kernel (x86 SHA extensions) and a portable scalar one,
+//!   and the signature chains have a sixteen-lane AVX-512F kernel;
 //!   which runs is decided by `is_x86_feature_detected!` alone, and the
 //!   digests are identical, so nothing stored or signed depends on the
 //!   CPU. It is the only `unsafe` in this crate.

@@ -22,6 +22,18 @@
 //! Winternitz chains of [`crate::sig`] — keeps its block padded between
 //! steps (`OneBlock`).
 //!
+//! A third kernel hashes many independent one-block messages at once: the
+//! **lane kernel**, on `x86_64` when `is_x86_feature_detected!` finds
+//! `avx512f`, runs the compression function on sixteen blocks side by side,
+//! one per 32-bit lane of a 512-bit vector. It serves the Winternitz
+//! chains alone — every step of a signature, a verification or a key
+//! derivation (`ChainLanes`, each chain's value kept in its lane from its
+//! first step to its last) and the chains' secret starts (`digest_tails`);
+//! `Lanes` says which way they run. Everything else hashes one message at
+//! a time, where sixteen lanes would sit idle. Without `avx512f` the
+//! chains walk one at a time on the kernel above, which is also the lane
+//! kernel's oracle in the tests of [`crate::sig`].
+//!
 //! Validated against the NIST test vectors in the unit tests below, on
 //! both kernels, and against HMAC vectors in [`crate::hmac`].
 
@@ -170,6 +182,30 @@ impl Sha256 {
         self.buf_len = rem.len();
     }
 
+    /// The digest of everything fed so far followed by `data`, leaving this
+    /// hasher as it is: `clone`, `update(data)`, `finalize` without the
+    /// clone, and with a short `data` padded on the stack in one pass (an
+    /// HMAC's inner and outer hash over a precomputed key pad).
+    pub(crate) fn finalize_with(&self, data: &[u8]) -> Hash256 {
+        let used = self.buf_len + data.len();
+        if used > SHORT_MAX {
+            let mut h = self.clone();
+            h.update(data);
+            return h.finalize();
+        }
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len..used].copy_from_slice(data);
+        let total_len = self.total_len.wrapping_add(data.len() as u64);
+        finish(
+            self.kernel,
+            &mut self.state.clone(),
+            &mut tail,
+            used,
+            total_len,
+        )
+    }
+
     /// Completes the hash and returns the digest.
     pub fn finalize(mut self) -> Hash256 {
         let mut tail = [0u8; 128];
@@ -293,33 +329,39 @@ fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        let out = rounds(*state, &w, 0..64);
+        for (s, v) in state.iter_mut().zip(out) {
             *s = s.wrapping_add(v);
         }
     }
+}
+
+/// Rounds `range` of the compression function on the working variables
+/// `[a, b, c, d, e, f, g, h]` with message schedule `w`; the feed-forward
+/// is the caller's.
+fn rounds(vars: [u32; 8], w: &[u32; 64], range: std::ops::Range<usize>) -> [u32; 8] {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = vars;
+    for i in range {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    [a, b, c, d, e, f, g, h]
 }
 
 /// The SHA-NI kernel. `sha256rnds2` does two rounds on the state split as
@@ -410,6 +452,351 @@ fn compress_blocks_shani(state: &mut [u32; 8], blocks: &[u8]) {
         half[1] = _mm_extract_epi32(v, 1) as u32;
         half[2] = _mm_extract_epi32(v, 2) as u32;
         half[3] = _mm_extract_epi32(v, 3) as u32;
+    }
+}
+
+/// Messages the lane kernel hashes side by side: one per 32-bit lane of a
+/// 512-bit vector.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const LANES: usize = 16;
+
+/// Proof that this CPU runs the lane kernel: built only by [`Lanes::detect`],
+/// after `is_x86_feature_detected!` reported `avx512f`, the one feature the
+/// [`x16`] functions are compiled with.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Avx512(());
+
+/// How a batch of one-block hashes — the steps of many hash chains, the
+/// secrets they start from — is computed: one message at a time on the
+/// compression kernel [`Kernel::detect`] picks, or sixteen at a time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lanes {
+    /// One message after another.
+    One,
+    /// Sixteen messages per pass of the AVX-512F lane kernel.
+    #[cfg(target_arch = "x86_64")]
+    Sixteen(Avx512),
+}
+
+impl Lanes {
+    /// The widest way this CPU runs.
+    #[inline]
+    pub(crate) fn detect() -> Lanes {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            return Lanes::Sixteen(Avx512(()));
+        }
+        Lanes::One
+    }
+}
+
+/// Bytes of [`digest_tails`]' shared message head: eleven block words.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const HEAD_LEN: usize = 44;
+
+/// SHA-256 of `head ‖ tail` for each of `tails`, sixteen per pass of the lane
+/// kernel; message by message equal to [`sha256`]. The messages are one
+/// padded block each (`T` ≤ 11) and share their first eleven words, so
+/// rounds 0..11 run once for all of them.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn digest_tails<const T: usize>(
+    _cpu: Avx512,
+    head: &[u8; HEAD_LEN],
+    tails: &[[u8; T]],
+) -> Vec<Hash256> {
+    const { assert!(HEAD_LEN + T <= OneBlock::MAX) };
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(head.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    let mut head_words = [0u32; 11];
+    head_words.copy_from_slice(&w[..11]);
+    let mid = rounds(H0, &w, 0..11);
+    let mut out = Vec::with_capacity(tails.len());
+    for batch in tails.chunks(LANES) {
+        // Block word `11 + i` of lane `l` at `words[i][l]`: the tail, the
+        // terminator, zeros and the bit length.
+        let mut words = [[0u32; LANES]; 5];
+        for (lane, tail) in batch.iter().enumerate() {
+            let mut rest = [0u8; 20];
+            rest[..T].copy_from_slice(tail);
+            rest[T] = 0x80;
+            rest[12..].copy_from_slice(&((HEAD_LEN + T) as u64 * 8).to_be_bytes());
+            for (word, bytes) in words.iter_mut().zip(rest.as_chunks::<4>().0) {
+                word[lane] = u32::from_be_bytes(*bytes);
+            }
+        }
+        // SAFETY: `_cpu` is an `Avx512`, which only `Lanes::detect` builds,
+        // once `is_x86_feature_detected!` has reported `avx512f`: the feature
+        // `x16::digest_tails` is compiled with.
+        let state = unsafe { x16::digest_tails(&mid, &head_words, &words) };
+        out.extend((0..batch.len()).map(|lane| lane_digest(&state, lane)));
+    }
+    out
+}
+
+/// The digest lane `lane` of a sixteen-lane `state` stands for.
+#[cfg(target_arch = "x86_64")]
+fn lane_digest(state: &[[u32; LANES]; 8], lane: usize) -> Hash256 {
+    state_bytes(&state.map(|word| word[lane]))
+}
+
+/// Sixteen hash chains walked in step. Every chain step hashes the same
+/// 54-byte layout, one padded block: a 20-byte tag, the chain number, the
+/// step number, then the 32-byte value. So lane `l` keeps its chain's value
+/// as eight big-endian digest words `value[0..8][l]` from the step it is
+/// loaded at to the step it ends at, and each pass builds its message words
+/// from them with shifts. The tag's words are the same in every block, so
+/// the first five rounds are too: they run once, in [`ChainLanes::new`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct ChainLanes {
+    _cpu: Avx512,
+    /// Words 0..5 of every step block.
+    tag: [u32; 5],
+    /// The working variables after rounds 0..5 of every step block.
+    mid: [u32; 8],
+    value: [[u32; LANES]; 8],
+    chain: [u32; LANES],
+    /// The step each lane's value is at.
+    step: [u32; LANES],
+    /// The step each lane stops at.
+    end: [u32; LANES],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl ChainLanes {
+    /// Sixteen idle lanes whose steps hash under `tag`.
+    pub(crate) fn new(cpu: Avx512, tag: &[u8; 20]) -> Self {
+        let mut w = [0u32; 64];
+        for (word, bytes) in w.iter_mut().zip(tag.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
+        }
+        let mut tag_words = [0u32; 5];
+        tag_words.copy_from_slice(&w[..5]);
+        ChainLanes {
+            _cpu: cpu,
+            tag: tag_words,
+            mid: rounds(H0, &w, 0..5),
+            value: [[0; LANES]; 8],
+            chain: [0; LANES],
+            step: [0; LANES],
+            end: [0; LANES],
+        }
+    }
+
+    /// Puts `value`, which sits `from` steps along chain `chain`, in lane
+    /// `lane`, to be walked to step `to` (`from ≤ to`).
+    pub(crate) fn load(&mut self, lane: usize, chain: u8, value: &Hash256, from: u8, to: u8) {
+        debug_assert!(from <= to);
+        for (word, bytes) in self
+            .value
+            .iter_mut()
+            .zip(value.as_bytes().as_chunks::<4>().0)
+        {
+            word[lane] = u32::from_be_bytes(*bytes);
+        }
+        self.chain[lane] = u32::from(chain);
+        self.step[lane] = u32::from(from);
+        self.end[lane] = u32::from(to);
+    }
+
+    /// Steps lane `lane` has left to its end; 0 once it is there.
+    pub(crate) fn remaining(&self, lane: usize) -> u32 {
+        self.end[lane].saturating_sub(self.step[lane])
+    }
+
+    /// The value lane `lane` holds.
+    pub(crate) fn value(&self, lane: usize) -> Hash256 {
+        lane_digest(&self.value, lane)
+    }
+
+    /// `passes` passes: each moves every lane short of its end one step on
+    /// and leaves the others as they are.
+    pub(crate) fn advance(&mut self, passes: u32) {
+        // SAFETY: `self._cpu` is an `Avx512`, which only `Lanes::detect`
+        // builds, once `is_x86_feature_detected!` has reported `avx512f`:
+        // the feature `x16::advance` is compiled with.
+        unsafe { x16::advance(self, passes) }
+    }
+}
+
+/// The lane kernel: the compression function on sixteen blocks at once,
+/// word `i` of lane `l`'s block in 32-bit lane `l` of vector `w[i]`.
+/// AVX-512F has the 32-bit rotate (`vprord`) and three-input logic
+/// (`vpternlogd`) a round needs, so a round for all sixteen is about a
+/// dozen vector instructions.
+///
+/// Its functions are declared safe under `#[target_feature]`: calling them
+/// from code compiled without `avx512f` is what needs `unsafe` (see
+/// [`digest_tails`] and [`ChainLanes::advance`], the only callers).
+#[cfg(target_arch = "x86_64")]
+mod x16 {
+    use super::{ChainLanes, H0, K, LANES};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(words: &[u32; LANES]) -> __m512i {
+        // SAFETY: `words` is 64 readable bytes and `loadu` asks for no
+        // alignment; the caller runs only once `avx512f` was detected.
+        unsafe { _mm512_loadu_si512(words.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(words: &mut [u32; LANES], v: __m512i) {
+        // SAFETY: `words` is 64 writable bytes and `storeu` asks for no
+        // alignment; the caller runs only once `avx512f` was detected.
+        unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), v) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn add(a: __m512i, b: __m512i) -> __m512i {
+        _mm512_add_epi32(a, b)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(word: u32) -> __m512i {
+        _mm512_set1_epi32(word as i32)
+    }
+
+    /// Rounds `FIRST..64` of one block whose working variables after round
+    /// `FIRST` are `vars`, on the block's words `w` (a ring of sixteen the
+    /// message schedule is extended in), then the feed-forward of [`H0`]:
+    /// the digest words of every lane's one-block message. Unrolled, so the
+    /// ring's indices are constants and the working variables rotate by
+    /// renaming, not by moves.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn one_block<const FIRST: usize>(vars: [__m512i; 8], w: &mut [__m512i; 16]) -> [__m512i; 8] {
+        // Round `i` names the working variables rotated right by `i % 8`.
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] =
+            std::array::from_fn(|j| vars[(j + FIRST) % 8]);
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                if $i >= FIRST {
+                    if $i >= 16 {
+                        let (w15, w2) = (w[($i - 15) % 16], w[($i - 2) % 16]);
+                        let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                            _mm512_ror_epi32::<7>(w15),
+                            _mm512_ror_epi32::<18>(w15),
+                            _mm512_srli_epi32::<3>(w15),
+                        );
+                        let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                            _mm512_ror_epi32::<17>(w2),
+                            _mm512_ror_epi32::<19>(w2),
+                            _mm512_srli_epi32::<10>(w2),
+                        );
+                        w[$i % 16] = add(add(w[$i % 16], s0), add(w[($i - 7) % 16], s1));
+                    }
+                    // 0x96: a ^ b ^ c; 0xCA: e ? f : g; 0xE8: majority.
+                    let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<6>($e),
+                        _mm512_ror_epi32::<11>($e),
+                        _mm512_ror_epi32::<25>($e),
+                    );
+                    let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+                    let temp1 = add(add($h, s1), add(ch, add(splat(K[$i]), w[$i % 16])));
+                    let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<2>($a),
+                        _mm512_ror_epi32::<13>($a),
+                        _mm512_ror_epi32::<22>($a),
+                    );
+                    let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
+                    $d = add($d, temp1);
+                    $h = add(temp1, add(s0, maj));
+                }
+            };
+        }
+        macro_rules! rounds8 {
+            ($i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            };
+        }
+        rounds8!(0);
+        rounds8!(8);
+        rounds8!(16);
+        rounds8!(24);
+        rounds8!(32);
+        rounds8!(40);
+        rounds8!(48);
+        rounds8!(56);
+        let out = [a, b, c, d, e, f, g, h];
+        std::array::from_fn(|i| add(out[i], splat(H0[i])))
+    }
+
+    /// The digest words of sixteen one-block messages whose working
+    /// variables after their common first eleven words `head` are `mid`,
+    /// `tails[i][l]` being word `11 + i` of lane `l`'s block.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn digest_tails(
+        mid: &[u32; 8],
+        head: &[u32; 11],
+        tails: &[[u32; LANES]; 5],
+    ) -> [[u32; LANES]; 8] {
+        let mut w = [_mm512_setzero_si512(); 16];
+        for (v, &word) in w.iter_mut().zip(head) {
+            *v = splat(word);
+        }
+        for (v, words) in w[11..].iter_mut().zip(tails) {
+            *v = load(words);
+        }
+        let digest = one_block::<11>(mid.map(|word| splat(word)), &mut w);
+        let mut out = [[0u32; LANES]; 8];
+        for (word, v) in out.iter_mut().zip(digest) {
+            store(word, v);
+        }
+        out
+    }
+
+    /// `passes` chain steps on every lane of `lanes` short of its end.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn advance(lanes: &mut ChainLanes, passes: u32) {
+        let mut value = lanes.value.map(|word| load(&word));
+        let mut step = load(&lanes.step);
+        let end = load(&lanes.end);
+        let chain = _mm512_slli_epi32::<24>(load(&lanes.chain));
+        let tag = lanes.tag.map(|word| splat(word));
+        let mid = lanes.mid.map(|word| splat(word));
+        for _ in 0..passes {
+            let live = _mm512_cmplt_epu32_mask(step, end);
+            // Bytes 20..54: [chain, step], then the value's 32 bytes, two
+            // bytes behind its digest words; then 0x80, and the bit length.
+            let shifted = |word: __m512i, next: __m512i| {
+                _mm512_or_si512(_mm512_slli_epi32::<16>(word), _mm512_srli_epi32::<16>(next))
+            };
+            let mut w = [_mm512_setzero_si512(); 16];
+            w[..5].copy_from_slice(&tag);
+            w[5] = _mm512_ternarylogic_epi32::<0xFE>(
+                chain,
+                _mm512_slli_epi32::<16>(step),
+                _mm512_srli_epi32::<16>(value[0]),
+            );
+            for i in 0..7 {
+                w[6 + i] = shifted(value[i], value[i + 1]);
+            }
+            w[13] = shifted(value[7], splat(0x8000_0000));
+            w[15] = splat(54 * 8);
+            let next = one_block::<5>(mid, &mut w);
+            for (v, n) in value.iter_mut().zip(next) {
+                *v = _mm512_mask_blend_epi32(live, *v, n);
+            }
+            step = _mm512_mask_add_epi32(step, live, step, splat(1));
+        }
+        for (word, v) in lanes.value.iter_mut().zip(value) {
+            store(word, v);
+        }
+        store(&mut lanes.step, step);
     }
 }
 
@@ -580,6 +967,25 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), expect, "split at {split}");
+        }
+    }
+
+    /// `finalize_with` is `clone`, `update`, `finalize`, on either side of
+    /// the short path's bound and with a partly filled buffer.
+    #[test]
+    fn finalize_with_matches_update_then_finalize() {
+        let data: Vec<u8> = (0..300).map(|i| (i * 13 % 251) as u8).collect();
+        for kernel in kernels() {
+            for fed in [0usize, 1, 63, 64, 65, 100] {
+                let mut h = Sha256::with_kernel(kernel);
+                h.update(&data[..fed]);
+                for len in [0usize, 1, 49, 55, 56, 119 - fed % 64, 120 - fed % 64, 200] {
+                    let rest = &data[fed..fed + len];
+                    let mut expect = h.clone();
+                    expect.update(rest);
+                    assert_eq!(h.finalize_with(rest), expect.finalize(), "{fed} + {len}");
+                }
+            }
         }
     }
 

@@ -23,7 +23,14 @@
 //! Every chain step is one SHA-256 compression: its input (tag, chain
 //! number, step number, 32-byte value) pads to a single block. A one-time
 //! key costs ≈ 1 100 compressions to derive, a signature ≈ 600 on average,
-//! a verification ≈ 550.
+//! a verification ≈ 550. The 67 chains of a key are independent, so sign,
+//! verify and key generation all hand theirs to one `walk_chains`: on a CPU
+//! with `avx512f` it walks sixteen chains per pass of SHA-256's lane kernel
+//! (see [`mod@crate::sha256`]), a lane taking the next chain as soon as its
+//! own ends. Counted in lane passes, a key is ≈ 67 (keys are derived
+//! sixteen at a time, 16 × 67 chains of 15 steps), a signature's walks
+//! ≈ 32 and a verification's ≈ 33, plus 5 for the 67 secrets of signing
+//! and key generation. Elsewhere the chains walk one by one.
 //!
 //! The scheme's unforgeability reduces to the preimage resistance of
 //! SHA-256, which is exactly the strength the paper's architecture needs
@@ -31,8 +38,11 @@
 
 use crate::hash::Hash256;
 use crate::merkle::{MerkleProof, MerkleTree};
-use crate::sha256::{sha256, sha256_concat, OneBlock, Sha256};
+#[cfg(target_arch = "x86_64")]
+use crate::sha256::{digest_tails, ChainLanes, HEAD_LEN, LANES};
+use crate::sha256::{sha256, sha256_concat, Lanes, OneBlock, Sha256};
 use std::fmt;
+use std::ops::Range;
 
 /// Base-16 digits of a message digest, one hash chain each.
 const MESSAGE_DIGITS: usize = 64;
@@ -46,7 +56,7 @@ const CHAINS: usize = MESSAGE_DIGITS + 3;
 
 /// Domain tag of a chain step; followed by the chain number, the step
 /// number and the 32-byte value being advanced.
-const STEP_TAG: &[u8] = b"medledger.wots.step:";
+const STEP_TAG: &[u8; 20] = b"medledger.wots.step:";
 
 /// Domain tag of a chain's secret start; followed by the seed, the
 /// one-time key's index and the chain number.
@@ -168,6 +178,71 @@ fn walk(chain: u8, mut value: Hash256, from: u8, to: u8) -> Hash256 {
     value
 }
 
+/// One chain to walk: `value` sits `from` steps along chain `chain` and is
+/// to be advanced to step `to` (`from ≤ to ≤ STEPS`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Walk {
+    chain: u8,
+    from: u8,
+    to: u8,
+    value: Hash256,
+}
+
+/// Advances every walk to its `to` step, as [`walk`] does one by one: on
+/// [`Lanes::Sixteen`] sixteen chains per pass, on [`Lanes::One`] with
+/// [`walk`] itself. Sign, verify and key generation all walk through here.
+fn walk_chains(lanes: Lanes, walks: &mut [Walk]) {
+    match lanes {
+        Lanes::One => {
+            for w in walks.iter_mut() {
+                w.value = walk(w.chain, w.value, w.from, w.to);
+                w.from = w.to;
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Lanes::Sixteen(cpu) => walk_lanes(ChainLanes::new(cpu, STEP_TAG), walks),
+    }
+}
+
+/// [`walk_chains`] on the lane kernel. Longest walks first, and a lane whose
+/// walk ends takes the next one, so all sixteen stay busy until the queue
+/// runs dry; then every lane runs to its end in one call.
+#[cfg(target_arch = "x86_64")]
+fn walk_lanes(mut lanes: ChainLanes, walks: &mut [Walk]) {
+    let mut queue: Vec<usize> = (0..walks.len())
+        .filter(|&i| walks[i].from < walks[i].to)
+        .collect();
+    queue.sort_unstable_by_key(|&i| std::cmp::Reverse(walks[i].to - walks[i].from));
+    let mut queue = queue.into_iter();
+    let mut held = [None::<usize>; LANES];
+    loop {
+        for (lane, slot) in held.iter_mut().enumerate() {
+            if lanes.remaining(lane) > 0 {
+                continue;
+            }
+            if let Some(i) = slot.take() {
+                walks[i].value = lanes.value(lane);
+                walks[i].from = walks[i].to;
+            }
+            if let Some(i) = queue.next() {
+                let w = walks[i];
+                lanes.load(lane, w.chain, &w.value, w.from, w.to);
+                *slot = Some(i);
+            }
+        }
+        let left = (0..LANES).map(|lane| lanes.remaining(lane));
+        let passes = if queue.len() == 0 {
+            left.max()
+        } else {
+            left.filter(|&n| n > 0).min()
+        };
+        match passes {
+            Some(passes) if passes > 0 => lanes.advance(passes),
+            _ => return,
+        }
+    }
+}
+
 /// The Merkle leaf of a one-time key: the hash of its chain ends, in order.
 fn leaf_of(ends: impl Iterator<Item = Hash256>) -> Hash256 {
     let mut h = Sha256::new();
@@ -185,21 +260,28 @@ impl Signature {
 
     /// Verifies this signature over `msg` against `public`.
     pub fn verify(&self, public: &PublicKey, msg: &[u8]) -> bool {
-        self.verify_digest(public, &sha256(msg))
+        self.verify_digest(Lanes::detect(), public, &sha256(msg))
     }
 
     /// [`Signature::verify`] for a message whose SHA-256 is `digest`.
-    fn verify_digest(&self, public: &PublicKey, digest: &Hash256) -> bool {
+    fn verify_digest(&self, lanes: Lanes, public: &PublicKey, digest: &Hash256) -> bool {
         if self.chains.len() != CHAINS || self.auth_path.leaf_index != self.leaf_index {
             return false;
         }
         // Walk every chain from the revealed position to its end: the ends
         // are the one-time public key, whose hash is the Merkle leaf.
-        let digits = digits_of(digest);
-        let ends = (0u8..)
-            .zip(self.chains.iter().zip(digits))
-            .map(|(chain, (value, digit))| walk(chain, *value, digit, STEPS));
-        self.auth_path.verify(&public.0, &leaf_of(ends))
+        let mut walks: Vec<Walk> = (0u8..)
+            .zip(self.chains.iter().zip(digits_of(digest)))
+            .map(|(chain, (&value, digit))| Walk {
+                chain,
+                from: digit,
+                to: STEPS,
+                value,
+            })
+            .collect();
+        walk_chains(lanes, &mut walks);
+        self.auth_path
+            .verify(&public.0, &leaf_of(walks.iter().map(|w| w.value)))
     }
 }
 
@@ -246,7 +328,10 @@ impl KeyPair {
         } else {
             std::thread::available_parallelism().map_or(1, usize::from)
         };
-        Self::over_leaves(seed, Self::ots_leaves(&seed, capacity, threads))
+        Self::over_leaves(
+            seed,
+            Self::ots_leaves(Lanes::detect(), &seed, capacity, threads),
+        )
     }
 
     /// The key pair of `seed` over its already derived `leaves`.
@@ -266,12 +351,15 @@ impl KeyPair {
     /// The `count` (≥ 1) one-time public keys under `seed`, hashed to
     /// Merkle leaves on `threads` (≥ 1) threads, the caller's included,
     /// each filling its own stretch of the result. Leaves are independent,
-    /// so the result does not depend on `threads`.
-    fn ots_leaves(seed: &Hash256, count: usize, threads: usize) -> Vec<Hash256> {
+    /// so the result depends on neither `threads` nor `lanes`.
+    fn ots_leaves(lanes: Lanes, seed: &Hash256, count: usize, threads: usize) -> Vec<Hash256> {
         let mut leaves = vec![Hash256::ZERO; count];
         let fill = |first: usize, stretch: &mut [Hash256]| {
-            for (i, leaf) in stretch.iter_mut().enumerate() {
-                *leaf = Self::ots_leaf_hash(seed, (first + i) as u64);
+            // Sixteen keys at a time: their 16 × 67 chains of 15 steps keep
+            // all sixteen lanes busy for 67 passes.
+            for (n, batch) in stretch.chunks_mut(16).enumerate() {
+                let first = (first + 16 * n) as u64;
+                Self::ots_leaf_hashes(lanes, seed, first..first + batch.len() as u64, batch);
             }
         };
         let per_thread = count.div_ceil(threads);
@@ -313,25 +401,75 @@ impl KeyPair {
         self.next_index = self.next_index.max(used.min(self.capacity));
     }
 
-    /// The secret start of chain `chain` of one-time key `key_index`.
-    fn ots_secret(seed: &Hash256, key_index: u64, chain: u8) -> Hash256 {
-        sha256_concat(&[
-            SECRET_TAG,
-            seed.as_bytes(),
-            &key_index.to_be_bytes(),
-            &[chain],
-        ])
+    /// The message a chain's secret start is the hash of: the tag, the
+    /// seed, the one-time key's index and the chain number.
+    fn secret_message(seed: &Hash256, key_index: u64, chain: u8) -> [u8; SECRET_LEN] {
+        let mut m = [0u8; SECRET_LEN];
+        let (tag, rest) = m.split_at_mut(SECRET_TAG.len());
+        tag.copy_from_slice(SECRET_TAG);
+        rest[..32].copy_from_slice(seed.as_bytes());
+        rest[32..40].copy_from_slice(&key_index.to_be_bytes());
+        rest[40] = chain;
+        m
     }
 
-    fn ots_leaf_hash(seed: &Hash256, key_index: u64) -> Hash256 {
-        leaf_of(
-            (0..CHAINS as u8)
-                .map(|chain| walk(chain, Self::ots_secret(seed, key_index, chain), 0, STEPS)),
-        )
+    /// The walks from the secret starts of every chain of one-time keys
+    /// `keys`, key by key, chain `c` to step `to(c)`.
+    fn secret_walks(
+        lanes: Lanes,
+        seed: &Hash256,
+        keys: Range<u64>,
+        to: impl Fn(usize) -> u8,
+    ) -> Vec<Walk> {
+        let messages = keys
+            .flat_map(|key| (0..CHAINS as u8).map(move |chain| (key, chain)))
+            .map(|(key, chain)| Self::secret_message(seed, key, chain));
+        let secrets: Vec<Hash256> = match lanes {
+            Lanes::One => messages.map(|m| sha256(&m)).collect(),
+            // The seed ends inside the messages' common head, so the lanes
+            // take the seed's last byte, the key index and the chain number.
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Sixteen(cpu) => {
+                let first = Self::secret_message(seed, 0, 0);
+                let mut head = [0u8; HEAD_LEN];
+                head.copy_from_slice(&first[..HEAD_LEN]);
+                let tails: Vec<[u8; SECRET_LEN - HEAD_LEN]> = messages
+                    .map(|m| {
+                        let mut tail = [0u8; SECRET_LEN - HEAD_LEN];
+                        tail.copy_from_slice(&m[HEAD_LEN..]);
+                        tail
+                    })
+                    .collect();
+                digest_tails(cpu, &head, &tails)
+            }
+        };
+        (0..CHAINS)
+            .cycle()
+            .zip(secrets)
+            .map(|(chain, value)| Walk {
+                chain: chain as u8,
+                from: 0,
+                to: to(chain),
+                value,
+            })
+            .collect()
+    }
+
+    /// The Merkle leaves of one-time keys `keys`, into `leaves`.
+    fn ots_leaf_hashes(lanes: Lanes, seed: &Hash256, keys: Range<u64>, leaves: &mut [Hash256]) {
+        let mut walks = Self::secret_walks(lanes, seed, keys, |_| STEPS);
+        walk_chains(lanes, &mut walks);
+        for (leaf, ends) in leaves.iter_mut().zip(walks.chunks_exact(CHAINS)) {
+            *leaf = leaf_of(ends.iter().map(|w| w.value));
+        }
     }
 
     /// Signs `msg`, consuming the next one-time key.
     pub fn sign(&mut self, msg: &[u8]) -> Result<Signature, SigningError> {
+        self.sign_on(Lanes::detect(), msg)
+    }
+
+    fn sign_on(&mut self, lanes: Lanes, msg: &[u8]) -> Result<Signature, SigningError> {
         if self.next_index >= self.capacity {
             return Err(SigningError::KeysExhausted);
         }
@@ -339,10 +477,10 @@ impl KeyPair {
         // Every index below the capacity has a leaf, so a proof.
         let auth_path = (self.tree.prove(idx as usize)).ok_or(SigningError::KeysExhausted)?;
         self.next_index += 1;
-        let chains = (0u8..)
-            .zip(digits_of(&sha256(msg)))
-            .map(|(chain, digit)| walk(chain, Self::ots_secret(&self.seed, idx, chain), 0, digit))
-            .collect();
+        let digits = digits_of(&sha256(msg));
+        let mut walks = Self::secret_walks(lanes, &self.seed, idx..idx + 1, |c| digits[c]);
+        walk_chains(lanes, &mut walks);
+        let chains = walks.iter().map(|w| w.value).collect();
         Ok(Signature {
             leaf_index: idx,
             chains,
@@ -477,37 +615,118 @@ mod tests {
         assert_ne!(a.public(), c.public());
     }
 
-    /// Leaf derivation split over threads is the serial loop: same leaves
-    /// for any thread count (also more threads than leaves, and stretches
-    /// of unequal length), hence the same public key and signatures.
+    /// The lane kernel, or `None` (said aloud, so a test log shows the
+    /// comparison did not run) on a CPU without `avx512f`.
+    fn sixteen() -> Option<Lanes> {
+        match Lanes::detect() {
+            Lanes::One => {
+                eprintln!("skipped: this CPU has no avx512f, the one-chain walk only");
+                None
+            }
+            lanes => Some(lanes),
+        }
+    }
+
+    /// The one-chain oracle first, then the lane kernel where there is one.
+    fn all_lanes() -> Vec<Lanes> {
+        std::iter::once(Lanes::One).chain(sixteen()).collect()
+    }
+
+    /// Leaf derivation split over threads and over lanes is the serial
+    /// one-chain loop: same leaves for any thread count (also more threads
+    /// than leaves, and stretches of unequal length) on either path, hence
+    /// the same public key and the same signature bytes.
     #[test]
     fn parallel_leaf_derivation_matches_serial() {
         let seed = sha256(b"parallel-leaves");
+        let msg = b"same bytes";
         for capacity in [1usize, 2, 63, 64, 256] {
             let rounded = capacity.next_power_of_two();
-            let serial = KeyPair::ots_leaves(&seed, rounded, 1);
+            let serial = KeyPair::ots_leaves(Lanes::One, &seed, rounded, 1);
             assert_eq!(serial.len(), rounded);
-            for threads in [2, 3, 8] {
+            for lanes in all_lanes() {
+                for threads in [1, 2, 3, 8] {
+                    assert_eq!(
+                        KeyPair::ots_leaves(lanes, &seed, rounded, threads),
+                        serial,
+                        "{rounded} leaves on {threads} threads, {lanes:?}"
+                    );
+                }
+                // A count no thread count divides: leaf `i` depends on `i` alone.
                 assert_eq!(
-                    KeyPair::ots_leaves(&seed, rounded, threads),
-                    serial,
-                    "{rounded} leaves on {threads} threads"
+                    KeyPair::ots_leaves(lanes, &seed, capacity, 4),
+                    serial[..capacity],
+                    "{capacity} leaves on 4 threads, {lanes:?}"
                 );
             }
-            // A count no thread count divides: leaf `i` depends on `i` alone.
-            assert_eq!(
-                KeyPair::ots_leaves(&seed, capacity, 4),
-                serial[..capacity],
-                "{capacity} leaves on 4 threads"
-            );
 
-            let mut oracle = KeyPair::over_leaves(seed, serial);
-            let mut keys = KeyPair::from_seed(seed, capacity);
+            let oracle = KeyPair::over_leaves(seed, serial);
+            let keys = KeyPair::from_seed(seed, capacity);
             assert_eq!(keys.capacity, rounded as u64);
             assert_eq!(keys.public(), oracle.public(), "capacity {capacity}");
-            let signature = keys.sign(b"same bytes").expect("sign");
-            assert_eq!(signature, oracle.sign(b"same bytes").expect("sign"));
-            assert!(signature.verify(&oracle.public(), b"same bytes"));
+            let expect = oracle.clone().sign_on(Lanes::One, msg).expect("sign");
+            assert_eq!(keys.clone().sign(msg).expect("sign"), expect);
+            for lanes in all_lanes() {
+                let signature = keys.clone().sign_on(lanes, msg).expect("sign");
+                assert_eq!(signature, expect, "capacity {capacity}, {lanes:?}");
+                assert!(signature.verify_digest(lanes, &oracle.public(), &sha256(msg)));
+            }
+        }
+    }
+
+    /// The walks `jobs` describe: `(chain, a, b, seed)` walks chain `chain`
+    /// from `min(a, b)` to `max(a, b)` starting at `sha256(seed)`. `shape`
+    /// 1 gives every walk the first one's steps, 2 makes every walk empty.
+    fn walks_of(jobs: &[(u8, u8, u8, u64)], shape: u8) -> Vec<Walk> {
+        let first = jobs.first().map_or((0, 0), |j| (j.1, j.2));
+        jobs.iter()
+            .map(|&(chain, a, b, seed)| {
+                let (a, b) = match shape {
+                    1 => first,
+                    2 => (a, a),
+                    _ => (a, b),
+                };
+                Walk {
+                    chain,
+                    from: a.min(b),
+                    to: a.max(b),
+                    value: sha256(&seed.to_be_bytes()),
+                }
+            })
+            .collect()
+    }
+
+    /// `walks` advanced on `lanes`, checked against the one-chain [`walk`].
+    fn check_lanes(lanes: Lanes, walks: &[Walk]) {
+        let mut got = walks.to_vec();
+        walk_chains(lanes, &mut got);
+        for (w, got) in walks.iter().zip(&got) {
+            let expect = Walk {
+                from: w.to,
+                value: walk(w.chain, w.value, w.from, w.to),
+                ..*w
+            };
+            assert_eq!(*got, expect, "{w:?} on {lanes:?}");
+        }
+    }
+
+    /// The lane kernel at the edges: no walks, only empty walks, sixteen
+    /// and seventeen full-length ones, and one walk per length.
+    #[test]
+    fn lane_walks_match_one_chain_walks_at_the_edges() {
+        for lanes in all_lanes() {
+            let full: Vec<_> = (0..80).map(|i| (i as u8 % 67, 0, STEPS, i)).collect();
+            let ragged: Vec<_> = (0..=STEPS).map(|n| (n, 0, n, u64::from(n))).collect();
+            for walks in [
+                Vec::new(),
+                walks_of(&full, 2),
+                walks_of(&full[..16], 0),
+                walks_of(&full[..17], 0),
+                walks_of(&full, 0),
+                walks_of(&ragged, 0),
+            ] {
+                check_lanes(lanes, &walks);
+            }
         }
     }
 
@@ -601,7 +820,7 @@ mod tests {
         let digest = sha256(msg);
         let digits = digits_of(&digest);
         let sig = kp.sign(msg).expect("sign");
-        assert!(sig.verify_digest(&public, &digest));
+        assert!(sig.verify_digest(Lanes::One, &public, &digest));
         let end =
             |s: &Signature, at: &[u8; CHAINS], c: usize| walk(c as u8, s.chains[c], at[c], STEPS);
 
@@ -622,11 +841,29 @@ mod tests {
             // neither digest.
             assert!((MESSAGE_DIGITS..CHAINS)
                 .any(|c| end(&forged, &raised_digits, c) != end(&sig, &digits, c)));
-            assert!(!forged.verify_digest(&public, &raised), "digit {j}");
-            assert!(!forged.verify_digest(&public, &digest), "digit {j}");
+            for lanes in all_lanes() {
+                assert!(!forged.verify_digest(lanes, &public, &raised), "digit {j}");
+                assert!(!forged.verify_digest(lanes, &public, &digest), "digit {j}");
+            }
             tried += 1;
         }
         assert!(tried > 32, "a SHA-256 digest has few 0xf digits");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lane kernel walks any set of 0–80 chains as the one-chain
+        /// walk does: chains 0–66 in any order and repeated, ragged
+        /// lengths, every walk the same, or every walk empty.
+        #[test]
+        fn lane_walks_match_one_chain_walks(
+            jobs in proptest::collection::vec((0u8..67, 0u8..16, 0u8..16, any::<u64>()), 0..81),
+            shape in 0u8..3,
+        ) {
+            let Some(lanes) = sixteen() else { return Ok(()) };
+            check_lanes(lanes, &walks_of(&jobs, shape));
+        }
     }
 
     proptest! {
