@@ -169,7 +169,7 @@ pub fn one_batch_update(bench: &mut WardBench, pids: &[i64], rev: usize) -> (u64
 /// A hub-and-spokes deployment for the group-commit tests: one hub
 /// peer shares `n_tables` **distinct** shared tables, each with the same
 /// `n_receivers` receiver peers — the shape where group commit amortizes
-/// consensus cost and the receiver fan-out parallelizes.
+/// consensus cost.
 pub struct HubBench {
     /// The pipeline service owning the ledger.
     pub service: LedgerService,

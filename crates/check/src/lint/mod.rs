@@ -49,7 +49,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
 /// Files in scope for the unwrap ban: the layers where a stray panic
 /// takes down a node or corrupts a recovery path, the contract code
 /// every validator runs over bytes that arrive in transactions, the
-/// network crate, whose fan-out pool every wave's receivers apply on, the
+/// network crate, whose latency model times every wave's fan-out, the
 /// consensus round every wave seals its block with, the telemetry every
 /// wave records into, the crates that decode what arrives or was
 /// stored — the codec, WAL and snapshots (storage), blocks (ledger) and

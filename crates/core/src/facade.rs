@@ -247,23 +247,14 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Parallel data-plane channels (and worker threads) for the
-    /// per-receiver propagation fan-out: `0` (default) overlaps every
-    /// receiver, `1` models the serial one-receiver-at-a-time baseline.
-    pub fn fanout_workers(mut self, n: usize) -> Self {
-        self.config.fanout_workers = n;
-        self
-    }
-
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`; default `1` = unsharded). With sharding on, every
     /// peer splits its stored shared tables along the content digest's
-    /// key ranges: deltas route to the shards they land in, hash
-    /// verification folds cached per-shard Merkle subroots, and one
-    /// receiver's disjoint shards apply in parallel on the fan-out pool.
-    /// Final state, hashes, receipts and traces are byte-identical for
-    /// every setting — raise it when shared tables grow to thousands of
-    /// rows and per-update applies start to dominate.
+    /// key ranges: deltas route to the shards they land in, and hash
+    /// verification folds cached per-shard Merkle subroots. Final state,
+    /// hashes, receipts and traces are byte-identical for every setting —
+    /// raise it when shared tables grow to thousands of rows and
+    /// per-update applies start to dominate.
     pub fn shards_per_table(mut self, n: usize) -> Self {
         self.config.shards_per_table = n;
         self

@@ -8,7 +8,7 @@ use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
     delta_from_write_op, diff_tables, fingerprint_of, normalize_shard_count, Database, KeyedRows,
-    RelationalError, Row, Schema, Shard, ShardMap, ShardPlan, Table, TableDelta, Value, WriteOp,
+    RelationalError, Row, Schema, ShardMap, Table, TableDelta, Value, WriteOp,
 };
 use medledger_telemetry::{GaugeHandle, HeatMapHandle, Recorder};
 use std::collections::BTreeMap;
@@ -150,35 +150,6 @@ impl KeyedRows for Baseline<'_> {
         let untouched = move |r: &&Row| undo.is_empty() || !undo.contains_key(&schema.key_of(r));
         (self.store.rows().filter(untouched)).chain(undo.values().flatten())
     }
-}
-
-/// A planned remote apply (see [`PeerNode::plan_remote_apply`]): the
-/// per-shard split of the view delta plus the pre-derived sibling
-/// cascade deltas.
-pub(crate) struct RemoteShardPlan {
-    plan: ShardPlan,
-    touched: Vec<usize>,
-    derived: Vec<(String, TableDelta)>,
-}
-
-impl RemoteShardPlan {
-    /// Number of per-shard jobs this plan produces.
-    pub(crate) fn job_count(&self) -> usize {
-        self.touched.len()
-    }
-}
-
-/// One shard job of a planned remote apply: applies the sub-delta under
-/// the target chunk layout and pre-warms the shard's subtree root, so
-/// the map-level fold after the pool drains only combines cached
-/// subroots. Runs on the fan-out worker pool or inline — the result is
-/// identical.
-pub(crate) fn run_shard_job(
-    (shard, delta, chunk_count): (&mut Shard, &TableDelta, usize),
-) -> medledger_relational::Result<TableDelta> {
-    let inverse = shard.apply(delta, chunk_count)?;
-    shard.warm(chunk_count);
-    Ok(inverse)
 }
 
 fn unknown_share(table_id: &str) -> CoreError {
@@ -734,20 +705,18 @@ impl PeerNode {
     }
 
     /// Applies a committed remote delta (Fig. 5 steps 4–5 / 10–11):
-    /// routes the view delta to the shards of the stored
-    /// copy it lands in ([`TableDelta::split_by_shard`]), verifies the
-    /// announced hash against the fold of per-shard subtree roots — only
-    /// the touched shards rehash — reflects the change into the source
-    /// with the pre-computed `source_delta`, and refreshes sibling shares
-    /// (their deltas stay pending for the step-6 cascade). The store is
-    /// touched once: with no undo rows over it, it *is* the committed
-    /// baseline. A rejected or hash-mismatched delta leaves the peer
-    /// untouched.
+    /// routes the view delta to the shards of the stored copy it lands
+    /// in ([`ShardMap::apply_delta`]), verifies the announced hash against
+    /// the fold of per-shard subtree roots — only the touched shards
+    /// rehash — reflects the change into the source with the
+    /// pre-computed `source_delta`, and refreshes sibling shares (their
+    /// deltas stay pending for the step-6 cascade). The store is touched
+    /// once: with no undo rows over it, it *is* the committed baseline.
+    /// A rejected or hash-mismatched delta leaves the peer untouched.
     ///
-    /// Callers that own a worker pool (the system's fan-out) drive the
-    /// same three phases — plan, per-shard jobs, finish — through the
-    /// crate-internal API so disjoint shards apply in parallel; this
-    /// entry point runs the jobs inline, byte-identically.
+    /// A peer with a pending change of `table_id` resolves through the
+    /// whole-table merge instead: the remote view wins, and a residual
+    /// local difference survives as a pending delta of a sibling share.
     pub fn apply_remote_delta(
         &mut self,
         table_id: &str,
@@ -756,23 +725,39 @@ impl PeerNode {
         announced_hash: Hash256,
         version: u64,
     ) -> Result<()> {
-        let Some(plan) = self.plan_remote_apply(table_id, view_delta, source_delta)? else {
+        let source_table = self.binding(table_id)?.source_table.clone();
+        if self.has_pending_change(table_id)? {
             return self.resolve_conflicting_remote(table_id, view_delta, announced_hash, version);
+        }
+        // Anchored on the pre-delta source.
+        let derived = self.derive_sibling_deltas(&source_table, Some(table_id), source_delta)?;
+        let shared = self.shared_mut(table_id)?;
+        let inverse = shared.store.apply_delta(view_delta)?;
+        if shared.store.content_hash() != announced_hash {
+            // Corrupt or stale delta: restore the stored copy and refuse.
+            shared.store.apply_delta(&inverse)?;
+            return Err(CoreError::ConsistencyViolation(format!(
+                "applying the `{table_id}` delta does not reproduce the hash the \
+                 contract announced ({})",
+                announced_hash.short()
+            )));
+        }
+        // Nothing was pending, so any undo rows left are ones the store
+        // had already returned to: the store is the baseline.
+        shared.undo.clear();
+        let op = WriteOp::Delta {
+            delta: view_delta.clone(),
         };
-        let results = self
-            .remote_shard_jobs(table_id, &plan)
-            .into_iter()
-            .map(run_shard_job)
-            .collect();
-        self.finish_remote_apply(
-            table_id,
-            plan,
-            results,
-            view_delta,
-            source_delta,
-            announced_hash,
-            version,
-        )
+        self.db.log_external(table_id, op, announced_hash);
+        if !source_delta.is_empty() {
+            self.apply_source_delta_db(&source_table, source_delta)?;
+        }
+        for (share_id, d) in derived {
+            self.apply_view_delta(&share_id, &d)?;
+        }
+        self.applied_versions.insert(table_id.to_string(), version);
+        self.publish_resident_rows();
+        Ok(())
     }
 
     /// The conflict path: this peer carries uncommitted local changes of
@@ -804,129 +789,6 @@ impl PeerNode {
         let rows = view_new.sorted_rows().into_iter().cloned().collect();
         let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
         self.apply_remote_view(table_id, &view_new, announced_hash, version)
-    }
-
-    // ----- remote apply, in three phases --------------------------------
-
-    /// Phase 1 of a remote apply: splits the view delta per shard of the
-    /// stored copy and pre-derives the sibling cascade deltas (anchored
-    /// on the pre-delta source). Pure planning — nothing mutates.
-    ///
-    /// Returns `None` for the rare conflicted-pending case, which
-    /// resolves through the whole-table merge in
-    /// [`PeerNode::apply_remote_delta`].
-    pub(crate) fn plan_remote_apply(
-        &self,
-        table_id: &str,
-        view_delta: &TableDelta,
-        source_delta: &TableDelta,
-    ) -> Result<Option<RemoteShardPlan>> {
-        let binding = self.binding(table_id)?;
-        if self.has_pending_change(table_id)? {
-            return Ok(None);
-        }
-        let derived =
-            self.derive_sibling_deltas(&binding.source_table, Some(table_id), source_delta)?;
-        let plan = self.shared_store(table_id)?.plan(view_delta);
-        let touched = plan.touched();
-        Ok(Some(RemoteShardPlan {
-            plan,
-            touched,
-            derived,
-        }))
-    }
-
-    /// Phase 2: the disjoint per-shard jobs of a planned apply — each is
-    /// one touched shard plus its sub-delta and the target chunk layout,
-    /// runnable concurrently (see [`run_shard_job`]). Empty if the peer
-    /// left the share since planning; phase 3 then reports that.
-    pub(crate) fn remote_shard_jobs<'a, 'p>(
-        &'a mut self,
-        table_id: &str,
-        rplan: &'p RemoteShardPlan,
-    ) -> Vec<(&'a mut Shard, &'p TableDelta, usize)> {
-        let Some(shared) = self.shared.get_mut(table_id) else {
-            return Vec::new();
-        };
-        let chunk_count = rplan.plan.chunk_count;
-        shared
-            .store
-            .shards_mut()
-            .iter_mut()
-            .zip(&rplan.plan.per_shard)
-            .filter(|(_, sub)| !sub.is_empty())
-            .map(|(shard, sub)| (shard, sub, chunk_count))
-            .collect()
-    }
-
-    /// Phase 3: merges per-shard apply results back into the peer —
-    /// reverts every shard if one rejected its sub-delta, verifies the
-    /// announced hash against the folded per-shard roots and logs the
-    /// delta with that fold as `post_hash`, then runs the serial tail:
-    /// source via BX-put, sibling cascades.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_remote_apply(
-        &mut self,
-        table_id: &str,
-        rplan: RemoteShardPlan,
-        results: Vec<medledger_relational::Result<TableDelta>>,
-        view_delta: &TableDelta,
-        source_delta: &TableDelta,
-        announced_hash: Hash256,
-        version: u64,
-    ) -> Result<()> {
-        let source_table = self.binding(table_id)?.source_table.clone();
-        let shared = self.shared_mut(table_id)?;
-        let store = &mut shared.store;
-        let chunk_count = rplan.plan.chunk_count;
-        let mut applied: Vec<(usize, TableDelta)> = Vec::new();
-        let mut first_err: Option<RelationalError> = None;
-        for (&s, r) in rplan.touched.iter().zip(results) {
-            match r {
-                Ok(inv) => applied.push((s, inv)),
-                Err(e) if first_err.is_none() => first_err = Some(e),
-                Err(_) => {}
-            }
-        }
-        if let Some(e) = first_err {
-            // Every job ran (the pool does not short-circuit): revert the
-            // shards that applied, newest first.
-            for (s, inv) in applied.iter().rev() {
-                store.shards_mut()[*s].apply(inv, chunk_count)?;
-            }
-            return Err(e.into());
-        }
-        store.commit_plan(&rplan.plan);
-        if store.content_hash() != announced_hash {
-            // Corrupt or stale delta: restore the stored copy and refuse.
-            let schema = store.schema().clone();
-            let inverse =
-                TableDelta::merge_disjoint(applied.into_iter().map(|(_, inv)| inv), |r| {
-                    schema.key_of(r)
-                });
-            store.apply_delta(&inverse)?;
-            return Err(CoreError::ConsistencyViolation(format!(
-                "applying the `{table_id}` delta does not reproduce the hash the \
-                 contract announced ({})",
-                announced_hash.short()
-            )));
-        }
-        // Planned with nothing pending, so any undo rows left are ones
-        // the store had already returned to: the store is the baseline.
-        shared.undo.clear();
-        let op = WriteOp::Delta {
-            delta: view_delta.clone(),
-        };
-        self.db.log_external(table_id, op, announced_hash);
-        if !source_delta.is_empty() {
-            self.apply_source_delta_db(&source_table, source_delta)?;
-        }
-        for (share_id, d) in rplan.derived {
-            self.apply_view_delta(&share_id, &d)?;
-        }
-        self.applied_versions.insert(table_id.to_string(), version);
-        self.publish_resident_rows();
-        Ok(())
     }
 
     /// Marks the updater's own pending delta as committed at `version`:

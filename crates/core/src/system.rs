@@ -3,7 +3,7 @@
 
 use crate::agreement::SharingAgreement;
 use crate::error::{CoreError, RevertInfo};
-use crate::peer::{run_shard_job, PeerNode, PropagationMode, RemoteShardPlan};
+use crate::peer::{PeerNode, PropagationMode};
 use crate::sched::{Found, Member, Wave};
 use crate::Result;
 use medledger_bx::{changed_attrs_from_delta, TableDelta};
@@ -20,7 +20,7 @@ use medledger_ledger::{
     AccountId, Block, BlockHeader, Chain, Membership, Mempool, Receipt, SignedTransaction,
     Transaction, TxId, TxPayload, TxStatus,
 };
-use medledger_network::{fanout, DataPlaneStats, DataTransfer, LatencyModel};
+use medledger_network::{DataPlaneStats, DataTransfer, LatencyModel};
 use medledger_relational::normalize_shard_count;
 use medledger_storage::Encode;
 use medledger_telemetry::{Recorder, StageTimer};
@@ -83,9 +83,6 @@ pub struct SystemConfig {
     pub consensus: ConsensusKind,
     /// Validator-to-validator latency.
     pub validator_latency: LatencyModel,
-    /// Peer-to-peer data-plane latency (the Fig. 2 "send/request updated
-    /// data" path).
-    pub p2p_latency: LatencyModel,
     /// Simulation seed.
     pub seed: String,
     /// Max transactions per block.
@@ -93,26 +90,14 @@ pub struct SystemConfig {
     /// One-time signing keys per peer (bounds how many txs each peer can
     /// send).
     pub peer_key_capacity: usize,
-    /// Parallel data-plane channels for the per-receiver fan-out
-    /// (Fig. 5 steps 4–5): how many receivers fetch and apply an update
-    /// concurrently. `0` (the default) means one channel per receiver —
-    /// every transfer overlaps — while `1` models the paper-literal
-    /// serial baseline where receivers are served one after another. The
-    /// same number sizes the `std::thread` worker pool that executes the
-    /// per-receiver verify/apply work (with `0` using whatever
-    /// parallelism the host offers). Thread count never changes results,
-    /// only wall-clock; the virtual-time schedule depends only on this
-    /// configured value.
-    pub fanout_workers: usize,
     /// Key-range shards per shared table (normalized to a power of two
     /// in `1..=256`). With `1` — the default and the equivalence
     /// baseline — every stored copy is a single shard. A larger value
     /// splits them into digest-aligned shards: deltas route to the
     /// shards they land in, hash verification folds cached per-shard
-    /// Merkle subroots instead of rehashing the whole chunk tree, and one
-    /// receiver's disjoint shards apply in parallel on the fan-out
-    /// worker pool. Final state, hashes, traces and receipts are
-    /// byte-identical for every setting.
+    /// Merkle subroots instead of rehashing the whole chunk tree. Final
+    /// state, hashes, traces and receipts are byte-identical for every
+    /// setting.
     pub shards_per_table: usize,
 }
 
@@ -124,11 +109,9 @@ impl Default for SystemConfig {
                 block_interval_ms: 1_000,
             },
             validator_latency: LatencyModel::lan(),
-            p2p_latency: LatencyModel::wan(),
             seed: "medledger".into(),
             max_block_txs: 128,
             peer_key_capacity: 256,
-            fanout_workers: 0,
             shards_per_table: 1,
         }
     }
@@ -282,13 +265,6 @@ struct PreparedUpdate {
 /// tables is longer is recorded as blocked instead of run (see
 /// [`crate::sched`]).
 pub const MAX_CASCADE_DEPTH: usize = 16;
-
-/// Below this much total fan-out work (payload rows × receivers), the
-/// auto-sized worker pool runs inline — thread spawn would cost more
-/// than the per-receiver applies. Explicit `fanout_workers` settings
-/// bypass this. Results are identical either way; only wall-clock
-/// differs.
-const PARALLEL_FANOUT_MIN_ROWS: u64 = 256;
 
 /// What the receiver fan-out produced for one committed update.
 #[derive(Default)]
@@ -943,15 +919,11 @@ impl System {
     /// committed delta, verify it against the announced hash, apply it,
     /// and reflect it into the local source via BX-put.
     ///
-    /// The apply work runs on a pool of scoped `std::thread` workers (see
-    /// [`System::apply_on_receivers`]); everything order-sensitive — PRG
-    /// latency draws, transfer accounting, trace lines — happens serially
-    /// outside the pool, and results merge back in receiver order, so
-    /// traces, receipts and stats are byte-identical regardless of the
-    /// host's core count. Virtual time follows
-    /// [`fanout::schedule_ms`]: `fanout_workers` parallel data channels,
-    /// each serving its chunk of receivers sequentially (0 = one channel
-    /// per receiver, i.e. full overlap).
+    /// Receivers apply one after another in account order (see
+    /// [`System::apply_on_receivers`]), and their data transfers overlap
+    /// in virtual time: each receiver has the data at `committed_ms` plus
+    /// its own notify-and-fetch latency, drawn from the WAN model in
+    /// receiver order.
     fn fanout_apply(
         &mut self,
         prepared: &mut PreparedUpdate,
@@ -978,20 +950,14 @@ impl System {
             .encoded_bytes();
 
         // Per-receiver latency draws, in receiver order (the PRG sequence
-        // is part of the deterministic contract — thread count must never
-        // change it).
-        let mut service: Vec<u64> = Vec::with_capacity(others.len());
+        // is part of the deterministic contract).
+        let p2p = LatencyModel::wan();
+        let mut applied_at: Vec<u64> = Vec::with_capacity(others.len());
         for _ in &others {
-            let notify = self.config.p2p_latency.sample(&mut self.prg);
-            let fetch = self.config.p2p_latency.sample(&mut self.prg)
-                + self.config.p2p_latency.sample(&mut self.prg);
-            service.push(notify + fetch);
+            let notify = p2p.sample(&mut self.prg);
+            let fetch = p2p.sample(&mut self.prg) + p2p.sample(&mut self.prg);
+            applied_at.push(committed_ms + notify + fetch);
         }
-        let virtual_channels = match self.config.fanout_workers {
-            0 => others.len().max(1),
-            w => w,
-        };
-        let applied_at = fanout::schedule_ms(committed_ms, &service, virtual_channels);
         let names: Vec<String> = others
             .iter()
             .map(|a| {
@@ -1004,10 +970,10 @@ impl System {
 
         let results = self.apply_on_receivers(prepared, &others, version);
 
-        // Deterministic merge in receiver order. The pool contacts EVERY
-        // receiver — so every receiver's transfer is accounted and
-        // traced, keeping stats in agreement with actual peer state even
-        // on the error path. A receiver whose apply failed self-reverted;
+        // Merge in receiver order. EVERY receiver is contacted — so
+        // every receiver's transfer is accounted and traced, keeping
+        // stats in agreement with actual peer state even on the error
+        // path. A receiver whose apply failed self-reverted;
         // its trace records the failure, and the first error is surfaced
         // after the merge.
         let mut visible_ms = committed_ms;
@@ -1061,26 +1027,12 @@ impl System {
         })
     }
 
-    /// The receiver side of the fan-out, in three phases (one shard per
-    /// table is the degenerate case: one job per receiver):
-    ///
-    /// 1. **Plan** (read-only): each receiver splits the committed view
-    ///    delta by shard and pre-derives its sibling cascade deltas.
-    /// 2. **Shard jobs**: every receiver's touched shards become
-    ///    independent jobs on ONE pool in [`fanout::run_sharded`]'s
-    ///    shard-granular partitioning mode — receivers map to disjoint
-    ///    `&mut PeerNode`s and shards to disjoint `&mut Shard`s, so the
-    ///    workers share no state and need no locks, and even a single
-    ///    receiver's disjoint shards apply (and pre-warm their Merkle
-    ///    subroots) in parallel.
-    /// 3. **Finish** (serial, receiver order): fold-verify the announced
-    ///    hash, log the delta, reflect into the source via BX-put, stash
-    ///    sibling cascades.
-    ///
-    /// Receivers that cannot take the shard path (a conflicted pending
-    /// change) fall back to the whole-table resolution, still slotted in
-    /// receiver order. Results are byte-identical for any shard and
-    /// worker count.
+    /// The receiver side of the fan-out: each receiver, in account
+    /// order, applies the committed delta through
+    /// [`PeerNode::apply_remote_delta`] (a receiver with a pending change
+    /// of the table resolves there through the whole-table merge). One
+    /// result per receiver, in `others`' order; a receiver that is not a
+    /// registered peer gets `UnknownPeer`.
     fn apply_on_receivers(
         &mut self,
         prepared: &mut PreparedUpdate,
@@ -1094,84 +1046,19 @@ impl System {
             new_hash,
             ..
         } = prepared;
-        let (table_id, delta, new_hash) = (table_id.as_str(), &*delta, *new_hash);
-        let mut slots: Vec<Option<Result<()>>> = others.iter().map(|_| None).collect();
-
-        // Phase 1 — plan per receiver.
-        let mut sharded: Vec<(usize, RemoteShardPlan)> = Vec::new();
-        let mut serial: Vec<usize> = Vec::new();
-        for (i, a) in others.iter().enumerate() {
-            // Pre-flight translated a source delta for every receiver it
-            // found, so the two lookups miss together — and leave the
-            // slot to the `UnknownPeer` at the end.
-            let (Some(peer), Some(sd)) = (self.peers.get(a), source_deltas.get(a)) else {
-                continue;
-            };
-            match peer.plan_remote_apply(table_id, delta, sd) {
-                Ok(Some(plan)) => sharded.push((i, plan)),
-                Ok(None) => serial.push(i),
-                Err(e) => slots[i] = Some(Err(e)),
-            }
-        }
-
-        // Phase 2 — all receivers' shard jobs on one pool, shard-granular.
-        let total_jobs: usize = sharded.iter().map(|(_, p)| p.job_count()).sum();
-        let rows_moved = delta.row_count() as u64;
-        let workers = self.fanout_pool_workers(total_jobs, rows_moved, others.len());
-        let shard_results: Vec<Vec<medledger_relational::Result<TableDelta>>> = {
-            let wanted: BTreeSet<AccountId> = sharded.iter().map(|(i, _)| others[*i]).collect();
-            let mut refs: BTreeMap<AccountId, &mut PeerNode> = self
-                .peers
-                .iter_mut()
-                .filter(|(a, _)| wanted.contains(a))
-                .map(|(a, p)| (*a, p))
-                .collect();
-            let groups = sharded
-                .iter()
-                .map(|(i, plan)| {
-                    refs.remove(&others[*i])
-                        .map(|peer| peer.remote_shard_jobs(table_id, plan))
-                        .unwrap_or_default()
-                })
-                .collect();
-            fanout::run_sharded(groups, workers, run_shard_job)
-        };
-
-        // Phase 3 — serial tails, receiver order; conflicted receivers
-        // resolve through the whole-table path.
-        for ((i, plan), res) in sharded.into_iter().zip(shard_results) {
-            let a = others[i];
-            if let (Some(peer), Some(sd)) = (self.peers.get_mut(&a), source_deltas.remove(&a)) {
-                slots[i] = Some(
-                    peer.finish_remote_apply(table_id, plan, res, delta, &sd, new_hash, version),
-                );
-            }
-        }
-        for i in serial {
-            let a = others[i];
-            if let (Some(peer), Some(sd)) = (self.peers.get_mut(&a), source_deltas.remove(&a)) {
-                slots[i] = Some(peer.apply_remote_delta(table_id, delta, &sd, new_hash, version));
-            }
-        }
-        slots
-            .into_iter()
-            .zip(others)
-            .map(|(s, a)| s.unwrap_or_else(|| Err(CoreError::UnknownPeer(a.to_string()))))
+        others
+            .iter()
+            .map(|a| {
+                // Pre-flight translated a source delta for every receiver
+                // it found, so the two lookups miss together.
+                match (self.peers.get_mut(a), source_deltas.remove(a)) {
+                    (Some(peer), Some(sd)) => {
+                        peer.apply_remote_delta(table_id, delta, &sd, *new_hash, version)
+                    }
+                    _ => Err(CoreError::UnknownPeer(a.to_string())),
+                }
+            })
             .collect()
-    }
-
-    /// OS threads for one fan-out pool run over `total_jobs`
-    /// receiver×shard jobs: the configured channel count, or (auto, `0`)
-    /// whatever parallelism the host offers — except that tiny payloads
-    /// then run inline: a one-row delta's per-receiver apply is
-    /// microseconds, not worth a thread spawn.
-    fn fanout_pool_workers(&self, total_jobs: usize, rows_moved: u64, receivers: usize) -> usize {
-        let workers = match self.config.fanout_workers {
-            0 if rows_moved * (receivers as u64) < PARALLEL_FANOUT_MIN_ROWS => 1,
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            w => w,
-        };
-        workers.min(total_jobs.max(1))
     }
 
     /// Submits the acknowledgement round for one committed update (the

@@ -19,9 +19,9 @@
 //!         ▼              block / ONE PBFT round)
 //!   Step-6 cascades            │
 //!   re-enter wave N+1          ▼
-//!                   per-update parallel fan-out
-//!                   (std::thread worker pool,
-//!                    deterministic merge order)
+//!                   per-update fan-out
+//!                   (receivers apply in turn,
+//!                    in account order)
 //! ```
 //!
 //! * **Group commit** — the conflict rule, *at most one update per
@@ -47,14 +47,11 @@
 //!   from; it is dropped if its table is on that path or its peer's
 //!   change has already gone out (the Fig. 5 model's rule), and recorded
 //!   as blocked past `MAX_CASCADE_DEPTH`.
-//! * **Parallel fan-out** — the per-receiver fetch/`put_delta`/verify
-//!   pipeline runs on a scoped `std::thread` worker pool inside the core
-//!   `System` (receivers map to disjoint peers, so no locks), with PRG
-//!   draws, transfer accounting and trace lines merged in deterministic
-//!   receiver order. Thread count never changes results, only wall-clock;
-//!   `MedLedgerBuilder::fanout_workers` also sets how many virtual data
-//!   channels the latency model overlaps (`0` = all receivers at once,
-//!   `1` = the serial baseline).
+//! * **Fan-out** — the per-receiver fetch/`put_delta`/verify pipeline
+//!   runs inside the core `System`, one receiver after another in
+//!   account order, with PRG draws, transfer accounting and trace lines
+//!   in that same order. The data transfers overlap in virtual time:
+//!   each receiver has the data after its own notify-and-fetch latency.
 //!
 //! Consensus cost per update drops from `1 + receivers` blocks to
 //! `(1 + receivers) / group_size` — the request round alone amortizes to

@@ -1,12 +1,12 @@
 //! Concurrency-safety and determinism tests for the commit engine.
 //!
-//! The contract under test: one `LedgerService` wave over N fan-out
-//! worker threads and M distinct shared tables ends in a final state
-//! **byte-identical** to serial facade commits of the same updates, with
-//! receipt and trace ordering fully deterministic; a denied wave member
-//! rolls back alone and every ticket resolves to its own outcome; and
-//! members whose tables interact are kept apart — the later one re-queues
-//! unstaged and commits in the next wave.
+//! The contract under test: one `LedgerService` wave over M distinct
+//! shared tables ends in a final state **byte-identical** to serial
+//! facade commits of the same updates, with receipt and trace ordering
+//! fully deterministic; a denied wave member rolls back alone and every
+//! ticket resolves to its own outcome; and members whose tables interact
+//! are kept apart — the later one re-queues unstaged and commits in the
+//! next wave.
 
 #![allow(clippy::result_large_err)]
 
@@ -54,7 +54,6 @@ fn hub_ledger(
     seed: &str,
     n_tables: usize,
     n_receivers: usize,
-    fanout_workers: usize,
     deny_hub_on: &[usize],
     key_capacity: usize,
 ) -> Hub {
@@ -63,7 +62,6 @@ fn hub_ledger(
         .consensus(ConsensusKind::PrivatePbft {
             block_interval_ms: 100,
         })
-        .fanout_workers(fanout_workers)
         .peer_key_capacity(key_capacity)
         .build()
         .expect("ledger boots");
@@ -166,7 +164,7 @@ fn wave_round(hub: &mut Hub, pid: i64, rev: usize) -> Vec<Result<CommitOutcome, 
 #[test]
 fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
     // Three tables; the hub may not write dosage on the MIDDLE one.
-    let mut hub = hub_ledger("eng-ticketmap", 3, 1, 0, &[1], 32);
+    let mut hub = hub_ledger("eng-ticketmap", 3, 1, &[1], 32);
     let tickets = submit_round(&mut hub, 1, 1);
     let wave = hub.service.tick().expect("wave runs");
     assert_eq!(wave.members, 3, "the denied member still rides the wave");
@@ -190,8 +188,8 @@ fn every_ticket_resolves_to_its_own_outcome_under_denied_middle_member() {
 #[test]
 fn group_commit_matches_serial_commits_byte_identically() {
     const TABLES: usize = 5;
-    let mut grouped = hub_ledger("eng-vs-serial", TABLES, 2, 0, &[], 32);
-    let mut serial = hub_ledger("eng-vs-serial", TABLES, 2, 0, &[], 32);
+    let mut grouped = hub_ledger("eng-vs-serial", TABLES, 2, &[], 32);
+    let mut serial = hub_ledger("eng-vs-serial", TABLES, 2, &[], 32);
 
     let blocks_before = ledger(&grouped).stats().blocks;
     for r in wave_round(&mut grouped, 1, 1) {
@@ -237,34 +235,25 @@ fn group_commit_matches_serial_commits_byte_identically() {
 fn stress_thread_counts_and_tables_stay_byte_identical() {
     const TABLES: usize = 4;
     const ROUNDS: usize = 2;
-    let mut reference: Option<Vec<String>> = None;
-    for workers in [1usize, 2, 4] {
-        let mut hub = hub_ledger("eng-stress", TABLES, 2, workers, &[], 32);
+    let run = || {
+        let mut hub = hub_ledger("eng-stress", TABLES, 2, &[], 32);
         for rev in 1..=ROUNDS {
             for r in wave_round(&mut hub, 1, rev) {
                 r.expect("member commits");
             }
         }
         ledger(&hub).check_consistency().expect("consistent");
-        let fp = fingerprints(&hub);
-        match &reference {
-            None => reference = Some(fp),
-            Some(expected) => assert_eq!(
-                &fp, expected,
-                "{workers} fan-out workers changed the final state"
-            ),
-        }
-    }
+        fingerprints(&hub)
+    };
+    assert_eq!(run(), run(), "a rerun changed the final state");
 }
 
 #[test]
 fn receipt_and_trace_ordering_is_deterministic() {
-    // Same seed, same workload; `0` (auto threads, every receiver on its
-    // own virtual channel) vs an explicit channel per receiver must agree
-    // byte-for-byte on receipts AND traces — thread scheduling must never
-    // leak into results.
-    let run = |workers: usize| {
-        let mut hub = hub_ledger("eng-det", 3, 2, workers, &[], 16);
+    // Repeatability: the exact same workload on the same seed produces
+    // the exact same receipts, traces and final state, byte for byte.
+    let run = || {
+        let mut hub = hub_ledger("eng-det", 3, 2, &[], 16);
         let mut receipts: Vec<String> = Vec::new();
         let mut traces = String::new();
         for rev in 1..=2 {
@@ -276,16 +265,11 @@ fn receipt_and_trace_ordering_is_deterministic() {
         }
         (receipts, traces, fingerprints(&hub))
     };
-    let (receipts_auto, traces_auto, fp_auto) = run(0);
-    let (receipts_three, traces_three, fp_three) = run(3);
-    assert_eq!(receipts_auto, receipts_three);
-    assert_eq!(traces_auto, traces_three);
-    assert_eq!(fp_auto, fp_three);
-    // Repeatability: the exact same call produces the exact same bytes.
-    let (receipts_again, traces_again, fp_again) = run(0);
-    assert_eq!(receipts_auto, receipts_again);
-    assert_eq!(traces_auto, traces_again);
-    assert_eq!(fp_auto, fp_again);
+    let (receipts, traces, fp) = run();
+    let (receipts_again, traces_again, fp_again) = run();
+    assert_eq!(receipts, receipts_again);
+    assert_eq!(traces, traces_again);
+    assert_eq!(fp, fp_again);
 }
 
 /// The world `hub_ledger` builds (every permission with the hub), in the
@@ -317,7 +301,7 @@ fn group_commit_delta_and_full_table_modes_agree() {
     // Two rounds of one wave each, over two tables and two receivers,
     // end where the Fig. 5 reference model ends after committing the
     // same four updates one at a time, whole tables and full lenses.
-    let mut hub = hub_ledger("eng-modes", 2, 2, 0, &[], 16);
+    let mut hub = hub_ledger("eng-modes", 2, 2, &[], 16);
     let mut model = hub_model(&hub);
     for rev in 1..=2 {
         for r in wave_round(&mut hub, 1, rev) {
@@ -339,7 +323,7 @@ fn group_commit_delta_and_full_table_modes_agree() {
 fn denied_member_rolls_back_alone() {
     // The hub may not write dosage on ward-1; ward-0 and ward-2 are
     // fine. All three go into one group.
-    let mut hub = hub_ledger("eng-denied", 3, 1, 0, &[1], 16);
+    let mut hub = hub_ledger("eng-denied", 3, 1, &[1], 16);
     let before = ledger(&hub)
         .reader(hub.hub)
         .read("ward-1")
@@ -478,32 +462,6 @@ fn a_wave_reserves_its_receivers_signatures_before_anything_is_queued() {
         }
     }
     ledger.check_consistency().expect("consistent");
-}
-
-#[test]
-fn serial_fanout_channel_is_slower_in_virtual_time() {
-    // One table, 8 receivers: with one virtual channel the last receiver
-    // sees the data after the *sum* of the transfer latencies; with one
-    // channel per receiver, after the *max*. Virtual wall-clock must
-    // reflect that ordering.
-    let visibility = |workers: usize| {
-        let mut hub = hub_ledger("eng-chan", 1, 8, workers, &[], 8);
-        let outcome = hub
-            .service
-            .ledger_mut()
-            .session(hub.hub)
-            .begin("ward-0")
-            .set(vec![Value::Int(1)], "dosage", Value::text("x"))
-            .commit()
-            .expect("commit");
-        outcome.visibility_latency_ms()
-    };
-    let parallel = visibility(0);
-    let serial = visibility(1);
-    assert!(
-        serial > parallel,
-        "serial fan-out ({serial} ms) must be slower than parallel ({parallel} ms)"
-    );
 }
 
 /// Topology for the interaction-conflict tests: hub X binds ONE source

@@ -13,9 +13,8 @@
 //!   a 12-second Ethereum block interval (Sec. IV-1) in microseconds of
 //!   real time,
 //! * [`NetStats`] — message/byte accounting for the experiments,
-//! * [`fanout`] — a deterministic worker pool (scoped `std::thread`s) plus
-//!   the matching virtual-time channel model for parallel per-receiver
-//!   data-plane fan-out.
+//! * [`fanout`] — a deterministic worker pool (scoped `std::thread`s),
+//!   which no production path calls (the benchmark times it).
 //!
 //! Determinism: same seed ⇒ same delivery order, bit for bit.
 

@@ -35,7 +35,7 @@ use crate::rt::Runtime;
 use crate::sync::{self, OneSender};
 use crate::wire::{
     duplex_metered, ByteMeter, Envelope, Message, RejectKind, WireCommit, WireConn, WireError,
-    WireReject, WireWrite,
+    WireReject, WireWrite, DEFAULT_PIPE_CAPACITY,
 };
 
 // ---------------------------------------------------------------------
@@ -54,8 +54,6 @@ pub struct GatewayConfig {
     pub queue_depth: usize,
     /// Retry hint carried on [`Message::Overloaded`].
     pub retry_after_ms: u64,
-    /// Byte capacity per wire-pipe direction.
-    pub pipe_capacity: usize,
     /// Run a wave automatically whenever the event queue goes idle with
     /// work pending. Disable ([`GatewayConfig::manual_pump`]) to drive
     /// waves explicitly via [`Deployment::pump`] — tests use this to
@@ -75,7 +73,6 @@ impl Default for GatewayConfig {
             threads: 2,
             queue_depth: 1024,
             retry_after_ms: 5,
-            pipe_capacity: crate::wire::DEFAULT_PIPE_CAPACITY,
             auto_pump: true,
             telemetry: Recorder::disabled(),
         }
@@ -551,7 +548,6 @@ pub struct Deployment {
     events: sync::Sender<PumpEvent>,
     meter: ByteMeter,
     next_session: Arc<AtomicU64>,
-    pipe_capacity: usize,
 }
 
 impl Deployment {
@@ -569,7 +565,6 @@ impl Deployment {
                 .set_recorder(cfg.telemetry.clone());
         }
         let (events, inbox) = sync::unbounded();
-        let pipe_capacity = cfg.pipe_capacity;
         let pump = Pump {
             service,
             sessions: BTreeMap::new(),
@@ -585,7 +580,6 @@ impl Deployment {
             events,
             meter: ByteMeter::new(),
             next_session: Arc::new(AtomicU64::new(1)),
-            pipe_capacity,
         })
     }
 
@@ -595,7 +589,7 @@ impl Deployment {
     pub fn connect(&self) -> GatewayClient {
         // ordering: session-id
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let (client_conn, server_conn) = duplex_metered(self.pipe_capacity, &self.meter);
+        let (client_conn, server_conn) = duplex_metered(DEFAULT_PIPE_CAPACITY, &self.meter);
         let (mut srv_tx, mut srv_rx) = server_conn.split();
         let (outbox, mut outbox_rx) = sync::unbounded::<Envelope>();
         let _ = self.events.try_send(PumpEvent::NewSession { id, outbox });

@@ -34,7 +34,7 @@ pub const WIRE_VERSION: u8 = 1;
 /// allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Default byte capacity of one pipe direction.
+/// Byte capacity of one pipe direction (each gateway session's pipe).
 pub const DEFAULT_PIPE_CAPACITY: usize = 64 << 10;
 
 // ---------------------------------------------------------------------

@@ -54,7 +54,7 @@ pub use error::RelationalError;
 pub use predicate::{CmpOp, Predicate};
 pub use row::Row;
 pub use schema::{Column, Schema};
-pub use shard::{normalize_shard_count, shard_of_key, Shard, ShardMap, ShardPlan};
+pub use shard::{normalize_shard_count, shard_of_key, ShardMap};
 pub use table::{HashStats, Table};
 pub use value::{Value, ValueType};
 

@@ -10,8 +10,8 @@
 //!
 //! * **Routing**: a [`TableDelta`] splits into per-shard sub-deltas
 //!   ([`TableDelta::split_by_shard`]); applying an update touches only
-//!   the shards its rows land in, and disjoint shards can apply in
-//!   parallel (each shard is its own little table plus digest state).
+//!   the shards its rows land in (each shard is its own little table
+//!   plus digest state).
 //! * **Hashing**: each shard's fragment table keeps its digest tree
 //!   under the *map-wide* chunk layout, so the fold over the shard's
 //!   chunk run is a subtree of the unsharded fold. The map-level
@@ -101,31 +101,6 @@ impl TableDelta {
     }
 }
 
-/// A planned application of one delta to a [`ShardMap`]: the per-shard
-/// sub-deltas plus the chunk layout the map will use *after* the delta
-/// (the layout depends on the total row count, which every shard must
-/// agree on before applying in parallel).
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    /// Sub-delta per shard, index-aligned with the map's shards.
-    pub per_shard: Vec<TableDelta>,
-    /// Chunk layout after the delta applies.
-    pub chunk_count: usize,
-    rows_after: usize,
-}
-
-impl ShardPlan {
-    /// Shards whose sub-delta is non-empty (the ones an apply touches).
-    pub fn touched(&self) -> Vec<usize> {
-        self.per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(s, _)| s)
-            .collect()
-    }
-}
-
 /// One shard: a fragment [`Table`] holding the rows routed here.
 ///
 /// The fragment's digest tree is kept under the *map-wide* chunk layout
@@ -133,7 +108,7 @@ impl ShardPlan {
 /// the fold over the shard's chunk run byte-identical to the same subtree
 /// of the assembled table's fold.
 #[derive(Clone)]
-pub struct Shard {
+struct Shard {
     index: usize,
     shard_count: usize,
     table: Table,
@@ -145,12 +120,6 @@ pub struct Shard {
     heat: HeatMapHandle,
     /// Table name the heat cells are attributed to.
     heat_label: String,
-}
-
-impl fmt::Debug for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shard#{} ({} rows)", self.index, self.table.len())
-    }
 }
 
 impl Shard {
@@ -169,7 +138,7 @@ impl Shard {
     /// the fragment rows and their digest tree, and returns the inverse
     /// sub-delta. Validation and atomicity are [`Table::apply_delta`]'s;
     /// a failed apply leaves the shard's rows untouched.
-    pub fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
+    fn apply(&mut self, delta: &TableDelta, chunk_count: usize) -> Result<TableDelta> {
         self.table.set_layout(chunk_count);
         let inverse = self.table.apply_delta(delta)?;
         // The inverse holds exactly the rows this delta replaced or removed.
@@ -188,16 +157,6 @@ impl Shard {
             );
         }
         Ok(inverse)
-    }
-
-    /// Recomputes this shard's dirty chunk digests and subtree root under
-    /// `chunk_count` (the expensive half of a fold, callable inside a
-    /// parallel per-shard job so the map-level fold only combines cached
-    /// subroots). No-op when the layout is coarser than the shard split.
-    pub fn warm(&self, chunk_count: usize) {
-        if chunk_count >= self.shard_count {
-            self.subroot(chunk_count);
-        }
     }
 
     /// The fold over this shard's owned chunk run — the contiguous
@@ -293,16 +252,9 @@ impl ShardMap {
         chunk_count_for(self.rows)
     }
 
-    /// Mutable access to all shards (disjoint `&mut Shard`s are what a
-    /// parallel apply hands to its workers).
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
-    }
-
-    /// Installs a live heat-map feed: every successful per-shard apply
-    /// (serial via [`ShardMap::apply_delta`] or parallel via
-    /// [`Shard::apply`] on checked-out shards) attributes its row count
-    /// and canonical delta bytes to the `(table, shard)` cell. Survives
+    /// Installs a live heat-map feed: every successful per-shard apply of
+    /// [`ShardMap::apply_delta`] attributes its row count and canonical
+    /// delta bytes to the `(table, shard)` cell. Survives
     /// [`ShardMap::rebuild_from`]; a disabled handle keeps the apply
     /// path free of telemetry work.
     pub fn set_telemetry(&mut self, table: &str, heat: HeatMapHandle) {
@@ -337,42 +289,27 @@ impl ShardMap {
         self.shards.iter().map(|s| s.encoded_bytes).sum()
     }
 
-    /// Plans a delta application: splits the delta per shard and fixes
-    /// the post-delta chunk layout every shard must apply under.
-    pub fn plan(&self, delta: &TableDelta) -> ShardPlan {
-        let rows_after = (self.rows + delta.inserts.len()).saturating_sub(delta.deletes.len());
-        ShardPlan {
-            per_shard: delta.split_by_shard(&self.schema, self.shard_count),
-            chunk_count: chunk_count_for(rows_after),
-            rows_after,
-        }
-    }
-
-    /// Records that a planned apply ran on every shard (fixes the total
-    /// row count the next fold's layout derives from). Callers driving
-    /// shards in parallel call this after all sub-applies succeeded.
-    pub fn commit_plan(&mut self, plan: &ShardPlan) {
-        self.rows = plan.rows_after;
-    }
-
-    /// Applies a delta shard-by-shard (serially), touching only the
-    /// shards the delta lands in. Returns the merged inverse, canonically
-    /// ordered — identical to [`Table::apply_delta`] on the assembled
-    /// table. If one shard rejects its sub-delta, already-applied shards
-    /// are reverted, leaving the map untouched.
+    /// Applies a delta shard by shard, touching only the shards the
+    /// delta lands in, each under the chunk layout of the post-delta row
+    /// count. Returns the merged inverse, canonically ordered — identical
+    /// to [`Table::apply_delta`] on the assembled table. If one shard
+    /// rejects its sub-delta, already-applied shards are reverted,
+    /// leaving the map untouched.
     pub fn apply_delta(&mut self, delta: &TableDelta) -> Result<TableDelta> {
-        let plan = self.plan(delta);
+        let rows_after = (self.rows + delta.inserts.len()).saturating_sub(delta.deletes.len());
+        let chunk_count = chunk_count_for(rows_after);
+        let per_shard = delta.split_by_shard(&self.schema, self.shard_count);
         let mut applied: Vec<(usize, TableDelta)> = Vec::new();
-        for (s, sub) in plan.per_shard.iter().enumerate() {
+        for (s, sub) in per_shard.iter().enumerate() {
             if sub.is_empty() {
                 continue;
             }
-            match self.shards[s].apply(sub, plan.chunk_count) {
+            match self.shards[s].apply(sub, chunk_count) {
                 Ok(inv) => applied.push((s, inv)),
                 Err(e) => {
                     for (t, inv) in applied.iter().rev() {
                         self.shards[*t]
-                            .apply(inv, plan.chunk_count)
+                            .apply(inv, chunk_count)
                             // lint: allow(unwrap) — the inverse of the
                             // sub-delta this shard just applied restores
                             // the rows it was validated against.
@@ -382,7 +319,7 @@ impl ShardMap {
                 }
             }
         }
-        self.commit_plan(&plan);
+        self.rows = rows_after;
         Ok(TableDelta::merge_disjoint(
             applied.into_iter().map(|(_, inv)| inv),
             |r| self.schema.key_of(r),
@@ -625,46 +562,6 @@ mod tests {
         assert_eq!(m.len(), 64);
         assert_eq!(m.assemble(), t);
         assert_eq!(m.encoded_bytes(), encoded_bytes_of(&t));
-    }
-
-    #[test]
-    fn warm_precomputes_subroots_without_changing_the_fold() {
-        let t = table(300);
-        let mut m = ShardMap::from_table(&t, 8);
-        let expected = t.content_hash();
-        let cc = m.chunk_count();
-        for s in m.shards_mut() {
-            s.warm(cc);
-        }
-        assert_eq!(m.content_hash(), expected);
-    }
-
-    #[test]
-    fn parallel_style_shard_apply_matches_serial() {
-        // Drive the same plan through shards_mut() the way a worker pool
-        // does (sub-apply + warm per shard, then commit + fold).
-        let old = table(256);
-        let mut new = old.clone();
-        for i in (0..256i64).step_by(5) {
-            new.update(&[Value::Int(i)], &[("dose", Value::text(format!("r{i}")))])
-                .expect("update");
-        }
-        let delta = diff_tables(&old, &new);
-
-        let mut serial = ShardMap::from_table(&old, 8);
-        serial.apply_delta(&delta).expect("serial");
-
-        let mut manual = ShardMap::from_table(&old, 8);
-        let plan = manual.plan(&delta);
-        for (shard, sub) in manual.shards_mut().iter_mut().zip(&plan.per_shard) {
-            if !sub.is_empty() {
-                shard.apply(sub, plan.chunk_count).expect("sub-apply");
-            }
-            shard.warm(plan.chunk_count);
-        }
-        manual.commit_plan(&plan);
-        assert_eq!(manual.content_hash(), serial.content_hash());
-        assert_eq!(manual.content_hash(), new.content_hash());
     }
 
     #[test]

@@ -213,45 +213,12 @@ fn referee_step(
     (delta, true)
 }
 
-/// Drives `map` the way a peer's remote apply does: plan, one job per
-/// touched shard (sub-apply, then warm), and either commit the plan or,
-/// when a shard rejected its sub-delta, revert the shards that applied,
-/// newest first, under the plan's layout.
-fn apply_planned(map: &mut ShardMap, delta: &TableDelta) -> bool {
-    let plan = map.plan(delta);
-    let mut applied = Vec::new();
-    let mut rejected = false;
-    for (s, (shard, sub)) in map.shards_mut().iter_mut().zip(&plan.per_shard).enumerate() {
-        if sub.is_empty() {
-            continue;
-        }
-        match shard.apply(sub, plan.chunk_count) {
-            Ok(inverse) => {
-                shard.warm(plan.chunk_count);
-                applied.push((s, inverse));
-            }
-            Err(_) => rejected = true,
-        }
-    }
-    if rejected {
-        for (s, inverse) in applied.iter().rev() {
-            map.shards_mut()[*s]
-                .apply(inverse, plan.chunk_count)
-                .expect("inverse of a just-applied sub-delta applies");
-        }
-        return false;
-    }
-    map.commit_plan(&plan);
-    true
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Warm incremental digests across layout thresholds, up and down: a
-    /// `Table`, `ShardMap`s driven through `apply_delta` and the same
-    /// maps driven shard by shard (rejected sub-deltas reverted) all hash
-    /// like a cold table of the same rows after every step.
+    /// `Table` and `ShardMap`s driven through `apply_delta` all hash like
+    /// a cold table of the same rows after every step.
     #[test]
     fn warm_digests_match_cold_across_thresholds(
         steps in proptest::collection::vec((0u8..5, 0usize..260, any::<u64>()), 8..28)
@@ -262,15 +229,11 @@ proptest! {
         let mut table = Table::new(schema());
         let mut serial: Vec<ShardMap> =
             shard_counts.iter().map(|&s| ShardMap::from_table(&table, s)).collect();
-        let mut planned = serial.clone();
         for step in steps {
             let (delta, valid) = referee_step(&model, &mut next_id, step);
             prop_assert_eq!(table.apply_delta(&delta).is_ok(), valid);
             for map in &mut serial {
                 prop_assert_eq!(map.apply_delta(&delta).is_ok(), valid);
-            }
-            for map in &mut planned {
-                prop_assert_eq!(apply_planned(map, &delta), valid);
             }
             if valid {
                 for row in &delta.inserts {
@@ -289,9 +252,6 @@ proptest! {
             prop_assert!(table.content_hash() == cold, "table at {} rows", model.len());
             for (map, shards) in serial.iter().zip(shard_counts) {
                 prop_assert!(map.content_hash() == cold, "apply_delta, {shards} shards, {} rows", model.len());
-            }
-            for (map, shards) in planned.iter().zip(shard_counts) {
-                prop_assert!(map.content_hash() == cold, "planned, {shards} shards, {} rows", model.len());
             }
         }
     }
