@@ -13,9 +13,7 @@
 //! metrics vocabulary (see docs/OBSERVABILITY.md for the catalog).
 
 use medledger_bench::baselines::storage_comparison;
-use medledger_bench::{
-    one_dosage_update, two_peer_system, two_peer_system_sharded, wide_projection,
-};
+use medledger_bench::{one_dosage_update, two_peer_system, wide_projection};
 use medledger_bx::exec::{get, put};
 use medledger_bx::{check_getput, check_putget};
 use medledger_consensus::{PbftConfig, PbftRound, PowModel};
@@ -622,26 +620,24 @@ fn wave_phase_table(snap: &Snapshot) -> String {
 }
 
 fn e13_telemetry() {
-    header("E13 — live telemetry: wave histograms, shard heat, chain cost");
-    // A sharded doctor+patient deployment with a live recorder, driven
-    // through the pipeline service — the same instrumentation path the
-    // node binary's gateway uses, so the numbers here and the node's
-    // periodic `telemetry:` lines come from one vocabulary.
+    header("E13 — live telemetry: wave histograms, apply heat, chain cost");
+    // A doctor+patient deployment with a live recorder, driven through
+    // the pipeline service — the same instrumentation path the node
+    // binary's gateway uses, so the numbers here and the node's periodic
+    // `telemetry:` lines come from one vocabulary.
     let registry = Registry::shared();
-    let mut bench = two_peer_system_sharded(
+    let mut bench = two_peer_system(
         "report-e13",
         ConsensusKind::PrivatePbft {
             block_interval_ms: 100,
         },
         64,
-        4,
     );
     let (doctor, patient) = (bench.doctor, bench.patient);
     bench.ledger.set_recorder(Recorder::new(&registry));
     let mut service = LedgerService::new(bench.ledger);
 
-    // Hotspot-skewed workload: most edits land on 4 hot patients, so the
-    // per-shard apply attribution shows visible skew in the heat bars.
+    // Hotspot-skewed workload: most edits land on 4 hot patients.
     // Dosage edits go through the Doctor, clinical notes through the
     // Patient; each wave combines one of each against the shared table.
     let all_ids: Vec<i64> = (0..64).map(|i| 1000 + i).collect();
@@ -690,7 +686,7 @@ fn e13_telemetry() {
     service.ledger().check_consistency().expect("consistent");
 
     let snap = registry.snapshot();
-    println!("{waves} combined waves (1 Doctor dosage + 1 Patient note each), 64 rows, 4 shards\n");
+    println!("{waves} combined waves (1 Doctor dosage + 1 Patient note each), 64 rows\n");
     println!("Per-wave pipeline latency (wall-clock, from the shared registry Snapshot):");
     print!("{}", wave_phase_table(&snap));
 
@@ -712,7 +708,7 @@ fn e13_telemetry() {
     }
 
     println!("\nFull registry rendering — the same `Snapshot::render_text` the node");
-    println!("binary prints on shutdown (heat bars: per-shard apply attribution):");
+    println!("binary prints on shutdown (heat bars: rows applied per shared table):");
     print!("{}", snap.render_text());
     println!(
         "\n(one-line form, as the node's periodic `telemetry:` lines print it:\n {})",

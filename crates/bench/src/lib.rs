@@ -481,22 +481,23 @@ pub fn contention_keys_left(bench: &ContentionBench) -> u64 {
 }
 
 // ----------------------------------------------------------------------
-// Sharded peers
+// Both peers over the shared view
 // ----------------------------------------------------------------------
 
-/// [`two_peer_system`] with an explicit `shards_per_table`, both peers
-/// holding the shared view as their source.
+/// A doctor+patient ledger like [`two_peer_system`], both peers holding
+/// the shared view as their source. The shard count is ignored — every
+/// peer stores a shared table as one table; the parameter stays because
+/// `tests/counts.rs` pins a commit through this signature.
 pub fn two_peer_system_sharded(
     seed: &str,
     consensus: ConsensusKind,
     n_patients: usize,
-    shards: usize,
+    _shards: usize,
 ) -> WardBench {
     let mut ledger = MedLedger::builder()
         .seed(seed)
         .consensus(consensus)
         .peer_key_capacity(1024)
-        .shards_per_table(shards)
         .build()
         .expect("boot");
     let doctor = ledger.add_peer("Doctor").expect("add");

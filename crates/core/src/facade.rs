@@ -247,16 +247,12 @@ impl MedLedgerBuilder {
         self
     }
 
-    /// Key-range shards per shared table (normalized to a power of two
-    /// in `1..=256`; default `1` = unsharded). With sharding on, every
-    /// peer splits its stored shared tables along the content digest's
-    /// key ranges: deltas route to the shards they land in, and hash
-    /// verification folds cached per-shard Merkle subroots. Final state,
-    /// hashes, receipts and traces are byte-identical for every setting —
-    /// raise it when shared tables grow to thousands of rows and
-    /// per-update applies start to dominate.
-    pub fn shards_per_table(mut self, n: usize) -> Self {
-        self.config.shards_per_table = n;
+    /// Does nothing: every peer stores each shared table as one table.
+    ///
+    /// A compile fence, as [`crate::PropagationMode`] is: the frozen
+    /// `benchmark/` crate calls it (`benchmark/src/world.rs`), and
+    /// `benchmark/` must stay byte-identical.
+    pub fn shards_per_table(self, _n: usize) -> Self {
         self
     }
 
@@ -271,8 +267,8 @@ impl MedLedgerBuilder {
     /// would cost as much as reading one). [`MedLedgerBuilder::build`]
     /// then *recovers* when the directory already holds a committed
     /// state — replaying the logged peer records onto the snapshot the
-    /// newest flush names and re-verifying the folded per-shard Merkle
-    /// subroots against the replayed chain — and bootstraps fresh
+    /// newest flush names and re-verifying every stored table's content
+    /// hash against the replayed chain — and bootstraps fresh
     /// (writing an initial snapshot) otherwise.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_path = Some(dir.into());

@@ -7,10 +7,10 @@ use medledger_bx::{analysis, exec, incremental, GroupIndex, LensSpec};
 use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
-    delta_from_write_op, diff_tables, fingerprint_of, normalize_shard_count, Database, KeyedRows,
-    RelationalError, Row, Schema, ShardMap, Table, TableDelta, Value, WriteOp,
+    delta_from_write_op, diff_tables, fingerprint_of, Database, KeyedRows, RelationalError, Row,
+    Schema, ShardMap, Table, TableDelta, Value, WriteOp,
 };
-use medledger_telemetry::{GaugeHandle, HeatMapHandle, Recorder};
+use medledger_telemetry::{GaugeHandle, Recorder};
 use std::collections::BTreeMap;
 
 /// Feeds a stored copy's apply counters into the `shard.heat` heat map.
@@ -46,11 +46,10 @@ pub enum PropagationMode {
 /// of local writes still rewinds to the committed row.
 type Undo = BTreeMap<Vec<Value>, Option<Row>>;
 
-/// One shared table as a peer holds it: the rows exist once, in `store`,
-/// split into key-range shards aligned with the content digest (one
-/// shard when the deployment does not shard). The last *committed*
-/// version is not a second copy but a view ([`Baseline`]): the store,
-/// read through `undo` at the keys where it has moved on.
+/// One shared table as a peer holds it: the rows exist once, in `store`.
+/// The last *committed* version is not a second copy but a view
+/// ([`Baseline`]): the store, read through `undo` at the keys where it
+/// has moved on.
 #[derive(Clone, Debug)]
 struct SharedTable {
     /// The stored copy: reflects every local write.
@@ -112,15 +111,14 @@ impl SharedTable {
         self.diff_at_undo(&self.store, &self.baseline())
     }
 
-    /// The committed view materialized: a clone of the store (warm digest
-    /// caches included, heat feed not) rewound by `undo`. O(table) — for
-    /// the conflict path and for hashing a baseline that has pending
-    /// rows over it; everything else reads [`Baseline`].
-    fn committed(&self) -> Result<ShardMap> {
-        let mut map = self.store.clone();
-        map.set_telemetry("", HeatMapHandle::disabled());
-        map.apply_delta(&self.rewind())?;
-        Ok(map)
+    /// The committed view materialized: a clone of the stored table (warm
+    /// digest caches included) rewound by `undo`. O(table) — for the
+    /// conflict path and for hashing a baseline that has pending rows
+    /// over it; everything else reads [`Baseline`].
+    fn committed(&self) -> Result<Table> {
+        let mut table = self.store.table().clone();
+        table.apply_delta(&self.rewind())?;
+        Ok(table)
     }
 }
 
@@ -161,13 +159,12 @@ fn unknown_share(table_id: &str) -> CoreError {
 /// The peer's [`Database`] holds its *source* tables (full local data)
 /// and the mutation log of everything the peer stores. Every shared
 /// table it participates in is materialized once, as a stored copy in a
-/// [`ShardMap`] of `shards_per_table` shards; each mutation of the
-/// stored copy is logged in `db` under the shared table id with the
-/// shard fold as `post_hash`, and the committed rows it displaced are
-/// kept as **undo rows** — which make the committed baseline a view
-/// ([`PeerNode::baseline`]) and the composed local changes since it
-/// ([`PeerNode::pending_delta`], what the next propagation ships) an
-/// O(changed rows) read.
+/// [`ShardMap`]; each mutation of the stored copy is logged in `db`
+/// under the shared table id with its content hash as `post_hash`, and
+/// the committed rows it displaced are kept as **undo rows** — which
+/// make the committed baseline a view ([`PeerNode::baseline`]) and the
+/// composed local changes since it ([`PeerNode::pending_delta`], what
+/// the next propagation ships) an O(changed rows) read.
 ///
 /// The **database manager** methods are the paper's "BX" boxes: they
 /// push row-level deltas through the lenses (`get_delta` / `put_delta`).
@@ -190,8 +187,6 @@ pub struct PeerNode {
     bindings: BTreeMap<String, PeerBinding>,
     /// Per shared table: the stored copy and its undo rows.
     shared: BTreeMap<String, SharedTable>,
-    /// Key-range shards per shared table (a power of two).
-    shards_per_table: usize,
     /// Cached `bx` group indexes, one per `ProjectDistinct` binding
     /// (keyed by shared table id), advanced with every applied source
     /// delta — the O(group) hot path for group-lens translation.
@@ -201,8 +196,8 @@ pub struct PeerNode {
     /// Next ledger nonce.
     pub next_nonce: u64,
     /// Live-telemetry handle (no-op unless a registry is installed via
-    /// [`crate::System::set_recorder`]): feeds the per-(table, shard)
-    /// apply heat map from this peer's stored copies.
+    /// [`crate::System::set_recorder`]): feeds the `shard.heat` apply
+    /// heat map from this peer's stored copies.
     telemetry: Recorder,
     /// `peer.shared_rows_resident.<name>`: rows held across every stored
     /// copy, plus the committed rows kept for undo.
@@ -211,17 +206,17 @@ pub struct PeerNode {
 
 impl PeerNode {
     /// Creates a peer with a deterministic key derived from `name` and
-    /// `seed`, able to sign `key_capacity` transactions. `shards_per_table`
-    /// (normalized to a power of two) splits shared-table state into
-    /// key-range shards; `1` is the unsharded baseline. The
-    /// [`PropagationMode`] argument carries no information — it is the
-    /// compile fence that type's docs describe.
+    /// `seed`, able to sign `key_capacity` transactions. The last two
+    /// arguments carry no information: they are a compile fence, as
+    /// [`PropagationMode`]'s docs describe — the frozen `benchmark/`
+    /// passes a mode and a shard count, and every peer stores each
+    /// shared table as one table.
     pub fn new(
         name: impl Into<String>,
         seed: &str,
         key_capacity: usize,
         _mode: PropagationMode,
-        shards_per_table: usize,
+        _shards_per_table: usize,
     ) -> Self {
         let name = name.into();
         let keys = KeyPair::generate(&format!("{seed}-peer-{name}"), key_capacity);
@@ -232,7 +227,6 @@ impl PeerNode {
             keys,
             bindings: BTreeMap::new(),
             shared: BTreeMap::new(),
-            shards_per_table: normalize_shard_count(shards_per_table),
             group_indexes: BTreeMap::new(),
             applied_versions: BTreeMap::new(),
             next_nonce: 0,
@@ -255,11 +249,11 @@ impl PeerNode {
     }
 
     /// Sets the resident-rows gauge: the stored rows — exactly the shared
-    /// rows at rest, whatever the shard count — plus one per committed
-    /// row an uncommitted change keeps for undo.
+    /// rows at rest — plus one per committed row an uncommitted change
+    /// keeps for undo.
     fn publish_resident_rows(&self) {
         if self.resident_rows.is_enabled() {
-            let held = |t: &SharedTable| t.store.len() + t.undo.values().flatten().count();
+            let held = |t: &SharedTable| t.store.table().len() + t.undo.values().flatten().count();
             self.resident_rows
                 .set(self.shared.values().map(held).sum::<usize>() as u64);
         }
@@ -275,14 +269,6 @@ impl PeerNode {
     /// (see [`Database::truncate_log`]).
     pub(crate) fn truncate_log(&mut self, upto: u64) {
         self.db.truncate_log(upto);
-    }
-
-    /// True iff `table_id`'s stored state is split into more than one
-    /// shard on this peer.
-    pub fn is_sharded(&self, table_id: &str) -> bool {
-        self.shared
-            .get(table_id)
-            .is_some_and(|t| t.store.shard_count() > 1)
     }
 
     /// A share id names the stored copy in the log and in snapshots, so
@@ -321,7 +307,7 @@ impl PeerNode {
             let idx = GroupIndex::build(source, view_key)?;
             self.group_indexes.insert(table_id.to_string(), idx);
         }
-        let mut store = ShardMap::from_table(&view, self.shards_per_table);
+        let mut store = ShardMap::new(view);
         wire_shard_heat(&self.telemetry, table_id, &mut store);
         let hash = store.content_hash();
         let undo = Undo::new();
@@ -477,15 +463,12 @@ impl PeerNode {
         Ok(())
     }
 
-    /// Applies an **uncommitted** delta to a shared table's stored copy,
-    /// touching only the shards it lands in, and logs it — the one funnel
-    /// of every store change the chain has not committed, so the
-    /// committed rows it displaces are kept here. Returns the inverse. A
-    /// rejected delta leaves the store untouched and unlogged.
-    ///
-    /// The WAL `post_hash` is the shard fold (cached per-shard subtree
-    /// roots; only the touched shards rehash) — byte-identical to the
-    /// content hash of the assembled rows.
+    /// Applies an **uncommitted** delta to a shared table's stored copy
+    /// and logs it — the one funnel of every store change the chain has
+    /// not committed, so the committed rows it displaces are kept here.
+    /// Returns the inverse. A rejected delta leaves the store untouched
+    /// and unlogged. The WAL `post_hash` is the store's incremental
+    /// content hash.
     fn apply_view_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
         let shared = self.shared_mut(table_id)?;
         let inverse = shared.store.apply_delta(delta)?;
@@ -580,29 +563,28 @@ impl PeerNode {
     }
 
     /// The stored (materialized) copy of a shared table, as the peer
-    /// keeps it: keyed lookup, shard-ordered iteration and the content
-    /// fold without assembling anything.
+    /// keeps it: keyed lookup, iteration and the content hash without
+    /// copying anything.
     pub fn shared_store(&self, table_id: &str) -> Result<&ShardMap> {
         Ok(&self.shared(table_id)?.store)
     }
 
-    /// A copy of the stored shared table, assembled from its shards.
+    /// A copy of the stored shared table.
     pub fn shared_table(&self, table_id: &str) -> Result<Table> {
-        Ok(self.shared_store(table_id)?.assemble())
+        Ok(self.shared_store(table_id)?.table().clone())
     }
 
     /// A copy of a local table by name: a source table, or the stored
     /// copy of a shared one.
     pub fn read_table(&self, name: &str) -> Result<Table> {
         match self.shared.get(name) {
-            Some(shared) => Ok(shared.store.assemble()),
+            Some(shared) => Ok(shared.store.table().clone()),
             None => Ok(self.db.table(name)?.clone()),
         }
     }
 
-    /// Content hash of the stored shared copy: the fold of per-shard
-    /// subtree roots — byte-identical to hashing the assembled rows, but
-    /// only shards touched since the last fold rehash.
+    /// Content hash of the stored shared copy, refolding only the paths
+    /// touched since the last call.
     pub fn shared_hash(&self, table_id: &str) -> Result<Hash256> {
         Ok(self.shared_store(table_id)?.content_hash())
     }
@@ -705,12 +687,11 @@ impl PeerNode {
     }
 
     /// Applies a committed remote delta (Fig. 5 steps 4–5 / 10–11):
-    /// routes the view delta to the shards of the stored copy it lands
-    /// in ([`ShardMap::apply_delta`]), verifies the announced hash against
-    /// the fold of per-shard subtree roots — only the touched shards
-    /// rehash — reflects the change into the source with the
-    /// pre-computed `source_delta`, and refreshes sibling shares (their
-    /// deltas stay pending for the step-6 cascade). The store is touched
+    /// applies the view delta to the stored copy
+    /// ([`ShardMap::apply_delta`]), verifies the announced hash against
+    /// its incremental content hash, reflects the change into the source
+    /// with the pre-computed `source_delta`, and refreshes sibling shares
+    /// (their deltas stay pending for the step-6 cascade). The store is touched
     /// once: with no undo rows over it, it *is* the committed baseline.
     /// A rejected or hash-mismatched delta leaves the peer untouched.
     ///
@@ -783,9 +764,9 @@ impl PeerNode {
                 "committed `{table_id}` delta does not apply to the committed baseline: {e}"
             ))
         })?;
-        // Rows in key order, so the logged rewrite reads the same at any
-        // shard count. Verified before any mutation: a corrupt delta
-        // leaves the peer untouched.
+        // Rows in key order, so the logged rewrite does not depend on the
+        // order of earlier applies. Verified before any mutation: a
+        // corrupt delta leaves the peer untouched.
         let rows = view_new.sorted_rows().into_iter().cloned().collect();
         let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
         self.apply_remote_view(table_id, &view_new, announced_hash, version)
@@ -944,10 +925,12 @@ impl PeerNode {
         &self.bindings
     }
 
-    /// The stored copy of each share, by table id. With the database's
+    /// The stored table of each share, by table id. With the database's
     /// own tables these are the `tables` section of a storage snapshot.
-    pub(crate) fn stored_copies(&self) -> impl ExactSizeIterator<Item = (&String, &ShardMap)> {
-        self.shared.iter().map(|(id, shared)| (id, &shared.store))
+    pub(crate) fn stored_copies(&self) -> impl ExactSizeIterator<Item = (&String, &Table)> {
+        self.shared
+            .iter()
+            .map(|(id, shared)| (id, shared.store.table()))
     }
 
     /// Per-share inverse deltas that rewind each stored copy back to its
@@ -966,7 +949,7 @@ impl PeerNode {
     /// flush. Signing keys are re-derived from the deployment seed (they
     /// are never persisted) and fast-forwarded past the already-consumed
     /// one-time signatures; each shared table moves out of the database
-    /// into its sharded store, the recorded inverse becomes its undo rows
+    /// into its stored copy, the recorded inverse becomes its undo rows
     /// (recovery then checks the baseline they imply against the
     /// contract), and the group indexes rebuild from ground truth.
     #[allow(clippy::too_many_arguments)]
@@ -974,7 +957,6 @@ impl PeerNode {
         name: &str,
         seed: &str,
         key_capacity: usize,
-        shards_per_table: usize,
         db: Database,
         bindings: BTreeMap<String, PeerBinding>,
         baseline_inverses: &[(String, TableDelta)],
@@ -983,7 +965,7 @@ impl PeerNode {
         keys_used: u64,
     ) -> Result<PeerNode> {
         let mode = PropagationMode::Delta;
-        let mut peer = PeerNode::new(name, seed, key_capacity, mode, shards_per_table);
+        let mut peer = PeerNode::new(name, seed, key_capacity, mode, 1);
         peer.keys.restore_used(keys_used);
         peer.db = db;
         peer.applied_versions = applied_versions;
@@ -994,7 +976,7 @@ impl PeerNode {
             .collect();
         for (table_id, binding) in &bindings {
             let stored = peer.db.detach_table(table_id)?;
-            let store = ShardMap::from_table(&stored, peer.shards_per_table);
+            let store = ShardMap::new(stored);
             let mut shared = SharedTable {
                 store,
                 undo: Undo::new(),
@@ -1056,14 +1038,10 @@ mod tests {
         Table::from_rows(schema, d3.rows().cloned().collect()).expect("D3")
     }
 
-    fn doctor_with_shares_sharded(shards: usize) -> PeerNode {
-        doctor_over(d3_table(), shards)
-    }
-
     /// The Doctor of Fig. 1 over `d3`, sharing it with the Patient and the
     /// Researcher.
-    fn doctor_over(d3: Table, shards: usize) -> PeerNode {
-        let mut doctor = PeerNode::new("Doctor", "peer-test", 16, PropagationMode::Delta, shards);
+    fn doctor_over(d3: Table) -> PeerNode {
+        let mut doctor = PeerNode::new("Doctor", "peer-test", 16, PropagationMode::Delta, 1);
         doctor.add_source_table("D3", d3).expect("add D3");
         // BX31: share with Patient.
         doctor
@@ -1095,7 +1073,7 @@ mod tests {
     }
 
     fn doctor_with_shares() -> PeerNode {
-        doctor_with_shares_sharded(1)
+        doctor_over(d3_table())
     }
 
     /// The committed view of `table`, read through the baseline overlay.
@@ -1170,57 +1148,55 @@ mod tests {
 
     #[test]
     fn delta_write_shared_tracks_pending_and_siblings() {
-        for shards in [1usize, 8] {
-            let mut doctor = doctor_with_shares_sharded(shards);
-            let before_fp = doctor.fingerprint();
-            let inverses = doctor
-                .write_shared(
-                    "D23&D32",
-                    WriteOp::Update {
-                        key: vec![Value::text("Ibuprofen")],
-                        assignments: vec![("mechanism_of_action".into(), Value::text("MeA1-new"))],
-                    },
-                )
-                .expect("write shared");
-            // The stored copy, the source, and the pending delta all moved.
-            assert_eq!(
-                doctor
-                    .shared_store("D23&D32")
-                    .expect("D32")
-                    .get(&[Value::text("Ibuprofen")])
-                    .expect("row")[1],
-                Value::text("MeA1-new")
-            );
-            assert_eq!(
-                doctor
-                    .db
-                    .table("D3")
-                    .expect("D3")
-                    .get(&[Value::Int(188)])
-                    .expect("row")[3],
-                Value::text("MeA1-new")
-            );
-            let pending = doctor.pending_delta("D23&D32").expect("pending");
-            assert_eq!(pending.updates.len(), 1);
-            assert!(doctor.has_pending_change("D23&D32").expect("check"));
-            // The sibling share's lens does not cover the mechanism → no
-            // pending change there.
-            assert!(!doctor.has_pending_change("D13&D31").expect("check"));
-            // The baseline still matches the last committed state.
-            assert_ne!(
-                doctor.shared_hash("D23&D32").expect("hash"),
-                doctor.committed_hash("D23&D32").expect("hash")
-            );
+        let mut doctor = doctor_with_shares();
+        let before_fp = doctor.fingerprint();
+        let inverses = doctor
+            .write_shared(
+                "D23&D32",
+                WriteOp::Update {
+                    key: vec![Value::text("Ibuprofen")],
+                    assignments: vec![("mechanism_of_action".into(), Value::text("MeA1-new"))],
+                },
+            )
+            .expect("write shared");
+        // The stored copy, the source, and the pending delta all moved.
+        assert_eq!(
+            doctor
+                .shared_store("D23&D32")
+                .expect("D32")
+                .get(&[Value::text("Ibuprofen")])
+                .expect("row")[1],
+            Value::text("MeA1-new")
+        );
+        assert_eq!(
+            doctor
+                .db
+                .table("D3")
+                .expect("D3")
+                .get(&[Value::Int(188)])
+                .expect("row")[3],
+            Value::text("MeA1-new")
+        );
+        let pending = doctor.pending_delta("D23&D32").expect("pending");
+        assert_eq!(pending.updates.len(), 1);
+        assert!(doctor.has_pending_change("D23&D32").expect("check"));
+        // The sibling share's lens does not cover the mechanism → no
+        // pending change there.
+        assert!(!doctor.has_pending_change("D13&D31").expect("check"));
+        // The baseline still matches the last committed state.
+        assert_ne!(
+            doctor.shared_hash("D23&D32").expect("hash"),
+            doctor.committed_hash("D23&D32").expect("hash")
+        );
 
-            // Rolling back the inverses restores everything.
-            doctor.rollback_writes(&inverses);
-            assert_eq!(doctor.fingerprint(), before_fp, "shards={shards}");
-            assert_eq!(
-                doctor.shared_hash("D23&D32").expect("hash"),
-                doctor.committed_hash("D23&D32").expect("hash")
-            );
-            assert!(!doctor.has_pending_change("D23&D32").expect("check"));
-        }
+        // Rolling back the inverses restores everything.
+        doctor.rollback_writes(&inverses);
+        assert_eq!(doctor.fingerprint(), before_fp);
+        assert_eq!(
+            doctor.shared_hash("D23&D32").expect("hash"),
+            doctor.committed_hash("D23&D32").expect("hash")
+        );
+        assert!(!doctor.has_pending_change("D23&D32").expect("check"));
     }
 
     #[test]
@@ -1336,7 +1312,7 @@ mod tests {
     fn failed_conflict_resolution_changes_nothing() {
         // A second Ibuprofen patient (190), committed; then patient 188
         // leaves D3 locally — a pending delete on the patient share.
-        let mut doctor = doctor_over(d3_nullable_mechanism(), 1);
+        let mut doctor = doctor_over(d3_nullable_mechanism());
         let row = row![190i64, "Ibuprofen", "CliD3", "MeA1", "1x"];
         doctor
             .write_source("D3", WriteOp::Insert { row })
@@ -1494,127 +1470,9 @@ mod tests {
         assert!(doctor.leave_share("D23&D32").is_err());
     }
 
-    /// Runs the same staged-write + remote-apply + commit sequence on a
-    /// sharded and an unsharded doctor and asserts byte-identical state.
-    fn run_mixed_sequence(doctor: &mut PeerNode) {
-        doctor
-            .write_shared(
-                "D23&D32",
-                WriteOp::Update {
-                    key: vec![Value::text("Ibuprofen")],
-                    assignments: vec![("mechanism_of_action".into(), Value::text("MeA1-x"))],
-                },
-            )
-            .expect("write shared");
-        let delta = doctor.prepare_update_delta("D23&D32").expect("prepare");
-        doctor.commit_delta("D23&D32", &delta, 1).expect("commit");
-        doctor
-            .write_source(
-                "D3",
-                WriteOp::Update {
-                    key: vec![Value::Int(188)],
-                    assignments: vec![("dosage".into(), Value::text("2x daily"))],
-                },
-            )
-            .expect("write source");
-        let d31 = doctor.prepare_update_delta("D13&D31").expect("prepare 31");
-        doctor.commit_delta("D13&D31", &d31, 1).expect("commit 31");
-        // A committed remote delta on the patient share.
-        let view_delta = TableDelta {
-            updates: vec![(
-                vec![Value::Int(188)],
-                row![188i64, "Ibuprofen", "CliD1", "remote-dose"],
-            )],
-            ..Default::default()
-        };
-        let source_delta = doctor
-            .translate_remote_delta("D13&D31", &view_delta)
-            .expect("translate");
-        let mut expected = committed_table(doctor, "D13&D31");
-        expected.apply_delta(&view_delta).expect("expected");
-        doctor
-            .apply_remote_delta(
-                "D13&D31",
-                &view_delta,
-                &source_delta,
-                expected.content_hash(),
-                2,
-            )
-            .expect("remote apply");
-    }
-
-    #[test]
-    fn sharded_peer_is_byte_identical_to_unsharded() {
-        for shards in [2usize, 8] {
-            let mut plain = doctor_with_shares_sharded(1);
-            let mut sharded = doctor_with_shares_sharded(shards);
-            assert!(sharded.is_sharded("D13&D31"));
-            assert!(!plain.is_sharded("D13&D31"));
-            run_mixed_sequence(&mut plain);
-            run_mixed_sequence(&mut sharded);
-            assert_eq!(
-                plain.fingerprint(),
-                sharded.fingerprint(),
-                "shards={shards}"
-            );
-            for table in ["D13&D31", "D23&D32"] {
-                assert_eq!(
-                    plain.shared_hash(table).expect("hash"),
-                    sharded.shared_hash(table).expect("hash")
-                );
-                assert_eq!(
-                    plain.committed_hash(table).expect("hash"),
-                    sharded.committed_hash(table).expect("hash")
-                );
-                assert_eq!(
-                    plain.pending_delta(table).expect("pending"),
-                    sharded.pending_delta(table).expect("pending")
-                );
-                // The shard folds agree with hashing the assembled rows.
-                assert_eq!(
-                    sharded.shared_hash(table).expect("hash"),
-                    sharded.shared_table(table).expect("table").content_hash()
-                );
-                assert_eq!(
-                    sharded.committed_hash(table).expect("hash"),
-                    committed_table(&sharded, table).content_hash()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_remote_apply_rejects_hash_mismatch_without_corruption() {
-        let mut doctor = doctor_with_shares_sharded(8);
-        let before = doctor.shared_hash("D13&D31").expect("hash");
-        let view_delta = TableDelta {
-            updates: vec![(
-                vec![Value::Int(188)],
-                row![188i64, "Ibuprofen", "CliD1", "bad-dose"],
-            )],
-            ..Default::default()
-        };
-        let source_delta = doctor
-            .translate_remote_delta("D13&D31", &view_delta)
-            .expect("translate");
-        let err = doctor
-            .apply_remote_delta("D13&D31", &view_delta, &source_delta, Hash256([9; 32]), 1)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::ConsistencyViolation(_)));
-        assert_eq!(doctor.shared_hash("D13&D31").expect("hash"), before);
-        assert_eq!(doctor.committed_hash("D13&D31").expect("hash"), before);
-        assert_eq!(
-            doctor
-                .shared_table("D13&D31")
-                .expect("table")
-                .content_hash(),
-            before
-        );
-    }
-
     /// A ward peer of 40 rows under one `select(True)` share named "ward".
-    fn ward_peer(shards: usize, recorder: &Recorder) -> PeerNode {
-        let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, shards);
+    fn ward_peer(recorder: &Recorder) -> PeerNode {
+        let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, 1);
         ward.set_recorder(recorder);
         let mut source = Table::new(d3_table().schema().clone());
         for pid in 0..40i64 {
@@ -1634,34 +1492,32 @@ mod tests {
     #[test]
     fn resident_rows_gauge_reads_once_plus_one_per_undo_row() {
         use medledger_telemetry::Registry;
-        for shards in [1usize, 4] {
-            let registry = Registry::shared();
-            let gauge = || registry.snapshot().gauge("peer.shared_rows_resident.Ward");
-            let mut ward = ward_peer(shards, &Recorder::new(&registry));
-            assert_eq!(gauge(), Some(40), "shards={shards}");
-            // An uncommitted insert is one more stored row and displaces
-            // no committed row; an uncommitted update keeps the one it
-            // displaced, however often the key is rewritten.
-            let row = row![40i64, "Ibuprofen", "CliD", "MeA1", "2x"];
-            ward.write_shared("ward", WriteOp::Insert { row })
-                .expect("insert");
-            assert_eq!(gauge(), Some(41), "shards={shards}");
-            for dose in ["3x", "4x"] {
-                let op = WriteOp::Update {
-                    key: vec![Value::Int(7)],
-                    assignments: vec![("dosage".into(), Value::text(dose))],
-                };
-                ward.write_shared("ward", op).expect("update");
-                assert_eq!(gauge(), Some(41 + 1), "shards={shards}");
-            }
-            // Committed: the store is the only copy again.
-            let delta = ward.prepare_update_delta("ward").expect("prepare");
-            ward.commit_delta("ward", &delta, 1).expect("commit");
-            assert_eq!(ward.shared_table("ward").expect("view").len(), 41);
-            assert_eq!(gauge(), Some(41), "shards={shards}");
-            ward.leave_share("ward").expect("leave");
-            assert_eq!(gauge(), Some(0));
+        let registry = Registry::shared();
+        let gauge = || registry.snapshot().gauge("peer.shared_rows_resident.Ward");
+        let mut ward = ward_peer(&Recorder::new(&registry));
+        assert_eq!(gauge(), Some(40));
+        // An uncommitted insert is one more stored row and displaces
+        // no committed row; an uncommitted update keeps the one it
+        // displaced, however often the key is rewritten.
+        let row = row![40i64, "Ibuprofen", "CliD", "MeA1", "2x"];
+        ward.write_shared("ward", WriteOp::Insert { row })
+            .expect("insert");
+        assert_eq!(gauge(), Some(41));
+        for dose in ["3x", "4x"] {
+            let op = WriteOp::Update {
+                key: vec![Value::Int(7)],
+                assignments: vec![("dosage".into(), Value::text(dose))],
+            };
+            ward.write_shared("ward", op).expect("update");
+            assert_eq!(gauge(), Some(41 + 1));
         }
+        // Committed: the store is the only copy again.
+        let delta = ward.prepare_update_delta("ward").expect("prepare");
+        ward.commit_delta("ward", &delta, 1).expect("commit");
+        assert_eq!(ward.shared_table("ward").expect("view").len(), 41);
+        assert_eq!(gauge(), Some(41));
+        ward.leave_share("ward").expect("leave");
+        assert_eq!(gauge(), Some(0));
     }
 
     #[test]
@@ -1669,7 +1525,7 @@ mod tests {
         // One wave, two members staged on one peer: the first commits,
         // the second is denied and rolls back afterwards. The rollback
         // must not bring back undo rows of the share that has committed.
-        let mut ward = ward_peer(1, &Recorder::disabled());
+        let mut ward = ward_peer(&Recorder::disabled());
         let other = ward.db.table("D3").expect("D3").clone();
         ward.add_source_table("D4", other).expect("add D4");
         let binding = PeerBinding {
@@ -1697,48 +1553,46 @@ mod tests {
 
     #[test]
     fn corrupt_committed_row_fails_integrity_with_and_without_undo_rows() {
-        for shards in [1usize, 4] {
-            let mut ward = ward_peer(shards, &Recorder::disabled());
-            let contract_hash = ward.shared_hash("ward").expect("hash");
-            ward.check_share_integrity("ward", contract_hash)
-                .expect("clean at rest");
-            // A pending change elsewhere does not hide the committed state…
-            let pending = WriteOp::Update {
-                key: vec![Value::Int(7)],
-                assignments: vec![("dosage".into(), Value::text("9x"))],
-            };
-            ward.write_shared("ward", pending).expect("pending write");
-            ward.check_share_integrity("ward", contract_hash)
-                .expect("clean under a pending change");
-            // …and a stored row damaged behind the tracked paths, at a key
-            // no pending change covers, fails the check either way.
-            for with_undo in [true, false] {
-                if !with_undo {
-                    let delta = ward.prepare_update_delta("ward").expect("prepare");
-                    ward.commit_delta("ward", &delta, 1).expect("commit");
-                }
-                let committed = ward.committed_hash("ward").expect("hash");
-                ward.check_share_integrity("ward", committed)
-                    .expect("clean");
-                let damage = TableDelta {
-                    updates: vec![(
-                        vec![Value::Int(3)],
-                        row![3i64, "Ibuprofen", "CliD", "MeA1", "tampered"],
-                    )],
-                    ..Default::default()
-                };
-                let store = &mut ward.shared.get_mut("ward").expect("share").store;
-                let repair = store.apply_delta(&damage).expect("damage");
-                let err = ward
-                    .check_share_integrity("ward", committed)
-                    .expect_err("damage must be detected");
-                assert!(
-                    matches!(err, CoreError::ConsistencyViolation(_)),
-                    "shards={shards} with_undo={with_undo}"
-                );
-                let store = &mut ward.shared.get_mut("ward").expect("share").store;
-                store.apply_delta(&repair).expect("repair");
+        let mut ward = ward_peer(&Recorder::disabled());
+        let contract_hash = ward.shared_hash("ward").expect("hash");
+        ward.check_share_integrity("ward", contract_hash)
+            .expect("clean at rest");
+        // A pending change elsewhere does not hide the committed state…
+        let pending = WriteOp::Update {
+            key: vec![Value::Int(7)],
+            assignments: vec![("dosage".into(), Value::text("9x"))],
+        };
+        ward.write_shared("ward", pending).expect("pending write");
+        ward.check_share_integrity("ward", contract_hash)
+            .expect("clean under a pending change");
+        // …and a stored row damaged behind the tracked paths, at a key
+        // no pending change covers, fails the check either way.
+        for with_undo in [true, false] {
+            if !with_undo {
+                let delta = ward.prepare_update_delta("ward").expect("prepare");
+                ward.commit_delta("ward", &delta, 1).expect("commit");
             }
+            let committed = ward.committed_hash("ward").expect("hash");
+            ward.check_share_integrity("ward", committed)
+                .expect("clean");
+            let damage = TableDelta {
+                updates: vec![(
+                    vec![Value::Int(3)],
+                    row![3i64, "Ibuprofen", "CliD", "MeA1", "tampered"],
+                )],
+                ..Default::default()
+            };
+            let store = &mut ward.shared.get_mut("ward").expect("share").store;
+            let repair = store.apply_delta(&damage).expect("damage");
+            let err = ward
+                .check_share_integrity("ward", committed)
+                .expect_err("damage must be detected");
+            assert!(
+                matches!(err, CoreError::ConsistencyViolation(_)),
+                "with_undo={with_undo}"
+            );
+            let store = &mut ward.shared.get_mut("ward").expect("share").store;
+            store.apply_delta(&repair).expect("repair");
         }
     }
 
@@ -1935,19 +1789,16 @@ mod tests {
         /// After every in-band step of a random script — source and
         /// shared writes, rollbacks, commits, remote applies with and
         /// without a pending change — the cached group indexes and the
-        /// stored copies equal what a rebuild from the source gives, at 1
-        /// and 4 shards.
+        /// stored copies equal what a rebuild from the source gives.
         #[test]
         fn group_indexes_and_stores_track_random_scripts(
             script in proptest::collection::vec((0u8..8, 0u64..6, 0u64..4), 1..24),
         ) {
-            for shards in [1usize, 4] {
-                let mut doctor = doctor_over(d3_nullable_mechanism(), shards);
-                let mut staged = Vec::new();
-                for &step in &script {
-                    run_step(&mut doctor, &mut staged, step);
-                    check_derived_state(&doctor)?;
-                }
+            let mut doctor = doctor_over(d3_nullable_mechanism());
+            let mut staged = Vec::new();
+            for &step in &script {
+                run_step(&mut doctor, &mut staged, step);
+                check_derived_state(&doctor)?;
             }
         }
     }

@@ -49,9 +49,9 @@
 //! across it fails verification, loudly). Then the whole chain is
 //! replayed from genesis through a fresh contract runtime, checking each
 //! block's `state_root` and the wave order, and every recovered shared
-//! table's folded per-shard Merkle subroots are re-verified against the
-//! contract state the chain produced ([`System::check_consistency`]): a
-//! database that contradicts its ledger fails loudly instead of serving.
+//! table's content hash is re-verified against the contract state the
+//! chain produced ([`System::check_consistency`]): a database that
+//! contradicts its ledger fails loudly instead of serving.
 //!
 //! The log is never cut: blocks are ~90 % of its bytes and recovery
 //! needs every one until the chain itself can be checkpointed.
@@ -305,7 +305,7 @@ impl Decode for Snapshot {
 }
 
 /// Encodes the current deployment state as a [`Snapshot`] payload,
-/// straight from the borrowed tables and shard maps (field for field
+/// straight from the borrowed tables (field for field
 /// what the `Decode` impls above read back).
 fn build_snapshot(sys: &System, id: u64) -> Result<Vec<u8>> {
     let mut out = Vec::new();
@@ -673,7 +673,6 @@ fn restore_peers(
             &pm.name,
             &sys.config.seed,
             sys.config.peer_key_capacity,
-            sys.config.shards_per_table,
             db,
             ps.bindings,
             &pm.baseline_inverses,
@@ -785,8 +784,8 @@ impl System {
     /// Returns [`Recovery::Fresh`] (handing the backend back) when it
     /// holds no committed flush — the caller should bootstrap normally
     /// and [`System::attach_storage`]. `config` must match the
-    /// deployment that wrote the state (same seed, consensus, and shard
-    /// layout); signing keys are re-derived from it.
+    /// deployment that wrote the state (same seed and consensus);
+    /// signing keys are re-derived from it.
     pub fn recover(config: SystemConfig, mut backend: Box<dyn StorageBackend>) -> Result<Recovery> {
         let raw = backend.read_from(LOG, 0).map_err(storage_err)?;
         let records = decode_log(raw)?;
@@ -827,10 +826,9 @@ impl System {
         sys.contract = meta.contract;
         sys.stats = meta.stats;
 
-        // Re-verify the folded per-shard Merkle subroots of every
-        // recovered shared table against the contract state the recovered
-        // chain just produced — a database that disagrees with its ledger
-        // must never serve.
+        // Re-verify the content hash of every recovered shared table
+        // against the contract state the recovered chain just produced —
+        // a database that disagrees with its ledger must never serve.
         if sys.contract.is_some() {
             sys.check_consistency().map_err(|e| {
                 CoreError::Storage(format!("recovered state failed verification: {e}"))
@@ -1001,8 +999,7 @@ mod tests {
             for ps in snapshot.peers {
                 let peer = &sys.peers[&sys.names[&ps.name]];
                 let sources = peer.db().export_parts().1.clone().into_iter();
-                let stored =
-                    (peer.stored_copies()).map(|(id, store)| (id.clone(), store.assemble()));
+                let stored = (peer.stored_copies()).map(|(id, store)| (id.clone(), store.clone()));
                 let tables: Vec<(String, Table)> = sources.chain(stored).collect();
                 assert_eq!(ps.owner, peer.db().owner);
                 assert_eq!(ps.tables, tables, "{}", ps.name);

@@ -995,7 +995,7 @@ fn stage_onto(
     writes: &[StagedOp],
     staged: &mut Staging,
 ) -> Result<()> {
-    let view_schema = node.shared_store(table_id)?.schema().clone();
+    let view_schema = node.shared_store(table_id)?.table().schema().clone();
     for w in writes {
         match w {
             StagedOp::Shared(op) => {

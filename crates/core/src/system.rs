@@ -21,7 +21,6 @@ use medledger_ledger::{
     Transaction, TxId, TxPayload, TxStatus,
 };
 use medledger_network::{DataPlaneStats, DataTransfer, LatencyModel};
-use medledger_relational::normalize_shard_count;
 use medledger_storage::Encode;
 use medledger_telemetry::{Recorder, StageTimer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,15 +89,6 @@ pub struct SystemConfig {
     /// One-time signing keys per peer (bounds how many txs each peer can
     /// send).
     pub peer_key_capacity: usize,
-    /// Key-range shards per shared table (normalized to a power of two
-    /// in `1..=256`). With `1` — the default and the equivalence
-    /// baseline — every stored copy is a single shard. A larger value
-    /// splits them into digest-aligned shards: deltas route to the
-    /// shards they land in, hash verification folds cached per-shard
-    /// Merkle subroots instead of rehashing the whole chunk tree. Final
-    /// state, hashes, traces and receipts are byte-identical for every
-    /// setting.
-    pub shards_per_table: usize,
 }
 
 impl Default for SystemConfig {
@@ -112,7 +102,6 @@ impl Default for SystemConfig {
             seed: "medledger".into(),
             max_block_txs: 128,
             peer_key_capacity: 256,
-            shards_per_table: 1,
         }
     }
 }
@@ -328,8 +317,7 @@ pub struct System {
 
 impl System {
     /// Builds a system with the given configuration.
-    pub fn new(mut config: SystemConfig) -> Self {
-        config.shards_per_table = normalize_shard_count(config.shards_per_table);
+    pub fn new(config: SystemConfig) -> Self {
         let validator_keys: Vec<KeyPair> = (0..config.n_validators.max(1))
             .map(|i| KeyPair::generate(&format!("{}-validator-{i}", config.seed), 2))
             .collect();
@@ -498,7 +486,7 @@ impl System {
             &self.config.seed,
             self.config.peer_key_capacity,
             PropagationMode::Delta,
-            self.config.shards_per_table,
+            1,
         );
         if self.telemetry.is_enabled() {
             peer.set_recorder(&self.telemetry);

@@ -130,36 +130,6 @@ impl MerkleProof {
     }
 }
 
-/// Folds already-hashed tree nodes pairwise up to a single root, without
-/// materializing the intermediate levels (odd nodes duplicate, exactly as
-/// [`MerkleTree::from_leaves`] does, so the result equals
-/// `MerkleTree::from_leaves(nodes).root()`).
-///
-/// The property sharded table digests rely on: for a power-of-two node
-/// count that splits into equal power-of-two runs, folding the fold of
-/// each run equals folding the whole — `fold_nodes(all)` ==
-/// `fold_nodes(&runs.map(fold_nodes))` — so a cached per-shard subtree
-/// root composes into the same root an unsharded holder computes.
-pub fn fold_nodes(nodes: &[Hash256]) -> Hash256 {
-    match nodes.len() {
-        0 => Hash256::ZERO,
-        1 => nodes[0],
-        _ => {
-            let mut level: Vec<Hash256> = nodes
-                .chunks(2)
-                .map(|p| node_hash(&p[0], p.get(1).unwrap_or(&p[0])))
-                .collect();
-            while level.len() > 1 {
-                level = level
-                    .chunks(2)
-                    .map(|p| node_hash(&p[0], p.get(1).unwrap_or(&p[0])))
-                    .collect();
-            }
-            level[0]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,40 +232,6 @@ mod tests {
         let r4 = MerkleTree::from_leaves(l4.clone()).root();
         assert_ne!(r3, r2);
         assert_ne!(r3, r4);
-    }
-
-    #[test]
-    fn fold_nodes_matches_tree_root() {
-        assert_eq!(fold_nodes(&[]), Hash256::ZERO);
-        for n in 1..=17 {
-            let l = leaves(n);
-            assert_eq!(
-                fold_nodes(&l),
-                MerkleTree::from_leaves(l.clone()).root(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn fold_nodes_nests_over_power_of_two_runs() {
-        // The sharding property: folding per-run subroots equals folding
-        // the whole, for every pow2 split of a pow2 node count.
-        for total in [2usize, 4, 8, 16, 64, 128] {
-            let l = leaves(total);
-            for runs in [2usize, 4, 8, 16] {
-                if runs > total {
-                    continue;
-                }
-                let m = total / runs;
-                let subroots: Vec<Hash256> = l.chunks(m).map(fold_nodes).collect();
-                assert_eq!(
-                    fold_nodes(&subroots),
-                    fold_nodes(&l),
-                    "total={total} runs={runs}"
-                );
-            }
-        }
     }
 
     #[test]

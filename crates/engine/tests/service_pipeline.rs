@@ -387,85 +387,3 @@ fn empty_submission_rejected() {
     let err = c.service.submit(c.doctor, WARD).submit().unwrap_err();
     assert!(matches!(err, CommitError::EmptyBatch { .. }));
 }
-
-/// A sharded clinic (shards_per_table = 8): the service's waves route
-/// each composed delta to the shards it lands in on every receiver, and
-/// the outcome — state, contract hashes, block count — is byte-identical
-/// to the unsharded pipeline.
-#[test]
-fn sharded_service_waves_match_unsharded() {
-    let run = |shards: usize| {
-        let mut ledger = MedLedger::builder()
-            .seed("svc-sharded")
-            .consensus(ConsensusKind::PrivatePbft {
-                block_interval_ms: 100,
-            })
-            .peer_key_capacity(64)
-            .shards_per_table(shards)
-            .build()
-            .expect("ledger boots");
-        let doctor = ledger.add_peer("Doctor").expect("doctor");
-        let patient = ledger.add_peer("Patient").expect("patient");
-        let lens = LensSpec::project(&["patient_id", "dosage", "clinical"], &["patient_id"]);
-        ledger
-            .session(doctor)
-            .load_source("D-ward", ward_table())
-            .expect("doctor source");
-        ledger
-            .session(patient)
-            .load_source("P-ward", ward_table())
-            .expect("patient source");
-        ledger
-            .session(doctor)
-            .share(WARD)
-            .bind("D-ward", lens.clone())
-            .with(patient, "P-ward", lens)
-            .writers("patient_id", &[doctor])
-            .writers("dosage", &[doctor])
-            .writers("clinical", &[patient])
-            .create()
-            .expect("share");
-        let mut service = LedgerService::new(ledger);
-        // Two combined same-table rounds, shard-routed on every receiver.
-        for round in 0..2 {
-            let dt = service
-                .submit(doctor, WARD)
-                .set(
-                    vec![Value::Int(1 + round)],
-                    "dosage",
-                    Value::text(format!("combo-{round}")),
-                )
-                .submit()
-                .expect("doctor submits");
-            let pt = service
-                .submit(patient, WARD)
-                .set(
-                    vec![Value::Int(1 + round)],
-                    "clinical",
-                    Value::text(format!("note-{round}")),
-                )
-                .submit()
-                .expect("patient submits");
-            service.drain().expect("wave commits");
-            service.take(dt).expect("resolved").expect("doctor commits");
-            service
-                .take(pt)
-                .expect("resolved")
-                .expect("patient commits");
-        }
-        service.ledger().check_consistency().expect("consistent");
-        let meta = service.ledger().share_meta(WARD).expect("meta");
-        let doctor_node = service.ledger().system().peer(doctor).expect("peer");
-        assert_eq!(doctor_node.is_sharded(WARD), shards > 1);
-        (
-            meta.content_hash,
-            meta.version,
-            service.ledger().stats().blocks,
-            doctor_node.fingerprint(),
-        )
-    };
-    let baseline = run(1);
-    for shards in [2usize, 8] {
-        assert_eq!(run(shards), baseline, "shards={shards}");
-    }
-}

@@ -71,12 +71,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run(args: Args) -> Result<(), String> {
-    // Boot (or recover) the durable ledger. Four key-range shards per
-    // shared table give the telemetry heat map per-shard apply
-    // attribution to report.
+    // Boot (or recover) the durable ledger.
     let ledger = MedLedger::builder()
         .seed("node-boot")
-        .shards_per_table(4)
         .durable(&args.data)
         .build()
         .map_err(|e| format!("boot failed: {e}"))?;
@@ -118,7 +115,7 @@ fn run(args: Args) -> Result<(), String> {
         args.threads, peers
     );
 
-    // Periodic snapshot line (wave-phase p50/p95, chain counters, shard
+    // Periodic snapshot line (wave-phase p50/p95, chain counters, apply
     // heat) until the workload finishes. A dropped sender stops the
     // printer — no atomics, no polling protocol.
     let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();

@@ -202,7 +202,7 @@ impl Database {
     }
 
     /// Logs a mutation of a table whose rows the caller stores itself (a
-    /// peer keeps its shared tables in its own sharded store, but their
+    /// peer keeps its shared tables in its own stores, but their
     /// history in this log). The caller has applied `op` and attests
     /// that the table hashes to `post_hash` afterwards; the record is the
     /// one [`Database::apply`] would have produced.

@@ -164,30 +164,12 @@ impl TableDelta {
         // canonically.
         out
     }
-
-    /// Merges deltas whose touched key sets are pairwise disjoint (e.g.
-    /// per-shard splits or per-shard inverses) back into one canonically
-    /// ordered delta. The disjointness is the caller's invariant; under
-    /// it, applying the merge equals applying the parts in any order.
-    pub fn merge_disjoint(
-        parts: impl IntoIterator<Item = TableDelta>,
-        key_of: impl Fn(&Row) -> Vec<Value>,
-    ) -> TableDelta {
-        let mut out = TableDelta::default();
-        for part in parts {
-            out.inserts.extend(part.inserts);
-            out.updates.extend(part.updates);
-            out.deletes.extend(part.deletes);
-        }
-        out.sort_canonical(key_of);
-        out
-    }
 }
 
 /// Keyed read access to one version of a table: all the delta helpers
 /// below need of the side a delta is computed against. [`Table`]
-/// implements it, and so does [`crate::ShardMap`], so a peer's sharded
-/// store answers them without being assembled first.
+/// implements it, and so does [`crate::ShardMap`], so a peer's stored
+/// copy answers them without being cloned first.
 pub trait KeyedRows {
     /// The rows' schema.
     fn schema(&self) -> &Schema;

@@ -1,6 +1,5 @@
 //! The incremental table content digest: the root formula and the one
-//! chunk tree that [`Table::content_hash`] and
-//! [`ShardMap::content_hash`] both fold through.
+//! chunk tree [`Table::content_hash`] folds through.
 //!
 //! A table's rows route by the top bits of their key digest into a
 //! power-of-two number of chunks (the *layout*, a function of the row
@@ -8,13 +7,9 @@
 //! and the pairwise fold of the chunk digests. A [`ChunkTree`] keeps the
 //! per-row leaves bucketed under one layout, plus cached chunk digests
 //! and fold levels, so after `k` touched rows a fold rehashes `k` chunks
-//! and `O(k · log2 chunks)` fold nodes. A shard's fragment table asks
-//! its tree for the fold over the shard's own run of chunks under the
-//! map-wide layout: the top-bit routing makes that run an aligned
-//! subtree of the same fold.
+//! and `O(k · log2 chunks)` fold nodes.
 //!
 //! [`Table::content_hash`]: crate::Table::content_hash
-//! [`ShardMap::content_hash`]: crate::ShardMap::content_hash
 
 use crate::row::Row;
 use crate::schema::Schema;
@@ -30,7 +25,7 @@ const CHUNK_TAG: &[u8] = &[0x02];
 pub(crate) const CHUNK_TARGET: usize = 32;
 
 /// Upper bound on the chunk fan-out.
-pub(crate) const MAX_CHUNKS: usize = 256;
+const MAX_CHUNKS: usize = 256;
 
 /// Number of row chunks the content hash uses for a table of `n` rows.
 ///
@@ -44,9 +39,8 @@ pub(crate) fn chunk_count_for(n: usize) -> usize {
 }
 
 /// The routing byte of a primary key: the first byte of the digest of
-/// its canonical encoding (the routing value for both chunk and shard
-/// placement).
-pub(crate) fn key_route(key: &[Value]) -> u8 {
+/// its canonical encoding.
+fn key_route(key: &[Value]) -> u8 {
     let mut buf = Vec::with_capacity(16 * key.len());
     for v in key {
         v.encode_into(&mut buf);
@@ -56,18 +50,16 @@ pub(crate) fn key_route(key: &[Value]) -> u8 {
 
 /// Chunk index of a routing byte under a `count`-chunk layout (`count` a
 /// power of two ≤ 256): the byte's **top** `log2(count)` bits. Top-bit
-/// routing makes a chunk a *contiguous* digest range, so a power-of-two
-/// group of consecutive chunks is itself a digest range — the alignment
-/// [`crate::shard`] relies on to give every shard a contiguous run of
-/// chunks (and therefore a subtree of the fold).
-pub(crate) fn chunk_of_route(route: u8, count: usize) -> usize {
+/// routing makes a chunk a *contiguous* digest range, and doubling the
+/// layout splits each chunk in two in place.
+fn chunk_of_route(route: u8, count: usize) -> usize {
     debug_assert!(count.is_power_of_two() && count <= MAX_CHUNKS);
     (route as usize * count) >> 8
 }
 
 /// The Merkle leaf of a schema's canonical encoding: the left child of
 /// every content root.
-pub(crate) fn schema_leaf(schema: &Schema) -> Hash256 {
+fn schema_leaf(schema: &Schema) -> Hash256 {
     let mut bytes = Vec::new();
     for c in schema.columns() {
         bytes.extend_from_slice(c.name.as_bytes());
@@ -82,30 +74,22 @@ pub(crate) fn schema_leaf(schema: &Schema) -> Hash256 {
 }
 
 /// Digest of one chunk's leaf hashes, in canonical key order.
-pub(crate) fn chunk_digest<'a>(leaves: impl Iterator<Item = &'a Hash256>) -> Hash256 {
+fn chunk_digest<'a>(leaves: impl Iterator<Item = &'a Hash256>) -> Hash256 {
     let mut parts: Vec<&[u8]> = vec![CHUNK_TAG];
     parts.extend(leaves.map(|h| h.as_bytes() as &[u8]));
     sha256_concat(&parts)
 }
 
-/// Folds a schema leaf and an ordered, power-of-two list of chunk (or
-/// aligned subtree) digests into the canonical table content root.
-pub(crate) fn fold_content_root(schema_leaf: &Hash256, digests: &[Hash256]) -> Hash256 {
-    merkle::node_hash(schema_leaf, &merkle::fold_nodes(digests))
-}
-
-/// Counters of incremental-hash work, exposed via
-/// [`Table::hash_stats`](crate::Table::hash_stats).
+/// Counters of incremental-hash work, read by the table's tests.
 ///
 /// The WAL-heavy durable path recomputes the content hash once per log
-/// record; these counters make the cost observable (and testable): after
-/// one changed row, `chunk_recomputes` should rise by 1 and
-/// `node_recomputes` by at most `log2(chunks)` — not by the whole
-/// digest fold.
+/// record; these counters make the cost testable: after one changed
+/// row, `chunk_recomputes` should rise by 1 and `node_recomputes` by at
+/// most `log2(chunks)` — not by the whole digest fold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HashStats {
+pub(crate) struct HashStats {
     /// Times the digest tree was built from all rows (a cold tree: a
-    /// fresh table, a fresh shard split, a decoded snapshot).
+    /// fresh table, a decoded snapshot).
     pub full_rebuilds: u64,
     /// Chunk digests computed (each walks one chunk's leaf hashes).
     pub chunk_recomputes: u64,
@@ -203,11 +187,6 @@ impl ChunkTree {
         self.root = None;
     }
 
-    /// Chunk `c`'s leaf hashes, in key order.
-    pub(crate) fn bucket(&self, c: usize) -> impl Iterator<Item = (&Vec<Value>, &Hash256)> {
-        self.chunks[c].iter().map(|(key, (_, leaf))| (key, leaf))
-    }
-
     /// Chunk `c`'s digest, recomputed if dirty.
     fn digest_at(&mut self, c: usize) -> Hash256 {
         if let Some(digest) = self.digests[c] {
@@ -237,16 +216,12 @@ impl ChunkTree {
         node
     }
 
-    /// The fold over the aligned run of `len` chunks (a power of two)
-    /// starting at chunk `lo` — identical to `merkle::fold_nodes` over
-    /// their digests, but refolding only dirty paths.
-    pub(crate) fn fold(&mut self, lo: usize, len: usize) -> Hash256 {
-        debug_assert!(
-            len.is_power_of_two() && lo.is_multiple_of(len) && lo + len <= self.chunks.len()
-        );
-        match len.trailing_zeros() as usize {
-            0 => self.digest_at(lo),
-            height => self.node_at(height - 1, lo / len),
+    /// The fold over every chunk — the pairwise Merkle fold of their
+    /// digests, refolding only dirty paths.
+    fn fold(&mut self) -> Hash256 {
+        match self.chunks.len().trailing_zeros() as usize {
+            0 => self.digest_at(0),
+            height => self.node_at(height - 1, 0),
         }
     }
 
@@ -257,12 +232,13 @@ impl ChunkTree {
             return root;
         }
         let schema_leaf = *self.schema_leaf.get_or_insert_with(|| schema_leaf(schema));
-        let root = merkle::node_hash(&schema_leaf, &self.fold(0, self.chunks.len()));
+        let root = merkle::node_hash(&schema_leaf, &self.fold());
         self.root = Some(root);
         root
     }
 
     /// The work counters (they survive resets and layout changes).
+    #[cfg(test)]
     pub(crate) fn stats(&self) -> HashStats {
         self.stats
     }

@@ -18,12 +18,9 @@
 //! * [`delta`] — row-level [`TableDelta`]s: the unit the propagation
 //!   pipeline ships between peers instead of whole tables, applied
 //!   incrementally with [`Table::apply_delta`],
-//! * [`shard`] — key-range sharding aligned with the chunked content
-//!   digest: [`ShardMap`] partitions rows (and, via
-//!   [`TableDelta::split_by_shard`], deltas) so disjoint shards apply
-//!   independently while the folded per-shard Merkle subroots reproduce
-//!   [`Table::content_hash`] byte-identically (both fold the one
-//!   incremental digest tree every table keeps),
+//! * [`shard`] — [`ShardMap`], a peer's stored copy of a shared table:
+//!   one [`Table`] plus its running encoded-byte total and its apply
+//!   heat-map feed,
 //! * [`predicate`] — a small predicate AST for selections,
 //! * [`database`] — named tables plus a write-ahead log of every mutation
 //!   (the basis for peer-side auditing),
@@ -54,8 +51,8 @@ pub use error::RelationalError;
 pub use predicate::{CmpOp, Predicate};
 pub use row::Row;
 pub use schema::{Column, Schema};
-pub use shard::{normalize_shard_count, shard_of_key, ShardMap};
-pub use table::{HashStats, Table};
+pub use shard::ShardMap;
+pub use table::Table;
 pub use value::{Value, ValueType};
 
 /// Crate-wide result alias.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 /// A row: one value per schema column, in schema order.
 ///
 /// The cells are an immutable shared slice, so cloning a row — into a
-/// delta, an inverse, an undo log or a shard fragment — bumps a
+/// delta, an inverse, an undo log or a stored copy — bumps a
 /// reference count instead of copying every cell, and equality
 /// short-circuits on two handles to the same cells. [`Row::get_mut`] is
 /// copy-on-write: it never writes through to another handle's cells.

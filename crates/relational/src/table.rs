@@ -13,8 +13,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
-pub use crate::digest::HashStats;
-
 /// A table: schema + rows + a primary-key index.
 ///
 /// Invariants maintained by every operation:
@@ -113,25 +111,6 @@ impl Table {
     /// Records `key`'s new row (`None`: its deletion) in the digest tree.
     fn touch(&mut self, key: &[Value], row: Option<&Row>) {
         self.tree_mut().touch(key, row);
-    }
-
-    /// Re-buckets the digest tree under `layout` (a no-op while cold), so
-    /// the next touches land in the chunks a fold under `layout` reads.
-    pub(crate) fn set_layout(&mut self, layout: usize) {
-        self.tree_mut().set_layout(layout);
-    }
-
-    /// Runs `f` on the digest tree under `layout`, building the tree from
-    /// the rows first if it is cold.
-    pub(crate) fn with_tree<R>(&self, layout: usize, f: impl FnOnce(&mut ChunkTree) -> R) -> R {
-        let mut tree = self.tree();
-        if tree.is_cold() {
-            let rows = self.rows.iter().map(|r| (self.schema.key_of(r), r));
-            tree.build(layout, rows);
-        } else {
-            tree.set_layout(layout);
-        }
-        f(&mut tree)
     }
 
     // ----- mutations ---------------------------------------------------
@@ -384,11 +363,19 @@ impl Table {
     /// deserialization) triggers one full rebuild.
     pub fn content_hash(&self) -> Hash256 {
         let layout = chunk_count_for(self.rows.len());
-        self.with_tree(layout, |tree| tree.root(&self.schema))
+        let mut tree = self.tree();
+        if tree.is_cold() {
+            let rows = self.rows.iter().map(|r| (self.schema.key_of(r), r));
+            tree.build(layout, rows);
+        } else {
+            tree.set_layout(layout);
+        }
+        tree.root(&self.schema)
     }
 
-    /// Snapshot of the incremental-hash work counters (see [`HashStats`]).
-    pub fn hash_stats(&self) -> HashStats {
+    /// Snapshot of the incremental-hash work counters.
+    #[cfg(test)]
+    fn hash_stats(&self) -> crate::digest::HashStats {
         self.tree().stats()
     }
 

@@ -28,8 +28,7 @@
 use crate::{Result, StorageError};
 use medledger_crypto::{Hash256, MerkleProof, PublicKey, Signature};
 use medledger_relational::{
-    CmpOp, Column, LogRecord, Predicate, Row, Schema, ShardMap, Table, TableDelta, Value,
-    ValueType, WriteOp,
+    CmpOp, Column, LogRecord, Predicate, Row, Schema, Table, TableDelta, Value, ValueType, WriteOp,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -619,19 +618,6 @@ impl Decode for Table {
     }
 }
 
-/// A sharded table encodes exactly as the [`Table`] its shards assemble
-/// to (and decodes as one), so a snapshot can write a peer's stored
-/// shared copies without assembling them first.
-impl Encode for ShardMap {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.schema().encode_into(out);
-        put_varint(out, self.len() as u64);
-        for row in self.sorted_rows() {
-            row.encode_into(out);
-        }
-    }
-}
-
 impl Encode for TableDelta {
     fn encode_into(&self, out: &mut Vec<u8>) {
         put_seq(out, &self.inserts);
@@ -939,10 +925,6 @@ mod tests {
         )
         .expect("table");
         assert_eq!(table2.encoded(), bytes);
-        // However the table is sharded, it encodes as the whole table.
-        for shards in [1, 4] {
-            assert_eq!(ShardMap::from_table(&table, shards).encoded(), bytes);
-        }
     }
 
     #[test]

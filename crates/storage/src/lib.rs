@@ -43,8 +43,8 @@ pub enum StorageError {
     /// On-disk state is damaged in a way recovery must not paper over.
     Corrupt(String),
     /// Recovered state failed a cross-check against the chain (for
-    /// example a table's folded shard subroots disagree with the
-    /// recovered contract metadata).
+    /// example a table's content hash disagrees with the recovered
+    /// contract metadata).
     Verification(String),
     /// The underlying filesystem failed.
     Io(std::io::Error),

@@ -9,10 +9,8 @@
 //!   *same* shared table — the contention axis of the pipeline and
 //!   gateway benches;
 //! * [`UpdateStream::hotspot`] concentrates edits on a few hot rows,
-//!   the access skew that makes shard heat maps (and the per-shard
-//!   Merkle-subtree caching they observe) worth watching — the
-//!   `shard_scaling` bench and the instrumented `report -- e13`
-//!   experiment both run on it.
+//!   the access skew the instrumented `report -- e13` experiment runs
+//!   on.
 
 use crate::ehr::EhrGenerator;
 use medledger_crypto::Prg;

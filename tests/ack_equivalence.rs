@@ -7,8 +7,8 @@
 //! audit expansion attributes each receiver individually. The reference
 //! is the model's receiver set per committed version (`Committed`), an
 //! absolute statement where this suite used to compare two ack protocols
-//! with each other. Checked on Fig. 1 scripts at 1 and 8 shards (denials,
-//! cascades and invalid writes included), and on a four-peer ward where
+//! with each other. Checked on Fig. 1 scripts (denials, cascades and
+//! invalid writes included), and on a four-peer ward where
 //! the updater — and so the receiver set — changes from commit to commit.
 //! The dissent path (a share that fails verification) is driven end to
 //! end in `core::system`'s unit tests, which can reach between signing
@@ -122,21 +122,19 @@ fn ward_world(seed: &str) -> (MedLedger, Fig5Model) {
 }
 
 proptest! {
-    // Two deployments per case (1 and 8 shards) beside one model.
+    // One deployment per case beside the model.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn aggregated_and_legacy_ack_waves_end_equivalent(
         script in proptest::collection::vec(arb_fig1_op(), 1..6)
     ) {
-        for shards in [1usize, 8] {
-            let run = run_fig1_script("ack-equiv", shards, &script);
-            let ledger = &run.scn.ledger;
-            for share in run.model.peer("Doctor").shares() {
-                let expected = model_waves(ledger, &run.committed, share);
-                prop_assert_eq!(audited_waves(ledger, share), expected);
-                assert_one_ack_tx_per_version(ledger, &run.model, share);
-            }
+        let run = run_fig1_script("ack-equiv", &script);
+        let ledger = &run.scn.ledger;
+        for share in run.model.peer("Doctor").shares() {
+            let expected = model_waves(ledger, &run.committed, share);
+            prop_assert_eq!(audited_waves(ledger, share), expected);
+            assert_one_ack_tx_per_version(ledger, &run.model, share);
         }
     }
 

@@ -8,7 +8,7 @@
 //! design* as the oracle — per share, a plain `Table` advanced only by
 //! what was committed — and drives a peer through random scripts of local
 //! writes, rollbacks, commits, remote applies and conflicted remote
-//! applies, at 1/2/4/8 shards, asserting after every step that
+//! applies, asserting after every step that
 //!
 //! * the overlay reads as the oracle, row for row,
 //! * `committed_hash` is the oracle's content hash,
@@ -68,7 +68,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// row the lens `put` re-creates from the patient share (mechanism
 /// defaulted to NULL) keeps `medication_name → mechanism_of_action`, as
 /// the distinct lens requires.
-fn ward_doctor(shards: usize) -> PeerNode {
+fn ward_doctor() -> PeerNode {
     let schema = Schema::new(
         vec![
             Column::new("patient_id", ValueType::Int),
@@ -87,7 +87,7 @@ fn ward_doctor(shards: usize) -> PeerNode {
         source.insert(row).expect("insert");
     }
     let mode = PropagationMode::Delta;
-    let mut doctor = PeerNode::new("Doctor", "baseline-oracle", 1, mode, shards);
+    let mut doctor = PeerNode::new("Doctor", "baseline-oracle", 1, mode, 1);
     doctor.add_source_table("D3", source).expect("source");
     let patient_lens = LensSpec::project(
         &["patient_id", "medication_name", "clinical_data", "dosage"],
@@ -127,8 +127,8 @@ fn set_dosage(key: Vec<Value>, v: u8) -> WriteOp {
 }
 
 impl Run {
-    fn new(shards: usize) -> Run {
-        let peer = ward_doctor(shards);
+    fn new() -> Run {
+        let peer = ward_doctor();
         let joined = |t| (t, peer.shared_table(t).expect("joined view"));
         Run {
             oracle: SHARES.into_iter().map(joined).collect(),
@@ -290,13 +290,11 @@ proptest! {
     fn baseline_overlay_reads_as_the_second_copy_it_replaced(
         script in proptest::collection::vec(arb_op(), 1..24)
     ) {
-        for shards in [1usize, 2, 4, 8] {
-            let mut run = Run::new(shards);
-            run.check(&format!("shards={shards} after join"));
-            for (i, op) in script.iter().enumerate() {
-                run.apply(op);
-                run.check(&format!("shards={shards} step {i} {op:?}"));
-            }
+        let mut run = Run::new();
+        run.check("after join");
+        for (i, op) in script.iter().enumerate() {
+            run.apply(op);
+            run.check(&format!("step {i} {op:?}"));
         }
     }
 }

@@ -284,10 +284,9 @@ pub struct Fig1Run {
     pub receipts: Vec<String>,
 }
 
-/// Builds Fig. 1 at `shards` shards per table and steps `script` through
-/// it and through the model, every step held against the model by
-/// [`commit_on_both`].
-pub fn run_fig1_script(seed: &str, shards: usize, script: &[Fig1Op]) -> Fig1Run {
+/// Builds Fig. 1 and steps `script` through it and through the model,
+/// every step held against the model by [`commit_on_both`].
+pub fn run_fig1_script(seed: &str, script: &[Fig1Op]) -> Fig1Run {
     let consensus = ConsensusKind::PrivatePbft {
         block_interval_ms: 50,
     };
@@ -297,7 +296,6 @@ pub fn run_fig1_script(seed: &str, shards: usize, script: &[Fig1Op]) -> Fig1Run 
         // Deriving the one-time keys is most of what a deployment costs
         // to build; the longest script spends under 40 per peer.
         peer_key_capacity: 64,
-        shards_per_table: shards,
         ..Default::default()
     })
     .expect("build");
@@ -314,7 +312,7 @@ pub fn run_fig1_script(seed: &str, shards: usize, script: &[Fig1Op]) -> Fig1Run 
     let (mut committed, mut receipts) = (Vec::new(), Vec::new());
     for (i, op) in script.iter().enumerate() {
         let (peer, share, writes) = fig1_batch(op);
-        let context = format!("shards={shards} step {i} {op:?}");
+        let context = format!("step {i} {op:?}");
         let batch = (peer, share, writes.as_slice());
         let (got, expected) = commit_on_both(&mut scn.ledger, &mut model, batch, &context);
         match &got {

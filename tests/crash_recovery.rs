@@ -22,8 +22,8 @@
 //!
 //! After every recovery the suite checks the full promise chain: the
 //! recovered databases equal a committed prefix byte-for-byte
-//! (fingerprints), the folded per-shard Merkle subroots match the
-//! contract hashes the recovered chain carries (`check_consistency`),
+//! (fingerprints), every stored table's content hash matches the
+//! contract hash the recovered chain carries (`check_consistency`),
 //! and the deployment still *works* — a post-recovery commit goes
 //! through with the surviving keys and nonces.
 
@@ -209,13 +209,6 @@ fn config(seed: &str) -> SystemConfig {
         seed: seed.into(),
         peer_key_capacity: 32,
         ..Default::default()
-    }
-}
-
-fn sharded_config(seed: &str) -> SystemConfig {
-    SystemConfig {
-        shards_per_table: 4,
-        ..config(seed)
     }
 }
 
@@ -1094,25 +1087,6 @@ fn crash_between_a_parent_wave_and_its_cascade_keeps_the_parent() {
         .expect("the cascade commits after recovery");
     recovered.check_consistency().expect("consistent");
     assert_eq!(capture(&recovered), capture(&uncrashed.ledger));
-}
-
-/// The sharded configuration exercises the fold-verification path: the
-/// recovered per-shard subroots must re-fold to the contract hashes.
-#[test]
-fn sharded_deployment_recovers_with_verified_subroots() {
-    let cfg = sharded_config("crash-sharded");
-    let shared = SharedBackend::new();
-    let mut scn = durable_fig1(&cfg, Box::new(shared.clone())).expect("build");
-    for i in 0..4 {
-        workload_commit(&mut scn, i).expect("commit");
-    }
-    let committed = capture(&scn.ledger);
-    scn.ledger.close().expect("close");
-
-    let mut recovered = recover(&cfg, shared.snapshot_state()).expect("recover");
-    assert_eq!(capture(&recovered), committed);
-    recovered.check_consistency().expect("subroots verified");
-    assert_live(&mut recovered);
 }
 
 /// Closing a [`LedgerService`] mid-workload and reopening resumes with

@@ -24,6 +24,6 @@ proptest! {
     fn delta_and_full_table_modes_end_byte_identical(
         script in proptest::collection::vec(arb_fig1_op(), 1..7)
     ) {
-        run_fig1_script("mode-equiv", 1, &script);
+        run_fig1_script("mode-equiv", &script);
     }
 }

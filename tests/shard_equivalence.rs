@@ -1,83 +1,22 @@
-//! Shard equivalence: sharded peer storage is observationally identical
-//! to the unsharded baseline — and both to the Fig. 5 reference model.
-//!
-//! Property (the ISSUE 5 acceptance criterion): for any sequence of
-//! update batches, deployments running `shards_per_table ∈ {1, 2, 8}`
-//! end byte-identical: every step of each is held against the reference
-//! model (`tests/common`: stored tables row for row, database
-//! fingerprints, committed baseline hashes, contract versions and
-//! content hashes — i.e. the folded per-shard Merkle subroots reproduce
-//! the unsharded digest exactly), and across shard counts the
-//! per-transaction receipts and the on-chain audit history agree byte
-//! for byte. `check_consistency` must hold after every commit, which
-//! exercises the folded-root verification on every sharded peer.
-//!
-//! A second property drives one stand-alone peer through random local
+//! One store per peer: a stand-alone peer driven through random local
 //! writes, rollbacks, commits and remote applies (valid, corrupt,
 //! conflicted with a pending change — the path that replaces a stored
-//! copy wholesale) at `shards_per_table ∈ {1, 2, 4, 8}`: the sharded
-//! store is the peer's only copy of a shared table, so after every step
-//! its fold, its running byte total and the flush's baseline inverses
-//! must equal what the assembled rows say, a refused delta must leave the
-//! peer untouched, and every shard count must end with the same state and
-//! the same mutation log.
+//! copy wholesale). The stored copy is the peer's only copy of a shared
+//! table, so after every step its content hash, its running byte total
+//! and the flush's baseline inverses must equal what its rows and a
+//! second-table oracle say, and a refused delta must leave the peer
+//! untouched.
+//!
+//! Whole deployments are held against the Fig. 5 reference model step
+//! by step in `delta_equivalence` and `ack_equivalence`.
 
-mod common;
-
-use common::{arb_fig1_op, run_fig1_script};
 use medledger::bx::LensSpec;
-use medledger::core::scenario::{Fig1Scenario, SHARE_PD, SHARE_RD};
 use medledger::core::{PeerBinding, PeerNode, PropagationMode};
 use medledger::crypto::Hash256;
-use medledger::relational::{
-    diff_tables, row, Column, LogRecord, Schema, TableDelta, ValueType, WriteOp,
-};
+use medledger::relational::{diff_tables, row, Column, Schema, TableDelta, ValueType, WriteOp};
 use medledger::{Table, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-fn audit_lines(scn: &Fig1Scenario, table: &str) -> Vec<String> {
-    scn.ledger
-        .audit(table)
-        .iter()
-        .map(|e| format!("{e:?}"))
-        .collect()
-}
-
-proptest! {
-    // Three deployments per case, each stepped beside the model. The
-    // shard/table hash equivalence is separately property-tested at the
-    // relational layer.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn sharded_and_unsharded_deployments_end_byte_identical(
-        script in proptest::collection::vec(arb_fig1_op(), 1..6)
-    ) {
-        let unsharded = run_fig1_script("shard-equiv", 1, &script);
-        for shards in [2usize, 8] {
-            let sharded = run_fig1_script("shard-equiv", shards, &script);
-            // Per-transaction receipts are identical.
-            prop_assert_eq!(&sharded.receipts, &unsharded.receipts);
-            // The sharded deployment really is sharded.
-            for peer in sharded.scn.ledger.peers() {
-                let node = sharded.scn.ledger.system().peer(peer).expect("peer");
-                for table in node.shares() {
-                    prop_assert!(node.is_sharded(table));
-                }
-            }
-            // The on-chain audit history agrees.
-            for table in [SHARE_PD, SHARE_RD] {
-                prop_assert_eq!(
-                    audit_lines(&unsharded.scn, table),
-                    audit_lines(&sharded.scn, table)
-                );
-            }
-        }
-    }
-}
-
-// ----- one peer, one store: invariants at every shard count -------------
 
 const WARD_PD: &str = "ward-pd";
 const WARD_RD: &str = "ward-rd";
@@ -163,8 +102,8 @@ fn ward_source() -> Table {
     t
 }
 
-fn ward_doctor(shards: usize) -> PeerNode {
-    let mut doctor = PeerNode::new("Doctor", "store-props", 1, PropagationMode::Delta, shards);
+fn ward_doctor() -> PeerNode {
+    let mut doctor = PeerNode::new("Doctor", "store-props", 1, PropagationMode::Delta, 1);
     doctor
         .add_source_table("D3", ward_source())
         .expect("source");
@@ -245,7 +184,7 @@ fn oracle_of(peer: &PeerNode) -> Oracle {
 }
 
 /// The committed view of `table` as a sender would hold it: rows in key
-/// order, whatever the receiver's shard split.
+/// order, whatever order the oracle's applies left them in.
 fn committed_view(oracle: &Oracle, table: &str) -> Table {
     let committed = &oracle[table];
     let rows = committed.sorted_rows().into_iter().cloned().collect();
@@ -414,8 +353,8 @@ fn apply_peer_op(
     }
 }
 
-/// Against the oracle: (a) the store fold equals the hash of the
-/// assembled rows and the committed hash equals the oracle's, (b) the
+/// Against the oracle: (a) the store's incremental hash equals a cold
+/// hash of its rows and the committed hash equals the oracle's, (b) the
 /// baseline overlay reads as the oracle, row for row, (c) the pending
 /// delta and the flush's baseline inverses equal the full diffs in
 /// either direction, (d) the running byte total equals the sum over the
@@ -424,11 +363,13 @@ fn assert_store_invariants(peer: &PeerNode, oracle: &Oracle, context: &str) {
     let mut expected_inverses = Vec::new();
     for table in WARD_SHARES {
         let store = peer.shared_store(table).expect("store");
-        let (stored_rows, committed) = (store.assemble(), &oracle[table]);
+        let (schema, rows) = (store.table().schema(), store.table().rows());
+        let stored_rows = Table::from_rows(schema.clone(), rows.cloned().collect()).expect("rows");
+        let committed = &oracle[table];
         assert_eq!(
             peer.shared_hash(table).expect("hash"),
             stored_rows.content_hash(),
-            "{context}: `{table}` store fold"
+            "{context}: `{table}` store hash"
         );
         assert_eq!(
             peer.committed_hash(table).expect("hash"),
@@ -467,25 +408,13 @@ proptest! {
     fn one_store_per_peer_keeps_its_invariants_at_any_shard_count(
         script in proptest::collection::vec(arb_peer_op(), 1..24)
     ) {
-        let mut reference: Option<(PeerState, Vec<LogRecord>)> = None;
-        for shards in [1usize, 2, 4, 8] {
-            let mut peer = ward_doctor(shards);
-            let mut oracle = oracle_of(&peer);
-            prop_assert_eq!(peer.is_sharded(WARD_PD), shards > 1);
-            assert_store_invariants(&peer, &oracle, &format!("shards={shards} after join"));
-            let (mut version, mut next_pid) = (0u64, 1000i64);
-            for (i, op) in script.iter().enumerate() {
-                apply_peer_op(&mut peer, &mut oracle, op, &mut version, &mut next_pid);
-                let context = format!("shards={shards} step {i} {op:?}");
-                assert_store_invariants(&peer, &oracle, &context);
-            }
-            // Same state and the same mutation log whatever the shard
-            // count: the WAL never sees how a store is split.
-            let end = (state_of(&peer), peer.db().log().to_vec());
-            match &reference {
-                None => reference = Some(end),
-                Some(unsharded) => prop_assert_eq!(&end, unsharded),
-            }
+        let mut peer = ward_doctor();
+        let mut oracle = oracle_of(&peer);
+        assert_store_invariants(&peer, &oracle, "after join");
+        let (mut version, mut next_pid) = (0u64, 1000i64);
+        for (i, op) in script.iter().enumerate() {
+            apply_peer_op(&mut peer, &mut oracle, op, &mut version, &mut next_pid);
+            assert_store_invariants(&peer, &oracle, &format!("step {i} {op:?}"));
         }
     }
 }
