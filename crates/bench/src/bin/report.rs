@@ -620,7 +620,7 @@ fn wave_phase_table(snap: &Snapshot) -> String {
 }
 
 fn e13_telemetry() {
-    header("E13 — live telemetry: wave histograms, apply heat, chain cost");
+    header("E13 — live telemetry: wave histograms, apply counters, chain cost");
     // A doctor+patient deployment with a live recorder, driven through
     // the pipeline service — the same instrumentation path the node
     // binary's gateway uses, so the numbers here and the node's periodic
@@ -708,7 +708,7 @@ fn e13_telemetry() {
     }
 
     println!("\nFull registry rendering — the same `Snapshot::render_text` the node");
-    println!("binary prints on shutdown (heat bars: rows applied per shared table):");
+    println!("binary prints on shutdown (store.applied_rows.*: rows applied per table):");
     print!("{}", snap.render_text());
     println!(
         "\n(one-line form, as the node's periodic `telemetry:` lines print it:\n {})",

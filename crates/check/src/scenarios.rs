@@ -75,10 +75,6 @@ pub fn all() -> Vec<Scenario> {
             name: "pump-request-reply",
             build: pump_request_reply,
         },
-        Scenario {
-            name: "telemetry-heatmap",
-            build: telemetry_heatmap,
-        },
     ]
 }
 
@@ -486,133 +482,6 @@ fn pump_request_reply() -> ScenarioRun {
                 served3.load(Ordering::SeqCst),
                 2,
                 "pump must serve both callers"
-            );
-        })),
-    }
-}
-
-// ---------------------------------------------------------------------
-// telemetry heat-map slot claiming
-// ---------------------------------------------------------------------
-
-/// The telemetry heat map's claim protocol in miniature: two slots
-/// whose owner tags are claimed once by CAS (0 → key tag), then counts
-/// attributed with relaxed adds — the exact state machine of
-/// `medledger_telemetry::HeatMap::record` (see the `heat-slot-tag` /
-/// `heat-slot-claim` keys in ordering_policy.toml), rebuilt over traced
-/// atomics so the checker owns every interleaving.
-struct MiniHeat {
-    tags: [sched::TracedAtomicU64; 2],
-    counts: [sched::TracedAtomicU64; 2],
-    overflow: sched::TracedAtomicU64,
-}
-
-impl MiniHeat {
-    fn new() -> Self {
-        MiniHeat {
-            tags: [
-                sched::TracedAtomicU64::new("scn.heat.tag0", 0),
-                sched::TracedAtomicU64::new("scn.heat.tag1", 0),
-            ],
-            counts: [
-                sched::TracedAtomicU64::new("scn.heat.count0", 0),
-                sched::TracedAtomicU64::new("scn.heat.count1", 0),
-            ],
-            overflow: sched::TracedAtomicU64::new("scn.heat.overflow", 0),
-        }
-    }
-
-    /// Mirrors the production probe/claim/attribute path: linear probe
-    /// from the tag's home slot, claim an empty slot with an AcqRel
-    /// CAS, recover from a lost race iff the winner was our own key,
-    /// and tally loudly in `overflow` when every slot is foreign.
-    fn record(&self, tag: u64, n: u64) {
-        let start = (tag % self.tags.len() as u64) as usize;
-        for probe in 0..self.tags.len() {
-            let slot = (start + probe) % self.tags.len();
-            sched::point("scn.heat.probe");
-            let owner = self.tags[slot].load(Ordering::Acquire);
-            let claimed = owner == tag
-                || (owner == 0
-                    && match self.tags[slot].compare_exchange(
-                        0,
-                        tag,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => true,
-                        Err(actual) => actual == tag,
-                    });
-            if claimed {
-                self.counts[slot].fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-        }
-        self.overflow.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Two threads hammer three keys into the two-slot map, all claims
-/// racing. Whatever the interleaving decides about who wins which
-/// slot, the finale's invariants must hold: every recorded event is
-/// conserved (slot tallies + overflow), each slot is owned by at most
-/// one key, and no key owns two slots.
-fn telemetry_heatmap() -> ScenarioRun {
-    // Tags 1 and 3 share home slot 1; tag 2 homes at slot 0. With two
-    // slots and three keys, one key's records must spill to overflow —
-    // which one depends on the schedule, conservation never does.
-    let map = Arc::new(MiniHeat::new());
-    let map2 = Arc::clone(&map);
-    let map3 = Arc::clone(&map);
-    ScenarioRun {
-        threads: vec![
-            Box::new(move || {
-                map.record(1, 2);
-                map.record(2, 1);
-            }),
-            Box::new(move || {
-                map2.record(2, 2);
-                map2.record(3, 1);
-            }),
-        ],
-        finale: Some(Box::new(move || {
-            let tags = [
-                map3.tags[0].load(Ordering::SeqCst),
-                map3.tags[1].load(Ordering::SeqCst),
-            ];
-            let counts = [
-                map3.counts[0].load(Ordering::SeqCst),
-                map3.counts[1].load(Ordering::SeqCst),
-            ];
-            let overflow = map3.overflow.load(Ordering::SeqCst);
-            assert_eq!(
-                counts.iter().sum::<u64>() + overflow,
-                6,
-                "every recorded event lands in exactly one tally"
-            );
-            for (slot, &tag) in tags.iter().enumerate() {
-                assert!(tag <= 3, "slot {slot} owned by unknown tag {tag}");
-                // A claimed slot holds exactly its key's recorded total
-                // (keys 1/2/3 record 2/3/1 events): slots never change
-                // owner, and a key that owns a slot routed every one of
-                // its records there. Misattribution — the bug an
-                // overwriting non-CAS claim would introduce — breaks
-                // this even when conservation holds.
-                let expected = match tag {
-                    0 => 0,
-                    1 => 2,
-                    2 => 3,
-                    _ => 1,
-                };
-                assert_eq!(
-                    counts[slot], expected,
-                    "slot {slot} owned by tag {tag} must hold exactly \
-                     that key's events"
-                );
-            }
-            assert!(
-                tags[0] == 0 || tags[0] != tags[1],
-                "one key claimed both slots"
             );
         })),
     }

@@ -10,17 +10,8 @@ use medledger_relational::{
     delta_from_write_op, diff_tables, fingerprint_of, Database, KeyedRows, RelationalError, Row,
     Schema, ShardMap, Table, TableDelta, Value, WriteOp,
 };
-use medledger_telemetry::{GaugeHandle, Recorder};
+use medledger_telemetry::{CounterHandle, GaugeHandle, Recorder};
 use std::collections::BTreeMap;
-
-/// Feeds a stored copy's apply counters into the `shard.heat` heat map.
-/// No-op when `recorder` is disabled, so un-instrumented runs pay
-/// nothing.
-fn wire_shard_heat(recorder: &Recorder, table_id: &str, store: &mut ShardMap) {
-    if recorder.is_enabled() {
-        store.set_telemetry(table_id, recorder.heatmap("shard.heat"));
-    }
-}
 
 /// How shared-table updates travel between peers: row-level
 /// [`TableDelta`]s through the incremental lenses (`get_delta` /
@@ -57,9 +48,47 @@ struct SharedTable {
     /// The committed row (or absence) of every key the store has changed
     /// since the last version committed on chain. Empty at rest.
     undo: Undo,
+    /// `store.applied_rows.<table>`: rows of every delta applied to
+    /// `store`, summed over the peers holding the table.
+    applied_rows: CounterHandle,
+    /// `store.applied_bytes.<table>`: their canonical delta bytes.
+    applied_bytes: CounterHandle,
 }
 
 impl SharedTable {
+    /// A stored copy of `table_id` with nothing uncommitted over it,
+    /// counting its applies into `recorder`.
+    fn new(store: ShardMap, table_id: &str, recorder: &Recorder) -> Self {
+        let mut shared = SharedTable {
+            store,
+            undo: Undo::new(),
+            applied_rows: CounterHandle::default(),
+            applied_bytes: CounterHandle::default(),
+        };
+        shared.set_recorder(table_id, recorder);
+        shared
+    }
+
+    /// Resolves the apply counters; a disabled recorder leaves them
+    /// no-ops.
+    fn set_recorder(&mut self, table_id: &str, recorder: &Recorder) {
+        self.applied_rows = recorder.counter(&format!("store.applied_rows.{table_id}"));
+        self.applied_bytes = recorder.counter(&format!("store.applied_bytes.{table_id}"));
+    }
+
+    /// Applies `delta` to the stored copy and counts it: the one way a
+    /// delta reaches `store`. Returns the inverse; a rejected delta
+    /// leaves the store untouched and uncounted. A whole-table replace
+    /// ([`ShardMap::rebuild_from`]) is not a delta and counts nothing.
+    fn apply(&mut self, delta: &TableDelta) -> Result<TableDelta> {
+        let inverse = self.store.apply_delta(delta)?;
+        if self.applied_rows.is_enabled() {
+            self.applied_rows.add(delta.row_count() as u64);
+            self.applied_bytes.add(delta.encoded_size() as u64);
+        }
+        Ok(inverse)
+    }
+
     fn baseline(&self) -> Baseline<'_> {
         Baseline {
             store: &self.store,
@@ -196,8 +225,8 @@ pub struct PeerNode {
     /// Next ledger nonce.
     pub next_nonce: u64,
     /// Live-telemetry handle (no-op unless a registry is installed via
-    /// [`crate::System::set_recorder`]): feeds the `shard.heat` apply
-    /// heat map from this peer's stored copies.
+    /// [`crate::System::set_recorder`]): resolves the apply counters of
+    /// the stored copies this peer joins.
     telemetry: Recorder,
     /// `peer.shared_rows_resident.<name>`: rows held across every stored
     /// copy, plus the committed rows kept for undo.
@@ -235,15 +264,15 @@ impl PeerNode {
         }
     }
 
-    /// Installs the live-telemetry recorder: wires the heat-map feed of
-    /// every stored copy (copies built afterwards wire themselves on
-    /// creation) and the resident-rows gauge. A disabled recorder keeps
-    /// every apply path telemetry-free.
+    /// Installs the live-telemetry recorder: resolves the apply counters
+    /// of every stored copy (copies joined afterwards resolve their own)
+    /// and the resident-rows gauge. A disabled recorder keeps every apply
+    /// path telemetry-free.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.telemetry = recorder.clone();
         self.resident_rows = recorder.gauge(&format!("peer.shared_rows_resident.{}", self.name));
         for (table_id, shared) in &mut self.shared {
-            wire_shard_heat(recorder, table_id, &mut shared.store);
+            shared.set_recorder(table_id, recorder);
         }
         self.publish_resident_rows();
     }
@@ -307,12 +336,9 @@ impl PeerNode {
             let idx = GroupIndex::build(source, view_key)?;
             self.group_indexes.insert(table_id.to_string(), idx);
         }
-        let mut store = ShardMap::new(view);
-        wire_shard_heat(&self.telemetry, table_id, &mut store);
-        let hash = store.content_hash();
-        let undo = Undo::new();
-        self.shared
-            .insert(table_id.to_string(), SharedTable { store, undo });
+        let shared = SharedTable::new(ShardMap::new(view), table_id, &self.telemetry);
+        let hash = shared.store.content_hash();
+        self.shared.insert(table_id.to_string(), shared);
         self.bindings.insert(table_id.to_string(), binding);
         self.applied_versions.insert(table_id.to_string(), 0);
         self.publish_resident_rows();
@@ -471,7 +497,7 @@ impl PeerNode {
     /// content hash.
     fn apply_view_delta(&mut self, table_id: &str, delta: &TableDelta) -> Result<TableDelta> {
         let shared = self.shared_mut(table_id)?;
-        let inverse = shared.store.apply_delta(delta)?;
+        let inverse = shared.apply(delta)?;
         shared.note_undo(&inverse);
         let post_hash = shared.store.content_hash();
         let op = WriteOp::Delta {
@@ -713,10 +739,10 @@ impl PeerNode {
         // Anchored on the pre-delta source.
         let derived = self.derive_sibling_deltas(&source_table, Some(table_id), source_delta)?;
         let shared = self.shared_mut(table_id)?;
-        let inverse = shared.store.apply_delta(view_delta)?;
+        let inverse = shared.apply(view_delta)?;
         if shared.store.content_hash() != announced_hash {
             // Corrupt or stale delta: restore the stored copy and refuse.
-            shared.store.apply_delta(&inverse)?;
+            shared.apply(&inverse)?;
             return Err(CoreError::ConsistencyViolation(format!(
                 "applying the `{table_id}` delta does not reproduce the hash the \
                  contract announced ({})",
@@ -808,7 +834,7 @@ impl PeerNode {
             // outside the staged batch, and no error value can repair that.
             undone.expect("applying a recorded inverse delta cannot fail");
         }
-        for SharedTable { store, undo } in self.shared.values_mut() {
+        for SharedTable { store, undo, .. } in self.shared.values_mut() {
             undo.retain(|key, committed| store.get(key) != committed.as_ref());
         }
         self.publish_resident_rows();
@@ -976,11 +1002,7 @@ impl PeerNode {
             .collect();
         for (table_id, binding) in &bindings {
             let stored = peer.db.detach_table(table_id)?;
-            let store = ShardMap::new(stored);
-            let mut shared = SharedTable {
-                store,
-                undo: Undo::new(),
-            };
+            let mut shared = SharedTable::new(ShardMap::new(stored), table_id, &peer.telemetry);
             if let Some(inverse) = inverses.get(table_id.as_str()) {
                 shared.note_undo(inverse);
             }

@@ -103,19 +103,13 @@ impl Block {
                 .map(SignedTransaction::encoded_len)
                 .sum::<usize>()
     }
-
-    /// An inclusion proof that transaction `index` is in this block.
-    pub fn prove_tx(&self, index: usize) -> Option<medledger_crypto::MerkleProof> {
-        let encoded: Vec<Vec<u8>> = self.txs.iter().map(SignedTransaction::encode).collect();
-        MerkleTree::from_data(&encoded).prove(index)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transaction::{Transaction, TxPayload};
-    use medledger_crypto::{merkle::leaf_hash, KeyPair};
+    use medledger_crypto::KeyPair;
 
     fn signed(n: u64, kp: &mut KeyPair) -> SignedTransaction {
         Transaction {
@@ -181,17 +175,6 @@ mod tests {
         let b = Block::assemble(0, Hash256::ZERO, Hash256::ZERO, 0, kp.public(), vec![]);
         assert_eq!(b.header.tx_root, Hash256::ZERO);
         assert!(b.tx_root_valid());
-    }
-
-    #[test]
-    fn tx_inclusion_proof() {
-        let mut kp = KeyPair::generate("blk5", 8);
-        let txs = vec![signed(0, &mut kp), signed(1, &mut kp), signed(2, &mut kp)];
-        let b = Block::assemble(1, Hash256::ZERO, Hash256::ZERO, 0, kp.public(), txs);
-        let proof = b.prove_tx(1).expect("proof");
-        let leaf = leaf_hash(&b.txs[1].encode());
-        assert!(proof.verify(&b.header.tx_root, &leaf));
-        assert!(b.prove_tx(3).is_none());
     }
 
     #[test]

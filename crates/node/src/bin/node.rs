@@ -115,9 +115,9 @@ fn run(args: Args) -> Result<(), String> {
         args.threads, peers
     );
 
-    // Periodic snapshot line (wave-phase p50/p95, chain counters, apply
-    // heat) until the workload finishes. A dropped sender stops the
-    // printer — no atomics, no polling protocol.
+    // Periodic snapshot line (wave-phase p50/p95 and chain counters)
+    // until the workload finishes. A dropped sender stops the printer —
+    // no atomics, no polling protocol.
     let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
     let printer = std::thread::spawn({
         let registry = registry.clone();

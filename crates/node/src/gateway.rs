@@ -63,7 +63,7 @@ pub struct GatewayConfig {
     /// ([`GatewayConfig::recorder`]) and the deployment feeds it
     /// gateway counters, ticket-wait histograms, and — via
     /// [`medledger_core::System::set_recorder`] — the core's per-wave
-    /// phase timings and apply heat map.
+    /// phase timings and per-table apply counters.
     pub telemetry: Recorder,
 }
 

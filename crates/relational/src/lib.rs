@@ -19,8 +19,7 @@
 //!   pipeline ships between peers instead of whole tables, applied
 //!   incrementally with [`Table::apply_delta`],
 //! * [`shard`] — [`ShardMap`], a peer's stored copy of a shared table:
-//!   one [`Table`] plus its running encoded-byte total and its apply
-//!   heat-map feed,
+//!   one [`Table`] plus its running encoded-byte total,
 //! * [`predicate`] — a small predicate AST for selections,
 //! * [`database`] — named tables plus a write-ahead log of every mutation
 //!   (the basis for peer-side auditing),

@@ -1,10 +1,8 @@
 //! A peer's stored copy of a shared table.
 //!
-//! A [`ShardMap`] is one [`Table`] plus what a peer's store keeps beside
-//! its rows: the running total of their encoded bytes (the fan-out's
-//! full-table payload figure, kept without a scan) and a feed of the
-//! apply heat map, which attributes every apply to the cell
-//! `(table, 0)`. Its content hash is the table's own incremental digest.
+//! A [`ShardMap`] is one [`Table`] plus the running total of its rows'
+//! encoded bytes (the fan-out's full-table payload figure, kept without
+//! a scan). Its content hash is the table's own incremental digest.
 //!
 //! The name and the shard-count argument of [`ShardMap::from_table`] are
 //! a compile fence, as `PropagationMode` is: the frozen `benchmark/`
@@ -39,7 +37,6 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
 use medledger_crypto::Hash256;
-use medledger_telemetry::HeatMapHandle;
 use std::fmt;
 
 /// Σ [`Row::encoded_len`] over `rows`.
@@ -47,20 +44,14 @@ fn encoded_len_of<'a>(rows: impl Iterator<Item = &'a Row>) -> u64 {
     rows.map(Row::encoded_len).sum::<usize>() as u64
 }
 
-/// A shared table's stored copy: one [`Table`], its encoded-byte total
-/// and its heat-map feed.
+/// A shared table's stored copy: one [`Table`] and its encoded-byte
+/// total.
 #[derive(Clone)]
 pub struct ShardMap {
     table: Table,
     /// Σ [`Row::encoded_len`] over the rows, adjusted by every applied
     /// delta.
     encoded_bytes: u64,
-    /// Live heat-map feed: every successful [`ShardMap::apply_delta`]
-    /// attributes its row/byte cost to `(heat_label, 0)`. No-op by
-    /// default.
-    heat: HeatMapHandle,
-    /// Table name the heat cells are attributed to.
-    heat_label: String,
 }
 
 impl fmt::Debug for ShardMap {
@@ -80,8 +71,6 @@ impl ShardMap {
         ShardMap {
             encoded_bytes: encoded_len_of(table.rows()),
             table,
-            heat: HeatMapHandle::disabled(),
-            heat_label: String::new(),
         }
     }
 
@@ -94,16 +83,6 @@ impl ShardMap {
     /// The stored table.
     pub fn table(&self) -> &Table {
         &self.table
-    }
-
-    /// Installs a live heat-map feed: every successful
-    /// [`ShardMap::apply_delta`] attributes its row count and canonical
-    /// delta bytes to the `(table, 0)` cell. Survives
-    /// [`ShardMap::rebuild_from`]; a disabled handle keeps the apply
-    /// path free of telemetry work.
-    pub fn set_telemetry(&mut self, table: &str, heat: HeatMapHandle) {
-        self.heat = heat;
-        self.heat_label = table.to_string();
     }
 
     /// Σ `row.encode().len()` over every row — a running total the
@@ -124,14 +103,6 @@ impl ShardMap {
         };
         self.encoded_bytes += bytes_of(delta);
         self.encoded_bytes -= bytes_of(&inverse);
-        if self.heat.is_enabled() {
-            self.heat.record(
-                &self.heat_label,
-                0,
-                delta.row_count() as u64,
-                delta.encoded_size() as u64,
-            );
-        }
         Ok(inverse)
     }
 
@@ -143,8 +114,7 @@ impl ShardMap {
     }
 
     /// Replaces the stored rows with `table`'s (a whole-table replace,
-    /// e.g. a full-table conflict resolution). An installed heat-map
-    /// feed carries over.
+    /// e.g. a full-table conflict resolution).
     pub fn rebuild_from(&mut self, table: &Table) {
         self.table = table.clone();
         self.encoded_bytes = encoded_len_of(table.rows());

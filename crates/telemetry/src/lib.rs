@@ -4,17 +4,16 @@
 //! primitives behind a cheap no-op-able handle, and a registry that
 //! renders point-in-time snapshots for the `node` binary, the gateway
 //! `stats` wire message, and the bench `report` binary — one metrics
-//! vocabulary across benches and the live deployment (ROADMAP item 5).
+//! vocabulary across benches and the live deployment (ROADMAP aim 4).
 //!
-//! * [`metrics`] — [`Counter`], [`Gauge`], the log₂-bucketed
+//! * [`metrics`] — [`Counter`], [`Gauge`] and the log₂-bucketed
 //!   [`Histogram`] (p50/p95/p99 estimates that always land in the true
-//!   percentile's power-of-two bucket), and the fixed-slot [`HeatMap`]
-//!   keyed by (table, shard),
+//!   percentile's power-of-two bucket),
 //! * [`recorder`] — the [`Recorder`] instrumented layers carry: a
 //!   clone-cheap handle that is a no-op unless a sink is installed,
 //!   pre-resolved per-metric handles for hot paths, and the
-//!   [`StageTimer`] that stamps the Fig. 5 wave phases
-//!   (screen → prepare → consensus → fan-out → ack → cascade),
+//!   [`StageTimer`] that stamps the seven wave phases (screen → prepare
+//!   → consensus → fan-out → ack → cascade → flush),
 //! * [`registry`] — the [`Registry`] sink and its plain-data
 //!   [`Snapshot`] with text / one-line / JSON renderings.
 //!
@@ -31,10 +30,7 @@ pub mod recorder;
 pub mod registry;
 
 pub use metrics::{
-    bucket_bounds, bucket_index, Counter, Gauge, HeatCell, HeatMap, HeatMapSnapshot, Histogram,
-    HistogramSnapshot, HEATMAP_SLOTS, HISTOGRAM_BUCKETS,
+    bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{
-    CounterHandle, GaugeHandle, HeatMapHandle, HistogramHandle, Recorder, StageTimer,
-};
+pub use recorder::{CounterHandle, GaugeHandle, HistogramHandle, Recorder, StageTimer};
 pub use registry::{Registry, Snapshot};

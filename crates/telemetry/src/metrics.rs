@@ -1,5 +1,5 @@
-//! The lock-free metric primitives: [`Counter`], [`Gauge`], the
-//! log₂-bucketed [`Histogram`], and the fixed-slot [`HeatMap`].
+//! The lock-free metric primitives: [`Counter`], [`Gauge`] and the
+//! log₂-bucketed [`Histogram`].
 //!
 //! Every hot-path operation is a handful of relaxed atomic ops — no
 //! locks, no allocation, no branching on observer state. Read-side
@@ -9,16 +9,11 @@
 //! without stopping the world).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket
 /// `i ≥ 1` holds values in `[2^(i-1), 2^i)` (the last bucket's upper
 /// bound saturates at `u64::MAX`).
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Fixed number of heat-map slots. Exceeding it never loses data
-/// silently: spill lands in the map's `overflow` tally.
-pub const HEATMAP_SLOTS: usize = 256;
 
 /// Monotonically increasing event tally.
 #[derive(Debug, Default)]
@@ -229,178 +224,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-/// One heat-map slot: an owner tag claimed once by CAS, then two
-/// relaxed tallies attributed to it.
-#[derive(Debug)]
-struct HeatSlot {
-    /// 0 = unclaimed; otherwise the FNV-1a tag of the owning
-    /// (table, shard) key. Claimed exactly once, never released.
-    tag: AtomicU64,
-    count: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// Fixed-slot activity map keyed by `(table, shard)`.
-///
-/// The hot path is lock-free: a slot is found by linear probing on the
-/// key's 64-bit tag and claimed with a single CAS; after that, updates
-/// are two relaxed adds. Labels (the human-readable table name behind
-/// a tag) are published exactly once per slot through a mutex on the
-/// cold claim path, never on the update path. When every slot is taken
-/// the spill is tallied in `overflow` rather than dropped silently.
-#[derive(Debug)]
-pub struct HeatMap {
-    slots: Vec<HeatSlot>,
-    overflow: Counter,
-    labels: Mutex<std::collections::BTreeMap<u64, (String, u64)>>,
-}
-
-impl Default for HeatMap {
-    fn default() -> Self {
-        HeatMap {
-            slots: (0..HEATMAP_SLOTS)
-                .map(|_| HeatSlot {
-                    tag: AtomicU64::new(0),
-                    count: AtomicU64::new(0),
-                    bytes: AtomicU64::new(0),
-                })
-                .collect(),
-            overflow: Counter::new(),
-            labels: Mutex::new(std::collections::BTreeMap::new()),
-        }
-    }
-}
-
-/// FNV-1a over the (table, shard) key, forced nonzero so 0 can mean
-/// "unclaimed slot".
-fn heat_tag(table: &str, shard: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in table.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for b in shard.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h.max(1)
-}
-
-impl HeatMap {
-    /// Fresh, empty map.
-    pub fn new() -> Self {
-        HeatMap::default()
-    }
-
-    /// Attributes `count` events and `bytes` payload to `(table,
-    /// shard)`.
-    pub fn record(&self, table: &str, shard: u64, count: u64, bytes: u64) {
-        let tag = heat_tag(table, shard);
-        let start = (tag % HEATMAP_SLOTS as u64) as usize;
-        for probe in 0..self.slots.len() {
-            let slot = &self.slots[(start + probe) % self.slots.len()];
-            // ordering: heat-slot-tag
-            let owner = slot.tag.load(Ordering::Acquire);
-            let claimed = owner == tag
-                || (owner == 0
-                    && match slot.tag.compare_exchange(
-                        0,
-                        tag,
-                        Ordering::AcqRel,  // ordering: heat-slot-claim
-                        Ordering::Acquire, // ordering: heat-slot-claim
-                    ) {
-                        Ok(_) => {
-                            self.labels
-                                .lock()
-                                // lint: allow(unwrap) — poisoned only by a
-                                // panic while held, and a map insert or
-                                // clone under it does not panic.
-                                .expect("heat map label lock")
-                                .insert(tag, (table.to_string(), shard));
-                            true
-                        }
-                        Err(actual) => actual == tag,
-                    });
-            if claimed {
-                // ordering: telemetry-relaxed
-                slot.count.fetch_add(count, Ordering::Relaxed);
-                // ordering: telemetry-relaxed
-                slot.bytes.fetch_add(bytes, Ordering::Relaxed);
-                return;
-            }
-        }
-        self.overflow.add(count);
-    }
-
-    /// Point-in-time view, cells sorted by (table, shard).
-    pub fn snapshot(&self) -> HeatMapSnapshot {
-        // lint: allow(unwrap) — as in `record`.
-        let labels = self.labels.lock().expect("heat map label lock").clone();
-        let mut cells = Vec::new();
-        for slot in &self.slots {
-            // ordering: heat-slot-tag
-            let tag = slot.tag.load(Ordering::Acquire);
-            if tag == 0 {
-                continue;
-            }
-            let (table, shard) = match labels.get(&tag) {
-                Some((t, s)) => (t.clone(), *s),
-                // Claim published the tag but the label write is still
-                // in flight on another thread; skip this cell for now.
-                None => continue,
-            };
-            cells.push(HeatCell {
-                table,
-                shard,
-                // ordering: telemetry-relaxed
-                count: slot.count.load(Ordering::Relaxed),
-                // ordering: telemetry-relaxed
-                bytes: slot.bytes.load(Ordering::Relaxed),
-            });
-        }
-        cells.sort_by(|a, b| (&a.table, a.shard).cmp(&(&b.table, b.shard)));
-        HeatMapSnapshot {
-            cells,
-            overflow: self.overflow.get(),
-        }
-    }
-}
-
-/// One (table, shard) cell of a heat-map snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeatCell {
-    /// Table the activity belongs to.
-    pub table: String,
-    /// Shard index within the table.
-    pub shard: u64,
-    /// Attributed event count (rows applied, for the shard heat map).
-    pub count: u64,
-    /// Attributed payload bytes.
-    pub bytes: u64,
-}
-
-/// Plain-data view of a [`HeatMap`] at one instant.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HeatMapSnapshot {
-    /// Claimed cells, sorted by (table, shard).
-    pub cells: Vec<HeatCell>,
-    /// Events that arrived after every slot was claimed by other keys.
-    pub overflow: u64,
-}
-
-impl HeatMapSnapshot {
-    /// Tables present in the map, deduplicated, in order.
-    pub fn tables(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for c in &self.cells {
-            if out.last() != Some(&c.table.as_str()) {
-                out.push(&c.table);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,75 +295,6 @@ mod tests {
     fn empty_histogram_snapshot_is_zero() {
         let snap = Histogram::new().snapshot();
         assert_eq!(snap, HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn heat_map_attributes_cells_and_overflows_loudly() {
-        let map = HeatMap::new();
-        map.record("Prescription", 0, 3, 120);
-        map.record("Prescription", 1, 1, 40);
-        map.record("Prescription", 0, 2, 80);
-        map.record("Treatment", 0, 5, 500);
-        let snap = map.snapshot();
-        assert_eq!(snap.overflow, 0);
-        assert_eq!(snap.tables(), vec!["Prescription", "Treatment"]);
-        assert_eq!(
-            snap.cells,
-            vec![
-                HeatCell {
-                    table: "Prescription".into(),
-                    shard: 0,
-                    count: 5,
-                    bytes: 200
-                },
-                HeatCell {
-                    table: "Prescription".into(),
-                    shard: 1,
-                    count: 1,
-                    bytes: 40
-                },
-                HeatCell {
-                    table: "Treatment".into(),
-                    shard: 0,
-                    count: 5,
-                    bytes: 500
-                },
-            ]
-        );
-
-        // Fill every slot with distinct keys, then one more: the spill
-        // must be tallied, not lost.
-        let full = HeatMap::new();
-        for s in 0..HEATMAP_SLOTS as u64 {
-            full.record("t", s, 1, 1);
-        }
-        full.record("spill", 0, 9, 9);
-        let snap = full.snapshot();
-        assert_eq!(snap.cells.len(), HEATMAP_SLOTS);
-        assert_eq!(snap.overflow, 9);
-    }
-
-    #[test]
-    fn heat_map_is_deterministic_across_thread_interleavings() {
-        // Hammer the same small key set from several threads; every
-        // interleaving must conserve totals.
-        let map = std::sync::Arc::new(HeatMap::new());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let map = std::sync::Arc::clone(&map);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250u64 {
-                    map.record("Prescription", (t + i) % 3, 1, 2);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("heat map writer thread");
-        }
-        let snap = map.snapshot();
-        assert_eq!(snap.overflow, 0);
-        assert_eq!(snap.cells.iter().map(|c| c.count).sum::<u64>(), 1000);
-        assert_eq!(snap.cells.iter().map(|c| c.bytes).sum::<u64>(), 2000);
     }
 
     #[test]

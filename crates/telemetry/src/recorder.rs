@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::metrics::{Counter, Gauge, HeatMap, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram};
 use crate::registry::Registry;
 
 /// The handle instrumented layers hold. Default (and
@@ -67,11 +67,6 @@ impl Recorder {
     /// Pre-resolves a histogram handle.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         HistogramHandle(self.sink.as_ref().map(|r| r.histogram(name)))
-    }
-
-    /// Pre-resolves a heat-map handle.
-    pub fn heatmap(&self, name: &str) -> HeatMapHandle {
-        HeatMapHandle(self.sink.as_ref().map(|r| r.heatmap(name)))
     }
 
     /// One-shot counter add (cold paths; hot paths mint a handle).
@@ -165,29 +160,6 @@ impl HistogramHandle {
     pub fn record(&self, v: u64) {
         if let Some(h) = &self.0 {
             h.record(v);
-        }
-    }
-}
-
-/// Pre-resolved heat map.
-#[derive(Clone, Debug, Default)]
-pub struct HeatMapHandle(Option<Arc<HeatMap>>);
-
-impl HeatMapHandle {
-    /// The permanent no-op handle.
-    pub fn disabled() -> Self {
-        HeatMapHandle(None)
-    }
-
-    /// True when backed by a live metric.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Attributes `count` events / `bytes` payload to (table, shard).
-    pub fn record(&self, table: &str, shard: u64, count: u64, bytes: u64) {
-        if let Some(m) = &self.0 {
-            m.record(table, shard, count, bytes);
         }
     }
 }
@@ -299,13 +271,9 @@ mod tests {
         r.add("hits", 2);
         r.histogram("lat_us").record(7);
         r.gauge("depth").set_max(9);
-        r.heatmap("heat").record("T", 1, 4, 40);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("hits"), Some(5));
         assert_eq!(snap.histogram("lat_us").map(|h| h.count), Some(1));
         assert_eq!(snap.gauge("depth"), Some(9));
-        let heat = snap.heatmap("heat").expect("heat map present");
-        assert_eq!(heat.cells.len(), 1);
-        assert_eq!(heat.cells[0].count, 4);
     }
 }

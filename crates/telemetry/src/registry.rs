@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{Counter, Gauge, HeatMap, HeatMapSnapshot, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 /// Owns every named metric. Lookup/creation takes a short mutex on a
 /// name map (cold path — instrumented code mints handles once);
@@ -16,7 +16,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    heatmaps: Mutex<BTreeMap<String, Arc<HeatMap>>>,
 }
 
 impl Registry {
@@ -45,11 +44,6 @@ impl Registry {
         get_or_create(&self.histograms, name)
     }
 
-    /// The heat map named `name`, created on first use.
-    pub fn heatmap(&self, name: &str) -> Arc<HeatMap> {
-        get_or_create(&self.heatmaps, name)
-    }
-
     /// A point-in-time view of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -75,14 +69,6 @@ impl Registry {
                 .lock()
                 // lint: allow(unwrap) — as for the counters.
                 .expect("registry histogram lock")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            heatmaps: self
-                .heatmaps
-                .lock()
-                // lint: allow(unwrap) — as for the counters.
-                .expect("registry heat map lock")
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -115,8 +101,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, u64)>,
     /// (name, summary), sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// (name, cells), sorted by name.
-    pub heatmaps: Vec<(String, HeatMapSnapshot)>,
 }
 
 impl Snapshot {
@@ -135,22 +119,13 @@ impl Snapshot {
         lookup(&self.histograms, name)
     }
 
-    /// Heat map by name.
-    pub fn heatmap(&self, name: &str) -> Option<&HeatMapSnapshot> {
-        lookup(&self.heatmaps, name)
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.heatmaps.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Multi-line human-readable rendering: counters and gauges in
-    /// aligned columns, histograms as count/p50/p95/p99/max rows, heat
-    /// maps as one intensity bar per table.
+    /// aligned columns, histograms as count/p50/p95/p99/max rows.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() || !self.gauges.is_empty() {
@@ -178,19 +153,11 @@ impl Snapshot {
                 ));
             }
         }
-        for (name, map) in &self.heatmaps {
-            out.push_str(&format!("heat map: {name}"));
-            if map.overflow > 0 {
-                out.push_str(&format!("  (overflow: {})", map.overflow));
-            }
-            out.push('\n');
-            out.push_str(&render_heat(map));
-        }
         out
     }
 
     /// Compact one-line rendering for periodic live printing: wave
-    /// phase p50/p95s, chain counters, and per-table heat totals.
+    /// phase p50/p95s and chain counters.
     pub fn render_line(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
         for (k, h) in &self.histograms {
@@ -209,23 +176,12 @@ impl Snapshot {
                 parts.push(format!("{}={v}", key.trim_start_matches("chain.")));
             }
         }
-        for (name, map) in &self.heatmaps {
-            for table in map.tables() {
-                let rows: u64 = map
-                    .cells
-                    .iter()
-                    .filter(|c| c.table == table)
-                    .map(|c| c.count)
-                    .sum();
-                parts.push(format!("{name}[{table}]={rows}rows"));
-            }
-        }
         parts.join(" ")
     }
 
     /// JSON rendering (hand-rolled, no serializer dependency): one
-    /// object with `counters`, `gauges`, `histograms`, and `heatmaps`
-    /// keys, machine-diffable and stable-ordered.
+    /// object with `counters`, `gauges` and `histograms` keys,
+    /// machine-diffable and stable-ordered.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str("\"counters\":{");
@@ -242,23 +198,6 @@ impl Snapshot {
                 "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
                 h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99
             ));
-        });
-        out.push_str("},\"heatmaps\":{");
-        push_pairs(&mut out, &self.heatmaps, |out, m| {
-            out.push_str("{\"cells\":[");
-            for (i, c) in m.cells.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"table\":{},\"shard\":{},\"count\":{},\"bytes\":{}}}",
-                    json_string(&c.table),
-                    c.shard,
-                    c.count,
-                    c.bytes
-                ));
-            }
-            out.push_str(&format!("],\"overflow\":{}}}", m.overflow));
         });
         out.push_str("}}");
         out
@@ -302,35 +241,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// One intensity bar per table: each shard cell scaled against the
-/// table's hottest shard. Shards beyond the rendered width fold into
-/// the last column.
-fn render_heat(map: &HeatMapSnapshot) -> String {
-    const RAMP: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let mut out = String::new();
-    for table in map.tables() {
-        let cells: Vec<_> = map.cells.iter().filter(|c| c.table == table).collect();
-        let hottest = cells.iter().map(|c| c.count).max().unwrap_or(0).max(1);
-        let shards = cells.iter().map(|c| c.shard).max().unwrap_or(0) + 1;
-        let mut bar = String::new();
-        for s in 0..shards {
-            match cells.iter().find(|c| c.shard == s) {
-                Some(c) if c.count > 0 => {
-                    let level = ((c.count * (RAMP.len() as u64 - 1)).div_ceil(hottest)) as usize;
-                    bar.push(RAMP[level.min(RAMP.len() - 1)]);
-                }
-                _ => bar.push('·'),
-            }
-        }
-        let rows: u64 = cells.iter().map(|c| c.count).sum();
-        let bytes: u64 = cells.iter().map(|c| c.bytes).sum();
-        out.push_str(&format!(
-            "  {table:<14} {bar}  ({shards} shards, {rows} rows, {bytes} B)\n"
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,8 +253,6 @@ mod tests {
         reg.gauge("gateway.queue_high_water").set_max(7);
         reg.histogram("wave.total_us").record(100);
         reg.histogram("wave.total_us").record(300);
-        reg.heatmap("shard.heat").record("Prescription", 0, 10, 400);
-        reg.heatmap("shard.heat").record("Prescription", 2, 2, 80);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("chain.blocks"), Some(4));
@@ -356,20 +264,14 @@ mod tests {
         let text = snap.render_text();
         assert!(text.contains("chain.blocks"));
         assert!(text.contains("wave.total_us"));
-        assert!(text.contains("Prescription"));
-        assert!(text.contains('█'), "hottest shard renders at full scale");
-        assert!(text.contains('·'), "untouched shard 1 renders as a gap");
 
         let line = snap.render_line();
         assert!(line.contains("total_us p50/p95="));
         assert!(line.contains("blocks=4"));
-        assert!(line.contains("shard.heat[Prescription]=12rows"));
 
         let json = snap.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"chain.blocks\":4"));
-        assert!(json.contains("\"table\":\"Prescription\""));
-        assert!(json.contains("\"overflow\":0"));
     }
 
     #[test]
@@ -393,7 +295,7 @@ mod tests {
         assert_eq!(snap.render_text(), "");
         assert_eq!(
             snap.render_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"heatmaps\":{}}"
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
     }
 }
