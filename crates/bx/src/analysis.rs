@@ -1,10 +1,11 @@
 //! Static lens analysis: view schemas and source-attribute footprints.
 //!
-//! The footprint drives the paper's Fig. 5 **Step 6** dependency check:
-//! after the Doctor reflects a change from D32 into his source D3, he must
-//! decide whether the view D31 shared with the Patient needs regeneration.
-//! Two views of the same source *may* interact exactly when their source
-//! footprints intersect.
+//! The footprint states what an update of existing rows through a lens
+//! can write: no source attribute outside it (`lens_laws` checks this).
+//! It does not bound an insert or a delete, which adds or drops whole
+//! source rows — so it cannot tell whether two views of one source
+//! interact, and the Fig. 5 Step-6 check does not ask it: every other
+//! share on the same source is a candidate.
 
 use crate::error::BxError;
 use crate::spec::LensSpec;
@@ -24,17 +25,6 @@ pub struct LensAnalysis {
     pub footprint: BTreeSet<String>,
 }
 
-impl LensAnalysis {
-    /// True iff this lens's footprint intersects `other`'s — the Step-6
-    /// criterion for "these two shared views may depend on each other".
-    pub fn overlaps(&self, other: &LensAnalysis) -> bool {
-        self.footprint
-            .intersection(&other.footprint)
-            .next()
-            .is_some()
-    }
-}
-
 /// Analyzes `spec` against `source_schema`.
 pub fn analyze(spec: &LensSpec, source_schema: &Schema) -> Result<LensAnalysis> {
     // Identity mapping at the root.
@@ -45,6 +35,9 @@ pub fn analyze(spec: &LensSpec, source_schema: &Schema) -> Result<LensAnalysis> 
         .collect();
     let mut footprint = BTreeSet::new();
     let (view_schema, attr_origin) = analyze_rec(spec, source_schema, &ident, &mut footprint)?;
+    // Every view column writes its origin: a bare rename passes every
+    // column through, not only the renamed one.
+    footprint.extend(attr_origin.values().cloned());
     Ok(LensAnalysis {
         view_schema,
         attr_origin,
@@ -170,30 +163,16 @@ mod tests {
     }
 
     #[test]
-    fn paper_step6_overlap_d31_vs_d32() {
-        // BX31: patient-facing view; BX32: researcher-facing view.
-        let bx31 = LensSpec::project(
-            &["patient_id", "medication_name", "clinical_data", "dosage"],
-            &["patient_id"],
-        );
+    fn project_distinct_footprint_is_projected_attrs() {
+        // BX32: the researcher-facing view of D3.
         let bx32 = LensSpec::project_distinct(
             &["medication_name", "mechanism_of_action"],
             &["medication_name"],
         );
-        let a31 = analyze(&bx31, &d3_schema()).expect("a31");
-        let a32 = analyze(&bx32, &d3_schema()).expect("a32");
-        // They share `medication_name` ⇒ overlap ⇒ Step 6 fires.
-        assert!(a31.overlaps(&a32));
-
-        // A disjoint pair does not overlap.
-        let bx_dosage = LensSpec::project(&["patient_id", "dosage"], &["patient_id"]);
-        let bx_mech =
-            LensSpec::project_distinct(&["mechanism_of_action"], &["mechanism_of_action"]);
-        let ad = analyze(&bx_dosage, &d3_schema()).expect("ad");
-        let am = analyze(&bx_mech, &d3_schema()).expect("am");
-        // dosage-view touches patient_id+dosage; mech-view touches only
-        // mechanism_of_action.
-        assert!(!ad.overlaps(&am));
+        let a = analyze(&bx32, &d3_schema()).expect("analysis");
+        let fp: Vec<&str> = a.footprint.iter().map(String::as_str).collect();
+        assert_eq!(fp, vec!["mechanism_of_action", "medication_name"]);
+        assert_eq!(a.view_schema.key_names(), vec!["medication_name"]);
     }
 
     #[test]
@@ -214,6 +193,12 @@ mod tests {
         );
         assert!(a.footprint.contains("dosage"));
         assert!(!a.footprint.contains("mechanism_of_action"));
+    }
+
+    #[test]
+    fn bare_rename_footprint_is_every_passed_column() {
+        let a = analyze(&LensSpec::rename("dosage", "dose"), &d3_schema()).expect("analysis");
+        assert_eq!(a.footprint.len(), 5);
     }
 
     #[test]

@@ -32,15 +32,14 @@
 //! **errors from `put`**, never silent data loss — see
 //! [`BxError::Untranslatable`].
 //!
-//! [`analysis`] computes, for any lens, which source attributes it touches;
-//! the core crate uses this for the paper's Fig. 5 Step 6 "do my other
-//! shared views overlap?" dependency check. [`delta`] diffs table versions
-//! to find changed attributes (what the sharing contract checks write
-//! permission on). [`incremental`] pushes row-level deltas *through*
-//! lenses — [`get_delta`] / [`put_delta`] — so propagation cost scales
-//! with the rows an update touched, not the table. [`laws`] provides
-//! executable checkers for the two laws, used by both the unit tests and
-//! the property-based suite.
+//! [`analysis`] computes, for any lens, its view schema and which source
+//! attributes an update of existing rows through it can write. [`delta`]
+//! diffs table versions to find changed attributes (what the sharing
+//! contract checks write permission on). [`incremental`] pushes
+//! row-level deltas *through* lenses — [`get_delta`] / [`put_delta`] — so
+//! propagation cost scales with the rows an update touched, not the
+//! table. [`laws`] provides executable checkers for the two laws, used by
+//! both the unit tests and the property-based suite.
 
 pub mod analysis;
 pub mod delta;

@@ -3,7 +3,7 @@
 use crate::agreement::PeerBinding;
 use crate::error::CoreError;
 use crate::Result;
-use medledger_bx::{analysis, exec, incremental, GroupIndex, LensSpec};
+use medledger_bx::{exec, incremental, GroupIndex, LensSpec};
 use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
@@ -332,8 +332,7 @@ impl PeerNode {
                 self.name
             )));
         }
-        if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-            let idx = GroupIndex::build(source, view_key)?;
+        if let Some(idx) = group_index(&binding, source)? {
             self.group_indexes.insert(table_id.to_string(), idx);
         }
         let shared = SharedTable::new(ShardMap::new(view), table_id, &self.telemetry);
@@ -481,8 +480,8 @@ impl PeerNode {
     /// advanced past.
     fn rebuild_group_indexes_for_source(&mut self, source_table: &str) -> Result<()> {
         for id in self.indexed_shares_of(source_table) {
-            if let LensSpec::ProjectDistinct { view_key, .. } = &self.binding(&id)?.lens {
-                let idx = GroupIndex::build(self.db.table(source_table)?, view_key)?;
+            let source = self.db.table(source_table)?;
+            if let Some(idx) = group_index(self.binding(&id)?, source)? {
                 self.group_indexes.insert(id, idx);
             }
         }
@@ -876,8 +875,8 @@ impl PeerNode {
         }
         let mut indexes = Vec::new();
         for id in self.indexed_shares_of(&source_table) {
-            if let LensSpec::ProjectDistinct { view_key, .. } = &self.binding(&id)?.lens {
-                indexes.push((id, GroupIndex::build(&new_source, view_key)?));
+            if let Some(idx) = group_index(self.binding(&id)?, &new_source)? {
+                indexes.push((id, idx));
             }
         }
 
@@ -909,32 +908,13 @@ impl PeerNode {
         Ok(self.shared(table_id)?.baseline())
     }
 
-    /// The Fig. 5 **Step 6** dependency check: other shares of this peer
-    /// whose lens footprint (on the same source) overlaps the footprint of
-    /// `table_id`'s lens. These are the candidates for cascaded
-    /// regeneration.
-    pub fn overlapping_shares(&self, table_id: &str) -> Result<Vec<String>> {
-        let binding = self.binding(table_id)?;
-        let source_schema = self.db.table(&binding.source_table)?.schema();
-        let siblings: Vec<_> = self
-            .bindings
-            .iter()
-            .filter(|(id, b)| *id != table_id && b.source_table == binding.source_table)
-            .collect();
-        // A lone binding has nothing to overlap; `join_share` already ran
-        // its lens on this source, so skipping the analysis hides no error.
-        if siblings.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = analysis::analyze(&binding.lens, source_schema)?;
-        let mut out = Vec::new();
-        for (other_id, other_binding) in siblings {
-            let other = analysis::analyze(&other_binding.lens, source_schema)?;
-            if base.overlaps(&other) {
-                out.push(other_id.clone());
-            }
-        }
-        Ok(out)
+    /// The Fig. 5 **Step 6** candidates of `table_id`: this peer's other
+    /// shares bound to the same source. A write through any lens rewrites
+    /// whole source rows (an insert or delete through a view adds or drops
+    /// every column), so no attribute set separates two of them.
+    pub(crate) fn siblings_of(&self, table_id: &str) -> Result<Vec<String>> {
+        let source_table = &self.binding(table_id)?.source_table;
+        Ok(self.sibling_shares(source_table, Some(table_id)))
     }
 
     /// Allocates the next transaction nonce.
@@ -1007,13 +987,23 @@ impl PeerNode {
                 shared.note_undo(inverse);
             }
             peer.shared.insert(table_id.clone(), shared);
-            if let LensSpec::ProjectDistinct { view_key, .. } = &binding.lens {
-                let idx = GroupIndex::build(peer.db.table(&binding.source_table)?, view_key)?;
+            if let Some(idx) = group_index(binding, peer.db.table(&binding.source_table)?)? {
                 peer.group_indexes.insert(table_id.clone(), idx);
             }
         }
         peer.bindings = bindings;
         Ok(peer)
+    }
+}
+
+/// The cached [`GroupIndex`] a `ProjectDistinct` binding keeps over
+/// `source`; `None` for any other lens.
+fn group_index(binding: &PeerBinding, source: &Table) -> Result<Option<GroupIndex>> {
+    match &binding.lens {
+        LensSpec::ProjectDistinct { view_key, .. } => {
+            Ok(Some(GroupIndex::build(source, view_key)?))
+        }
+        _ => Ok(None),
     }
 }
 
@@ -1406,48 +1396,17 @@ mod tests {
     }
 
     #[test]
-    fn step6_overlap_detects_d31_d32_dependency() {
+    fn step6_siblings_are_the_other_shares_on_the_same_source() {
         let doctor = doctor_with_shares();
-        // D31 and D32 share `medication_name` on D3.
+        // D31 and D32 are both views of D3.
         assert_eq!(
-            doctor.overlapping_shares("D23&D32").expect("overlap"),
+            doctor.siblings_of("D23&D32").expect("siblings"),
             vec!["D13&D31".to_string()]
         );
         assert_eq!(
-            doctor.overlapping_shares("D13&D31").expect("overlap"),
+            doctor.siblings_of("D13&D31").expect("siblings"),
             vec!["D23&D32".to_string()]
         );
-    }
-
-    #[test]
-    fn step6_no_overlap_for_disjoint_lenses() {
-        let mut doctor = PeerNode::new("Doctor", "disjoint", 8, PropagationMode::Delta, 1);
-        doctor.add_source_table("D3", d3_table()).expect("add");
-        doctor
-            .join_share(
-                "dose-share",
-                PeerBinding {
-                    source_table: "D3".into(),
-                    lens: LensSpec::project(&["patient_id", "dosage"], &["patient_id"]),
-                },
-            )
-            .expect("join");
-        doctor
-            .join_share(
-                "mech-share",
-                PeerBinding {
-                    source_table: "D3".into(),
-                    lens: LensSpec::project_distinct(
-                        &["mechanism_of_action"],
-                        &["mechanism_of_action"],
-                    ),
-                },
-            )
-            .expect("join");
-        assert!(doctor
-            .overlapping_shares("dose-share")
-            .expect("overlap")
-            .is_empty());
     }
 
     #[test]

@@ -492,9 +492,9 @@ impl System {
 
     /// Step **admit**: claims tables in arrival order — cascades first,
     /// then submissions grouped per table — and screens the claims
-    /// (same-table / queued-transaction / lens-footprint interaction,
-    /// earlier claims winning). Admitted cascades become members; the
-    /// admitted submission groups are returned for staging.
+    /// (queued transaction / a `(peer, source)` binding an earlier claim
+    /// holds, earlier claims winning). Admitted cascades become members;
+    /// the admitted submission groups are returned for staging.
     fn admit(&mut self, wave: &mut Wave) -> Vec<(String, Vec<Pending>)> {
         let cascades: Vec<QueuedCascade> = self.sched.deferred.drain(..).collect();
         let submissions: Vec<Pending> = self.sched.pending.drain(..).collect();

@@ -1144,11 +1144,11 @@ impl System {
     }
 
     /// The Fig. 5 **Step 6** dependency check after a committed update of
-    /// `table_id`: for every participant, walk the sibling shares
-    /// overlapping `table_id`, decide whether each now differs (it carries
-    /// a pending change — an O(pending) read) and push the numbered trace
-    /// line. Returns the changed ones, as `(peer, table)`: the cascades
-    /// for later waves.
+    /// `table_id`: for every participant, walk its other shares bound to
+    /// `table_id`'s source ([`PeerNode::siblings_of`]), decide whether each
+    /// now differs (it carries a pending change — an O(pending) read) and
+    /// push the numbered trace line. Returns the changed ones, as
+    /// `(peer, table)`: the cascades for later waves.
     fn step6_sweep(
         &self,
         table_id: &str,
@@ -1158,7 +1158,7 @@ impl System {
         let mut changed = Vec::new();
         for account in participants {
             let peer = self.node(account)?;
-            for other_table in peer.overlapping_shares(table_id)? {
+            for other_table in peer.siblings_of(table_id)? {
                 let differs = peer.has_pending_change(&other_table)?;
                 trace.push(
                     "6",
@@ -1187,42 +1187,38 @@ impl System {
     /// cannot share a block: a table is admitted (`true`) unless —
     /// earlier claims winning —
     ///
-    /// * an earlier claim already holds the same table,
     /// * the mempool still holds a transaction for the table, or
-    /// * the table *interacts* with an earlier admitted table: some
-    ///   sharing peer binds both to one source with overlapping lens
-    ///   footprints, so committing one would cascade into (or absorb
-    ///   uncommitted state of) the other. Interacting tables must
-    ///   serialize across waves, exactly like same-table claims.
+    /// * an earlier admitted table holds one of its `(peer, source)`
+    ///   bindings: the same table, or one some sharing peer binds to the
+    ///   same source, so committing one would cascade into (or absorb
+    ///   uncommitted state of) the other — the Step-6 relation. Such
+    ///   tables serialize across waves.
     pub(crate) fn screen_group<'t>(&self, tables: impl Iterator<Item = &'t str>) -> Vec<bool> {
         let queued = self.mempool.pending_conflict_keys();
-        let mut admitted: Vec<&str> = Vec::new();
+        let mut held: BTreeSet<(AccountId, &str)> = BTreeSet::new();
         let mut out = Vec::new();
         for table in tables {
-            let conflicted = queued.contains(table)
-                || admitted.contains(&table)
-                || admitted.iter().any(|t| self.tables_interact(t, table));
-            if !conflicted {
-                admitted.push(table);
+            let bindings = self.bindings_of(table);
+            let admitted = !queued.contains(table) && bindings.iter().all(|b| !held.contains(b));
+            if admitted {
+                held.extend(bindings);
             }
-            out.push(!conflicted);
+            out.push(admitted);
         }
         out
     }
 
-    /// True iff some sharing peer of `a` also participates in `b` with
-    /// an overlapping lens footprint on the same source — the Step-6
-    /// dependency relation, applied pairwise to wave members.
-    fn tables_interact(&self, a: &str, b: &str) -> bool {
-        let Ok(meta) = self.share_meta(a) else {
-            return false;
+    /// `(peer, source)` of every sharing peer's binding of `table_id`;
+    /// none for a table the contract does not know.
+    fn bindings_of(&self, table_id: &str) -> Vec<(AccountId, &str)> {
+        let Ok(meta) = self.share_meta(table_id) else {
+            return Vec::new();
         };
-        meta.peers.iter().any(|acct| {
-            self.peers.get(acct).is_some_and(|p| {
-                p.overlapping_shares(a)
-                    .is_ok_and(|list| list.iter().any(|t| t == b))
-            })
-        })
+        let bound = |acct: AccountId| {
+            let binding = self.peers.get(&acct)?.binding(table_id).ok()?;
+            Some((acct, binding.source_table.as_str()))
+        };
+        meta.peers.into_iter().filter_map(bound).collect()
     }
 
     /// Commits the wave's staged members — pending changes of

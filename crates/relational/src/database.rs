@@ -137,37 +137,7 @@ impl Database {
 
     /// Applies and logs a mutation.
     pub fn apply(&mut self, table: &str, op: WriteOp) -> Result<()> {
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| RelationalError::UnknownTable {
-                table: table.to_string(),
-            })?;
-        match &op {
-            WriteOp::Insert { row } => t.insert(row.clone())?,
-            WriteOp::Update { key, assignments } => {
-                let assigns: Vec<(&str, Value)> = assignments
-                    .iter()
-                    .map(|(c, v)| (c.as_str(), v.clone()))
-                    .collect();
-                t.update(key, &assigns)?;
-            }
-            WriteOp::Upsert { row } => {
-                t.upsert(row.clone())?;
-            }
-            WriteOp::Delete { key } => {
-                t.delete(key)?;
-            }
-            WriteOp::Replace { rows } => {
-                let schema = t.schema().clone();
-                let fresh = Table::from_rows(schema, rows.clone())?;
-                *t = fresh;
-            }
-            WriteOp::Delta { delta } => {
-                t.apply_delta(delta)?;
-            }
-        }
-        let post_hash = t.content_hash();
+        let post_hash = self.run_op(table, &op)?;
         self.log.push(LogRecord {
             seq: self.next_seq(),
             table: table.to_string(),
@@ -276,13 +246,33 @@ impl Database {
                 ),
             });
         }
+        let recovered = self.run_op(&rec.table, &rec.op)?;
+        if recovered != rec.post_hash {
+            return Err(RelationalError::ReplayMismatch {
+                reason: format!(
+                    "table `{}` hashes to {} after replaying seq {}, log attests {}",
+                    rec.table,
+                    recovered.to_hex(),
+                    rec.seq,
+                    rec.post_hash.to_hex()
+                ),
+            });
+        }
+        self.log.push(rec.clone());
+        Ok(())
+    }
+
+    /// Applies `op` to `table` without logging it — what [`Database::apply`]
+    /// and [`Database::replay_record`] share. Returns the table's content
+    /// hash afterwards.
+    fn run_op(&mut self, table: &str, op: &WriteOp) -> Result<Hash256> {
         let t = self
             .tables
-            .get_mut(&rec.table)
+            .get_mut(table)
             .ok_or_else(|| RelationalError::UnknownTable {
-                table: rec.table.clone(),
+                table: table.to_string(),
             })?;
-        match &rec.op {
+        match op {
             WriteOp::Insert { row } => t.insert(row.clone())?,
             WriteOp::Update { key, assignments } => {
                 let assigns: Vec<(&str, Value)> = assignments
@@ -306,20 +296,7 @@ impl Database {
                 t.apply_delta(delta)?;
             }
         }
-        let recovered = t.content_hash();
-        if recovered != rec.post_hash {
-            return Err(RelationalError::ReplayMismatch {
-                reason: format!(
-                    "table `{}` hashes to {} after replaying seq {}, log attests {}",
-                    rec.table,
-                    recovered.to_hex(),
-                    rec.seq,
-                    rec.post_hash.to_hex()
-                ),
-            });
-        }
-        self.log.push(rec.clone());
-        Ok(())
+        Ok(t.content_hash())
     }
 
     /// Decomposes the database for snapshot encoding. Returns

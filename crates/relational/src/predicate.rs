@@ -137,7 +137,7 @@ impl Predicate {
         }
     }
 
-    /// Column names this predicate reads (used by lens overlap analysis).
+    /// Column names this predicate reads (used by lens footprint analysis).
     pub fn referenced_attrs(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.collect_attrs(&mut out);

@@ -9,14 +9,13 @@
 //! is one version, and Step 6 recurses on the spot (Steps 7–11) under an
 //! `active` set. There is no chain, no signature, no shard and no delta
 //! here, and no code of the `System` / `PeerNode` / facade / engine it
-//! checks: only `medledger_relational` tables, `medledger_bx::exec` and the
-//! lens footprint analysis Step 6 asks its question with.
+//! checks: only `medledger_relational` tables and `medledger_bx::exec`.
 //!
 //! Compiled into several test crates by path (`tests/`, the engine's
 //! integration tests, `core::peer`'s unit tests), each using a part of it.
 #![allow(dead_code)]
 
-use medledger_bx::{analysis, exec, LensSpec};
+use medledger_bx::{exec, LensSpec};
 use medledger_relational::{fingerprint_of, Table, Value, WriteOp};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -196,16 +195,11 @@ impl ModelPeer {
         b.committed = view.clone();
     }
 
-    /// The other shares of this peer whose lens reads or writes source
-    /// cells `share`'s lens also does — the Step-6 candidates.
+    /// The other shares of this peer bound to `share`'s source — the
+    /// Step-6 candidates.
     fn overlapping(&self, share: &str) -> Vec<String> {
         let b = &self.bindings[share];
-        let schema = self.sources[&b.source].schema();
-        let mine = analysis::analyze(&b.lens, schema).expect("analyze");
-        let overlaps = |o: &Binding| {
-            let theirs = analysis::analyze(&o.lens, schema).expect("analyze");
-            o.source == b.source && mine.overlaps(&theirs)
-        };
+        let overlaps = |o: &Binding| o.source == b.source;
         let siblings = self
             .bindings
             .iter()
