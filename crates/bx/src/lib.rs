@@ -50,12 +50,11 @@ pub mod incremental;
 pub mod laws;
 pub mod spec;
 
-pub use analysis::LensAnalysis;
 pub use delta::{changed_attrs, changed_attrs_from_delta, diff_tables, TableDelta};
 pub use error::BxError;
 pub use group::GroupIndex;
 pub use incremental::{get_delta, get_delta_indexed, put_delta, put_delta_indexed};
-pub use laws::{check_getput, check_putget, LawViolation};
+pub use laws::{check_getput, check_putget};
 pub use spec::LensSpec;
 
 /// Crate-wide result alias.

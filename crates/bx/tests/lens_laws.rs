@@ -85,8 +85,10 @@ fn arb_lens() -> impl Strategy<Value = LensSpec> {
 
 /// A random translatable edit applied to a view: update a non-key text
 /// column of some row, or delete some row. (Inserts are exercised in the
-/// unit tests because translatability depends on the lens.)
-fn edit_view(view: &Table, pick: usize, del: bool) -> Table {
+/// unit tests because translatability depends on the lens.) The edited
+/// column is the `column`-th (modulo their count) of the free columns
+/// the view has.
+fn edit_view(view: &Table, pick: usize, del: bool, column: usize) -> Table {
     let mut v = view.clone();
     if v.is_empty() {
         return v;
@@ -101,12 +103,13 @@ fn edit_view(view: &Table, pick: usize, del: bool) -> Table {
     // Find a non-key mutable column. Careful: for select lenses the
     // predicate column must not be edited (that would be untranslatable,
     // rightly rejected); we only touch "dose"-like free columns.
-    for free in ["dose", "dosage", "addr", "mech"] {
-        if v.schema().has_column(free) && !v.schema().key_names().contains(&free) {
-            v.update(&key, &[(free, Value::text("EDITED"))])
-                .expect("update valid");
-            return v;
-        }
+    let free: Vec<&str> = ["dose", "dosage", "addr", "mech"]
+        .into_iter()
+        .filter(|c| v.schema().has_column(c) && !v.schema().key_names().contains(c))
+        .collect();
+    if let Some(free) = free.get(column % free.len().max(1)) {
+        v.update(&key, &[(free, Value::text("EDITED"))])
+            .expect("update valid");
     }
     v
 }
@@ -129,7 +132,7 @@ proptest! {
         del in any::<bool>(),
     ) {
         let view = get(&lens, &src).expect("get");
-        let edited = edit_view(&view, pick, del);
+        let edited = edit_view(&view, pick, del, 0);
         check_putget(&lens, &src, &edited).expect("PutGet must hold");
     }
 
@@ -151,7 +154,7 @@ proptest! {
         del in any::<bool>(),
     ) {
         let view = get(&lens, &src).expect("get");
-        let edited = edit_view(&view, pick, del);
+        let edited = edit_view(&view, pick, del, 0);
         let s1 = put(&lens, &src, &edited).expect("first put");
         let s2 = put(&lens, &s1, &edited).expect("second put");
         prop_assert_eq!(s1.content_hash(), s2.content_hash());
@@ -166,7 +169,9 @@ proptest! {
         pick in 0usize..32,
     ) {
         let view = get(&lens, &src).expect("get");
-        let edited = edit_view(&view, pick, false);
+        // Any free column, not only the first: a footprint that misses a
+        // passed-through column must show.
+        let edited = edit_view(&view, pick, false, pick);
         let new_src = put(&lens, &src, &edited).expect("put");
         let changed = medledger_bx::changed_attrs(&src, &new_src);
         let analysis = medledger_bx::analysis::analyze(&lens, src.schema())

@@ -47,5 +47,5 @@ pub mod model;
 pub mod rng;
 pub mod scenarios;
 
-pub use explore::{Checker, Failure, Outcome};
+pub use explore::{Checker, Outcome};
 pub use scenarios::Scenario;

@@ -17,13 +17,14 @@
 //!   somewhere other than its own declaration and its own file's
 //!   `#[cfg(test)]` module, or sits on the explicit allowlist. A method
 //!   of an inherent `impl Type` is named only by `Type::name`,
-//!   `Self::name` or a call `.name(` / `.name::<`.
+//!   `Self::name` or a call `.name(` / `.name::<`. A `pub use` there
+//!   must export a name something names outside its own module.
 //! - **long-fn** — no non-test `fn` under `crates/*/src` spans more than
 //!   [`LONG_FN_MAX`] lines, unless it sits on the explicit allowlist.
 
 use super::policy::Policy;
 use super::scan::Line;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One rule violation.
 #[derive(Debug, Clone)]
@@ -581,6 +582,20 @@ fn mention_of(code: &str, start: usize, end: usize) -> (Option<&str>, bool) {
     (qualifier, call)
 }
 
+/// The names one line of a `pub use` statement exports: each leaf of
+/// the use tree, or its `as` alias (`self` and globs export no name).
+fn reexported_names(code: &str) -> impl Iterator<Item = &str> {
+    let tree = code.trim_start().strip_prefix("pub use ").unwrap_or(code);
+    tree.split([',', '{', '}', ';']).filter_map(|leaf| {
+        let name = match leaf.split_once(" as ") {
+            Some((_, alias)) => alias.trim(),
+            None => leaf.trim().rsplit("::").next()?,
+        };
+        let is_ident = name.chars().all(|c| c.is_alphanumeric() || c == '_');
+        Some(name).filter(|n| is_ident && !n.is_empty() && *n != "self")
+    })
+}
+
 /// Every `pub` item declared in non-test code under `crates/*/src`
 /// that no line of `files` (repo-relative path, scanned lines) names,
 /// other than the declaration itself and the declaring file's own
@@ -590,25 +605,37 @@ fn mention_of(code: &str, start: usize, end: usize) -> (Option<&str>, bool) {
 /// by its bare identifier. Matching is by name, not by resolved path,
 /// so it errs towards "used": a method called `.name(` on any type, or
 /// another item sharing its identifier, is never reported.
+///
+/// A name a `pub use` there re-exports is reported at its `pub use`
+/// line when nothing names it but that line, the files declaring a
+/// `pub` item of that name (its own module) and the re-exporting file's
+/// own `#[cfg(test)]` code.
 pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
     let mut items = Vec::new();
+    let mut reexports = Vec::new();
     let owners: Vec<_> = files.iter().map(|(_, lines)| impl_owners(lines)).collect();
     for (f, (file, lines)) in files.iter().enumerate() {
         if !is_crate_source(file) {
             continue;
         }
+        let mut in_use = false;
         for (l, line) in lines.iter().enumerate().filter(|(_, line)| !line.in_test) {
             let is_fn = fn_name(&line.code).is_some();
             let method_of = owners[f][l].as_deref().filter(|_| is_fn);
             items.extend(pub_item_name(&line.code).map(|name| (f, l, name, method_of)));
+            in_use |= line.code.trim_start().starts_with("pub use ");
+            if in_use {
+                reexports.extend(reexported_names(&line.code).map(|name| (f, l, name)));
+                in_use = !line.code.contains(';');
+            }
         }
     }
-    // Per declared name, every place it appears: `(file, line, in test
-    // code, qualifier, method call)`.
+    // Per declared or re-exported name, every place it appears: `(file,
+    // line, in test code, qualifier, method call)`.
     type Mention<'a> = (usize, usize, bool, Option<&'a str>, bool);
-    let mut mentions: BTreeMap<&str, Vec<Mention>> = (items.iter())
-        .map(|(_, _, name, _)| (*name, Vec::new()))
-        .collect();
+    let names = items.iter().map(|(_, _, name, _)| *name);
+    let names = names.chain(reexports.iter().map(|(_, _, name)| *name));
+    let mut mentions: BTreeMap<&str, Vec<Mention>> = names.map(|name| (name, Vec::new())).collect();
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     for (f, (_, lines)) in files.iter().enumerate() {
         for (l, line) in lines.iter().enumerate() {
@@ -622,6 +649,8 @@ pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
             }
         }
     }
+    let declared: BTreeSet<(usize, &str)> =
+        items.iter().map(|(f, _, name, _)| (*f, *name)).collect();
     items.retain(|(f, l, name, method_of)| {
         let names = |(_, _, _, qualifier, call): &&Mention| match method_of {
             Some(ty) => *call || qualifier.is_some_and(|q| q == *ty || q == "Self"),
@@ -631,11 +660,20 @@ pub fn dead_pub(files: &[(String, Vec<Line>)]) -> Vec<(String, usize, String)> {
         let elsewhere = |(mf, ml, in_test, _, _): &Mention| mf != f || (!in_test && ml != l);
         !mentions[name].iter().filter(names).any(elsewhere)
     });
-    let report = |(f, l, name, _): (usize, usize, &str, _)| {
+    reexports.retain(|(f, l, name)| {
+        let elsewhere = |(mf, ml, in_test, _, _): &Mention| {
+            !(mf == f && (ml == l || *in_test)) && !declared.contains(&(*mf, *name))
+        };
+        !mentions[name].iter().any(elsewhere)
+    });
+    let items = items.into_iter().map(|(f, l, name, _)| (f, l, name));
+    let mut dead: Vec<_> = items.chain(reexports).collect();
+    dead.sort();
+    let report = |(f, l, name): (usize, usize, &str)| {
         let (file, lines) = &files[f];
         (file.clone(), lines[l].number, name.to_string())
     };
-    items.into_iter().map(report).collect()
+    dead.into_iter().map(report).collect()
 }
 
 /// Parses a rule's allowlist: one `<file> <name>` pair per line, `#`
@@ -666,8 +704,9 @@ pub fn dead_pub_findings(
 ) -> Vec<Finding> {
     let reported = dead.iter().map(|(file, line, name)| {
         let message = format!(
-            "`pub` item `{name}` is named nowhere outside this file's tests: \
-             delete it, narrow it, or list it in {allowlist_file}"
+            "`pub` item `{name}` is named nowhere outside this file's tests \
+             (a re-export: nowhere outside its own module): delete it, narrow it, \
+             or list it in {allowlist_file}"
         );
         (file.clone(), *line, name.clone(), message)
     });

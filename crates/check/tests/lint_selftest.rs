@@ -110,6 +110,32 @@ fn dead_pub_rule_still_fires() {
 }
 
 #[test]
+fn dead_pub_sees_re_exports() {
+    // `Ward` is named outside its module through the re-export, `Bed`
+    // only by its own module and the `pub use` line; `cot` only by the
+    // re-exporting file's tests. The multi-line `pub use` exports `Cot`
+    // under its alias `cot`.
+    let lib = "pub mod ward;\npub use ward::{\n    Bed,\n    Cot as cot, Ward,\n};\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { cot(); }\n}\n";
+    let module = "pub struct Ward;\npub struct Bed;\npub struct Cot;\n\
+                  fn beds() -> Bed { Bed }\nfn cots() -> Cot { Cot }\n";
+    let caller = "fn t(w: medledger_a::Ward) {}\n";
+    let files = [
+        ("crates/a/src/lib.rs", lib),
+        ("crates/a/src/ward.rs", module),
+        ("tests/api.rs", caller),
+    ];
+    let files: Vec<_> = (files.iter())
+        .map(|(file, src)| (file.to_string(), scan::scan(src)))
+        .collect();
+    let dead = |line, name: &str| ("crates/a/src/lib.rs".to_string(), line, name.to_string());
+    assert_eq!(
+        rules::dead_pub(&files),
+        vec![dead(3, "Bed"), dead(4, "cot")]
+    );
+}
+
+#[test]
 fn dead_pub_reads_methods_by_path() {
     // `Ward::open` shares its name with the live free fn `open`, which
     // no longer keeps it alive; `close` is live through a method call,

@@ -49,7 +49,7 @@ pub use facade::{
     CommitError, CommitOutcome, MedLedger, MedLedgerBuilder, PeerReader, PeerSession, ShareBuilder,
     UpdateBatch,
 };
-pub use peer::{Baseline, PeerNode, PropagationMode};
+pub use peer::{PeerNode, PropagationMode};
 pub use persist::{FlushRecord, Recovery};
 pub use sched::{CascadeRecord, CommitTicket, WaveReport};
 pub use system::{

@@ -7,8 +7,8 @@ use medledger_bx::{exec, incremental, GroupIndex, LensSpec};
 use medledger_crypto::{Hash256, KeyPair};
 use medledger_ledger::AccountId;
 use medledger_relational::{
-    delta_from_write_op, diff_tables, fingerprint_of, Database, KeyedRows, RelationalError, Row,
-    Schema, ShardMap, Table, TableDelta, Value, WriteOp,
+    delta_from_write_op, fingerprint_of, Database, KeyedRows, RelationalError, Row, Schema,
+    ShardMap, Table, TableDelta, Value, WriteOp,
 };
 use medledger_telemetry::{CounterHandle, GaugeHandle, Recorder};
 use std::collections::BTreeMap;
@@ -76,10 +76,9 @@ impl SharedTable {
         self.applied_bytes = recorder.counter(&format!("store.applied_bytes.{table_id}"));
     }
 
-    /// Applies `delta` to the stored copy and counts it: the one way a
-    /// delta reaches `store`. Returns the inverse; a rejected delta
-    /// leaves the store untouched and uncounted. A whole-table replace
-    /// ([`ShardMap::rebuild_from`]) is not a delta and counts nothing.
+    /// Applies `delta` to the stored copy and counts it: the one way
+    /// anything reaches `store`. Returns the inverse; a rejected delta
+    /// leaves the store untouched and uncounted.
     fn apply(&mut self, delta: &TableDelta) -> Result<TableDelta> {
         let inverse = self.store.apply_delta(delta)?;
         if self.applied_rows.is_enabled() {
@@ -138,16 +137,6 @@ impl SharedTable {
     /// The delta that rewinds the store to the committed view.
     fn rewind(&self) -> TableDelta {
         self.diff_at_undo(&self.store, &self.baseline())
-    }
-
-    /// The committed view materialized: a clone of the stored table (warm
-    /// digest caches included) rewound by `undo`. O(table) — for the
-    /// conflict path and for hashing a baseline that has pending rows
-    /// over it; everything else reads [`Baseline`].
-    fn committed(&self) -> Result<Table> {
-        let mut table = self.store.table().clone();
-        table.apply_delta(&self.rewind())?;
-        Ok(table)
     }
 }
 
@@ -622,10 +611,14 @@ impl PeerNode {
     /// fold of the store rewound by its undo rows (O(table)).
     pub fn committed_hash(&self, table_id: &str) -> Result<Hash256> {
         let shared = self.shared(table_id)?;
-        if shared.rewind().is_empty() {
+        let rewind = shared.rewind();
+        if rewind.is_empty() {
             return Ok(shared.store.content_hash());
         }
-        Ok(shared.committed()?.content_hash())
+        // A clone of the stored table (warm digest caches included).
+        let mut committed = shared.store.table().clone();
+        committed.apply_delta(&rewind)?;
+        Ok(committed.content_hash())
     }
 
     /// A fingerprint over the content hashes of every table the peer
@@ -720,9 +713,12 @@ impl PeerNode {
     /// once: with no undo rows over it, it *is* the committed baseline.
     /// A rejected or hash-mismatched delta leaves the peer untouched.
     ///
-    /// A peer with a pending change of `table_id` resolves through the
-    /// whole-table merge instead: the remote view wins, and a residual
-    /// local difference survives as a pending delta of a sibling share.
+    /// A peer with a pending change of `table_id` applies a correction
+    /// instead, in O(undo rows + delta): the delta from its stored copy to
+    /// the committed baseline with `view_delta` on top, translated into
+    /// the source here (`source_delta` was translated against the pending
+    /// source). The remote view wins, and a residual local difference
+    /// survives as a pending delta of a sibling share.
     pub fn apply_remote_delta(
         &mut self,
         table_id: &str,
@@ -732,9 +728,23 @@ impl PeerNode {
         version: u64,
     ) -> Result<()> {
         let source_table = self.binding(table_id)?.source_table.clone();
-        if self.has_pending_change(table_id)? {
-            return self.resolve_conflicting_remote(table_id, view_delta, announced_hash, version);
-        }
+        let shared = self.shared(table_id)?;
+        let rewind = shared.rewind();
+        let correction;
+        let (view_delta, source_delta) = if rewind.is_empty() {
+            (view_delta, source_delta)
+        } else {
+            if let Err(e) = view_delta.check_applies_to(&shared.baseline()) {
+                return Err(CoreError::ConsistencyViolation(format!(
+                    "committed `{table_id}` delta does not apply to the committed \
+                     baseline: {e}"
+                )));
+            }
+            let view = rewind.compose(view_delta, |r| shared.store.schema().key_of(r));
+            let source = self.translate_remote_delta(table_id, &view)?;
+            correction = (view, source);
+            (&correction.0, &correction.1)
+        };
         // Anchored on the pre-delta source.
         let derived = self.derive_sibling_deltas(&source_table, Some(table_id), source_delta)?;
         let shared = self.shared_mut(table_id)?;
@@ -748,8 +758,9 @@ impl PeerNode {
                 announced_hash.short()
             )));
         }
-        // Nothing was pending, so any undo rows left are ones the store
-        // had already returned to: the store is the baseline.
+        // The store now holds the committed version: any undo rows left
+        // are ones it had already returned to, or ones the correction
+        // rewound.
         shared.undo.clear();
         let op = WriteOp::Delta {
             delta: view_delta.clone(),
@@ -764,37 +775,6 @@ impl PeerNode {
         self.applied_versions.insert(table_id.to_string(), version);
         self.publish_resident_rows();
         Ok(())
-    }
-
-    /// The conflict path: this peer carries uncommitted local changes of
-    /// `table_id` (e.g. a permission-blocked cascade awaiting retry)
-    /// while a committed remote update arrives. Resolve as the
-    /// paper-literal whole-table exchange does — the remote view wins,
-    /// the lens `put` merges it into the source (the Fig. 5 reference
-    /// model's receive step) — then re-derive the stored copy of
-    /// every sibling share from ground truth, so a residual local
-    /// difference survives as a pending delta (the retry is preserved,
-    /// not silently dropped). O(table), but only on this rare contended
-    /// path.
-    fn resolve_conflicting_remote(
-        &mut self,
-        table_id: &str,
-        view_delta: &TableDelta,
-        announced_hash: Hash256,
-        version: u64,
-    ) -> Result<()> {
-        let mut view_new = self.shared(table_id)?.committed()?;
-        view_new.apply_delta(view_delta).map_err(|e| {
-            CoreError::ConsistencyViolation(format!(
-                "committed `{table_id}` delta does not apply to the committed baseline: {e}"
-            ))
-        })?;
-        // Rows in key order, so the logged rewrite does not depend on the
-        // order of earlier applies. Verified before any mutation: a
-        // corrupt delta leaves the peer untouched.
-        let rows = view_new.sorted_rows().into_iter().cloned().collect();
-        let view_new = Table::from_rows(view_new.schema().clone(), rows)?;
-        self.apply_remote_view(table_id, &view_new, announced_hash, version)
     }
 
     /// Marks the updater's own pending delta as committed at `version`:
@@ -837,69 +817,6 @@ impl PeerNode {
             undo.retain(|key, committed| store.get(key) != committed.as_ref());
         }
         self.publish_resident_rows();
-    }
-
-    /// Applies a whole shared table in place of the stored copy — the
-    /// tail of the conflict path: verifies the announced hash, reflects
-    /// the change into the source via `put`, replaces the stored copy
-    /// (then the committed baseline) and re-derives every sibling share
-    /// from the new source, so a residual local difference survives as a
-    /// pending delta.
-    ///
-    /// All of it or none: the `put`, every sibling's `get` (a group lens
-    /// refuses a source that breaks its functional dependency) and every
-    /// group index run on the new source before anything is written, so
-    /// a refused view leaves source, stores, undo rows, log and indexes
-    /// as they were.
-    fn apply_remote_view(
-        &mut self,
-        table_id: &str,
-        new_view: &Table,
-        announced_hash: Hash256,
-        version: u64,
-    ) -> Result<()> {
-        if new_view.content_hash() != announced_hash {
-            return Err(CoreError::ConsistencyViolation(format!(
-                "received `{table_id}` data hashing to {} but contract announced {}",
-                new_view.content_hash().short(),
-                announced_hash.short()
-            )));
-        }
-        let binding = self.binding(table_id)?;
-        let source_table = binding.source_table.clone();
-        let new_source = exec::put(&binding.lens, self.db.table(&source_table)?, new_view)?;
-        let mut siblings = Vec::new();
-        for share_id in self.sibling_shares(&source_table, Some(table_id)) {
-            let view = exec::get(&self.binding(&share_id)?.lens, &new_source)?;
-            siblings.push((share_id, view));
-        }
-        let mut indexes = Vec::new();
-        for id in self.indexed_shares_of(&source_table) {
-            if let Some(idx) = group_index(self.binding(&id)?, &new_source)? {
-                indexes.push((id, idx));
-            }
-        }
-
-        let src_rows: Vec<Row> = new_source.rows().cloned().collect();
-        self.db
-            .apply(&source_table, WriteOp::Replace { rows: src_rows })?;
-        self.group_indexes.extend(indexes);
-        let shared = self.shared_mut(table_id)?;
-        shared.store.rebuild_from(new_view);
-        shared.undo.clear();
-        let post_hash = shared.store.content_hash();
-        let rows: Vec<Row> = new_view.rows().cloned().collect();
-        self.db
-            .log_external(table_id, WriteOp::Replace { rows }, post_hash);
-        self.applied_versions.insert(table_id.to_string(), version);
-        for (share_id, view) in siblings {
-            let stored_delta = diff_tables(self.shared_store(&share_id)?, &view);
-            if !stored_delta.is_empty() {
-                self.apply_view_delta(&share_id, &stored_delta)?;
-            }
-        }
-        self.publish_resident_rows();
-        Ok(())
     }
 
     /// The view as of the last committed version: a borrowed overlay of
@@ -1125,40 +1042,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_remote_view_puts_into_source() {
-        let mut doctor = doctor_with_shares();
-        // Researcher updated MeA1 → MeA1-new in the shared D23&D32.
-        let mut new_view = doctor.shared_table("D23&D32").expect("D32").clone();
-        new_view
-            .update(
-                &[Value::text("Ibuprofen")],
-                &[("mechanism_of_action", Value::text("MeA1-new"))],
-            )
-            .expect("edit view");
-        let hash = new_view.content_hash();
-        doctor
-            .apply_remote_view("D23&D32", &new_view, hash, 1)
-            .expect("apply");
-        // Source D3 reflects the change.
-        let d3 = doctor.db.table("D3").expect("D3");
-        assert_eq!(
-            d3.get(&[Value::Int(188)]).expect("row")[3],
-            Value::text("MeA1-new")
-        );
-        assert_eq!(doctor.applied_versions["D23&D32"], 1);
-    }
-
-    #[test]
-    fn apply_remote_view_rejects_hash_mismatch() {
-        let mut doctor = doctor_with_shares();
-        let view = doctor.shared_table("D23&D32").expect("D32").clone();
-        let err = doctor
-            .apply_remote_view("D23&D32", &view, Hash256([9; 32]), 1)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::ConsistencyViolation(_)));
-    }
-
-    #[test]
     fn delta_write_shared_tracks_pending_and_siblings() {
         let mut doctor = doctor_with_shares();
         let before_fp = doctor.fingerprint();
@@ -1374,6 +1257,130 @@ mod tests {
         assert_eq!(state(&doctor), before);
     }
 
+    /// What a refused apply must leave as it was, as
+    /// `failed_conflict_resolution_changes_nothing` reads it: stores, undo
+    /// rows, log, group indexes and versions.
+    #[allow(clippy::type_complexity)]
+    fn doctor_state(
+        p: &PeerNode,
+    ) -> (
+        Hash256,
+        Vec<Table>,
+        Vec<Undo>,
+        Vec<medledger_relational::LogRecord>,
+        String,
+        BTreeMap<String, u64>,
+    ) {
+        let shares = ["D13&D31", "D23&D32"];
+        let stores: Vec<Table> = shares.map(|s| p.shared_table(s).expect("store")).into();
+        let undo: Vec<Undo> = shares.map(|s| p.shared[s].undo.clone()).into();
+        let indexes = format!("{:?}", p.group_indexes);
+        let versions = p.applied_versions.clone();
+        (
+            p.fingerprint(),
+            stores,
+            undo,
+            p.db.log().to_vec(),
+            indexes,
+            versions,
+        )
+    }
+
+    /// The Fig. 1 doctor with a pending change of the research share
+    /// (Wellbutrin's mechanism), and a committed remote update of the same
+    /// share built on the committed baseline (Ibuprofen's mechanism):
+    /// `(doctor, view delta, source delta, announced hash)`.
+    fn conflicted_doctor() -> (PeerNode, TableDelta, TableDelta, Hash256) {
+        let mut doctor = doctor_with_shares();
+        let local = WriteOp::Update {
+            key: vec![Value::text("Wellbutrin")],
+            assignments: vec![("mechanism_of_action".into(), Value::text("MeA2-local"))],
+        };
+        doctor.write_shared("D23&D32", local).expect("local write");
+        assert!(doctor.has_pending_change("D23&D32").expect("check"));
+        let ibuprofen = Value::text("Ibuprofen");
+        let (view_delta, announced) =
+            remote_update(&doctor, "D23&D32", ibuprofen, "MeA1-new").expect("remote update");
+        let source_delta =
+            (doctor.translate_remote_delta("D23&D32", &view_delta)).expect("translate");
+        (doctor, view_delta, source_delta, announced)
+    }
+
+    #[test]
+    fn a_conflicted_apply_reaches_the_source_and_the_remote_view_wins() {
+        let (mut doctor, view_delta, source_delta, announced) = conflicted_doctor();
+        let mechanism = |p: &PeerNode, pid: i64| {
+            let d3 = p.db.table("D3").expect("D3");
+            d3.get(&[Value::Int(pid)]).expect("row")[3].clone()
+        };
+        let committed = committed_table(&doctor, "D23&D32");
+        let wellbutrin = committed.get(&[Value::text("Wellbutrin")]).expect("row")[1].clone();
+        doctor
+            .apply_remote_delta("D23&D32", &view_delta, &source_delta, announced, 1)
+            .expect("apply");
+        // The remote change reached the source; the local one was rewound.
+        assert_eq!(mechanism(&doctor, 188), Value::text("MeA1-new"));
+        assert_eq!(mechanism(&doctor, 189), wellbutrin);
+        assert_eq!(doctor.applied_versions["D23&D32"], 1);
+        assert_eq!(doctor.shared_hash("D23&D32").expect("hash"), announced);
+        assert!(!doctor.has_pending_change("D23&D32").expect("check"));
+        check_derived_state(&doctor).expect("stores and indexes follow the source");
+    }
+
+    #[test]
+    fn a_conflicted_apply_refuses_a_hash_mismatch_and_changes_nothing() {
+        let (mut doctor, view_delta, source_delta, _) = conflicted_doctor();
+        let before = doctor_state(&doctor);
+        let bogus = Hash256([9; 32]);
+        let err = (doctor.apply_remote_delta("D23&D32", &view_delta, &source_delta, bogus, 1))
+            .expect_err("a hash mismatch is refused");
+        assert!(matches!(err, CoreError::ConsistencyViolation(_)));
+        assert_eq!(doctor_state(&doctor), before);
+    }
+
+    #[test]
+    fn a_conflicted_apply_counts_and_logs_only_its_correction() {
+        use medledger_telemetry::Registry;
+        let registry = Registry::shared();
+        let applied = || registry.snapshot().counter("store.applied_rows.ward");
+        let mut ward = ward_peer(1_000, &Recorder::new(&registry));
+        let op = WriteOp::Update {
+            key: vec![Value::Int(7)],
+            assignments: vec![("dosage".into(), Value::text("9x"))],
+        };
+        ward.write_shared("ward", op).expect("pending write");
+        let pending = ward.pending_delta("ward").expect("pending");
+        let (view_delta, announced) =
+            remote_update(&ward, "ward", Value::Int(3), "Aspirin").expect("remote update");
+        let source_delta = ward
+            .translate_remote_delta("ward", &view_delta)
+            .expect("translate");
+        let (rows_before, log_before) = (applied().expect("counted"), ward.db.log().len());
+        ward.apply_remote_delta("ward", &view_delta, &source_delta, announced, 1)
+            .expect("apply");
+        // The correction: patient 7 back to its committed row, patient 3
+        // to the remote one. Counted, and logged as deltas only.
+        let logged: Vec<(&str, &str, usize)> = ward.db.log()[log_before..]
+            .iter()
+            .map(|r| match &r.op {
+                WriteOp::Delta { delta } => (r.table.as_str(), "delta", delta.row_count()),
+                WriteOp::Replace { rows } => (r.table.as_str(), "replace", rows.len()),
+                other => (r.table.as_str(), other.kind(), 1),
+            })
+            .collect();
+        let counted = applied().expect("counted") - rows_before;
+        let expected = vec![("ward", "delta", 2), ("D3", "delta", 2)];
+        assert_eq!((counted, logged.clone()), (2, expected));
+        let bound = pending.row_count() + view_delta.row_count();
+        for table in ["ward", "D3"] {
+            let rows: usize = logged.iter().filter(|r| r.0 == table).map(|r| r.2).sum();
+            assert!(
+                rows <= bound,
+                "`{table}` logged {rows} rows, more than {bound}"
+            );
+        }
+    }
+
     #[test]
     fn delta_remote_apply_rejects_hash_mismatch_without_corruption() {
         let mut doctor = doctor_with_shares();
@@ -1451,12 +1458,13 @@ mod tests {
         assert!(doctor.leave_share("D23&D32").is_err());
     }
 
-    /// A ward peer of 40 rows under one `select(True)` share named "ward".
-    fn ward_peer(recorder: &Recorder) -> PeerNode {
+    /// A ward peer of `rows` rows under one `select(True)` share named
+    /// "ward".
+    fn ward_peer(rows: i64, recorder: &Recorder) -> PeerNode {
         let mut ward = PeerNode::new("Ward", "gauge", 2, PropagationMode::Delta, 1);
         ward.set_recorder(recorder);
         let mut source = Table::new(d3_table().schema().clone());
-        for pid in 0..40i64 {
+        for pid in 0..rows {
             source
                 .insert(row![pid, "Ibuprofen", "CliD", "MeA1", "1x"])
                 .expect("insert");
@@ -1475,7 +1483,7 @@ mod tests {
         use medledger_telemetry::Registry;
         let registry = Registry::shared();
         let gauge = || registry.snapshot().gauge("peer.shared_rows_resident.Ward");
-        let mut ward = ward_peer(&Recorder::new(&registry));
+        let mut ward = ward_peer(40, &Recorder::new(&registry));
         assert_eq!(gauge(), Some(40));
         // An uncommitted insert is one more stored row and displaces
         // no committed row; an uncommitted update keeps the one it
@@ -1506,7 +1514,7 @@ mod tests {
         // One wave, two members staged on one peer: the first commits,
         // the second is denied and rolls back afterwards. The rollback
         // must not bring back undo rows of the share that has committed.
-        let mut ward = ward_peer(&Recorder::disabled());
+        let mut ward = ward_peer(40, &Recorder::disabled());
         let other = ward.db.table("D3").expect("D3").clone();
         ward.add_source_table("D4", other).expect("add D4");
         let binding = PeerBinding {
@@ -1534,7 +1542,7 @@ mod tests {
 
     #[test]
     fn corrupt_committed_row_fails_integrity_with_and_without_undo_rows() {
-        let mut ward = ward_peer(&Recorder::disabled());
+        let mut ward = ward_peer(40, &Recorder::disabled());
         let contract_hash = ward.shared_hash("ward").expect("hash");
         ward.check_share_integrity("ward", contract_hash)
             .expect("clean at rest");

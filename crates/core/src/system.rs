@@ -1018,7 +1018,7 @@ impl System {
     /// The receiver side of the fan-out: each receiver, in account
     /// order, applies the committed delta through
     /// [`PeerNode::apply_remote_delta`] (a receiver with a pending change
-    /// of the table resolves there through the whole-table merge). One
+    /// of the table applies a correction there, translated by itself). One
     /// result per receiver, in `others`' order; a receiver that is not a
     /// registered peer gets `UnknownPeer`.
     fn apply_on_receivers(

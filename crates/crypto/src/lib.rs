@@ -40,7 +40,7 @@ pub mod prg;
 pub mod sha256;
 pub mod sig;
 
-pub use crc32::{crc32, Crc32};
+pub use crc32::crc32;
 pub use hash::Hash256;
 pub use hmac::{hmac_sha256, HmacKey};
 pub use merkle::{MerkleProof, MerkleTree};

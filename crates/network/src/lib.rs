@@ -12,7 +12,7 @@
 //! * virtual milliseconds instead of wall-clock time, so a bench can model
 //!   a 12-second Ethereum block interval (Sec. IV-1) in microseconds of
 //!   real time,
-//! * [`NetStats`] — message/byte accounting for the experiments,
+//! * [`sim::NetStats`] — message/byte accounting for the experiments,
 //! * [`fanout`] — a deterministic worker pool (scoped `std::thread`s),
 //!   which no production path calls (the benchmark times it).
 //!
@@ -24,5 +24,5 @@ pub mod sim;
 pub mod transfer;
 
 pub use latency::LatencyModel;
-pub use sim::{Delivery, NetStats, NodeId, SimNet};
+pub use sim::SimNet;
 pub use transfer::{DataPlaneStats, DataTransfer};

@@ -34,8 +34,9 @@ pub enum WriteOp {
         /// Primary key of the target row.
         key: Vec<Value>,
     },
-    /// Replace the entire table contents (a whole view taking the place
-    /// of a stored copy: the conflict path of a remote apply).
+    /// Replace the entire table contents. A peer's writes turn it into a
+    /// delta first ([`crate::delta_from_write_op`]), so only a
+    /// [`Database`] used directly logs it.
     Replace {
         /// The new rows.
         rows: Vec<Row>,

@@ -12,7 +12,7 @@ use crate::database::WriteOp;
 use crate::error::RelationalError;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::table::{format_key, Table};
 use crate::value::Value;
 use crate::Result;
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,6 +83,63 @@ impl TableDelta {
             out.insert(k.clone());
         }
         out
+    }
+
+    /// Checks that the delta applies to `base`, as
+    /// [`crate::Table::apply_delta`] does before it changes anything: the
+    /// rows fit the schema, an update's row carries its declared key,
+    /// inserted keys are absent, updated and deleted keys present, and no
+    /// key is touched twice. Returns the inserted rows' keys, in order.
+    pub fn check_applies_to(&self, base: &impl KeyedRows) -> Result<Vec<Vec<Value>>> {
+        let schema = base.schema();
+        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
+        let mut disjoint = |key: &[Value]| -> Result<()> {
+            if !touched.insert(key.to_vec()) {
+                return Err(RelationalError::InvalidKey {
+                    reason: format!("delta touches key {} more than once", format_key(key)),
+                });
+            }
+            Ok(())
+        };
+        let mut insert_keys = Vec::with_capacity(self.inserts.len());
+        for row in &self.inserts {
+            schema.check_row(row)?;
+            let key = schema.key_of(row);
+            if base.get(&key).is_some() {
+                return Err(RelationalError::DuplicateKey {
+                    key: format_key(&key),
+                });
+            }
+            disjoint(&key)?;
+            insert_keys.push(key);
+        }
+        for (key, row) in &self.updates {
+            schema.check_row(row)?;
+            if schema.key_of(row) != *key {
+                return Err(RelationalError::InvalidKey {
+                    reason: format!(
+                        "delta update row key {} disagrees with declared key {}",
+                        format_key(&schema.key_of(row)),
+                        format_key(key)
+                    ),
+                });
+            }
+            if base.get(key).is_none() {
+                return Err(RelationalError::KeyNotFound {
+                    key: format_key(key),
+                });
+            }
+            disjoint(key)?;
+        }
+        for key in &self.deletes {
+            if base.get(key).is_none() {
+                return Err(RelationalError::KeyNotFound {
+                    key: format_key(key),
+                });
+            }
+            disjoint(key)?;
+        }
+        Ok(insert_keys)
     }
 
     /// Sequential composition: the delta equivalent to applying `self`

@@ -112,13 +112,6 @@ impl ShardMap {
     pub fn content_hash(&self) -> Hash256 {
         self.table.content_hash()
     }
-
-    /// Replaces the stored rows with `table`'s (a whole-table replace,
-    /// e.g. a full-table conflict resolution).
-    pub fn rebuild_from(&mut self, table: &Table) {
-        self.table = table.clone();
-        self.encoded_bytes = encoded_len_of(table.rows());
-    }
 }
 
 impl KeyedRows for ShardMap {

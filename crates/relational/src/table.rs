@@ -9,7 +9,7 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
 use medledger_crypto::Hash256;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
@@ -204,54 +204,7 @@ impl Table {
     /// restores the original table — the basis for cheap transactional
     /// rollback without whole-table snapshots.
     pub fn apply_delta(&mut self, delta: &TableDelta) -> Result<TableDelta> {
-        // Validate everything against the current state first.
-        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
-        let mut disjoint = |key: &[Value]| -> Result<()> {
-            if !touched.insert(key.to_vec()) {
-                return Err(RelationalError::InvalidKey {
-                    reason: format!("delta touches key {} more than once", format_key(key)),
-                });
-            }
-            Ok(())
-        };
-        let mut insert_keys = Vec::with_capacity(delta.inserts.len());
-        for row in &delta.inserts {
-            self.schema.check_row(row)?;
-            let key = self.schema.key_of(row);
-            if self.index.contains_key(&key) {
-                return Err(RelationalError::DuplicateKey {
-                    key: format_key(&key),
-                });
-            }
-            disjoint(&key)?;
-            insert_keys.push(key);
-        }
-        for (key, row) in &delta.updates {
-            self.schema.check_row(row)?;
-            if self.schema.key_of(row) != *key {
-                return Err(RelationalError::InvalidKey {
-                    reason: format!(
-                        "delta update row key {} disagrees with declared key {}",
-                        format_key(&self.schema.key_of(row)),
-                        format_key(key)
-                    ),
-                });
-            }
-            if !self.index.contains_key(key) {
-                return Err(RelationalError::KeyNotFound {
-                    key: format_key(key),
-                });
-            }
-            disjoint(key)?;
-        }
-        for key in &delta.deletes {
-            if !self.index.contains_key(key) {
-                return Err(RelationalError::KeyNotFound {
-                    key: format_key(key),
-                });
-            }
-            disjoint(key)?;
-        }
+        let insert_keys = delta.check_applies_to(self)?;
 
         // Apply (infallible after validation) and record the inverse.
         let mut inverse = TableDelta::default();
@@ -446,7 +399,7 @@ impl fmt::Debug for Table {
     }
 }
 
-fn format_key(key: &[Value]) -> String {
+pub(crate) fn format_key(key: &[Value]) -> String {
     let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
     format!("({})", parts.join(", "))
 }

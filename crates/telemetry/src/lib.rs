@@ -29,8 +29,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod registry;
 
-pub use metrics::{
-    bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
-};
-pub use recorder::{CounterHandle, GaugeHandle, HistogramHandle, Recorder, StageTimer};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use recorder::{CounterHandle, GaugeHandle, Recorder, StageTimer};
 pub use registry::{Registry, Snapshot};

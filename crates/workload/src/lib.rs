@@ -22,4 +22,4 @@ pub mod updates;
 
 pub use deident::{deidentify, is_k_anonymous, DeidentConfig};
 pub use ehr::{fig1_full_records, full_records_schema, EhrGenerator};
-pub use updates::{UpdateKind, UpdateStream, WorkloadUpdate};
+pub use updates::{UpdateKind, UpdateStream};

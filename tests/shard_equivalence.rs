@@ -1,7 +1,7 @@
 //! One store per peer: a stand-alone peer driven through random local
 //! writes, rollbacks, commits and remote applies (valid, corrupt,
-//! conflicted with a pending change — the path that replaces a stored
-//! copy wholesale). The stored copy is the peer's only copy of a shared
+//! conflicted with a pending change — the path that applies a correction
+//! delta). The stored copy is the peer's only copy of a shared
 //! table, so after every step its content hash, its running byte total
 //! and the flush's baseline inverses must equal what its rows and a
 //! second-table oracle say, and a refused delta must leave the peer
